@@ -3,13 +3,15 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos short bench bench-telemetry bench-pstore bench-flow bench-asd experiments examples fuzz fmt vet lint lint-docs clean
+.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow bench-asd experiments examples fuzz fmt vet lint lint-docs clean
 
 all: build vet test
 
 # The full pre-merge gate: build, vet, the ACE-specific analyzers,
-# plain tests, race-enabled tests, and the deterministic chaos suite.
-check: build vet lint test test-race chaos
+# plain tests, race-enabled tests, the deterministic chaos suite, the
+# benchmark module's own vet and tests, and the repeat-run stability
+# step.
+check: build vet lint test test-race chaos test-bench stability
 
 build:
 	$(GO) build ./...
@@ -48,19 +50,24 @@ test-race: race
 chaos:
 	$(GO) test -race -count=1 ./internal/chaos/
 
+# bench/ is a module of its own (ace/bench), which `go test ./...` at
+# the root does not reach: this is where an API removal that breaks
+# the benchmark shows up before the benchmark driver finds it.
+test-bench:
+	bash bench/run.sh test
+
+# Tests that once failed a share of their runs, repeated so a relapse
+# cannot hide behind one lucky pass.
+stability:
+	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
+	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
+
 short:
 	$(GO) test -short ./...
 
 # One testing.B benchmark per paper experiment plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Measure the cost of the always-on telemetry instrumentation against
-# the DisableTelemetry no-op configuration and record the comparison
-# in BENCH_telemetry.json. Fails if any hot path regresses over 5%.
-bench-telemetry:
-	ACE_BENCH_TELEMETRY=1 ACE_BENCH_TELEMETRY_OUT=$(CURDIR)/BENCH_telemetry.json \
-		$(GO) test -run 'TestBenchTelemetryOverhead$$' -count=1 -v ./internal/daemon/
 
 # Measure quorum read/write latency against a healthy 3-way cluster
 # and against the same cluster with one replica blackholed or dead,

@@ -292,28 +292,27 @@ func printPlacementStats(snap *telemetry.Snapshot) {
 
 // printConsistencySummary condenses the hlc/staleness/bounded-read
 // metrics into a consistency-at-a-glance block. On a store node: the
-// applied HLC watermark and the clock's skew clamps (nonzero means a
-// peer or client is running fast beyond the tolerance) and logical
-// overflows. On a client pool: the bounded read spectrum — hits vs
-// quorum fallbacks, watermark samples, the AIMD controller's current
-// share, and staleness violations. Violations must stay zero; every
-// one was discarded (never served) and narrowed the controller, so a
-// nonzero count means a lease-holding replica answered below the
-// version a quorum proved it held — lost state, a wiped disk, a
-// split-brain replica — and bounded traffic has been pushed back to
-// the quorum path. Daemons without these metrics print nothing here.
+// clock's skew clamps (nonzero means a peer or client is running fast
+// beyond the tolerance) and logical overflows. On a client pool: the
+// bounded read spectrum — hits vs quorum fallbacks, the AIMD
+// controller's current share, and staleness violations. Violations
+// must stay zero; every one was discarded (never served) and narrowed
+// the controller, so a nonzero count means a lease-holding replica
+// answered below the version a quorum proved it held — lost state, a
+// wiped disk, a split-brain replica — and bounded traffic has been
+// pushed back to the quorum path. Daemons without these metrics print
+// nothing here.
 func printConsistencySummary(snap *telemetry.Snapshot) {
-	if wm := snap.Gauge(pstore.MetricHLCWatermark); wm != 0 {
-		ts := hlc.Timestamp(wm)
-		fmt.Printf("  hlc        watermark=%s skew_clamps=%d logical_overflows=%d\n",
-			ts, snap.Counter(hlc.MetricSkewClamps), snap.Counter(hlc.MetricOverflows))
+	clamps := snap.Counter(hlc.MetricSkewClamps)
+	overflows := snap.Counter(hlc.MetricOverflows)
+	if clamps != 0 || overflows != 0 {
+		fmt.Printf("  hlc        skew_clamps=%d logical_overflows=%d\n", clamps, overflows)
 	}
 	hits := snap.Counter(pstore.MetricBoundedHits)
 	falls := snap.Counter(pstore.MetricBoundedFallbacks)
-	samples := snap.Counter(staleness.MetricSamples)
-	if hits != 0 || falls != 0 || samples != 0 {
-		fmt.Printf("  bounded    hits=%d fallbacks=%d samples=%d share=%.3f violations=%d\n",
-			hits, falls, samples,
+	if hits != 0 || falls != 0 {
+		fmt.Printf("  bounded    hits=%d fallbacks=%d share=%.3f violations=%d\n",
+			hits, falls,
 			float64(snap.Gauge(staleness.MetricShare))/1000,
 			snap.Counter(staleness.MetricViolations))
 	}

@@ -2,7 +2,6 @@ package asd
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -71,26 +70,9 @@ func lookupCmd(q Query) *cmdlang.CmdLine {
 // Remote errors (the directory answered) return immediately; only
 // transport failures fail over.
 func (c *Client) call(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	n := len(c.addrs)
-	if n == 0 {
-		return nil, fmt.Errorf("asd: client has no directory address")
-	}
-	start := int(c.preferred.Load()) % n
-	var lastErr error
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		reply, err := c.pool.CallContext(ctx, c.addrs[idx], cmd)
-		if err == nil {
-			c.preferred.Store(int32(idx))
-			return reply, nil
-		}
-		lastErr = err
-		if _, isRemote := err.(*cmdlang.RemoteError); isRemote {
-			c.preferred.Store(int32(idx))
-			return nil, err
-		}
-	}
-	return nil, lastErr
+	return daemon.Failover(c.addrs, &c.preferred, func(addr string) (*cmdlang.CmdLine, error) {
+		return c.pool.CallContext(ctx, addr, cmd)
+	})
 }
 
 // ResolveAllContext returns the addresses of every service matching

@@ -329,3 +329,54 @@ func TestReplicaResolveReadThroughUsesBoundedPath(t *testing.T) {
 		t.Fatalf("bounded reads = %d, want 1 (resolve read-through must use the bounded path)", bounded)
 	}
 }
+
+// Stop returns only after the reap loop has exited, so a caller may
+// close the service's store client straight after it: the service
+// reads the store no more. Under -race a reaper still syncing after
+// Stop also shows as its Add to the store client's background
+// WaitGroup racing Close's Wait.
+func TestStopJoinsReaperBeforeStoreClose(t *testing.T) {
+	cluster, err := pstore.StartCluster(3, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
+
+	// A sibling replica fills the store, so the first reap pass of the
+	// replica under test has a long run of entries to load — quorum
+	// reads, each leaving a straggler to drain — and Stop lands in the
+	// middle of it.
+	writerStore := pstore.NewClient(pool, cluster.Addrs())
+	t.Cleanup(writerStore.Close)
+	writer := New(Config{Daemon: daemon.Config{Name: "asdwriter"}, ReapInterval: time.Hour, Store: writerStore})
+	if err := writer.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(writer.Stop)
+	for i := 0; i < 200; i++ {
+		registerVia(t, pool, writer.Addr(), fmt.Sprintf("svc%d", i), "m1:1", 60000)
+	}
+
+	store := pstore.NewClient(pool, cluster.Addrs())
+	s := New(Config{Daemon: daemon.Config{Name: "asdstop"}, ReapInterval: time.Millisecond, Store: store})
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	storeReads := func() int64 { return s.Telemetry().Snapshot().Counter(MetricReplicaStoreReads) }
+	deadline := time.Now().Add(5 * time.Second)
+	for storeReads() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("reaper never read the store")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	s.Stop()
+	reads := storeReads()
+	store.Close()
+	time.Sleep(20 * time.Millisecond)
+	if after := storeReads(); after != reads {
+		t.Fatalf("%d store reads after Stop returned", after-reads)
+	}
+}

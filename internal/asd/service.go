@@ -32,8 +32,11 @@ type Service struct {
 	*daemon.Daemon
 	dir       *Directory
 	reapEvery time.Duration
-	stopReap  chan struct{}
-	stopOnce  sync.Once
+	// reapCtx ends the reap loop and whatever store sync it has in
+	// flight; reapWG lets Stop wait for the loop to have exited.
+	reapCtx  context.Context
+	stopReap context.CancelFunc
+	reapWG   sync.WaitGroup
 
 	// rep is the store-backed replica layer; nil in standalone
 	// (single in-memory directory) mode.
@@ -97,9 +100,9 @@ func New(cfg Config) *Service {
 		Daemon:       daemon.New(dcfg),
 		dir:          NewDirectory(),
 		reapEvery:    cfg.ReapInterval,
-		stopReap:     make(chan struct{}),
 		storeTimeout: cfg.StoreTimeout,
 	}
+	s.reapCtx, s.stopReap = context.WithCancel(context.Background())
 	tel := s.Telemetry()
 	if cfg.Store != nil {
 		s.rep = newReplica(s.dir, cfg.Store, tel)
@@ -135,23 +138,28 @@ func (s *Service) Start() error {
 	if err := s.Daemon.Start(); err != nil {
 		return err
 	}
+	s.reapWG.Add(1)
 	go s.reapLoop()
 	return nil
 }
 
-// Stop halts the reaper and the daemon. Safe to call more than once
-// (chaos drills kill daemons that deferred cleanups stop again).
+// Stop halts the reaper and the daemon, and returns once the reaper
+// has exited: nothing of this service touches its Store afterwards, so
+// the caller may close the store client next. Safe to call more than
+// once (chaos drills kill daemons that deferred cleanups stop again).
 func (s *Service) Stop() {
-	s.stopOnce.Do(func() { close(s.stopReap) })
+	s.stopReap()
+	s.reapWG.Wait()
 	s.Daemon.Stop()
 }
 
 func (s *Service) reapLoop() {
+	defer s.reapWG.Done()
 	t := time.NewTicker(s.reapEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stopReap:
+		case <-s.reapCtx.Done():
 			return
 		case <-t.C:
 			var reaped []Entry
@@ -160,7 +168,7 @@ func (s *Service) reapLoop() {
 				// confirmed against the durable deadline, never local
 				// state alone, and entries registered through sibling
 				// replicas are pulled in.
-				ctx, cancel := context.WithTimeout(context.Background(), s.storeTimeout)
+				ctx, cancel := context.WithTimeout(s.reapCtx, s.storeTimeout)
 				reaped = s.rep.sync(ctx)
 				cancel()
 			} else {

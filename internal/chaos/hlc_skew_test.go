@@ -3,6 +3,7 @@ package chaos_test
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -10,23 +11,24 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/pstore"
+	"ace/internal/pstore/staleness"
 	"ace/internal/telemetry"
 )
 
 // TestChaosBoundedReadFailsSafeUnderSkewAndPartition: the bounded
 // read spectrum's safety claim is that it never serves data staler
 // than its bound — it falls back to a quorum read instead. This test
-// attacks that claim with the two faults that break naive
-// staleness estimators:
+// attacks that claim with the two faults that break staleness
+// estimators built on replica clocks:
 //
 //   - a partition: one replica stops applying writes, then heals
-//     holding a value older than the bound. Bounded reads must not
-//     serve its stale copy.
-//   - clock skew: a node whose wall clock runs 10s fast self-stamps a
-//     write, inflating its watermark and the client's frontier, which
-//     makes every honest replica look stale. Combined with a
-//     partition of the skewed node, bounded reads must degrade to
-//     quorum fallbacks — conservative, never wrong.
+//     holding a value older than the bound. It holds no freshness
+//     lease, so bounded reads must not serve its stale copy.
+//   - clock skew: a lease holder's wall clock runs 10s fast and it
+//     self-stamps a write. Leases are timed on the client's clock, so
+//     bounded reads keep hitting; when that holder is then partitioned
+//     too, the read that chose it falls back, the controller narrows,
+//     and the fallback's lease names only surviving holders.
 //
 // Every read in the test asserts the latest committed value: a single
 // stale answer is a failed test, which is exactly the zero-violation
@@ -97,7 +99,7 @@ func TestChaosBoundedReadFailsSafeUnderSkewAndPartition(t *testing.T) {
 		}
 	}
 
-	// Healthy phase: warm the tracker, prove the single-replica path
+	// Healthy phase: the put's lease proves the single-replica path
 	// actually engages.
 	if _, err := client.Put("/skew/a", []byte("a1")); err != nil {
 		t.Fatal(err)
@@ -117,38 +119,76 @@ func TestChaosBoundedReadFailsSafeUnderSkewAndPartition(t *testing.T) {
 		t.Fatalf("quorum write under partition: %v", err)
 	}
 	fabric.Heal("r3")
+	// The failed legs of that write opened r3's breaker; until its
+	// cooldown admits a probe r3 still counts as unreachable, and the
+	// next phase takes a second replica away.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := pool.Call(proxied[2], cmdlang.New("ping")); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("healed r3 never answered through the pool")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 	for i := 0; i < 20; i++ {
 		mustRead("healed-stale-replica", "a2")
 	}
 
-	// Skew phase: run r1's clock 10s fast and have it self-stamp a
-	// write (a raw node-level put carries no client HLC, so the node
-	// stamps with its own — skewed — clock). Its watermark, and with
-	// it the client's frontier, jumps 10s ahead, making the honest
-	// replicas look stale. Then partition r1 too: skewed AND
-	// unreachable.
-	fabric.SetClockSkew("r1", 10*time.Second)
-	if _, err := pool.Call(proxied[0], cmdlang.New("psput").
+	// Skew phase: a quorum read pins which replica the next bounded
+	// reads will choose (the lease's first holder). Run that replica's
+	// clock 10s fast and have it self-stamp a write (a raw node-level
+	// put carries no client HLC, so the node stamps with its own —
+	// skewed — clock). The lease is on the client's clock: bounded
+	// reads keep hitting.
+	if _, _, _, err := client.GetContext(context.Background(), "/skew/a"); err != nil {
+		t.Fatalf("quorum read: %v", err)
+	}
+	_, _, holders, live := client.Leases().Holders("/skew/a", bound)
+	if !live {
+		t.Fatal("quorum read granted no lease")
+	}
+	chosen := holders[0]
+	name := fmt.Sprintf("r%d", slices.Index(proxied, chosen)+1)
+	fabric.SetClockSkew(name, 10*time.Second)
+	if _, err := pool.Call(chosen, cmdlang.New("psput").
 		SetString("path", "/skew/poison").
 		SetString("value", "00").
 		SetInt("version", 1)); err != nil {
 		t.Fatalf("raw skewed write: %v", err)
 	}
-	// A quorum read of the poisoned path folds r1's inflated
-	// watermark into the frontier.
-	if _, _, _, err := client.GetContext(context.Background(), "/skew/poison"); err != nil {
-		t.Fatalf("quorum read of poisoned path: %v", err)
+	hitsBefore := reg.Snapshot().Counter(pstore.MetricBoundedHits)
+	mustRead("skewed", "a2")
+	if h := reg.Snapshot().Counter(pstore.MetricBoundedHits); h != hitsBefore+1 {
+		t.Fatalf("skew alone sent a lease-proven read to quorum (hits %d -> %d)", hitsBefore, h)
 	}
-	fabric.Partition("r1")
+
+	// Skewed AND unreachable: the read that chose the partitioned
+	// holder falls back, correctly, and narrows the controller.
+	fabric.Partition(name)
 	fallbacksBefore := reg.Snapshot().Counter(pstore.MetricBoundedFallbacks)
-	for i := 0; i < 20; i++ {
-		mustRead("skewed+partitioned", "a2")
+	mustRead("skewed+partitioned", "a2")
+	if f := reg.Snapshot().Counter(pstore.MetricBoundedFallbacks); f != fallbacksBefore+1 {
+		t.Fatalf("read through a partitioned holder did not fall back (fallbacks %d -> %d)", fallbacksBefore, f)
 	}
-	if f := reg.Snapshot().Counter(pstore.MetricBoundedFallbacks); f <= fallbacksBefore {
-		t.Fatalf("skew+partition produced no quorum fallbacks (before=%d after=%d) — bounded reads are not failing safe", fallbacksBefore, f)
+	if share := client.Staleness().Share(); share >= 1 {
+		t.Fatalf("controller never narrowed under skew+partition: share=%v", share)
 	}
-	_, ctl := client.Staleness()
-	if ctl.Share() >= 1 {
-		t.Fatal("controller never narrowed under skew+partition")
+	// The fallback's quorum round granted the next lease, which lists
+	// only replicas that answered it.
+	if _, _, holders, live = client.Leases().Holders("/skew/a", bound); !live || slices.Contains(holders, chosen) {
+		t.Fatalf("lease after fallback: live=%v holders=%v, want survivors of %s only", live, holders, chosen)
+	}
+	// The narrowed share withholds the very next read; the one after
+	// is a hit from a surviving holder.
+	hitsBefore = reg.Snapshot().Counter(pstore.MetricBoundedHits)
+	mustRead("skewed+partitioned", "a2")
+	mustRead("skewed+partitioned", "a2")
+	if h := reg.Snapshot().Counter(pstore.MetricBoundedHits); h != hitsBefore+1 {
+		t.Fatalf("bounded reads did not re-engage on a surviving holder (hits %d -> %d)", hitsBefore, h)
+	}
+	if v := reg.Snapshot().Counter(staleness.MetricViolations); v != 0 {
+		t.Fatalf("violations = %d, want 0", v)
 	}
 }

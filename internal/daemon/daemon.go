@@ -601,29 +601,11 @@ func (d *Daemon) startupSequence() error {
 }
 
 // asdCall issues one lease-protocol command against the directory,
-// starting at the replica that last answered and failing over to the
-// next on transport failure. A remote error means the directory
-// answered — it is returned immediately, since every replica serves
-// the same replicated state and would say the same.
+// failing over across its replicas (see Failover).
 func (d *Daemon) asdCall(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	n := len(d.asdAddrs)
-	start := int(d.asdPreferred.Load()) % n
-	var lastErr error
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		reply, err := d.pool.Call(d.asdAddrs[idx], cmd)
-		if err == nil {
-			d.asdPreferred.Store(int32(idx))
-			return reply, nil
-		}
-		lastErr = err
-		var re *cmdlang.RemoteError
-		if errors.As(err, &re) {
-			d.asdPreferred.Store(int32(idx))
-			return nil, err
-		}
-	}
-	return nil, lastErr
+	return Failover(d.asdAddrs, &d.asdPreferred, func(addr string) (*cmdlang.CmdLine, error) {
+		return d.pool.Call(addr, cmd)
+	})
 }
 
 func (d *Daemon) registerASD() error {

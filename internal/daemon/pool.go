@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ace/internal/cmdlang"
@@ -445,6 +446,33 @@ func (p *Pool) callOnce(ctx context.Context, addr string, cmd *cmdlang.CmdLine) 
 		return nil, err
 	}
 	return reply, nil
+}
+
+// Failover tries call against addrs in sticky preference order: it
+// starts at the replica *preferred indexes — the one that last
+// answered — and moves to the next on a transport failure. A remote
+// error means a replica answered, and replicas of one service serve
+// the same state and would say the same, so it is returned at once and
+// that replica stays preferred. With every replica unreachable the
+// last transport error is returned.
+func Failover(addrs []string, preferred *atomic.Int32, call func(addr string) (*cmdlang.CmdLine, error)) (*cmdlang.CmdLine, error) {
+	n := len(addrs)
+	if n == 0 {
+		return nil, errors.New("daemon: no replica address to call")
+	}
+	start := int(preferred.Load()) % n
+	var lastErr error
+	for i := 0; i < n; i++ {
+		idx := (start + i) % n
+		reply, err := call(addrs[idx])
+		var re *cmdlang.RemoteError
+		if err == nil || errors.As(err, &re) {
+			preferred.Store(int32(idx))
+			return reply, err
+		}
+		lastErr = err
+	}
+	return nil, lastErr
 }
 
 // Send transmits a one-way command (no reply expected) to addr.

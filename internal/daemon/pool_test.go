@@ -3,7 +3,9 @@ package daemon
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -507,5 +509,56 @@ func TestCallWrongGroupIsRetryableRedirect(t *testing.T) {
 	}
 	if c1 != c2 {
 		t.Fatal("redirect dropped the pooled connection")
+	}
+}
+
+// TestFailoverStickyWalk: the walk starts at the replica that last
+// answered, moves on only for transport failures, and treats a remote
+// error — however a caller's layers wrapped it — as an answer.
+func TestFailoverStickyWalk(t *testing.T) {
+	addrs := []string{"a", "b", "c"}
+	var preferred atomic.Int32
+	var tried []string
+	answers := map[string]error{"a": errors.New("connection refused"), "b": nil}
+	call := func(addr string) (*cmdlang.CmdLine, error) {
+		tried = append(tried, addr)
+		if err := answers[addr]; err != nil {
+			return nil, err
+		}
+		return cmdlang.OK(), nil
+	}
+
+	if _, err := Failover(addrs, &preferred, call); err != nil {
+		t.Fatalf("failover past a dead replica: %v", err)
+	}
+	if got := strings.Join(tried, ""); got != "ab" || preferred.Load() != 1 {
+		t.Fatalf("tried %q preferred=%d, want ab and 1", got, preferred.Load())
+	}
+
+	// b answers with a remote error that a layer in between wrapped:
+	// the walk stops there and b stays preferred.
+	remote := &cmdlang.RemoteError{Code: cmdlang.CodeNotFound, Msg: "no such service"}
+	answers["b"] = fmt.Errorf("directory: %w", remote)
+	tried = nil
+	_, err := Failover(addrs, &preferred, call)
+	if !cmdlang.IsRemoteCode(err, cmdlang.CodeNotFound) {
+		t.Fatalf("err = %v, want the wrapped remote error", err)
+	}
+	if got := strings.Join(tried, ""); got != "b" || preferred.Load() != 1 {
+		t.Fatalf("tried %q preferred=%d, want b alone and 1 — a remote error failed over", got, preferred.Load())
+	}
+
+	// Every replica unreachable: each is tried once, from the preferred
+	// one round, and the last transport error comes back.
+	answers["b"], answers["c"] = errors.New("b down"), errors.New("c down")
+	tried = nil
+	if _, err := Failover(addrs, &preferred, call); err == nil || err.Error() != "connection refused" {
+		t.Fatalf("err = %v, want a's transport error (tried last)", err)
+	}
+	if got := strings.Join(tried, ""); got != "bca" {
+		t.Fatalf("tried %q, want bca", got)
+	}
+	if _, err := Failover(nil, &preferred, call); err == nil {
+		t.Fatal("empty replica list did not fail")
 	}
 }

@@ -81,7 +81,6 @@ func RunX8() (*Table, error) {
 			after.Counter(staleness.MetricViolations)-before.Counter(staleness.MetricViolations))
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d reads per mode over %d keys after %d warmup; bounded Δ=%v (skew margin %v)",
-			reads, keys, warmup, bound, client.Clock().MaxOffset()))
+		fmt.Sprintf("%d reads per mode over %d keys after %d warmup; bounded Δ=%v", reads, keys, warmup, bound))
 	return t, nil
 }

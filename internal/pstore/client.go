@@ -85,15 +85,13 @@ type Client struct {
 	repairSem chan struct{}
 	bg        sync.WaitGroup
 
-	// clock, lag, ctl, and leases are the bounded-staleness read
-	// machinery: the client's hybrid logical clock (stamps writes,
-	// merges reply watermarks), the per-replica advisory lag
-	// estimator, the AIMD valve deciding how much traffic may leave
-	// the quorum path, and the per-path freshness-lease table holding
-	// the proof bounded reads rely on. A sharded deployment shares one
-	// set across its group clients.
+	// clock is the client's hybrid logical clock, which stamps writes.
+	// leases and ctl are the bounded-staleness read machinery: the
+	// per-path freshness-lease table holding the proof bounded reads
+	// rely on, and the AIMD valve deciding how much lease-proven
+	// traffic may leave the quorum path. A sharded deployment shares
+	// one set across its group clients.
 	clock  *hlc.Clock
-	lag    *staleness.Tracker
 	ctl    *staleness.Controller
 	leases *staleness.Leases
 
@@ -109,7 +107,6 @@ type Client struct {
 	mBoundedHits      *telemetry.Counter
 	mBoundedFallbacks *telemetry.Counter
 	mBoundedLatency   *telemetry.Histogram
-	mStaleSamples     *telemetry.Counter
 	mStaleViolations  *telemetry.Counter
 	mStaleShare       *telemetry.Gauge
 }
@@ -129,13 +126,11 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		replicas:          append([]string(nil), replicas...),
 		repairSem:         make(chan struct{}, bound),
 		clock:             hlc.New(nil, 0, tel),
-		lag:               staleness.NewTracker(0, nil),
-		ctl:               staleness.NewController(staleness.ControllerConfig{}),
+		ctl:               staleness.NewController(nil),
 		leases:            staleness.NewLeases(0, nil),
 		mBoundedHits:      tel.Counter(MetricBoundedHits),
 		mBoundedFallbacks: tel.Counter(MetricBoundedFallbacks),
 		mBoundedLatency:   tel.Histogram(MetricBoundedLatency),
-		mStaleSamples:     tel.Counter(staleness.MetricSamples),
 		mStaleViolations:  tel.Counter(staleness.MetricViolations),
 		mStaleShare:       tel.Gauge(staleness.MetricShare),
 		mReadLatency:      tel.Histogram(MetricReadLatency),
@@ -167,20 +162,6 @@ func (c *Client) stamp(cmd *cmdlang.CmdLine) *cmdlang.CmdLine {
 		cmd.SetInt("epoch", int64(c.epoch))
 	}
 	return cmd
-}
-
-// observe folds a reply's HLC watermark (the "hlc" argument every
-// stamped node attaches) into the client's clock and the per-replica
-// staleness estimate. Replies from pre-HLC nodes carry no watermark
-// and are skipped, which leaves those replicas permanently ineligible
-// for bounded reads — the safe direction.
-func (c *Client) observe(addr string, reply *cmdlang.CmdLine) {
-	if v := reply.Int(watermarkArg, 0); v > 0 {
-		ts := hlc.Timestamp(v)
-		c.clock.Update(ts)
-		c.lag.ObserveApplied(addr, ts)
-		c.mStaleSamples.Inc()
-	}
 }
 
 // anyRedirect reports whether any consumed reply was a wrong_group
@@ -370,7 +351,6 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 			}
 			return replicaReply{err: callErr}
 		}
-		c.observe(addr, reply)
 		val, decErr := decodeValue(reply.Str("value", ""))
 		if decErr != nil {
 			// A corrupt replica is a failed replica: it must not count
@@ -449,7 +429,6 @@ func (c *Client) currentVersion(ctx context.Context, path string) (uint64, error
 			}
 			return replicaReply{err: callErr}
 		}
-		c.observe(addr, reply)
 		ver, verErr := replyVersion(reply, addr)
 		if verErr != nil {
 			return replicaReply{err: verErr}
@@ -600,17 +579,12 @@ func (c *Client) DeleteContext(ctx context.Context, path string) error {
 func (c *Client) writeAll(ctx context.Context, cmd *cmdlang.CmdLine) (ackedAddrs []string, redirected bool) {
 	// Stamp the write: the timestamp rides the wire frame header to
 	// every replica, so all of them store the same client-assigned
-	// stamp. It also advances the client's write frontier — the
-	// reference point bounded reads measure staleness against.
-	ts := c.clock.Now()
-	ctx = hlc.WithTimestamp(ctx, ts)
-	c.lag.ObserveWrite(ts)
+	// stamp.
+	ctx = hlc.WithTimestamp(ctx, c.clock.Now())
 	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
-		reply, err := c.pool.CallContext(cctx, addr, cmd.Clone())
-		if err != nil {
+		if _, err := c.pool.CallContext(cctx, addr, cmd.Clone()); err != nil {
 			return replicaReply{err: err}
 		}
-		c.observe(addr, reply)
 		return replicaReply{ok: true}
 	})
 	prefix, _ := f.awaitQuorum(c.Quorum(), "quorum write")

@@ -8,6 +8,9 @@ package pstore
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -350,5 +353,75 @@ func TestFastPathFailsClosedPromptly(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > callTimeout/2 {
 		t.Fatalf("fail-closed took %v; not prompt", elapsed)
+	}
+}
+
+// TestDataRepliesCarryOnlyTheirOwnArguments pins the reply shape of
+// the five data and anti-entropy verbs: the per-reply node watermark
+// is gone, so any argument beyond these is wire bytes nobody reads.
+func TestDataRepliesCarryOnlyTheirOwnArguments(t *testing.T) {
+	cluster, _ := startCluster(t, 1, "")
+	pool := daemon.NewPool(nil)
+	defer pool.Close()
+	addr := cluster.Addrs()[0]
+	for _, tc := range []struct {
+		cmd  *cmdlang.CmdLine
+		want []string
+	}{
+		{cmdlang.New("psput").SetString("path", "/shape/a").SetString("value", "aa").SetInt("version", 1), []string{"applied", "version"}},
+		{cmdlang.New("psget").SetString("path", "/shape/a"), []string{"value", "version"}},
+		{cmdlang.New("psfetch").SetString("path", "/shape/a"), []string{"deleted", "item_hlc", "value", "version"}},
+		{cmdlang.New("psdigest"), []string{"paths", "versions"}},
+		{cmdlang.New("psdel").SetString("path", "/shape/a").SetInt("version", 2), []string{"applied"}},
+	} {
+		reply, err := pool.Call(addr, tc.cmd)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.cmd.Name(), err)
+		}
+		reply.Del("seq") // the wire layer's own argument, on every reply
+		if got := reply.SortedArgNames(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s reply arguments = %v, want %v", tc.cmd.Name(), got, tc.want)
+		}
+	}
+}
+
+// TestClientAcceptsRepliesFromWatermarkingNode: replicas built before
+// the watermark was removed still attach hlc=<stamp> to every reply. A
+// new client reads, writes and takes lease hits through them.
+func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
+	oldReply := func(text string) func(*daemon.Ctx, *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+		return func(*daemon.Ctx, *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			return cmdlang.Parse(text)
+		}
+	}
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		d := daemon.New(daemon.Config{Name: fmt.Sprintf("old_replica%d", i)})
+		d.Handle(cmdlang.CommandSpec{Name: "psfetch", AllowExtra: true},
+			oldReply(`ok value="6f6c64" version=4 item_hlc=7 deleted=false hlc=1893456000000;`))
+		d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
+			oldReply(`ok value="6f6c64" version=4 hlc=1893456000000;`))
+		d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
+			oldReply(`ok applied=true version=5 hlc=1893456000000;`))
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Stop)
+		addrs = append(addrs, d.Addr())
+	}
+	pool, reg := telemetryPool(t, time.Second)
+	client := NewClient(pool, addrs)
+	defer client.Close()
+	if val, ver, ok, err := client.Get("/old/x"); err != nil || !ok || ver != 4 || string(val) != "old" {
+		t.Fatalf("quorum get through old replicas: val=%q ver=%d ok=%v err=%v", val, ver, ok, err)
+	}
+	if val, _, ok, err := client.GetModeContext(context.Background(), "/old/x", ReadBounded(2*time.Second)); err != nil || !ok || string(val) != "old" {
+		t.Fatalf("bounded get through old replicas: val=%q ok=%v err=%v", val, ok, err)
+	}
+	if h := reg.Snapshot().Counter(MetricBoundedHits); h != 1 {
+		t.Fatalf("bounded hits = %d, want 1", h)
+	}
+	if ver, err := client.Put("/old/x", []byte("new")); err != nil || ver != 5 {
+		t.Fatalf("put through old replicas: ver=%d err=%v", ver, err)
 	}
 }

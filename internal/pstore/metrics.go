@@ -60,9 +60,9 @@ const (
 // the pool the Client dials through. A bounded GET resolves exactly
 // one of three ways: hit (served from one lease-holding replica with
 // the bound proven), fallback (the bound could not be proven — no
-// live freshness lease for the path, no holder passing the advisory
-// lag screen, controller narrowed, transport error, miss, or lease
-// expiry mid-flight — so the read re-ran as a quorum), or violation
+// live freshness lease for the path, controller narrowed, transport
+// error, miss, or lease expiry mid-flight — so the read re-ran as a
+// quorum), or violation
 // (a lease holder answered a version below the one a quorum proved
 // it held; the reply was discarded and the read re-ran as a quorum,
 // so a violation never reaches the caller). The node-side
@@ -73,8 +73,4 @@ const (
 	MetricBoundedHits      = "pstore.read.bounded_hits"
 	MetricBoundedFallbacks = "pstore.read.bounded_fallbacks"
 	MetricBoundedLatency   = "pstore.read.bounded_latency"
-	// MetricHLCWatermark is each node's max-applied HLC stamp (packed
-	// timestamp, node registry): the advisory freshness signal it
-	// attaches to replies (a maximum, not a prefix bound).
-	MetricHLCWatermark = "pstore.hlc.watermark"
 )

@@ -48,9 +48,8 @@ type Item struct {
 	// independently by each replica, so replicas may durably hold
 	// DIFFERENT stamps for the same version of the same item, and
 	// anti-entropy never reconciles them. Conflict resolution stays
-	// purely version-based (newer) and stamps only feed the advisory
-	// applied watermark, so the divergence can skew lag estimates but
-	// never the data.
+	// purely version-based (newer), so the divergence never touches
+	// the data.
 	HLC hlc.Timestamp
 }
 
@@ -75,17 +74,9 @@ type Node struct {
 	items map[string]Item
 
 	// clock is the node's hybrid logical clock: merged with every
-	// stamped write, the source of stamps for legacy unstamped writes,
-	// forwarded past the WAL high-water mark at recovery.
+	// stamped write, and the source of stamps for legacy unstamped
+	// writes.
 	clock *hlc.Clock
-	// appliedHLC is the max HLC stamp over every item this node has
-	// applied (packed hlc.Timestamp). It is the watermark gossiped in
-	// data and digest replies — an advisory freshness signal, and a
-	// maximum, not a prefix guarantee: it can run ahead of writes the
-	// node missed, which is why clients treat it as a replica-selection
-	// hint rather than a staleness proof. Atomic so replies read it
-	// without taking mu.
-	appliedHLC atomic.Uint64
 
 	eng      *storage.Engine
 	recovery storage.RecoveryInfo
@@ -116,7 +107,6 @@ type Node struct {
 	accepted int64 // writes applied (local or via sync)
 	synced   int64 // items pulled by anti-entropy
 
-	mWatermark     *telemetry.Gauge
 	mSyncRounds    *telemetry.Counter
 	mSyncPulled    *telemetry.Counter
 	mWrites        *telemetry.Counter
@@ -183,7 +173,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	tel := n.Telemetry()
 	n.clock = hlc.New(cfg.WallClock, cfg.MaxClockOffset, tel)
-	n.mWatermark = tel.Gauge(MetricHLCWatermark)
 	n.mSyncRounds = tel.Counter(MetricSyncRounds)
 	n.mSyncPulled = tel.Counter(MetricSyncPulled)
 	n.mWrites = tel.Counter(MetricWritesApplied)
@@ -214,22 +203,12 @@ func NewNode(cfg Config) (*Node, error) {
 		n.eng = eng
 		n.recovery = info
 		// Replay through the same last-writer-wins merge normal writes
-		// use, so recovery is insensitive to log order. The max HLC
-		// stamp over the replayed records is the clock high-water mark:
-		// forwarding past it keeps timestamps monotonic across the
-		// restart even when the machine clock went backwards while the
-		// process was down.
-		var mark hlc.Timestamp
+		// use, so recovery is insensitive to log order.
 		n.mu.Lock()
 		for _, rec := range recovered {
-			ts := hlc.Timestamp(rec.HLC)
-			if ts > mark {
-				mark = ts
-			}
-			n.applyMemLocked(Item{Path: rec.Path, Value: rec.Value, Version: rec.Version, Deleted: rec.Deleted, HLC: ts})
+			n.applyMemLocked(Item{Path: rec.Path, Value: rec.Value, Version: rec.Version, Deleted: rec.Deleted, HLC: hlc.Timestamp(rec.HLC)})
 		}
 		n.mu.Unlock()
-		n.clock.Forward(mark)
 	}
 	n.install()
 	if cfg.SyncInterval > 0 {
@@ -305,21 +284,8 @@ func (n *Node) applyMemLocked(it Item) bool {
 	n.items[it.Path] = it
 	n.accepted++
 	n.mWrites.Inc()
-	if ts := uint64(it.HLC); ts > n.appliedHLC.Load() {
-		// Only this goroutine advances the watermark (mu is held), so
-		// load-then-store cannot regress it.
-		n.appliedHLC.Store(ts)
-		n.mWatermark.Set(int64(ts))
-	}
 	return true
 }
-
-// Watermark returns the node's max-applied HLC: the advisory
-// freshness signal it attaches to data and digest replies.
-func (n *Node) Watermark() hlc.Timestamp { return hlc.Timestamp(n.appliedHLC.Load()) }
-
-// Clock returns the node's hybrid logical clock.
-func (n *Node) Clock() *hlc.Clock { return n.clock }
 
 // stamp resolves the HLC stamp for an incoming write: the client's
 // stamp from the frame header when present (merged into the node's
@@ -334,20 +300,8 @@ func (n *Node) stamp(ctx *daemon.Ctx) hlc.Timestamp {
 	return n.clock.Now()
 }
 
-// watermarkArg is the reply argument carrying the node's max-applied
-// HLC ("hlc"), and itemHLCArg the per-item stamp on psfetch replies.
-const (
-	watermarkArg = "hlc"
-	itemHLCArg   = "item_hlc"
-)
-
-// stampReply attaches the node's applied watermark to an outgoing
-// reply. Every data-plane and digest reply carries it, which is what
-// lets clients maintain per-replica advisory staleness estimates
-// without any dedicated gossip traffic.
-func (n *Node) stampReply(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
-	return reply.SetInt(watermarkArg, int64(n.appliedHLC.Load()))
-}
+// itemHLCArg is the psfetch reply argument carrying the item's stamp.
+const itemHLCArg = "item_hlc"
 
 // applyDurable is the write path: install in memory, then block until
 // the record is fsync-durable in the WAL (group commit batches
@@ -778,7 +732,7 @@ func (n *Node) install() {
 		// The disk refusing durability answers busy (retryable, not a
 		// definitive failure) so the quorum counts someone else.
 		return n.applyAsync(ctx, it, func(applied bool) *cmdlang.CmdLine {
-			return n.stampReply(cmdlang.OK().SetBool("applied", applied).SetInt("version", int64(it.Version)))
+			return cmdlang.OK().SetBool("applied", applied).SetInt("version", int64(it.Version))
 		})
 	})
 
@@ -795,13 +749,11 @@ func (n *Node) install() {
 		}
 		it, ok := n.get(path)
 		if !ok {
-			// Stamped even on a miss so the reply still refreshes the
-			// client's advisory lag sample for this replica.
-			return n.stampReply(cmdlang.Fail(cmdlang.CodeNotFound, "no object at path")), nil
+			return cmdlang.Fail(cmdlang.CodeNotFound, "no object at path"), nil
 		}
-		return n.stampReply(cmdlang.OK().
+		return cmdlang.OK().
 			SetString("value", encodeValue(it.Value)).
-			SetInt("version", int64(it.Version))), nil
+			SetInt("version", int64(it.Version)), nil
 	})
 
 	n.Handle(cmdlang.CommandSpec{
@@ -828,7 +780,7 @@ func (n *Node) install() {
 			HLC:     n.stamp(ctx),
 		}
 		return n.applyAsync(ctx, it, func(applied bool) *cmdlang.CmdLine {
-			return n.stampReply(cmdlang.OK().SetBool("applied", applied))
+			return cmdlang.OK().SetBool("applied", applied)
 		})
 	})
 
@@ -888,9 +840,9 @@ func (n *Node) install() {
 		for i, p := range paths {
 			versions[i] = int64(digest[p])
 		}
-		return n.stampReply(cmdlang.OK().
+		return cmdlang.OK().
 			Set("paths", cmdlang.StringVector(paths...)).
-			Set("versions", cmdlang.IntVector(versions...))), nil
+			Set("versions", cmdlang.IntVector(versions...)), nil
 	})
 
 	n.Handle(cmdlang.CommandSpec{
@@ -915,13 +867,13 @@ func (n *Node) install() {
 		it, ok := n.items[path]
 		n.mu.Unlock()
 		if !ok {
-			return n.stampReply(cmdlang.Fail(cmdlang.CodeNotFound, "no item")), nil
+			return cmdlang.Fail(cmdlang.CodeNotFound, "no item"), nil
 		}
-		return n.stampReply(cmdlang.OK().
+		return cmdlang.OK().
 			SetString("value", encodeValue(it.Value)).
 			SetInt("version", int64(it.Version)).
 			SetInt(itemHLCArg, int64(it.HLC)).
-			SetBool("deleted", it.Deleted)), nil
+			SetBool("deleted", it.Deleted), nil
 	})
 
 	n.Handle(cmdlang.CommandSpec{

@@ -123,6 +123,9 @@ func TestSurvivesOneCrash(t *testing.T) {
 func TestSurvivesTwoCrashesForReads(t *testing.T) {
 	cluster, client := startCluster(t, 3, "")
 	client.Put("/k", []byte("v1")) //nolint:errcheck
+	// The put returns at a majority and may have cancelled the survivor
+	// as its straggler; anti-entropy carries v1 there.
+	cluster.SyncRound()
 	cluster.Nodes[0].Stop()
 	cluster.Nodes[1].Stop()
 
@@ -330,17 +333,23 @@ func TestReadRepairHealsStaleReplica(t *testing.T) {
 			t.Fatal("direct apply failed")
 		}
 	}
+	// The put may have cancelled node 2 as its straggler before v1
+	// reached it; the scenario needs it holding v1.
+	cluster.Nodes[2].apply(Item{Path: "/rr", Value: []byte("v1"), Version: 1})
 	if it, ok := cluster.Nodes[2].get("/rr"); !ok || it.Version != 1 {
 		t.Fatalf("precondition: node2=%+v ok=%v", it, ok)
 	}
 
-	// A quorum read returns v2 and repairs node 2 in the background.
-	got, ver, ok, err := client.Get("/rr")
-	if err != nil || !ok || ver != 2 || string(got) != "v2" {
-		t.Fatalf("got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
-	}
+	// A quorum read returns v2 and repairs node 2 in the background —
+	// when node 2 answered it. A read decided by the other two cancels
+	// node 2 as its straggler and learns nothing about it, so read
+	// until one sees the stale copy.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
+		got, ver, ok, err := client.Get("/rr")
+		if err != nil || !ok || ver != 2 || string(got) != "v2" {
+			t.Fatalf("got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
+		}
 		if it, ok := cluster.Nodes[2].get("/rr"); ok && it.Version == 2 {
 			break
 		}

@@ -203,7 +203,7 @@ func TestBenchPstoreQuorum(t *testing.T) {
 			// there must be none).
 			boundedNs := runBoundedGets(t, client)
 			rep.NsPerOpGetBound = boundedNs
-			violations, _ := func() (int64, int64) { _, ctl := client.Staleness(); return ctl.Counters() }()
+			violations, _ := client.Staleness().Counters()
 			rep.StaleViolations = violations
 			t.Logf("%-16s get-bounded %12.0f ns/op (%.2fx quorum)", sc.name, boundedNs, boundedNs/getNs)
 			if boundedNs > 0.5*getNs {

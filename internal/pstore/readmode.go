@@ -3,10 +3,10 @@ package pstore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"ace/internal/cmdlang"
-	"ace/internal/hlc"
 	"ace/internal/pstore/staleness"
 )
 
@@ -88,19 +88,15 @@ func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.
 	return c.boundedGet(ctx, path, bound)
 }
 
-// Staleness returns the client's staleness machinery: the lag
-// tracker feeding bounded-read replica selection and the AIMD
-// controller gating the bounded path. Shared by all group clients of
-// a sharded deployment; exposed for inspection (stats, tests).
-func (c *Client) Staleness() (*staleness.Tracker, *staleness.Controller) { return c.lag, c.ctl }
+// Staleness returns the AIMD controller gating the bounded path.
+// Shared by all group clients of a sharded deployment; exposed for
+// inspection (stats, tests).
+func (c *Client) Staleness() *staleness.Controller { return c.ctl }
 
 // Leases returns the client's freshness-lease table — the proof
 // bounded reads rely on. Shared by all group clients of a sharded
 // deployment; exposed for inspection (stats, tests).
 func (c *Client) Leases() *staleness.Leases { return c.leases }
-
-// Clock returns the client's hybrid logical clock.
-func (c *Client) Clock() *hlc.Clock { return c.clock }
 
 // boundedGet is the Bounded(Δ) read path. The staleness proof is a
 // freshness lease (staleness.Leases): a quorum round this client ran
@@ -110,25 +106,20 @@ func (c *Client) Clock() *hlc.Clock { return c.clock }
 // could be missing was committed after T, so serving a holder's copy
 // before T+Δ serves data at most Δ stale. Both T and "now" are
 // readings of this process's own clock: the bound holds under
-// arbitrary replica clock skew and needs no prefix guarantee from
-// any watermark.
+// arbitrary replica clock skew, for any Δ.
 //
-// Around the proof sit three cheaper screens, all of which fail over
-// to the quorum path (conservative, never wrong):
+// The lease alone decides eligibility. Two things still send an
+// eligible read to the quorum path (conservative, never wrong): no
+// live lease for the path names a replica this client serves, or the
+// AIMD controller withholds its share after recent trouble.
 //
-//   - no live lease for the path, or a bound inside the clock skew
-//     tolerance — the proof cannot engage;
-//   - the HLC lag tracker finds no lease holder whose advisory lag
-//     estimate fits the bound — this is how clock skew and
-//     partitions degrade the bounded path to quorum fallbacks;
-//   - the AIMD controller withholds its share after recent trouble.
-//
-// A violation is now a version regression: a lease holder answering
+// A violation is a version regression: a lease holder answering
 // below the quorum-validated version means the replica lost state
 // (or the lease lied). The reply is discarded — counted, never
 // served — the lease is dropped, and the read re-runs as a quorum.
 // Misses, redirects, and transport errors take the quorum fallback
-// too: the bound is only ever claimed when it is proven.
+// too, and that quorum round's new lease lists only replicas that
+// answered it: the bound is only ever claimed when it is proven.
 func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	fallback := func() ([]byte, uint64, bool, error) {
@@ -136,39 +127,19 @@ func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duratio
 		c.mStaleShare.Set(int64(c.ctl.Share() * 1000))
 		return c.GetContext(ctx, path)
 	}
-	margin := c.clock.MaxOffset()
-	if bound <= margin {
-		// Leave bounds inside the skew tolerance to the quorum path:
-		// the advisory screen below would pass nothing anyway.
-		return fallback()
-	}
 	leaseVer, grantedAt, holders, live := c.leases.Holders(path, bound)
 	if !live {
 		return fallback()
 	}
-	// A sharded router shares the lease table across group clients, and
+	// Holders are recorded in the reply-arrival order of the proving
+	// quorum round, so the first is that round's fastest responder. A
+	// sharded router shares the lease table across group clients, and
 	// a rebalance can record holders outside this client's group; only
-	// replicas this client serves are candidates.
-	candidates := make([]string, 0, len(holders))
-	for _, h := range holders {
-		for _, r := range c.replicas {
-			if h == r {
-				candidates = append(candidates, h)
-				break
-			}
-		}
-	}
-	// Advisory screen: the tracker's conservative lag estimate picks
-	// the freshest-looking holder and fails the read over to quorum
-	// when skew or partition makes every holder look stale. The lease
-	// carries the proof; this only chooses and degrades. Admission is
-	// checked after eligibility so a fallback with no candidate never
-	// debits the AIMD share.
-	addr, eligible := c.lag.Best(candidates, bound-margin)
-	if !eligible {
-		return fallback()
-	}
-	if !c.ctl.Allow() {
+	// replicas this client serves are candidates. Admission is checked
+	// after eligibility so a fallback with no candidate never debits
+	// the AIMD share.
+	addr, eligible := c.firstServed(holders)
+	if !eligible || !c.ctl.Allow() {
 		return fallback()
 	}
 	reply, callErr := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
@@ -183,7 +154,6 @@ func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duratio
 		c.ctl.Redirect()
 		return fallback()
 	}
-	c.observe(addr, reply)
 	val, decErr := decodeValue(reply.Str("value", ""))
 	if decErr != nil {
 		c.ctl.Redirect()
@@ -216,16 +186,25 @@ func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duratio
 	return val, ver, true, nil
 }
 
+// firstServed returns the first of holders that is one of this
+// client's replicas.
+func (c *Client) firstServed(holders []string) (string, bool) {
+	for _, h := range holders {
+		if slices.Contains(c.replicas, h) {
+			return h, true
+		}
+	}
+	return "", false
+}
+
 // anyGet is the context-aware single-replica walk behind GetAny and
 // ReadAny: first reachable replica wins, a not-found answer from any
-// replica is final, watermarks are folded into the staleness
-// estimates along the way.
+// replica is final.
 func (c *Client) anyGet(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	var lastErr error
 	for _, addr := range c.replicas {
 		reply, callErr := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
 		if callErr == nil {
-			c.observe(addr, reply)
 			val, decErr := decodeValue(reply.Str("value", ""))
 			if decErr != nil {
 				// Corrupt replica: try the next one.

@@ -44,14 +44,12 @@ type Sharded struct {
 	clients map[string]*Client
 	retired []*Client
 
-	// One clock, lag tracker, AIMD controller, and lease table span
-	// every group client the router ever builds: staleness evidence
-	// gathered under one placement epoch keeps protecting reads after
-	// a rebalance, and the write frontier stays global rather than
-	// per-group. Leases alone are reset on an epoch change — a holder
-	// set recorded under the old map may no longer serve the path.
+	// One clock, AIMD controller, and lease table span every group
+	// client the router ever builds, so trouble seen under one
+	// placement epoch keeps narrowing bounded reads after a rebalance.
+	// Leases alone are reset on an epoch change — a holder set
+	// recorded under the old map may no longer serve the path.
 	clock  *hlc.Clock
-	lag    *staleness.Tracker
 	ctl    *staleness.Controller
 	leases *staleness.Leases
 
@@ -68,8 +66,7 @@ func NewSharded(pool *daemon.Pool, cache *placement.Cache) *Sharded {
 		cache:       cache,
 		clients:     make(map[string]*Client),
 		clock:       hlc.New(nil, 0, tel),
-		lag:         staleness.NewTracker(0, nil),
-		ctl:         staleness.NewController(staleness.ControllerConfig{}),
+		ctl:         staleness.NewController(nil),
 		leases:      staleness.NewLeases(0, nil),
 		mRedirects:  tel.Counter(placement.MetricRedirects),
 		mDualWrites: tel.Counter(placement.MetricDualWrites),
@@ -114,7 +111,7 @@ func (s *Sharded) client(m *placement.Map, gi int) *Client {
 	if !ok {
 		cl = NewGroupClient(s.pool, g.Replicas, m.Epoch)
 		// Share the router-wide staleness machinery (see the field doc).
-		cl.clock, cl.lag, cl.ctl, cl.leases = s.clock, s.lag, s.ctl, s.leases
+		cl.clock, cl.ctl, cl.leases = s.clock, s.ctl, s.leases
 		s.clients[g.Name] = cl
 	}
 	return cl
@@ -194,9 +191,9 @@ func (s *Sharded) GetBoundedContext(ctx context.Context, path string, bound time
 	return s.GetModeContext(ctx, path, ReadBounded(bound))
 }
 
-// Staleness returns the router-wide staleness machinery shared by
-// every group client (for stats and tests).
-func (s *Sharded) Staleness() (*staleness.Tracker, *staleness.Controller) { return s.lag, s.ctl }
+// Staleness returns the router-wide AIMD controller shared by every
+// group client (for stats and tests).
+func (s *Sharded) Staleness() *staleness.Controller { return s.ctl }
 
 // Leases returns the router-wide freshness-lease table shared by
 // every group client (for stats and tests).

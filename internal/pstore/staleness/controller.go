@@ -5,70 +5,38 @@ import (
 	"time"
 )
 
-// ControllerConfig tunes a Controller. Zero fields take the defaults
-// noted on each field.
-type ControllerConfig struct {
-	// Initial seeds the bounded-read share in (0,1] (default 1.0:
-	// start trusting, narrow on evidence).
-	Initial float64
-	// Min floors the share (default 1/64): the controller never stops
-	// probing entirely, or it could not discover recovery.
-	Min float64
-	// Increase is the additive step per successful bounded read
-	// (default 1/32 — reusing the "about one step per round of
-	// successes" shape of internal/flow's AIMD limiter).
-	Increase float64
-	// ViolationFactor is the multiplicative cut when a lease holder
-	// answered below its quorum-proven version (default 0.25 —
-	// violations mean a replica lost state, so back off hard).
-	ViolationFactor float64
-	// RedirectFactor is the multiplicative cut when a bounded read hit
-	// a placement redirect or transport failure (default 0.5).
-	RedirectFactor float64
-	// Cooldown spaces multiplicative cuts: one bad burst costs one
-	// backoff, not one per in-flight read (default 100ms).
-	Cooldown time.Duration
-	// Now injects the time source for cooldown spacing (nil =
-	// time.Now).
-	Now func() time.Time
-}
-
-func (c ControllerConfig) withDefaults() ControllerConfig {
-	if c.Initial <= 0 || c.Initial > 1 {
-		c.Initial = 1
-	}
-	if c.Min <= 0 || c.Min > 1 {
-		c.Min = 1.0 / 64
-	}
-	if c.Increase <= 0 {
-		c.Increase = 1.0 / 32
-	}
-	if c.ViolationFactor <= 0 || c.ViolationFactor >= 1 {
-		c.ViolationFactor = 0.25
-	}
-	if c.RedirectFactor <= 0 || c.RedirectFactor >= 1 {
-		c.RedirectFactor = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 100 * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// The controller's shape.
+const (
+	// minShare floors the share: the controller never stops probing
+	// entirely, or it could not discover recovery.
+	minShare = 1.0 / 64
+	// increase is the additive step per successful bounded read —
+	// the "about one step per round of successes" shape of
+	// internal/flow's AIMD limiter.
+	increase = 1.0 / 32
+	// violationFactor is the multiplicative cut when a lease holder
+	// answered below its quorum-proven version: the replica lost
+	// state, so back off hard.
+	violationFactor = 0.25
+	// redirectFactor is the multiplicative cut when a bounded read hit
+	// a placement redirect or transport failure.
+	redirectFactor = 0.5
+	// cooldown spaces multiplicative cuts: one bad burst costs one
+	// backoff, not one per in-flight read.
+	cooldown = 100 * time.Millisecond
+)
 
 // Controller is the AIMD widen-back-to-quorum valve for bounded
-// reads: it maintains a share in [Min,1] of eligible reads that may
-// actually leave the quorum path. While bounded reads keep proving
+// reads: it maintains a share in [minShare,1] of eligible reads that
+// may actually leave the quorum path. While bounded reads keep proving
 // their bounds the share creeps up additively; a staleness violation
-// or a spike of redirects cuts it multiplicatively, so a sick
-// estimator (or a rebalancing cluster) sends traffic back to the
-// quorum path long before it can do damage. Admission is a
+// or a spike of redirects cuts it multiplicatively, so a sick replica
+// (or a rebalancing cluster) sends traffic back to the quorum path
+// long before it can do damage. Admission is a
 // deterministic token accumulator — share 0.25 admits exactly every
 // fourth eligible read — so chaos tests reproduce run-to-run.
 type Controller struct {
-	cfg ControllerConfig
+	now func() time.Time
 
 	mu         sync.Mutex
 	share      float64
@@ -78,10 +46,14 @@ type Controller struct {
 	cuts       int64
 }
 
-// NewController builds a Controller from cfg.
-func NewController(cfg ControllerConfig) *Controller {
-	cfg = cfg.withDefaults()
-	return &Controller{cfg: cfg, share: cfg.Initial}
+// NewController builds a Controller at full share (start trusting,
+// narrow on evidence). now is the time source for cooldown spacing
+// (nil = time.Now).
+func NewController(now func() time.Time) *Controller {
+	if now == nil {
+		now = time.Now
+	}
+	return &Controller{now: now, share: 1}
 }
 
 // Allow reports whether the next eligible read may go bounded.
@@ -100,7 +72,7 @@ func (c *Controller) Allow() bool {
 func (c *Controller) Success() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.share += c.cfg.Increase
+	c.share += increase
 	if c.share > 1 {
 		c.share = 1
 	}
@@ -109,28 +81,28 @@ func (c *Controller) Success() {
 // Violation records a lease holder contradicting its quorum-proven
 // version: hard multiplicative cut.
 func (c *Controller) Violation() {
-	c.cut(c.cfg.ViolationFactor, true)
+	c.cut(violationFactor, true)
 }
 
 // Redirect records a placement redirect or transport failure on the
 // bounded path: multiplicative cut (softer than a violation).
 func (c *Controller) Redirect() {
-	c.cut(c.cfg.RedirectFactor, false)
+	c.cut(redirectFactor, false)
 }
 
 func (c *Controller) cut(factor float64, violation bool) {
-	now := c.cfg.Now()
+	now := c.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if violation {
 		c.violations++
 	}
-	if now.Sub(c.lastCut) < c.cfg.Cooldown {
+	if now.Sub(c.lastCut) < cooldown {
 		return
 	}
 	c.share *= factor
-	if c.share < c.cfg.Min {
-		c.share = c.cfg.Min
+	if c.share < minShare {
+		c.share = minShare
 	}
 	c.lastCut = now
 	c.cuts++

@@ -19,10 +19,8 @@ import (
 // a holder within Δ of `at` (both readings of this process's own
 // clock) is therefore missing at most Δ of history — no matter how
 // skewed the replicas' clocks are, and no matter which unrelated
-// writes the replica has or has not applied. This is what the
-// max-applied HLC watermark cannot provide: a watermark is a maximum,
-// not a prefix guarantee, so it can run ahead of gaps; a lease names
-// the exact path it vouches for.
+// writes the replica has or has not applied: a lease names the exact
+// path it vouches for.
 //
 // Leases are granted by quorum traffic, never by bounded reads
 // themselves, so the bounded path re-validates through a real quorum
@@ -67,9 +65,10 @@ func NewLeases(capacity int, now func() time.Time) *Leases {
 // Grant records a quorum-validated observation: every replica in
 // holders held version at time at (the START of the validating round
 // — a write's version probe, a read's fan-out launch — so that any
-// write the holders could be missing is provably younger than at). A
-// grant at an older version than the recorded one is ignored; equal
-// versions keep the newer observation.
+// write the holders could be missing is provably younger than at).
+// Callers list holders in reply-arrival order, so the first one is
+// the round's fastest responder. A grant at an older version than the
+// recorded one is ignored; equal versions keep the newer observation.
 func (l *Leases) Grant(path string, version uint64, holders []string, at time.Time) {
 	if len(holders) == 0 {
 		return

@@ -1,48 +1,21 @@
 // Package staleness is the client half of pstore's bounded-staleness
-// read machinery, split into a proof and a screen:
+// read machinery: a proof and a valve.
 //
-//   - Leases (leases.go) carry the proof. A quorum round pins which
-//     replicas held the newest committed version of a path as of the
-//     round's start; a single-replica read served from a holder
-//     within Δ of that instant is at most Δ stale, by quorum
-//     intersection, on this process's own clock — sound under
-//     arbitrary replica clock skew.
-//   - The Tracker is an advisory per-replica lag estimator fed by
-//     the max-applied HLC watermarks nodes attach to every data and
-//     digest reply. It chooses among lease holders and fails reads
-//     over to the quorum path when skew, partition, or silence makes
-//     a replica look behind. It is deliberately NOT the proof: a
-//     max-applied watermark is a maximum, not a prefix guarantee, so
-//     it can run ahead of a gap (a missed write to the very key
-//     being read) — which is why leases exist.
-//   - An AIMD Controller decides how much read traffic may leave the
-//     quorum path at all, narrowing sharply on any sign of trouble.
-//
-// The Tracker's frame of reference is the write frontier — the
-// maximum HLC stamp this client has observed anywhere (its own
-// writes, any replica's watermark) — NOT the local wall clock. An
-// idle cluster therefore shows zero lag everywhere: nothing was
-// written, so nothing can be stale. A replica's estimated lag is how
-// far its last advertised watermark trails the frontier, plus the age
-// of that sample (the replica may have fallen further behind since it
-// last answered us). Samples decay: a replica we have not heard from
-// within the window is not eligible for bounded reads at all, and
-// the quorum fallback that causes is also what refreshes the sample.
+//   - Leases (leases.go) carry the proof, and are the only thing that
+//     decides whether a bounded read may leave the quorum path. A
+//     quorum round pins which replicas held the newest committed
+//     version of a path as of the round's start; a single-replica
+//     read served from a holder within Δ of that instant is at most Δ
+//     stale, by quorum intersection, on this process's own clock —
+//     sound under arbitrary replica clock skew.
+//   - An AIMD Controller (controller.go) decides how much lease-proven
+//     read traffic actually leaves the quorum path, narrowing sharply
+//     on any sign of trouble.
 package staleness
 
-import (
-	"sync"
-	"time"
-
-	"ace/internal/hlc"
-)
-
-// Metric names for the client-side staleness estimator, recorded in
-// the registry of the pool the pstore client dials through.
+// Metric names for the client-side bounded-read valve, recorded in the
+// registry of the pool the pstore client dials through.
 const (
-	// MetricSamples counts watermark observations folded into the
-	// tracker (one per stamped reply).
-	MetricSamples = "pstore.staleness.samples"
 	// MetricViolations counts bounded replies that contradicted their
 	// freshness lease: the replica answered with a version below the
 	// one a quorum proved it held, meaning it lost state. Each one was
@@ -54,146 +27,3 @@ const (
 	// in thousandths (1000 = every eligible read may go bounded).
 	MetricShare = "pstore.staleness.share"
 )
-
-// DefaultWindow is the sample-validity window when a Tracker is built
-// with zero: replicas not heard from within it are ineligible.
-const DefaultWindow = 5 * time.Second
-
-// replicaState is the sliding-window estimate for one replica: the
-// newest watermark sample and the worst lag observed inside the
-// window (the conservative figure eligibility uses — a replica that
-// oscillates between fresh and stale is judged by its stale moments).
-type replicaState struct {
-	applied  hlc.Timestamp // newest advertised watermark
-	at       time.Time     // when it was observed
-	worstLag time.Duration // max lag over samples in the window
-	worstAt  time.Time     // when worstLag was observed
-}
-
-// Tracker maintains the write frontier and per-replica lag estimates.
-// Estimates are advisory: they select replicas and force conservative
-// fallbacks, while the staleness bound itself is proven by the Leases
-// table. All methods are safe for concurrent use.
-type Tracker struct {
-	now    func() time.Time
-	window time.Duration
-
-	mu       sync.Mutex
-	frontier hlc.Timestamp
-	replicas map[string]*replicaState
-}
-
-// NewTracker builds a Tracker. window is the sample validity horizon
-// (zero = DefaultWindow); now injects the time source (nil =
-// time.Now) so chaos tests can drive decay deterministically.
-func NewTracker(window time.Duration, now func() time.Time) *Tracker {
-	if window <= 0 {
-		window = DefaultWindow
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &Tracker{now: now, window: window, replicas: make(map[string]*replicaState)}
-}
-
-// ObserveWrite folds one of this client's own write stamps into the
-// frontier: anything we wrote is something replicas can lag behind.
-func (t *Tracker) ObserveWrite(ts hlc.Timestamp) {
-	if ts.IsZero() {
-		return
-	}
-	t.mu.Lock()
-	if ts > t.frontier {
-		t.frontier = ts
-	}
-	t.mu.Unlock()
-}
-
-// ObserveApplied folds a replica's advertised watermark into its lag
-// estimate (and into the frontier — a watermark is proof those writes
-// exist). Zero watermarks from an empty replica still refresh the
-// sample time: an empty replica of an empty store is perfectly fresh.
-func (t *Tracker) ObserveApplied(addr string, applied hlc.Timestamp) {
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if applied > t.frontier {
-		t.frontier = applied
-	}
-	st := t.replicas[addr]
-	if st == nil {
-		st = &replicaState{}
-		t.replicas[addr] = st
-	}
-	if applied > st.applied {
-		st.applied = applied
-	}
-	st.at = now
-	lag := t.frontier.Sub(st.applied)
-	if lag < 0 {
-		lag = 0
-	}
-	if lag >= st.worstLag || now.Sub(st.worstAt) > t.window {
-		st.worstLag, st.worstAt = lag, now
-	}
-}
-
-// Frontier returns the maximum HLC stamp observed anywhere.
-func (t *Tracker) Frontier() hlc.Timestamp {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.frontier
-}
-
-// Lag returns the conservative lag estimate for addr and whether a
-// sample inside the validity window exists at all. The estimate is
-// the worst lag seen in the window plus the age of the newest sample:
-// the replica may have fallen further behind since it last answered.
-func (t *Tracker) Lag(addr string) (time.Duration, bool) {
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lagLocked(addr, now)
-}
-
-func (t *Tracker) lagLocked(addr string, now time.Time) (time.Duration, bool) {
-	st := t.replicas[addr]
-	if st == nil {
-		return 0, false
-	}
-	age := now.Sub(st.at)
-	if age > t.window {
-		return 0, false
-	}
-	lag := t.frontier.Sub(st.applied)
-	if lag < 0 {
-		lag = 0
-	}
-	if now.Sub(st.worstAt) <= t.window && st.worstLag > lag {
-		lag = st.worstLag
-	}
-	if age > 0 {
-		lag += age
-	}
-	return lag, true
-}
-
-// Best returns the replica among addrs with the smallest estimated
-// lag not exceeding bound. ok is false when no replica's bound can be
-// proven — the caller must fall back to a quorum read.
-func (t *Tracker) Best(addrs []string, bound time.Duration) (string, bool) {
-	now := t.now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	best, bestLag, ok := "", time.Duration(0), false
-	for _, a := range addrs {
-		lag, fresh := t.lagLocked(a, now)
-		if !fresh || lag > bound {
-			continue
-		}
-		if !ok || lag < bestLag {
-			best, bestLag, ok = a, lag, true
-		}
-	}
-	return best, ok
-}

@@ -2,7 +2,7 @@ package telemetry
 
 // Micro-benchmarks for the histogram hot path. Observe is called on
 // every dispatched command and every wire call, so its cost bounds
-// the telemetry overhead measured by `make bench-telemetry`.
+// the telemetry overhead (the benchmark's telemetry.observe_ns).
 
 import (
 	"testing"

@@ -133,14 +133,15 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		addrs = append(addrs, n.Addr())
 	}
 	var spans []telemetry.Span
+	wrote := "" // a store node that recorded the write
 	for _, a := range addrs {
-		spans = append(spans, fetchSpans(t, pool, a, root.TraceID)...)
-	}
-
-	// The save handler performs 1 ASD lookup and, per store node, a
-	// version probe (psfetch) and a write (psput): 1 + 1 + 3×2 spans.
-	if len(spans) != 8 {
-		t.Fatalf("assembled %d spans, want 8: %+v", len(spans), spans)
+		got := fetchSpans(t, pool, a, root.TraceID)
+		for _, sp := range got {
+			if sp.Name == "psput" {
+				wrote = a
+			}
+		}
+		spans = append(spans, got...)
 	}
 	byID := make(map[uint64]telemetry.Span, len(spans))
 	for _, s := range spans {
@@ -168,9 +169,11 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 	if save.Name != "save" || save.Service != "archivist" || !save.OK {
 		t.Fatalf("origin child span = %+v", save)
 	}
-	// Every other span is a direct child of the save span, recorded
-	// by the right service.
-	services := map[string]int{}
+	// Every other span is a direct child of the save span: 1 ASD
+	// lookup and, per store node, at most one version probe (psfetch)
+	// and one write (psput). Each fan-out decides at a majority and
+	// cancels its straggler, whose span may therefore never exist.
+	legs := map[string]int{}
 	for _, s := range spans {
 		if s.SpanID == save.SpanID {
 			continue
@@ -183,20 +186,28 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		if !s.OK && s.Name != "psfetch" {
 			t.Fatalf("span %+v failed", s)
 		}
-		services[s.Service+":"+s.Name]++
+		legs[s.Service+":"+s.Name]++
 	}
-	if services["asd:lookup"] != 1 {
-		t.Fatalf("asd lookup spans = %d, want 1 (%v)", services["asd:lookup"], services)
+	if legs["asd:lookup"] != 1 {
+		t.Fatalf("asd lookup spans = %d, want 1 (%v)", legs["asd:lookup"], legs)
 	}
-	psSpans := 0
-	for key, n := range services {
-		if key == "asd:lookup" {
-			continue
+	delete(legs, "asd:lookup")
+	for _, verb := range []string{"psfetch", "psput"} {
+		n := 0
+		for i := range nodes {
+			key := fmt.Sprintf("pstore%d:%s", i+1, verb)
+			if legs[key] > 1 {
+				t.Fatalf("%d %s spans, want at most 1 (%v)", legs[key], key, legs)
+			}
+			n += legs[key]
+			delete(legs, key)
 		}
-		psSpans += n
+		if n < 2 {
+			t.Fatalf("%s spans on %d store nodes, want a majority of 3 (%v)", verb, n, legs)
+		}
 	}
-	if psSpans != 6 {
-		t.Fatalf("pstore spans = %d, want 6 (%v)", psSpans, services)
+	if len(legs) != 0 {
+		t.Fatalf("unexpected spans in the trace: %v", legs)
 	}
 
 	// ── Metrics: every instrumented layer answers with live data ───
@@ -223,7 +234,7 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		t.Fatal("asd lookup latency empty")
 	}
 
-	nodeSnap := fetchSnapshot(t, pool, nodes[0].Addr())
+	nodeSnap := fetchSnapshot(t, pool, wrote)
 	if nodeSnap.Counter(pstore.MetricWritesApplied) == 0 {
 		t.Fatal("pstore node writes-applied counter empty")
 	}
