@@ -52,6 +52,8 @@ func queryKey(q Query) string {
 	return b.String()
 }
 
+// lookupCmd builds the lookup command for q; empty fields match
+// everything and are left out.
 func lookupCmd(q Query) *cmdlang.CmdLine {
 	cmd := cmdlang.New(daemon.CmdLookup)
 	if q.Name != "" {

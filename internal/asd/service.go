@@ -121,10 +121,6 @@ func New(cfg Config) *Service {
 // in-process experiments).
 func (s *Service) Directory() *Directory { return s.dir }
 
-// Replicated reports whether this directory is backed by the
-// persistent store.
-func (s *Service) Replicated() bool { return s.rep != nil }
-
 // Placement returns the currently published placement map (nil when
 // none has been published).
 func (s *Service) Placement() *placement.Map {
@@ -469,17 +465,7 @@ func (s *Service) install() {
 // Resolve is the client-side Fig 7 flow: ask the ASD at asdAddr for a
 // service matching the query and return its dialable address.
 func Resolve(p *daemon.Pool, asdAddr string, q Query) (string, error) {
-	cmd := cmdlang.New(daemon.CmdLookup)
-	if q.Name != "" {
-		cmd.SetWord("name", q.Name)
-	}
-	if q.Class != "" {
-		cmd.SetString("class", q.Class)
-	}
-	if q.Room != "" {
-		cmd.SetWord("room", q.Room)
-	}
-	reply, err := p.Call(asdAddr, cmd)
+	reply, err := p.Call(asdAddr, lookupCmd(q))
 	if err != nil {
 		return "", err
 	}
@@ -488,17 +474,7 @@ func Resolve(p *daemon.Pool, asdAddr string, q Query) (string, error) {
 
 // ResolveAll returns the addresses of every matching service.
 func ResolveAll(p *daemon.Pool, asdAddr string, q Query) ([]string, error) {
-	cmd := cmdlang.New(daemon.CmdLookup)
-	if q.Name != "" {
-		cmd.SetWord("name", q.Name)
-	}
-	if q.Class != "" {
-		cmd.SetString("class", q.Class)
-	}
-	if q.Room != "" {
-		cmd.SetWord("room", q.Room)
-	}
-	reply, err := p.Call(asdAddr, cmd)
+	reply, err := p.Call(asdAddr, lookupCmd(q))
 	if err != nil {
 		return nil, err
 	}

@@ -119,18 +119,25 @@ func (r *Registry) Names() []string {
 func (r *Registry) Len() int { return len(r.cmds) }
 
 // Validate checks a command line against the registry: the command
-// must be declared, required arguments present, kinds compatible, and
-// (unless AllowExtra) no undeclared arguments supplied.
-//
-// Kind compatibility is pragmatic, matching the loosely typed textual
-// wire form: an int argument satisfies a float spec; a word satisfies
-// a string spec and vice versa when the content is a legal word;
-// numeric words satisfy numeric specs.
+// must be declared and satisfy its spec (CommandSpec.Validate).
 func (r *Registry) Validate(c *CmdLine) error {
 	spec, ok := r.cmds[c.Name()]
 	if !ok {
 		return &SemanticError{Command: c.Name(), Msg: "unknown command"}
 	}
+	return spec.Validate(c)
+}
+
+// Validate checks a command line's arguments against the spec:
+// required arguments present, kinds compatible, and (unless
+// AllowExtra) no undeclared arguments supplied. The command name is
+// the caller's lookup key and is not compared.
+//
+// Kind compatibility is pragmatic, matching the loosely typed textual
+// wire form: an int argument satisfies a float spec; a word satisfies
+// a string spec and vice versa when the content is a legal word;
+// numeric words satisfy numeric specs.
+func (spec *CommandSpec) Validate(c *CmdLine) error {
 	for _, as := range spec.Args {
 		v, present := c.Get(as.Name)
 		if !present {

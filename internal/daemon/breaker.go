@@ -38,6 +38,8 @@ func (s breakerState) String() string {
 // back to open on probe failure. Remote errors (the daemon answered)
 // never trip it; only transport-level trouble does.
 //
+// A threshold of zero or less disables the breaker: it never opens.
+//
 // onChange, when set, observes every state transition (telemetry,
 // tests). It fires exactly once per transition, after the breaker's
 // lock is released, so observers may freely query pool state.
@@ -135,7 +137,7 @@ func (b *breaker) failure() {
 		b.probing = false
 	case breakerClosed:
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.threshold > 0 && b.failures >= b.threshold {
 			from, to = b.setLocked(breakerOpen)
 			b.openedAt = time.Now()
 		}

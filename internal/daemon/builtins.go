@@ -20,20 +20,6 @@ const (
 	CmdTelemetry          = "telemetry"
 )
 
-// builtinCommands are exempt from the authorization gate: they are
-// the protocol plumbing every client needs before credentials can
-// even be exchanged.
-var builtinCommands = map[string]bool{
-	CmdPing:               true,
-	CmdInfo:               true,
-	CmdCommands:           true,
-	CmdStats:              true,
-	CmdAddNotification:    true,
-	CmdRemoveNotification: true,
-	CmdListNotifications:  true,
-	CmdTelemetry:          true,
-}
-
 func (d *Daemon) installBuiltins() {
 	d.registry.DeclareAll(
 		cmdlang.CommandSpec{Name: CmdPing, Doc: "liveness probe"},

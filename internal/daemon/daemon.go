@@ -89,20 +89,24 @@ type Ctx struct {
 	// timestamp.
 	HLC hlc.Timestamp
 
-	// async is armed by the control thread for the duration of one
-	// dispatch; Detach consumes it.
-	async *asyncInvocation
+	// inv is the enclosing invocation while the control thread has it
+	// armed for Detach; nil otherwise (ExecuteLocal, a Ctx built by the
+	// caller, a handler that already detached).
+	inv *invocation
 }
 
-// asyncInvocation carries everything the control thread would have
-// done after the handler returned, so Detach can defer it to finish.
-type asyncInvocation struct {
-	detached bool
-	d        *Daemon
-	e        *handlerEntry
-	msg      ctlMsg
-	ctx      *Ctx
-	start    time.Time
+// invocation is one command's passage through the shell, allocated
+// once per message: the command thread builds it from a parsed frame,
+// the control queue carries it, handlers receive its embedded Ctx, and
+// complete finishes it.
+type invocation struct {
+	Ctx
+	e      *handlerEntry    // nil when the verb has no handler
+	cmd    *cmdlang.CmdLine // seq already removed
+	start  time.Time        // dispatch start, after any queue wait
+	ticket *flow.Ticket     // admission slot; nil for ExecuteLocal
+	out    *replyWriter     // nil when no reply is wanted (one-way, ExecuteLocal)
+	seq    int64            // echoed on the reply when out is set
 }
 
 // Detach releases the serial control thread from this invocation: the
@@ -119,27 +123,12 @@ type asyncInvocation struct {
 // ok is false when the invocation cannot detach (ExecuteLocal, or a
 // nested dispatch): the handler must then do the work synchronously.
 func (c *Ctx) Detach() (finish func(reply *cmdlang.CmdLine), ok bool) {
-	a := c.async
-	if a == nil {
+	inv := c.inv
+	if inv == nil {
 		return nil, false
 	}
-	a.detached = true
-	return func(reply *cmdlang.CmdLine) {
-		if reply == nil {
-			reply = cmdlang.OK()
-		}
-		a.msg.ticket.Done()
-		a.d.observe(a.e, a.ctx, a.msg.cmd, reply, a.start)
-		if a.msg.respond != nil {
-			a.msg.respond(reply)
-		}
-		if cmdlang.IsOK(reply) {
-			a.d.nOK.Add(1)
-			a.d.dispatchNotifications(a.ctx, a.msg.cmd)
-		} else {
-			a.d.nFail.Add(1)
-		}
-	}, true
+	c.inv = nil // consumed: the control thread sees it gone and stands back
+	return func(reply *cmdlang.CmdLine) { inv.complete(reply) }, true
 }
 
 // TraceContext returns a context carrying the invocation's span
@@ -235,22 +224,21 @@ type Stats struct {
 	DataPackets   int64
 }
 
-// ctlMsg is the unit of work queued from a command thread to the
-// control thread.
-type ctlMsg struct {
-	cmd     *cmdlang.CmdLine
-	ctx     *Ctx
-	respond func(*cmdlang.CmdLine) // nil for one-way commands
-	ticket  *flow.Ticket           // admission slot; released after execution
-}
-
-// handlerEntry pairs a command handler with its per-verb dispatch
-// latency histogram. The histogram is filled in Start (handlers are
-// frozen by then), so the dispatch hot path resolves both with a
-// single map lookup.
+// handlerEntry is the single record of one verb. Handle and bind
+// create it; Start fills the rest once the tables are frozen, so the
+// command thread resolves a message's verb with one map lookup and
+// admission priority, validation, the authorizer exemption and the
+// dispatch histogram all come from the entry.
 type handlerEntry struct {
-	fn   Handler
-	hist *telemetry.Histogram
+	fn Handler
+	// builtin marks the shell's own protocol plumbing, exempt from the
+	// authorization gate: every client needs it before credentials can
+	// even be exchanged.
+	builtin bool
+
+	spec    *cmdlang.CommandSpec // the verb's declared semantics
+	hist    *telemetry.Histogram // per-verb dispatch latency
+	control bool                 // admitted as control-plane
 }
 
 // Daemon is a running ACE service daemon.
@@ -261,7 +249,7 @@ type Daemon struct {
 
 	listener net.Listener
 	udp      *net.UDPConn
-	ctlQ     chan ctlMsg
+	ctlQ     chan *invocation
 	done     chan struct{}
 	wg       sync.WaitGroup
 	pool     *Pool
@@ -269,8 +257,7 @@ type Daemon struct {
 	// flow is the admission controller guarding the accept loop and
 	// dispatch path; nil when Config.DisableFlow is set (a nil
 	// controller admits everything).
-	flow         *flow.Controller
-	controlVerbs map[string]bool
+	flow *flow.Controller
 	// asdAddrs is the deduplicated directory replica list (ASDAddr
 	// first); asdPreferred indexes the replica that last answered, so
 	// the lease protocol sticks to a live directory instead of paying
@@ -371,7 +358,7 @@ func New(cfg Config) *Daemon {
 		cfg:           cfg,
 		registry:      reg,
 		handlers:      make(map[string]*handlerEntry),
-		ctlQ:          make(chan ctlMsg, cfg.ControlQueueLen),
+		ctlQ:          make(chan *invocation, cfg.ControlQueueLen),
 		notifySem:     make(chan struct{}, notifySlots),
 		done:          make(chan struct{}),
 		conns:         make(map[net.Conn]struct{}),
@@ -391,19 +378,6 @@ func New(cfg Config) *Daemon {
 			fc = *cfg.Flow
 		}
 		d.flow = flow.NewController(fc, tel)
-	}
-	// The lease/heartbeat protocol is always control-plane: these verbs
-	// must survive overload or the directory forgets live services.
-	d.controlVerbs = map[string]bool{
-		CmdRegister:   true,
-		CmdRenew:      true,
-		CmdUnregister: true,
-		CmdPing:       true,
-		CmdStats:      true,
-		CmdTelemetry:  true,
-	}
-	for _, v := range cfg.ControlVerbs {
-		d.controlVerbs[v] = true
 	}
 	seen := map[string]bool{}
 	for _, addr := range append([]string{cfg.ASDAddr}, cfg.ASDAddrs...) {
@@ -444,7 +418,7 @@ func (d *Daemon) Handle(spec cmdlang.CommandSpec, h Handler) {
 
 // bind installs a built-in handler without re-declaring its spec.
 func (d *Daemon) bind(name string, h Handler) {
-	d.handlers[name] = &handlerEntry{fn: h}
+	d.handlers[name] = &handlerEntry{fn: h, builtin: true}
 }
 
 // Name returns the service instance name.
@@ -514,12 +488,17 @@ func (d *Daemon) Start() error {
 	d.started = true
 	d.mu.Unlock()
 
-	// The handlers map is frozen now (Handle panics after Start), so
-	// the per-verb dispatch histograms can be materialized once and
-	// read lock-free by the control thread.
-	if d.tel != nil {
-		for name, e := range d.handlers {
-			e.hist = d.tel.Histogram(MetricDispatchPrefix + name)
+	// The tables are frozen now (Handle panics after Start), so every
+	// verb record can be completed once and read lock-free afterwards.
+	for name, e := range d.handlers {
+		e.spec, _ = d.registry.Lookup(name)
+		e.hist = d.tel.Histogram(MetricDispatchPrefix + name)
+	}
+	// The lease/heartbeat protocol is always control-plane: these verbs
+	// must survive overload or the directory forgets live services.
+	for _, name := range append([]string{CmdRegister, CmdRenew, CmdUnregister, CmdPing, CmdStats, CmdTelemetry}, d.cfg.ControlVerbs...) {
+		if e := d.handlers[name]; e != nil {
+			e.control = true
 		}
 	}
 
@@ -765,20 +744,11 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			principal = state.PeerCertificates[0].Subject.CommonName
 		}
 	}
-	ctx := &Ctx{D: d, Principal: principal, RemoteAddr: conn.RemoteAddr().String()}
+	remote := conn.RemoteAddr().String()
 	d.connsActive.Add(1)
 	defer d.connsActive.Add(-1)
 
-	var writeMu sync.Mutex
-	respond := func(reply *cmdlang.CmdLine) {
-		payload := []byte(reply.String())
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		if err := wire.WriteFrame(conn, payload); err == nil {
-			d.wireMetrics.FrameSent(len(payload))
-		} // peer may be gone; drop the reply
-	}
-
+	out := &replyWriter{d: d, conn: conn}
 	for {
 		payload, err := wire.ReadFrame(conn)
 		if err != nil {
@@ -790,55 +760,81 @@ func (d *Daemon) commandThread(conn net.Conn) {
 		if perr != nil {
 			// Syntactically broken input is answered directly by the
 			// command thread; it never reaches control.
-			respond(cmdlang.FailErr(perr))
+			out.write(cmdlang.FailErr(perr))
 			continue
 		}
-		// Per-message Ctx copy, unconditionally: the trace context and
-		// HLC stamp differ call to call on one connection, and the
-		// control thread stashes the in-flight invocation on the Ctx
-		// (Detach) — a message sharing the connection Ctx would race
-		// that write against this thread's copy of the next message.
-		c := *ctx
-		c.Trace = sc
-		c.HLC = hts
-		mctx := &c
-		msg := ctlMsg{cmd: cmd, ctx: mctx}
-		if cmd.Has(cmdlang.SeqArg) {
-			seq := cmd.Int(cmdlang.SeqArg, 0)
-			msg.respond = func(reply *cmdlang.CmdLine) {
-				reply.SetInt(cmdlang.SeqArg, seq)
-				respond(reply)
-			}
+		inv := &invocation{
+			Ctx: Ctx{D: d, Principal: principal, RemoteAddr: remote, Trace: sc, HLC: hts},
+			e:   d.handlers[cmd.Name()],
+			cmd: cmd,
+		}
+		// The seq argument is protocol-level, not part of any verb's
+		// semantics. This thread owns the freshly parsed command, so it
+		// is taken out in place before anything validates or relays it.
+		if v, ok := cmd.Get(cmdlang.SeqArg); ok {
+			inv.seq, _ = v.AsInt()
+			inv.out = out
+			cmd.Del(cmdlang.SeqArg)
 		}
 		// Admission control happens here, on the command thread, before
 		// the message reaches the serial control thread: shedding must
 		// not consume control-thread time, and a shed request is
 		// answered with a retryable busy reply instead of hanging.
 		pri := flow.Data
-		if d.controlVerbs[cmd.Name()] {
+		if inv.e != nil && inv.e.control {
 			pri = flow.Control
 		}
-		ticket, err := d.flow.Admit(context.Background(), pri, mctx.Principal)
+		inv.ticket, err = d.flow.Admit(context.Background(), pri, principal)
 		if err != nil {
 			if errors.Is(err, flow.ErrClosed) {
 				return // daemon is stopping
 			}
-			if msg.respond != nil {
-				var retry time.Duration
-				if re, ok := flow.IsRejected(err); ok {
-					retry = re.RetryAfter
-				}
-				msg.respond(cmdlang.Busy(retry))
+			var retry time.Duration
+			if re, ok := flow.IsRejected(err); ok {
+				retry = re.RetryAfter
 			}
+			inv.respond(cmdlang.Busy(retry))
 			continue
 		}
-		msg.ticket = ticket
 		select {
-		case d.ctlQ <- msg:
+		case d.ctlQ <- inv:
 		case <-d.done:
-			ticket.Done()
+			inv.ticket.Done()
 			return
 		}
+	}
+}
+
+// replyWriter serializes reply frames onto one client connection: the
+// control thread and detached handlers' finishes write concurrently.
+type replyWriter struct {
+	d    *Daemon
+	conn net.Conn
+	mu   sync.Mutex
+}
+
+func (w *replyWriter) write(reply *cmdlang.CmdLine) {
+	payload := []byte(reply.String())
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	// A peer that stopped reading must not wedge the serial control
+	// thread behind a full socket buffer: the write gives up after the
+	// call timeout. A failed write may have left half a frame on the
+	// stream, so the connection is closed — the reply is dropped and
+	// the connection's command thread ends on its next read.
+	w.conn.SetWriteDeadline(time.Now().Add(w.d.pool.cfg.CallTimeout)) //nolint:errcheck — best effort on a dying conn
+	if err := wire.WriteFrame(w.conn, payload); err != nil {
+		w.conn.Close()
+		return
+	}
+	w.d.wireMetrics.FrameSent(len(payload))
+}
+
+// respond sends reply under the invocation's seq; one-way commands
+// (no seq, so no writer) get none.
+func (inv *invocation) respond(reply *cmdlang.CmdLine) {
+	if inv.out != nil {
+		inv.out.write(reply.SetInt(cmdlang.SeqArg, inv.seq))
 	}
 }
 
@@ -850,96 +846,87 @@ func (d *Daemon) controlThread() {
 		select {
 		case <-d.done:
 			return
-		case msg := <-d.ctlQ:
-			d.execute(msg)
+		case inv := <-d.ctlQ:
+			inv.start = time.Now()
+			inv.Ctx.inv = inv // arm Detach for the handler's duration
+			reply := d.dispatch(inv)
+			if inv.Ctx.inv == nil {
+				// Detached: the handler's finish owns the rest.
+				continue
+			}
+			inv.Ctx.inv = nil
+			inv.complete(reply)
 		}
 	}
 }
 
-func (d *Daemon) execute(msg ctlMsg) {
-	start := time.Now()
-	e := d.handlers[msg.cmd.Name()]
-	// Arm Detach for this dispatch. Every message carries its own Ctx
-	// copy (commandThread), so stashing the invocation on it is
-	// race-free; it is cleared before the next dispatch.
-	a := &asyncInvocation{d: d, e: e, msg: msg, ctx: msg.ctx, start: start}
-	msg.ctx.async = a
-	reply := d.dispatch(e, msg.ctx, msg.cmd)
-	msg.ctx.async = nil
-	if a.detached {
-		// The handler owns the rest of the invocation: its finish
-		// callback will release the ticket and deliver the reply.
-		return
-	}
-	// The ticket's admit-to-Done latency (control-queue wait plus
-	// execution) is the congestion signal driving the adaptive limit.
-	msg.ticket.Done()
-	d.observe(e, msg.ctx, msg.cmd, reply, start)
-	if msg.respond != nil {
-		msg.respond(reply)
-	}
-	if cmdlang.IsOK(reply) {
-		d.nOK.Add(1)
-		d.dispatchNotifications(msg.ctx, msg.cmd)
-	} else {
-		d.nFail.Add(1)
-	}
-}
-
-// observe records the dispatch latency and, for traced invocations,
-// a span in the daemon's trace buffer.
-func (d *Daemon) observe(e *handlerEntry, ctx *Ctx, cmd *cmdlang.CmdLine, reply *cmdlang.CmdLine, start time.Time) {
-	dur := time.Since(start)
-	if e != nil {
-		e.hist.Observe(dur)
-	} else {
-		d.dispatchOther.Observe(dur)
-	}
-	if tc := ctx.Trace; tc.Valid() {
-		d.traces.Record(telemetry.Span{
-			TraceID:  tc.TraceID,
-			SpanID:   tc.SpanID,
-			Parent:   tc.Parent,
-			Name:     cmd.Name(),
-			Service:  d.cfg.Name,
-			Start:    start,
-			Duration: dur,
-			OK:       cmdlang.IsOK(reply),
-		})
-	}
-}
-
-func (d *Daemon) dispatch(e *handlerEntry, ctx *Ctx, cmd *cmdlang.CmdLine) *cmdlang.CmdLine {
-	name := cmd.Name()
+// dispatch validates, authorizes and runs the invocation's command,
+// returning the handler's reply (nil is a bare "ok").
+func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
+	e, cmd := inv.e, inv.cmd
 	if e == nil {
-		return cmdlang.Fail(cmdlang.CodeUnknownCommand, "unknown command "+strconv.Quote(name))
+		return cmdlang.Fail(cmdlang.CodeUnknownCommand, "unknown command "+strconv.Quote(cmd.Name()))
 	}
-	// Semantic validation against the declared registry. The seq
-	// argument is protocol-level, so strip it for validation.
-	vc := cmd
-	if cmd.Has(cmdlang.SeqArg) {
-		vc = cmd.Clone()
-		vc.Del(cmdlang.SeqArg)
-	}
-	if err := d.registry.Validate(vc); err != nil {
+	if err := e.spec.Validate(cmd); err != nil {
 		return cmdlang.FailErr(err)
 	}
 	// Authorization gate (§3.2). Built-in protocol commands are
 	// always permitted; everything else consults the authorizer.
-	if d.cfg.Authorizer != nil && !builtinCommands[name] {
-		if err := d.cfg.Authorizer.Authorize(ctx.Principal, vc); err != nil {
+	if d.cfg.Authorizer != nil && !e.builtin {
+		if err := d.cfg.Authorizer.Authorize(inv.Principal, cmd); err != nil {
 			d.nDenied.Add(1)
 			return cmdlang.Fail(cmdlang.CodeDenied, err.Error())
 		}
 	}
-	res, err := e.fn(ctx, vc)
+	res, err := e.fn(&inv.Ctx, cmd)
 	if err != nil {
 		return cmdlang.FailErr(err)
 	}
-	if res == nil {
-		res = cmdlang.OK()
-	}
 	return res
+}
+
+// complete is the one end of every invocation, whichever way it ran:
+// inline on the control thread, from a detached handler's finish, or
+// under ExecuteLocal. It releases the admission ticket (whose
+// admit-to-Done latency — control-queue wait plus execution — is the
+// congestion signal driving the adaptive limit), records the dispatch
+// latency and span, counts the outcome before the reply can reach the
+// caller, replies, and fans out notifications.
+func (inv *invocation) complete(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
+	d := inv.D
+	if reply == nil {
+		reply = cmdlang.OK()
+	}
+	ok := cmdlang.IsOK(reply)
+	inv.ticket.Done()
+	dur := time.Since(inv.start)
+	if inv.e != nil {
+		inv.e.hist.Observe(dur)
+	} else {
+		d.dispatchOther.Observe(dur)
+	}
+	if tc := inv.Trace; tc.Valid() {
+		d.traces.Record(telemetry.Span{
+			TraceID:  tc.TraceID,
+			SpanID:   tc.SpanID,
+			Parent:   tc.Parent,
+			Name:     inv.cmd.Name(),
+			Service:  d.cfg.Name,
+			Start:    inv.start,
+			Duration: dur,
+			OK:       ok,
+		})
+	}
+	if ok {
+		d.nOK.Add(1)
+	} else {
+		d.nFail.Add(1)
+	}
+	inv.respond(reply)
+	if ok {
+		d.dispatchNotifications(&inv.Ctx, inv.cmd)
+	}
+	return reply
 }
 
 // ExecuteLocal runs a command through the daemon's own dispatch path
@@ -948,22 +935,23 @@ func (d *Daemon) dispatch(e *handlerEntry, ctx *Ctx, cmd *cmdlang.CmdLine) *cmdl
 // another of their daemon's commands (e.g. a device scan that
 // internally executes "identify" so its notification listeners fire):
 // calling the daemon over its own socket from the control thread
-// would deadlock, since the control thread is single.
+// would deadlock, since the control thread is single. ctx supplies the
+// principal and trace the command runs under (nil: the daemon itself);
+// the command runs on an invocation of its own that cannot Detach,
+// even when ctx belongs to an invocation that can.
 func (d *Daemon) ExecuteLocal(ctx *Ctx, cmd *cmdlang.CmdLine) *cmdlang.CmdLine {
-	if ctx == nil {
-		ctx = &Ctx{D: d, Principal: d.cfg.Name, RemoteAddr: "local"}
+	inv := &invocation{
+		Ctx:   Ctx{Principal: d.cfg.Name, RemoteAddr: "local"},
+		e:     d.handlers[cmd.Name()],
+		cmd:   cmd,
+		start: time.Now(),
 	}
-	start := time.Now()
-	e := d.handlers[cmd.Name()]
-	reply := d.dispatch(e, ctx, cmd)
-	d.observe(e, ctx, cmd, reply, start)
-	if cmdlang.IsOK(reply) {
-		d.nOK.Add(1)
-		d.dispatchNotifications(ctx, cmd)
-	} else {
-		d.nFail.Add(1)
+	if ctx != nil {
+		inv.Ctx = *ctx
+		inv.Ctx.inv = nil
 	}
-	return reply
+	inv.D = d
+	return inv.complete(d.dispatch(inv))
 }
 
 // dataThread receives datagrams on the UDP channel and hands them to

@@ -101,9 +101,7 @@ func (d *Daemon) dispatchNotifications(ctx *Ctx, cmd *cmdlang.CmdLine) {
 		return
 	}
 	tctx := ctx.TraceContext()
-	detail := cmd.Clone()
-	detail.Del(cmdlang.SeqArg)
-	detailStr := detail.String()
+	detailStr := cmd.String()
 	for _, nt := range targets {
 		msg := cmdlang.New(nt.Method).
 			SetWord(NotifySourceArg, wordOr(d.cfg.Name)).

@@ -142,10 +142,9 @@ func (cfg PoolConfig) withDefaults() PoolConfig {
 type Pool struct {
 	cfg PoolConfig
 
-	mu       sync.Mutex
-	clients  map[string]*wire.Client
-	breakers map[string]*breaker
-	closed   bool
+	mu     sync.Mutex
+	peers  map[string]*peer
+	closed bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -179,8 +178,7 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 	cfg = cfg.withDefaults()
 	return &Pool{
 		cfg:         cfg,
-		clients:     make(map[string]*wire.Client),
-		breakers:    make(map[string]*breaker),
+		peers:       make(map[string]*peer),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		lookups:     NewLookupCache(cfg.LookupPositiveTTL, cfg.LookupNegativeTTL, cfg.Telemetry),
 		retries:     cfg.Telemetry.Counter(MetricPoolRetries),
@@ -199,38 +197,47 @@ func (p *Pool) Telemetry() *telemetry.Registry {
 	return p.cfg.Telemetry
 }
 
-// breakerFor returns the address's breaker, or nil when breakers are
-// disabled.
-func (p *Pool) breakerFor(addr string) *breaker {
-	if p.cfg.BreakerThreshold <= 0 {
-		return nil
-	}
+// peer is everything the pool keeps about one address. The breaker
+// lives as long as the pool; the client comes and goes with the
+// connection (nil until dialed, nil again after a transport failure).
+type peer struct {
+	breaker *breaker
+	client  *wire.Client // guarded by Pool.mu
+}
+
+// peerFor resolves addr's record, creating it on first use, together with
+// the client currently pooled for it (nil when there is none) — one
+// lock for everything a call attempt needs to know about the address.
+func (p *Pool) peerFor(addr string) (*peer, *wire.Client, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	b, ok := p.breakers[addr]
+	if p.closed {
+		return nil, nil, wire.ErrClosed
+	}
+	pe, ok := p.peers[addr]
 	if !ok {
-		b = newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerCooldown)
-		b.onChange = func(from, to breakerState) {
+		pe = &peer{breaker: newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerCooldown)}
+		pe.breaker.onChange = func(from, to breakerState) {
 			p.transitions.Inc()
 			if p.cfg.OnBreakerChange != nil {
 				p.cfg.OnBreakerChange(addr, from.String(), to.String())
 			}
 		}
-		p.breakers[addr] = b
+		p.peers[addr] = pe
 	}
-	return b
+	return pe, pe.client, nil
 }
 
 // BreakerState reports the breaker state for addr ("closed", "open",
 // "half-open"); "closed" when breakers are disabled or addr unknown.
 func (p *Pool) BreakerState(addr string) string {
 	p.mu.Lock()
-	b := p.breakers[addr]
+	pe := p.peers[addr]
 	p.mu.Unlock()
-	if b == nil {
+	if pe == nil {
 		return breakerClosed.String()
 	}
-	return b.currentState().String()
+	return pe.breaker.currentState().String()
 }
 
 // Get returns a live client to addr, dialing if necessary. Get does
@@ -242,17 +249,17 @@ func (p *Pool) Get(addr string) (*wire.Client, error) {
 // GetContext is Get with a dial bounded by ctx (and the pool's dial
 // timeout, whichever is sooner).
 func (p *Pool) GetContext(ctx context.Context, addr string) (*wire.Client, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, wire.ErrClosed
+	pe, c, err := p.peerFor(addr)
+	if err != nil || c != nil {
+		return c, err
 	}
-	if c, ok := p.clients[addr]; ok {
-		p.mu.Unlock()
-		return c, nil
-	}
-	p.mu.Unlock()
+	return p.dial(ctx, addr, pe)
+}
 
+// dial connects to addr and pools the client on pe, unless a
+// concurrent dial got there first (its client wins) or the pool closed
+// meanwhile.
+func (p *Pool) dial(ctx context.Context, addr string, pe *peer) (*wire.Client, error) {
 	dctx, cancel := context.WithTimeout(ctx, p.cfg.DialTimeout)
 	defer cancel()
 	c, err := wire.DialContext(dctx, p.cfg.Transport, addr)
@@ -267,12 +274,12 @@ func (p *Pool) GetContext(ctx context.Context, addr string) (*wire.Client, error
 		_ = c.Close()
 		return nil, wire.ErrClosed
 	}
-	if existing, ok := p.clients[addr]; ok {
+	if existing := pe.client; existing != nil {
 		p.mu.Unlock()
 		_ = c.Close()
 		return existing, nil
 	}
-	p.clients[addr] = c
+	pe.client = c
 	p.mu.Unlock()
 	if p.cfg.HeartbeatInterval > 0 {
 		c.StartHeartbeat(p.cfg.HeartbeatInterval)
@@ -280,12 +287,13 @@ func (p *Pool) GetContext(ctx context.Context, addr string) (*wire.Client, error
 	return c, nil
 }
 
-// drop removes a client after a transport failure so the next call
-// redials.
-func (p *Pool) drop(addr string, c *wire.Client) {
+// drop unpools a client after a transport failure so the next call
+// redials. The peer record, and with it the breaker's memory of the
+// address, stays.
+func (p *Pool) drop(pe *peer, c *wire.Client) {
 	p.mu.Lock()
-	if p.clients[addr] == c {
-		delete(p.clients, addr)
+	if pe.client == c {
+		pe.client = nil
 	}
 	p.mu.Unlock()
 	_ = c.Close()
@@ -352,7 +360,6 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
 		defer cancel()
 	}
-	br := p.breakerFor(addr)
 	var lastErr error
 	var retryFloor time.Duration // server-suggested wait before the next attempt
 	for attempt := 0; ; attempt++ {
@@ -363,23 +370,29 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			p.retries.Inc()
 		}
 		retryFloor = 0
-		if br != nil {
-			if err := br.allow(); err != nil {
-				return nil, fmt.Errorf("daemon: %s: %w", addr, err)
-			}
+		pe, c, err := p.peerFor(addr)
+		if err != nil {
+			return nil, err
 		}
-		reply, err := p.callOnce(ctx, addr, cmd)
+		br := pe.breaker
+		if err := br.allow(); err != nil {
+			return nil, fmt.Errorf("daemon: %s: %w", addr, err)
+		}
+		var reply *cmdlang.CmdLine
+		if c == nil {
+			c, err = p.dial(ctx, addr, pe)
+		}
 		if err == nil {
-			if br != nil {
-				br.success()
-			}
-			return reply, nil
+			reply, err = c.CallContext(ctx, cmd)
 		}
-		if re, isRemote := err.(*cmdlang.RemoteError); isRemote {
+		re, isRemote := err.(*cmdlang.RemoteError)
+		switch {
+		case err == nil:
+			br.success()
+			return reply, nil
+		case isRemote:
 			// The daemon answered; the connection and peer are fine.
-			if br != nil {
-				br.success()
-			}
+			br.success()
 			if re.Code == cmdlang.CodeWrongGroup {
 				// Placement redirect: the peer is healthy but is not the
 				// partition's group (or the request's epoch is stale).
@@ -403,49 +416,31 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			}
 			p.busyRetries.Inc()
 			continue
-		}
-		if errors.Is(err, context.Canceled) {
+		case errors.Is(err, context.Canceled):
 			// The caller abandoned the call — e.g. a quorum fast-path
 			// cancelling a straggler once the outcome was decided. The
 			// peer did nothing wrong, so the breaker is not charged and
 			// a retry would be pointless. The probe slot this call may
 			// hold in a half-open breaker is released unjudged, or the
-			// next probe would be refused forever.
-			if br != nil {
-				br.abandon()
-			}
+			// next probe would be refused forever. The connection stays
+			// pooled too: the wire client removed the pending entry and
+			// will discard the late reply by its seq, the framing stream
+			// is intact, and tearing the (shared) connection down would
+			// punish every other caller multiplexed onto it.
+			br.abandon()
 			return nil, err
 		}
-		if br != nil {
-			br.failure()
+		// A transport failure may have corrupted the framing stream, so
+		// the connection is dropped and the next attempt redials.
+		if c != nil {
+			p.drop(pe, c)
 		}
+		br.failure()
 		lastErr = err
 		if ctx.Err() != nil || attempt >= p.cfg.MaxRetries {
 			return nil, lastErr
 		}
 	}
-}
-
-func (p *Pool) callOnce(ctx context.Context, addr string, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	c, err := p.GetContext(ctx, addr)
-	if err != nil {
-		return nil, err
-	}
-	reply, err := c.CallContext(ctx, cmd)
-	if err != nil {
-		// A transport failure may have corrupted the framing stream, so
-		// the connection is dropped and the next call redials. A
-		// cancellation is different: the wire client removed the pending
-		// entry and will discard the late reply by its seq, the framing
-		// stream is intact, and tearing the (shared) connection down
-		// would punish every other caller multiplexed onto it.
-		_, isRemote := err.(*cmdlang.RemoteError)
-		if !isRemote && !errors.Is(err, context.Canceled) {
-			p.drop(addr, c)
-		}
-		return nil, err
-	}
-	return reply, nil
 }
 
 // Failover tries call against addrs in sticky preference order: it
@@ -493,34 +488,31 @@ func (p *Pool) Send(addr string, cmd *cmdlang.CmdLine) error {
 // it exists to carry a trace span context onto the one-way frame so
 // notifications join the trace of the command that triggered them.
 func (p *Pool) SendContext(ctx context.Context, addr string, cmd *cmdlang.CmdLine) error {
-	br := p.breakerFor(addr)
 	for attempt := 0; attempt < 2; attempt++ {
-		if br != nil {
-			if err := br.allow(); err != nil {
-				return fmt.Errorf("daemon: %s: %w", addr, err)
-			}
-		}
-		c, err := p.GetContext(ctx, addr)
+		pe, c, err := p.peerFor(addr)
 		if err != nil {
-			if br != nil {
-				br.failure()
-			}
 			return err
+		}
+		br := pe.breaker
+		if err := br.allow(); err != nil {
+			return fmt.Errorf("daemon: %s: %w", addr, err)
+		}
+		if c == nil {
+			if c, err = p.dial(ctx, addr, pe); err != nil {
+				br.failure()
+				return err
+			}
 		}
 		err = c.SendContext(ctx, cmd)
 		if err == nil {
-			if br != nil {
-				br.success()
-			}
+			br.success()
 			return nil
 		}
-		p.drop(addr, c)
+		p.drop(pe, c)
 		if !errors.Is(err, wire.ErrClosed) {
 			// Bytes may have hit the wire: surface the failure rather
 			// than risk double delivery.
-			if br != nil {
-				br.failure()
-			}
+			br.failure()
 			return err
 		}
 		// Known-dead before the write: nothing was sent; safe to retry
@@ -530,12 +522,18 @@ func (p *Pool) SendContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 	return wire.ErrClosed
 }
 
-// Close closes every pooled connection.
+// Close closes every pooled connection and forgets every address.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	clients := p.clients
-	p.clients = map[string]*wire.Client{}
+	var clients []*wire.Client
+	for _, pe := range p.peers {
+		if pe.client != nil {
+			clients = append(clients, pe.client)
+			pe.client = nil
+		}
+	}
+	clear(p.peers)
 	p.mu.Unlock()
 	for _, c := range clients {
 		_ = c.Close()

@@ -13,6 +13,7 @@ import (
 
 	"ace/internal/cmdlang"
 	"ace/internal/telemetry"
+	"ace/internal/wire"
 )
 
 // tightPool returns a pool tuned so that failures are cheap and the
@@ -75,6 +76,56 @@ func TestBreakerOpensAfterConsecutiveFailures(t *testing.T) {
 	}
 	if elapsed > 50*time.Millisecond {
 		t.Fatalf("open-breaker call took %v; not failing fast", elapsed)
+	}
+}
+
+// TestPeerRecordOutlivesClient: an address has one record in the pool.
+// Dropping its client after a transport failure leaves the record and
+// the breaker's failure count in place — the dial failure that follows
+// is the second strike, not a fresh first — and Close empties the table.
+func TestPeerRecordOutlivesClient(t *testing.T) {
+	d := New(Config{Name: "mortal"})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	addr := d.Addr()
+	p := tightPool(PoolConfig{MaxRetries: -1, BreakerThreshold: 2, BreakerCooldown: time.Hour})
+	if _, err := p.Call(addr, cmdlang.New(CmdPing)); err != nil {
+		t.Fatal(err)
+	}
+	d.Stop()
+
+	// Strike one fails on the pooled connection and drops it.
+	if _, err := p.Call(addr, cmdlang.New(CmdPing)); err == nil {
+		t.Fatal("call to a stopped daemon succeeded")
+	}
+	p.mu.Lock()
+	pe, n := p.peers[addr], len(p.peers)
+	dropped := pe != nil && pe.client == nil
+	p.mu.Unlock()
+	if n != 1 || !dropped {
+		t.Fatalf("after a drop: %d records, client dropped=%v; want the one record without a client", n, dropped)
+	}
+	if st := p.BreakerState(addr); st != "closed" {
+		t.Fatalf("breaker %s after one failure, want closed", st)
+	}
+	// Strike two fails on the redial.
+	if _, err := p.Call(addr, cmdlang.New(CmdPing)); err == nil {
+		t.Fatal("call to a stopped daemon succeeded")
+	}
+	if st := p.BreakerState(addr); st != "open" {
+		t.Fatalf("breaker %s after two failures spanning a drop, want open", st)
+	}
+
+	p.Close()
+	p.mu.Lock()
+	n = len(p.peers)
+	p.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("Close left %d peer records", n)
+	}
+	if _, err := p.Call(addr, cmdlang.New(CmdPing)); !errors.Is(err, wire.ErrClosed) {
+		t.Fatalf("call on a closed pool: %v, want wire.ErrClosed", err)
 	}
 }
 

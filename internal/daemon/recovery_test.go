@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"context"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -206,6 +208,37 @@ func TestControlQueueBackpressure(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+}
+
+// TestStalledReaderCannotWedgeControlThread: a client that asks for
+// more reply bytes than the socket buffers hold and never reads them
+// costs the serial control thread one call timeout, not forever: the
+// reply write gives up, the connection is closed, and other clients
+// are served.
+func TestStalledReaderCannotWedgeControlThread(t *testing.T) {
+	blob := strings.Repeat("x", 512<<10)
+	d := startTestDaemon(t, Config{Name: "wedge", PoolConfig: &PoolConfig{CallTimeout: 100 * time.Millisecond}}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "blob"}, func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			return cmdlang.OK().SetString("data", blob), nil
+		})
+	})
+	stalled, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	for i := 1; i <= 32; i++ { // 16 MiB of replies, none of them read
+		if err := wire.WriteCmd(stalled, cmdlang.New("blob").SetInt(cmdlang.SeqArg, int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c := dialTest(t, d)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := c.CallContext(ctx, cmdlang.New(CmdPing)); err != nil {
+		t.Fatalf("control thread wedged behind a stalled reader: %v", err)
 	}
 }
 

@@ -5,66 +5,18 @@ import (
 	"time"
 )
 
-// AIMDConfig tunes an AIMDLimiter. Zero fields take the defaults
-// noted on each field.
-type AIMDConfig struct {
-	// Initial seeds the limit (default 64).
-	Initial int
-	// Min and Max bound the limit (defaults 8 and 1024).
-	Min int
-	Max int
-	// Target is the latency the limiter steers toward (default 50ms).
-	Target time.Duration
-	// DecreaseFactor is the multiplicative backoff in (0,1)
-	// (default 0.75).
-	DecreaseFactor float64
-	// Cooldown spaces decreases: one congested burst produces one
-	// backoff, not one per in-flight request (default Target).
-	Cooldown time.Duration
-}
-
-func (c AIMDConfig) withDefaults() AIMDConfig {
-	if c.Initial <= 0 {
-		c.Initial = 64
-	}
-	if c.Min <= 0 {
-		c.Min = 8
-	}
-	if c.Max <= 0 {
-		c.Max = 1024
-	}
-	if c.Min > c.Max {
-		c.Min = c.Max
-	}
-	if c.Initial < c.Min {
-		c.Initial = c.Min
-	}
-	if c.Initial > c.Max {
-		c.Initial = c.Max
-	}
-	if c.Target <= 0 {
-		c.Target = 50 * time.Millisecond
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.75
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = c.Target
-	}
-	return c
-}
-
 // AIMDLimiter is an adaptive concurrency limit driven by observed
 // request latency, in the spirit of TCP congestion control and the
 // gradient/Vegas concurrency limiters: while completions come back
 // under the target latency the limit creeps up additively (~one slot
 // per limit-many completions, i.e. one per "round trip"); a
 // completion over the target cuts it multiplicatively, at most once
-// per cooldown so a single congested burst costs one backoff. The
-// limit therefore oscillates around the daemon's real capacity
-// instead of being a hand-tuned constant.
+// per target interval so a single congested burst costs one backoff,
+// not one per in-flight request. The limit therefore oscillates
+// around the daemon's real capacity instead of being a hand-tuned
+// constant.
 type AIMDLimiter struct {
-	cfg AIMDConfig
+	cfg Config // defaulted; the limiter reads the limit, target and factor fields
 
 	mu           sync.Mutex
 	limit        float64
@@ -72,10 +24,10 @@ type AIMDLimiter struct {
 	decreases    int64
 }
 
-// NewAIMDLimiter builds a limiter from cfg.
-func NewAIMDLimiter(cfg AIMDConfig) *AIMDLimiter {
-	cfg = cfg.withDefaults()
-	return &AIMDLimiter{cfg: cfg, limit: float64(cfg.Initial)}
+// NewAIMDLimiter builds a limiter from the limiter fields of cfg,
+// which the caller has already run through withDefaults.
+func NewAIMDLimiter(cfg Config) *AIMDLimiter {
+	return &AIMDLimiter{cfg: cfg, limit: float64(cfg.InitialLimit)}
 }
 
 // Limit returns the current integer limit (never below Min).
@@ -97,19 +49,19 @@ func (l *AIMDLimiter) Decreases() int64 {
 func (l *AIMDLimiter) Observe(latency time.Duration, now time.Time) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if latency > l.cfg.Target {
-		if now.Sub(l.lastDecrease) >= l.cfg.Cooldown {
+	if latency > l.cfg.TargetLatency {
+		if now.Sub(l.lastDecrease) >= l.cfg.TargetLatency {
 			l.limit *= l.cfg.DecreaseFactor
-			if l.limit < float64(l.cfg.Min) {
-				l.limit = float64(l.cfg.Min)
+			if l.limit < float64(l.cfg.MinLimit) {
+				l.limit = float64(l.cfg.MinLimit)
 			}
 			l.lastDecrease = now
 			l.decreases++
 		}
 	} else {
 		l.limit += 1 / l.limit
-		if l.limit > float64(l.cfg.Max) {
-			l.limit = float64(l.cfg.Max)
+		if l.limit > float64(l.cfg.MaxLimit) {
+			l.limit = float64(l.cfg.MaxLimit)
 		}
 	}
 	return int(l.limit)

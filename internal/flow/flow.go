@@ -113,13 +113,9 @@ type Config struct {
 	// limiter steers toward. Default 50ms.
 	TargetLatency time.Duration
 	// DecreaseFactor is the multiplicative backoff applied when
-	// latency exceeds the target (at most once per cooldown).
-	// Default 0.75.
+	// latency exceeds the target (at most once per TargetLatency, so
+	// one congested burst does not collapse the limit). Default 0.75.
 	DecreaseFactor float64
-	// DecreaseCooldown spaces multiplicative decreases so one
-	// congested burst does not collapse the limit. Default
-	// TargetLatency (one congestion interval).
-	DecreaseCooldown time.Duration
 	// Rate is the data-plane token-bucket refill rate in admissions
 	// per second; <= 0 disables rate limiting (the concurrency limit
 	// still applies). Default disabled.
@@ -131,9 +127,6 @@ type Config struct {
 	// MaxQueueWait is the per-request queueing deadline. Default
 	// 100ms.
 	MaxQueueWait time.Duration
-	// ControlReserve is the fraction of the data-plane limit reserved
-	// as extra headroom for control traffic. Default 0.25.
-	ControlReserve float64
 	// MaxConns caps concurrently admitted connections at the accept
 	// loop. Default 4096.
 	MaxConns int
@@ -166,9 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
 		c.DecreaseFactor = 0.75
 	}
-	if c.DecreaseCooldown <= 0 {
-		c.DecreaseCooldown = c.TargetLatency
-	}
 	if c.Burst <= 0 {
 		c.Burst = int(c.Rate)
 		if c.Burst < 1 {
@@ -181,9 +171,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueueWait <= 0 {
 		c.MaxQueueWait = 100 * time.Millisecond
 	}
-	if c.ControlReserve <= 0 {
-		c.ControlReserve = 0.25
-	}
 	if c.MaxConns <= 0 {
 		c.MaxConns = 4096
 	}
@@ -192,6 +179,10 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// controlReserve is the fraction of the data-plane limit added on top
+// of it as headroom only control traffic may occupy.
+const controlReserve = 0.25
 
 // Metric names recorded by a Controller.
 const (
@@ -245,16 +236,9 @@ type Controller struct {
 func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
-		cfg: cfg,
-		now: cfg.Clock,
-		aimd: NewAIMDLimiter(AIMDConfig{
-			Initial:        cfg.InitialLimit,
-			Min:            cfg.MinLimit,
-			Max:            cfg.MaxLimit,
-			Target:         cfg.TargetLatency,
-			DecreaseFactor: cfg.DecreaseFactor,
-			Cooldown:       cfg.DecreaseCooldown,
-		}),
+		cfg:          cfg,
+		now:          cfg.Clock,
+		aimd:         NewAIMDLimiter(cfg),
 		perPrincipal: make(map[string]int),
 		mAdmitted:    [2]*telemetry.Counter{reg.Counter(MetricAdmittedControl), reg.Counter(MetricAdmittedData)},
 		mShed:        [2]*telemetry.Counter{reg.Counter(MetricShedControl), reg.Counter(MetricShedData)},
@@ -402,13 +386,18 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 // admitLocked hands out a slot. start is the admission request time
 // (queue wait baseline); the queue-wait histogram records now-start.
 func (c *Controller) admitLocked(pri Priority, principal string, start, now time.Time) *Ticket {
+	c.takeSlotLocked(pri, principal)
+	c.mInflight.Set(int64(c.inflight))
+	c.mQueueWait[pri].Observe(now.Sub(start))
+	return &Ticket{c: c, pri: pri, principal: principal, start: start}
+}
+
+// takeSlotLocked books one admission, immediate or from the queue.
+func (c *Controller) takeSlotLocked(pri Priority, principal string) {
 	c.inflight++
 	c.perPrincipal[principal]++
 	c.nAdmitted[pri]++
 	c.mAdmitted[pri].Inc()
-	c.mInflight.Set(int64(c.inflight))
-	c.mQueueWait[pri].Observe(now.Sub(start))
-	return &Ticket{c: c, pri: pri, principal: principal, start: start}
 }
 
 // shedLocked counts a rejection and builds its error.
@@ -430,7 +419,7 @@ func (c *Controller) retryHintLocked() time.Duration {
 // plus reserved headroom data traffic can never occupy.
 func (c *Controller) hardCapLocked() int {
 	limit := c.aimd.Limit()
-	reserve := int(float64(limit) * c.cfg.ControlReserve)
+	reserve := int(float64(limit) * controlReserve)
 	if reserve < 1 {
 		reserve = 1
 	}
@@ -494,7 +483,7 @@ func (c *Controller) fillLocked(now time.Time) []*waiter {
 	for c.dataQ.len() > 0 && c.inflight < c.aimd.Limit() {
 		var w *waiter
 		if c.dataQ.len()*2 >= c.cfg.QueueLen {
-			w = c.popNewest(&c.dataQ)
+			w = c.dataQ.popNewest()
 		} else {
 			w = c.dataQ.popOldest()
 		}
@@ -502,9 +491,6 @@ func (c *Controller) fillLocked(now time.Time) []*waiter {
 	}
 	return wake
 }
-
-// popNewest is dataQ.popNewest, split out for symmetry with fill.
-func (c *Controller) popNewest(q *waitQueue) *waiter { return q.popNewest() }
 
 // fillOneLocked admits or expires one popped waiter.
 func (c *Controller) fillOneLocked(w *waiter, now time.Time) *waiter {
@@ -514,10 +500,7 @@ func (c *Controller) fillOneLocked(w *waiter, now time.Time) *waiter {
 		return w
 	}
 	w.state = waiterAdmitted
-	c.inflight++
-	c.perPrincipal[w.principal]++
-	c.nAdmitted[w.pri]++
-	c.mAdmitted[w.pri].Inc()
+	c.takeSlotLocked(w.pri, w.principal)
 	return w
 }
 

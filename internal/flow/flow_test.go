@@ -61,8 +61,8 @@ func TestTokenBucket(t *testing.T) {
 
 func TestAIMDLimiterIncreaseAndDecrease(t *testing.T) {
 	clk := newFakeClock()
-	l := NewAIMDLimiter(AIMDConfig{Initial: 10, Min: 2, Max: 20, Target: 50 * time.Millisecond,
-		DecreaseFactor: 0.5, Cooldown: 100 * time.Millisecond})
+	l := NewAIMDLimiter(Config{InitialLimit: 10, MinLimit: 2, MaxLimit: 20, TargetLatency: 100 * time.Millisecond,
+		DecreaseFactor: 0.5}.withDefaults())
 
 	// Below-target completions grow the limit additively.
 	for i := 0; i < 200; i++ {

@@ -67,13 +67,6 @@ func (t Timestamp) Logical() uint16 { return uint16(t & logicalMask) }
 // IsZero reports whether t is the unstamped sentinel.
 func (t Timestamp) IsZero() bool { return t == 0 }
 
-// Sub returns the wall-component difference t − u as a Duration. The
-// logical counters are ignored: staleness bounds are physical-time
-// quantities, and inside one millisecond the bound is zero.
-func (t Timestamp) Sub(u Timestamp) time.Duration {
-	return time.Duration(t.WallMS()-u.WallMS()) * time.Millisecond
-}
-
 // Time returns the wall component as a time.Time (UTC, millisecond
 // resolution). For display and debugging; ordering decisions should
 // compare Timestamps directly.
@@ -141,9 +134,6 @@ func New(wall func() time.Time, maxOffset time.Duration, reg *telemetry.Registry
 	return c
 }
 
-// MaxOffset returns the clock's skew tolerance.
-func (c *Clock) MaxOffset() time.Duration { return c.maxOffset }
-
 // physMS reads the physical clock in milliseconds, floored at 1 so a
 // real reading is never the zero Timestamp even with a test wall
 // source pinned at the epoch.
@@ -207,26 +197,6 @@ func (c *Clock) Update(remote Timestamp) Timestamp {
 	default:
 		c.tickLocked()
 	}
-	return c.last
-}
-
-// Forward advances the clock to at least ts without clamping. It is
-// the restart-recovery rule: the WAL's persisted high-water mark is
-// trusted absolutely, because issuing any timestamp at or below it
-// would break monotonicity across the crash.
-func (c *Clock) Forward(ts Timestamp) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts > c.last {
-		c.last = ts
-	}
-}
-
-// Last returns the most recent timestamp issued or merged. Zero means
-// the clock has issued nothing yet.
-func (c *Clock) Last() Timestamp {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.last
 }
 

@@ -35,9 +35,6 @@ func TestTimestampPacking(t *testing.T) {
 	if ts.Logical() != 77 {
 		t.Fatalf("Logical = %d", ts.Logical())
 	}
-	if got := ts.Sub(Make(1234567890000, 9999)); got != 123*time.Millisecond {
-		t.Fatalf("Sub = %v", got)
-	}
 	// Integer comparison is HLC ordering: wall dominates, logical
 	// breaks ties.
 	if !(Make(10, 0) < Make(10, 1) && Make(10, 65535) < Make(11, 0)) {
@@ -135,35 +132,8 @@ func TestLogicalOverflowNearMaxSkew(t *testing.T) {
 	}
 }
 
-func TestForwardRestoresRestartMonotonicity(t *testing.T) {
-	// Simulate a crash/restart where the machine clock went backwards
-	// while the process was down: the WAL high-water mark must still
-	// dominate every timestamp the reborn clock issues.
-	w := &fixedWall{t: time.UnixMilli(9000)}
-	before := New(w.now, 0, nil)
-	var mark Timestamp
-	for i := 0; i < 10; i++ {
-		mark = before.Now()
-	}
-
-	w.set(time.UnixMilli(3000)) // clock regressed across the restart
-	after := New(w.now, 0, nil)
-	after.Forward(mark) // recovery replays the persisted high-water mark
-	ts := after.Now()
-	if ts <= mark {
-		t.Fatalf("restart broke monotonicity: mark %v, first new %v", mark, ts)
-	}
-	// Forward trusts even far-future marks (no clamp): refusing would
-	// guarantee duplicate timestamps.
-	far := Make(1<<40, 0)
-	after.Forward(far)
-	if after.Now() <= far {
-		t.Fatal("Forward clamped the recovery mark")
-	}
-}
-
 func TestConcurrentNowUpdate(t *testing.T) {
-	// Run Now/Update/Forward from many goroutines under -race, and
+	// Run Now/Update from many goroutines under -race, and
 	// check per-goroutine monotonicity of the returned readings.
 	c := New(time.Now, 0, nil)
 	var wg sync.WaitGroup
@@ -174,14 +144,10 @@ func TestConcurrentNowUpdate(t *testing.T) {
 			var prev Timestamp
 			for i := 0; i < 2000; i++ {
 				var ts Timestamp
-				switch i % 3 {
-				case 0:
+				if i%2 == 0 {
 					ts = c.Now()
-				case 1:
+				} else {
 					ts = c.Update(Make(int64(4000+i), uint16(g)))
-				default:
-					c.Forward(Make(int64(3000+i), 0))
-					ts = c.Now()
 				}
 				if ts <= prev {
 					panic("per-goroutine monotonicity violated")

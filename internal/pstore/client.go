@@ -475,15 +475,12 @@ func (c *Client) PutContext(ctx context.Context, path string, value []byte) (uin
 		return 0, err
 	}
 	next := cur + 1
-	acked, redirected := c.writeAll(ctx, c.stamp(cmdlang.New("psput").
+	acked, err := c.quorumWrite(ctx, "quorum write", cmdlang.New("psput").
 		SetString("path", path).
 		SetString("value", encodeValue(value)).
-		SetInt("version", int64(next))))
-	if len(acked) < c.Quorum() {
-		if redirected {
-			return 0, &WrongGroupError{Op: "quorum write"}
-		}
-		return 0, fmt.Errorf("pstore: quorum write failed: %d/%d acks", len(acked), len(c.replicas))
+		SetInt("version", int64(next)))
+	if err != nil {
+		return 0, err
 	}
 	// Grant a freshness lease to the ackers, dated at the version
 	// probe's launch: the probe's quorum proves every write committed
@@ -505,21 +502,15 @@ func (c *Client) PutVersionContext(ctx context.Context, path string, value []byt
 	}
 	start := time.Now()
 	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
-	acked, redirected := c.writeAll(ctx, c.stamp(cmdlang.New("psput").
+	// No lease for the ackers: the version was probed by the router
+	// against another group at a time this client cannot see, so there
+	// is no sound grant instant. Dual-apply traffic just leaves bounded
+	// reads to re-validate through a quorum.
+	_, err := c.quorumWrite(ctx, "quorum write", cmdlang.New("psput").
 		SetString("path", path).
 		SetString("value", encodeValue(value)).
-		SetInt("version", int64(version))))
-	if len(acked) < c.Quorum() {
-		if redirected {
-			return &WrongGroupError{Op: "quorum write"}
-		}
-		return fmt.Errorf("pstore: quorum write failed: %d/%d acks", len(acked), len(c.replicas))
-	}
-	// No lease: the version was probed by the router against another
-	// group at a time this client cannot see, so there is no sound
-	// grant instant. Dual-apply traffic just leaves bounded reads to
-	// re-validate through a quorum.
-	return nil
+		SetInt("version", int64(version)))
+	return err
 }
 
 // DeleteVersionContext writes a tombstone at an explicit version, the
@@ -528,16 +519,10 @@ func (c *Client) DeleteVersionContext(ctx context.Context, path string, version 
 	start := time.Now()
 	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
 	c.leases.Drop(path)
-	acked, redirected := c.writeAll(ctx, c.stamp(cmdlang.New("psdel").
+	_, err := c.quorumWrite(ctx, "quorum delete", cmdlang.New("psdel").
 		SetString("path", path).
-		SetInt("version", int64(version))))
-	if len(acked) < c.Quorum() {
-		if redirected {
-			return &WrongGroupError{Op: "quorum delete"}
-		}
-		return fmt.Errorf("pstore: quorum delete failed: %d/%d acks", len(acked), len(c.replicas))
-	}
-	return nil
+		SetInt("version", int64(version)))
+	return err
 }
 
 // Delete writes a tombstone at path through a quorum.
@@ -556,45 +541,49 @@ func (c *Client) DeleteContext(ctx context.Context, path string) error {
 	// A tombstone invalidates any lease immediately — even a write that
 	// ends up under quorum may have landed on a holder.
 	c.leases.Drop(path)
-	acked, redirected := c.writeAll(ctx, c.stamp(cmdlang.New("psdel").
+	_, err = c.quorumWrite(ctx, "quorum delete", cmdlang.New("psdel").
 		SetString("path", path).
-		SetInt("version", int64(cur+1))))
-	if len(acked) < c.Quorum() {
-		if redirected {
-			return &WrongGroupError{Op: "quorum delete"}
-		}
-		return fmt.Errorf("pstore: quorum delete failed: %d/%d acks", len(acked), len(c.replicas))
-	}
-	return nil
+		SetInt("version", int64(cur+1)))
+	return err
 }
 
-// writeAll streams cmd to every replica and returns the addresses
-// that acked as soon as the write quorum is reached — or provably
-// unreachable — cancelling and draining the stragglers in the
-// background. A cancelled straggler that already received the frame
-// still applies the write; one that didn't is healed by repair or
-// anti-entropy. redirected reports whether any consumed failure was a
-// wrong_group placement redirect, so an under-quorum outcome can be
-// classified as a stale routing decision rather than unavailability.
-func (c *Client) writeAll(ctx context.Context, cmd *cmdlang.CmdLine) (ackedAddrs []string, redirected bool) {
-	// Stamp the write: the timestamp rides the wire frame header to
-	// every replica, so all of them store the same client-assigned
-	// stamp.
+// quorumWrite is the tail of every write: it streams cmd to every
+// replica and returns the addresses that acked as soon as the write
+// quorum is reached — or provably unreachable — cancelling and
+// draining the stragglers in the background. A cancelled straggler
+// that already received the frame still applies the write; one that
+// didn't is healed by repair or anti-entropy. Under quorum the write
+// failed: as a WrongGroupError when any consumed failure was a
+// wrong_group placement redirect (a stale routing decision rather than
+// unavailability), else with the ack count. op names the operation in
+// both.
+func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine) (acked []string, err error) {
+	c.stamp(cmd)
+	// The HLC timestamp rides the wire frame header to every replica,
+	// so all of them store the same client-assigned stamp. Every
+	// replica's call shares cmd: the wire client copies a command
+	// before adding its seq.
 	ctx = hlc.WithTimestamp(ctx, c.clock.Now())
 	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
-		if _, err := c.pool.CallContext(cctx, addr, cmd.Clone()); err != nil {
+		if _, err := c.pool.CallContext(cctx, addr, cmd); err != nil {
 			return replicaReply{err: err}
 		}
 		return replicaReply{ok: true}
 	})
-	prefix, _ := f.awaitQuorum(c.Quorum(), "quorum write")
+	prefix, _ := f.awaitQuorum(c.Quorum(), op)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	for _, r := range prefix {
 		if r.err == nil {
-			ackedAddrs = append(ackedAddrs, c.replicas[r.idx])
+			acked = append(acked, c.replicas[r.idx])
 		}
 	}
-	return ackedAddrs, anyRedirect(prefix)
+	if len(acked) < c.Quorum() {
+		if anyRedirect(prefix) {
+			return nil, &WrongGroupError{Op: op}
+		}
+		return nil, fmt.Errorf("pstore: %s failed: %d/%d acks", op, len(acked), len(c.replicas))
+	}
+	return acked, nil
 }
 
 // List unions the live paths under prefix across all reachable

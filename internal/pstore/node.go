@@ -269,7 +269,8 @@ func (n *Node) Crash() {
 }
 
 // apply installs the item in memory if it is newer than what the node
-// holds, returning whether it was applied. Durability is applyDurable.
+// holds, returning whether it was applied. Durability is applyAsync
+// and applyDurableBatch.
 func (n *Node) apply(it Item) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -303,33 +304,6 @@ func (n *Node) stamp(ctx *daemon.Ctx) hlc.Timestamp {
 // itemHLCArg is the psfetch reply argument carrying the item's stamp.
 const itemHLCArg = "item_hlc"
 
-// applyDurable is the write path: install in memory, then block until
-// the record is fsync-durable in the WAL (group commit batches
-// concurrent callers into shared fsyncs). The commit point for an
-// acknowledgment is the fsync — a write whose append fails is NOT
-// acked, the node latches degraded, and the caller must answer
-// `busy` so the quorum counts someone else. Memory may then be ahead
-// of the log; anti-entropy and the restart replay reconcile that,
-// and last-writer-wins makes the overlap idempotent.
-func (n *Node) applyDurable(it Item) (bool, error) {
-	if n.eng != nil && n.degraded.Load() {
-		return false, fmt.Errorf("pstore: storage degraded: %w", n.eng.Err())
-	}
-	n.mu.Lock()
-	applied := n.applyMemLocked(it)
-	n.mu.Unlock()
-	if !applied || n.eng == nil {
-		return applied, nil
-	}
-	err := n.eng.Append(storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)})
-	if err != nil {
-		n.degraded.Store(true)
-		return false, fmt.Errorf("pstore: wal append: %w", err)
-	}
-	n.maybeSnapshot()
-	return true, nil
-}
-
 // degradedRetryAfter is the retry hint sent with busy replies from a
 // node whose disk refused durability: long enough that the client's
 // quorum machinery prefers healthy replicas, short enough that a
@@ -338,7 +312,12 @@ const degradedRetryAfter = 100 * time.Millisecond
 
 // applyAsync is the handler-side write path: install in memory, then
 // make the record durable WITHOUT holding the daemon's serial control
-// thread through the fsync. The invocation detaches, the engine's
+// thread through the fsync. The commit point for an acknowledgment is
+// the fsync — a write whose append fails is NOT acked, the node latches
+// degraded, and the caller is answered `busy` so the quorum counts
+// someone else. Memory may then be ahead of the log; anti-entropy and
+// the restart replay reconcile that, and last-writer-wins makes the
+// overlap idempotent. The invocation detaches, the engine's
 // commit loop batches this record with every other write in flight
 // (group commit), and the ack goes out when the covering fsync
 // returns. Detaching is what creates the batch: if the control thread
@@ -411,14 +390,6 @@ func (n *Node) snapshotRecords() []storage.Record {
 		recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)})
 	}
 	return recs
-}
-
-// CompactNow forces one synchronous snapshot+truncate cycle.
-func (n *Node) CompactNow() error {
-	if n.eng == nil {
-		return nil
-	}
-	return n.eng.Snapshot(n.snapshotRecords)
 }
 
 // get returns the live item at path.
@@ -580,7 +551,7 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 // ones through one shared WAL batch: all appends are in the engine's
 // queue before the first wait, so the commit loop coalesces their
 // fsyncs. Returns how many items were applied in memory. Like
-// applyDurable, a refused append latches degraded.
+// applyAsync, a refused append latches degraded.
 func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	if n.eng != nil && n.degraded.Load() {
 		return 0, fmt.Errorf("pstore: storage degraded: %w", n.eng.Err())

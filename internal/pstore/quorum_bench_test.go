@@ -15,7 +15,6 @@ package pstore
 // this so tier-1 runs stay fast and deterministic.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,28 +89,6 @@ func runQuorumOps(t testing.TB, client *Client) (getNs, putNs float64) {
 	return getNs, putNs
 }
 
-// runBoundedGets measures the bounded-staleness read path. The
-// preceding quorum traffic granted a freshness lease (and warmed the
-// advisory lag samples), so on a healthy cluster nearly every read
-// takes the single-replica route, re-validating through a quorum
-// only when the lease ages out.
-func runBoundedGets(t testing.TB, client *Client) float64 {
-	ctx := context.Background()
-	mode := ReadBounded(2 * time.Second)
-	if _, _, ok, err := client.GetModeContext(ctx, "/bench/q", mode); err != nil || !ok {
-		t.Fatalf("bounded warmup: ok=%v err=%v", ok, err)
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, ok, err := client.GetModeContext(ctx, "/bench/q", mode); err != nil || !ok {
-				b.Fatalf("bounded get: ok=%v err=%v", ok, err)
-			}
-		}
-	})
-	return float64(res.T.Nanoseconds()) / float64(res.N)
-}
-
 // runConcurrentPuts measures put latency under writer concurrency —
 // the shape group commit is built for: many writers share each fsync,
 // so per-op cost approaches the in-memory quorum write.
@@ -140,12 +117,10 @@ func runConcurrentPuts(t testing.TB, client *Client) float64 {
 
 // quorumBenchReport is one measured scenario in BENCH_pstore.json.
 type quorumBenchReport struct {
-	Scenario        string  `json:"scenario"`
-	NsPerOpGet      float64 `json:"ns_per_op_get"`
-	NsPerOpPut      float64 `json:"ns_per_op_put"`
-	NsPerOpPutConc  float64 `json:"ns_per_op_put_concurrent,omitempty"`
-	NsPerOpGetBound float64 `json:"ns_per_op_get_bounded,omitempty"`
-	StaleViolations int64   `json:"staleness_violations,omitempty"`
+	Scenario       string  `json:"scenario"`
+	NsPerOpGet     float64 `json:"ns_per_op_get"`
+	NsPerOpPut     float64 `json:"ns_per_op_put"`
+	NsPerOpPutConc float64 `json:"ns_per_op_put_concurrent,omitempty"`
 }
 
 // TestBenchPstoreQuorum is the gate behind `make bench-pstore`. It is
@@ -194,24 +169,6 @@ func TestBenchPstoreQuorum(t *testing.T) {
 		t.Logf("%-16s get %12.0f ns/op   put %12.0f ns/op", sc.name, getNs, putNs)
 		rep := quorumBenchReport{Scenario: sc.name, NsPerOpGet: getNs, NsPerOpPut: putNs}
 		if sc.name == "healthy" {
-			// Bounded-staleness read spectrum: with a freshness lease
-			// granted by the quorum traffic above, a bounded GET is one
-			// replica RTT instead of a three-way fan-out. The gate
-			// demands at least the 2x the tentpole claims, with the
-			// zero-violation guarantee intact (every violation is a
-			// bounded reply that was discarded — on a healthy cluster
-			// there must be none).
-			boundedNs := runBoundedGets(t, client)
-			rep.NsPerOpGetBound = boundedNs
-			violations, _ := client.Staleness().Counters()
-			rep.StaleViolations = violations
-			t.Logf("%-16s get-bounded %12.0f ns/op (%.2fx quorum)", sc.name, boundedNs, boundedNs/getNs)
-			if boundedNs > 0.5*getNs {
-				t.Errorf("healthy: bounded Get %.0f ns/op is not under 0.5x quorum Get (%.0f ns/op) — the single-replica path is not engaging", boundedNs, getNs)
-			}
-			if violations != 0 {
-				t.Errorf("healthy: %d staleness-bound violations — a lease holder regressed on a healthy cluster", violations)
-			}
 			// Concurrent in-memory baseline for the durable gate below.
 			memPutConc = runConcurrentPuts(t, client)
 			rep.NsPerOpPutConc = memPutConc

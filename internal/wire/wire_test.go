@@ -153,12 +153,18 @@ func TestClientPlaintextCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reply, err := c.Call(cmdlang.New("ping"))
+	cmd := cmdlang.New("ping").SetInt("n", 1)
+	reply, err := c.Call(cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Str("echo", "") != "ping" {
 		t.Fatalf("reply=%v", reply)
+	}
+	// The seq goes on a copy: callers hand one command to several
+	// concurrent calls (pstore's write fan-out, one per replica).
+	if got := cmd.String(); got != "ping n=1;" {
+		t.Fatalf("the caller's command was changed by the call: %s", got)
 	}
 }
 
