@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow experiments examples fuzz fmt vet lint lint-docs loc clean
+.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call experiments examples fuzz fmt vet lint lint-docs loc clean
 
 all: build vet test
 
@@ -99,6 +99,18 @@ bench-flow:
 	ACE_BENCH_FLOW=1 ACE_BENCH_FLOW_OUT=$(CURDIR)/BENCH_flow.json \
 		$(GO) test -run 'TestBenchFlow$$' -count=1 -v .
 
+# Where a plain call's time and allocations go (ROADMAP item 1a): the
+# ACE half of BenchmarkE2CmdVsRMI, client and daemon shell in one
+# process over loopback, under the CPU and the allocation profiler, and
+# the top of each. The test binary and both profiles stay under
+# .bench_build/ for `go tool pprof -list`.
+profile-call:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkE2CmdVsRMI/ace' -benchtime 300000x -benchmem \
+		-o .bench_build/call.test -cpuprofile .bench_build/call.cpu.prof -memprofile .bench_build/call.mem.prof .
+	$(GO) tool pprof -top -nodecount 10 .bench_build/call.test .bench_build/call.cpu.prof
+	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/call.test .bench_build/call.mem.prof
+
 # Regenerate every experiment table (E1–E15 paper, X1–X5 extensions).
 experiments:
 	$(GO) run ./cmd/acebench
@@ -110,10 +122,13 @@ examples:
 	$(GO) run ./examples/robustapp
 	$(GO) run ./examples/futurework
 
-# Brief fuzzing of the wire-facing parsers.
+# Brief fuzzing of the wire-facing parsers and framing decoders.
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test -fuzz=FuzzParse$$ -fuzztime=30s ./internal/cmdlang/
-	$(GO) test -fuzz=FuzzParseAssertion -fuzztime=30s ./internal/keynote/
+	$(GO) test -run '^$$' -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
+	$(GO) test -run '^$$' -fuzz=FuzzSplitPayload$$ -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz=FuzzReadFrame$$ -fuzztime=$(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz=FuzzParseAssertion -fuzztime=$(FUZZTIME) ./internal/keynote/
 
 fmt:
 	gofmt -w .

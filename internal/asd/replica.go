@@ -93,7 +93,7 @@ func encodeEntry(e Entry) []byte {
 	if e.Room != "" {
 		doc.SetWord("room", e.Room)
 	}
-	return []byte(doc.String())
+	return doc.AppendTo(nil)
 }
 
 // decodeEntry parses a store value back into an entry carrying the

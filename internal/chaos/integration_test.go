@@ -487,7 +487,9 @@ func TestChaosPrimaryDirectoryKillZeroExpirations(t *testing.T) {
 		if err := s.Start(); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(s.Stop)
+		// Deferred, not t.Cleanup: the directories' reap loops write
+		// through store and must be joined before store.Close drains it.
+		defer s.Stop()
 		dirs = append(dirs, s)
 	}
 	if err := asd.SubscribeReplicas(pool, dirs); err != nil {

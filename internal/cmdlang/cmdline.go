@@ -3,7 +3,7 @@ package cmdlang
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"unsafe"
 )
 
 // CmdLine is the ACECmdLine object: a command name plus an ordered
@@ -13,10 +13,16 @@ import (
 //
 // The zero CmdLine is not usable; construct with New.
 type CmdLine struct {
-	name  string
-	args  []Arg
+	name string
+	args []Arg
+	// index maps argument names to positions, and exists only once a
+	// command has more than indexThreshold arguments: below that a scan
+	// of args beats a map and costs no allocation, above it the map
+	// keeps a frame of 100 000 arguments linear to parse.
 	index map[string]int
 }
+
+const indexThreshold = 16
 
 // Arg is a single named argument of a command line.
 type Arg struct {
@@ -31,7 +37,37 @@ func New(name string) *CmdLine {
 	if !IsWord(name) {
 		panic(fmt.Sprintf("cmdlang: command name %q is not a word", name))
 	}
-	return &CmdLine{name: name, index: make(map[string]int)}
+	return &CmdLine{name: name}
+}
+
+// find returns the position of the named argument, or -1.
+func (c *CmdLine) find(name string) int {
+	if c.index != nil {
+		if i, ok := c.index[name]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range c.args {
+		if c.args[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// add appends an argument known to be absent.
+func (c *CmdLine) add(name string, v Value) {
+	c.args = append(c.args, Arg{Name: name, Value: v})
+	switch {
+	case c.index != nil:
+		c.index[name] = len(c.args) - 1
+	case len(c.args) > indexThreshold:
+		c.index = make(map[string]int, 2*len(c.args))
+		for i := range c.args {
+			c.index[c.args[i].Name] = i
+		}
+	}
 }
 
 // Name returns the command name.
@@ -43,12 +79,11 @@ func (c *CmdLine) Set(name string, v Value) *CmdLine {
 	if !IsWord(name) {
 		panic(fmt.Sprintf("cmdlang: argument name %q is not a word", name))
 	}
-	if i, ok := c.index[name]; ok {
+	if i := c.find(name); i >= 0 {
 		c.args[i].Value = v
 		return c
 	}
-	c.index[name] = len(c.args)
-	c.args = append(c.args, Arg{Name: name, Value: v})
+	c.add(name, v)
 	return c
 }
 
@@ -69,8 +104,8 @@ func (c *CmdLine) SetBool(name string, v bool) *CmdLine { return c.Set(name, Boo
 
 // Get returns the named argument value.
 func (c *CmdLine) Get(name string) (Value, bool) {
-	i, ok := c.index[name]
-	if !ok {
+	i := c.find(name)
+	if i < 0 {
 		return Value{}, false
 	}
 	return c.args[i].Value, true
@@ -78,8 +113,7 @@ func (c *CmdLine) Get(name string) (Value, bool) {
 
 // Has reports whether the named argument is present.
 func (c *CmdLine) Has(name string) bool {
-	_, ok := c.index[name]
-	return ok
+	return c.find(name) >= 0
 }
 
 // Int returns the named argument as an int64, with def as fallback.
@@ -144,14 +178,16 @@ func (c *CmdLine) Strings(name string) []string {
 
 // Del removes the named argument if present.
 func (c *CmdLine) Del(name string) {
-	i, ok := c.index[name]
-	if !ok {
+	i := c.find(name)
+	if i < 0 {
 		return
 	}
 	c.args = append(c.args[:i], c.args[i+1:]...)
-	delete(c.index, name)
-	for j := i; j < len(c.args); j++ {
-		c.index[c.args[j].Name] = j
+	if c.index != nil {
+		delete(c.index, name)
+		for j := i; j < len(c.args); j++ {
+			c.index[c.args[j].Name] = j
+		}
 	}
 }
 
@@ -181,9 +217,9 @@ func (c *CmdLine) SortedArgNames() []string {
 
 // Clone returns a deep copy of the command line.
 func (c *CmdLine) Clone() *CmdLine {
-	n := New(c.name)
+	n := &CmdLine{name: c.name, args: make([]Arg, 0, len(c.args))}
 	for _, a := range c.args {
-		n.Set(a.Name, a.Value)
+		n.add(a.Name, a.Value)
 	}
 	return n
 }
@@ -206,19 +242,57 @@ func (c *CmdLine) Equal(o *CmdLine) bool {
 	return true
 }
 
-// String renders the command line in the ACE textual grammar,
-// terminated by ';'. The result parses back to an equal CmdLine.
-func (c *CmdLine) String() string {
-	var b strings.Builder
-	b.WriteString(c.name)
-	for _, a := range c.args {
-		b.WriteByte(' ')
-		b.WriteString(a.Name)
-		b.WriteByte('=')
-		a.Value.encode(&b)
+// AppendTo appends the command line in the ACE textual grammar,
+// terminated by ';', to dst and returns the extended buffer. The
+// appended text parses back to an equal CmdLine.
+func (c *CmdLine) AppendTo(dst []byte) []byte {
+	return c.appendText(dst, false, 0)
+}
+
+// AppendSeq appends the text c would have after SetInt(SeqArg, seq) —
+// a seq argument the command already carries is rendered with the new
+// number in its place, otherwise seq goes last — without touching c, so
+// the transport can number a command or reply it does not own.
+func (c *CmdLine) AppendSeq(dst []byte, seq int64) []byte {
+	return c.appendText(dst, true, seq)
+}
+
+func (c *CmdLine) appendText(dst []byte, withSeq bool, seq int64) []byte {
+	dst = append(dst, c.name...)
+	for i := range c.args {
+		a := &c.args[i]
+		dst = append(dst, ' ')
+		dst = append(dst, a.Name...)
+		dst = append(dst, '=')
+		if withSeq && a.Name == SeqArg {
+			dst = appendInt(dst, seq)
+			withSeq = false
+			continue
+		}
+		dst = a.Value.appendTo(dst)
 	}
-	b.WriteByte(';')
-	return b.String()
+	if withSeq {
+		dst = append(dst, ' ')
+		dst = append(dst, SeqArg...)
+		dst = append(dst, '=')
+		dst = appendInt(dst, seq)
+	}
+	return append(dst, ';')
+}
+
+// String renders the command line as AppendTo does.
+func (c *CmdLine) String() string {
+	n := len(c.name) + 1
+	for i := range c.args {
+		n += len(c.args[i].Name) + 2 + c.args[i].Value.sizeHint()
+	}
+	return ownedString(c.AppendTo(make([]byte, 0, n)))
+}
+
+// ownedString returns b's bytes as a string without copying them. The
+// caller hands b over: nothing may write to it afterwards.
+func ownedString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // Validate checks every argument value's structural invariants.

@@ -4,7 +4,9 @@ import "testing"
 
 // FuzzParse checks the parser's core invariant on arbitrary input:
 // anything that parses must re-encode to a string that parses back to
-// an equal command (and must never panic).
+// an equal command (and must never panic), whichever of String and
+// AppendTo encodes it, and the string fast paths must match their
+// reference (reference_test.go).
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"ping;",
@@ -19,16 +21,24 @@ func FuzzParse(f *testing.F) {
 		"bad x=;",
 		"{;};",
 		`q s="unterminated`,
+		"u s=\"\xff\xfe\" t=\"tab\there\";",
+		`e s="a\\b\"c" t="dangling\`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
+		// The bulk string paths must agree with the rune-by-rune
+		// reference on every input, well-formed or not.
+		checkStringCodec(t, s)
 		c, err := Parse(s)
 		if err != nil {
 			return // malformed input is fine; panics are not
 		}
 		enc := c.String()
+		if app := string(c.AppendTo(nil)); app != enc {
+			t.Fatalf("AppendTo = %q, String = %q", app, enc)
+		}
 		back, err := Parse(enc)
 		if err != nil {
 			t.Fatalf("re-parse of %q (from %q) failed: %v", enc, s, err)

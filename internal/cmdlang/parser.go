@@ -106,39 +106,59 @@ func (l *lexer) next() (token, *ParseError) {
 	return token{}, l.errf(start, "unexpected character %q", rune(c))
 }
 
+// lexString scans a quoted string. One without a backslash that is
+// valid UTF-8 — nearly every one — is taken from the source whole; only
+// escapes and invalid bytes (which decode to U+FFFD) need rewriting
+// byte by byte. A string that makes up at least half of the source is
+// a slice of it, so a bulk value is never copied; a shorter one is
+// copied, so that a handler that keeps a path or a name keeps those
+// few bytes and not the frame they arrived in.
 func (l *lexer) lexString() (token, *ParseError) {
 	start := l.pos
 	l.pos++ // opening quote
-	var b strings.Builder
+	rest := l.src[l.pos:]
+	end := strings.IndexByte(rest, '"')
+	if end >= 0 {
+		if run := rest[:end]; strings.IndexByte(run, '\\') < 0 && utf8.ValidString(run) {
+			l.pos += end + 1
+			if 2*len(run) < len(l.src) {
+				run = strings.Clone(run)
+			}
+			return token{kind: tokString, text: run, off: start}, nil
+		}
+	}
+	// The first quote is where the string ends unless it is escaped.
+	b := make([]byte, 0, max(end, 0))
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		switch c {
-		case '"':
+		switch {
+		case c == '"':
 			l.pos++
-			return token{kind: tokString, text: b.String(), off: start}, nil
-		case '\\':
+			return token{kind: tokString, text: ownedString(b), off: start}, nil
+		case c == '\\':
 			if l.pos+1 >= len(l.src) {
 				return token{}, l.errf(l.pos, "dangling escape at end of input")
 			}
 			l.pos++
 			switch e := l.src[l.pos]; e {
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
+			case '"', '\\':
+				b = append(b, e)
 			case 'n':
-				b.WriteByte('\n')
+				b = append(b, '\n')
 			case 'r':
-				b.WriteByte('\r')
+				b = append(b, '\r')
 			case 't':
-				b.WriteByte('\t')
+				b = append(b, '\t')
 			default:
 				return token{}, l.errf(l.pos, "unknown escape \\%c", e)
 			}
 			l.pos++
+		case c < utf8.RuneSelf:
+			b = append(b, c)
+			l.pos++
 		default:
 			r, size := utf8.DecodeRuneInString(l.src[l.pos:])
-			b.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 			l.pos += size
 		}
 	}
@@ -221,6 +241,12 @@ func Parse(s string) (*CmdLine, error) {
 	return c, nil
 }
 
+// ParseBytes is Parse for a buffer the caller hands over: the
+// command's words and bulk strings alias b instead of a copy of it, so
+// nothing may write to b afterwards. It is how a received frame
+// becomes a command without a second copy of its text.
+func ParseBytes(b []byte) (*CmdLine, error) { return Parse(ownedString(b)) }
+
 // ParsePrefix parses one command from the front of s and returns the
 // unconsumed remainder, allowing several commands to be concatenated
 // in one buffer.
@@ -232,9 +258,14 @@ func ParsePrefix(s string) (*CmdLine, string, error) {
 	if p.tok.kind != tokWord {
 		return nil, "", &ParseError{Offset: p.tok.off, Msg: "expected command name"}
 	}
-	c := New(p.tok.text)
+	c := &CmdLine{name: p.tok.text}
 	if err := p.advance(); err != nil {
 		return nil, "", err
+	}
+	// Most commands have a handful of arguments: room for them up
+	// front, bounded so that a frame of '=' bytes reserves nothing big.
+	if n := min(strings.Count(s, "="), 8); n > 0 {
+		c.args = make([]Arg, 0, n)
 	}
 	for {
 		switch p.tok.kind {
@@ -262,10 +293,10 @@ func ParsePrefix(s string) (*CmdLine, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			if c.Has(name) {
+			if c.find(name) >= 0 {
 				return nil, "", &ParseError{Offset: nameOff, Msg: fmt.Sprintf("duplicate argument %q", name)}
 			}
-			c.Set(name, v)
+			c.add(name, v)
 		case tokEOF:
 			return nil, "", &ParseError{Offset: p.tok.off, Msg: "unterminated command (missing ';')"}
 		default:

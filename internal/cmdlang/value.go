@@ -15,10 +15,12 @@
 package cmdlang
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind identifies the type of a Value. The ACE language has four
@@ -328,57 +330,103 @@ func (v Value) Validate() error {
 
 // Encode renders the value in the ACE textual grammar.
 func (v Value) Encode() string {
-	var b strings.Builder
-	v.encode(&b)
-	return b.String()
+	return ownedString(v.appendTo(make([]byte, 0, v.sizeHint())))
 }
 
-func (v Value) encode(b *strings.Builder) {
+// sizeHint estimates the length of the value's encoding: an upper
+// bound unless a string needs escapes.
+func (v *Value) sizeHint() int {
 	switch v.kind {
 	case KindInt:
-		b.WriteString(strconv.FormatInt(v.i, 10))
+		return 20
 	case KindFloat:
-		s := strconv.FormatFloat(v.f, 'g', -1, 64)
-		b.WriteString(s)
-		// A float must stay lexically distinct from an integer.
-		if !strings.ContainsAny(s, ".eE") {
-			b.WriteString(".0")
-		}
+		return 24
 	case KindWord:
-		b.WriteString(v.s)
+		return len(v.s)
 	case KindString:
-		quoteString(b, v.s)
-	case KindVector, KindArray:
-		b.WriteByte('{')
-		for i, e := range v.vec {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			e.encode(b)
+		return len(v.s) + 2
+	default:
+		n := 2
+		for i := range v.vec {
+			n += v.vec[i].sizeHint() + 1
 		}
-		b.WriteByte('}')
+		return n
 	}
 }
 
-func quoteString(b *strings.Builder, s string) {
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
+func appendInt(dst []byte, i int64) []byte { return strconv.AppendInt(dst, i, 10) }
+
+func (v *Value) appendTo(dst []byte) []byte {
+	switch v.kind {
+	case KindInt:
+		dst = appendInt(dst, v.i)
+	case KindFloat:
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+		// A float must stay lexically distinct from an integer.
+		if bytes.IndexAny(dst[n:], ".eE") < 0 {
+			dst = append(dst, ".0"...)
+		}
+	case KindWord:
+		dst = append(dst, v.s...)
+	case KindString:
+		dst = appendQuoted(dst, v.s)
+	case KindVector, KindArray:
+		dst = append(dst, '{')
+		for i := range v.vec {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = v.vec[i].appendTo(dst)
+		}
+		dst = append(dst, '}')
+	}
+	return dst
+}
+
+// appendQuoted appends s as a <STRING>: quoted, with quotes,
+// backslashes, newlines, carriage returns and tabs escaped and every
+// byte that is not valid UTF-8 replaced by U+FFFD. A string with none
+// of those — nearly every one, and every bulk value — is copied whole.
+func appendQuoted(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	if isPlain(s) {
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
+	for i := 0; i < len(s); {
+		switch c := s[i]; {
+		case c == '"':
+			dst = append(dst, '\\', '"')
+		case c == '\\':
+			dst = append(dst, '\\', '\\')
+		case c == '\n':
+			dst = append(dst, '\\', 'n')
+		case c == '\r':
+			dst = append(dst, '\\', 'r')
+		case c == '\t':
+			dst = append(dst, '\\', 't')
+		case c < utf8.RuneSelf:
+			dst = append(dst, c)
 		default:
-			b.WriteRune(r)
+			r, size := utf8.DecodeRuneInString(s[i:])
+			dst = utf8.AppendRune(dst, r)
+			i += size
+			continue
+		}
+		i++
+	}
+	return append(dst, '"')
+}
+
+// isPlain reports whether s encodes as itself between quotes.
+func isPlain(s string) bool {
+	for _, c := range []byte{'"', '\\', '\n', '\r', '\t'} {
+		if strings.IndexByte(s, c) >= 0 {
+			return false
 		}
 	}
-	b.WriteByte('"')
+	return utf8.ValidString(s)
 }
 
 // IsWord reports whether s is a legal <WORD>: a non-empty run of

@@ -749,18 +749,22 @@ func (d *Daemon) commandThread(conn net.Conn) {
 	defer d.connsActive.Add(-1)
 
 	out := &replyWriter{d: d, conn: conn}
+	in := wire.NewReader(conn)
 	for {
-		payload, err := wire.ReadFrame(conn)
+		payload, err := in.ReadFrame()
 		if err != nil {
 			return
 		}
 		d.wireMetrics.FrameRecv(len(payload))
 		sc, hts, text := wire.SplitPayload(payload)
-		cmd, perr := cmdlang.Parse(string(text))
+		// The frame's bytes are the command's from here on: its words
+		// and strings point into them.
+		cmd, perr := cmdlang.ParseBytes(text)
 		if perr != nil {
 			// Syntactically broken input is answered directly by the
-			// command thread; it never reaches control.
-			out.write(cmdlang.FailErr(perr))
+			// command thread; it never reaches control. What could not be
+			// parsed has no seq to answer under.
+			out.write(cmdlang.FailErr(perr), false, 0)
 			continue
 		}
 		inv := &invocation{
@@ -813,8 +817,10 @@ type replyWriter struct {
 	mu   sync.Mutex
 }
 
-func (w *replyWriter) write(reply *cmdlang.CmdLine) {
-	payload := []byte(reply.String())
+// write sends reply as one frame, under seq when numbered. The reply
+// is only read: a handler may return the same command line to every
+// caller.
+func (w *replyWriter) write(reply *cmdlang.CmdLine, numbered bool, seq int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// A peer that stopped reading must not wedge the serial control
@@ -823,18 +829,31 @@ func (w *replyWriter) write(reply *cmdlang.CmdLine) {
 	// stream, so the connection is closed — the reply is dropped and
 	// the connection's command thread ends on its next read.
 	w.conn.SetWriteDeadline(time.Now().Add(w.d.pool.cfg.CallTimeout)) //nolint:errcheck — best effort on a dying conn
-	if err := wire.WriteFrame(w.conn, payload); err != nil {
+	n, err := w.frame(reply, numbered, seq)
+	if _, tooLarge := err.(*wire.ErrFrameTooLarge); tooLarge {
+		// Nothing was written and the stream is intact: the caller is
+		// told, under its seq, instead of being left to its timeout.
+		n, err = w.frame(cmdlang.Fail(cmdlang.CodeInternal, "reply: "+err.Error()), numbered, seq)
+	}
+	if err != nil {
 		w.conn.Close()
 		return
 	}
-	w.d.wireMetrics.FrameSent(len(payload))
+	w.d.wireMetrics.FrameSent(n)
+}
+
+func (w *replyWriter) frame(reply *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
+	if numbered {
+		return wire.WriteReply(w.conn, reply, seq)
+	}
+	return wire.WriteCmd(w.conn, reply)
 }
 
 // respond sends reply under the invocation's seq; one-way commands
 // (no seq, so no writer) get none.
 func (inv *invocation) respond(reply *cmdlang.CmdLine) {
 	if inv.out != nil {
-		inv.out.write(reply.SetInt(cmdlang.SeqArg, inv.seq))
+		inv.out.write(reply, true, inv.seq)
 	}
 }
 

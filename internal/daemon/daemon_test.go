@@ -365,7 +365,7 @@ func TestOneWayCommandNoReply(t *testing.T) {
 	}
 	defer conn.Close()
 	// No seq argument → executed, never answered.
-	if err := wire.WriteCmd(conn, cmdlang.New("fire")); err != nil {
+	if _, err := wire.WriteCmd(conn, cmdlang.New("fire")); err != nil {
 		t.Fatal(err)
 	}
 	select {

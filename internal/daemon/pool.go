@@ -253,14 +253,19 @@ func (p *Pool) GetContext(ctx context.Context, addr string) (*wire.Client, error
 	if err != nil || c != nil {
 		return c, err
 	}
-	return p.dial(ctx, addr, pe)
+	return p.dial(ctx, time.Time{}, addr, pe)
 }
 
 // dial connects to addr and pools the client on pe, unless a
 // concurrent dial got there first (its client wins) or the pool closed
-// meanwhile.
-func (p *Pool) dial(ctx context.Context, addr string, pe *peer) (*wire.Client, error) {
-	dctx, cancel := context.WithTimeout(ctx, p.cfg.DialTimeout)
+// meanwhile. The dial ends with ctx, at the deadline when one is given,
+// or after the pool's dial timeout, whichever is soonest.
+func (p *Pool) dial(ctx context.Context, deadline time.Time, addr string, pe *peer) (*wire.Client, error) {
+	by := time.Now().Add(p.cfg.DialTimeout)
+	if !deadline.IsZero() && deadline.Before(by) {
+		by = deadline
+	}
+	dctx, cancel := context.WithDeadline(ctx, by)
 	defer cancel()
 	c, err := wire.DialContext(dctx, p.cfg.Transport, addr)
 	if err != nil {
@@ -300,10 +305,11 @@ func (p *Pool) drop(pe *peer, c *wire.Client) {
 }
 
 // backoff sleeps the capped exponential delay for retry attempt n
-// (1-based) with ±50% jitter, or returns early when ctx expires. A
+// (1-based) with ±50% jitter, or returns early when ctx expires or the
+// deadline (zero: none beyond ctx's) passes. A
 // positive floor (a server's retry_after hint) raises the delay so
 // the retry does not land before the server expects capacity back.
-func (p *Pool) backoff(ctx context.Context, attempt int, floor time.Duration) error {
+func (p *Pool) backoff(ctx context.Context, deadline time.Time, attempt int, floor time.Duration) error {
 	d := p.cfg.BackoffBase << (attempt - 1)
 	if d > p.cfg.BackoffMax || d <= 0 {
 		d = p.cfg.BackoffMax
@@ -315,12 +321,21 @@ func (p *Pool) backoff(ctx context.Context, attempt int, floor time.Duration) er
 	if d < floor {
 		d = floor
 	}
+	cut := false // the call's time runs out during the wait
+	if !deadline.IsZero() {
+		if left := time.Until(deadline); left < d {
+			d, cut = left, true
+		}
+	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
 	case <-t.C:
+		if cut {
+			return context.DeadlineExceeded
+		}
 		return nil
 	}
 }
@@ -353,18 +368,25 @@ func (p *Pool) Call(addr string, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error)
 // means the caller abandoned the call: it is returned without retry,
 // without charging the breaker, and without dropping the pooled
 // connection — the pending reply is discarded by sequence number, so
-// the connection remains valid for other callers.
+// the connection remains valid for other callers. A command too large
+// for a frame (*wire.ErrFrameTooLarge) is likewise the caller's own
+// failure and treated the same way.
 func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+	// A context with no deadline gets the pool's as a plain time, which
+	// every attempt, dial and backoff is held to: deriving a context per
+	// call would cost more than the rest of the pool's work on it.
+	var deadline time.Time
 	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.cfg.CallTimeout)
-		defer cancel()
+		deadline = time.Now().Add(p.cfg.CallTimeout)
+	}
+	over := func() bool {
+		return ctx.Err() != nil || !deadline.IsZero() && !time.Now().Before(deadline)
 	}
 	var lastErr error
 	var retryFloor time.Duration // server-suggested wait before the next attempt
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			if err := p.backoff(ctx, attempt, retryFloor); err != nil {
+			if err := p.backoff(ctx, deadline, attempt, retryFloor); err != nil {
 				return nil, lastErr
 			}
 			p.retries.Inc()
@@ -380,12 +402,13 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 		}
 		var reply *cmdlang.CmdLine
 		if c == nil {
-			c, err = p.dial(ctx, addr, pe)
+			c, err = p.dial(ctx, deadline, addr, pe)
 		}
 		if err == nil {
-			reply, err = c.CallContext(ctx, cmd)
+			reply, err = c.CallDeadline(ctx, deadline, cmd)
 		}
 		re, isRemote := err.(*cmdlang.RemoteError)
+		_, tooLarge := err.(*wire.ErrFrameTooLarge)
 		switch {
 		case err == nil:
 			br.success()
@@ -411,7 +434,7 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			// server's retry_after hint as the backoff floor.
 			lastErr = err
 			retryFloor = re.RetryAfter
-			if ctx.Err() != nil || attempt >= p.cfg.MaxRetries {
+			if over() || attempt >= p.cfg.MaxRetries {
 				return nil, lastErr
 			}
 			p.busyRetries.Inc()
@@ -429,6 +452,13 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			// punish every other caller multiplexed onto it.
 			br.abandon()
 			return nil, err
+		case tooLarge:
+			// The command does not fit a frame and nothing of it was
+			// written: the caller's error, told to the caller alone. The
+			// connection, the breaker and the retry budget are untouched,
+			// as no attempt on any connection could fare better.
+			br.abandon()
+			return nil, err
 		}
 		// A transport failure may have corrupted the framing stream, so
 		// the connection is dropped and the next attempt redials.
@@ -437,7 +467,7 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 		}
 		br.failure()
 		lastErr = err
-		if ctx.Err() != nil || attempt >= p.cfg.MaxRetries {
+		if over() || attempt >= p.cfg.MaxRetries {
 			return nil, lastErr
 		}
 	}
@@ -498,7 +528,7 @@ func (p *Pool) SendContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			return fmt.Errorf("daemon: %s: %w", addr, err)
 		}
 		if c == nil {
-			if c, err = p.dial(ctx, addr, pe); err != nil {
+			if c, err = p.dial(ctx, time.Time{}, addr, pe); err != nil {
 				br.failure()
 				return err
 			}
@@ -507,6 +537,11 @@ func (p *Pool) SendContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 		if err == nil {
 			br.success()
 			return nil
+		}
+		if _, tooLarge := err.(*wire.ErrFrameTooLarge); tooLarge {
+			// Nothing was written: the caller's error, not the peer's.
+			br.abandon()
+			return err
 		}
 		p.drop(pe, c)
 		if !errors.Is(err, wire.ErrClosed) {

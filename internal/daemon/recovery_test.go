@@ -192,7 +192,7 @@ func TestControlQueueBackpressure(t *testing.T) {
 	defer conn.Close()
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := wire.WriteCmd(conn, cmdlang.New("flood")); err != nil {
+		if _, err := wire.WriteCmd(conn, cmdlang.New("flood")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,7 @@ func TestStalledReaderCannotWedgeControlThread(t *testing.T) {
 	}
 	defer stalled.Close()
 	for i := 1; i <= 32; i++ { // 16 MiB of replies, none of them read
-		if err := wire.WriteCmd(stalled, cmdlang.New("blob").SetInt(cmdlang.SeqArg, int64(i))); err != nil {
+		if _, err := wire.WriteCmd(stalled, cmdlang.New("blob").SetInt(cmdlang.SeqArg, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -214,12 +214,18 @@ func isDeadlineSink(n *Node) bool {
 			return true
 		}
 	}
-	// The module's own framing layer: ReadFrame/WriteFrame block until
-	// the peer produces or drains bytes; their internals go through
-	// io.ReadFull, which hides the net.Conn from the graph, so they
-	// are sinks by name.
-	if fn.Pkg().Name() == "wire" && (name == "ReadFrame" || name == "WriteFrame") {
-		return true
+	// The module's own framing layer blocks until the peer produces or
+	// drains bytes, behind io.Reader and io.Writer, which hide the
+	// net.Conn from the graph, so its functions are sinks by name:
+	// ReadFrame, the function and the per-connection Reader's method
+	// alike, and writeFrame, the one place every frame — WriteFrame,
+	// WriteCmd, WriteReply, a client's request — is handed to Write.
+	// WriteFrame stays on the list for wire packages that write there.
+	if fn.Pkg().Name() == "wire" {
+		switch name {
+		case "ReadFrame", "WriteFrame", "writeFrame":
+			return true
+		}
 	}
 	return false
 }

@@ -54,6 +54,21 @@ func Install(d *daemon.Daemon, c *wire.Conn) {
 		})
 }
 
+// Reply writes a return command the way the daemon shell does, with
+// no write deadline: the stalled-reader wedge. The sink is the frame
+// writer behind WriteReply.
+func Reply(ctx context.Context, c *wire.Conn) error { // want `exported app.Reply can reach a blocking call with no deadline on the path: app.Reply → wire.WriteReply → wire.writeFrame`
+	_, err := wire.WriteReply(c, nil, 1)
+	return err
+}
+
+// Serve reads a connection's frames through its buffered Reader; the
+// method is as much a sink as the function.
+func Serve(ctx context.Context, c *wire.Conn) error { // want `exported app.Serve can reach a blocking call with no deadline on the path: app.Serve → \(\*wire.Reader\).ReadFrame`
+	_, err := wire.NewReader(c).ReadFrame()
+	return err
+}
+
 // StartReader spawns the blocking read loop: a go edge never blocks
 // the spawner, so the exported entry is not exposed.
 func StartReader(ctx context.Context, c *wire.Conn) {

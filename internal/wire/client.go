@@ -47,7 +47,7 @@ type Client struct {
 	writeMu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[int64]chan *cmdlang.CmdLine
+	pending map[int64]*call
 	err     error
 	closed  bool
 
@@ -62,6 +62,25 @@ type Client struct {
 	dead     chan struct{} // closed exactly once when the connection fails
 	deadOnce sync.Once
 }
+
+// call is one request waiting for its reply. Calls are recycled through
+// callPool, but only by the caller that received the reply: a call that
+// gave up (cancelled, timed out) may already be in the reader's hands,
+// about to be sent a reply no later call must see, so it is left to
+// the collector.
+type call struct {
+	reply chan *cmdlang.CmdLine // one slot; closed when the connection fails
+	// timer bounds a call whose context carries no deadline. A tick it
+	// left unread in a recycled call is told from a real one by the
+	// clock (see roundTrip), so Stop needs no drain.
+	timer *time.Timer
+}
+
+var callPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &call{reply: make(chan *cmdlang.CmdLine, 1), timer: t}
+}}
 
 // SetOnPush installs a handler for commands that arrive without a
 // matching pending sequence number (server pushes, e.g. streamed
@@ -82,12 +101,6 @@ func (c *Client) SetCallTimeout(d time.Duration) {
 	c.mu.Lock()
 	c.callTimeout = d
 	c.mu.Unlock()
-}
-
-func (c *Client) getCallTimeout() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.callTimeout
 }
 
 // SetMetrics installs the telemetry instrument group recording this
@@ -141,7 +154,7 @@ func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:        conn,
-		pending:     make(map[int64]chan *cmdlang.CmdLine),
+		pending:     make(map[int64]*call),
 		callTimeout: DefaultCallTimeout,
 		dead:        make(chan struct{}),
 	}
@@ -150,22 +163,23 @@ func NewClient(conn net.Conn) *Client {
 }
 
 func (c *Client) readLoop() {
+	fr := NewReader(c.conn)
 	for {
-		payload, err := ReadFrame(c.conn)
+		payload, err := fr.ReadFrame()
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		c.m().FrameRecv(len(payload))
 		_, _, text := SplitPayload(payload)
-		cmd, err := cmdlang.Parse(string(text))
+		cmd, err := cmdlang.ParseBytes(text)
 		if err != nil {
 			c.fail(err)
 			return
 		}
 		seq := cmd.Int(cmdlang.SeqArg, -1)
 		c.mu.Lock()
-		ch, ok := c.pending[seq]
+		w, ok := c.pending[seq]
 		if ok {
 			delete(c.pending, seq)
 		}
@@ -173,7 +187,7 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		switch {
 		case ok:
-			ch <- cmd
+			w.reply <- cmd
 		case seq >= 0:
 			// A reply whose call already gave up (deadline exceeded or
 			// cancelled). Dropping it keeps late replies from
@@ -190,9 +204,9 @@ func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
-	for seq, ch := range c.pending {
+	for seq, w := range c.pending {
 		delete(c.pending, seq)
-		close(ch)
+		close(w.reply)
 	}
 	c.closed = true
 	c.deadOnce.Do(func() { close(c.dead) })
@@ -221,7 +235,15 @@ func (c *Client) Call(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 // Cancellation abandons the call immediately and removes its pending
 // sequence entry; a reply that arrives later is dropped.
 func (c *Client) CallContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	reply, err := c.CallRawContext(ctx, cmd)
+	return c.CallDeadline(ctx, time.Time{}, cmd)
+}
+
+// CallDeadline is CallContext bounded by deadline as well as by ctx,
+// for a caller that holds several attempts to one bound and would
+// otherwise derive a context per call. A zero deadline means none
+// beyond ctx's.
+func (c *Client) CallDeadline(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+	reply, err := c.roundTrip(ctx, deadline, cmd)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +256,7 @@ func (c *Client) CallContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlan
 // CallRaw is Call without reply-status interpretation: it returns
 // whatever return command the daemon sent, including "fail".
 func (c *Client) CallRaw(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	return c.CallRawContext(context.Background(), cmd)
+	return c.roundTrip(context.Background(), time.Time{}, cmd)
 }
 
 // CallRawContext is CallRaw bounded by ctx (see CallContext). When
@@ -242,78 +264,118 @@ func (c *Client) CallRaw(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 // trace header for a fresh child span, so the receiving daemon's
 // recorded span parents correctly under the caller's.
 func (c *Client) CallRawContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.getCallTimeout())
-		defer cancel()
-	}
-	seq := c.seq.Add(1)
-	cmd = cmd.Clone()
-	cmd.SetInt(cmdlang.SeqArg, seq)
+	return c.roundTrip(ctx, time.Time{}, cmd)
+}
 
-	var trace telemetry.SpanContext
+// childSpan is the span context an outgoing frame carries: a fresh
+// child of ctx's, or none.
+func childSpan(ctx context.Context) telemetry.SpanContext {
 	if sc := telemetry.FromContext(ctx); sc.Valid() {
-		trace = sc.NewChild()
+		return sc.NewChild()
 	}
+	return telemetry.SpanContext{}
+}
 
-	ch := make(chan *cmdlang.CmdLine, 1)
+// roundTrip numbers cmd (on the wire only: cmd is the caller's and
+// stays as it is), sends it and waits for the reply with that number,
+// until ctx ends or the deadline passes — the given one, else ctx's,
+// else the client's call timeout from now.
+func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+	seq := c.seq.Add(1)
+	w := callPool.Get().(*call)
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
+		callPool.Put(w)
 		if err == nil {
 			err = ErrClosed
 		}
 		return nil, err
 	}
-	c.pending[seq] = ch
+	timeout := c.callTimeout
+	c.pending[seq] = w
 	c.mu.Unlock()
 
 	start := time.Now()
-	if err := c.write(ctx, EncodePayload(trace, hlc.FromContext(ctx), cmd.String())); err != nil {
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
+	// ctx.Done fires at ctx's own deadline; any other needs the timer.
+	ownTimer := true
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline, ownTimer = d, false
+	} else if deadline.IsZero() {
+		deadline = start.Add(timeout)
+	}
+
+	if err := c.write(deadline, childSpan(ctx), hlc.FromContext(ctx), cmd, true, seq); err != nil {
+		c.forget(seq)
 		return nil, err
 	}
 
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return nil, c.terminalErr()
-		}
-		c.m().CallDone(time.Since(start))
-		return reply, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, seq)
-		c.mu.Unlock()
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+	var expired <-chan time.Time
+	if ownTimer {
+		w.timer.Reset(deadline.Sub(start))
+		expired = w.timer.C
+	}
+	for {
+		select {
+		case reply, ok := <-w.reply:
+			if !ok {
+				return nil, c.terminalErr()
+			}
+			if ownTimer {
+				w.timer.Stop()
+			}
+			callPool.Put(w)
+			c.m().CallDone(time.Since(start))
+			return reply, nil
+		case <-ctx.Done():
+			if ownTimer {
+				w.timer.Stop()
+			}
+			c.forget(seq)
+			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+				c.m().CallTimeout()
+			}
+			return nil, ctx.Err()
+		case <-expired:
+			if left := time.Until(deadline); left > 0 {
+				w.timer.Reset(left) // the tick was the call's previous user's
+				continue
+			}
+			c.forget(seq)
 			c.m().CallTimeout()
+			return nil, context.DeadlineExceeded
 		}
-		return nil, ctx.Err()
 	}
 }
 
-// write sends one frame under the context's deadline. A write error
-// is terminal for the whole connection: part of the frame may already
-// be on the wire, so the framing stream can no longer be trusted.
-func (c *Client) write(ctx context.Context, payload []byte) error {
-	deadline, hasDeadline := ctx.Deadline()
+// forget abandons the call numbered seq; its reply, should one still
+// come, is dropped by the reader.
+func (c *Client) forget(seq int64) {
+	c.mu.Lock()
+	delete(c.pending, seq)
+	c.mu.Unlock()
+}
+
+// write sends cmd as one frame under the deadline. An oversize command
+// fails alone: nothing was written, so the connection carries on. Any
+// other error is terminal for the whole connection: part of the frame
+// may already be on the wire, so the framing stream can no longer be
+// trusted.
+func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, ts hlc.Timestamp, cmd *cmdlang.CmdLine, numbered bool, seq int64) error {
+	frame := encodeCmd(sc, ts, cmd, numbered, seq)
 	c.writeMu.Lock()
-	if hasDeadline {
-		c.conn.SetWriteDeadline(deadline) //nolint:errcheck — best effort on dying conns
-	}
-	err := WriteFrame(c.conn, payload)
-	if hasDeadline {
-		c.conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	}
+	// Every write sets its own deadline first, so none is cleared after.
+	c.conn.SetWriteDeadline(deadline) //nolint:errcheck — best effort on dying conns
+	n, err := writeFrame(c.conn, frame)
 	c.writeMu.Unlock()
 	if err != nil {
-		c.fail(err)
+		if _, tooLarge := err.(*ErrFrameTooLarge); !tooLarge {
+			c.fail(err)
+		}
 		return err
 	}
-	c.m().FrameSent(len(payload))
+	c.m().FrameSent(n)
 	return nil
 }
 
@@ -340,21 +402,16 @@ func (c *Client) Send(cmd *cmdlang.CmdLine) error {
 // as a trace header (a fresh child span per delivery).
 func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	closed, timeout := c.closed, c.callTimeout
+	c.mu.Unlock()
+	if closed {
 		return ErrClosed
 	}
-	c.mu.Unlock()
-	if _, ok := ctx.Deadline(); !ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.getCallTimeout())
-		defer cancel()
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		deadline = time.Now().Add(timeout)
 	}
-	var trace telemetry.SpanContext
-	if sc := telemetry.FromContext(ctx); sc.Valid() {
-		trace = sc.NewChild()
-	}
-	return c.write(ctx, EncodePayload(trace, hlc.FromContext(ctx), cmd.String()))
+	return c.write(deadline, childSpan(ctx), hlc.FromContext(ctx), cmd, false, 0)
 }
 
 // StartHeartbeat begins liveness probing: every interval the client
@@ -376,10 +433,7 @@ func (c *Client) StartHeartbeat(interval time.Duration) {
 			case <-c.dead:
 				return
 			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), interval)
-				_, err := c.CallRawContext(ctx, cmdlang.New("ping"))
-				cancel()
-				if err != nil {
+				if _, err := c.roundTrip(context.Background(), time.Now().Add(interval), cmdlang.New("ping")); err != nil {
 					// Any reply — even "fail unknown_command" — proves
 					// liveness; CallRaw only errs on transport trouble
 					// or a missed deadline.

@@ -5,9 +5,11 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"ace/internal/cmdlang"
 	"ace/internal/hlc"
@@ -25,33 +27,151 @@ func (e *ErrFrameTooLarge) Error() string {
 	return fmt.Sprintf("wire: frame of %d bytes exceeds limit %d", e.Size, MaxFrameSize)
 }
 
-// WriteFrame writes one length-prefixed payload.
+// A frame leaves in one Write — length prefix, header and command text
+// together — because on a TCP_NODELAY socket every Write is a segment
+// and a wake-up of the peer. It is built in a buffer from bufPool,
+// which goes back as soon as Write has returned; io.Writer forbids the
+// writer to keep it.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBuf keeps the odd bulk frame from pinning its buffer in
+// the pool.
+const maxPooledBuf = 64 << 10
+
+// newFrame returns a pooled buffer holding the four bytes of a length
+// prefix, for the payload to be appended to and writeFrame to send.
+func newFrame() *[]byte {
+	buf := bufPool.Get().(*[]byte)
+	*buf = append((*buf)[:0], 0, 0, 0, 0)
+	return buf
+}
+
+// writeFrame fills in the length prefix of the frame in buf, sends it
+// in one Write and recycles buf. It returns the payload's length. A
+// payload over MaxFrameSize is refused before anything is written.
+func writeFrame(w io.Writer, buf *[]byte) (int, error) {
+	b := *buf
+	n := len(b) - 4
+	var err error
+	if n > MaxFrameSize {
+		err = &ErrFrameTooLarge{Size: uint32(n)}
+	} else {
+		binary.BigEndian.PutUint32(b, uint32(n))
+		_, err = w.Write(b)
+	}
+	if cap(b) <= maxPooledBuf {
+		bufPool.Put(buf)
+	}
+	return n, err
+}
+
+// WriteFrame writes one length-prefixed payload in a single Write.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return &ErrFrameTooLarge{Size: uint32(len(payload))}
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	buf := newFrame()
+	*buf = append(*buf, payload...)
+	_, err := writeFrame(w, buf)
 	return err
 }
 
-// ReadFrame reads one length-prefixed payload.
+// encodeCmd renders c as one frame, straight into a pooled buffer: the
+// header when sc is valid or ts is set, then the command text, numbered
+// seq when numbered.
+func encodeCmd(sc telemetry.SpanContext, ts hlc.Timestamp, c *cmdlang.CmdLine, numbered bool, seq int64) *[]byte {
+	buf := newFrame()
+	b := appendHeader(*buf, sc, ts)
+	if numbered {
+		b = c.AppendSeq(b, seq)
+	} else {
+		b = c.AppendTo(b)
+	}
+	*buf = b
+	return buf
+}
+
+// WriteCmd writes the command line, as it stands, as one frame and
+// reports the payload's length. An *ErrFrameTooLarge means nothing was
+// written.
+func WriteCmd(w io.Writer, c *cmdlang.CmdLine) (int, error) {
+	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, 0, c, false, 0))
+}
+
+// WriteReply is WriteCmd for a return command: it goes out under the
+// request's seq, while reply itself stays as the handler returned it.
+func WriteReply(w io.Writer, reply *cmdlang.CmdLine, seq int64) (int, error) {
+	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, 0, reply, true, seq))
+}
+
+// readHeader decodes a frame's length prefix.
+func readHeader(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrameSize {
+		return 0, &ErrFrameTooLarge{Size: n}
+	}
+	return int(n), nil
+}
+
+// ReadFrame reads one length-prefixed payload straight from r, taking
+// no byte beyond it. A connection's frames are read through a Reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameSize {
-		return nil, &ErrFrameTooLarge{Size: n}
+	n, err := readHeader(hdr[:])
+	if err != nil {
+		return nil, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, truncated(err)
+	}
+	return payload, nil
+}
+
+// truncated is err for a stream that ended inside a frame: no clean
+// end of file.
+func truncated(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readBufSize is a Reader's buffer: room for the length prefix and the
+// whole of an ordinary command, small enough to keep per connection.
+const readBufSize = 4096
+
+// Reader reads the frames of one connection. A frame that arrives
+// whole, however it was written, costs one Read of the connection into
+// the Reader's buffer and one allocation, the payload's own, which
+// ReadFrame hands to the caller for good; what a bulk frame has beyond
+// the buffer is read straight into that allocation.
+type Reader struct{ br *bufio.Reader }
+
+// NewReader returns a Reader taking its frames from r.
+func NewReader(r io.Reader) *Reader { return &Reader{bufio.NewReaderSize(r, readBufSize)} }
+
+// ReadFrame returns the next frame's payload, in memory of its own.
+// io.EOF means the stream ended between frames.
+func (fr *Reader) ReadFrame() ([]byte, error) {
+	hdr, err := fr.br.Peek(4)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = truncated(err)
+		}
 		return nil, err
+	}
+	n, err := readHeader(hdr)
+	if err != nil {
+		return nil, err
+	}
+	fr.br.Discard(4) //nolint:errcheck — the four bytes were just peeked
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(fr.br, payload); err != nil {
+		return nil, truncated(err)
 	}
 	return payload, nil
 }
@@ -80,21 +200,24 @@ const (
 	hlcHeaderLen   = traceHeaderLen + 8
 )
 
+// appendHeader appends the trace header to dst when sc is valid or ts
+// is a real timestamp, and nothing otherwise.
+func appendHeader(dst []byte, sc telemetry.SpanContext, ts hlc.Timestamp) []byte {
+	if !sc.Valid() && ts.IsZero() {
+		return dst
+	}
+	dst = append(dst, traceMagic, hlcHeaderLen)
+	dst = binary.BigEndian.AppendUint64(dst, sc.TraceID)
+	dst = binary.BigEndian.AppendUint64(dst, sc.SpanID)
+	dst = binary.BigEndian.AppendUint64(dst, sc.Parent)
+	return binary.BigEndian.AppendUint64(dst, uint64(ts))
+}
+
 // EncodePayload renders a frame payload: the command text, prefixed
 // with a header when sc is valid or ts is a real timestamp.
 func EncodePayload(sc telemetry.SpanContext, ts hlc.Timestamp, cmdText string) []byte {
-	if !sc.Valid() && ts.IsZero() {
-		return []byte(cmdText)
-	}
-	buf := make([]byte, 2+hlcHeaderLen+len(cmdText))
-	buf[0] = traceMagic
-	buf[1] = hlcHeaderLen
-	binary.BigEndian.PutUint64(buf[2:], sc.TraceID)
-	binary.BigEndian.PutUint64(buf[10:], sc.SpanID)
-	binary.BigEndian.PutUint64(buf[18:], sc.Parent)
-	binary.BigEndian.PutUint64(buf[26:], uint64(ts))
-	copy(buf[2+hlcHeaderLen:], cmdText)
-	return buf
+	buf := make([]byte, 0, 2+hlcHeaderLen+len(cmdText))
+	return append(appendHeader(buf, sc, ts), cmdText...)
 }
 
 // SplitPayload separates a frame payload into its trace context (the
@@ -123,18 +246,13 @@ func SplitPayload(payload []byte) (telemetry.SpanContext, hlc.Timestamp, []byte)
 	return sc, ts, payload[2+hlen:]
 }
 
-// WriteCmd renders the command line and writes it as one frame.
-func WriteCmd(w io.Writer, c *cmdlang.CmdLine) error {
-	return WriteFrame(w, []byte(c.String()))
-}
-
-// ReadCmd reads one frame, strips any trace header, and parses the
-// command line.
+// ReadCmd reads one frame straight from r, strips any trace header,
+// and parses the command line.
 func ReadCmd(r io.Reader) (*cmdlang.CmdLine, error) {
 	payload, err := ReadFrame(r)
 	if err != nil {
 		return nil, err
 	}
 	_, _, text := SplitPayload(payload)
-	return cmdlang.Parse(string(text))
+	return cmdlang.ParseBytes(text)
 }

@@ -159,7 +159,7 @@ func TestMixedVersionFraming(t *testing.T) {
 					}
 					reply := cmdlang.OK().SetWord("echo", cmd.Name())
 					reply.SetInt(cmdlang.SeqArg, cmd.Int(cmdlang.SeqArg, 0))
-					if err := WriteCmd(conn, reply); err != nil {
+					if _, err := WriteCmd(conn, reply); err != nil {
 						return
 					}
 				}
@@ -175,7 +175,7 @@ func TestMixedVersionFraming(t *testing.T) {
 	defer raw.Close()
 	old := cmdlang.New("ping")
 	old.SetInt(cmdlang.SeqArg, 1)
-	if err := WriteCmd(raw, old); err != nil {
+	if _, err := WriteCmd(raw, old); err != nil {
 		t.Fatal(err)
 	}
 	raw.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
@@ -241,7 +241,7 @@ func TestClientMetricsRecordTraffic(t *testing.T) {
 			}
 			reply := cmdlang.OK()
 			reply.SetInt(cmdlang.SeqArg, cmd.Int(cmdlang.SeqArg, 0))
-			if err := WriteCmd(conn, reply); err != nil {
+			if _, err := WriteCmd(conn, reply); err != nil {
 				return
 			}
 		}
