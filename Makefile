@@ -57,11 +57,15 @@ test-bench:
 	bash bench/run.sh test
 
 # Tests that once failed a share of their runs, repeated so a relapse
-# cannot hide behind one lucky pass.
+# cannot hide behind one lucky pass, and the two whose verdict rests on
+# how racing writers happened to interleave: the racing-writers test
+# and the recorded-history checker, under the race detector.
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
 	$(GO) test -count=1000 -run 'TestHandlerErrorBecomesFail' ./internal/daemon/
+	$(GO) test -count=200 -run 'TestReplicaSiblingEvictionViaNotification' ./internal/asd/
+	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 
 short:
 	$(GO) test -short ./...

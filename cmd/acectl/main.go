@@ -293,8 +293,10 @@ func printPlacementStats(snap *telemetry.Snapshot) {
 // printConsistencySummary condenses the hlc/staleness/bounded-read
 // metrics into a consistency-at-a-glance block. On a store node: the
 // clock's skew clamps (nonzero means a peer or client is running fast
-// beyond the tolerance) and logical overflows. On a client pool: the
-// bounded read spectrum — hits vs quorum fallbacks, the AIMD
+// beyond the tolerance) and logical overflows. On a client pool: write
+// rounds refused for an equal or later version and retried above it
+// (steady growth means this client's clock runs behind its rivals'),
+// and the bounded read spectrum — hits vs quorum fallbacks, the AIMD
 // controller's current share, and staleness violations. Violations
 // must stay zero; every one was discarded (never served) and narrowed
 // the controller, so a nonzero count means a lease-holding replica
@@ -307,6 +309,9 @@ func printConsistencySummary(snap *telemetry.Snapshot) {
 	overflows := snap.Counter(hlc.MetricOverflows)
 	if clamps != 0 || overflows != 0 {
 		fmt.Printf("  hlc        skew_clamps=%d logical_overflows=%d\n", clamps, overflows)
+	}
+	if conflicts := snap.Counter(pstore.MetricWriteConflicts); conflicts != 0 {
+		fmt.Printf("  writes     conflicts=%d\n", conflicts)
 	}
 	hits := snap.Counter(pstore.MetricBoundedHits)
 	falls := snap.Counter(pstore.MetricBoundedFallbacks)

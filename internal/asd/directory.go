@@ -170,6 +170,14 @@ type Query struct {
 	Room  string
 }
 
+// admits reports whether e, an entry named as q asks (or q names
+// none), is live at now and passes q's class and room filters.
+func (q Query) admits(e Entry, now time.Time) bool {
+	return !now.After(e.Expires) &&
+		(q.Class == "" || hier.IsSubclassOf(e.Class, q.Class)) &&
+		(q.Room == "" || e.Room == q.Room)
+}
+
 // Lookup returns all live entries matching q, sorted by name.
 //
 // Lookups are the directory's hot path, and under a lookup storm any
@@ -191,9 +199,7 @@ func (d *Directory) Lookup(q Query) []Entry {
 			snap = *e
 		}
 		d.mu.RUnlock()
-		if !ok || now.After(snap.Expires) ||
-			(q.Class != "" && !hier.IsSubclassOf(snap.Class, q.Class)) ||
-			(q.Room != "" && snap.Room != q.Room) {
+		if !ok || !q.admits(snap, now) {
 			return nil
 		}
 		return []Entry{snap}

@@ -341,10 +341,14 @@ func (r *replica) lookup(ctx context.Context, q Query) []Entry {
 		return nil
 	}
 	r.mReadThroughs.Inc()
-	if _, ok, err := r.loadResolve(ctx, q.Name); err != nil || !ok {
+	// Answer from the entry the store just returned, not from a second
+	// look at memory: a sibling's change notification may evict it again
+	// in between, and the service is registered all the same.
+	e, ok, err := r.loadResolve(ctx, q.Name)
+	if err != nil || !ok || !q.admits(e, r.now()) {
 		return nil
 	}
-	return r.dir.Lookup(q)
+	return []Entry{e}
 }
 
 // invalidate evicts the named entry from memory unless memory holds a

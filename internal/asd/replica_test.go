@@ -141,6 +141,36 @@ func TestReplicaRegisterVisibleAcrossReplicas(t *testing.T) {
 	}
 }
 
+// A sibling's change notification may evict an entry the instant a
+// read-through installed it. The lookup answers from what the store
+// returned, not from a second look at memory — which used to find
+// nothing and report a registered service as not found. Every reading
+// of the directory's clock stands in for the notification landing.
+func TestLookupAnswersFromTheReadThrough(t *testing.T) {
+	store := newMemStore()
+	a, _ := newTestReplica(store)
+	b, clock := newTestReplica(store)
+	ctx := context.Background()
+	if _, err := a.register(ctx, Entry{Name: "cam1", Addr: "bar:1225", Room: "hawk", Lease: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	b.dir.SetClock(func() time.Time {
+		b.invalidate("cam1", ^uint64(0))
+		return clock.now()
+	})
+	if got := b.lookup(ctx, Query{Name: "cam1"}); len(got) != 1 || got[0].Addr != "bar:1225" {
+		t.Fatalf("got=%v, want the entry read through the store", got)
+	}
+	// The query's filters and the lease still apply to that entry.
+	if got := b.lookup(ctx, Query{Name: "cam1", Room: "osprey"}); len(got) != 0 {
+		t.Fatalf("got=%v for another room", got)
+	}
+	clock.advance(2 * time.Minute)
+	if got := b.lookup(ctx, Query{Name: "cam1"}); len(got) != 0 {
+		t.Fatalf("got=%v after the lease lapsed", got)
+	}
+}
+
 // Satellite: a renewal acked by one replica just before it dies must
 // not be lost by the replica that takes over. The renewal carried the
 // store version, so the survivor's stale memory can never regress the

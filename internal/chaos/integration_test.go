@@ -337,11 +337,8 @@ func TestChaosPstoreCorruptReplicaCannotWinQuorum(t *testing.T) {
 	rogue := daemon.New(daemon.Config{Name: "rogue_replica"})
 	rogue.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
 		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-			return cmdlang.OK().SetString("value", "zz_not_hex").SetInt("version", 1<<40), nil
-		})
-	rogue.Handle(cmdlang.CommandSpec{Name: "psfetch", AllowExtra: true},
-		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-			return cmdlang.OK().SetString("value", "zz_not_hex").SetInt("version", 1<<40), nil
+			// Above any clock stamp of this century.
+			return cmdlang.OK().SetString("value", "zz_not_hex").SetInt("version", 1<<62), nil
 		})
 	rogue.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
 		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {

@@ -7,11 +7,11 @@
 //
 // A timestamp packs a 48-bit wall component (milliseconds since the
 // Unix epoch) and a 16-bit logical counter into one uint64, so
-// integer comparison is HLC ordering and the value rides in a single
-// wire-header field and WAL column. Millisecond resolution is
-// deliberate: staleness bounds in ACE are tens of milliseconds to
-// seconds, and the logical counter disambiguates events inside the
-// same millisecond.
+// integer comparison is HLC ordering and a reading serves as it is
+// for the version of a persistent-store write (pstore.Client): above
+// the path's last version without asking, unless a faster clock wrote
+// it. The logical counter disambiguates events inside the same
+// millisecond.
 //
 // The Clock's wall source is injectable so the chaos fabric can skew
 // individual nodes deterministically; Update clamps remote wall

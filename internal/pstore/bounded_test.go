@@ -42,11 +42,12 @@ func TestReadModeString(t *testing.T) {
 func TestBoundedReadHealthyClusterHits(t *testing.T) {
 	cluster, _ := startCluster(t, 3, "")
 	client, reg := boundedClient(t, cluster)
-	if _, err := client.Put("/bounded/a", []byte("fresh")); err != nil {
+	put, err := client.Put("/bounded/a", []byte("fresh"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	val, ver, ok, err := client.GetModeContext(context.Background(), "/bounded/a", ReadBounded(2*time.Second))
-	if err != nil || !ok || ver != 1 || !bytes.Equal(val, []byte("fresh")) {
+	if err != nil || !ok || ver != put || !bytes.Equal(val, []byte("fresh")) {
 		t.Fatalf("bounded get: val=%q ver=%d ok=%v err=%v", val, ver, ok, err)
 	}
 	snap := reg.Snapshot()
@@ -210,12 +211,13 @@ func TestBoundedReadDeleteDropsLease(t *testing.T) {
 
 func TestReadModeAnyAndQuorumDispatch(t *testing.T) {
 	_, client := startCluster(t, 3, "")
-	if _, err := client.Put("/bounded/d", []byte("v")); err != nil {
+	put, err := client.Put("/bounded/d", []byte("v"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, mode := range []ReadMode{ReadQuorum(), ReadAny()} {
 		val, ver, ok, err := client.GetModeContext(context.Background(), "/bounded/d", mode)
-		if err != nil || !ok || ver != 1 || string(val) != "v" {
+		if err != nil || !ok || ver != put || string(val) != "v" {
 			t.Fatalf("%v get: val=%q ver=%d ok=%v err=%v", mode, val, ver, ok, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -41,8 +42,8 @@ func truncateForErr(s string) string {
 // replyVersion extracts a reply's version argument. A negative
 // version is a corrupt-replica error, same treatment as bad hex: the
 // naive uint64 conversion would turn version=-1 into ~1.8e19, which
-// permanently wins every quorum read and poisons the next write's
-// version probe.
+// permanently wins every quorum read and, reported as a conflict,
+// drags the next write's version up with it.
 func replyVersion(reply *cmdlang.CmdLine, addr string) (uint64, error) {
 	v := reply.Int("version", 0)
 	if v < 0 {
@@ -85,7 +86,8 @@ type Client struct {
 	repairSem chan struct{}
 	bg        sync.WaitGroup
 
-	// clock is the client's hybrid logical clock, which stamps writes.
+	// clock is the client's hybrid logical clock, whose stamp is a
+	// write's version (stampedWrite).
 	// leases and ctl are the bounded-staleness read machinery: the
 	// per-path freshness-lease table holding the proof bounded reads
 	// rely on, and the AIMD valve deciding how much lease-proven
@@ -101,6 +103,7 @@ type Client struct {
 	mWriteFullLatency *telemetry.Histogram
 	mReadStragglers   *telemetry.Counter
 	mWriteStragglers  *telemetry.Counter
+	mWriteConflicts   *telemetry.Counter
 	mReadRepairs      *telemetry.Counter
 	mRepairErrs       *telemetry.Counter
 	mRepairsDropped   *telemetry.Counter
@@ -139,6 +142,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mWriteFullLatency: tel.Histogram(MetricWriteLatencyFull),
 		mReadStragglers:   tel.Counter(MetricReadStragglers),
 		mWriteStragglers:  tel.Counter(MetricWriteStragglers),
+		mWriteConflicts:   tel.Counter(MetricWriteConflicts),
 		mReadRepairs:      tel.Counter(MetricReadRepairs),
 		mRepairErrs:       tel.Counter(MetricRepairErrors),
 		mRepairsDropped:   tel.Counter(MetricRepairsDropped),
@@ -303,10 +307,10 @@ func (c *Client) repairAsync(ctx context.Context, addr string, winner Item) {
 		return
 	}
 	c.mReadRepairs.Inc()
-	repair := cmdlang.New("psput").
-		SetString("path", winner.Path).
-		SetString("value", encodeValue(winner.Value)).
-		SetInt("version", int64(winner.Version))
+	repair := putCommand(winner.Path, winner.Value, winner.Version)
+	if winner.Deleted {
+		repair = delCommand(winner.Path, winner.Version)
+	}
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
@@ -344,24 +348,8 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
 	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
-		reply, callErr := c.pool.CallContext(cctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
-		if callErr != nil {
-			if cmdlang.IsRemoteCode(callErr, cmdlang.CodeNotFound) {
-				return replicaReply{}
-			}
-			return replicaReply{err: callErr}
-		}
-		val, decErr := decodeValue(reply.Str("value", ""))
-		if decErr != nil {
-			// A corrupt replica is a failed replica: it must not count
-			// toward the quorum, and its version must not win.
-			return replicaReply{err: fmt.Errorf("pstore: replica %s: %w", addr, decErr)}
-		}
-		ver, verErr := replyVersion(reply, addr)
-		if verErr != nil {
-			return replicaReply{err: verErr}
-		}
-		return replicaReply{ok: true, item: Item{Path: path, Value: val, Version: ver}}
+		it, held, err := c.readReplica(cctx, addr, path)
+		return replicaReply{item: it, ok: held, err: err}
 	})
 	// Repairs keep the caller's span context but not its cancellation —
 	// they should finish (and be traced) even when the caller returns
@@ -387,9 +375,10 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 		c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, repairCtx)
 		return nil, 0, false, nil
 	}
-	// Read repair: push the winning item to replicas that answered
-	// with an older (or no) version — here for quorum members, in the
-	// detached drain for stragglers that answer late.
+	// Read repair: push the winning item — a tombstone as much as a
+	// value — to replicas that answered with an older (or no) version,
+	// here for quorum members, in the detached drain for stragglers
+	// that answer late.
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, &best, repairCtx)
 	holders := make([]string, 0, len(prefix))
 	for _, r := range prefix {
@@ -399,12 +388,38 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 			holders = append(holders, c.replicas[r.idx])
 		}
 	}
+	if best.Deleted {
+		return nil, 0, false, nil
+	}
 	// Grant a freshness lease: any write the winning-version responders
 	// could be missing was committed after this read's fan-out launch
 	// (quorum intersection — see staleness.Leases), so bounded reads
 	// may serve them for the next Δ.
 	c.leases.Grant(path, best.Version, holders, start)
 	return best.Value, best.Version, true, nil
+}
+
+// readReplica asks one replica for the item it holds at path, a
+// tombstone included: a deletion must outvote an older value another
+// replica still holds. held is false when the replica holds nothing. A
+// corrupt reply is an error — a failed replica, which neither counts
+// toward a quorum nor wins one.
+func (c *Client) readReplica(ctx context.Context, addr, path string) (it Item, held bool, err error) {
+	reply, err := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
+	if err != nil {
+		if cmdlang.IsRemoteCode(err, cmdlang.CodeNotFound) {
+			return Item{}, false, nil
+		}
+		return Item{}, false, err
+	}
+	it = Item{Path: path, Deleted: reply.Bool("deleted", false)}
+	if it.Value, err = decodeValue(reply.Str("value", "")); err != nil {
+		return Item{}, false, fmt.Errorf("pstore: replica %s: %w", addr, err)
+	}
+	if it.Version, err = replyVersion(reply, addr); err != nil {
+		return Item{}, false, err
+	}
+	return it, true, nil
 }
 
 // GetAny reads from the first reachable replica without waiting for a
@@ -414,114 +429,136 @@ func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err
 	return c.anyGet(context.Background(), path)
 }
 
-// currentVersion determines the highest version any replica holds at
-// path, including tombstones (a quorum read hides deletions, but a
-// new write must still supersede the tombstone's version). Like
-// GetContext it decides at a majority of responses: the probe cannot
-// miss a committed version, because commitment itself requires a
-// majority.
-func (c *Client) currentVersion(ctx context.Context, path string) (uint64, error) {
-	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
-		reply, callErr := c.pool.CallContext(cctx, addr, c.stamp(cmdlang.New("psfetch").SetString("path", path)))
-		if callErr != nil {
-			if cmdlang.IsRemoteCode(callErr, cmdlang.CodeNotFound) {
-				return replicaReply{}
-			}
-			return replicaReply{err: callErr}
-		}
-		ver, verErr := replyVersion(reply, addr)
-		if verErr != nil {
-			return replicaReply{err: verErr}
-		}
-		return replicaReply{ok: true, item: Item{Version: ver}}
-	})
-	prefix, qErr := f.awaitQuorum(c.Quorum(), "quorum version probe")
-	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
-	if qErr != nil {
-		if anyRedirect(prefix) {
-			return 0, &WrongGroupError{Op: "version probe"}
-		}
-		return 0, qErr
-	}
-	var max uint64
-	for _, r := range prefix {
-		if r.err == nil && r.ok && r.item.Version > max {
-			max = r.item.Version
-		}
-	}
-	return max, nil
+// maxWriteConflicts bounds the extra rounds of a stamped write. A retry
+// is stamped above everything the refusals reported, so it loses again
+// only to a rival stamped later still that reached the replicas first,
+// and the highest stamp in flight always wins. Eight writers released
+// together on one key, a thousand times, left 1 write in 80 refused at
+// four retries, 1 in 5 000 at six and none at eight.
+const maxWriteConflicts = 8
+
+// conflictSpread is how far apart, in logical ticks of the clock,
+// rivals' retries of one conflict are scattered.
+const conflictSpread = 1 << 8
+
+// versionConflict fails a stamped write round: replicas hold an equal
+// or later version, held being the highest they reported.
+type versionConflict struct{ held uint64 }
+
+func (e *versionConflict) Error() string {
+	return fmt.Sprintf("pstore: write refused: replicas hold version %d", e.held)
 }
 
-// Put writes value at path: it determines the next version from a
-// quorum probe, then writes to all replicas, succeeding once a
-// majority has accepted. Anti-entropy carries the write to replicas
-// that missed it.
+// stampedWrite runs a write whose version is the client's hybrid-clock
+// stamp: build makes the command for a version, and the first version
+// whose round succeeds is returned, with this group's replicas that
+// applied it and the instant that round was launched. No replica is
+// asked for the path's version first — a reading of the clock is above
+// it unless a writer with a faster clock (or the same millisecond and
+// a higher count) got there before; the round then fails with what the
+// replicas hold, which is merged into the clock and retried above.
+// Legacy counter versions are below every stamp.
+func (c *Client) stampedWrite(ctx context.Context, op string, dest *Client, build func(version uint64) *cmdlang.CmdLine) (version uint64, appliers []string, launched time.Time, err error) {
+	start := time.Now()
+	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
+	version = uint64(c.clock.Now())
+	for attempt := 0; ; attempt++ {
+		launched = time.Now()
+		appliers, err = c.writeRound(ctx, op, dest, build(version))
+		var conflict *versionConflict
+		if !errors.As(err, &conflict) || attempt == maxWriteConflicts {
+			return version, appliers, launched, err
+		}
+		c.mWriteConflicts.Inc()
+		// Rivals refused by the same holders would all retry at held+1
+		// and split the replicas between them again; a random step apart,
+		// the highest applies everywhere. Update clamps a reading too far
+		// ahead of the wall clock, so its result alone may not clear held.
+		seen := conflict.held + rand.Uint64N(conflictSpread)
+		version = max(uint64(c.clock.Update(hlc.Timestamp(seen))), seen+1)
+	}
+}
+
+// writeRound is one round of a stamped write. While the path's
+// partition is moving, dest is the destination group's client and the
+// round must reach both groups' quorums at the one version: an acked
+// write is then durable on a majority of BOTH, so killing either whole
+// group cannot lose it, and a refusal from either re-stamps both.
+func (c *Client) writeRound(ctx context.Context, op string, dest *Client, cmd *cmdlang.CmdLine) ([]string, error) {
+	if dest == nil {
+		return c.quorumWrite(ctx, op, cmd, true)
+	}
+	destErr := make(chan error, 1)
+	destCmd := cmd.Clone() // each group's client adds its epoch to its own
+	go func() {
+		_, err := dest.quorumWrite(ctx, op, destCmd, true)
+		destErr <- err
+	}()
+	appliers, err := c.quorumWrite(ctx, op, cmd, true)
+	if derr := <-destErr; err == nil && derr != nil {
+		err = fmt.Errorf("pstore: dual-apply destination: %w", derr)
+	}
+	return appliers, err
+}
+
+// Put writes value at path in one round to all replicas, versioned by
+// the client's clock stamp, succeeding once a majority has applied it.
+// Anti-entropy carries the write to replicas that missed it.
 func (c *Client) Put(path string, value []byte) (uint64, error) {
 	return c.PutContext(context.Background(), path, value)
 }
 
 // PutContext is Put bounded by ctx, with span propagation to every
-// replica (the version probe and the write fan-out alike). It returns
-// as soon as a majority has acked; replicas still in flight are
-// cancelled and left to read repair and anti-entropy.
+// replica. It returns as soon as a majority has applied the write;
+// replicas still in flight are cancelled and left to read repair and
+// anti-entropy. Racing writers never share a version: one is refused
+// by a majority and pays a second round (stampedWrite).
 func (c *Client) PutContext(ctx context.Context, path string, value []byte) (uint64, error) {
+	return c.put(ctx, path, value, nil)
+}
+
+// put is PutContext with the destination group of a moving partition
+// (see writeRound), nil otherwise.
+func (c *Client) put(ctx context.Context, path string, value []byte, dest *Client) (uint64, error) {
 	if err := ValidatePath(path); err != nil {
 		return 0, err
 	}
-	start := time.Now()
-	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
-	cur, err := c.currentVersion(ctx, path)
+	version, appliers, launched, err := c.stampedWrite(ctx, "quorum write", dest,
+		func(v uint64) *cmdlang.CmdLine { return putCommand(path, value, v) })
 	if err != nil {
 		return 0, err
 	}
-	next := cur + 1
-	acked, err := c.quorumWrite(ctx, "quorum write", cmdlang.New("psput").
-		SetString("path", path).
-		SetString("value", encodeValue(value)).
-		SetInt("version", int64(next)))
-	if err != nil {
-		return 0, err
-	}
-	// Grant a freshness lease to the ackers, dated at the version
-	// probe's launch: the probe's quorum proves every write committed
-	// before `start` has version ≤ cur, so the acked `next` supersedes
-	// them all and a rival committing between probe and ack is younger
-	// than `start` — the conservative grant time bounded reads need.
-	c.leases.Grant(path, next, acked, start)
-	return next, nil
+	// The appliers' freshness lease is dated at the successful round's
+	// launch: a write committed before then is held by a majority, which
+	// shares a replica with the appliers, and that replica applied this
+	// write only because its version is strictly higher — so whatever
+	// the appliers could be missing was committed after `launched`.
+	c.leases.Grant(path, version, appliers, launched)
+	return version, nil
 }
 
-// PutVersionContext writes value at an explicit version through the
-// write quorum, skipping the version probe. It is the dual-apply arm
-// of a sharded put: the router probes the source group once, then
-// applies the same version to source and destination so the moving
-// partition converges on one winner.
+func delCommand(path string, version uint64) *cmdlang.CmdLine {
+	return cmdlang.New("psdel").SetString("path", path).SetInt("version", int64(version))
+}
+
+func putCommand(path string, value []byte, version uint64) *cmdlang.CmdLine {
+	return cmdlang.New("psput").
+		SetString("path", path).
+		SetString("value", encodeValue(value)).
+		SetInt("version", int64(version))
+}
+
+// PutVersionContext writes value at a version the caller owns. Any
+// replica that answers counts toward the quorum, one already at or
+// past the version included: the caller answers for its being new.
 func (c *Client) PutVersionContext(ctx context.Context, path string, value []byte, version uint64) error {
 	if err := ValidatePath(path); err != nil {
 		return err
 	}
 	start := time.Now()
 	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
-	// No lease for the ackers: the version was probed by the router
-	// against another group at a time this client cannot see, so there
-	// is no sound grant instant. Dual-apply traffic just leaves bounded
-	// reads to re-validate through a quorum.
-	_, err := c.quorumWrite(ctx, "quorum write", cmdlang.New("psput").
-		SetString("path", path).
-		SetString("value", encodeValue(value)).
-		SetInt("version", int64(version)))
-	return err
-}
-
-// DeleteVersionContext writes a tombstone at an explicit version, the
-// dual-apply arm of a sharded delete (see PutVersionContext).
-func (c *Client) DeleteVersionContext(ctx context.Context, path string, version uint64) error {
-	start := time.Now()
-	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
-	c.leases.Drop(path)
-	_, err := c.quorumWrite(ctx, "quorum delete", cmdlang.New("psdel").
-		SetString("path", path).
-		SetInt("version", int64(version)))
+	// No lease: nothing proves the version above earlier commits.
+	_, err := c.quorumWrite(ctx, "quorum write", putCommand(path, value, version), false)
 	return err
 }
 
@@ -530,60 +567,81 @@ func (c *Client) Delete(path string) error {
 	return c.DeleteContext(context.Background(), path)
 }
 
-// DeleteContext is Delete bounded by ctx with span propagation.
+// DeleteContext is Delete bounded by ctx with span propagation; the
+// tombstone is versioned and acknowledged like a put.
 func (c *Client) DeleteContext(ctx context.Context, path string) error {
-	start := time.Now()
-	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
-	cur, err := c.currentVersion(ctx, path)
-	if err != nil {
-		return err
-	}
+	return c.del(ctx, path, nil)
+}
+
+// del is DeleteContext with the destination group of a moving
+// partition, nil otherwise.
+func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 	// A tombstone invalidates any lease immediately — even a write that
 	// ends up under quorum may have landed on a holder.
 	c.leases.Drop(path)
-	_, err = c.quorumWrite(ctx, "quorum delete", cmdlang.New("psdel").
-		SetString("path", path).
-		SetInt("version", int64(cur+1)))
+	_, _, _, err := c.stampedWrite(ctx, "quorum delete", dest,
+		func(v uint64) *cmdlang.CmdLine { return delCommand(path, v) })
 	return err
 }
 
-// quorumWrite is the tail of every write: it streams cmd to every
+// quorumWrite is one round of every write: it streams cmd to every
 // replica and returns the addresses that acked as soon as the write
 // quorum is reached — or provably unreachable — cancelling and
 // draining the stragglers in the background. A cancelled straggler
 // that already received the frame still applies the write; one that
-// didn't is healed by repair or anti-entropy. Under quorum the write
-// failed: as a WrongGroupError when any consumed failure was a
-// wrong_group placement redirect (a stale routing decision rather than
-// unavailability), else with the ack count. op names the operation in
-// both.
-func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine) (acked []string, err error) {
+// didn't is healed by repair or anti-entropy. A stamped write (the
+// command's version is the client's clock stamp) is acked only by a
+// replica that applied the item, a re-delivery included; one that
+// refused it for an equal or later version is a failed leg. Under
+// quorum the round failed: as a WrongGroupError when any consumed
+// failure was a wrong_group placement redirect (a stale routing
+// decision rather than unavailability), as a versionConflict when any
+// was a refusal, else with the ack count. op names the operation.
+func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
 	c.stamp(cmd)
-	// The HLC timestamp rides the wire frame header to every replica,
-	// so all of them store the same client-assigned stamp. Every
-	// replica's call shares cmd: the wire client copies a command
-	// before adding its seq.
-	ctx = hlc.WithTimestamp(ctx, c.clock.Now())
+	// The HLC timestamp — a stamped write's version — rides the wire
+	// frame header to every replica. Every replica's call shares cmd:
+	// the wire client copies a command before adding its seq.
+	ts := hlc.Timestamp(cmd.Int("version", 0))
+	if !stamped {
+		ts = c.clock.Now()
+	}
+	ctx = hlc.WithTimestamp(ctx, ts)
 	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
-		if _, err := c.pool.CallContext(cctx, addr, cmd); err != nil {
+		reply, err := c.pool.CallContext(cctx, addr, cmd)
+		if err != nil {
 			return replicaReply{err: err}
+		}
+		if stamped && !reply.Bool("applied", false) {
+			held, verErr := replyVersion(reply, addr)
+			if verErr != nil {
+				return replicaReply{err: verErr}
+			}
+			return replicaReply{err: &versionConflict{held: held}}
 		}
 		return replicaReply{ok: true}
 	})
 	prefix, _ := f.awaitQuorum(c.Quorum(), op)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
+	var conflict *versionConflict
 	for _, r := range prefix {
-		if r.err == nil {
+		var refused *versionConflict
+		switch {
+		case r.err == nil:
 			acked = append(acked, c.replicas[r.idx])
+		case errors.As(r.err, &refused) && (conflict == nil || refused.held > conflict.held):
+			conflict = refused
 		}
 	}
-	if len(acked) < c.Quorum() {
-		if anyRedirect(prefix) {
-			return nil, &WrongGroupError{Op: op}
-		}
-		return nil, fmt.Errorf("pstore: %s failed: %d/%d acks", op, len(acked), len(c.replicas))
+	switch {
+	case len(acked) >= c.Quorum():
+		return acked, nil
+	case anyRedirect(prefix):
+		return nil, &WrongGroupError{Op: op}
+	case conflict != nil:
+		return nil, conflict
 	}
-	return acked, nil
+	return nil, fmt.Errorf("pstore: %s failed: %d/%d acks", op, len(acked), len(c.replicas))
 }
 
 // List unions the live paths under prefix across all reachable

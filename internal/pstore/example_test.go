@@ -21,7 +21,8 @@ func Example() {
 	defer pool.Close()
 	client := pstore.NewClient(pool, cluster.Addrs())
 
-	if _, err := client.Put("/wss/workspaces/john_doe/default", []byte("workspace state")); err != nil {
+	written, err := client.Put("/wss/workspaces/john_doe/default", []byte("workspace state"))
+	if err != nil {
 		panic(err)
 	}
 
@@ -31,7 +32,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ok, version, string(value))
+	fmt.Println(ok, version == written, string(value))
 	// Output:
-	// true 1 workspace state
+	// true true workspace state
 }

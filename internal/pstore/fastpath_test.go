@@ -31,7 +31,7 @@ func startStallReplica(t *testing.T) *daemon.Daemon {
 		<-release
 		return cmdlang.Fail(cmdlang.CodeUnavailable, "stalled"), nil
 	}
-	for _, verb := range []string{"psget", "psfetch", "psput", "psdel", "pslist"} {
+	for _, verb := range []string{"psget", "psput", "psdel", "pslist"} {
 		d.Handle(cmdlang.CommandSpec{Name: verb, AllowExtra: true}, block)
 	}
 	if err := d.Start(); err != nil {
@@ -74,7 +74,8 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 
 	// Seed through the healthy pair (its own majority).
 	seed := NewClient(pool, cluster.Addrs())
-	if _, err := seed.Put("/fp/x", []byte("v1")); err != nil {
+	v1, err := seed.Put("/fp/x", []byte("v1"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	seed.Close()
@@ -84,7 +85,7 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 
 	start := time.Now()
 	got, ver, ok, err := mixed.Get("/fp/x")
-	if err != nil || !ok || ver != 1 || !bytes.Equal(got, []byte("v1")) {
+	if err != nil || !ok || ver != v1 || !bytes.Equal(got, []byte("v1")) {
 		t.Fatalf("fast-path read: got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
 	}
 	if _, err := mixed.Put("/fp/x", []byte("v2")); err != nil {
@@ -101,8 +102,8 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	if n := snap.Counter(MetricReadStragglers); n < 1 {
 		t.Errorf("read stragglers = %d, want >= 1", n)
 	}
-	if n := snap.Counter(MetricWriteStragglers); n < 2 { // version probe + write fan-out
-		t.Errorf("write stragglers = %d, want >= 2", n)
+	if n := snap.Counter(MetricWriteStragglers); n < 1 {
+		t.Errorf("write stragglers = %d, want >= 1", n)
 	}
 	if hp, ok := snap.Histogram(MetricReadLatencyFull); !ok || hp.Count < 1 {
 		t.Errorf("full-fanout read latency not observed: %+v ok=%v", hp, ok)
@@ -122,7 +123,6 @@ func startNegativeVersionReplica(t *testing.T) *daemon.Daemon {
 		return cmdlang.OK().SetString("value", "aa").SetInt("version", -1), nil
 	}
 	d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true}, corrupt)
-	d.Handle(cmdlang.CommandSpec{Name: "psfetch", AllowExtra: true}, corrupt)
 	d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
 		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 			return cmdlang.OK().SetBool("applied", true), nil
@@ -136,8 +136,8 @@ func startNegativeVersionReplica(t *testing.T) *daemon.Daemon {
 
 // TestNegativeVersionIsCorruptReplica: a replica answering
 // version=-1 must be treated exactly like one answering bad hex — a
-// failed replica that neither wins the read nor poisons the write
-// path's version probe.
+// failed replica that neither wins the read nor, refusing a write,
+// drags the writer's version up.
 func TestNegativeVersionIsCorruptReplica(t *testing.T) {
 	cluster, err := StartCluster(2, "", 0)
 	if err != nil {
@@ -147,7 +147,8 @@ func TestNegativeVersionIsCorruptReplica(t *testing.T) {
 	pool, _ := telemetryPool(t, time.Second)
 
 	seed := NewClient(pool, cluster.Addrs())
-	if _, err := seed.Put("/neg/x", []byte("truth")); err != nil {
+	v1, err := seed.Put("/neg/x", []byte("truth"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	seed.Close()
@@ -157,7 +158,7 @@ func TestNegativeVersionIsCorruptReplica(t *testing.T) {
 	defer mixed.Close()
 
 	got, ver, ok, err := mixed.Get("/neg/x")
-	if err != nil || !ok || ver != 1 || !bytes.Equal(got, []byte("truth")) {
+	if err != nil || !ok || ver != v1 || !bytes.Equal(got, []byte("truth")) {
 		t.Fatalf("negative-version replica skewed the read: got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
 	}
 	// GetAny walks past the rogue instead of returning the wrapped
@@ -165,17 +166,44 @@ func TestNegativeVersionIsCorruptReplica(t *testing.T) {
 	any := NewClient(pool, append([]string{rogue.Addr()}, cluster.Addrs()...))
 	defer any.Close()
 	got, ver, ok, err = any.GetAny("/neg/x")
-	if err != nil || !ok || ver != 1 || !bytes.Equal(got, []byte("truth")) {
+	if err != nil || !ok || ver != v1 || !bytes.Equal(got, []byte("truth")) {
 		t.Fatalf("GetAny trusted a negative version: got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
 	}
-	// The version probe must not be poisoned: the next Put gets
-	// version 2, not ~1.8e19+1.
-	v2, err := mixed.Put("/neg/x", []byte("truth2"))
+}
+
+// TestNegativeConflictVersionIsAFailedLeg: a replica refusing a write
+// with version=-1 is a failed replica, not a conflict at ~1.8e19 that
+// the writer would merge into its clock and retry above.
+func TestNegativeConflictVersionIsAFailedLeg(t *testing.T) {
+	cluster, err := StartCluster(2, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2 != 2 {
-		t.Fatalf("next version = %d, want 2 (probe poisoned)", v2)
+	t.Cleanup(cluster.StopAll)
+	pool, reg := telemetryPool(t, time.Second)
+	rogue := daemon.New(daemon.Config{Name: "negative_refuser"})
+	rogue.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
+		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			return cmdlang.OK().SetBool("applied", false).SetInt("version", -1), nil
+		})
+	if err := rogue.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rogue.Stop)
+	mixed := NewClient(pool, append(cluster.Addrs(), rogue.Addr()))
+	defer mixed.Close()
+	before := uint64(mixed.clock.Now())
+	for i := 0; i < 20; i++ { // whichever two replicas decide the round
+		v, err := mixed.Put("/neg/y", []byte("truth"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v-before > 1<<40 { // hours of stamps ahead
+			t.Fatalf("version %d: the writer's clock was dragged up from %d", v, before)
+		}
+	}
+	if n := reg.Snapshot().Counter(MetricWriteConflicts); n != 0 {
+		t.Fatalf("%d conflict rounds; a corrupt refusal is not a conflict", n)
 	}
 }
 
@@ -227,7 +255,8 @@ func TestReadRepairBoundedAndDropped(t *testing.T) {
 	pool, reg := telemetryPool(t, time.Second)
 	client := NewClient(pool, cluster.Addrs())
 
-	if _, err := client.Put("/rrb", []byte("v1")); err != nil {
+	v1, err := client.Put("/rrb", []byte("v1"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	client.Close()
@@ -236,7 +265,7 @@ func TestReadRepairBoundedAndDropped(t *testing.T) {
 	// be {fresh, stale}, so the stale laggard is seen at decision time
 	// (a cancelled straggler's reply might lose the race and never be
 	// repair-eligible — this arrangement is deterministic).
-	if !cluster.Nodes[0].apply(Item{Path: "/rrb", Value: []byte("v2"), Version: 2}) {
+	if !cluster.Nodes[0].apply(Item{Path: "/rrb", Value: []byte("v2"), Version: v1 + 1}) {
 		t.Fatal("direct apply failed")
 	}
 	stall := startStallReplica(t)
@@ -254,7 +283,7 @@ func TestReadRepairBoundedAndDropped(t *testing.T) {
 		}
 	}()
 
-	if _, ver, ok, err := mixed.Get("/rrb"); err != nil || !ok || ver != 2 {
+	if _, ver, ok, err := mixed.Get("/rrb"); err != nil || !ok || ver != v1+1 {
 		t.Fatalf("read: ver=%d ok=%v err=%v", ver, ok, err)
 	}
 	// The stale quorum member's repair was attempted (and dropped)
@@ -372,7 +401,7 @@ func TestDataRepliesCarryOnlyTheirOwnArguments(t *testing.T) {
 		{cmdlang.New("psget").SetString("path", "/shape/a"), []string{"value", "version"}},
 		{cmdlang.New("psfetch").SetString("path", "/shape/a"), []string{"deleted", "item_hlc", "value", "version"}},
 		{cmdlang.New("psdigest"), []string{"paths", "versions"}},
-		{cmdlang.New("psdel").SetString("path", "/shape/a").SetInt("version", 2), []string{"applied"}},
+		{cmdlang.New("psdel").SetString("path", "/shape/a").SetInt("version", 2), []string{"applied", "version"}},
 	} {
 		reply, err := pool.Call(addr, tc.cmd)
 		if err != nil {
@@ -397,8 +426,6 @@ func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		d := daemon.New(daemon.Config{Name: fmt.Sprintf("old_replica%d", i)})
-		d.Handle(cmdlang.CommandSpec{Name: "psfetch", AllowExtra: true},
-			oldReply(`ok value="6f6c64" version=4 item_hlc=7 deleted=false hlc=1893456000000;`))
 		d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
 			oldReply(`ok value="6f6c64" version=4 hlc=1893456000000;`))
 		d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
@@ -421,7 +448,7 @@ func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
 	if h := reg.Snapshot().Counter(MetricBoundedHits); h != 1 {
 		t.Fatalf("bounded hits = %d, want 1", h)
 	}
-	if ver, err := client.Put("/old/x", []byte("new")); err != nil || ver != 5 {
+	if ver, err := client.Put("/old/x", []byte("new")); err != nil || ver <= 4 {
 		t.Fatalf("put through old replicas: ver=%d err=%v", ver, err)
 	}
 }

@@ -12,13 +12,18 @@ package pstore
 // caller actually waits — while the _full series observes the time
 // until the last replica of a fan-out resolved, straggler timeouts
 // included. A widening gap between the two is a sick replica. The
-// full series is observed once per fan-out, so a Put contributes two
-// points (version probe + write) under pstore.write.latency_full.
+// full series is observed once per fan-out, so a Put or Delete
+// contributes one point per write round under
+// pstore.write.latency_full: one, unless a round was refused.
 //
 // Straggler counters count replica calls that were still unresolved
-// when the quorum outcome was decided (and were therefore cancelled);
-// the probe and write halves of a Put/Delete both count under
-// pstore.write.stragglers.
+// when the quorum outcome was decided (and were therefore cancelled),
+// each round of a write under pstore.write.stragglers.
+//
+// pstore.write.conflicts counts write rounds refused because replicas
+// held an equal or later version, each retried above it at the price
+// of one more round: two writers in one millisecond, or — at a steady
+// rate on one client — a clock running behind its rivals'.
 const (
 	MetricSyncRounds       = "pstore.sync.rounds"
 	MetricSyncPulled       = "pstore.sync.pulled"
@@ -29,6 +34,7 @@ const (
 	MetricWriteLatencyFull = "pstore.write.latency_full"
 	MetricReadStragglers   = "pstore.read.stragglers"
 	MetricWriteStragglers  = "pstore.write.stragglers"
+	MetricWriteConflicts   = "pstore.write.conflicts"
 	MetricReadRepairs      = "pstore.read.repairs"
 	MetricRepairErrors     = "pstore.read.repair_errors"
 	MetricRepairsDropped   = "pstore.read.repairs_dropped"

@@ -17,6 +17,7 @@
 package pstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -41,21 +42,17 @@ type Item struct {
 	Value   []byte
 	Version uint64
 	Deleted bool
-	// HLC is the hybrid-logical-clock stamp of the write that produced
-	// this item (zero for legacy unstamped writes). Client-assigned
-	// stamps are stored verbatim, so all replicas hold the same stamp
-	// for the same write; legacy unstamped writes are stamped
-	// independently by each replica, so replicas may durably hold
-	// DIFFERENT stamps for the same version of the same item, and
-	// anti-entropy never reconciles them. Conflict resolution stays
-	// purely version-based (newer), so the divergence never touches
-	// the data.
+	// HLC is the stamp in the frame header of the write that produced
+	// this item: the Version itself for a client's Put or Delete, the
+	// receiving replica's own reading for a write sent without one.
+	// Nothing orders by it.
 	HLC hlc.Timestamp
 }
 
-// newer reports whether a beats b under last-writer-wins with a
-// deterministic value tiebreak (so all replicas converge on the same
-// winner for equal versions).
+// newer orders the replies of one quorum read: the higher version
+// wins, and equal versions with different content — two writers drew
+// one stamp, each still held somewhere — fall to a deterministic
+// tiebreak. Replicas themselves never break ties (applyMemLocked).
 func newer(a, b Item) bool {
 	if a.Version != b.Version {
 		return a.Version > b.Version
@@ -268,18 +265,13 @@ func (n *Node) Crash() {
 	n.snapWG.Wait()
 }
 
-// apply installs the item in memory if it is newer than what the node
-// holds, returning whether it was applied. Durability is applyAsync
-// and applyDurableBatch.
-func (n *Node) apply(it Item) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.applyMemLocked(it)
-}
-
+// applyMemLocked is last-writer-wins on the version alone: a replica
+// never changes what it holds at a version. That is what lets
+// `applied=true` count toward a stamped write's quorum — of two writes
+// at one version a replica says it to the first only, so they cannot
+// both collect a majority.
 func (n *Node) applyMemLocked(it Item) bool {
-	cur, exists := n.items[it.Path]
-	if exists && !newer(it, cur) {
+	if cur, exists := n.items[it.Path]; exists && it.Version <= cur.Version {
 		return false
 	}
 	n.items[it.Path] = it
@@ -310,6 +302,41 @@ const itemHLCArg = "item_hlc"
 // restarted (recovered) node is retried promptly.
 const degradedRetryAfter = 100 * time.Millisecond
 
+// writeReply answers psput and psdel: whether the replica holds the
+// command's item, and the version it holds now — the equal or later
+// one that refused the command otherwise, which its writer retries
+// above.
+func writeReply(applied bool, held uint64) *cmdlang.CmdLine {
+	return cmdlang.OK().SetBool("applied", applied).SetInt("version", int64(held))
+}
+
+// sameWrite reports whether held is exactly the item a command carries:
+// a re-delivery (a pool retry whose first copy did arrive) is answered
+// applied=true without a second log record. If the first copy's fsync,
+// possibly still in flight, fails, the node latches degraded — the
+// exposure a retried write had when any ok counted.
+func sameWrite(held, it Item) bool {
+	return held.Version == it.Version && held.Deleted == it.Deleted && bytes.Equal(held.Value, it.Value)
+}
+
+// handleWrite is what psput and psdel share: the version and placement
+// checks, then the item through applyAsync. The disk refusing
+// durability answers busy (retryable, not a definitive failure) so the
+// quorum counts someone else.
+func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, deleted bool) (*cmdlang.CmdLine, error) {
+	version := c.Int("version", 0)
+	if version < 0 {
+		// Accepting a negative version would wrap to a huge uint64
+		// that wins every later quorum read.
+		return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("negative version %d", version)), nil
+	}
+	path := c.Str("path", "")
+	if fail := n.routeCheck(path, c.Int("epoch", 0), true); fail != nil {
+		return fail, nil
+	}
+	return n.applyAsync(ctx, Item{Path: path, Value: value, Version: uint64(version), Deleted: deleted, HLC: n.stamp(ctx)})
+}
+
 // applyAsync is the handler-side write path: install in memory, then
 // make the record durable WITHOUT holding the daemon's serial control
 // thread through the fsync. The commit point for an acknowledgment is
@@ -323,21 +350,18 @@ const degradedRetryAfter = 100 * time.Millisecond
 // returns. Detaching is what creates the batch: if the control thread
 // blocked per write, the engine would only ever see one append at a
 // time and every write would pay a private fsync.
-func (n *Node) applyAsync(ctx *daemon.Ctx, it Item, reply func(applied bool) *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	if n.eng == nil {
-		return reply(n.apply(it)), nil
-	}
+func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 	if n.degraded.Load() {
 		return cmdlang.Busy(degradedRetryAfter), nil
 	}
 	n.mu.Lock()
 	applied := n.applyMemLocked(it)
+	held := n.items[it.Path]
 	n.mu.Unlock()
-	if !applied {
-		// Not newer than what the node already holds (and has already
-		// made durable or is in the middle of making durable): nothing
-		// new to log.
-		return reply(false), nil
+	if !applied || n.eng == nil {
+		// Refused or re-delivered, there is nothing new to log: what the
+		// node holds is durable or in the middle of becoming so.
+		return writeReply(applied || sameWrite(held, it), held.Version), nil
 	}
 	rec := storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)}
 	finish, ok := ctx.Detach()
@@ -348,7 +372,7 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item, reply func(applied bool) *cm
 			return cmdlang.Busy(degradedRetryAfter), nil
 		}
 		n.maybeSnapshot()
-		return reply(true), nil
+		return writeReply(true, it.Version), nil
 	}
 	n.eng.AppendAsync(rec, func(err error) {
 		if err != nil {
@@ -357,7 +381,7 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item, reply func(applied bool) *cm
 			return
 		}
 		n.maybeSnapshot()
-		finish(reply(true))
+		finish(writeReply(true, it.Version))
 	})
 	return nil, nil
 }
@@ -390,17 +414,6 @@ func (n *Node) snapshotRecords() []storage.Record {
 		recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)})
 	}
 	return recs
-}
-
-// get returns the live item at path.
-func (n *Node) get(path string) (Item, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	it, ok := n.items[path]
-	if !ok || it.Deleted {
-		return Item{}, false
-	}
-	return it, true
 }
 
 // Digest returns every path's version (including tombstones), the
@@ -677,38 +690,19 @@ func (n *Node) install() {
 			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		path := c.Str("path", "")
-		if err := ValidatePath(path); err != nil {
+		if err := ValidatePath(c.Str("path", "")); err != nil {
 			return nil, err
-		}
-		if fail := n.routeCheck(path, c.Int("epoch", 0), true); fail != nil {
-			return fail, nil
 		}
 		val, decErr := decodeValue(c.Str("value", ""))
 		if decErr != nil {
 			return cmdlang.Fail(cmdlang.CodeBadArgument, decErr.Error()), nil
 		}
-		version := c.Int("version", 0)
-		if version < 0 {
-			// Accepting a negative version would wrap to a huge uint64
-			// that wins every later quorum read.
-			return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("negative version %d", version)), nil
-		}
-		it := Item{
-			Path:    path,
-			Value:   val,
-			Version: uint64(version),
-			HLC:     n.stamp(ctx),
-		}
-		// The disk refusing durability answers busy (retryable, not a
-		// definitive failure) so the quorum counts someone else.
-		return n.applyAsync(ctx, it, func(applied bool) *cmdlang.CmdLine {
-			return cmdlang.OK().SetBool("applied", applied).SetInt("version", int64(it.Version))
-		})
+		return n.handleWrite(ctx, c, val, false)
 	})
 
 	n.Handle(cmdlang.CommandSpec{
 		Name: "psget",
+		Doc:  "read the item at a path (a tombstone answers deleted=true)",
 		Args: []cmdlang.ArgSpec{
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
 			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
@@ -718,13 +712,21 @@ func (n *Node) install() {
 		if fail := n.routeCheck(path, c.Int("epoch", 0), false); fail != nil {
 			return fail, nil
 		}
-		it, ok := n.get(path)
+		n.mu.Lock()
+		it, ok := n.items[path]
+		n.mu.Unlock()
 		if !ok {
 			return cmdlang.Fail(cmdlang.CodeNotFound, "no object at path"), nil
 		}
-		return cmdlang.OK().
+		reply := cmdlang.OK().
 			SetString("value", encodeValue(it.Value)).
-			SetInt("version", int64(it.Version)), nil
+			SetInt("version", int64(it.Version))
+		if it.Deleted {
+			// The tombstone's version is what lets a quorum read rank the
+			// deletion above an older value a lagging replica still holds.
+			reply.SetBool("deleted", true)
+		}
+		return reply, nil
 	})
 
 	n.Handle(cmdlang.CommandSpec{
@@ -736,23 +738,7 @@ func (n *Node) install() {
 			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		version := c.Int("version", 0)
-		if version < 0 {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("negative version %d", version)), nil
-		}
-		path := c.Str("path", "")
-		if fail := n.routeCheck(path, c.Int("epoch", 0), true); fail != nil {
-			return fail, nil
-		}
-		it := Item{
-			Path:    path,
-			Version: uint64(version),
-			Deleted: true,
-			HLC:     n.stamp(ctx),
-		}
-		return n.applyAsync(ctx, it, func(applied bool) *cmdlang.CmdLine {
-			return cmdlang.OK().SetBool("applied", applied)
-		})
+		return n.handleWrite(ctx, c, nil, true)
 	})
 
 	n.Handle(cmdlang.CommandSpec{
@@ -821,19 +807,11 @@ func (n *Node) install() {
 		Doc:  "fetch an item verbatim (including tombstones) for sync",
 		Args: []cmdlang.ArgSpec{
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
-			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+		// No placement check: this is the anti-entropy and transfer pull
+		// path, which must read retained copies regardless of ownership.
 		path := c.Str("path", "")
-		// Placement is enforced only for epoch-stamped fetches (the
-		// sharded client's version probe). Unstamped fetches are the
-		// anti-entropy and transfer pull path, which must read
-		// retained copies regardless of ownership.
-		if c.Has("epoch") {
-			if fail := n.routeCheck(path, c.Int("epoch", 0), false); fail != nil {
-				return fail, nil
-			}
-		}
 		n.mu.Lock()
 		it, ok := n.items[path]
 		n.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"ace/internal/cmdlang"
 	"ace/internal/pstore/staleness"
 )
 
@@ -142,29 +141,19 @@ func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duratio
 	if !eligible || !c.ctl.Allow() {
 		return fallback()
 	}
-	reply, callErr := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
+	it, held, callErr := c.readReplica(ctx, addr, path)
 	if callErr != nil {
-		if cmdlang.IsRemoteCode(callErr, cmdlang.CodeNotFound) {
-			// A proven holder with no live value: either the path was
-			// deleted (tombstones hide at the node) or the replica lost
-			// state. Both retire the lease and let the quorum decide.
-			c.leases.Drop(path)
-			return fallback()
-		}
 		c.ctl.Redirect()
 		return fallback()
 	}
-	val, decErr := decodeValue(reply.Str("value", ""))
-	if decErr != nil {
-		c.ctl.Redirect()
+	if !held || it.Deleted {
+		// A proven holder with no live value: either the path was
+		// deleted or the replica lost state. Both retire the lease and
+		// let the quorum decide.
+		c.leases.Drop(path)
 		return fallback()
 	}
-	ver, verErr := replyVersion(reply, addr)
-	if verErr != nil {
-		c.ctl.Redirect()
-		return fallback()
-	}
-	if ver < leaseVer {
+	if it.Version < leaseVer {
 		// Version regression below the quorum-validated lease: the
 		// replica no longer holds what a quorum proved it held. Discard
 		// the reply — it is never served.
@@ -183,7 +172,7 @@ func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duratio
 	c.mBoundedHits.Inc()
 	c.mBoundedLatency.Observe(time.Since(start))
 	c.mStaleShare.Set(int64(c.ctl.Share() * 1000))
-	return val, ver, true, nil
+	return it.Value, it.Version, true, nil
 }
 
 // firstServed returns the first of holders that is one of this
@@ -203,25 +192,15 @@ func (c *Client) firstServed(holders []string) (string, bool) {
 func (c *Client) anyGet(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	var lastErr error
 	for _, addr := range c.replicas {
-		reply, callErr := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
-		if callErr == nil {
-			val, decErr := decodeValue(reply.Str("value", ""))
-			if decErr != nil {
-				// Corrupt replica: try the next one.
-				lastErr = fmt.Errorf("pstore: replica %s: %w", addr, decErr)
-				continue
-			}
-			ver, verErr := replyVersion(reply, addr)
-			if verErr != nil {
-				lastErr = verErr
-				continue
-			}
-			return val, ver, true, nil
-		}
-		if cmdlang.IsRemoteCode(callErr, cmdlang.CodeNotFound) {
+		it, held, callErr := c.readReplica(ctx, addr, path)
+		switch {
+		case callErr != nil:
+			lastErr = callErr // unreachable or corrupt: try the next one
+		case !held || it.Deleted:
 			return nil, 0, false, nil
+		default:
+			return it.Value, it.Version, true, nil
 		}
-		lastErr = callErr
 	}
 	return nil, 0, false, fmt.Errorf("pstore: no replica reachable: %w", lastErr)
 }

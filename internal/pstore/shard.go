@@ -2,7 +2,6 @@ package pstore
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -28,9 +27,9 @@ const shardRetries = 3
 // the topology, only the ASD address.
 //
 // During a live rebalance, writes to a moving partition dual-apply:
-// the same version is quorum-written to the source group (still the
-// owner) and the destination group, so an acked write survives even
-// if the move's transfer already passed its path. Reads route to the
+// one stamp is quorum-written to the source group (still the owner)
+// and the destination group, so an acked write survives even if the
+// move's transfer already passed its path. Reads route to the
 // source only — the destination may not hold history yet.
 type Sharded struct {
 	pool  *daemon.Pool
@@ -120,21 +119,18 @@ func (s *Sharded) client(m *placement.Map, gi int) *Client {
 // route resolves path to its owning group's client under the current
 // map, plus the move destination's client when the partition is mid
 // -rebalance (nil otherwise).
-func (s *Sharded) route(ctx context.Context, path string) (*placement.Map, *Client, *Client, error) {
+func (s *Sharded) route(ctx context.Context, path string) (owner, dest *Client, err error) {
 	m, ok := s.cache.Get()
 	if !ok {
-		var err error
 		if m, err = s.cache.GetContext(ctx); err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
 	p := placement.PartitionOf(path, m.Partitions)
-	owner := s.client(m, m.Assignment[p])
-	var dest *Client
 	if mv := m.MoveFor(p); mv != nil {
 		dest = s.client(m, mv.To)
 	}
-	return m, owner, dest, nil
+	return s.client(m, m.Assignment[p]), dest, nil
 }
 
 // retry runs op, re-routing (invalidate, refetch, rebuild clients)
@@ -154,7 +150,7 @@ func (s *Sharded) retry(op func() error) error {
 // GetContext quorum-reads path from its owning group.
 func (s *Sharded) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	err = s.retry(func() error {
-		_, owner, _, rerr := s.route(ctx, path)
+		owner, _, rerr := s.route(ctx, path)
 		if rerr != nil {
 			return rerr
 		}
@@ -175,7 +171,7 @@ func (s *Sharded) Get(path string) ([]byte, uint64, bool, error) {
 // and a wrong_group redirect re-routes exactly like a quorum read.
 func (s *Sharded) GetModeContext(ctx context.Context, path string, mode ReadMode) (value []byte, version uint64, ok bool, err error) {
 	err = s.retry(func() error {
-		_, owner, _, rerr := s.route(ctx, path)
+		owner, _, rerr := s.route(ctx, path)
 		if rerr != nil {
 			return rerr
 		}
@@ -200,32 +196,18 @@ func (s *Sharded) Staleness() *staleness.Controller { return s.ctl }
 func (s *Sharded) Leases() *staleness.Leases { return s.leases }
 
 // PutContext quorum-writes value at path. If the partition is moving,
-// the write dual-applies: the version is probed on the source group
-// (the owner — it holds full history), then the same version is
-// quorum-written to source AND destination; both quorums must ack.
-// That is what makes an acked write survive a destination-group crash
-// (the source still has it) and a source cutover (the destination
-// already has it).
+// the write dual-applies: it is stamped once and that version is
+// quorum-written to source AND destination (Client.writeRound). That
+// is what makes an acked write survive a destination-group crash (the
+// source still has it) and a source cutover (the destination already
+// has it).
 func (s *Sharded) PutContext(ctx context.Context, path string, value []byte) (version uint64, err error) {
-	if verr := ValidatePath(path); verr != nil {
-		return 0, verr
-	}
 	err = s.retry(func() error {
-		_, owner, dest, rerr := s.route(ctx, path)
-		if rerr != nil {
-			return rerr
+		owner, dest, rerr := s.routeWrite(ctx, path)
+		if rerr == nil {
+			version, rerr = owner.put(ctx, path, value, dest)
 		}
-		if dest == nil {
-			version, rerr = owner.PutContext(ctx, path, value)
-			return rerr
-		}
-		cur, rerr := owner.currentVersion(ctx, path)
-		if rerr != nil {
-			return rerr
-		}
-		version = cur + 1
-		return s.dualApply(ctx, owner, dest,
-			func(cl *Client) error { return cl.PutVersionContext(ctx, path, value, version) })
+		return rerr
 	})
 	return version, err
 }
@@ -239,20 +221,11 @@ func (s *Sharded) Put(path string, value []byte) (uint64, error) {
 // partition is moving, like PutContext).
 func (s *Sharded) DeleteContext(ctx context.Context, path string) error {
 	return s.retry(func() error {
-		_, owner, dest, rerr := s.route(ctx, path)
-		if rerr != nil {
-			return rerr
+		owner, dest, rerr := s.routeWrite(ctx, path)
+		if rerr == nil {
+			rerr = owner.del(ctx, path, dest)
 		}
-		if dest == nil {
-			return owner.DeleteContext(ctx, path)
-		}
-		cur, rerr := owner.currentVersion(ctx, path)
-		if rerr != nil {
-			return rerr
-		}
-		next := cur + 1
-		return s.dualApply(ctx, owner, dest,
-			func(cl *Client) error { return cl.DeleteVersionContext(ctx, path, next) })
+		return rerr
 	})
 }
 
@@ -261,23 +234,12 @@ func (s *Sharded) Delete(path string) error {
 	return s.DeleteContext(context.Background(), path)
 }
 
-// dualApply runs the same versioned write against the source and
-// destination groups concurrently and requires both quorums. An acked
-// dual write is durable on a majority of BOTH groups, so killing
-// either whole group cannot lose it.
-func (s *Sharded) dualApply(ctx context.Context, owner, dest *Client, write func(*Client) error) error {
-	s.mDualWrites.Inc()
-	errs := make(chan error, 1)
-	go func() { errs <- write(dest) }()
-	ownerErr := write(owner)
-	destErr := <-errs
-	if ownerErr != nil {
-		return ownerErr
+// routeWrite is route for a write, counting the dual-applied ones.
+func (s *Sharded) routeWrite(ctx context.Context, path string) (owner, dest *Client, err error) {
+	if owner, dest, err = s.route(ctx, path); dest != nil {
+		s.mDualWrites.Inc()
 	}
-	if destErr != nil {
-		return fmt.Errorf("pstore: dual-apply destination: %w", destErr)
-	}
-	return nil
+	return owner, dest, err
 }
 
 // ListContext unions live paths under prefix across every group. Each

@@ -64,7 +64,7 @@ func NewLeases(capacity int, now func() time.Time) *Leases {
 
 // Grant records a quorum-validated observation: every replica in
 // holders held version at time at (the START of the validating round
-// — a write's version probe, a read's fan-out launch — so that any
+// — a write's applied round, a read's fan-out launch — so that any
 // write the holders could be missing is provably younger than at).
 // Callers list holders in reply-arrival order, so the first one is
 // the round's fastest responder. A grant at an older version than the

@@ -121,8 +121,8 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Int("version", 0) != 1 {
-		t.Fatalf("save version = %d, want 1", reply.Int("version", 0))
+	if reply.Int("version", 0) <= 0 {
+		t.Fatalf("save version = %d, want the write's stamp", reply.Int("version", 0))
 	}
 
 	// ── Assemble the trace from every daemon over the wire ─────────
@@ -170,9 +170,10 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		t.Fatalf("origin child span = %+v", save)
 	}
 	// Every other span is a direct child of the save span: 1 ASD
-	// lookup and, per store node, at most one version probe (psfetch)
-	// and one write (psput). Each fan-out decides at a majority and
-	// cancels its straggler, whose span may therefore never exist.
+	// lookup and, per store node, at most one write (psput) — the
+	// save is one round, and no node is asked for a version first. The
+	// fan-out decides at a majority and cancels its straggler, whose
+	// span may therefore never exist.
 	legs := map[string]int{}
 	for _, s := range spans {
 		if s.SpanID == save.SpanID {
@@ -181,9 +182,7 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		if s.Parent != save.SpanID {
 			t.Fatalf("span %+v not parented at the save span %x", s, save.SpanID)
 		}
-		// psfetch probes answer not_found before the first write, so
-		// their spans legitimately record OK=false.
-		if !s.OK && s.Name != "psfetch" {
+		if !s.OK {
 			t.Fatalf("span %+v failed", s)
 		}
 		legs[s.Service+":"+s.Name]++
@@ -192,21 +191,19 @@ func TestDistributedTraceAcrossDaemons(t *testing.T) {
 		t.Fatalf("asd lookup spans = %d, want 1 (%v)", legs["asd:lookup"], legs)
 	}
 	delete(legs, "asd:lookup")
-	for _, verb := range []string{"psfetch", "psput"} {
-		n := 0
-		for i := range nodes {
-			key := fmt.Sprintf("pstore%d:%s", i+1, verb)
-			if legs[key] > 1 {
-				t.Fatalf("%d %s spans, want at most 1 (%v)", legs[key], key, legs)
-			}
-			n += legs[key]
-			delete(legs, key)
+	puts := 0
+	for i := range nodes {
+		key := fmt.Sprintf("pstore%d:psput", i+1)
+		if legs[key] > 1 {
+			t.Fatalf("%d %s spans, want at most 1 (%v)", legs[key], key, legs)
 		}
-		if n < 2 {
-			t.Fatalf("%s spans on %d store nodes, want a majority of 3 (%v)", verb, n, legs)
-		}
+		puts += legs[key]
+		delete(legs, key)
 	}
-	if len(legs) != 0 {
+	if puts < 2 {
+		t.Fatalf("psput spans on %d store nodes, want a majority of 3 (%v)", puts, legs)
+	}
+	if len(legs) != 0 { // a psfetch among them would be the version probe back
 		t.Fatalf("unexpected spans in the trace: %v", legs)
 	}
 
