@@ -70,7 +70,7 @@ stability:
 short:
 	$(GO) test -short ./...
 
-# One testing.B benchmark per paper experiment plus the ablations.
+# One testing.B benchmark per paper experiment (E3–E15) plus the ablations.
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -115,7 +115,8 @@ profile-call:
 	$(GO) tool pprof -top -nodecount 10 .bench_build/call.test .bench_build/call.cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/call.test .bench_build/call.mem.prof
 
-# Regenerate every experiment table (E1–E15 paper, X1–X5 extensions).
+# Regenerate every experiment table (E3–E15 paper, X1–X5 extensions).
+# E1 and E2 are rows of the benchmark's `call` workload: bash bench/run.sh.
 experiments:
 	$(GO) run ./cmd/acebench
 
@@ -126,13 +127,16 @@ examples:
 	$(GO) run ./examples/robustapp
 	$(GO) run ./examples/futurework
 
-# Brief fuzzing of the wire-facing parsers and framing decoders.
+# Brief fuzzing of the wire-facing parsers and framing decoders and of
+# the two documents read back from the store and the directory.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
 	$(GO) test -run '^$$' -fuzz=FuzzSplitPayload$$ -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrame$$ -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzParseAssertion -fuzztime=$(FUZZTIME) ./internal/keynote/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeEntry$$ -fuzztime=$(FUZZTIME) ./internal/asd/
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeMap$$ -fuzztime=$(FUZZTIME) ./internal/pstore/placement/
 
 fmt:
 	gofmt -w .

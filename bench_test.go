@@ -1,8 +1,10 @@
 package ace
 
 // One testing.B benchmark per experiment in DESIGN.md's index
-// (E1–E15). These exercise the same code paths as cmd/acebench, which
+// (E3–E15). These exercise the same code paths as cmd/acebench, which
 // prints the full tables; EXPERIMENTS.md records paper-vs-measured.
+// E1 and E2 are measured by the benchmark (bash bench/run.sh, the
+// `call` workload).
 
 import (
 	"fmt"
@@ -28,32 +30,10 @@ import (
 	"ace/internal/wire"
 )
 
-// BenchmarkE1CmdRoundTrip measures the Fig 5 loop: build → string →
-// parse.
-func BenchmarkE1CmdRoundTrip(b *testing.B) {
-	cmds := map[string]*cmdlang.CmdLine{
-		"bare":    cmdlang.New("ping"),
-		"control": cmdlang.New("move").SetFloat("pan", 45.5).SetFloat("tilt", -10.25),
-		"typical": cmdlang.New("register").
-			SetWord("name", "ptz_cam_1").SetWord("host", "machine25").
-			SetInt("port", 1225).SetWord("room", "hawk").
-			SetString("class", hier.ClassVCC3).SetInt("lease", 10000),
-	}
-	for name, cmd := range cmds {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := cmd.String()
-				if _, err := cmdlang.Parse(s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE2CmdVsRMI compares a full loopback call through the ACE
-// daemon stack against an RMI-style gob call (§2.2 claim).
+// BenchmarkE2CmdVsRMI runs a full loopback call through the ACE
+// daemon stack beside an RMI-style gob call. It is the harness of
+// `make profile-call` and reports no number of record: the §2.2 claim
+// is `vs_rmi_ratio` on the benchmark's `call` workload.
 func BenchmarkE2CmdVsRMI(b *testing.B) {
 	b.Run("ace", func(b *testing.B) {
 		d := daemon.New(daemon.Config{Name: "e2"})

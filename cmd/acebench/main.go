@@ -1,11 +1,14 @@
 // Command acebench regenerates the ACE report's evaluated figures and
 // claims as measured tables (see DESIGN.md's experiment index and
-// EXPERIMENTS.md for the paper-vs-measured record).
+// EXPERIMENTS.md for the paper-vs-measured record): E3–E15 and the
+// extensions X1–X5. What the benchmark measures — E1, E2, the store's
+// read spectrum and sharding, the directory's cache — has no table
+// here; run bash bench/run.sh.
 //
 // Usage:
 //
 //	acebench            # run every experiment
-//	acebench E2 E10     # run selected experiments
+//	acebench E7 E10     # run selected experiments
 //	acebench -list      # list experiments
 package main
 

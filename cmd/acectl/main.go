@@ -413,7 +413,7 @@ func printTrace(pool *daemon.Pool, asdAddr, id string) {
 	for a := range addrs {
 		reply, err := pool.Call(a, query.Clone())
 		if err != nil {
-			continue // daemon gone or telemetry disabled
+			continue // daemon gone
 		}
 		got, err := telemetry.DecodeSpans(reply)
 		if err != nil {

@@ -11,5 +11,6 @@
 // The public entry point is internal/core.Environment; see README.md,
 // DESIGN.md, and EXPERIMENTS.md. The root-level benchmarks in
 // bench_test.go regenerate the paper's evaluated figures (run
-// cmd/acebench for the full tables).
+// cmd/acebench for the full tables, bash bench/run.sh for the call
+// path, the store and the directory).
 package ace

@@ -28,6 +28,7 @@ package asd
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"ace/internal/cmdlang"
@@ -110,6 +111,10 @@ func decodeEntry(value []byte, version uint64) (Entry, error) {
 	if name == "" {
 		return Entry{}, fmt.Errorf("asd: directory entry without a name")
 	}
+	leaseMS := doc.Int("lease_ms", 0)
+	if leaseMS < 0 || leaseMS > math.MaxInt64/int64(time.Millisecond) {
+		return Entry{}, fmt.Errorf("asd: directory entry %s has lease_ms %d out of range", name, leaseMS)
+	}
 	return Entry{
 		Name:       name,
 		Host:       doc.Str("host", ""),
@@ -117,7 +122,7 @@ func decodeEntry(value []byte, version uint64) (Entry, error) {
 		Addr:       doc.Str("addr", ""),
 		Room:       doc.Str("room", ""),
 		Class:      doc.Str("class", ""),
-		Lease:      time.Duration(doc.Int("lease_ms", 0)) * time.Millisecond,
+		Lease:      time.Duration(leaseMS) * time.Millisecond,
 		Expires:    time.Unix(0, doc.Int("expires_ns", 0)),
 		Registered: time.Unix(0, doc.Int("registered_ns", 0)),
 		Renewals:   int(doc.Int("renewals", 0)),

@@ -114,6 +114,41 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeEntry: whatever bytes the store hands back for a directory
+// entry, decodeEntry never panics; and an entry it accepts is one the
+// codec stands behind — it carries a name and the version it was read
+// at, and writing it back and reading it again gives the same entry.
+func FuzzDecodeEntry(f *testing.F) {
+	f.Add(encodeEntry(Entry{
+		Name: "cam1", Host: "bar", Port: 1225, Addr: "bar:1225",
+		Room: "hawk", Class: "Service.Device.PTZCamera",
+		Lease:      1500 * time.Millisecond,
+		Expires:    time.Unix(0, 1234567890),
+		Registered: time.Unix(0, 1234000000),
+		Renewals:   7,
+	}), uint64(42))
+	f.Add(encodeEntry(Entry{Name: "bare"}), uint64(0))
+	f.Add([]byte("not a document"), uint64(1))
+	f.Add([]byte("dirent;"), uint64(1))             // no name
+	f.Add([]byte(`placemap name=cam1;`), uint64(1)) // another document
+	f.Add([]byte(`dirent name="two words" port=x lease_ms=1.5;`), uint64(3))
+	f.Add([]byte(`dirent name=cam1 lease_ms=9223372036855;`), uint64(3)) // one ms more than a Duration holds
+	f.Add([]byte(`dirent name=cam1 lease_ms=-1;`), uint64(3))
+	f.Fuzz(func(t *testing.T, value []byte, version uint64) {
+		e, err := decodeEntry(value, version)
+		if err != nil {
+			return
+		}
+		if e.Name == "" || e.Version != version || e.Lease < 0 {
+			t.Fatalf("accepted %q as %+v at version %d", value, e, version)
+		}
+		again, err := decodeEntry(encodeEntry(e), version)
+		if err != nil || again != e {
+			t.Fatalf("%q decoded to %+v, which re-encodes to %+v (err %v)", value, e, again, err)
+		}
+	})
+}
+
 func TestReplicaRegisterVisibleAcrossReplicas(t *testing.T) {
 	store := newMemStore()
 	a, _ := newTestReplica(store)

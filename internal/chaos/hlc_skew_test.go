@@ -87,10 +87,9 @@ func TestChaosBoundedReadFailsSafeUnderSkewAndPartition(t *testing.T) {
 	defer client.Close()
 
 	const bound = 1200 * time.Millisecond
-	mode := pstore.ReadBounded(bound)
 	mustRead := func(phase, want string) {
 		t.Helper()
-		val, _, ok, err := client.GetModeContext(context.Background(), "/skew/a", mode)
+		val, _, ok, err := client.GetBoundedContext(context.Background(), "/skew/a", bound)
 		if err != nil || !ok {
 			t.Fatalf("%s: bounded read failed: ok=%v err=%v", phase, ok, err)
 		}

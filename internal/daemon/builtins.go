@@ -100,14 +100,8 @@ func (d *Daemon) installBuiltins() {
 	d.bind(CmdTelemetry, func(_ *Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		switch op := c.Str("op", ""); op {
 		case "metrics":
-			if d.tel == nil {
-				return cmdlang.Fail(cmdlang.CodeUnavailable, "telemetry disabled"), nil
-			}
 			return telemetry.EncodeSnapshot(d.tel.Snapshot(), cmdlang.OK()), nil
 		case "trace":
-			if d.traces == nil {
-				return cmdlang.Fail(cmdlang.CodeUnavailable, "telemetry disabled"), nil
-			}
 			id, err := telemetry.ParseID(c.Str("id", ""))
 			if err != nil {
 				return cmdlang.Fail(cmdlang.CodeBadArgument, "bad trace id: "+err.Error()), nil

@@ -189,15 +189,8 @@ type Config struct {
 	// the pool records into the daemon's registry.
 	PoolConfig *PoolConfig
 	// Telemetry receives the daemon's metrics and spans; nil creates a
-	// private registry, so telemetry is on by default.
+	// private registry.
 	Telemetry *telemetry.Registry
-	// DisableTelemetry turns all instrumentation into no-ops. It
-	// exists for benchmarks measuring instrumentation overhead and for
-	// deployments that want the old zero-cost behavior.
-	DisableTelemetry bool
-	// TraceBufferSpans bounds the in-process span buffer; 0 means
-	// telemetry.DefaultTraceBufferSpans.
-	TraceBufferSpans int
 	// Flow optionally tunes the daemon's admission controller. Nil
 	// takes flow.Config defaults, which are generous enough that an
 	// unloaded daemon never notices the controller.
@@ -334,15 +327,11 @@ func New(cfg Config) *Daemon {
 	if cfg.Registry != nil {
 		reg.Merge(cfg.Registry)
 	}
-	var tel *telemetry.Registry
-	var traces *telemetry.TraceBuffer
-	if !cfg.DisableTelemetry {
-		tel = cfg.Telemetry
-		if tel == nil {
-			tel = telemetry.NewRegistry()
-		}
-		traces = telemetry.NewTraceBuffer(cfg.TraceBufferSpans)
+	tel := cfg.Telemetry
+	if tel == nil {
+		tel = telemetry.NewRegistry()
 	}
+	traces := telemetry.NewTraceBuffer()
 	wm := wire.NewMetrics(tel)
 	pc := PoolConfig{Transport: cfg.Transport}
 	if cfg.PoolConfig != nil {
@@ -394,12 +383,10 @@ func New(cfg Config) *Daemon {
 // Flow returns the daemon's admission controller (nil when disabled).
 func (d *Daemon) Flow() *flow.Controller { return d.flow }
 
-// Telemetry returns the daemon's metrics registry (nil when telemetry
-// is disabled).
+// Telemetry returns the daemon's metrics registry.
 func (d *Daemon) Telemetry() *telemetry.Registry { return d.tel }
 
-// Traces returns the daemon's span buffer (nil when telemetry is
-// disabled).
+// Traces returns the daemon's span buffer.
 func (d *Daemon) Traces() *telemetry.TraceBuffer { return d.traces }
 
 func hostName() (string, error) { return "localhost", nil }

@@ -173,3 +173,63 @@ func TestExecuteLocalSingleAllocation(t *testing.T) {
 		t.Fatalf("ExecuteLocal(ping) allocates %v objects, the handler alone %v: the shell must add exactly 1", shell, handler)
 	}
 }
+
+// TestFinishAfterStopSpawnsNoDelivery: a detached handler whose finish
+// lands after Stop has begun — an ASD store write, a pstore append
+// completing late — is not part of what Stop joins, so it must not
+// count a delivery into the WaitGroup Stop is waiting on, nor deliver
+// anything from a stopped daemon; what it drops it counts. The finish runs on a goroutine that
+// learns of the stop only through its connection dying, as a real
+// completion would: nothing orders it against Stop but the daemon's own
+// lock.
+func TestFinishAfterStopSpawnsNoDelivery(t *testing.T) {
+	listener := startTestDaemon(t, Config{Name: "listener"}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "onWork", AllowExtra: true},
+			func(*Ctx, *cmdlang.CmdLine) (*cmdlang.CmdLine, error) { return nil, nil })
+	})
+	finishes := make(chan func(*cmdlang.CmdLine), 1)
+	worker := startTestDaemon(t, Config{Name: "worker"}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "work"},
+			func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+				finish, ok := ctx.Detach()
+				if !ok {
+					t.Error("a queued invocation could not detach")
+					return nil, nil
+				}
+				finishes <- finish
+				return nil, nil
+			})
+	})
+	pool := NewPool(nil)
+	t.Cleanup(pool.Close)
+	if err := Subscribe(pool, worker.Addr(), "work", "listener", listener.Addr(), "onWork"); err != nil {
+		t.Fatal(err)
+	}
+
+	c := dialTest(t, worker)
+	called := make(chan error, 1)
+	go func() {
+		// Unanswered until finish; fails when Stop closes the connection.
+		_, err := c.Call(cmdlang.New("work"))
+		called <- err
+	}()
+	finish := <-finishes
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		if err := <-called; err == nil {
+			t.Error("call answered before its handler finished")
+		}
+		// Stop closes connections just before it waits: let it get there.
+		time.Sleep(20 * time.Millisecond)
+		finish(nil)
+	}()
+	worker.Stop()
+	<-finished
+	if n := worker.Stats().Notifications; n != 0 {
+		t.Fatalf("a stopped daemon spawned %d notification deliveries", n)
+	}
+	if n := worker.Telemetry().Snapshot().Counter(MetricNotifyErrors); n != 1 {
+		t.Fatalf("%d notification errors counted for the one delivery dropped, want 1", n)
+	}
+}

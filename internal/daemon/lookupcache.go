@@ -33,7 +33,6 @@ type LookupCache struct {
 	mu      sync.Mutex
 	entries map[string]*lookupEntry
 	byName  map[string]map[string]struct{} // service name → cache keys
-	posTTL  time.Duration
 	negTTL  time.Duration
 	now     func() time.Time
 
@@ -49,7 +48,7 @@ type lookupEntry struct {
 	names    []string
 	negative bool
 	scan     bool      // query was not keyed by one name
-	expires  time.Time // zero = no TTL (eviction-driven)
+	expires  time.Time // zero for a positive entry: eviction-driven, no TTL
 }
 
 // DefaultLookupNegativeTTL bounds how long an absent service stays
@@ -76,17 +75,16 @@ const (
 	MetricLookupCacheEvictions = "asd.cache.evictions"
 )
 
-// NewLookupCache builds a cache. posTTL bounds positive entries (0 =
-// no TTL, eviction-driven only); negTTL bounds negative entries (0 =
-// DefaultLookupNegativeTTL).
-func NewLookupCache(posTTL, negTTL time.Duration, tel *telemetry.Registry) *LookupCache {
+// NewLookupCache builds a cache. negTTL bounds negative entries (0 =
+// DefaultLookupNegativeTTL); positive entries live until an event
+// evicts them.
+func NewLookupCache(negTTL time.Duration, tel *telemetry.Registry) *LookupCache {
 	if negTTL <= 0 {
 		negTTL = DefaultLookupNegativeTTL
 	}
 	return &LookupCache{
 		entries: make(map[string]*lookupEntry),
 		byName:  make(map[string]map[string]struct{}),
-		posTTL:  posTTL,
 		negTTL:  negTTL,
 		now:     time.Now,
 		hits:    tel.Counter(MetricLookupCacheHits),
@@ -137,9 +135,6 @@ func (c *LookupCache) PutPositive(key string, names, addrs []string, scan bool) 
 	e := &lookupEntry{addrs: addrs, names: names, scan: scan}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.posTTL > 0 {
-		e.expires = c.now().Add(c.posTTL)
-	}
 	if old, ok := c.entries[key]; ok {
 		c.removeLocked(key, old)
 	}

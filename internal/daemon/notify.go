@@ -95,11 +95,27 @@ func (t *notifyTable) list(cmd string) []notifyTarget {
 // When the triggering command was traced, each notification frame
 // carries that trace's context so the fan-out appears in the
 // assembled trace.
+//
+// A detached handler's finish also ends here, and may do so after Stop
+// has begun: Stop then sits in wg.Wait, which no Add from outside the
+// joined threads may race. Stop sets stopped under mu before it waits,
+// so under the same lock either every delivery is counted before Stop
+// can reach Wait, or the daemon is stopping and none is spawned. A
+// command executed while the daemon stops therefore notifies nobody;
+// its deliveries are counted as errors, like ones shed under overload.
 func (d *Daemon) dispatchNotifications(ctx *Ctx, cmd *cmdlang.CmdLine) {
 	targets := d.notify.list(cmd.Name())
 	if len(targets) == 0 {
 		return
 	}
+	d.mu.Lock()
+	if d.stopped {
+		d.mu.Unlock()
+		d.notifyErrs.Add(int64(len(targets)))
+		return
+	}
+	d.wg.Add(len(targets))
+	d.mu.Unlock()
 	tctx := ctx.TraceContext()
 	detailStr := cmd.String()
 	for _, nt := range targets {
@@ -115,11 +131,11 @@ func (d *Daemon) dispatchNotifications(ctx *Ctx, cmd *cmdlang.CmdLine) {
 		case d.notifySem <- struct{}{}:
 		default:
 			d.notifyErrs.Inc()
+			d.wg.Done()
 			continue
 		}
 		d.nNotify.Add(1)
 		d.notifySent.Inc()
-		d.wg.Add(1)
 		//acelint:ignore boundedspawn fan-out is bounded by notifySem above
 		go func() {
 			defer func() {

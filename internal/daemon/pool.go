@@ -38,12 +38,11 @@ const (
 type PoolConfig struct {
 	// Transport supplies TLS identity; nil means plaintext.
 	Transport *wire.Transport
-	// DialTimeout bounds connection establishment; 0 falls back to
-	// the transport's DialTimeout, then wire.DefaultDialTimeout.
+	// DialTimeout bounds connection establishment; 0 means
+	// wire.DefaultDialTimeout.
 	DialTimeout time.Duration
 	// CallTimeout is the default per-call deadline applied when a
-	// caller's context has none; 0 falls back to the transport's
-	// CallTimeout, then wire.DefaultCallTimeout.
+	// caller's context has none; 0 means wire.DefaultCallTimeout.
 	CallTimeout time.Duration
 	// MaxRetries is the number of transport-failure retries per Call;
 	// negative disables retries entirely. 0 means DefaultPoolRetries.
@@ -59,10 +58,6 @@ type PoolConfig struct {
 	// BreakerCooldown is the open→half-open delay; 0 means
 	// DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// HeartbeatInterval, when positive, starts a liveness probe on
-	// every pooled connection so idle connections to dead peers are
-	// detected and dropped before the next real call.
-	HeartbeatInterval time.Duration
 	// Seed seeds the jitter PRNG, making retry schedules reproducible
 	// in tests; 0 means a fixed default seed.
 	Seed int64
@@ -78,29 +73,18 @@ type PoolConfig struct {
 	// transition, with the address and the "closed"/"open"/"half-open"
 	// state names.
 	OnBreakerChange func(addr, from, to string)
-	// LookupPositiveTTL bounds positive entries in the pool's
-	// service-discovery cache; 0 keeps them until an invalidation
-	// event evicts them.
-	LookupPositiveTTL time.Duration
 	// LookupNegativeTTL bounds negative ("no matching service")
-	// entries; 0 means DefaultLookupNegativeTTL.
+	// entries of the pool's service-discovery cache; 0 means
+	// DefaultLookupNegativeTTL.
 	LookupNegativeTTL time.Duration
 }
 
 func (cfg PoolConfig) withDefaults() PoolConfig {
 	if cfg.DialTimeout <= 0 {
-		if cfg.Transport != nil && cfg.Transport.DialTimeout > 0 {
-			cfg.DialTimeout = cfg.Transport.DialTimeout
-		} else {
-			cfg.DialTimeout = wire.DefaultDialTimeout
-		}
+		cfg.DialTimeout = wire.DefaultDialTimeout
 	}
 	if cfg.CallTimeout <= 0 {
-		if cfg.Transport != nil && cfg.Transport.CallTimeout > 0 {
-			cfg.CallTimeout = cfg.Transport.CallTimeout
-		} else {
-			cfg.CallTimeout = wire.DefaultCallTimeout
-		}
+		cfg.CallTimeout = wire.DefaultCallTimeout
 	}
 	switch {
 	case cfg.MaxRetries < 0:
@@ -180,7 +164,7 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 		cfg:         cfg,
 		peers:       make(map[string]*peer),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		lookups:     NewLookupCache(cfg.LookupPositiveTTL, cfg.LookupNegativeTTL, cfg.Telemetry),
+		lookups:     NewLookupCache(cfg.LookupNegativeTTL, cfg.Telemetry),
 		retries:     cfg.Telemetry.Counter(MetricPoolRetries),
 		busyRetries: cfg.Telemetry.Counter(MetricPoolBusyRetries),
 		redirects:   cfg.Telemetry.Counter(MetricPoolRedirects),
@@ -191,8 +175,8 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 // Lookups returns the pool's service-discovery cache.
 func (p *Pool) Lookups() *LookupCache { return p.lookups }
 
-// Telemetry returns the registry the pool records into (nil when
-// telemetry is disabled).
+// Telemetry returns the registry the pool records into (nil when the
+// pool was configured without one).
 func (p *Pool) Telemetry() *telemetry.Registry {
 	return p.cfg.Telemetry
 }
@@ -286,9 +270,6 @@ func (p *Pool) dial(ctx context.Context, deadline time.Time, addr string, pe *pe
 	}
 	pe.client = c
 	p.mu.Unlock()
-	if p.cfg.HeartbeatInterval > 0 {
-		c.StartHeartbeat(p.cfg.HeartbeatInterval)
-	}
 	return c, nil
 }
 

@@ -205,21 +205,3 @@ func TestTraceSpanRecordedAndServed(t *testing.T) {
 		t.Fatalf("trace buffer holds %d spans, want 1", got)
 	}
 }
-
-// TestTelemetryDisabled: DisableTelemetry turns the instruments into
-// no-ops and the telemetry command reports unavailable.
-func TestTelemetryDisabled(t *testing.T) {
-	d := startTestDaemon(t, Config{Name: "dark", DisableTelemetry: true}, nil)
-	c := dialTest(t, d)
-
-	if _, err := c.Call(cmdlang.New(CmdPing)); err != nil {
-		t.Fatal(err)
-	}
-	if d.Telemetry() != nil || d.Traces() != nil {
-		t.Fatal("disabled daemon still exposes telemetry")
-	}
-	_, err := c.Call(cmdlang.New(CmdTelemetry).SetWord("op", "metrics"))
-	if !cmdlang.IsRemoteCode(err, cmdlang.CodeUnavailable) {
-		t.Fatalf("want unavailable, got %v", err)
-	}
-}

@@ -1,6 +1,7 @@
-// Package experiments regenerates every evaluated figure and claim of
-// the ACE report as a measured experiment (see DESIGN.md's experiment
-// index and EXPERIMENTS.md for paper-vs-measured). Each experiment
+// Package experiments regenerates the evaluated figures and claims of
+// the ACE report that no benchmark metric covers (E3–E15, X1–X5) as
+// measured experiments (see DESIGN.md's experiment index and
+// EXPERIMENTS.md for paper-vs-measured). Each experiment
 // builds the relevant slice of the system, drives a workload, and
 // returns a printable table; cmd/acebench prints them and the root
 // bench_test.go wraps the same code paths in testing.B benchmarks.

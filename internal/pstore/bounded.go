@@ -9,83 +9,22 @@ import (
 	"ace/internal/pstore/staleness"
 )
 
-// ReadMode selects a point on the store's consistency spectrum. The
-// zero value is a quorum read — today's default, unchanged semantics.
+// The store's reads are three methods, one per point on the
+// consistency spectrum:
 //
-//   - ReadQuorum: query all replicas, decide at a majority, return
+//   - GetContext: query all replicas, decide at a majority, return
 //     the highest version. Linearizable with respect to committed
 //     quorum writes.
-//   - ReadBounded(Δ): serve from a single replica when a freshness
-//     lease — granted by a quorum round this client ran within the
-//     last Δ — proves the replica can be missing at most Δ of
-//     history; fall back to a quorum read whenever no proof exists.
+//   - GetBoundedContext(Δ): serve from a single replica when a
+//     freshness lease — granted by a quorum round this client ran
+//     within the last Δ — proves the replica can be missing at most Δ
+//     of history; fall back to a quorum read whenever no proof exists.
 //     The bound is measured on this process's own clock, so it holds
 //     under arbitrary replica clock skew. The cheap path for
 //     directory resolves, placement lookups, and sensor/room state
 //     that tolerate bounded lag.
-//   - ReadAny: first reachable replica, best effort, no bound. May
+//   - GetAny: first reachable replica, best effort, no bound. May
 //     return stale data during synchronization windows.
-type ReadMode struct {
-	kind  readKind
-	bound time.Duration
-}
-
-type readKind int
-
-const (
-	readQuorum readKind = iota
-	readBounded
-	readAny
-)
-
-// ReadQuorum returns the majority-quorum read mode (the default).
-func ReadQuorum() ReadMode { return ReadMode{kind: readQuorum} }
-
-// ReadBounded returns the bounded-staleness read mode: one-replica
-// reads whose staleness is provably at most bound (see boundedGet for
-// the proof rule), quorum fallback otherwise.
-func ReadBounded(bound time.Duration) ReadMode {
-	return ReadMode{kind: readBounded, bound: bound}
-}
-
-// ReadAny returns the best-effort single-replica read mode.
-func ReadAny() ReadMode { return ReadMode{kind: readAny} }
-
-// Bound returns the staleness bound (zero unless bounded).
-func (m ReadMode) Bound() time.Duration { return m.bound }
-
-func (m ReadMode) String() string {
-	switch m.kind {
-	case readBounded:
-		return fmt.Sprintf("bounded(%v)", m.bound)
-	case readAny:
-		return "any"
-	default:
-		return "quorum"
-	}
-}
-
-// GetModeContext reads path under the given consistency mode. The
-// quorum mode is exactly GetContext; the other modes trade freshness
-// guarantees for single-replica latency.
-func (c *Client) GetModeContext(ctx context.Context, path string, mode ReadMode) (value []byte, version uint64, ok bool, err error) {
-	switch mode.kind {
-	case readBounded:
-		return c.boundedGet(ctx, path, mode.bound)
-	case readAny:
-		return c.anyGet(ctx, path)
-	default:
-		return c.GetContext(ctx, path)
-	}
-}
-
-// GetBoundedContext is GetModeContext under ReadBounded(bound) — a
-// convenience for callers that keep a store-shaped interface
-// dependency (like the ASD's resolve path) without importing the
-// ReadMode type.
-func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.Duration) ([]byte, uint64, bool, error) {
-	return c.boundedGet(ctx, path, bound)
-}
 
 // Staleness returns the AIMD controller gating the bounded path.
 // Shared by all group clients of a sharded deployment; exposed for
@@ -97,7 +36,7 @@ func (c *Client) Staleness() *staleness.Controller { return c.ctl }
 // deployment; exposed for inspection (stats, tests).
 func (c *Client) Leases() *staleness.Leases { return c.leases }
 
-// boundedGet is the Bounded(Δ) read path. The staleness proof is a
+// GetBoundedContext is the bounded(Δ) read path. The staleness proof is a
 // freshness lease (staleness.Leases): a quorum round this client ran
 // — a quorum read, or its own quorum write — that started at time T
 // and established version v of the path records which replicas
@@ -119,7 +58,7 @@ func (c *Client) Leases() *staleness.Leases { return c.leases }
 // Misses, redirects, and transport errors take the quorum fallback
 // too, and that quorum round's new lease lists only replicas that
 // answered it: the bound is only ever claimed when it is proven.
-func (c *Client) boundedGet(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
+func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	fallback := func() ([]byte, uint64, bool, error) {
 		c.mBoundedFallbacks.Inc()
@@ -186,13 +125,14 @@ func (c *Client) firstServed(holders []string) (string, bool) {
 	return "", false
 }
 
-// anyGet is the context-aware single-replica walk behind GetAny and
-// ReadAny: first reachable replica wins, a not-found answer from any
-// replica is final.
-func (c *Client) anyGet(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
+// GetAny reads from the first reachable replica without waiting for a
+// quorum — the paper's bottleneck-removal read path, which may return
+// slightly stale data during synchronization windows. A not-found
+// answer from any replica is final.
+func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
 	var lastErr error
 	for _, addr := range c.replicas {
-		it, held, callErr := c.readReplica(ctx, addr, path)
+		it, held, callErr := c.readReplica(context.Background(), addr, path)
 		switch {
 		case callErr != nil:
 			lastErr = callErr // unreachable or corrupt: try the next one

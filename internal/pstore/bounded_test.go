@@ -24,18 +24,6 @@ func boundedClient(t *testing.T, c *Cluster) (*Client, *telemetry.Registry) {
 	return client, reg
 }
 
-func TestReadModeString(t *testing.T) {
-	if s := ReadQuorum().String(); s != "quorum" {
-		t.Fatalf("quorum mode = %q", s)
-	}
-	if s := ReadAny().String(); s != "any" {
-		t.Fatalf("any mode = %q", s)
-	}
-	if s := ReadBounded(2 * time.Second).String(); s != "bounded(2s)" {
-		t.Fatalf("bounded mode = %q", s)
-	}
-}
-
 // A healthy cluster serves bounded reads off the single-replica path:
 // the quorum write grants a freshness lease to its ackers, so by the
 // time the write returns, a holder set is provably fresh.
@@ -46,7 +34,7 @@ func TestBoundedReadHealthyClusterHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	val, ver, ok, err := client.GetModeContext(context.Background(), "/bounded/a", ReadBounded(2*time.Second))
+	val, ver, ok, err := client.GetBoundedContext(context.Background(), "/bounded/a", 2*time.Second)
 	if err != nil || !ok || ver != put || !bytes.Equal(val, []byte("fresh")) {
 		t.Fatalf("bounded get: val=%q ver=%d ok=%v err=%v", val, ver, ok, err)
 	}
@@ -60,7 +48,7 @@ func TestBoundedReadHealthyClusterHits(t *testing.T) {
 	// A path never touched by quorum traffic holds no lease, so a
 	// bounded miss cannot prove its bound — it falls back to quorum
 	// and still answers correctly.
-	_, _, ok, err = client.GetModeContext(context.Background(), "/bounded/missing", ReadBounded(2*time.Second))
+	_, _, ok, err = client.GetBoundedContext(context.Background(), "/bounded/missing", 2*time.Second)
 	if ok || err != nil {
 		t.Fatalf("bounded miss: ok=%v err=%v", ok, err)
 	}
@@ -75,7 +63,7 @@ func TestBoundedReadColdClientFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	reader, reg := boundedClient(t, c)
-	val, _, ok, err := reader.GetModeContext(context.Background(), "/bounded/cold", ReadBounded(2*time.Second))
+	val, _, ok, err := reader.GetBoundedContext(context.Background(), "/bounded/cold", 2*time.Second)
 	if err != nil || !ok || string(val) != "v" {
 		t.Fatalf("cold bounded get: val=%q ok=%v err=%v", val, ok, err)
 	}
@@ -88,7 +76,7 @@ func TestBoundedReadColdClientFallsBack(t *testing.T) {
 	}
 	// The quorum fallback granted a lease: the next bounded read can go
 	// single-replica.
-	if _, _, ok, err := reader.GetModeContext(context.Background(), "/bounded/cold", ReadBounded(2*time.Second)); !ok || err != nil {
+	if _, _, ok, err := reader.GetBoundedContext(context.Background(), "/bounded/cold", 2*time.Second); !ok || err != nil {
 		t.Fatalf("warmed bounded get: ok=%v err=%v", ok, err)
 	}
 	if h := reg.Snapshot().Counter(MetricBoundedHits); h != 1 {
@@ -109,7 +97,7 @@ func TestBoundedReadTightBoundIsLeaseHit(t *testing.T) {
 	// has already aged past 100ms the read falls back, and that quorum
 	// round grants a fresh lease for the next try.
 	for try := 0; ; try++ {
-		val, _, ok, err := client.GetModeContext(context.Background(), "/bounded/tight", ReadBounded(100*time.Millisecond))
+		val, _, ok, err := client.GetBoundedContext(context.Background(), "/bounded/tight", 100*time.Millisecond)
 		if err != nil || !ok || string(val) != "v" {
 			t.Fatalf("tight bounded get: val=%q ok=%v err=%v", val, ok, err)
 		}
@@ -165,7 +153,7 @@ func TestBoundedReadReplicaMissedWriteNeverServed(t *testing.T) {
 	// the first read falls back to a quorum (which sees a2 and grants a
 	// fresh lease), and the rest are served only by proven a2 holders.
 	for i := 0; i < 10; i++ {
-		val, _, ok, err := client.GetModeContext(context.Background(), "/bounded/gap", ReadBounded(bound))
+		val, _, ok, err := client.GetBoundedContext(context.Background(), "/bounded/gap", bound)
 		if err != nil || !ok {
 			t.Fatalf("read %d: ok=%v err=%v", i, ok, err)
 		}
@@ -191,7 +179,7 @@ func TestBoundedReadDeleteDropsLease(t *testing.T) {
 	if _, err := client.Put("/bounded/del", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok, err := client.GetModeContext(context.Background(), "/bounded/del", ReadBounded(2*time.Second)); !ok || err != nil {
+	if _, _, ok, err := client.GetBoundedContext(context.Background(), "/bounded/del", 2*time.Second); !ok || err != nil {
 		t.Fatalf("pre-delete bounded get: ok=%v err=%v", ok, err)
 	}
 	if err := client.Delete("/bounded/del"); err != nil {
@@ -200,7 +188,7 @@ func TestBoundedReadDeleteDropsLease(t *testing.T) {
 	if _, _, _, ok := client.Leases().Holders("/bounded/del", time.Minute); ok {
 		t.Fatal("delete left the freshness lease in place")
 	}
-	val, _, ok, err := client.GetModeContext(context.Background(), "/bounded/del", ReadBounded(2*time.Second))
+	val, _, ok, err := client.GetBoundedContext(context.Background(), "/bounded/del", 2*time.Second)
 	if err != nil || ok {
 		t.Fatalf("deleted path still served: val=%q ok=%v err=%v", val, ok, err)
 	}
@@ -209,19 +197,20 @@ func TestBoundedReadDeleteDropsLease(t *testing.T) {
 	}
 }
 
-func TestReadModeAnyAndQuorumDispatch(t *testing.T) {
+// GetAny answers from one replica: the acknowledged value when it
+// holds one, and a not-found that is final — no error — when it does
+// not.
+func TestGetAnyHitAndMiss(t *testing.T) {
 	_, client := startCluster(t, 3, "")
 	put, err := client.Put("/bounded/d", []byte("v"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []ReadMode{ReadQuorum(), ReadAny()} {
-		val, ver, ok, err := client.GetModeContext(context.Background(), "/bounded/d", mode)
-		if err != nil || !ok || ver != put || string(val) != "v" {
-			t.Fatalf("%v get: val=%q ver=%d ok=%v err=%v", mode, val, ver, ok, err)
-		}
+	val, ver, ok, err := client.GetAny("/bounded/d")
+	if err != nil || !ok || ver != put || string(val) != "v" {
+		t.Fatalf("any get: val=%q ver=%d ok=%v err=%v", val, ver, ok, err)
 	}
-	if _, _, ok, err := client.GetModeContext(context.Background(), "/bounded/none", ReadAny()); ok || err != nil {
+	if _, _, ok, err := client.GetAny("/bounded/none"); ok || err != nil {
 		t.Fatalf("any miss: ok=%v err=%v", ok, err)
 	}
 }
@@ -249,7 +238,7 @@ func TestShardedBoundedRead(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		val, _, ok, err := sc.GetModeContext(context.Background(), shardKey(i), ReadBounded(2*time.Second))
+		val, _, ok, err := sc.GetBoundedContext(context.Background(), shardKey(i), 2*time.Second)
 		if err != nil || !ok || string(val) != "sv" {
 			t.Fatalf("bounded get %d: val=%q ok=%v err=%v", i, val, ok, err)
 		}

@@ -422,13 +422,6 @@ func (c *Client) readReplica(ctx context.Context, addr, path string) (it Item, h
 	return it, true, nil
 }
 
-// GetAny reads from the first reachable replica without waiting for a
-// quorum — the paper's bottleneck-removal read path, which may return
-// slightly stale data during synchronization windows.
-func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
-	return c.anyGet(context.Background(), path)
-}
-
 // maxWriteConflicts bounds the extra rounds of a stamped write. A retry
 // is stamped above everything the refusals reported, so it loses again
 // only to a rival stamped later still that reached the replicas first,

@@ -442,7 +442,7 @@ func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
 	if val, ver, ok, err := client.Get("/old/x"); err != nil || !ok || ver != 4 || string(val) != "old" {
 		t.Fatalf("quorum get through old replicas: val=%q ver=%d ok=%v err=%v", val, ver, ok, err)
 	}
-	if val, _, ok, err := client.GetModeContext(context.Background(), "/old/x", ReadBounded(2*time.Second)); err != nil || !ok || string(val) != "old" {
+	if val, _, ok, err := client.GetBoundedContext(context.Background(), "/old/x", 2*time.Second); err != nil || !ok || string(val) != "old" {
 		t.Fatalf("bounded get through old replicas: val=%q ok=%v err=%v", val, ok, err)
 	}
 	if h := reg.Snapshot().Counter(MetricBoundedHits); h != 1 {

@@ -108,6 +108,40 @@ func TestMapEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeMap: whatever text placeset or psmap carries, DecodeString
+// never panics; a map it accepts passes Validate, routes every key to
+// a group that exists, and survives encode → decode unchanged.
+func FuzzDecodeMap(f *testing.F) {
+	m := NewMap(42, 32, 16, groups("g1", "g2", "g3"))
+	m.Epoch = 5
+	m.Stamp[3] = 5
+	m.Assignment[3] = 0
+	m.Moves = []Move{{Partition: 3, From: 0, To: 2}}
+	f.Add(m.EncodeString())
+	f.Add(NewMap(1, 8, 4, groups("g1", "g2")).EncodeString())
+	f.Add("not a map")
+	f.Add("placemap;")
+	f.Add(`placemap epoch=1 seed=0 partitions=2 vnodes=1 groups=["g"] replicas=["a:1"] assign=[0,7] stamps=[1,1] move_parts=[] move_from=[] move_to=[];`) // unknown group
+	f.Add(`placemap epoch=1 seed=0 partitions=1 vnodes=1 groups=["g","h"] replicas=["a:1"] assign=[0] stamps=[1] move_parts=[] move_from=[] move_to=[];`) // ragged groups
+	f.Add(`placemap epoch=-1 seed=0 partitions=1 vnodes=1 groups=["g"] replicas=["a:1"] assign=[0] stamps=[-1] move_parts=[0] move_from=[] move_to=[];`)  // negatives, ragged moves
+	f.Fuzz(func(t *testing.T, text string) {
+		m, err := DecodeString(text)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("accepted a map that fails Validate (%v): %q", err, text)
+		}
+		if p, g := m.Owner("/fuzz/key"); p < 0 || p >= m.Partitions || g.Name == "" {
+			t.Fatalf("partition %d owner %+v of %q", p, g, text)
+		}
+		again, err := DecodeString(m.EncodeString())
+		if err != nil || !reflect.DeepEqual(m, again) {
+			t.Fatalf("round trip of %q: err %v\n  in:  %+v\n  out: %+v", text, err, m, again)
+		}
+	})
+}
+
 func TestMapValidateRejects(t *testing.T) {
 	base := func() *Map { return NewMap(1, 8, 4, groups("g1", "g2")) }
 	cases := map[string]func(*Map){

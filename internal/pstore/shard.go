@@ -165,26 +165,20 @@ func (s *Sharded) Get(path string) ([]byte, uint64, bool, error) {
 	return s.GetContext(context.Background(), path)
 }
 
-// GetModeContext reads path from its owning group under the given
-// consistency mode (see ReadMode). Bounded and any reads still route
-// by the placement map — only the intra-group read policy changes —
-// and a wrong_group redirect re-routes exactly like a quorum read.
-func (s *Sharded) GetModeContext(ctx context.Context, path string, mode ReadMode) (value []byte, version uint64, ok bool, err error) {
+// GetBoundedContext reads path from its owning group with staleness at
+// most bound (see Client.GetBoundedContext). The read still routes by
+// the placement map — only the intra-group read policy changes — and a
+// wrong_group redirect re-routes exactly like a quorum read.
+func (s *Sharded) GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
 	err = s.retry(func() error {
 		owner, _, rerr := s.route(ctx, path)
 		if rerr != nil {
 			return rerr
 		}
-		value, version, ok, rerr = owner.GetModeContext(ctx, path, mode)
+		value, version, ok, rerr = owner.GetBoundedContext(ctx, path, bound)
 		return rerr
 	})
 	return value, version, ok, err
-}
-
-// GetBoundedContext is GetModeContext under ReadBounded(bound) (see
-// Client.GetBoundedContext).
-func (s *Sharded) GetBoundedContext(ctx context.Context, path string, bound time.Duration) ([]byte, uint64, bool, error) {
-	return s.GetModeContext(ctx, path, ReadBounded(bound))
 }
 
 // Staleness returns the router-wide AIMD controller shared by every

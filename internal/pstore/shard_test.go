@@ -189,9 +189,16 @@ func TestRebalanceMovesDataAndStaleClientRecovers(t *testing.T) {
 		}
 	}
 
-	// Grow to three groups. sc's cache is NOT subscribed to placeset:
-	// it keeps routing with the stale two-group map until wrong_group
-	// redirects teach it otherwise.
+	// A second router over the same two-group map, for the quorum reads.
+	staleQuorum := NewSharded(pool, placement.NewCache(pool, dir.Addr()))
+	defer staleQuorum.Close()
+	if _, _, ok, err := staleQuorum.Get(shardKey(0)); err != nil || !ok {
+		t.Fatalf("warm second router: ok=%v err=%v", ok, err)
+	}
+
+	// Grow to three groups. The routers' caches are NOT subscribed to
+	// placeset: they keep routing with the stale two-group map until
+	// wrong_group redirects teach them otherwise.
 	final, err := co.Rebalance(ctx, groups)
 	if err != nil {
 		t.Fatalf("rebalance: %v", err)
@@ -217,22 +224,41 @@ func TestRebalanceMovesDataAndStaleClientRecovers(t *testing.T) {
 		t.Fatal("no data arrived on g3")
 	}
 
-	// Every key still reads back through the stale client — redirects
-	// are absorbed by re-routing, not surfaced.
-	for i := 0; i < n; i++ {
-		val, _, ok, err := sc.Get(shardKey(i))
-		if err != nil || !ok || string(val) != fmt.Sprintf("v%d", i) {
-			t.Fatalf("post-rebalance get %d: %q ok=%v err=%v", i, val, ok, err)
+	// Every key still reads back through a stale router, by either read
+	// a router offers — redirects are absorbed by re-routing, not
+	// surfaced. sc wrote the keys, so its bounded reads hold leases: an
+	// unmoved key is a single-replica hit in its owner's group, a moved
+	// one is refused wrong_group by its old holder and re-routed.
+	redirects := pool.Telemetry().Counter(placement.MetricRedirects)
+	for _, read := range []struct {
+		name   string
+		router *Sharded
+		get    func(s *Sharded, path string) ([]byte, uint64, bool, error)
+	}{
+		{"quorum", staleQuorum, (*Sharded).Get},
+		{"bounded", sc, func(s *Sharded, path string) ([]byte, uint64, bool, error) {
+			return s.GetBoundedContext(ctx, path, time.Minute)
+		}},
+	} {
+		before := redirects.Value()
+		for i := 0; i < n; i++ {
+			val, _, ok, err := read.get(read.router, shardKey(i))
+			if err != nil || !ok || string(val) != fmt.Sprintf("v%d", i) {
+				t.Fatalf("post-rebalance %s get %d: %q ok=%v err=%v", read.name, i, val, ok, err)
+			}
 		}
+		if redirects.Value() == before {
+			t.Fatalf("stale %s reads were never redirected — rebalance moved nothing they routed to", read.name)
+		}
+	}
+	if h := pool.Telemetry().Counter(MetricBoundedHits).Value(); h == 0 {
+		t.Fatal("no bounded read of an unmoved key took the owner's single-replica path")
 	}
 	// Writes too.
 	for i := 0; i < n; i++ {
 		if _, err := sc.Put(shardKey(i), []byte(fmt.Sprintf("w%d", i))); err != nil {
 			t.Fatalf("post-rebalance put %d: %v", i, err)
 		}
-	}
-	if v := pool.Telemetry().Counter(placement.MetricRedirects).Value(); v == 0 {
-		t.Fatal("stale client was never redirected — rebalance moved nothing it routed to")
 	}
 
 	// A second rebalance to the same target is a no-op.

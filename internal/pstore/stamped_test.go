@@ -92,6 +92,49 @@ func TestRacingPutsGetDistinctVersions(t *testing.T) {
 	}
 }
 
+// startGatedReplicas puts a relay in front of every node of cluster
+// that answers no psput of a round before all of them hold theirs, and
+// returns the relays' addresses. A round decided by its first two
+// answers cancels the third leg, written or not, so the frames a write
+// sends can be counted exactly only where no answer overtakes a frame.
+func startGatedReplicas(t *testing.T, cluster *Cluster) []string {
+	t.Helper()
+	forward := daemon.NewPool(nil)
+	t.Cleanup(forward.Close)
+	var (
+		mu      sync.Mutex
+		arrived int
+		open    = make(chan struct{})
+	)
+	release := make(chan struct{})
+	addrs := make([]string, len(cluster.Nodes))
+	for i, n := range cluster.Nodes {
+		d := daemon.New(daemon.Config{Name: fmt.Sprintf("gate%d", i)})
+		d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
+			func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+				mu.Lock()
+				round := open
+				if arrived++; arrived == len(addrs) {
+					arrived, open = 0, make(chan struct{})
+					close(round)
+				}
+				mu.Unlock()
+				select {
+				case <-round:
+				case <-release:
+				}
+				return forward.Call(n.Addr(), c.Clone())
+			})
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.Stop)
+		addrs[i] = d.Addr()
+	}
+	t.Cleanup(func() { close(release) }) // LIFO: unblocks handlers before the relays stop
+	return addrs
+}
+
 // TestPutConflictTakesOneMoreRound: a writer whose wall clock runs 10 s
 // behind the path's last writer is refused once, learns what the
 // replicas hold, and succeeds above it in exactly one more round.
@@ -104,7 +147,7 @@ func TestPutConflictTakesOneMoreRound(t *testing.T) {
 	cluster.SyncRound() // all three hold it, whichever was the put's straggler
 
 	pool, reg := telemetryPool(t, time.Second)
-	behind := NewClient(pool, cluster.Addrs())
+	behind := NewClient(pool, startGatedReplicas(t, cluster))
 	defer behind.Close()
 	behind.clock = hlc.New(func() time.Time { return time.Now().Add(-10 * time.Second) }, 0, nil)
 
@@ -181,11 +224,12 @@ func TestRedeliveredPutIsAcked(t *testing.T) {
 }
 
 // TestPutIsOneRound: a put on an uncontended path is three frames, one
-// psput per replica, and asks no replica for the path's version first.
+// psput per replica; asking a replica for the path's version first
+// would be a fourth.
 func TestPutIsOneRound(t *testing.T) {
 	cluster, _ := startCluster(t, 3, "")
 	pool, reg := telemetryPool(t, time.Second)
-	client := NewClient(pool, cluster.Addrs())
+	client := NewClient(pool, startGatedReplicas(t, cluster))
 	defer client.Close()
 	// Connections are dialled by the first call to each replica.
 	if _, err := client.Put("/one/warm", []byte("w")); err != nil {
@@ -203,11 +247,6 @@ func TestPutIsOneRound(t *testing.T) {
 	}
 	if n := snap.Counter(MetricWriteConflicts); n != 0 {
 		t.Fatalf("%d conflict rounds on an uncontended path", n)
-	}
-	for _, n := range cluster.Nodes {
-		if h, ok := n.Telemetry().Snapshot().Histogram(daemon.MetricDispatchPrefix + "psfetch"); ok && h.Count != 0 {
-			t.Fatalf("%s served %d psfetch", n.Name(), h.Count)
-		}
 	}
 }
 

@@ -142,7 +142,8 @@ func TestSpanContextAndIDs(t *testing.T) {
 }
 
 func TestTraceBufferBoundsAndEviction(t *testing.T) {
-	b := NewTraceBuffer(4)
+	b := NewTraceBuffer()
+	b.max = 4
 	for trace := uint64(1); trace <= 3; trace++ {
 		for i := 0; i < 2; i++ {
 			b.Record(Span{TraceID: trace, SpanID: newID(), Name: "op"})

@@ -103,8 +103,7 @@ type Span struct {
 	OK       bool
 }
 
-// DefaultTraceBufferSpans bounds a daemon's trace buffer when the
-// configuration does not say otherwise.
+// DefaultTraceBufferSpans bounds a daemon's trace buffer.
 const DefaultTraceBufferSpans = 4096
 
 // TraceBuffer is a bounded in-process span store. Spans are grouped
@@ -119,13 +118,10 @@ type TraceBuffer struct {
 	order  []uint64 // trace IDs, oldest first
 }
 
-// NewTraceBuffer returns a buffer bounded to maxSpans recorded spans
-// (DefaultTraceBufferSpans when maxSpans <= 0).
-func NewTraceBuffer(maxSpans int) *TraceBuffer {
-	if maxSpans <= 0 {
-		maxSpans = DefaultTraceBufferSpans
-	}
-	return &TraceBuffer{max: maxSpans, traces: make(map[uint64][]Span)}
+// NewTraceBuffer returns a buffer bounded to DefaultTraceBufferSpans
+// recorded spans.
+func NewTraceBuffer() *TraceBuffer {
+	return &TraceBuffer{max: DefaultTraceBufferSpans, traces: make(map[uint64][]Span)}
 }
 
 // Record stores one span, evicting oldest traces when over budget.

@@ -20,9 +20,9 @@ import (
 // connection was already known dead before the attempt.
 var ErrClosed = errors.New("wire: client closed")
 
-// Default timeouts. Both are configurable per Transport (and per
-// daemon.Pool) so tests and latency-sensitive daemons can tighten
-// them; the package constants are only the fallback.
+// Default timeouts. Both are configurable per daemon.Pool so tests and
+// latency-sensitive daemons can tighten them; the package constants are
+// only the fallback.
 const (
 	// DefaultDialTimeout bounds connection establishment to a daemon.
 	DefaultDialTimeout = 5 * time.Second
@@ -32,10 +32,6 @@ const (
 	// context.DeadlineExceeded within this bound.
 	DefaultCallTimeout = 10 * time.Second
 )
-
-// DialTimeout is the historical name for the dial bound, kept for
-// callers that reference the package default directly.
-const DialTimeout = DefaultDialTimeout
 
 // Client is a connection to one ACE service daemon's command port.
 // It is safe for concurrent use: calls are correlated by the "seq"
@@ -58,9 +54,6 @@ type Client struct {
 	callTimeout time.Duration
 
 	metrics atomic.Pointer[Metrics]
-
-	dead     chan struct{} // closed exactly once when the connection fails
-	deadOnce sync.Once
 }
 
 // call is one request waiting for its reply. Calls are recycled through
@@ -113,18 +106,17 @@ func (c *Client) m() *Metrics { return c.metrics.Load() }
 
 // Dial connects to a daemon command port using the transport's TLS
 // client configuration (or plaintext when the transport is nil or
-// plaintext). The transport's DialTimeout and CallTimeout, when set,
-// configure the connection.
+// plaintext).
 func Dial(t *Transport, addr string) (*Client, error) {
 	return DialContext(context.Background(), t, addr)
 }
 
 // DialContext is Dial bounded by ctx; when ctx carries no deadline
-// the transport's DialTimeout (default DefaultDialTimeout) applies.
+// DefaultDialTimeout applies.
 func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t.dialTimeout())
+		ctx, cancel = context.WithTimeout(ctx, DefaultDialTimeout)
 		defer cancel()
 	}
 	var d net.Dialer
@@ -142,11 +134,7 @@ func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error
 		}
 		conn = tc
 	}
-	c := NewClient(conn)
-	if t != nil && t.CallTimeout > 0 {
-		c.SetCallTimeout(t.CallTimeout)
-	}
-	return c, nil
+	return NewClient(conn), nil
 }
 
 // NewClient wraps an established connection (already TLS'd if
@@ -156,7 +144,6 @@ func NewClient(conn net.Conn) *Client {
 		conn:        conn,
 		pending:     make(map[int64]*call),
 		callTimeout: DefaultCallTimeout,
-		dead:        make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -209,7 +196,6 @@ func (c *Client) fail(err error) {
 		close(w.reply)
 	}
 	c.closed = true
-	c.deadOnce.Do(func() { close(c.dead) })
 	c.conn.Close()
 }
 
@@ -412,38 +398,6 @@ func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
 		deadline = time.Now().Add(timeout)
 	}
 	return c.write(deadline, childSpan(ctx), hlc.FromContext(ctx), cmd, false, 0)
-}
-
-// StartHeartbeat begins liveness probing: every interval the client
-// issues a built-in "ping" and declares the connection dead if no
-// return command (of any kind) arrives within the interval. This
-// detects peers that accepted the connection but stopped servicing it
-// — the failure mode idle pooled connections otherwise only discover
-// on the next real call. Stopping is automatic when the connection
-// fails or is closed.
-func (c *Client) StartHeartbeat(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.dead:
-				return
-			case <-t.C:
-				if _, err := c.roundTrip(context.Background(), time.Now().Add(interval), cmdlang.New("ping")); err != nil {
-					// Any reply — even "fail unknown_command" — proves
-					// liveness; CallRaw only errs on transport trouble
-					// or a missed deadline.
-					c.m().HeartbeatKill()
-					c.fail(fmt.Errorf("wire: heartbeat: %w", err))
-					return
-				}
-			}
-		}
-	}()
 }
 
 // Close tears down the connection; outstanding calls fail.

@@ -11,26 +11,24 @@ import (
 // client its pool dials, so the counters describe the daemon's whole
 // wire footprint.
 const (
-	MetricFramesSent     = "wire.frames.sent"
-	MetricFramesRecv     = "wire.frames.recv"
-	MetricBytesSent      = "wire.bytes.sent"
-	MetricBytesRecv      = "wire.bytes.recv"
-	MetricCallLatency    = "wire.call.latency"
-	MetricCallTimeouts   = "wire.call.timeouts"
-	MetricHeartbeatKills = "wire.heartbeat.kills"
+	MetricFramesSent   = "wire.frames.sent"
+	MetricFramesRecv   = "wire.frames.recv"
+	MetricBytesSent    = "wire.bytes.sent"
+	MetricBytesRecv    = "wire.bytes.recv"
+	MetricCallLatency  = "wire.call.latency"
+	MetricCallTimeouts = "wire.call.timeouts"
 )
 
 // Metrics is the wire layer's instrument group. A nil *Metrics (the
 // result of NewMetrics over a nil registry) discards all recordings,
 // so instrumentation sites never need a guard of their own.
 type Metrics struct {
-	framesSent     *telemetry.Counter
-	framesRecv     *telemetry.Counter
-	bytesSent      *telemetry.Counter
-	bytesRecv      *telemetry.Counter
-	timeouts       *telemetry.Counter
-	heartbeatKills *telemetry.Counter
-	callLatency    *telemetry.Histogram
+	framesSent  *telemetry.Counter
+	framesRecv  *telemetry.Counter
+	bytesSent   *telemetry.Counter
+	bytesRecv   *telemetry.Counter
+	timeouts    *telemetry.Counter
+	callLatency *telemetry.Histogram
 }
 
 // NewMetrics creates (or finds) the wire instruments in r. A nil
@@ -40,13 +38,12 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		return nil
 	}
 	return &Metrics{
-		framesSent:     r.Counter(MetricFramesSent),
-		framesRecv:     r.Counter(MetricFramesRecv),
-		bytesSent:      r.Counter(MetricBytesSent),
-		bytesRecv:      r.Counter(MetricBytesRecv),
-		timeouts:       r.Counter(MetricCallTimeouts),
-		heartbeatKills: r.Counter(MetricHeartbeatKills),
-		callLatency:    r.Histogram(MetricCallLatency),
+		framesSent:  r.Counter(MetricFramesSent),
+		framesRecv:  r.Counter(MetricFramesRecv),
+		bytesSent:   r.Counter(MetricBytesSent),
+		bytesRecv:   r.Counter(MetricBytesRecv),
+		timeouts:    r.Counter(MetricCallTimeouts),
+		callLatency: r.Histogram(MetricCallLatency),
 	}
 }
 
@@ -82,12 +79,4 @@ func (m *Metrics) CallTimeout() {
 		return
 	}
 	m.timeouts.Inc()
-}
-
-// HeartbeatKill records a connection declared dead by its heartbeat.
-func (m *Metrics) HeartbeatKill() {
-	if m == nil {
-		return
-	}
-	m.heartbeatKills.Inc()
 }

@@ -162,92 +162,14 @@ func TestCallCancellationRemovesPending(t *testing.T) {
 	}
 }
 
-// TestHeartbeatDetectsStalledConnection: a connection whose peer
-// stops servicing it is detected and killed by the heartbeat probe.
-func TestHeartbeatDetectsStalledConnection(t *testing.T) {
+// TestDialAbortsOnCancelledContext: an already-expired context aborts
+// the dial immediately.
+func TestDialAbortsOnCancelledContext(t *testing.T) {
 	ln := stallServer(t)
 	defer ln.Close()
-
-	c, err := Dial(nil, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.StartHeartbeat(50 * time.Millisecond)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.Closed() {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never declared the stalled connection dead")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if c.Err() == nil {
-		t.Fatal("dead connection carries no terminal error")
-	}
-}
-
-// TestHeartbeatKeepsHealthyConnectionAlive: a responsive peer is not
-// killed by probing, even one that answers "fail" (liveness is any
-// return command).
-func TestHeartbeatKeepsHealthyConnectionAlive(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	echoServer(t, ln, nil)
-
-	c, err := Dial(nil, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.StartHeartbeat(20 * time.Millisecond)
-	time.Sleep(200 * time.Millisecond)
-	if c.Closed() {
-		t.Fatalf("healthy connection killed by heartbeat: %v", c.Err())
-	}
-	if _, err := c.Call(cmdlang.New("still_works")); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTransportTimeoutsConfigurable: per-transport dial/call timeouts
-// replace the package defaults.
-func TestTransportTimeoutsConfigurable(t *testing.T) {
-	ln := stallServer(t)
-	defer ln.Close()
-
-	tr := PlaintextTransport("impatient")
-	tr.DialTimeout = 200 * time.Millisecond
-	tr.CallTimeout = 100 * time.Millisecond
-
-	c, err := Dial(tr, ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	if _, err := c.Call(cmdlang.New("ping")); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if time.Since(start) > 2*time.Second {
-		t.Fatal("transport CallTimeout not applied")
-	}
-
-	// The configured dial bound is resolved per transport...
-	if got := tr.dialTimeout(); got != 200*time.Millisecond {
-		t.Fatalf("dialTimeout()=%v", got)
-	}
-	var nilT *Transport
-	if got := nilT.dialTimeout(); got != DefaultDialTimeout {
-		t.Fatalf("nil transport dialTimeout()=%v", got)
-	}
-	// ...and an already-expired context aborts the dial immediately.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DialContext(ctx, tr, ln.Addr().String()); err == nil {
+	if _, err := DialContext(ctx, nil, ln.Addr().String()); err == nil {
 		t.Fatal("dial with cancelled context succeeded")
 	}
 }

@@ -96,20 +96,6 @@ type Transport struct {
 	Cert tls.Certificate
 	// Plaintext disables TLS entirely (benchmarks only).
 	Plaintext bool
-	// DialTimeout bounds connection establishment through this
-	// transport; 0 means DefaultDialTimeout.
-	DialTimeout time.Duration
-	// CallTimeout is the default per-call deadline for clients dialed
-	// through this transport; 0 means DefaultCallTimeout.
-	CallTimeout time.Duration
-}
-
-// dialTimeout resolves the effective dial bound (nil-safe).
-func (t *Transport) dialTimeout() time.Duration {
-	if t != nil && t.DialTimeout > 0 {
-		return t.DialTimeout
-	}
-	return DefaultDialTimeout
 }
 
 // NewTransport issues a certificate for name from ca.
