@@ -57,14 +57,16 @@ test-bench:
 	bash bench/run.sh test
 
 # Tests that once failed a share of their runs, repeated so a relapse
-# cannot hide behind one lucky pass, and the two whose verdict rests on
-# how racing writers happened to interleave: the racing-writers test
-# and the recorded-history checker, under the race detector.
+# cannot hide behind one lucky pass, and the ones whose verdict rests on
+# how racing goroutines happened to interleave, under the race
+# detector: the daemon's serial section against concurrent connections,
+# the racing-writers test and the recorded-history checker.
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
 	$(GO) test -count=1000 -run 'TestHandlerErrorBecomesFail' ./internal/daemon/
 	$(GO) test -count=200 -run 'TestReplicaSiblingEvictionViaNotification' ./internal/asd/
+	$(GO) test -race -count=50 -run 'TestSerialSection' ./internal/daemon/
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 
 short:
@@ -127,8 +129,9 @@ examples:
 	$(GO) run ./examples/robustapp
 	$(GO) run ./examples/futurework
 
-# Brief fuzzing of the wire-facing parsers and framing decoders and of
-# the two documents read back from the store and the directory.
+# Brief fuzzing of the wire-facing parsers and framing decoders, of
+# the two documents read back from the store and the directory, and of
+# the storage engine's WAL record and snapshot decoders.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
@@ -137,6 +140,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParseAssertion -fuzztime=$(FUZZTIME) ./internal/keynote/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEntry$$ -fuzztime=$(FUZZTIME) ./internal/asd/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeMap$$ -fuzztime=$(FUZZTIME) ./internal/pstore/placement/
+	$(GO) test -run '^$$' -fuzz=FuzzReadRecord$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
+	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
 
 fmt:
 	gofmt -w .

@@ -146,7 +146,7 @@ type replica struct {
 
 	// storeSem bounds the detached store writes in flight (see
 	// Service handlers): registration and renewal handlers detach off
-	// the serial control thread so concurrent renewals pipeline their
+	// the daemon's serial section so concurrent renewals pipeline their
 	// quorum rounds, but never more than cap(storeSem) at once — over
 	// the bound the handler falls back to doing the work inline, which
 	// is the natural backpressure.

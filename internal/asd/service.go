@@ -220,11 +220,11 @@ func replicaFail(err error) *cmdlang.CmdLine {
 }
 
 // detachStore runs work — a handler continuation ending in one or
-// more quorum store rounds — off the serial control thread when the
-// invocation can detach and a pipeline slot is free, so concurrent
+// more quorum store rounds — out of the daemon's serial section when
+// the invocation can detach and a pipeline slot is free, so concurrent
 // renewals overlap their store fan-outs instead of serializing behind
-// one another. With no free slot the work runs inline on the control
-// thread, which is the natural backpressure; ExecuteLocal invocations
+// one another. With no free slot the work runs inline, holding the
+// section, which is the natural backpressure; ExecuteLocal invocations
 // (which cannot detach) also run inline. The returned reply is nil
 // exactly when the invocation detached (the daemon discards it).
 func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *cmdlang.CmdLine) *cmdlang.CmdLine {
@@ -370,7 +370,7 @@ func (s *Service) install() {
 		s.mLookupLatency.Observe(time.Since(lookupStart))
 		if len(entries) == 0 && q.Name != "" && s.rep != nil {
 			// The replica may never have cached this name; the miss
-			// reads through to the store (off the control thread — a
+			// reads through to the store (outside the serial section — a
 			// quorum read must not stall the lookup hot path).
 			return s.detachStore(hctx, func(ctx context.Context) *cmdlang.CmdLine {
 				return lookupReply(s.rep.lookup(ctx, q), limit)

@@ -1,16 +1,17 @@
 // Package daemon implements the basic ACE service daemon (§2.1): the
 // independent, multithreaded shell that every ACE service is built
-// on. A daemon runs four threads of execution joined by message
-// queues, exactly as the architecture report describes:
+// on, with the threads of execution the architecture report describes:
 //
 //   - the main thread initializes the daemon (room database
 //     registration, ASD registration, net-logger announcement — the
 //     Fig 9 startup sequence), renews the service lease, and manages
 //     the other threads;
 //   - a command thread per client connection accepts the socket,
-//     reads incoming command frames, and parses them;
-//   - the control thread executes commands serially and services
-//     notifications (§2.5);
+//     reads incoming command frames, parses and executes them;
+//   - the control thread, which executes commands serially, is a lock
+//     (the serial section) a command thread holds to run a handler:
+//     one command at a time per daemon and a connection's commands in
+//     arrival order, as §2.1 promises, without a queue or a hand-off;
 //   - the data thread handles datagram stream operations over a UDP
 //     channel.
 //
@@ -56,14 +57,14 @@ const (
 // do not configure their own.
 const DefaultLeaseTTL = 10 * time.Second
 
-// Handler executes one service command on the control thread. It
-// returns a return command ("ok" with result arguments) or an error,
-// which the shell converts to a "fail" return command. Returning
-// (nil, nil) is shorthand for a bare "ok".
+// Handler executes one service command in the daemon's serial
+// section. It returns a return command ("ok" with result arguments)
+// or an error, which the shell converts to a "fail" return command.
+// Returning (nil, nil) is shorthand for a bare "ok".
 type Handler func(ctx *Ctx, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error)
 
 // Authorizer gates command execution (§3.2). The daemon consults it
-// on the control thread before every non-built-in command; a non-nil
+// in the serial section before every non-built-in command; a non-nil
 // error refuses execution with a "denied" return command.
 type Authorizer interface {
 	Authorize(principal string, cmd *cmdlang.CmdLine) error
@@ -89,28 +90,28 @@ type Ctx struct {
 	// timestamp.
 	HLC hlc.Timestamp
 
-	// inv is the enclosing invocation while the control thread has it
+	// inv is the enclosing invocation while the serial section has it
 	// armed for Detach; nil otherwise (ExecuteLocal, a Ctx built by the
 	// caller, a handler that already detached).
 	inv *invocation
 }
 
 // invocation is one command's passage through the shell, allocated
-// once per message: the command thread builds it from a parsed frame,
-// the control queue carries it, handlers receive its embedded Ctx, and
-// complete finishes it.
+// once per message: the command thread builds it from a parsed frame
+// and executes it, handlers receive its embedded Ctx, and complete
+// finishes it.
 type invocation struct {
 	Ctx
 	e      *handlerEntry    // nil when the verb has no handler
 	cmd    *cmdlang.CmdLine // seq already removed
-	start  time.Time        // dispatch start, after any queue wait
+	start  time.Time        // dispatch start, after any wait for the serial section
 	ticket *flow.Ticket     // admission slot; nil for ExecuteLocal
 	out    *replyWriter     // nil when no reply is wanted (one-way, ExecuteLocal)
 	seq    int64            // echoed on the reply when out is set
 }
 
-// Detach releases the serial control thread from this invocation: the
-// handler returns immediately (its return value is discarded) and the
+// Detach releases the daemon's serial section from this invocation:
+// the handler returns immediately (its return value is discarded) and the
 // reply is delivered later, when the handler's continuation calls
 // finish with it — from any goroutine, exactly once. This is for
 // handlers whose commit point is genuinely slow (an fsync, a quorum
@@ -127,7 +128,7 @@ func (c *Ctx) Detach() (finish func(reply *cmdlang.CmdLine), ok bool) {
 	if inv == nil {
 		return nil, false
 	}
-	c.inv = nil // consumed: the control thread sees it gone and stands back
+	c.inv = nil // consumed: execute sees it gone and stands back
 	return func(reply *cmdlang.CmdLine) { inv.complete(reply) }, true
 }
 
@@ -179,8 +180,6 @@ type Config struct {
 	// DataHandler receives datagrams from the UDP data thread; nil
 	// installs a counting sink.
 	DataHandler func(pkt []byte, from net.Addr)
-	// ControlQueueLen sizes the command→control message queue.
-	ControlQueueLen int
 	// Listen is the TCP listen address; empty means "127.0.0.1:0".
 	Listen string
 	// PoolConfig optionally tunes the daemon's outgoing connection
@@ -242,10 +241,10 @@ type Daemon struct {
 
 	listener net.Listener
 	udp      *net.UDPConn
-	ctlQ     chan *invocation
 	done     chan struct{}
 	wg       sync.WaitGroup
 	pool     *Pool
+	serial   sync.Mutex // the §2.1 control thread; see execute
 
 	// flow is the admission controller guarding the accept loop and
 	// dispatch path; nil when Config.DisableFlow is set (a nil
@@ -317,9 +316,6 @@ func New(cfg Config) *Daemon {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
 	}
-	if cfg.ControlQueueLen <= 0 {
-		cfg.ControlQueueLen = 256
-	}
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
@@ -347,7 +343,6 @@ func New(cfg Config) *Daemon {
 		cfg:           cfg,
 		registry:      reg,
 		handlers:      make(map[string]*handlerEntry),
-		ctlQ:          make(chan *invocation, cfg.ControlQueueLen),
 		notifySem:     make(chan struct{}, notifySlots),
 		done:          make(chan struct{}),
 		conns:         make(map[net.Conn]struct{}),
@@ -463,7 +458,7 @@ func (d *Daemon) Stats() Stats {
 }
 
 // Start brings the daemon online: it opens the command and data
-// sockets, starts the control and data threads, runs the Fig 9
+// sockets, starts the data thread and the accept loop, runs the Fig 9
 // startup sequence, and begins lease renewal. Start returns once the
 // daemon is registered and serving.
 func (d *Daemon) Start() error {
@@ -507,9 +502,6 @@ func (d *Daemon) Start() error {
 	udp.SetWriteBuffer(4 << 20) //nolint:errcheck
 	d.udp = udp
 
-	// Control thread.
-	d.wg.Add(1)
-	go d.controlThread()
 	// Data thread.
 	d.wg.Add(1)
 	go d.dataThread()
@@ -709,8 +701,8 @@ func (d *Daemon) acceptLoop() {
 	}
 }
 
-// commandThread reads and parses commands from one client connection
-// and posts them to the control queue (Fig 5's receiving side).
+// commandThread reads, parses, admits and executes the commands of one
+// client connection, one after another (Fig 5's receiving side).
 func (d *Daemon) commandThread(conn net.Conn) {
 	defer d.wg.Done()
 	defer func() {
@@ -748,9 +740,9 @@ func (d *Daemon) commandThread(conn net.Conn) {
 		// and strings point into them.
 		cmd, perr := cmdlang.ParseBytes(text)
 		if perr != nil {
-			// Syntactically broken input is answered directly by the
-			// command thread; it never reaches control. What could not be
-			// parsed has no seq to answer under.
+			// Syntactically broken input is answered directly, outside
+			// the serial section. What could not be parsed has no seq to
+			// answer under.
 			out.write(cmdlang.FailErr(perr), false, 0)
 			continue
 		}
@@ -767,10 +759,9 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			inv.out = out
 			cmd.Del(cmdlang.SeqArg)
 		}
-		// Admission control happens here, on the command thread, before
-		// the message reaches the serial control thread: shedding must
-		// not consume control-thread time, and a shed request is
-		// answered with a retryable busy reply instead of hanging.
+		// Admission control happens before the serial section: shedding
+		// must not consume serial time, and a shed request is answered
+		// with a retryable busy reply instead of hanging.
 		pri := flow.Data
 		if inv.e != nil && inv.e.control {
 			pri = flow.Control
@@ -787,17 +778,40 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			inv.respond(cmdlang.Busy(retry))
 			continue
 		}
-		select {
-		case d.ctlQ <- inv:
-		case <-d.done:
-			inv.ticket.Done()
-			return
+		if !d.execute(inv) {
+			return // daemon is stopping
 		}
 	}
 }
 
+// execute runs one admitted invocation in the serial section and
+// completes it outside, so a client that stops reading holds only its
+// own connection. A command still waiting for the section when the
+// daemon stops is not executed: execute releases its ticket and
+// reports false.
+func (d *Daemon) execute(inv *invocation) bool {
+	d.serial.Lock()
+	select {
+	case <-d.done:
+		d.serial.Unlock()
+		inv.ticket.Done()
+		return false
+	default:
+	}
+	inv.start = time.Now()
+	inv.Ctx.inv = inv // arm Detach for the handler's duration
+	reply := d.dispatch(inv)
+	detached := inv.Ctx.inv == nil // the handler's finish owns the rest
+	inv.Ctx.inv = nil
+	d.serial.Unlock()
+	if !detached {
+		inv.complete(reply)
+	}
+	return true
+}
+
 // replyWriter serializes reply frames onto one client connection: the
-// control thread and detached handlers' finishes write concurrently.
+// command thread and detached handlers' finishes write concurrently.
 type replyWriter struct {
 	d    *Daemon
 	conn net.Conn
@@ -810,8 +824,9 @@ type replyWriter struct {
 func (w *replyWriter) write(reply *cmdlang.CmdLine, numbered bool, seq int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	// A peer that stopped reading must not wedge the serial control
-	// thread behind a full socket buffer: the write gives up after the
+	// A peer that stopped reading must not hold its command thread (or,
+	// when a detached handler finishes inline, the serial section)
+	// behind a full socket buffer for ever: the write gives up after the
 	// call timeout. A failed write may have left half a frame on the
 	// stream, so the connection is closed — the reply is dropped and
 	// the connection's command thread ends on its next read.
@@ -844,28 +859,6 @@ func (inv *invocation) respond(reply *cmdlang.CmdLine) {
 	}
 }
 
-// controlThread executes commands serially and services
-// notifications, as §2.1.1 specifies.
-func (d *Daemon) controlThread() {
-	defer d.wg.Done()
-	for {
-		select {
-		case <-d.done:
-			return
-		case inv := <-d.ctlQ:
-			inv.start = time.Now()
-			inv.Ctx.inv = inv // arm Detach for the handler's duration
-			reply := d.dispatch(inv)
-			if inv.Ctx.inv == nil {
-				// Detached: the handler's finish owns the rest.
-				continue
-			}
-			inv.Ctx.inv = nil
-			inv.complete(reply)
-		}
-	}
-}
-
 // dispatch validates, authorizes and runs the invocation's command,
 // returning the handler's reply (nil is a bare "ok").
 func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
@@ -892,9 +885,10 @@ func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
 }
 
 // complete is the one end of every invocation, whichever way it ran:
-// inline on the control thread, from a detached handler's finish, or
-// under ExecuteLocal. It releases the admission ticket (whose
-// admit-to-Done latency — control-queue wait plus execution — is the
+// on its command thread after the serial section, from a detached
+// handler's finish, or under ExecuteLocal. It releases the admission
+// ticket (whose admit-to-Done latency — serial-section wait plus
+// execution — is the
 // congestion signal driving the adaptive limit), records the dispatch
 // latency and span, counts the outcome before the reply can reach the
 // caller, replies, and fans out notifications.
@@ -940,8 +934,10 @@ func (inv *invocation) complete(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
 // calling goroutine. It exists for handlers that need to execute
 // another of their daemon's commands (e.g. a device scan that
 // internally executes "identify" so its notification listeners fire):
-// calling the daemon over its own socket from the control thread
-// would deadlock, since the control thread is single. ctx supplies the
+// calling the daemon over its own socket from a handler would deadlock
+// on the serial section the handler holds. ExecuteLocal takes no lock:
+// from a handler it runs in the section already held, from another
+// goroutine (a reaper, a sensor loop) beside it. ctx supplies the
 // principal and trace the command runs under (nil: the daemon itself);
 // the command runs on an invocation of its own that cannot Detach,
 // even when ctx belongs to an invocation that can.

@@ -78,7 +78,7 @@ func TestOverloadShedsWithBusyReply(t *testing.T) {
 	}
 
 	// The shed connection survived its busy replies and is still
-	// usable now that the control thread is free again.
+	// usable now that the serial section is free again.
 	if _, err := c.Call(cmdlang.New(CmdPing)); err != nil {
 		t.Fatalf("connection broken after busy replies: %v", err)
 	}

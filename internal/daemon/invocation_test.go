@@ -22,7 +22,7 @@ type completion struct {
 }
 
 // TestCompletionRoutesAgree drives one verb through the three routes
-// an invocation can finish by — inline on the control thread, from a
+// an invocation can finish by — inline on its command thread, from a
 // detached handler's finish, and under ExecuteLocal — and requires the
 // same counters, dispatch histogram, span and notification from each.
 func TestCompletionRoutesAgree(t *testing.T) {
@@ -52,7 +52,7 @@ func TestCompletionRoutesAgree(t *testing.T) {
 					if r.detach {
 						finish, ok := ctx.Detach()
 						if !ok {
-							t.Error("a queued invocation could not detach")
+							t.Error("a command-thread invocation could not detach")
 							return reply, nil
 						}
 						go finish(reply)
@@ -193,7 +193,7 @@ func TestFinishAfterStopSpawnsNoDelivery(t *testing.T) {
 			func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 				finish, ok := ctx.Detach()
 				if !ok {
-					t.Error("a queued invocation could not detach")
+					t.Error("a command-thread invocation could not detach")
 					return nil, nil
 				}
 				finishes <- finish

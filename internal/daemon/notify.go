@@ -8,9 +8,8 @@ import (
 
 // Notifications (§2.5, Fig 8): every daemon keeps a running list of
 // commands being "listened" for and the services to notify when such
-// commands execute. After the control thread successfully executes a
-// command, the listed command-interface methods are invoked on the
-// notified services.
+// commands execute. After a command executes successfully, the listed
+// command-interface methods are invoked on the notified services.
 
 // NotifyMethodArgs are the arguments carried by an invoked
 // notification method: who notified, which command executed, and the
@@ -88,10 +87,11 @@ func (t *notifyTable) list(cmd string) []notifyTarget {
 	return all
 }
 
-// dispatchNotifications runs on the control thread after a command
-// executes successfully (Fig 8 steps 2–3). Delivery itself happens
-// off-thread so a slow or dead listener cannot stall command
-// execution; invocation is one-way (no seq → no reply expected).
+// dispatchNotifications runs from complete, outside the serial
+// section, after a command executes successfully (Fig 8 steps 2–3).
+// Delivery itself happens off-thread so a slow or dead listener cannot
+// stall the connection; invocation is one-way (no seq → no reply
+// expected).
 // When the triggering command was traced, each notification frame
 // carries that trace's context so the fan-out appears in the
 // assembled trace.

@@ -258,8 +258,8 @@ func TestCancelledCallDoesNotChargeBreakerOrDropConnection(t *testing.T) {
 	if before != after {
 		t.Fatal("cancelled call dropped the pooled connection")
 	}
-	// Unblock the handler (the daemon's control thread executes
-	// commands serially, so nothing else answers until it returns);
+	// Unblock the handler (the daemon executes commands serially, so
+	// nothing else answers until it returns);
 	// its late reply must be discarded by seq, leaving the shared
 	// connection in sync for the next exchange.
 	close(block)

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -170,56 +171,58 @@ func TestOversizedFrameDropsConnectionGracefully(t *testing.T) {
 	}
 }
 
-// TestControlQueueBackpressure: a flood of one-way commands neither
-// deadlocks nor crashes the daemon.
-func TestControlQueueBackpressure(t *testing.T) {
-	d := New(Config{Name: "flooded", ControlQueueLen: 4})
-	processed := make(chan struct{}, 4096)
-	d.Handle(cmdlang.CommandSpec{Name: "flood"},
-		func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-			processed <- struct{}{}
-			return nil, nil
-		})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(d.Stop)
+// TestOneWayFloodExecutesInOrder: 500 one-way commands written back to
+// back on one connection all execute, in the order sent, and nothing
+// deadlocks. There is no queue between reading and executing: the
+// command thread reads the next frame once the last has executed, so
+// a sender that outruns the daemon is held back by TCP alone.
+func TestOneWayFloodExecutesInOrder(t *testing.T) {
+	const n = 500
+	executed := make(chan int64, n)
+	d := startTestDaemon(t, Config{Name: "flooded"}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "flood", Args: []cmdlang.ArgSpec{{Name: "i", Kind: cmdlang.KindInt, Required: true}}},
+			func(_ *Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+				executed <- c.Int("i", -1)
+				return nil, nil
+			})
+	})
 
 	conn, err := net.Dial("tcp", d.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	const n = 500
 	for i := 0; i < n; i++ {
-		if _, err := wire.WriteCmd(conn, cmdlang.New("flood")); err != nil {
+		if _, err := wire.WriteCmd(conn, cmdlang.New("flood").SetInt("i", int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	got := 0
-	for got < n {
+	timeout := time.After(5 * time.Second)
+	for want := int64(0); want < n; want++ {
 		select {
-		case <-processed:
-			got++
-		default:
-			if time.Now().After(deadline) {
-				t.Fatalf("processed %d/%d", got, n)
+		case got := <-executed:
+			if got != want {
+				t.Fatalf("command %d executed where %d was sent", got, want)
 			}
-			time.Sleep(time.Millisecond)
+		case <-timeout:
+			t.Fatalf("executed %d/%d", want, n)
 		}
 	}
 }
 
-// TestStalledReaderCannotWedgeControlThread: a client that asks for
-// more reply bytes than the socket buffers hold and never reads them
-// costs the serial control thread one call timeout, not forever: the
-// reply write gives up, the connection is closed, and other clients
-// are served.
-func TestStalledReaderCannotWedgeControlThread(t *testing.T) {
+// TestStalledReaderCannotDelayOtherClients: a client that asks for more
+// reply bytes than the socket buffers hold and never reads them costs
+// only its own connection. Its reply is written outside the serial
+// section, so while that write is blocked — for up to one call timeout,
+// after which the connection is closed — another client's ping is
+// answered in well under the timeout.
+func TestStalledReaderCannotDelayOtherClients(t *testing.T) {
+	const callTimeout = 2 * time.Second
 	blob := strings.Repeat("x", 512<<10)
-	d := startTestDaemon(t, Config{Name: "wedge", PoolConfig: &PoolConfig{CallTimeout: 100 * time.Millisecond}}, func(d *Daemon) {
+	var served atomic.Int64
+	d := startTestDaemon(t, Config{Name: "wedge", PoolConfig: &PoolConfig{CallTimeout: callTimeout}}, func(d *Daemon) {
 		d.Handle(cmdlang.CommandSpec{Name: "blob"}, func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			served.Add(1)
 			return cmdlang.OK().SetString("data", blob), nil
 		})
 	})
@@ -228,17 +231,34 @@ func TestStalledReaderCannotWedgeControlThread(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	for i := 1; i <= 32; i++ { // 16 MiB of replies, none of them read
+	for i := 1; i <= 64; i++ { // 32 MiB of replies, none of them read
 		if _, err := wire.WriteCmd(stalled, cmdlang.New("blob").SetInt(cmdlang.SeqArg, int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	// The socket buffers are full once the handler stops being called:
+	// a reply write is blocked.
+	var blocked int64
+	for stable := 0; stable < 10; time.Sleep(10 * time.Millisecond) {
+		if n := served.Load(); n > 0 && n == blocked {
+			stable++
+		} else {
+			blocked, stable = n, 0
+		}
+	}
+	if blocked == 64 {
+		t.Fatal("every reply fit in the socket buffers: no write ever blocked")
+	}
 
 	c := dialTest(t, d)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout/2)
 	defer cancel()
+	start := time.Now()
 	if _, err := c.CallContext(ctx, cmdlang.New(CmdPing)); err != nil {
-		t.Fatalf("control thread wedged behind a stalled reader: %v", err)
+		t.Fatalf("ping waited %v behind a stalled reader: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if served.Load() != blocked {
+		t.Fatal("the stalled connection's write unblocked before the ping was answered")
 	}
 }
 

@@ -97,25 +97,36 @@ func RunE3() (*Table, error) {
 }
 
 // RunE4 measures Fig 8: time from command execution to delivery at
-// every notified service, versus the listener count.
+// every notified service, versus the listener count. Notifications are
+// best-effort (§2.5): a source sheds the deliveries it cannot start
+// while 64 are in flight, which a round overlapping the previous one's
+// stragglers meets at 64 listeners. So each round waits for its
+// deliveries only until a deadline, the table reports the share that
+// arrived, and only rounds where every listener heard the command are
+// timed.
 func RunE4() (*Table, error) {
+	const (
+		rounds    = 30
+		roundWait = 250 * time.Millisecond
+	)
 	t := &Table{
 		ID:      "E4",
 		Title:   "notification dispatch latency vs listener count",
 		Source:  "Fig 8, §2.5",
-		Columns: []string{"listeners", "all-delivered ms (mean)", "all-delivered ms (p95)"},
+		Columns: []string{"listeners", "all-delivered ms (mean)", "all-delivered ms (p95)", "delivered share"},
 	}
-	for _, listeners := range []int{1, 4, 16, 64} {
+	run := func(listeners int) error {
 		source := daemon.New(daemon.Config{Name: "e4src"})
 		source.Handle(cmdlang.CommandSpec{Name: "tick"},
 			func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) { return nil, nil })
 		if err := source.Start(); err != nil {
-			return nil, err
+			return err
 		}
+		defer source.Stop()
+		pool := daemon.NewPool(nil)
+		defer pool.Close()
 
 		var delivered atomic.Int64
-		var sinks []*daemon.Daemon
-		pool := daemon.NewPool(nil)
 		for i := 0; i < listeners; i++ {
 			sink := daemon.New(daemon.Config{Name: fmt.Sprintf("e4sink%d", i)})
 			sink.Handle(cmdlang.CommandSpec{Name: "onTick", AllowExtra: true},
@@ -124,40 +135,50 @@ func RunE4() (*Table, error) {
 					return nil, nil
 				})
 			if err := sink.Start(); err != nil {
-				return nil, err
+				return err
 			}
-			sinks = append(sinks, sink)
+			defer sink.Stop()
 			if err := daemon.Subscribe(pool, source.Addr(), "tick", sink.Name(), sink.Addr(), "onTick"); err != nil {
-				return nil, err
+				return err
 			}
 		}
 
-		const rounds = 30
 		var times []time.Duration
+		var arrived int64
 		for r := 0; r < rounds; r++ {
-			want := int64((r + 1) * listeners)
+			base := delivered.Load()
 			start := time.Now()
 			if _, err := pool.Call(source.Addr(), cmdlang.New("tick")); err != nil {
-				return nil, err
+				return err
 			}
-			for delivered.Load() < want {
+			for delivered.Load()-base < int64(listeners) && time.Since(start) < roundWait {
 				time.Sleep(50 * time.Microsecond)
 			}
-			times = append(times, time.Since(start))
+			n := min(delivered.Load()-base, int64(listeners))
+			if n == 0 {
+				return fmt.Errorf("E4: round %d delivered none of %d notifications in %v", r, listeners, roundWait)
+			}
+			if n == int64(listeners) {
+				times = append(times, time.Since(start))
+			}
+			arrived += n
 		}
-		var sum time.Duration
-		for _, d := range times {
-			sum += d
+		mean, p95 := "-", "-"
+		if len(times) > 0 {
+			var sum time.Duration
+			for _, d := range times {
+				sum += d
+			}
+			mean = fmt.Sprintf("%.2f", float64(sum/time.Duration(len(times)))/float64(time.Millisecond))
+			p95 = fmt.Sprintf("%.2f", float64(percentile(times, 95))/float64(time.Millisecond))
 		}
-		t.AddRow(listeners,
-			float64(sum/time.Duration(rounds))/float64(time.Millisecond),
-			float64(percentile(times, 95))/float64(time.Millisecond))
-
-		pool.Close()
-		for _, s := range sinks {
-			s.Stop()
+		t.AddRow(listeners, mean, p95, float64(arrived)/float64(rounds*listeners))
+		return nil
+	}
+	for _, listeners := range []int{1, 4, 16, 64} {
+		if err := run(listeners); err != nil {
+			return nil, err
 		}
-		source.Stop()
 	}
 	return t, nil
 }

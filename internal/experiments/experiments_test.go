@@ -64,7 +64,7 @@ func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are integration-scale")
 	}
-	for _, id := range []string{"E7", "E8", "E13", "E14", "E15", "X3", "X4", "X5"} {
+	for _, id := range []string{"E4", "E7", "E8", "E13", "E14", "E15", "X3", "X4", "X5"} {
 		e, ok := Find(id)
 		if !ok {
 			t.Fatalf("missing %s", id)

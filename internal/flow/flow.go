@@ -210,7 +210,7 @@ type Controller struct {
 	bucket       *TokenBucket
 	inflight     int
 	perPrincipal map[string]int
-	ctlQ         waitQueue
+	controlQ     waitQueue
 	dataQ        waitQueue
 	conns        int
 	closed       bool
@@ -331,7 +331,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 	}
 	q := &c.dataQ
 	if pri == Control {
-		q = &c.ctlQ
+		q = &c.controlQ
 	}
 	var dropped *waiter
 	if q.len() >= c.cfg.QueueLen {
@@ -343,7 +343,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		dropped.reject = c.shedLocked(dropped.pri, ReasonQueueFull, c.retryHintLocked())
 	}
 	q.push(w)
-	c.mQueueLen.Set(int64(c.ctlQ.len() + c.dataQ.len()))
+	c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
 	c.mu.Unlock()
 	if dropped != nil {
 		close(dropped.ready)
@@ -377,7 +377,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		// Timed out (or ctx cancelled) while still queued.
 		q.remove(w)
 		err := c.shedLocked(pri, ReasonQueueTimeout, c.retryHintLocked())
-		c.mQueueLen.Set(int64(c.ctlQ.len() + c.dataQ.len()))
+		c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -461,7 +461,7 @@ func (c *Controller) release(t *Ticket) {
 	c.mLimit.Set(int64(limit))
 	wake := c.fillLocked(now)
 	c.mInflight.Set(int64(c.inflight))
-	c.mQueueLen.Set(int64(c.ctlQ.len() + c.dataQ.len()))
+	c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
 	c.mu.Unlock()
 	for _, w := range wake {
 		close(w.ready)
@@ -476,8 +476,8 @@ func (c *Controller) release(t *Ticket) {
 // FIFO preserves ordering. Expired waiters are shed on the way.
 func (c *Controller) fillLocked(now time.Time) []*waiter {
 	var wake []*waiter
-	for c.ctlQ.len() > 0 && c.inflight < c.hardCapLocked() {
-		w := c.ctlQ.popOldest()
+	for c.controlQ.len() > 0 && c.inflight < c.hardCapLocked() {
+		w := c.controlQ.popOldest()
 		wake = append(wake, c.fillOneLocked(w, now))
 	}
 	for c.dataQ.len() > 0 && c.inflight < c.aimd.Limit() {
@@ -548,8 +548,8 @@ func (c *Controller) Close() {
 	}
 	c.closed = true
 	var wake []*waiter
-	for c.ctlQ.len() > 0 {
-		w := c.ctlQ.popOldest()
+	for c.controlQ.len() > 0 {
+		w := c.controlQ.popOldest()
 		w.state = waiterClosed
 		wake = append(wake, w)
 	}
@@ -600,7 +600,7 @@ func (c *Controller) Snapshot() Snapshot {
 		Limit:           c.aimd.Limit(),
 		HardCap:         c.hardCapLocked(),
 		Inflight:        c.inflight,
-		QueueDepth:      c.ctlQ.len() + c.dataQ.len(),
+		QueueDepth:      c.controlQ.len() + c.dataQ.len(),
 		Conns:           c.conns,
 		Principals:      len(c.perPrincipal),
 		AdmittedControl: c.nAdmitted[Control],

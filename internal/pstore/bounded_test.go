@@ -201,10 +201,16 @@ func TestBoundedReadDeleteDropsLease(t *testing.T) {
 // holds one, and a not-found that is final — no error — when it does
 // not.
 func TestGetAnyHitAndMiss(t *testing.T) {
-	_, client := startCluster(t, 3, "")
+	cluster, client := startCluster(t, 3, "")
 	put, err := client.Put("/bounded/d", []byte("v"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The put returned once two replicas held it, and may have cancelled
+	// its last leg unsent; GetAny asks the replicas in order, so every
+	// one of them gets the write before the read.
+	for _, n := range cluster.Nodes {
+		n.apply(Item{Path: "/bounded/d", Value: []byte("v"), Version: put})
 	}
 	val, ver, ok, err := client.GetAny("/bounded/d")
 	if err != nil || !ok || ver != put || string(val) != "v" {

@@ -3,6 +3,7 @@ package pstore
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"ace/internal/chaos"
 	"ace/internal/cmdlang"
@@ -102,14 +103,24 @@ func TestQuorumSurvivesDeadDiskReplica(t *testing.T) {
 	}
 
 	disks[0].FailSync(errors.New("simulated EIO"))
-	if _, err := client.Put("/q/after", []byte("a")); err != nil {
-		t.Fatalf("quorum put with one dead disk: %v", err)
+	// Every put succeeds on the two healthy replicas. The dead-disk node
+	// latches once a write reaches it, which a round that cancels its
+	// third leg before sending it can postpone to the next put.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := client.Put("/q/after", []byte("a")); err != nil {
+			t.Fatalf("quorum put with one dead disk: %v", err)
+		}
+		if nodes[0].Degraded() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("dead-disk node did not latch degraded")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if val, _, ok, err := client.Get("/q/after"); err != nil || !ok || string(val) != "a" {
 		t.Fatalf("quorum read back = %q ok=%v err=%v", val, ok, err)
-	}
-	if !nodes[0].Degraded() {
-		t.Fatal("dead-disk node did not latch degraded")
 	}
 	// The durable copies live on the two healthy replicas.
 	for _, n := range nodes[1:] {

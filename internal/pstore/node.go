@@ -338,8 +338,8 @@ func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, de
 }
 
 // applyAsync is the handler-side write path: install in memory, then
-// make the record durable WITHOUT holding the daemon's serial control
-// thread through the fsync. The commit point for an acknowledgment is
+// make the record durable WITHOUT holding the daemon's serial section
+// through the fsync. The commit point for an acknowledgment is
 // the fsync — a write whose append fails is NOT acked, the node latches
 // degraded, and the caller is answered `busy` so the quorum counts
 // someone else. Memory may then be ahead of the log; anti-entropy and
@@ -347,7 +347,7 @@ func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, de
 // overlap idempotent. The invocation detaches, the engine's
 // commit loop batches this record with every other write in flight
 // (group commit), and the ack goes out when the covering fsync
-// returns. Detaching is what creates the batch: if the control thread
+// returns. Detaching is what creates the batch: if the serial section
 // blocked per write, the engine would only ever see one append at a
 // time and every write would pay a private fsync.
 func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
@@ -911,7 +911,7 @@ func (n *Node) install() {
 				SetInt("sources_ok", int64(srcOK)).
 				SetInt("sources", int64(len(sources)))
 		}
-		// Detach so the serial control thread is not held through a
+		// Detach so the daemon's serial section is not held through a
 		// bulk transfer; the semaphore above bounds the spawns.
 		finish, ok := ctx.Detach()
 		if !ok {

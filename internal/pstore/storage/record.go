@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Record is one durable write: the WAL's append unit and the
@@ -99,6 +100,11 @@ func decodePayload(p []byte) (Record, error) {
 		return Record{}, errCorruptRecord
 	}
 	flags := p[0]
+	if flags&^(flagDeleted|flagHLC) != 0 {
+		// A flag this version does not know may change the layout behind
+		// it: refuse the record rather than misparse it.
+		return Record{}, errCorruptRecord
+	}
 	version := binary.BigEndian.Uint64(p[1:])
 	pathLen := int(binary.BigEndian.Uint32(p[9:]))
 	if pathLen < 0 || 13+pathLen+4 > len(p) {
@@ -120,7 +126,11 @@ func decodePayload(p []byte) (Record, error) {
 	}
 	var hlc uint64
 	if tail != 0 {
-		hlc = binary.BigEndian.Uint64(p[off+4+valueLen:])
+		// encodeRecord writes the column only for a nonzero stamp, so a
+		// zero one is not a record it wrote.
+		if hlc = binary.BigEndian.Uint64(p[off+4+valueLen:]); hlc == 0 {
+			return Record{}, errCorruptRecord
+		}
 	}
 	return Record{
 		Path:    path,
@@ -146,8 +156,8 @@ func readRecord(r io.Reader) (Record, int64, error) {
 	if payloadLen > maxRecordSize {
 		return Record{}, 0, fmt.Errorf("%w: length prefix %d exceeds %d", errCorruptRecord, payloadLen, maxRecordSize)
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(payloadLen))
+	if err != nil {
 		return Record{}, 0, errTornRecord
 	}
 	size := int64(frameHeaderSize) + int64(payloadLen)
@@ -159,4 +169,24 @@ func readRecord(r io.Reader) (Record, int64, error) {
 		return Record{}, size, err
 	}
 	return rec, size, nil
+}
+
+// readPayload reads the n bytes a record header announced without
+// taking n, which may be flipped bits, as an allocation size: the
+// buffer starts at one page and doubles only as bytes arrive, so a
+// header promising 16 MiB in front of a torn tail costs a page, not
+// 16 MiB.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	p := make([]byte, 0, min(n, 4<<10))
+	for len(p) < n {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, min(n-len(p), len(p)))
+		}
+		m, err := io.ReadFull(r, p[len(p):min(n, cap(p))])
+		p = p[:len(p)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }

@@ -106,8 +106,8 @@ func loadSnapshot(fsys FS, path string) (lsn uint64, records []Record, err error
 		return 0, nil, fmt.Errorf("storage: snapshot %s: implausible record count %d", filepath.Base(path), count)
 	}
 	// Until the records behind it validate, count is just bytes that
-	// may be flipped: never trust it as an allocation size.
-	records = make([]Record, 0, min(count, 4096))
+	// may be flipped: never trust it as an allocation size. records
+	// grows only as records arrive.
 	for i := uint64(0); i < count; i++ {
 		rec, _, rerr := readRecord(f)
 		if rerr != nil {

@@ -148,7 +148,7 @@ func (w *wal) append(rec Record) error {
 // appendAsync enqueues rec and returns immediately; done fires with
 // the covering fsync's verdict. Returns false (done never fires) if
 // the log is closed. This is the non-blocking write path: callers
-// that hold a scarce thread (a daemon's control thread) enqueue and
+// that hold a scarce lock (a daemon's serial section) enqueue and
 // move on, and everything queued behind one fsync shares it.
 func (w *wal) appendAsync(rec Record, done func(error)) bool {
 	select {
