@@ -60,14 +60,17 @@ test-bench:
 # cannot hide behind one lucky pass, and the ones whose verdict rests on
 # how racing goroutines happened to interleave, under the race
 # detector: the daemon's serial section against concurrent connections,
-# the racing-writers test and the recorded-history checker.
+# the racing-writers test, the recorded-history checker and the read
+# hedged around a stalled replica.
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
 	$(GO) test -count=1000 -run 'TestHandlerErrorBecomesFail' ./internal/daemon/
 	$(GO) test -count=200 -run 'TestReplicaSiblingEvictionViaNotification' ./internal/asd/
+	$(GO) test -count=200 -run 'TestChaosPstoreQuorumFailsClosedWithoutMajority' ./internal/chaos/
 	$(GO) test -race -count=50 -run 'TestSerialSection' ./internal/daemon/
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
+	$(GO) test -race -count=50 -run 'TestStalledReplicaIsHedgedAroundAndPassedOver' ./internal/pstore/
 
 short:
 	$(GO) test -short ./...
@@ -80,7 +83,8 @@ bench:
 # and against the same cluster with one replica blackholed or dead,
 # recording the comparison in BENCH_pstore.json. Fails if a degraded
 # operation exceeds half the call timeout — i.e. if the slowest
-# replica is back to setting client-visible latency. Also measures a
+# replica is back to setting client-visible latency — or a degraded
+# Get exceeds twice the healthy one. Also measures a
 # fully durable cluster (every ack costs an fsync) plus single-node
 # recovery time, and fails if group commit stops amortizing fsyncs
 # across concurrent writers. The sharding half drives a keyed zipfian

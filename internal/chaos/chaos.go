@@ -156,10 +156,15 @@ func (p *Proxy) Close() {
 	p.wg.Wait()
 }
 
+// track registers a relayed connection so Partition and Close can kill
+// it. A relay accepted before Partition and still dialling its target
+// when Partition killed the tracked ones is refused here, under the
+// lock Partition set RefuseConns under, or it would carry traffic
+// across the partition.
 func (p *Proxy) track(c net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed || p.faults.RefuseConns {
 		return false
 	}
 	p.conns[c] = struct{}{}

@@ -12,9 +12,10 @@ import (
 // The store's reads are three methods, one per point on the
 // consistency spectrum:
 //
-//   - GetContext: query all replicas, decide at a majority, return
-//     the highest version. Linearizable with respect to committed
-//     quorum writes.
+//   - GetContext: ask a majority of the replicas — a spare more only
+//     when one fails or is slow — and return the highest version
+//     among a majority of answers. Linearizable with respect to
+//     committed quorum writes.
 //   - GetBoundedContext(Δ): serve from a single replica when a
 //     freshness lease — granted by a quorum round this client ran
 //     within the last Δ — proves the replica can be missing at most Δ

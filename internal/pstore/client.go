@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ace/internal/cmdlang"
@@ -86,6 +88,12 @@ type Client struct {
 	repairSem chan struct{}
 	bg        sync.WaitGroup
 
+	// next is the rotation a quorum read's first leg is taken from;
+	// passedOver holds, per replica, the instant (UnixNano) before which
+	// reads take it last (see passOver).
+	next       atomic.Uint32
+	passedOver []atomic.Int64
+
 	// clock is the client's hybrid logical clock, whose stamp is a
 	// write's version (stampedWrite).
 	// leases and ctl are the bounded-staleness read machinery: the
@@ -102,6 +110,7 @@ type Client struct {
 	mWriteLatency     *telemetry.Histogram
 	mWriteFullLatency *telemetry.Histogram
 	mReadStragglers   *telemetry.Counter
+	mReadHedges       *telemetry.Counter
 	mWriteStragglers  *telemetry.Counter
 	mWriteConflicts   *telemetry.Counter
 	mReadRepairs      *telemetry.Counter
@@ -128,6 +137,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		pool:              pool,
 		replicas:          append([]string(nil), replicas...),
 		repairSem:         make(chan struct{}, bound),
+		passedOver:        make([]atomic.Int64, len(replicas)),
 		clock:             hlc.New(nil, 0, tel),
 		ctl:               staleness.NewController(nil),
 		leases:            staleness.NewLeases(0, nil),
@@ -141,6 +151,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mWriteLatency:     tel.Histogram(MetricWriteLatency),
 		mWriteFullLatency: tel.Histogram(MetricWriteLatencyFull),
 		mReadStragglers:   tel.Counter(MetricReadStragglers),
+		mReadHedges:       tel.Counter(MetricReadHedges),
 		mWriteStragglers:  tel.Counter(MetricWriteStragglers),
 		mWriteConflicts:   tel.Counter(MetricWriteConflicts),
 		mReadRepairs:      tel.Counter(MetricReadRepairs),
@@ -200,39 +211,97 @@ type replicaReply struct {
 	err   error
 }
 
-// fanout is one in-flight streaming fan-out: replica results arrive
-// on the buffered channel in completion order, and every replica call
-// runs under its own child context so stragglers can be cancelled the
-// moment the quorum outcome is decided.
+// hedgeAfter is how long a quorum read waits on its first legs before
+// it launches a spare — the hedged request of Dean and Barroso's "The
+// Tail at Scale". It is about four times the p99 of a whole store
+// operation on a loaded two-CPU host, so a healthy replica is rarely
+// hedged around, while a stalled one costs a read this long instead of
+// a call timeout.
+const hedgeAfter = 2 * time.Millisecond
+
+// fanout is one in-flight streaming fan-out. Its legs run in order, one
+// per replica: a write or a list launches all of them at once, a read a
+// quorum's worth, and awaitQuorum launches the rest — the spares — only
+// when a leg fails or the read is still undecided after hedgeAfter.
+// Results arrive on the buffered channel in completion order, and every
+// leg runs under its own child context so stragglers can be cancelled
+// the moment the quorum outcome is decided.
 type fanout struct {
-	n       int
+	c       *Client
+	ctx     context.Context
+	fn      func(ctx context.Context, addr string) replicaReply
 	start   time.Time
+	order   []int                // replica indices, in launch order
+	cancels []context.CancelFunc // one per launched leg
 	results chan replicaReply
-	cancels []context.CancelFunc
 }
 
-// streamFanout launches fn against every replica. The results channel
-// is buffered for the full replica set, so replica goroutines never
-// block and never leak, whether or not anyone consumes the tail.
-func (c *Client) streamFanout(ctx context.Context, fn func(ctx context.Context, addr string) replicaReply) *fanout {
+// streamFanout starts fn over every replica and launches the first
+// `legs` legs. A fan-out that holds legs back is a read: it starts at
+// the next replica of the client's rotation, so reads spread evenly over
+// the replicas, and takes the ones currently passed over last. The
+// results channel is buffered for the full replica set, so leg
+// goroutines never block and never leak, whether or not anyone
+// consumes the tail.
+func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context.Context, addr string) replicaReply) *fanout {
+	n := len(c.replicas)
 	f := &fanout{
-		n:       len(c.replicas),
+		c:       c,
+		ctx:     ctx,
+		fn:      fn,
 		start:   time.Now(),
-		results: make(chan replicaReply, len(c.replicas)),
-		cancels: make([]context.CancelFunc, len(c.replicas)),
+		order:   make([]int, n),
+		cancels: make([]context.CancelFunc, 0, n),
+		results: make(chan replicaReply, n),
 	}
-	for i, addr := range c.replicas {
-		cctx, cancel := context.WithCancel(ctx)
-		f.cancels[i] = cancel
-		go func(i int, addr string, cctx context.Context) {
-			r := fn(cctx, addr)
-			r.idx = i
-			f.results <- r
-		}(i, addr, cctx)
+	first := 0
+	if legs < n {
+		first = int((c.next.Add(1) - 1) % uint32(n))
+	}
+	// Each mark is read once — legs elsewhere set and clear them
+	// meanwhile — and the replicas passed over fill the order from the
+	// back.
+	now := f.start.UnixNano()
+	front, back := 0, n
+	for k := range n {
+		i := (first + k) % n
+		if c.passedOver[i].Load() > now {
+			back--
+			f.order[back] = i
+		} else {
+			f.order[front] = i
+			front++
+		}
+	}
+	for range min(legs, n) {
+		f.launch()
 	}
 	return f
 }
 
+// launch starts the next leg in order.
+func (f *fanout) launch() {
+	i := f.order[len(f.cancels)]
+	cctx, cancel := context.WithCancel(f.ctx)
+	f.cancels = append(f.cancels, cancel)
+	go func() {
+		r := f.fn(cctx, f.c.replicas[i])
+		r.idx = i
+		f.c.noteLeg(i, r.err)
+		f.results <- r
+	}()
+}
+
+// spare launches up to k of the legs a read held back, each counted as
+// a hedge.
+func (f *fanout) spare(k int) {
+	for ; k > 0 && len(f.cancels) < len(f.order); k-- {
+		f.launch()
+		f.c.mReadHedges.Inc()
+	}
+}
+
+// cancelAll cancels every launched leg.
 func (f *fanout) cancelAll() {
 	for _, cancel := range f.cancels {
 		cancel()
@@ -243,26 +312,80 @@ func (f *fanout) cancelAll() {
 // `need` well-formed responses make a success, and failure is
 // declared as soon as so many replicas have failed that `need`
 // responses can no longer arrive — not after the last straggler rides
-// out its timeout. It returns every result consumed up to the
+// out its timeout. While legs are held back, a failed leg launches a
+// spare at once, and a fan-out still undecided after hedgeAfter passes
+// over the replicas it is waiting on and launches a spare for each
+// answer still missing. It returns every result consumed up to the
 // decision; the caller owns finishing the fan-out either way.
 func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
-	prefix := make([]replicaReply, 0, f.n)
+	n := len(f.order)
+	prefix := make([]replicaReply, 0, n)
 	responded, failed := 0, 0
-	for r := range f.results {
-		prefix = append(prefix, r)
-		if r.err != nil {
-			failed++
-			if failed > f.n-need {
-				return prefix, fmt.Errorf("pstore: %s failed: %d/%d replicas reachable", op, responded, f.n)
+	var hedge <-chan time.Time
+	if len(f.cancels) < n {
+		t := time.NewTimer(hedgeAfter)
+		defer t.Stop()
+		hedge = t.C
+	}
+	for {
+		select {
+		case r := <-f.results:
+			prefix = append(prefix, r)
+			if r.err == nil {
+				if responded++; responded >= need {
+					return prefix, nil
+				}
+				continue
 			}
-			continue
-		}
-		responded++
-		if responded >= need {
-			return prefix, nil
+			if failed++; failed > n-need {
+				return prefix, fmt.Errorf("pstore: %s failed: %d/%d replicas reachable", op, responded, n)
+			}
+			f.spare(1)
+		case <-hedge:
+			hedge = nil
+			for _, i := range f.order[:len(f.cancels)] {
+				if !slices.ContainsFunc(prefix, func(r replicaReply) bool { return r.idx == i }) {
+					f.c.passOver(i)
+				}
+			}
+			f.spare(need - responded)
 		}
 	}
-	return prefix, fmt.Errorf("pstore: %s failed: %d/%d replicas reachable", op, responded, f.n)
+}
+
+// passOver has quorum reads take replica i last for the pool's breaker
+// cool-down: a read was hedged around it, or a leg to it failed
+// without an answer. Nothing more permanent is needed: the next leg to
+// answer clears the mark (noteLeg), and writes still reach every
+// replica, so a recovered replica is back with the next write.
+func (c *Client) passOver(i int) {
+	c.passedOver[i].Store(time.Now().Add(daemon.DefaultBreakerCooldown).UnixNano())
+}
+
+// noteLeg updates replica i's pass-over mark from a finished leg. Any
+// answer clears it, a refusal included, since the replica is up; a leg
+// that got none — a transport failure, a timeout, a corrupt reply —
+// sets it. A leg the client cancelled says nothing about the replica.
+func (c *Client) noteLeg(i int, err error) {
+	switch {
+	case err == nil || answered(err):
+		// Most legs find no mark: reading first keeps them from all
+		// writing one shared word.
+		if c.passedOver[i].Load() != 0 {
+			c.passedOver[i].Store(0)
+		}
+	case !errors.Is(err, context.Canceled):
+		c.passOver(i)
+	}
+}
+
+// answered reports whether a failed leg's error is the replica's own
+// answer: a remote error or a refused write. It is a function of its
+// own so that only failed legs pay for the errors.As targets.
+func answered(err error) bool {
+	var remote *cmdlang.RemoteError
+	var refused *versionConflict
+	return errors.As(err, &remote) || errors.As(err, &refused)
 }
 
 // finish cancels the fan-out's stragglers and detaches a drain
@@ -273,7 +396,7 @@ func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
 // that made the quorum prefix. The drain is tracked by the client's
 // background WaitGroup, so Close can wait for it.
 func (c *Client) finish(f *fanout, consumed int, stragglers *telemetry.Counter, full *telemetry.Histogram, winner *Item, repairCtx context.Context) {
-	remaining := f.n - consumed
+	remaining := len(f.cancels) - consumed
 	f.cancelAll() // idempotent; also releases the child contexts of completed calls
 	if remaining == 0 {
 		full.Observe(time.Since(f.start))
@@ -323,9 +446,9 @@ func (c *Client) repairAsync(ctx context.Context, addr string, winner Item) {
 	}()
 }
 
-// Get performs a quorum read: it queries all replicas, requires a
-// majority of responses, and returns the highest-versioned live
-// value. It returns ok=false (with nil error) when a majority agrees
+// Get performs a quorum read: it asks a majority of the replicas,
+// more only when one fails or is slow, and returns the
+// highest-versioned live value among a majority of responses. It returns ok=false (with nil error) when a majority agrees
 // the path holds nothing. Replicas observed to lag behind the winning
 // version are read-repaired in the background, tightening the window
 // anti-entropy would otherwise close later.
@@ -341,13 +464,18 @@ func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err er
 // write commits only with majority acks, any majority of read
 // responses intersects the write majority of every committed write,
 // so the highest version among the first quorum of responses includes
-// the latest committed value. Stragglers are cancelled and drained in
-// the background — one blackholed replica no longer sets the latency
-// of every read.
+// the latest committed value. Any majority will do, so only a majority
+// is asked: the read starts at the next replica of the client's
+// rotation and takes the replicas currently passed over last. A leg
+// that fails launches a spare at once; a read still undecided after
+// hedgeAfter launches one too and passes over the replicas it was
+// waiting on for the pool's breaker cool-down. Legs still outstanding
+// at the decision are cancelled and drained in the background, so
+// neither a blackholed nor a dead replica sets the latency of reads.
 func (c *Client) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
-	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
+	f := c.streamFanout(ctx, c.Quorum(), func(cctx context.Context, addr string) replicaReply {
 		it, held, err := c.readReplica(cctx, addr, path)
 		return replicaReply{item: it, ok: held, err: err}
 	})
@@ -600,7 +728,7 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 		ts = c.clock.Now()
 	}
 	ctx = hlc.WithTimestamp(ctx, ts)
-	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
+	f := c.streamFanout(ctx, len(c.replicas), func(cctx context.Context, addr string) replicaReply {
 		reply, err := c.pool.CallContext(cctx, addr, cmd)
 		if err != nil {
 			return replicaReply{err: err}
@@ -648,7 +776,7 @@ func (c *Client) List(prefix string) ([]string, error) {
 // well-formed replies count as reachable: a replica answering
 // garbage is a failed replica, not an empty union member.
 func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, error) {
-	f := c.streamFanout(ctx, func(cctx context.Context, addr string) replicaReply {
+	f := c.streamFanout(ctx, len(c.replicas), func(cctx context.Context, addr string) replicaReply {
 		reply, err := c.pool.CallContext(cctx, addr, cmdlang.New("pslist").SetString("prefix", prefix))
 		if err != nil {
 			return replicaReply{err: err}
@@ -665,7 +793,7 @@ func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, erro
 	defer f.cancelAll()
 	set := map[string]bool{}
 	reachable := 0
-	for i := 0; i < f.n; i++ {
+	for range f.cancels {
 		r := <-f.results
 		if r.err != nil {
 			continue

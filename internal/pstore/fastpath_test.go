@@ -1,22 +1,25 @@
 package pstore
 
 // Unit tests for the streaming quorum fast-path: the winner is fixed
-// as soon as a majority has answered, stragglers are cancelled rather
-// than ridden to their timeout, malformed replicas (negative
-// versions, bogus list replies) are failures instead of quorum
-// members, and background read repair is bounded.
+// as soon as a majority has answered, a read asks only a majority and
+// launches a spare for a failed or stalled leg, stragglers are
+// cancelled rather than ridden to their timeout, malformed replicas
+// (negative versions, bogus list replies) are failures instead of
+// quorum members, and background read repair is bounded.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/telemetry"
+	"ace/internal/wire"
 )
 
 // startStallReplica runs a daemon speaking the replica protocol whose
@@ -61,8 +64,10 @@ func telemetryPool(t *testing.T, callTimeout time.Duration) (*daemon.Pool, *tele
 // TestFastPathDecidesBeforeStraggler: with two healthy replicas and
 // one that never answers, quorum Get and Put decide at the healthy
 // majority in a fraction of the call timeout, the stalled replica is
-// counted as a straggler, and its cancelled call does not keep Close
-// waiting for the timeout either.
+// counted as a write straggler, and its cancelled call does not keep
+// Close waiting for the timeout either. The read may not ask the
+// stalled replica at all; if it does, the read is hedged around it, so
+// either way it has exactly one straggler per hedge.
 func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	cluster, err := StartCluster(2, "", 0)
 	if err != nil {
@@ -99,8 +104,8 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if n := snap.Counter(MetricReadStragglers); n < 1 {
-		t.Errorf("read stragglers = %d, want >= 1", n)
+	if n, h := snap.Counter(MetricReadStragglers), snap.Counter(MetricReadHedges); n != h {
+		t.Errorf("read stragglers = %d, hedges = %d: a read asks a majority, so only a leg hedged around straggles", n, h)
 	}
 	if n := snap.Counter(MetricWriteStragglers); n < 1 {
 		t.Errorf("write stragglers = %d, want >= 1", n)
@@ -110,6 +115,211 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	}
 	if hp, ok := snap.Histogram(MetricWriteLatencyFull); !ok || hp.Count < 1 {
 		t.Errorf("full-fanout write latency not observed: %+v ok=%v", hp, ok)
+	}
+}
+
+// firstLegs returns the replicas the next quorum read of c asks before
+// any spare, advancing c's rotation as that read would.
+func firstLegs(c *Client) []string {
+	f := c.streamFanout(context.Background(), 0, nil)
+	var legs []string
+	for _, i := range f.order[:c.Quorum()] {
+		legs = append(legs, c.replicas[i])
+	}
+	return legs
+}
+
+// TestQuorumReadAsksAMajority: on a healthy cluster a quorum read sends
+// one psget to each of a majority of the replicas and no more, and the
+// client's rotation spreads its reads evenly over the replicas.
+func TestQuorumReadAsksAMajority(t *testing.T) {
+	cluster, err := StartCluster(3, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	pool, reg := telemetryPool(t, 5*time.Second)
+	client := NewClient(pool, cluster.Addrs())
+	defer client.Close()
+	v, err := client.Put("/majority/x", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.Close()      // the put's last leg has sent what it will
+	cluster.SyncRound() // every replica holds v, so no read repairs
+	psgets := func() []int64 {
+		served := make([]int64, len(cluster.Nodes))
+		for i, n := range cluster.Nodes {
+			served[i] = n.Telemetry().Histogram(daemon.MetricDispatchPrefix + "psget").Count()
+		}
+		return served
+	}
+
+	// Reads are counted in batches, and only batches no read of which
+	// hedged: on a loaded host a read now and then outlasts the hedge
+	// delay, asks a spare, and has the replica it waited on passed over,
+	// which is the mechanism working, not the rotation. Such a batch is
+	// dropped and the marks it left are cleared; a spare it cancelled
+	// after sending may still reach its replica during a later batch.
+	const batch, batches = 30, 10
+	served := make([]int64, len(cluster.Nodes))
+	var frames, dropped int64
+	for kept, tries := 0, 0; kept < batches; tries++ {
+		if tries == 10*batches {
+			t.Fatalf("%d of %d batches of %d reads on a healthy cluster hedged", tries-kept, tries, batch)
+		}
+		before, snap := psgets(), reg.Snapshot()
+		for i := 0; i < batch; i++ {
+			if _, ver, ok, err := client.Get("/majority/x"); err != nil || !ok || ver != v {
+				t.Fatalf("read %d: ver=%d ok=%v err=%v", i, ver, ok, err)
+			}
+		}
+		client.Close()
+		after := reg.Snapshot()
+		if hedges := after.Counter(MetricReadHedges) - snap.Counter(MetricReadHedges); hedges > 0 {
+			dropped += hedges
+			for i := range client.passedOver {
+				client.passedOver[i].Store(0)
+			}
+			continue
+		}
+		kept++
+		frames += after.Counter(wire.MetricFramesSent) - snap.Counter(wire.MetricFramesSent)
+		for i, n := range psgets() {
+			served[i] += n - before[i]
+		}
+	}
+
+	const reads = batch * batches
+	want := int64(reads * client.Quorum())
+	if frames != want {
+		t.Errorf("%d frames sent for %d reads, want %d", frames, reads, want)
+	}
+	var total int64
+	even := want / int64(len(cluster.Nodes))
+	for i, n := range served {
+		total += n
+		if n < even*8/10 || n > even*12/10 {
+			t.Errorf("replica %d served %d psgets, want %d ± 20%%", i, n, even)
+		}
+	}
+	if total < want || total > want+dropped {
+		t.Errorf("replicas served %d psgets for %d reads (%d spares dropped), want %d", total, reads, dropped, want)
+	}
+}
+
+// TestFailedLegLaunchesSpareAtOnce: a leg that fails launches the
+// spare straight away. Waiting for the hedge delay instead would put
+// hedgeAfter into every read that asks the failing replica.
+func TestFailedLegLaunchesSpareAtOnce(t *testing.T) {
+	cluster, err := StartCluster(2, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	pool, reg := telemetryPool(t, 5*time.Second)
+	seed := NewClient(pool, cluster.Addrs())
+	v, err := seed.Put("/spare/x", []byte("v")) // quorum 2 of 2: both hold it
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	var asked atomic.Int64
+	refuser := daemon.New(daemon.Config{Name: "refusing_replica"})
+	refuser.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
+		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			asked.Add(1)
+			return cmdlang.Fail(cmdlang.CodeUnavailable, "refusing"), nil
+		})
+	if err := refuser.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(refuser.Stop)
+	mixed := NewClient(pool, append(cluster.Addrs(), refuser.Addr()))
+	defer mixed.Close()
+
+	// The refusal is an answer, so the refuser is never passed over and
+	// stays in two of every three reads' first legs.
+	fastest, asking := time.Hour, 0
+	for i := 0; i < 60; i++ {
+		before := asked.Load()
+		start := time.Now()
+		_, ver, ok, err := mixed.Get("/spare/x")
+		elapsed := time.Since(start)
+		if err != nil || !ok || ver != v {
+			t.Fatalf("read %d: ver=%d ok=%v err=%v", i, ver, ok, err)
+		}
+		if asked.Load() > before {
+			asking++
+			fastest = min(fastest, elapsed)
+		}
+	}
+	if asking == 0 {
+		t.Fatal("no read asked the failing replica")
+	}
+	if fastest >= hedgeAfter {
+		t.Fatalf("all %d reads that asked the failing replica took %v or more (fastest %v): the spare waited for the hedge", asking, hedgeAfter, fastest)
+	}
+	if h := reg.Snapshot().Counter(MetricReadHedges); h < int64(asking) {
+		t.Fatalf("%d hedges for %d reads that met a failed leg", h, asking)
+	}
+}
+
+// TestStalledReplicaIsHedgedAroundAndPassedOver: a read whose first
+// legs include a replica that never answers is decided by a spare after
+// the hedge delay, far inside the call timeout, and the reads after it
+// take the stalled replica last instead of waiting on it again.
+func TestStalledReplicaIsHedgedAroundAndPassedOver(t *testing.T) {
+	cluster, err := StartCluster(2, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	const callTimeout = 5 * time.Second
+	pool, reg := telemetryPool(t, callTimeout)
+	seed := NewClient(pool, cluster.Addrs())
+	v, err := seed.Put("/hedge/x", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed.Close()
+
+	// A fresh client's first read starts at its first replica.
+	stall := startStallReplica(t)
+	mixed := NewClient(pool, append([]string{stall.Addr()}, cluster.Addrs()...))
+	defer mixed.Close()
+	start := time.Now()
+	if _, ver, ok, err := mixed.Get("/hedge/x"); err != nil || !ok || ver != v {
+		t.Fatalf("hedged read: ver=%d ok=%v err=%v", ver, ok, err)
+	}
+	if elapsed := time.Since(start); elapsed > callTimeout/10 {
+		t.Fatalf("read took %v with a stalled first leg (timeout %v): not hedged", elapsed, callTimeout)
+	}
+	if h := reg.Snapshot().Counter(MetricReadHedges); h != 1 {
+		t.Fatalf("%d hedges, want 1 for the stalled first leg", h)
+	}
+	marked := func(i int) bool { return mixed.passedOver[i].Load() > time.Now().UnixNano() }
+	if !marked(0) {
+		t.Fatal("the stalled replica was not passed over")
+	}
+	// On a host so loaded that a healthy first leg also outlasted the
+	// hedge delay, that replica is passed over too, and one of the two
+	// must be asked first.
+	for i := range mixed.replicas {
+		if legs := firstLegs(mixed); slices.Contains(legs, stall.Addr()) && !marked(1) && !marked(2) {
+			t.Fatalf("read %d after the hedge asks %v first: the stalled replica was not passed over", i, legs)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, ver, ok, err := mixed.Get("/hedge/x"); err != nil || !ok || ver != v {
+			t.Fatalf("read %d after the hedge: ver=%d ok=%v err=%v", i, ver, ok, err)
+		}
+	}
+	mixed.Close()
+	snap := reg.Snapshot()
+	if n, h := snap.Counter(MetricReadStragglers), snap.Counter(MetricReadHedges); n != h {
+		t.Fatalf("read stragglers = %d, hedges = %d: only a leg hedged around straggles", n, h)
 	}
 }
 

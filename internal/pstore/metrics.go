@@ -18,7 +18,13 @@ package pstore
 //
 // Straggler counters count replica calls that were still unresolved
 // when the quorum outcome was decided (and were therefore cancelled),
-// each round of a write under pstore.write.stragglers.
+// each round of a write under pstore.write.stragglers. A write asks
+// every replica, so its last leg is usually one. A read asks only a
+// majority and decides on the answers of all it asked, so a read
+// straggler is a leg that was hedged around: pstore.read.hedges counts
+// the spare legs a read launched — for a failed leg at once, for a slow
+// one after the hedge delay — and on a healthy cluster both stay near
+// zero. Their rate climbing is a replica failing or stalling.
 //
 // pstore.write.conflicts counts write rounds refused because replicas
 // held an equal or later version, each retried above it at the price
@@ -33,6 +39,7 @@ const (
 	MetricWriteLatency     = "pstore.write.latency"
 	MetricWriteLatencyFull = "pstore.write.latency_full"
 	MetricReadStragglers   = "pstore.read.stragglers"
+	MetricReadHedges       = "pstore.read.hedges"
 	MetricWriteStragglers  = "pstore.write.stragglers"
 	MetricWriteConflicts   = "pstore.write.conflicts"
 	MetricReadRepairs      = "pstore.read.repairs"

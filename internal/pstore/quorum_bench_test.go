@@ -11,7 +11,9 @@ package pstore
 // ACE_BENCH_PSTORE=1 and writes the comparison to BENCH_pstore.json
 // at the repo root. The degraded scenarios must stay under half the
 // call timeout — before the fast-path, a blackholed replica pinned
-// every operation to the full timeout. The plain test suite skips
+// every operation to the full timeout — and their Get within twice the
+// healthy Get, which a read that hedges around a sick replica without
+// passing it over cannot hold. The plain test suite skips
 // this so tier-1 runs stay fast and deterministic.
 
 import (
@@ -134,7 +136,7 @@ func TestBenchPstoreQuorum(t *testing.T) {
 	scenarios := []struct {
 		name    string
 		degrade func(b testing.TB, cluster *Cluster, addrs []string) []string
-		gated   bool // degraded scenarios must beat callTimeout/2
+		gated   bool // degraded scenarios must beat callTimeout/2 and 2x the healthy Get
 	}{
 		{name: "healthy"},
 		{
@@ -162,13 +164,14 @@ func TestBenchPstoreQuorum(t *testing.T) {
 
 	budget := float64(benchCallTimeout.Nanoseconds()) / 2
 	var reports []quorumBenchReport
-	var memPutConc float64
+	var memPutConc, healthyGet float64
 	for _, sc := range scenarios {
 		client := benchClient(t, sc.degrade)
 		getNs, putNs := runQuorumOps(t, client)
 		t.Logf("%-16s get %12.0f ns/op   put %12.0f ns/op", sc.name, getNs, putNs)
 		rep := quorumBenchReport{Scenario: sc.name, NsPerOpGet: getNs, NsPerOpPut: putNs}
 		if sc.name == "healthy" {
+			healthyGet = getNs
 			// Concurrent in-memory baseline for the durable gate below.
 			memPutConc = runConcurrentPuts(t, client)
 			rep.NsPerOpPutConc = memPutConc
@@ -178,6 +181,13 @@ func TestBenchPstoreQuorum(t *testing.T) {
 		if sc.gated {
 			if getNs > budget {
 				t.Errorf("%s: Get %.0f ns/op exceeds callTimeout/2 (%.0f ns) — straggler sets quorum latency", sc.name, getNs, budget)
+			}
+			// A read asks only a majority, so a replica it keeps meeting
+			// costs a hedge delay per read: far under the call timeout,
+			// many times a healthy read. Passing the replica over keeps
+			// the degraded read near the healthy one.
+			if getNs > 2*healthyGet {
+				t.Errorf("%s: Get %.0f ns/op exceeds 2x the healthy Get (%.0f ns/op) — reads keep waiting on the sick replica", sc.name, getNs, healthyGet)
 			}
 			if putNs > budget {
 				t.Errorf("%s: Put %.0f ns/op exceeds callTimeout/2 (%.0f ns) — straggler sets quorum latency", sc.name, putNs, budget)

@@ -85,6 +85,9 @@ func TestTracksAcrossDevices(t *testing.T) {
 		SetWord("location", "hawk")); err != nil {
 		t.Fatal(err)
 	}
+	// Two devices' notifications reach the tracker in no set order: the
+	// hawk sighting must be in before the iButton presses are made.
+	waitSightings(t, r.tracker, 1)
 	if _, err := r.pool.Call(r.ibutton.Addr(), cmdlang.New("press").
 		SetInt("serial", 888).SetWord("location", "eagle")); err != nil {
 		t.Fatal(err)
