@@ -60,8 +60,8 @@ test-bench:
 # cannot hide behind one lucky pass, and the ones whose verdict rests on
 # how racing goroutines happened to interleave, under the race
 # detector: the daemon's serial section against concurrent connections,
-# the racing-writers test, the recorded-history checker and the read
-# hedged around a stalled replica.
+# the racing-writers test, the recorded-history checker, the read hedged
+# around a stalled replica and the bounded read that skips it.
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
@@ -71,6 +71,7 @@ stability:
 	$(GO) test -race -count=50 -run 'TestSerialSection' ./internal/daemon/
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestStalledReplicaIsHedgedAroundAndPassedOver' ./internal/pstore/
+	$(GO) test -race -count=50 -run 'TestBoundedReadSkipsPassedOverHolder' ./internal/pstore/
 
 short:
 	$(GO) test -short ./...

@@ -296,14 +296,14 @@ func printPlacementStats(snap *telemetry.Snapshot) {
 // beyond the tolerance) and logical overflows. On a client pool: write
 // rounds refused for an equal or later version and retried above it
 // (steady growth means this client's clock runs behind its rivals'),
-// and the bounded read spectrum — hits vs quorum fallbacks, the AIMD
-// controller's current share, and staleness violations. Violations
-// must stay zero; every one was discarded (never served) and narrowed
-// the controller, so a nonzero count means a lease-holding replica
-// answered below the version a quorum proved it held — lost state, a
-// wiped disk, a split-brain replica — and bounded traffic has been
-// pushed back to the quorum path. Daemons without these metrics print
-// nothing here.
+// replica pass-overs (each one had reads take a stalled, failing or
+// state-losing replica last for a breaker cool-down — the client
+// avoiding a replica), and the bounded read spectrum — hits vs quorum
+// fallbacks and staleness violations. Violations must stay zero; every
+// one was discarded (never served), so a nonzero count means a
+// lease-holding replica answered below the version a quorum proved it
+// held — lost state, a wiped disk, a split-brain replica. Daemons
+// without these metrics print nothing here.
 func printConsistencySummary(snap *telemetry.Snapshot) {
 	clamps := snap.Counter(hlc.MetricSkewClamps)
 	overflows := snap.Counter(hlc.MetricOverflows)
@@ -313,13 +313,14 @@ func printConsistencySummary(snap *telemetry.Snapshot) {
 	if conflicts := snap.Counter(pstore.MetricWriteConflicts); conflicts != 0 {
 		fmt.Printf("  writes     conflicts=%d\n", conflicts)
 	}
+	if passovers := snap.Counter(pstore.MetricReadPassovers); passovers != 0 {
+		fmt.Printf("  reads      passovers=%d\n", passovers)
+	}
 	hits := snap.Counter(pstore.MetricBoundedHits)
 	falls := snap.Counter(pstore.MetricBoundedFallbacks)
 	if hits != 0 || falls != 0 {
-		fmt.Printf("  bounded    hits=%d fallbacks=%d share=%.3f violations=%d\n",
-			hits, falls,
-			float64(snap.Gauge(staleness.MetricShare))/1000,
-			snap.Counter(staleness.MetricViolations))
+		fmt.Printf("  bounded    hits=%d fallbacks=%d violations=%d\n",
+			hits, falls, snap.Counter(staleness.MetricViolations))
 	}
 }
 

@@ -68,8 +68,8 @@ func RunE10() (*Table, error) {
 			return res, getErr
 		}
 
-		// Bottleneck removal: many concurrent readers, each using
-		// GetAny spread over its own replica-ordered client.
+		// Bottleneck removal: many concurrent readers sharing the client,
+		// whose GetAny rotates over the replicas.
 		const readers = 32
 		const perReader = 300
 		before := make([]int64, len(cluster.Nodes))
@@ -81,21 +81,15 @@ func RunE10() (*Table, error) {
 		start := time.Now()
 		for r := 0; r < readers; r++ {
 			wg.Add(1)
-			go func(r int) {
+			go func() {
 				defer wg.Done()
-				// Rotate the replica list so readers spread out.
-				addrs := cluster.Addrs()
-				rot := append(addrs[r%len(addrs):], addrs[:r%len(addrs)]...)
-				p := daemon.NewPool(nil)
-				defer p.Close()
-				c := pstore.NewClient(p, rot)
 				for i := 0; i < perReader; i++ {
-					if _, _, _, err := c.GetAny(fmt.Sprintf("/e10/%03d", i%items)); err != nil {
+					if _, _, _, err := client.GetAny(fmt.Sprintf("/e10/%03d", i%items)); err != nil {
 						readErrs <- err
 						return
 					}
 				}
-			}(r)
+			}()
 		}
 		wg.Wait()
 		select {

@@ -77,7 +77,6 @@ const (
 	ReasonFairShare    = "fair_share"    // principal over its share
 	ReasonQueueFull    = "queue_full"    // shed under the LIFO-on-overload policy
 	ReasonQueueTimeout = "queue_timeout" // deadline expired while queued
-	ReasonConnLimit    = "conn_limit"    // connection cap reached
 )
 
 // RejectedError is an admission refusal: the request was never
@@ -429,7 +428,8 @@ func (c *Controller) hardCapLocked() int {
 // fairShareExceededLocked enforces per-principal fairness once the
 // data plane is at least half full: each active principal is entitled
 // to an equal share of the limit (at least one slot), so one noisy
-// client saturating the daemon cannot starve the rest.
+// client saturating the daemon cannot starve the rest. A principal
+// alone has nobody to starve: at the limit it queues like anyone else.
 func (c *Controller) fairShareExceededLocked(principal string) bool {
 	limit := c.aimd.Limit()
 	if c.inflight*2 < limit {
@@ -438,6 +438,9 @@ func (c *Controller) fairShareExceededLocked(principal string) bool {
 	active := len(c.perPrincipal)
 	if c.perPrincipal[principal] == 0 {
 		active++ // this principal is about to become active
+	}
+	if active == 1 {
+		return false
 	}
 	share := limit / active
 	if share < 1 {

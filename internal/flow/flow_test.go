@@ -151,6 +151,32 @@ func TestQueueAdmitsWhenSlotFrees(t *testing.T) {
 	}
 }
 
+// A principal alone at the limit queues instead of being shed for its
+// fair share: there is nobody it could starve. Every plaintext
+// connection is the one principal "anonymous", so this is the
+// data-plane queue of every plaintext deployment.
+func TestLonePrincipalQueuesAtLimit(t *testing.T) {
+	c := pinned(1, 8, 5*time.Second)
+	first, err := c.Admit(context.Background(), Data, "anonymous")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		tk, err := c.Admit(context.Background(), Data, "anonymous")
+		tk.Done()
+		got <- err
+	}()
+	waitForQueueDepth(t, c, 1)
+	first.Done()
+	if err := <-got; err != nil {
+		t.Fatalf("the queued admit of a lone principal should succeed once the slot frees: %v", err)
+	}
+	if s := c.Snapshot(); s.ShedData != 0 || s.AdmittedData != 2 {
+		t.Fatalf("lone principal at the limit: %+v, want 2 admitted and none shed", s)
+	}
+}
+
 func TestQueueTimeout(t *testing.T) {
 	c := pinned(1, 8, 30*time.Millisecond)
 	first, err := c.Admit(context.Background(), Data, "a")

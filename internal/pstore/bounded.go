@@ -2,7 +2,6 @@ package pstore
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"time"
 
@@ -10,7 +9,9 @@ import (
 )
 
 // The store's reads are three methods, one per point on the
-// consistency spectrum:
+// consistency spectrum, and all three take replicas in one order: the
+// client's rotation — or, for a bounded read, the lease's holders —
+// with the replicas currently passed over last (see passOver):
 //
 //   - GetContext: ask a majority of the replicas — a spare more only
 //     when one fails or is slow — and return the highest version
@@ -24,13 +25,8 @@ import (
 //     under arbitrary replica clock skew. The cheap path for
 //     directory resolves, placement lookups, and sensor/room state
 //     that tolerate bounded lag.
-//   - GetAny: first reachable replica, best effort, no bound. May
-//     return stale data during synchronization windows.
-
-// Staleness returns the AIMD controller gating the bounded path.
-// Shared by all group clients of a sharded deployment; exposed for
-// inspection (stats, tests).
-func (c *Client) Staleness() *staleness.Controller { return c.ctl }
+//   - GetAny: one replica's answer, best effort, no bound. May return
+//     stale data during synchronization windows.
 
 // Leases returns the client's freshness-lease table — the proof
 // bounded reads rely on. Shared by all group clients of a sharded
@@ -47,43 +43,37 @@ func (c *Client) Leases() *staleness.Leases { return c.leases }
 // readings of this process's own clock: the bound holds under
 // arbitrary replica clock skew, for any Δ.
 //
-// The lease alone decides eligibility. Two things still send an
-// eligible read to the quorum path (conservative, never wrong): no
-// live lease for the path names a replica this client serves, or the
-// AIMD controller withholds its share after recent trouble.
+// The lease alone decides eligibility: with no live lease for the
+// path naming a replica this client serves, the read goes to the
+// quorum path (conservative, never wrong). Otherwise it asks one
+// holder, the first in the lease's order that is not passed over, and
+// its leg marks or clears that replica like any quorum leg.
 //
 // A violation is a version regression: a lease holder answering
 // below the quorum-validated version means the replica lost state
 // (or the lease lied). The reply is discarded — counted, never
-// served — the lease is dropped, and the read re-runs as a quorum.
-// Misses, redirects, and transport errors take the quorum fallback
-// too, and that quorum round's new lease lists only replicas that
-// answered it: the bound is only ever claimed when it is proven.
+// served — the lease is dropped, the replica is passed over, and the
+// read re-runs as a quorum. Misses, redirects, and transport errors
+// take the quorum fallback too, and that quorum round's new lease
+// lists only replicas that answered it: the bound is only ever claimed
+// when it is proven.
 func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	fallback := func() ([]byte, uint64, bool, error) {
 		c.mBoundedFallbacks.Inc()
-		c.mStaleShare.Set(int64(c.ctl.Share() * 1000))
 		return c.GetContext(ctx, path)
 	}
 	leaseVer, grantedAt, holders, live := c.leases.Holders(path, bound)
 	if !live {
 		return fallback()
 	}
-	// Holders are recorded in the reply-arrival order of the proving
-	// quorum round, so the first is that round's fastest responder. A
-	// sharded router shares the lease table across group clients, and
-	// a rebalance can record holders outside this client's group; only
-	// replicas this client serves are candidates. Admission is checked
-	// after eligibility so a fallback with no candidate never debits
-	// the AIMD share.
-	addr, eligible := c.firstServed(holders)
-	if !eligible || !c.ctl.Allow() {
+	i, eligible := c.firstServed(holders)
+	if !eligible {
 		return fallback()
 	}
-	it, held, callErr := c.readReplica(ctx, addr, path)
+	it, held, callErr := c.readReplica(ctx, c.replicas[i], path)
+	c.noteLeg(i, callErr)
 	if callErr != nil {
-		c.ctl.Redirect()
 		return fallback()
 	}
 	if !held || it.Deleted {
@@ -98,7 +88,7 @@ func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.
 		// replica no longer holds what a quorum proved it held. Discard
 		// the reply — it is never served.
 		c.mStaleViolations.Inc()
-		c.ctl.Violation()
+		c.passOver(i)
 		c.leases.Drop(path)
 		return fallback()
 	}
@@ -108,40 +98,50 @@ func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.
 		// observed — just an unproven answer.
 		return fallback()
 	}
-	c.ctl.Success()
 	c.mBoundedHits.Inc()
 	c.mBoundedLatency.Observe(time.Since(start))
-	c.mStaleShare.Set(int64(c.ctl.Share() * 1000))
 	return it.Value, it.Version, true, nil
 }
 
-// firstServed returns the first of holders that is one of this
-// client's replicas.
-func (c *Client) firstServed(holders []string) (string, bool) {
+// firstServed returns the index of the first of holders — recorded in
+// the proving round's reply-arrival order — that is one of this
+// client's replicas (a rebalance can record holders of another group
+// in a shared lease table), taking passed-over holders last but never
+// excluding them.
+func (c *Client) firstServed(holders []string) (int, bool) {
+	now := time.Now().UnixNano()
+	first := -1
 	for _, h := range holders {
-		if slices.Contains(c.replicas, h) {
-			return h, true
+		i := slices.Index(c.replicas, h)
+		if i >= 0 && c.passedOver[i].Load() <= now {
+			return i, true
+		}
+		if i >= 0 && first < 0 {
+			first = i
 		}
 	}
-	return "", false
+	return first, first >= 0
 }
 
-// GetAny reads from the first reachable replica without waiting for a
-// quorum — the paper's bottleneck-removal read path, which may return
-// slightly stale data during synchronization windows. A not-found
-// answer from any replica is final.
+// GetAny reads from one replica without waiting for a quorum — the
+// paper's bottleneck-removal read path, which may return slightly
+// stale data during synchronization windows. It is a one-leg read on
+// the quorum read's fan-out, so it takes replicas in the same order: a
+// failed leg launches a spare at once, and a slow one after
+// hedgeAfter. A not-found answer from the replica that answers is
+// final.
 func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
-	var lastErr error
-	for _, addr := range c.replicas {
-		it, held, callErr := c.readReplica(context.Background(), addr, path)
-		switch {
-		case callErr != nil:
-			lastErr = callErr // unreachable or corrupt: try the next one
-		case !held || it.Deleted:
-			return nil, 0, false, nil
-		default:
-			return it.Value, it.Version, true, nil
-		}
+	ctx := context.Background()
+	f := c.streamFanout(ctx, 1, c.readLeg(path))
+	prefix, err := f.awaitQuorum(1, "any read")
+	c.mReadLatency.Observe(time.Since(f.start))
+	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, ctx)
+	if err != nil {
+		return nil, 0, false, err
 	}
-	return nil, 0, false, fmt.Errorf("pstore: no replica reachable: %w", lastErr)
+	// awaitQuorum returns at the one answer it needs.
+	if r := prefix[len(prefix)-1]; r.ok && !r.item.Deleted {
+		return r.item.Value, r.item.Version, true, nil
+	}
+	return nil, 0, false, nil
 }

@@ -88,21 +88,17 @@ type Client struct {
 	repairSem chan struct{}
 	bg        sync.WaitGroup
 
-	// next is the rotation a quorum read's first leg is taken from;
+	// next is the rotation a read's first leg is taken from;
 	// passedOver holds, per replica, the instant (UnixNano) before which
 	// reads take it last (see passOver).
 	next       atomic.Uint32
 	passedOver []atomic.Int64
 
 	// clock is the client's hybrid logical clock, whose stamp is a
-	// write's version (stampedWrite).
-	// leases and ctl are the bounded-staleness read machinery: the
-	// per-path freshness-lease table holding the proof bounded reads
-	// rely on, and the AIMD valve deciding how much lease-proven
-	// traffic may leave the quorum path. A sharded deployment shares
-	// one set across its group clients.
+	// write's version (stampedWrite). leases is the per-path
+	// freshness-lease table holding the proof bounded reads rely on. A
+	// sharded deployment shares both across its group clients.
 	clock  *hlc.Clock
-	ctl    *staleness.Controller
 	leases *staleness.Leases
 
 	mReadLatency      *telemetry.Histogram
@@ -111,6 +107,7 @@ type Client struct {
 	mWriteFullLatency *telemetry.Histogram
 	mReadStragglers   *telemetry.Counter
 	mReadHedges       *telemetry.Counter
+	mReadPassovers    *telemetry.Counter
 	mWriteStragglers  *telemetry.Counter
 	mWriteConflicts   *telemetry.Counter
 	mReadRepairs      *telemetry.Counter
@@ -120,7 +117,6 @@ type Client struct {
 	mBoundedFallbacks *telemetry.Counter
 	mBoundedLatency   *telemetry.Histogram
 	mStaleViolations  *telemetry.Counter
-	mStaleShare       *telemetry.Gauge
 }
 
 // NewClient builds a client over the given replica addresses,
@@ -139,19 +135,18 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		repairSem:         make(chan struct{}, bound),
 		passedOver:        make([]atomic.Int64, len(replicas)),
 		clock:             hlc.New(nil, 0, tel),
-		ctl:               staleness.NewController(nil),
 		leases:            staleness.NewLeases(0, nil),
 		mBoundedHits:      tel.Counter(MetricBoundedHits),
 		mBoundedFallbacks: tel.Counter(MetricBoundedFallbacks),
 		mBoundedLatency:   tel.Histogram(MetricBoundedLatency),
 		mStaleViolations:  tel.Counter(staleness.MetricViolations),
-		mStaleShare:       tel.Gauge(staleness.MetricShare),
 		mReadLatency:      tel.Histogram(MetricReadLatency),
 		mReadFullLatency:  tel.Histogram(MetricReadLatencyFull),
 		mWriteLatency:     tel.Histogram(MetricWriteLatency),
 		mWriteFullLatency: tel.Histogram(MetricWriteLatencyFull),
 		mReadStragglers:   tel.Counter(MetricReadStragglers),
 		mReadHedges:       tel.Counter(MetricReadHedges),
+		mReadPassovers:    tel.Counter(MetricReadPassovers),
 		mWriteStragglers:  tel.Counter(MetricWriteStragglers),
 		mWriteConflicts:   tel.Counter(MetricWriteConflicts),
 		mReadRepairs:      tel.Counter(MetricReadRepairs),
@@ -199,9 +194,6 @@ func (c *Client) Close() { c.bg.Wait() }
 // Quorum returns the majority size for the configured replica set.
 func (c *Client) Quorum() int { return len(c.replicas)/2 + 1 }
 
-// Replicas returns the configured replica addresses.
-func (c *Client) Replicas() []string { return append([]string(nil), c.replicas...) }
-
 // replicaReply is one replica's contribution to a streaming fan-out.
 type replicaReply struct {
 	idx   int
@@ -220,9 +212,10 @@ type replicaReply struct {
 const hedgeAfter = 2 * time.Millisecond
 
 // fanout is one in-flight streaming fan-out. Its legs run in order, one
-// per replica: a write or a list launches all of them at once, a read a
-// quorum's worth, and awaitQuorum launches the rest — the spares — only
-// when a leg fails or the read is still undecided after hedgeAfter.
+// per replica: a write or a list launches all of them at once, a quorum
+// read a quorum's worth, an any-replica read one, and awaitQuorum
+// launches the rest — the spares — only when a leg fails or the read is
+// still undecided after hedgeAfter.
 // Results arrive on the buffered channel in completion order, and every
 // leg runs under its own child context so stragglers can be cancelled
 // the moment the quorum outcome is decided.
@@ -353,13 +346,16 @@ func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
 	}
 }
 
-// passOver has quorum reads take replica i last for the pool's breaker
-// cool-down: a read was hedged around it, or a leg to it failed
-// without an answer. Nothing more permanent is needed: the next leg to
-// answer clears the mark (noteLeg), and writes still reach every
-// replica, so a recovered replica is back with the next write.
+// passOver has every read — quorum, bounded and any-replica — take
+// replica i last for the pool's breaker cool-down: a read was hedged
+// around it, a leg to it failed without an answer, or, as a lease
+// holder, it answered below the version a quorum proved it held.
+// Nothing more permanent is needed: the next leg to answer clears the
+// mark (noteLeg), and writes still reach every replica, so a recovered
+// replica is back with the next write.
 func (c *Client) passOver(i int) {
 	c.passedOver[i].Store(time.Now().Add(daemon.DefaultBreakerCooldown).UnixNano())
+	c.mReadPassovers.Inc()
 }
 
 // noteLeg updates replica i's pass-over mark from a finished leg. Any
@@ -475,10 +471,7 @@ func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err er
 func (c *Client) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
-	f := c.streamFanout(ctx, c.Quorum(), func(cctx context.Context, addr string) replicaReply {
-		it, held, err := c.readReplica(cctx, addr, path)
-		return replicaReply{item: it, ok: held, err: err}
-	})
+	f := c.streamFanout(ctx, c.Quorum(), c.readLeg(path))
 	// Repairs keep the caller's span context but not its cancellation —
 	// they should finish (and be traced) even when the caller returns
 	// immediately.
@@ -525,6 +518,15 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	// may serve them for the next Δ.
 	c.leases.Grant(path, best.Version, holders, start)
 	return best.Value, best.Version, true, nil
+}
+
+// readLeg is the fan-out leg of every multi-replica read: readReplica
+// of path on the leg's replica.
+func (c *Client) readLeg(path string) func(ctx context.Context, addr string) replicaReply {
+	return func(ctx context.Context, addr string) replicaReply {
+		it, held, err := c.readReplica(ctx, addr, path)
+		return replicaReply{item: it, ok: held, err: err}
+	}
 }
 
 // readReplica asks one replica for the item it holds at path, a

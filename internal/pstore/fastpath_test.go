@@ -147,6 +147,26 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 	}
 	client.Close()      // the put's last leg has sent what it will
 	cluster.SyncRound() // every replica holds v, so no read repairs
+	checkReadSpread(t, cluster, client, reg, client.Quorum(), func() error {
+		if _, ver, ok, err := client.Get("/majority/x"); err != nil || !ok || ver != v {
+			return fmt.Errorf("ver=%d ok=%v err=%v", ver, ok, err)
+		}
+		return nil
+	})
+}
+
+// checkReadSpread runs 300 reads through client on a healthy cluster
+// that holds what they read, and checks that each sends exactly legs
+// psget frames and that the replicas serve them evenly, each within
+// ± 20 % of its share. Reads are counted in batches, and only batches
+// no read of which hedged: on a loaded host a read now and then
+// outlasts the hedge delay, asks a spare, and has the replica it
+// waited on passed over, which is the mechanism working, not the
+// rotation. Such a batch is dropped and the marks it left are cleared;
+// a spare it cancelled after sending may still reach its replica
+// during a later batch.
+func checkReadSpread(t *testing.T, cluster *Cluster, client *Client, reg *telemetry.Registry, legs int, read func() error) {
+	t.Helper()
 	psgets := func() []int64 {
 		served := make([]int64, len(cluster.Nodes))
 		for i, n := range cluster.Nodes {
@@ -154,13 +174,6 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 		}
 		return served
 	}
-
-	// Reads are counted in batches, and only batches no read of which
-	// hedged: on a loaded host a read now and then outlasts the hedge
-	// delay, asks a spare, and has the replica it waited on passed over,
-	// which is the mechanism working, not the rotation. Such a batch is
-	// dropped and the marks it left are cleared; a spare it cancelled
-	// after sending may still reach its replica during a later batch.
 	const batch, batches = 30, 10
 	served := make([]int64, len(cluster.Nodes))
 	var frames, dropped int64
@@ -170,8 +183,8 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 		}
 		before, snap := psgets(), reg.Snapshot()
 		for i := 0; i < batch; i++ {
-			if _, ver, ok, err := client.Get("/majority/x"); err != nil || !ok || ver != v {
-				t.Fatalf("read %d: ver=%d ok=%v err=%v", i, ver, ok, err)
+			if err := read(); err != nil {
+				t.Fatalf("read %d: %v", i, err)
 			}
 		}
 		client.Close()
@@ -191,7 +204,7 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 	}
 
 	const reads = batch * batches
-	want := int64(reads * client.Quorum())
+	want := int64(reads * legs)
 	if frames != want {
 		t.Errorf("%d frames sent for %d reads, want %d", frames, reads, want)
 	}
@@ -371,13 +384,17 @@ func TestNegativeVersionIsCorruptReplica(t *testing.T) {
 	if err != nil || !ok || ver != v1 || !bytes.Equal(got, []byte("truth")) {
 		t.Fatalf("negative-version replica skewed the read: got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
 	}
-	// GetAny walks past the rogue instead of returning the wrapped
-	// version (the rogue is listed first here).
+	// A fresh client's first GetAny asks the rogue (listed first here):
+	// its failed leg launches a spare instead of returning the wrapped
+	// version, and passes the rogue over for the reads after it.
 	any := NewClient(pool, append([]string{rogue.Addr()}, cluster.Addrs()...))
 	defer any.Close()
 	got, ver, ok, err = any.GetAny("/neg/x")
 	if err != nil || !ok || ver != v1 || !bytes.Equal(got, []byte("truth")) {
 		t.Fatalf("GetAny trusted a negative version: got=%q ver=%d ok=%v err=%v", got, ver, ok, err)
+	}
+	if any.passedOver[0].Load() <= time.Now().UnixNano() {
+		t.Fatal("GetAny did not pass the corrupt replica over")
 	}
 }
 

@@ -26,6 +26,12 @@ package pstore
 // one after the hedge delay — and on a healthy cluster both stay near
 // zero. Their rate climbing is a replica failing or stalling.
 //
+// pstore.read.passovers counts the marks that have every read — quorum,
+// bounded and any-replica — take a replica last for the breaker
+// cool-down: a read hedged around it, a leg to it failed without an
+// answer, or it answered a bounded read below its lease. It climbing
+// is the client avoiding a replica.
+//
 // pstore.write.conflicts counts write rounds refused because replicas
 // held an equal or later version, each retried above it at the price
 // of one more round: two writers in one millisecond, or — at a steady
@@ -40,6 +46,7 @@ const (
 	MetricWriteLatencyFull = "pstore.write.latency_full"
 	MetricReadStragglers   = "pstore.read.stragglers"
 	MetricReadHedges       = "pstore.read.hedges"
+	MetricReadPassovers    = "pstore.read.passovers"
 	MetricWriteStragglers  = "pstore.write.stragglers"
 	MetricWriteConflicts   = "pstore.write.conflicts"
 	MetricReadRepairs      = "pstore.read.repairs"
@@ -73,9 +80,8 @@ const (
 // the pool the Client dials through. A bounded GET resolves exactly
 // one of three ways: hit (served from one lease-holding replica with
 // the bound proven), fallback (the bound could not be proven — no
-// live freshness lease for the path, controller narrowed, transport
-// error, miss, or lease expiry mid-flight — so the read re-ran as a
-// quorum), or violation
+// live freshness lease for the path, transport error, miss, or lease
+// expiry mid-flight — so the read re-ran as a quorum), or violation
 // (a lease holder answered a version below the one a quorum proved
 // it held; the reply was discarded and the read re-ran as a quorum,
 // so a violation never reaches the caller). The node-side

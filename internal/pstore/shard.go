@@ -43,13 +43,10 @@ type Sharded struct {
 	clients map[string]*Client
 	retired []*Client
 
-	// One clock, AIMD controller, and lease table span every group
-	// client the router ever builds, so trouble seen under one
-	// placement epoch keeps narrowing bounded reads after a rebalance.
-	// Leases alone are reset on an epoch change — a holder set
+	// One clock and one lease table span every group client the router
+	// ever builds. Leases are reset on an epoch change — a holder set
 	// recorded under the old map may no longer serve the path.
 	clock  *hlc.Clock
-	ctl    *staleness.Controller
 	leases *staleness.Leases
 
 	mRedirects  *telemetry.Counter
@@ -65,7 +62,6 @@ func NewSharded(pool *daemon.Pool, cache *placement.Cache) *Sharded {
 		cache:       cache,
 		clients:     make(map[string]*Client),
 		clock:       hlc.New(nil, 0, tel),
-		ctl:         staleness.NewController(nil),
 		leases:      staleness.NewLeases(0, nil),
 		mRedirects:  tel.Counter(placement.MetricRedirects),
 		mDualWrites: tel.Counter(placement.MetricDualWrites),
@@ -110,7 +106,7 @@ func (s *Sharded) client(m *placement.Map, gi int) *Client {
 	if !ok {
 		cl = NewGroupClient(s.pool, g.Replicas, m.Epoch)
 		// Share the router-wide staleness machinery (see the field doc).
-		cl.clock, cl.ctl, cl.leases = s.clock, s.ctl, s.leases
+		cl.clock, cl.leases = s.clock, s.leases
 		s.clients[g.Name] = cl
 	}
 	return cl
@@ -180,14 +176,6 @@ func (s *Sharded) GetBoundedContext(ctx context.Context, path string, bound time
 	})
 	return value, version, ok, err
 }
-
-// Staleness returns the router-wide AIMD controller shared by every
-// group client (for stats and tests).
-func (s *Sharded) Staleness() *staleness.Controller { return s.ctl }
-
-// Leases returns the router-wide freshness-lease table shared by
-// every group client (for stats and tests).
-func (s *Sharded) Leases() *staleness.Leases { return s.leases }
 
 // PutContext quorum-writes value at path. If the partition is moving,
 // the write dual-applies: it is stamped once and that version is
