@@ -3,15 +3,15 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call experiments examples fuzz fmt vet lint lint-docs loc clean
+.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call experiments examples fuzz fmt fmt-check vet lint lint-docs loc clean
 
 all: build vet test
 
-# The full pre-merge gate: build, vet, the ACE-specific analyzers,
-# plain tests, race-enabled tests, the deterministic chaos suite, the
-# benchmark module's own vet and tests, and the repeat-run stability
-# step.
-check: build vet lint test test-race chaos test-bench stability
+# The full pre-merge gate: build, formatting, vet, the ACE-specific
+# analyzers, plain tests, race-enabled tests, the deterministic chaos
+# suite, the benchmark module's own vet and tests, and the repeat-run
+# stability step.
+check: build fmt-check vet lint test test-race chaos test-bench stability
 
 build:
 	$(GO) build ./...
@@ -150,6 +150,10 @@ fuzz:
 
 fmt:
 	gofmt -w .
+
+# Fails, naming them, when any Go file is not as gofmt writes it.
+fmt-check:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "not gofmt-formatted (run make fmt):"; echo "$$files"; exit 1; fi
 
 # The one size figure simplicity changes report: lines of Go that ship,
 # leaving out tests, analyzer testdata and the benchmark module.

@@ -291,11 +291,12 @@ func printPlacementStats(snap *telemetry.Snapshot) {
 }
 
 // printConsistencySummary condenses the hlc/staleness/bounded-read
-// metrics into a consistency-at-a-glance block. On a store node: the
-// clock's skew clamps (nonzero means a peer or client is running fast
-// beyond the tolerance) and logical overflows. On a client pool: write
-// rounds refused for an equal or later version and retried above it
-// (steady growth means this client's clock runs behind its rivals'),
+// metrics into a consistency-at-a-glance block, all of it from a
+// store client's pool: the write clock's skew clamps (nonzero means a
+// replica reported a version from a clock running fast beyond the
+// tolerance) and logical overflows, write rounds refused for an equal
+// or later version and retried above it (steady growth means this
+// client's clock runs behind its rivals'),
 // replica pass-overs (each one had reads take a stalled, failing or
 // state-losing replica last for a breaker cool-down — the client
 // avoiding a replica), and the bounded read spectrum — hits vs quorum

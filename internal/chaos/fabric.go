@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Fabric manages a set of named proxies fronting the daemons of one
@@ -17,7 +16,6 @@ type Fabric struct {
 	mu      sync.Mutex
 	proxies map[string]*Proxy
 	groups  map[string][]string
-	skews   map[string]time.Duration
 	n       int64
 }
 
@@ -28,7 +26,6 @@ func NewFabric(seed int64) *Fabric {
 		seed:    seed,
 		proxies: make(map[string]*Proxy),
 		groups:  make(map[string][]string),
-		skews:   make(map[string]time.Duration),
 	}
 }
 
@@ -125,38 +122,6 @@ func (f *Fabric) PartitionGroup(group string) {
 // HealGroup clears all faults on every proxy of the named group.
 func (f *Fabric) HealGroup(group string) {
 	f.Heal(f.Group(group)...)
-}
-
-// SetClockSkew sets the named node's wall-clock offset — the
-// clock-skew fault. It takes effect on the node's next clock read via
-// the WallClock source built for it; offset 0 heals the skew. Skews
-// are keyed by node name and independent of the proxies, so a node
-// can be skewed without being fronted.
-func (f *Fabric) SetClockSkew(name string, offset time.Duration) {
-	f.mu.Lock()
-	if offset == 0 {
-		delete(f.skews, name)
-	} else {
-		f.skews[name] = offset
-	}
-	f.mu.Unlock()
-}
-
-// ClockSkew returns the named node's current wall-clock offset.
-func (f *Fabric) ClockSkew(name string) time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.skews[name]
-}
-
-// WallClock builds the named node's time source: base shifted by the
-// node's skew, re-read on every call so SetClockSkew takes effect on
-// a running node. Feed it to the node's injectable clock (e.g.
-// pstore.Config.WallClock) with base = time.Now.
-func (f *Fabric) WallClock(name string, base func() time.Time) func() time.Time {
-	return func() time.Time {
-		return base().Add(f.ClockSkew(name))
-	}
 }
 
 // SetGroupFaults applies the same fault set to every proxy of the

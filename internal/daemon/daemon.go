@@ -35,7 +35,6 @@ import (
 
 	"ace/internal/cmdlang"
 	"ace/internal/flow"
-	"ace/internal/hlc"
 	"ace/internal/telemetry"
 	"ace/internal/wire"
 )
@@ -84,11 +83,6 @@ type Ctx struct {
 	// downstream services should pass TraceContext() so the remote
 	// spans join the same trace.
 	Trace telemetry.SpanContext
-	// HLC is the hybrid-logical-clock timestamp the command arrived
-	// under (zero when the caller sent none). Pstore nodes use it to
-	// stamp writes so every replica applies the same client-assigned
-	// timestamp.
-	HLC hlc.Timestamp
 
 	// inv is the enclosing invocation while the serial section has it
 	// armed for Detach; nil otherwise (ExecuteLocal, a Ctx built by the
@@ -194,9 +188,6 @@ type Config struct {
 	// takes flow.Config defaults, which are generous enough that an
 	// unloaded daemon never notices the controller.
 	Flow *flow.Config
-	// DisableFlow turns admission control off entirely (benchmarks and
-	// tests of the unprotected path).
-	DisableFlow bool
 	// ControlVerbs names additional commands classified as
 	// control-plane for admission: they are admitted into reserved
 	// headroom and bypass the rate limiter and fair-share accounting.
@@ -247,8 +238,7 @@ type Daemon struct {
 	serial   sync.Mutex // the §2.1 control thread; see execute
 
 	// flow is the admission controller guarding the accept loop and
-	// dispatch path; nil when Config.DisableFlow is set (a nil
-	// controller admits everything).
+	// dispatch path.
 	flow *flow.Controller
 	// asdAddrs is the deduplicated directory replica list (ASDAddr
 	// first); asdPreferred indexes the replica that last answered, so
@@ -356,13 +346,11 @@ func New(cfg Config) *Daemon {
 		deregErrs:     tel.Counter(MetricDeregErrors),
 		connsActive:   tel.Gauge(MetricConnsActive),
 	}
-	if !cfg.DisableFlow {
-		fc := flow.Config{}
-		if cfg.Flow != nil {
-			fc = *cfg.Flow
-		}
-		d.flow = flow.NewController(fc, tel)
+	fc := flow.Config{}
+	if cfg.Flow != nil {
+		fc = *cfg.Flow
 	}
+	d.flow = flow.NewController(fc, tel)
 	seen := map[string]bool{}
 	for _, addr := range append([]string{cfg.ASDAddr}, cfg.ASDAddrs...) {
 		if addr == "" || seen[addr] {
@@ -375,7 +363,7 @@ func New(cfg Config) *Daemon {
 	return d
 }
 
-// Flow returns the daemon's admission controller (nil when disabled).
+// Flow returns the daemon's admission controller.
 func (d *Daemon) Flow() *flow.Controller { return d.flow }
 
 // Telemetry returns the daemon's metrics registry.
@@ -735,7 +723,7 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			return
 		}
 		d.wireMetrics.FrameRecv(len(payload))
-		sc, hts, text := wire.SplitPayload(payload)
+		sc, _, text := wire.SplitPayload(payload)
 		// The frame's bytes are the command's from here on: its words
 		// and strings point into them.
 		cmd, perr := cmdlang.ParseBytes(text)
@@ -747,7 +735,7 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			continue
 		}
 		inv := &invocation{
-			Ctx: Ctx{D: d, Principal: principal, RemoteAddr: remote, Trace: sc, HLC: hts},
+			Ctx: Ctx{D: d, Principal: principal, RemoteAddr: remote, Trace: sc},
 			e:   d.handlers[cmd.Name()],
 			cmd: cmd,
 		}

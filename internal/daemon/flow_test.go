@@ -174,18 +174,6 @@ func TestConnectionCapSheds(t *testing.T) {
 	}
 }
 
-// TestDisableFlow: DisableFlow removes the controller entirely.
-func TestDisableFlow(t *testing.T) {
-	d := startTestDaemon(t, Config{Name: "open", DisableFlow: true}, nil)
-	if d.Flow() != nil {
-		t.Fatal("DisableFlow should leave no controller")
-	}
-	c := dialTest(t, d)
-	if _, err := c.Call(cmdlang.New(CmdPing)); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

@@ -197,9 +197,7 @@ const (
 	MetricConnsShed        = "flow.conns.shed"
 )
 
-// Controller is one daemon's admission gate. A nil *Controller is
-// the disabled controller: it admits everything and all its methods
-// are no-ops, so call sites need no branches.
+// Controller is one daemon's admission gate.
 type Controller struct {
 	cfg Config
 	now func() time.Time
@@ -256,7 +254,8 @@ func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 
 // Ticket is one admitted request. Done must be called exactly when
 // the work completes; the admit-to-Done latency drives the adaptive
-// limit. A nil Ticket (from a nil Controller) is a no-op.
+// limit. Done on a nil Ticket is a no-op, so work that never went
+// through Admit can call it unconditionally.
 type Ticket struct {
 	c         *Controller
 	pri       Priority
@@ -278,12 +277,8 @@ func (t *Ticket) Done() {
 // free, waits in the bounded admission queue (up to MaxQueueWait,
 // the ctx deadline, whichever is sooner) when the daemon is at its
 // limit, and fails with *RejectedError when the request is shed or
-// ErrClosed after shutdown. On a nil Controller it admits with a nil
-// (no-op) Ticket.
+// ErrClosed after shutdown.
 func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) (*Ticket, error) {
-	if c == nil {
-		return nil, nil
-	}
 	now := c.now()
 	c.mu.Lock()
 	if c.closed {
@@ -508,12 +503,8 @@ func (c *Controller) fillOneLocked(w *waiter, now time.Time) *waiter {
 }
 
 // AdmitConn gates the accept loop: it reports whether a new
-// connection may be served, counting a shed when not. A nil
-// controller admits everything.
+// connection may be served, counting a shed when not.
 func (c *Controller) AdmitConn() bool {
-	if c == nil {
-		return true
-	}
 	c.mu.Lock()
 	if c.closed || c.conns >= c.cfg.MaxConns {
 		c.nConnShed++
@@ -528,9 +519,6 @@ func (c *Controller) AdmitConn() bool {
 
 // ReleaseConn returns a connection slot taken by AdmitConn.
 func (c *Controller) ReleaseConn() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	if c.conns > 0 {
 		c.conns--
@@ -541,9 +529,6 @@ func (c *Controller) ReleaseConn() {
 // Close rejects every queued waiter with ErrClosed and makes all
 // future Admits fail. Held tickets may still call Done.
 func (c *Controller) Close() {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -591,12 +576,8 @@ type Snapshot struct {
 	ConnsShed       int64
 }
 
-// Snapshot returns the controller's current state (zero value for a
-// nil controller).
+// Snapshot returns the controller's current state.
 func (c *Controller) Snapshot() Snapshot {
-	if c == nil {
-		return Snapshot{}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{

@@ -379,23 +379,6 @@ func TestConnAdmission(t *testing.T) {
 	}
 }
 
-func TestNilControllerIsDisabled(t *testing.T) {
-	var c *Controller
-	tk, err := c.Admit(context.Background(), Data, "x")
-	if err != nil || tk != nil {
-		t.Fatalf("nil controller must admit with a nil ticket, got %v %v", tk, err)
-	}
-	tk.Done() // must not panic
-	if !c.AdmitConn() {
-		t.Fatal("nil controller must admit connections")
-	}
-	c.ReleaseConn()
-	c.Close()
-	if s := c.Snapshot(); s != (Snapshot{}) {
-		t.Fatalf("nil snapshot should be zero: %+v", s)
-	}
-}
-
 func TestTelemetryInstruments(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := NewController(Config{InitialLimit: 4, MinLimit: 4, MaxLimit: 4, MaxQueueWait: 10 * time.Millisecond}, reg)

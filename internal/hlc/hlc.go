@@ -13,12 +13,14 @@
 // it. The logical counter disambiguates events inside the same
 // millisecond.
 //
-// The Clock's wall source is injectable so the chaos fabric can skew
-// individual nodes deterministically; Update clamps remote wall
-// components to the local physical clock plus MaxOffset, so one
-// machine with a wildly wrong clock cannot drag the whole cluster's
-// timeline into the future (it burns logical counter instead, and the
-// clamp is counted for telemetry).
+// Only the writing clients keep a Clock (pstore.Client and
+// pstore.Sharded); replicas keep none and store the version they are
+// sent. The wall source is injectable so tests can run a client's clock
+// ahead of or behind the others; Update clamps remote wall components
+// to the local physical clock plus MaxOffset, so one replica reporting
+// a version far in the future cannot drag the client's clock after it
+// (it burns logical counter instead, and the clamp is counted for
+// telemetry).
 package hlc
 
 import (
@@ -82,12 +84,12 @@ func (t Timestamp) String() string {
 }
 
 // Metric names recorded by hybrid-logical clocks. Every Clock created
-// with a non-nil registry registers them there; pstore nodes pass
-// their daemon registry and clients the pool registry.
+// with a non-nil registry registers them there; pstore clients pass
+// their pool registry.
 const (
 	// MetricSkewClamps counts Update calls whose remote wall component
 	// ran more than MaxOffset ahead of the local physical clock and
-	// was clamped. A steady tick means some peer's clock is skewed
+	// was clamped. A steady tick means some writer's clock is skewed
 	// beyond the configured tolerance.
 	MetricSkewClamps = "pstore.hlc.skew_clamps"
 	// MetricOverflows counts logical-counter overflows: 65536 events
@@ -116,7 +118,7 @@ type Clock struct {
 }
 
 // New builds a Clock. wall is the physical-clock source (nil means
-// time.Now; the chaos fabric injects skewed sources here). maxOffset
+// time.Now; tests inject skewed sources here). maxOffset
 // is the skew tolerance for Update (zero means DefaultMaxOffset).
 // reg, when non-nil, receives the pstore.hlc.* counters.
 func New(wall func() time.Time, maxOffset time.Duration, reg *telemetry.Registry) *Clock {
@@ -168,9 +170,7 @@ func (c *Clock) Now() Timestamp {
 // greater than both the previous local reading and the remote one.
 // Remote wall components more than MaxOffset ahead of the local
 // physical clock are clamped to pt+MaxOffset — the clamp is what
-// keeps one skewed machine from dragging the cluster timeline
-// forward, and what makes the MaxOffset margin in the staleness proof
-// rule sound.
+// keeps one skewed writer from dragging every later stamp forward.
 func (c *Clock) Update(remote Timestamp) Timestamp {
 	pt := c.physMS()
 	rw := remote.WallMS()

@@ -1,7 +1,6 @@
 package hlc
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -157,15 +156,4 @@ func TestConcurrentNowUpdate(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	ctx := context.Background()
-	if !FromContext(ctx).IsZero() {
-		t.Fatal("empty context not zero")
-	}
-	ts := Make(777, 3)
-	if got := FromContext(WithTimestamp(ctx, ts)); got != ts {
-		t.Fatalf("round trip = %v", got)
-	}
 }

@@ -699,6 +699,9 @@ func (c *Client) DeleteContext(ctx context.Context, path string) error {
 // del is DeleteContext with the destination group of a moving
 // partition, nil otherwise.
 func (c *Client) del(ctx context.Context, path string, dest *Client) error {
+	if err := ValidatePath(path); err != nil {
+		return err
+	}
 	// A tombstone invalidates any lease immediately — even a write that
 	// ends up under quorum may have landed on a holder.
 	c.leases.Drop(path)
@@ -722,14 +725,8 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 // was a refusal, else with the ack count. op names the operation.
 func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
 	c.stamp(cmd)
-	// The HLC timestamp — a stamped write's version — rides the wire
-	// frame header to every replica. Every replica's call shares cmd:
-	// the wire client copies a command before adding its seq.
-	ts := hlc.Timestamp(cmd.Int("version", 0))
-	if !stamped {
-		ts = c.clock.Now()
-	}
-	ctx = hlc.WithTimestamp(ctx, ts)
+	// Every replica's call shares cmd: the wire client copies a command
+	// before adding its seq.
 	f := c.streamFanout(ctx, len(c.replicas), func(cctx context.Context, addr string) replicaReply {
 		reply, err := c.pool.CallContext(cctx, addr, cmd)
 		if err != nil {

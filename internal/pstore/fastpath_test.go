@@ -626,7 +626,7 @@ func TestDataRepliesCarryOnlyTheirOwnArguments(t *testing.T) {
 	}{
 		{cmdlang.New("psput").SetString("path", "/shape/a").SetString("value", "aa").SetInt("version", 1), []string{"applied", "version"}},
 		{cmdlang.New("psget").SetString("path", "/shape/a"), []string{"value", "version"}},
-		{cmdlang.New("psfetch").SetString("path", "/shape/a"), []string{"deleted", "item_hlc", "value", "version"}},
+		{cmdlang.New("psfetch").SetString("path", "/shape/a"), []string{"deleted", "value", "version"}},
 		{cmdlang.New("psdigest"), []string{"paths", "versions"}},
 		{cmdlang.New("psdel").SetString("path", "/shape/a").SetInt("version", 2), []string{"applied", "version"}},
 	} {

@@ -84,7 +84,7 @@ const (
 // expiry mid-flight — so the read re-ran as a quorum), or violation
 // (a lease holder answered a version below the one a quorum proved
 // it held; the reply was discarded and the read re-ran as a quorum,
-// so a violation never reaches the caller). The node-side
+// so a violation never reaches the caller). The write clock's
 // hybrid-logical-clock series (pstore.hlc.*) lives in internal/hlc;
 // the client-side staleness series (pstore.staleness.*) in
 // internal/pstore/staleness.

@@ -30,7 +30,6 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hier"
-	"ace/internal/hlc"
 	"ace/internal/pstore/placement"
 	"ace/internal/pstore/storage"
 	"ace/internal/telemetry"
@@ -42,11 +41,6 @@ type Item struct {
 	Value   []byte
 	Version uint64
 	Deleted bool
-	// HLC is the stamp in the frame header of the write that produced
-	// this item: the Version itself for a client's Put or Delete, the
-	// receiving replica's own reading for a write sent without one.
-	// Nothing orders by it.
-	HLC hlc.Timestamp
 }
 
 // newer orders the replies of one quorum read: the higher version
@@ -69,11 +63,6 @@ type Node struct {
 
 	mu    sync.Mutex
 	items map[string]Item
-
-	// clock is the node's hybrid logical clock: merged with every
-	// stamped write, and the source of stamps for legacy unstamped
-	// writes.
-	clock *hlc.Clock
 
 	eng      *storage.Engine
 	recovery storage.RecoveryInfo
@@ -133,14 +122,6 @@ type Config struct {
 	// group is installed (psmap); empty or unmapped, the node behaves
 	// like the classic unsharded store.
 	Group string
-	// WallClock injects the physical-clock source behind the node's
-	// hybrid logical clock (nil = time.Now). The chaos fabric uses it
-	// to skew individual nodes deterministically.
-	WallClock func() time.Time
-	// MaxClockOffset is the HLC skew tolerance (zero =
-	// hlc.DefaultMaxOffset): remote stamps further ahead of this
-	// node's physical clock are clamped when merged.
-	MaxClockOffset time.Duration
 }
 
 // NewNode constructs a store node. If cfg.Dir is set, previous WAL
@@ -169,7 +150,6 @@ func NewNode(cfg Config) (*Node, error) {
 		transferSem: make(chan struct{}, 2),
 	}
 	tel := n.Telemetry()
-	n.clock = hlc.New(cfg.WallClock, cfg.MaxClockOffset, tel)
 	n.mSyncRounds = tel.Counter(MetricSyncRounds)
 	n.mSyncPulled = tel.Counter(MetricSyncPulled)
 	n.mWrites = tel.Counter(MetricWritesApplied)
@@ -203,7 +183,7 @@ func NewNode(cfg Config) (*Node, error) {
 		// use, so recovery is insensitive to log order.
 		n.mu.Lock()
 		for _, rec := range recovered {
-			n.applyMemLocked(Item{Path: rec.Path, Value: rec.Value, Version: rec.Version, Deleted: rec.Deleted, HLC: hlc.Timestamp(rec.HLC)})
+			n.applyMemLocked(Item{Path: rec.Path, Value: rec.Value, Version: rec.Version, Deleted: rec.Deleted})
 		}
 		n.mu.Unlock()
 	}
@@ -280,22 +260,6 @@ func (n *Node) applyMemLocked(it Item) bool {
 	return true
 }
 
-// stamp resolves the HLC stamp for an incoming write: the client's
-// stamp from the frame header when present (merged into the node's
-// clock so causality propagates), or a fresh local reading for legacy
-// unstamped writers. Client stamps are used verbatim on the item so
-// every replica of the write stores the same stamp.
-func (n *Node) stamp(ctx *daemon.Ctx) hlc.Timestamp {
-	if ctx != nil && !ctx.HLC.IsZero() {
-		n.clock.Update(ctx.HLC)
-		return ctx.HLC
-	}
-	return n.clock.Now()
-}
-
-// itemHLCArg is the psfetch reply argument carrying the item's stamp.
-const itemHLCArg = "item_hlc"
-
 // degradedRetryAfter is the retry hint sent with busy replies from a
 // node whose disk refused durability: long enough that the client's
 // quorum machinery prefers healthy replicas, short enough that a
@@ -319,8 +283,8 @@ func sameWrite(held, it Item) bool {
 	return held.Version == it.Version && held.Deleted == it.Deleted && bytes.Equal(held.Value, it.Value)
 }
 
-// handleWrite is what psput and psdel share: the version and placement
-// checks, then the item through applyAsync. The disk refusing
+// handleWrite is what psput and psdel share: the path, version and
+// placement checks, then the item through applyAsync. The disk refusing
 // durability answers busy (retryable, not a definitive failure) so the
 // quorum counts someone else.
 func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, deleted bool) (*cmdlang.CmdLine, error) {
@@ -331,10 +295,13 @@ func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, de
 		return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("negative version %d", version)), nil
 	}
 	path := c.Str("path", "")
+	if err := ValidatePath(path); err != nil {
+		return nil, err
+	}
 	if fail := n.routeCheck(path, c.Int("epoch", 0), true); fail != nil {
 		return fail, nil
 	}
-	return n.applyAsync(ctx, Item{Path: path, Value: value, Version: uint64(version), Deleted: deleted, HLC: n.stamp(ctx)})
+	return n.applyAsync(ctx, Item{Path: path, Value: value, Version: uint64(version), Deleted: deleted})
 }
 
 // applyAsync is the handler-side write path: install in memory, then
@@ -363,7 +330,7 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 		// node holds is durable or in the middle of becoming so.
 		return writeReply(applied || sameWrite(held, it), held.Version), nil
 	}
-	rec := storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)}
+	rec := storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted}
 	finish, ok := ctx.Detach()
 	if !ok {
 		// Local/nested dispatch: pay the fsync on this goroutine.
@@ -411,7 +378,7 @@ func (n *Node) snapshotRecords() []storage.Record {
 	defer n.mu.Unlock()
 	recs := make([]storage.Record, 0, len(n.items))
 	for _, it := range n.items {
-		recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)})
+		recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted})
 	}
 	return recs
 }
@@ -536,17 +503,11 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		if verErr != nil {
 			return abort(fmt.Errorf("pstore: sync with %s: %w", peerAddr, verErr))
 		}
-		var its hlc.Timestamp
-		if v := itemReply.Int(itemHLCArg, 0); v > 0 {
-			its = hlc.Timestamp(v)
-			n.clock.Update(its)
-		}
 		batch = append(batch, Item{
 			Path:    p,
 			Value:   val,
 			Version: ver,
 			Deleted: itemReply.Bool("deleted", false),
-			HLC:     its,
 		})
 		if len(batch) >= syncBatch {
 			if ferr := flush(); ferr != nil {
@@ -575,7 +536,7 @@ func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	for _, it := range items {
 		if n.applyMemLocked(it) {
 			applied++
-			recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted, HLC: uint64(it.HLC)})
+			recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted})
 		}
 	}
 	n.mu.Unlock()
@@ -690,9 +651,6 @@ func (n *Node) install() {
 			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		if err := ValidatePath(c.Str("path", "")); err != nil {
-			return nil, err
-		}
 		val, decErr := decodeValue(c.Str("value", ""))
 		if decErr != nil {
 			return cmdlang.Fail(cmdlang.CodeBadArgument, decErr.Error()), nil
@@ -821,7 +779,6 @@ func (n *Node) install() {
 		return cmdlang.OK().
 			SetString("value", encodeValue(it.Value)).
 			SetInt("version", int64(it.Version)).
-			SetInt(itemHLCArg, int64(it.HLC)).
 			SetBool("deleted", it.Deleted), nil
 	})
 

@@ -2,12 +2,16 @@ package pstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"ace/internal/cmdlang"
 	"ace/internal/daemon"
+	"ace/internal/pstore/storage"
 )
 
 func startCluster(t *testing.T, n int, dir string) (*Cluster, *Client) {
@@ -72,11 +76,28 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPathValidation: a bad path is refused by Put and Delete, and by
+// a replica sent a raw psput or psdel, so no replica ever holds one.
 func TestPathValidation(t *testing.T) {
-	_, client := startCluster(t, 3, "")
+	cluster, client := startCluster(t, 3, "")
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
 	for _, bad := range []string{"", "rel/path", "/", "/a//b"} {
 		if _, err := client.Put(bad, []byte("x")); err == nil {
 			t.Errorf("Put(%q): want error", bad)
+		}
+		if err := client.Delete(bad); err == nil {
+			t.Errorf("Delete(%q): want error", bad)
+		}
+		for _, raw := range []*cmdlang.CmdLine{putCommand(bad, []byte("x"), 1), delCommand(bad, 1)} {
+			if _, err := pool.Call(cluster.Addrs()[0], raw); err == nil {
+				t.Errorf("raw %s %q: want error", raw.Name(), bad)
+			}
+		}
+	}
+	for i, n := range cluster.Nodes {
+		if d := n.Digest(); len(d) != 0 {
+			t.Errorf("replica %d holds %v", i, d)
 		}
 	}
 }
@@ -247,8 +268,28 @@ func TestWALPersistenceAcrossRestart(t *testing.T) {
 	client.Delete("/d/0") //nolint:errcheck
 	node.Stop()
 
+	// The node logs what it was sent: a version and no stamp of its own.
+	// The log also takes stamped records, which is how the benchmark's
+	// preload writes its keys.
+	eng, recs, _, err := storage.Open(filepath.Join(dir, "durable"), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) < 6 {
+		t.Fatalf("recovered %d records of five puts and a delete", len(recs))
+	}
+	for _, r := range recs {
+		if r.HLC != 0 {
+			t.Fatalf("%s logged with stamp %#x, want none", r.Path, r.HLC)
+		}
+	}
+	stamped := storage.Record{Path: "/d/stamped", Value: []byte("s"), Version: 1, HLC: 0xABCD0001}
+	if err := errors.Join(eng.AppendBatch([]storage.Record{stamped}), eng.Close()); err != nil {
+		t.Fatal(err)
+	}
+
 	// Restart from the same WAL directory: state is recovered,
-	// including the tombstone.
+	// including the tombstone and the stamped record.
 	node2, err := NewNode(Config{Daemon: daemon.Config{Name: "durable"}, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +298,11 @@ func TestWALPersistenceAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(node2.Stop)
-	if node2.Len() != 4 {
+	if node2.Len() != 5 {
 		t.Fatalf("recovered len=%d", node2.Len())
+	}
+	if it, ok := node2.get(stamped.Path); !ok || it.Version != stamped.Version || string(it.Value) != "s" {
+		t.Fatalf("stamped record recovered as %+v ok=%v", it, ok)
 	}
 	pool2 := daemon.NewPool(nil)
 	defer pool2.Close()

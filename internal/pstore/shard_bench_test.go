@@ -70,8 +70,6 @@ func startBenchDeployment(t testing.TB, groupCount int, rate float64) *benchDepl
 				// Tight burst: the bucket must meter, not front-load
 				// the measured window.
 				cfg.Daemon.Flow = &flow.Config{Rate: rate, Burst: 16}
-			} else {
-				cfg.Daemon.DisableFlow = true
 			}
 			n, err := NewNode(cfg)
 			if err != nil {

@@ -8,6 +8,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -247,6 +249,85 @@ func TestPutIsOneRound(t *testing.T) {
 	}
 	if n := snap.Counter(MetricWriteConflicts); n != 0 {
 		t.Fatalf("%d conflict rounds on an uncontended path", n)
+	}
+}
+
+// startRawReplicas starts n bare listeners that answer every write
+// applied at its own version and pass on each frame's payload as it
+// arrived, header and all.
+func startRawReplicas(t *testing.T, n int) ([]string, <-chan []byte) {
+	t.Helper()
+	// Room for every frame a test of a few writes sends, so no listener
+	// blocks handing one over.
+	payloads := make(chan []byte, 64)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func() {
+					defer conn.Close()
+					in := wire.NewReader(conn)
+					for {
+						payload, err := in.ReadFrame()
+						if err != nil {
+							return
+						}
+						payloads <- payload
+						_, _, text := wire.SplitPayload(payload)
+						cmd, err := cmdlang.ParseBytes(text)
+						if err != nil {
+							return
+						}
+						reply := cmdlang.OK().SetBool("applied", true).SetInt("version", cmd.Int("version", 0))
+						if _, err := wire.WriteReply(conn, reply, cmd.Int(cmdlang.SeqArg, 0)); err != nil {
+							return
+						}
+					}
+				}()
+			}
+		}()
+	}
+	return addrs, payloads
+}
+
+// TestUntracedWriteFramesCarryNoHeader: a write's stamp is its version
+// argument and nothing else, so an untraced put or delete reaches each
+// replica as bare command text, with no header in front.
+func TestUntracedWriteFramesCarryNoHeader(t *testing.T) {
+	addrs, payloads := startRawReplicas(t, 3)
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
+	client := NewClient(pool, addrs)
+	defer client.Close()
+	ctx := context.Background()
+	if _, err := client.PutContext(ctx, "/bare/x", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.DeleteContext(ctx, "/bare/x"); err != nil {
+		t.Fatal(err)
+	}
+	client.Close() // stragglers have sent what they will
+	sent := map[string]int{}
+	for len(payloads) > 0 {
+		payload := <-payloads
+		verb, _, _ := strings.Cut(string(payload), " ")
+		if verb != "psput" && verb != "psdel" {
+			t.Fatalf("replica received %q, want bare psput or psdel text", payload)
+		}
+		sent[verb]++
+	}
+	if sent["psput"] < 2 || sent["psdel"] < 2 {
+		t.Fatalf("frames received %v, want a majority of each", sent)
 	}
 }
 

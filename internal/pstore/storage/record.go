@@ -18,10 +18,10 @@ type Record struct {
 	Value   []byte
 	Version uint64
 	Deleted bool
-	// HLC is the packed hybrid-logical-clock timestamp the write was
-	// stamped with (zero for unstamped legacy records). Recovery folds
-	// the maximum over all replayed records into the node's clock so
-	// timestamps stay monotonic across crash and restart.
+	// HLC is an optional packed hybrid-logical-clock stamp column (zero:
+	// absent). A store node writes none — a write's stamp is its
+	// Version — and ignores the column on recovery; the codec keeps it
+	// for logs written with it, such as bench/store.go's preload.
 	HLC uint64
 }
 

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"ace/internal/cmdlang"
-	"ace/internal/hlc"
 	"ace/internal/telemetry"
 )
 
@@ -292,7 +291,7 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 		deadline = start.Add(timeout)
 	}
 
-	if err := c.write(deadline, childSpan(ctx), hlc.FromContext(ctx), cmd, true, seq); err != nil {
+	if err := c.write(deadline, childSpan(ctx), cmd, true, seq); err != nil {
 		c.forget(seq)
 		return nil, err
 	}
@@ -348,8 +347,8 @@ func (c *Client) forget(seq int64) {
 // other error is terminal for the whole connection: part of the frame
 // may already be on the wire, so the framing stream can no longer be
 // trusted.
-func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, ts hlc.Timestamp, cmd *cmdlang.CmdLine, numbered bool, seq int64) error {
-	frame := encodeCmd(sc, ts, cmd, numbered, seq)
+func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) error {
+	frame := encodeCmd(sc, cmd, numbered, seq)
 	c.writeMu.Lock()
 	// Every write sets its own deadline first, so none is cleared after.
 	c.conn.SetWriteDeadline(deadline) //nolint:errcheck — best effort on dying conns
@@ -397,7 +396,7 @@ func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
 	if !ok {
 		deadline = time.Now().Add(timeout)
 	}
-	return c.write(deadline, childSpan(ctx), hlc.FromContext(ctx), cmd, false, 0)
+	return c.write(deadline, childSpan(ctx), cmd, false, 0)
 }
 
 // Close tears down the connection; outstanding calls fail.

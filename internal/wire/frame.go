@@ -77,11 +77,11 @@ func WriteFrame(w io.Writer, payload []byte) error {
 }
 
 // encodeCmd renders c as one frame, straight into a pooled buffer: the
-// header when sc is valid or ts is set, then the command text, numbered
-// seq when numbered.
-func encodeCmd(sc telemetry.SpanContext, ts hlc.Timestamp, c *cmdlang.CmdLine, numbered bool, seq int64) *[]byte {
+// header when sc is valid, then the command text, numbered seq when
+// numbered.
+func encodeCmd(sc telemetry.SpanContext, c *cmdlang.CmdLine, numbered bool, seq int64) *[]byte {
 	buf := newFrame()
-	b := appendHeader(*buf, sc, ts)
+	b := appendHeader(*buf, sc, 0)
 	if numbered {
 		b = c.AppendSeq(b, seq)
 	} else {
@@ -95,13 +95,13 @@ func encodeCmd(sc telemetry.SpanContext, ts hlc.Timestamp, c *cmdlang.CmdLine, n
 // reports the payload's length. An *ErrFrameTooLarge means nothing was
 // written.
 func WriteCmd(w io.Writer, c *cmdlang.CmdLine) (int, error) {
-	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, 0, c, false, 0))
+	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, c, false, 0))
 }
 
 // WriteReply is WriteCmd for a return command: it goes out under the
 // request's seq, while reply itself stays as the handler returned it.
 func WriteReply(w io.Writer, reply *cmdlang.CmdLine, seq int64) (int, error) {
-	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, 0, reply, true, seq))
+	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, reply, true, seq))
 }
 
 // readHeader decodes a frame's length prefix.
@@ -177,23 +177,18 @@ func (fr *Reader) ReadFrame() ([]byte, error) {
 }
 
 // Trace header. A frame payload optionally begins with a header
-// carrying the caller's span context and hybrid-logical-clock
-// timestamp:
+// carrying the caller's span context:
 //
 //	[0x01][hdrlen:1][traceID:8][spanID:8][parent:8][hlc:8][command text]
 //
 // The marker byte 0x01 can never begin a headerless payload, because
 // command text always starts with a word character ([A-Za-z_]) or
-// whitespace — so readers accept both forms and old peers that send
-// plain payloads keep round-tripping unchanged. hdrlen counts the
-// bytes between it and the command text; readers skip bytes beyond
-// the ones they understand, which is exactly how the 24-byte
-// trace-only header of earlier versions grew the 8-byte packed HLC
-// field (hlc.Timestamp: 48-bit wall milliseconds, 16-bit logical
-// counter) without breaking old peers — a 24-byte header still
-// decodes, with a zero (unstamped) timestamp. Headers are only
-// emitted for traced or HLC-stamped calls, so plain traffic is
-// byte-identical to the old format in both directions.
+// whitespace — so readers accept both forms. hdrlen counts the bytes
+// between it and the command text; readers skip bytes beyond the ones
+// they understand, and a 24-byte header without the hlc field still
+// decodes. The program's own senders leave the hlc field zero: a store
+// write's stamp is its version= argument. Headers are only emitted for
+// traced calls, so plain traffic carries none.
 const (
 	traceMagic     = 0x01
 	traceHeaderLen = 24
@@ -221,9 +216,9 @@ func EncodePayload(sc telemetry.SpanContext, ts hlc.Timestamp, cmdText string) [
 }
 
 // SplitPayload separates a frame payload into its trace context (the
-// zero SpanContext when the payload carries no header), its HLC
-// timestamp (zero when absent, including headers from peers that
-// predate the HLC field), and the command text. Payloads that merely
+// zero SpanContext when the payload carries no header), the header's
+// hlc field (zero when absent or unset; the program reads it nowhere),
+// and the command text. Payloads that merely
 // look like they start a header but are malformed are returned whole,
 // so the command parser reports them instead of this layer guessing.
 func SplitPayload(payload []byte) (telemetry.SpanContext, hlc.Timestamp, []byte) {
