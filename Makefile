@@ -61,7 +61,8 @@ test-bench:
 # how racing goroutines happened to interleave, under the race
 # detector: the daemon's serial section against concurrent connections,
 # the racing-writers test, the recorded-history checker, the read hedged
-# around a stalled replica and the bounded read that skips it.
+# around a stalled replica, the bounded read that skips it, and the
+# snapshot check a write's ack makes while a compaction runs.
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
@@ -72,6 +73,7 @@ stability:
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestStalledReplicaIsHedgedAroundAndPassedOver' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestBoundedReadSkipsPassedOverHolder' ./internal/pstore/
+	$(GO) test -race -count=50 -run 'TestShouldSnapshotDoesNotWaitForSnapshot' ./internal/pstore/storage/
 
 short:
 	$(GO) test -short ./...
@@ -136,7 +138,8 @@ examples:
 
 # Brief fuzzing of the wire-facing parsers and framing decoders, of
 # the two documents read back from the store and the directory, and of
-# the storage engine's WAL record and snapshot decoders.
+# the storage engine's WAL record and snapshot decoders and its
+# torn-tail/corruption classifier.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
@@ -147,6 +150,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeMap$$ -fuzztime=$(FUZZTIME) ./internal/pstore/placement/
 	$(GO) test -run '^$$' -fuzz=FuzzReadRecord$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
+	$(GO) test -run '^$$' -fuzz=FuzzReplaySegment$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
 
 fmt:
 	gofmt -w .

@@ -182,6 +182,7 @@ func NewNode(cfg Config) (*Node, error) {
 		// Replay through the same last-writer-wins merge normal writes
 		// use, so recovery is insensitive to log order.
 		n.mu.Lock()
+		n.items = make(map[string]Item, len(recovered))
 		for _, rec := range recovered {
 			n.applyMemLocked(Item{Path: rec.Path, Value: rec.Value, Version: rec.Version, Deleted: rec.Deleted})
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // CorruptionPolicy decides what recovery does with mid-log corruption
@@ -95,10 +97,13 @@ type Engine struct {
 	opts Options
 	w    *wal
 
-	mu        sync.Mutex // serializes Snapshot/Close
-	snapLSN   uint64
-	forceSnap bool
-	closed    bool
+	mu      sync.Mutex // serializes Snapshot/Close
+	snapLSN uint64
+	closed  bool
+	// forceSnap stays outside mu so that ShouldSnapshot, which every
+	// durable write's ack asks on the commit goroutine, never waits out
+	// a snapshot in progress.
+	forceSnap atomic.Bool
 }
 
 // Open recovers the store in dir: newest valid snapshot first, then
@@ -150,7 +155,7 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 		if lerr == nil {
 			info.SnapshotLSN = lsn
 			info.SnapshotRecords = len(records)
-			recovered = append(recovered, records...)
+			recovered = records
 			break
 		}
 		info.SnapshotsBad++
@@ -206,15 +211,16 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 			info.CorruptRecords++
 			cinc(met.CorruptRecords)
 		}
-		res, rerr := replaySegment(fsys, path, first, isLast, info.SnapshotLSN, opts.Corruption)
+		res, rerr := replaySegment(fsys, path, first, isLast, info.SnapshotLSN, opts.Corruption, recovered)
 		if rerr != nil {
 			return nil, nil, info, rerr
 		}
-		recovered = append(recovered, res.records...)
-		info.Replayed += len(res.records)
+		replayed := len(res.records) - len(recovered)
+		recovered = res.records
+		info.Replayed += replayed
 		info.TornTails += res.tornTails
 		info.CorruptRecords += res.corrupt
-		cadd(met.Replayed, int64(len(res.records)))
+		cadd(met.Replayed, int64(replayed))
 		cadd(met.TornTails, int64(res.tornTails))
 		cadd(met.CorruptRecords, int64(res.corrupt))
 		expect = first + res.total
@@ -252,23 +258,17 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 		}
 		return nil, nil, info, err
 	}
-	e := &Engine{
-		dir:     dir,
-		fs:      fsys,
-		opts:    opts,
-		w:       w,
-		snapLSN: info.SnapshotLSN,
-		// Quarantined data means the in-memory state about to be
-		// rebuilt (WAL survivors + anti-entropy) is more complete than
-		// the log: compact as soon as the owner can provide it.
-		forceSnap: len(info.Quarantined) > 0,
-	}
+	e := &Engine{dir: dir, fs: fsys, opts: opts, w: w, snapLSN: info.SnapshotLSN}
+	// Quarantined data means the in-memory state about to be rebuilt
+	// (WAL survivors + anti-entropy) is more complete than the log:
+	// compact as soon as the owner can provide it.
+	e.forceSnap.Store(len(info.Quarantined) > 0)
 	return e, recovered, info, nil
 }
 
 // segmentReplay is the outcome of replaying one segment.
 type segmentReplay struct {
-	records     []Record // records past the snapshot LSN, in log order
+	records     []Record // recovered, then this segment's records past the snapshot LSN, in log order
 	total       uint64   // records physically present (incl. skipped)
 	goodBytes   int64    // prefix of the file holding valid records
 	tornTails   int
@@ -276,17 +276,18 @@ type segmentReplay struct {
 	quarantined string // non-empty when the file was renamed aside
 }
 
-// replaySegment reads one segment, distinguishing the two ways a log
-// ends badly. A torn tail — the file physically stops inside the
-// final record, or the final record's bytes are present but fail
-// their CRC with nothing valid after them — is the normal signature
-// of a crash during group commit: the unacked tail is truncated and
-// the log continues. A corrupt record with MORE valid data after it
-// (or any damage in a non-final segment) cannot be explained by a
-// crash: that is real damage to acknowledged history, handled per
-// CorruptionPolicy.
-func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN uint64, policy CorruptionPolicy) (segmentReplay, error) {
-	var out segmentReplay
+// replaySegment reads one segment in one buffered pass and appends
+// what it keeps to recovered, so that a log of many segments grows one
+// slice. It distinguishes the two ways a log ends badly. A torn tail
+// — the file physically stops inside the final record, or the final
+// record's bytes are present but fail their CRC with nothing valid
+// after them — is the normal signature of a crash during group
+// commit: the unacked tail is truncated and the log continues. A
+// corrupt record with MORE valid data after it (or any damage in a
+// non-final segment) cannot be explained by a crash: that is real
+// damage to acknowledged history, handled per CorruptionPolicy.
+func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN uint64, policy CorruptionPolicy, recovered []Record) (segmentReplay, error) {
+	out := segmentReplay{records: recovered}
 	f, err := fsys.Open(path)
 	if err != nil {
 		return out, fmt.Errorf("storage: open segment: %w", err)
@@ -302,8 +303,9 @@ func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN u
 			out.records = append(out.records, rec)
 		}
 	}
+	br := bufio.NewReaderSize(f, readBufSize)
 	for {
-		rec, size, rerr := readRecord(f)
+		rec, size, rerr := readRecord(br)
 		if rerr == nil {
 			keep(rec)
 			out.total++
@@ -317,7 +319,7 @@ func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN u
 		if !torn && isLast && errors.Is(rerr, errCorruptRecord) && size > 0 {
 			// Full-length record with a bad CRC at the log's end: decide
 			// torn-vs-corrupt by looking for valid history after it.
-			torn = !anyValidRecordAfter(f)
+			torn = !anyValidRecordAfter(br)
 		}
 		if torn && isLast {
 			// Crash artifact: truncate the tail so appends resume from
@@ -359,9 +361,9 @@ func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN u
 }
 
 // anyValidRecordAfter scans forward for one decodable record.
-func anyValidRecordAfter(r io.Reader) bool {
+func anyValidRecordAfter(br *bufio.Reader) bool {
 	for {
-		_, _, err := readRecord(r)
+		_, _, err := readRecord(br)
 		if err == nil {
 			return true
 		}
@@ -382,8 +384,9 @@ func (e *Engine) Append(rec Record) error {
 }
 
 // AppendAsync enqueues rec without blocking and invokes done with the
-// covering fsync's verdict (from the commit goroutine — done must be
-// fast and must not block on the engine). If the log is already
+// covering fsync's verdict (on the commit goroutine, which starts the
+// next batch only after done returns — done must be fast and must not
+// block on the engine; ShouldSnapshot is safe). If the log is already
 // closed, done fires immediately with ErrClosed on the caller's
 // goroutine. This is the write path for callers that hold a scarce
 // thread: enqueue, release the thread, ack when durable — it is what
@@ -424,11 +427,9 @@ func (e *Engine) Err() error { return e.w.lastErr() }
 
 // ShouldSnapshot reports whether the log has grown past the snapshot
 // threshold (or recovery quarantined data and wants durability back).
+// It does not wait for a Snapshot in progress.
 func (e *Engine) ShouldSnapshot() bool {
-	e.mu.Lock()
-	force := e.forceSnap
-	e.mu.Unlock()
-	return force || e.w.totalBytes() >= e.opts.SnapshotBytes
+	return e.forceSnap.Load() || e.w.totalBytes() >= e.opts.SnapshotBytes
 }
 
 // Snapshot compacts: it seals the active segment, collects the owner's
@@ -448,7 +449,7 @@ func (e *Engine) Snapshot(collect func() []Record) error {
 		cinc(e.opts.Metrics.SnapshotErrors)
 		return err
 	}
-	if lsn == 0 && !e.forceSnap {
+	if lsn == 0 && !e.forceSnap.Load() {
 		return nil // empty log, nothing to compact
 	}
 	if _, err := writeSnapshot(e.fs, e.dir, lsn, collect()); err != nil {
@@ -457,7 +458,7 @@ func (e *Engine) Snapshot(collect func() []Record) error {
 	}
 	prevLSN := e.snapLSN
 	e.snapLSN = lsn
-	e.forceSnap = false
+	e.forceSnap.Store(false)
 	cinc(e.opts.Metrics.Snapshots)
 	if _, err := e.w.dropCovered(lsn); err != nil {
 		return fmt.Errorf("storage: truncate after snapshot: %w", err)

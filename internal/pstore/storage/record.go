@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -50,6 +51,11 @@ const (
 	// beyond it cannot be trusted (corruption), so replay stops
 	// instead of allocating gigabytes.
 	maxRecordSize = 16 << 20
+
+	// readBufSize is the block recovery reads a log or snapshot file in.
+	// A record that fits is decoded where it lies in the block; it stays
+	// under FuzzLoadSnapshot's 16 KiB allocation slack.
+	readBufSize = 8 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -141,34 +147,51 @@ func decodePayload(p []byte) (Record, error) {
 	}, nil
 }
 
-// readRecord reads one framed record from r. It returns io.EOF at a
+// readRecord reads one framed record from br. It returns io.EOF at a
 // clean record boundary, errTornRecord when the stream ends inside a
-// record, and errCorruptRecord for a present-but-wrong record.
-func readRecord(r io.Reader) (Record, int64, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
+// record, and errCorruptRecord for a present-but-wrong record. Every
+// byte of a present record is consumed, wrong or not, so a caller can
+// go on looking for valid records behind it.
+func readRecord(br *bufio.Reader) (Record, int64, error) {
+	hdr, err := br.Peek(frameHeaderSize)
+	if err != nil {
+		if len(hdr) == 0 && err == io.EOF {
 			return Record{}, 0, io.EOF
 		}
 		return Record{}, 0, errTornRecord
 	}
 	payloadLen := binary.BigEndian.Uint32(hdr[:4])
+	sum := binary.BigEndian.Uint32(hdr[4:])
 	if payloadLen > maxRecordSize {
+		_, _ = br.Discard(frameHeaderSize) // peeked, so buffered: cannot fail
 		return Record{}, 0, fmt.Errorf("%w: length prefix %d exceeds %d", errCorruptRecord, payloadLen, maxRecordSize)
 	}
-	payload, err := readPayload(r, int(payloadLen))
+	size := frameHeaderSize + int(payloadLen)
+	if size > br.Size() {
+		_, _ = br.Discard(frameHeaderSize)
+		payload, err := readPayload(br, int(payloadLen))
+		if err != nil {
+			return Record{}, 0, errTornRecord
+		}
+		rec, err := checkPayload(payload, sum)
+		return rec, int64(size), err
+	}
+	frame, err := br.Peek(size)
 	if err != nil {
 		return Record{}, 0, errTornRecord
 	}
-	size := int64(frameHeaderSize) + int64(payloadLen)
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:]) {
-		return Record{}, size, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
+	rec, err := checkPayload(frame[frameHeaderSize:], sum)
+	_, _ = br.Discard(size)
+	return rec, int64(size), err
+}
+
+// checkPayload verifies a payload against its frame's checksum and
+// decodes it; the record it returns shares no memory with p.
+func checkPayload(p []byte, sum uint32) (Record, error) {
+	if crc32.Checksum(p, crcTable) != sum {
+		return Record{}, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
 	}
-	rec, err := decodePayload(payload)
-	if err != nil {
-		return Record{}, size, err
-	}
-	return rec, size, nil
+	return decodePayload(p)
 }
 
 // readPayload reads the n bytes a record header announced without

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -55,19 +56,24 @@ func writeSnapshot(fsys FS, dir string, lsn uint64, records []Record) (string, e
 		_ = fsys.Remove(tmp)
 		return "", err
 	}
-	var hdr [len(snapMagic) + 16]byte
-	copy(hdr[:], snapMagic)
-	binary.BigEndian.PutUint64(hdr[len(snapMagic):], lsn)
-	binary.BigEndian.PutUint64(hdr[len(snapMagic)+8:], uint64(len(records)))
-	if _, err := f.Write(hdr[:]); err != nil {
-		return cleanup(fmt.Errorf("storage: write snapshot: %w", err))
-	}
-	buf := make([]byte, 0, 64*1024)
+	// Records collect in buf and go out a full buffer per Write, so a
+	// compaction of the whole store costs a few dozen system calls.
+	const bufSize = 64 << 10
+	buf := make([]byte, 0, bufSize)
+	buf = append(buf, snapMagic...)
+	buf = binary.BigEndian.AppendUint64(buf, lsn)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(records)))
 	for _, r := range records {
-		buf = encodeRecord(buf[:0], r)
-		if _, err := f.Write(buf); err != nil {
-			return cleanup(fmt.Errorf("storage: write snapshot: %w", err))
+		buf = encodeRecord(buf, r)
+		if len(buf) >= bufSize {
+			if _, err := f.Write(buf); err != nil {
+				return cleanup(fmt.Errorf("storage: write snapshot: %w", err))
+			}
+			buf = buf[:0]
 		}
+	}
+	if _, err := f.Write(buf); err != nil {
+		return cleanup(fmt.Errorf("storage: write snapshot: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		return cleanup(fmt.Errorf("storage: sync snapshot: %w", err))
@@ -93,8 +99,9 @@ func loadSnapshot(fsys FS, path string) (lsn uint64, records []Record, err error
 		return 0, nil, fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	defer func() { _ = f.Close() }()
+	br := bufio.NewReaderSize(f, readBufSize)
 	var hdr [len(snapMagic) + 16]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	if string(hdr[:len(snapMagic)]) != snapMagic {
@@ -109,14 +116,13 @@ func loadSnapshot(fsys FS, path string) (lsn uint64, records []Record, err error
 	// may be flipped: never trust it as an allocation size. records
 	// grows only as records arrive.
 	for i := uint64(0); i < count; i++ {
-		rec, _, rerr := readRecord(f)
+		rec, _, rerr := readRecord(br)
 		if rerr != nil {
 			return 0, nil, fmt.Errorf("storage: snapshot %s: record %d: %w", filepath.Base(path), i, rerr)
 		}
 		records = append(records, rec)
 	}
-	var one [1]byte
-	if _, rerr := f.Read(one[:]); rerr != io.EOF {
+	if _, rerr := br.ReadByte(); rerr != io.EOF {
 		return 0, nil, fmt.Errorf("storage: snapshot %s: trailing garbage", filepath.Base(path))
 	}
 	return lsn, records, nil

@@ -14,6 +14,11 @@ import (
 
 const dir = "/store"
 
+// readBlock is the block recovery reads a file in (storage's
+// readBufSize), for the tests that put a tear or damage on either side
+// of a block boundary.
+const readBlock = 8 << 10
+
 func rec(i int) storage.Record {
 	return storage.Record{
 		Path:    fmt.Sprintf("/k/%03d", i),
@@ -32,23 +37,50 @@ func mustOpen(t *testing.T, fs storage.FS, opts storage.Options) (*storage.Engin
 	return eng, recs, info
 }
 
+// bigRec is rec(i) with a 1 000-byte value: 1 031 bytes framed, so the
+// eighth of them crosses the first block recovery reads a log in.
+func bigRec(i int) storage.Record {
+	r := rec(i)
+	r.Value = append(r.Value, strings.Repeat("x", 1000-len(r.Value))...)
+	return r
+}
+
 func appendN(t *testing.T, eng *storage.Engine, from, n int) {
 	t.Helper()
+	appendOf(t, eng, rec, from, n)
+}
+
+func appendOf(t *testing.T, eng *storage.Engine, mk func(int) storage.Record, from, n int) {
+	t.Helper()
 	for i := from; i < from+n; i++ {
-		if err := eng.Append(rec(i)); err != nil {
+		if err := eng.Append(mk(i)); err != nil {
 			t.Fatalf("Append %d: %v", i, err)
 		}
 	}
 }
 
+// upTo returns 0, 1, …, n-1.
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
 func wantRecords(t *testing.T, got []storage.Record, want ...int) {
+	t.Helper()
+	wantRecordsOf(t, rec, got, want...)
+}
+
+func wantRecordsOf(t *testing.T, mk func(int) storage.Record, got []storage.Record, want ...int) {
 	t.Helper()
 	byPath := make(map[string]storage.Record, len(got))
 	for _, r := range got {
 		byPath[r.Path] = r
 	}
 	for _, i := range want {
-		w := rec(i)
+		w := mk(i)
 		g, ok := byPath[w.Path]
 		if !ok {
 			t.Fatalf("recovered state missing %s", w.Path)
@@ -69,6 +101,11 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatalf("fresh open recovered %d records", len(recs))
 	}
 	appendN(t, eng, 0, 10)
+	// A record larger than the block recovery reads a log in.
+	huge := storage.Record{Path: "/k/huge", Value: []byte(strings.Repeat("h", 20<<10)), Version: 7}
+	if err := eng.Append(huge); err != nil {
+		t.Fatalf("20 KiB append: %v", err)
+	}
 	if err := eng.Append(storage.Record{Path: rec(3).Path, Version: 100, Deleted: true}); err != nil {
 		t.Fatalf("tombstone append: %v", err)
 	}
@@ -78,8 +115,11 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 
 	eng2, recs2, info2 := mustOpen(t, fs, storage.Options{})
 	defer eng2.Close()
-	if info2.Replayed != 11 || info2.TornTails != 0 || info2.CorruptRecords != 0 {
-		t.Fatalf("recovery info = %+v, want 11 clean replays", info2)
+	if info2.Replayed != 12 || info2.TornTails != 0 || info2.CorruptRecords != 0 {
+		t.Fatalf("recovery info = %+v, want 12 clean replays", info2)
+	}
+	if got := recs2[10]; got.Path != huge.Path || string(got.Value) != string(huge.Value) || got.Version != huge.Version {
+		t.Fatalf("replayed %s with %d value bytes at version %d, want the 20 KiB record", got.Path, len(got.Value), got.Version)
 	}
 	// Replay preserves log order: the tombstone must come after the put
 	// it supersedes.
@@ -173,62 +213,130 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 }
 
 func TestTornTailTruncatedAndRepaired(t *testing.T) {
-	fs := chaos.NewDiskFS()
-	eng, _, _ := mustOpen(t, fs, storage.Options{})
-	appendN(t, eng, 0, 5)
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	seg := fmt.Sprintf("%s/wal-%020d.seg", dir, 1)
-	size, err := fs.Size(seg)
-	if err != nil {
-		t.Fatalf("Size: %v", err)
-	}
-	// Cut mid-way through the final record: the crash-during-append
-	// artifact.
-	if err := fs.TruncateTo(seg, size-3); err != nil {
-		t.Fatalf("TruncateTo: %v", err)
-	}
+	for _, tc := range []struct {
+		name        string
+		mk          func(int) storage.Record
+		n           int
+		acrossBlock bool // the final record starts in the first block, the cut lands in the next
+	}{
+		{"within the first block", rec, 5, false},
+		{"across a block refill", bigRec, 8, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := chaos.NewDiskFS()
+			eng, _, _ := mustOpen(t, fs, storage.Options{})
+			appendOf(t, eng, tc.mk, 0, tc.n)
+			if err := eng.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			seg := fmt.Sprintf("%s/wal-%020d.seg", dir, 1)
+			size, err := fs.Size(seg)
+			if err != nil {
+				t.Fatalf("Size: %v", err)
+			}
+			if start, block := size-size/tc.n, readBlock; tc.acrossBlock && (start >= block || size-3 <= block) {
+				t.Fatalf("final record spans bytes %d–%d, want it across byte %d", start, size, block)
+			}
+			// Cut mid-way through the final record: the crash-during-append
+			// artifact.
+			if err := fs.TruncateTo(seg, size-3); err != nil {
+				t.Fatalf("TruncateTo: %v", err)
+			}
 
-	eng2, recs, info := mustOpen(t, fs, storage.Options{})
-	if info.TornTails != 1 || info.CorruptRecords != 0 {
-		t.Fatalf("recovery info = %+v, want exactly one torn tail and no corruption", info)
+			eng2, recs, info := mustOpen(t, fs, storage.Options{})
+			if info.TornTails != 1 || info.CorruptRecords != 0 {
+				t.Fatalf("recovery info = %+v, want exactly one torn tail and no corruption", info)
+			}
+			wantRecordsOf(t, tc.mk, recs, upTo(tc.n-1)...)
+			// The tail was physically truncated and the log keeps working:
+			// append on top, reopen again, everything is clean.
+			appendOf(t, eng2, tc.mk, 10, 1)
+			if err := eng2.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			eng3, recs3, info3 := mustOpen(t, fs, storage.Options{})
+			defer eng3.Close()
+			if info3.TornTails != 0 {
+				t.Fatalf("second recovery found a torn tail again: %+v", info3)
+			}
+			wantRecordsOf(t, tc.mk, recs3, append(upTo(tc.n-1), 10)...)
+		})
 	}
-	wantRecords(t, recs, 0, 1, 2, 3)
-	// The tail was physically truncated and the log keeps working:
-	// append on top, reopen again, everything is clean.
-	appendN(t, eng2, 10, 1)
-	if err := eng2.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	eng3, recs3, info3 := mustOpen(t, fs, storage.Options{})
-	defer eng3.Close()
-	if info3.TornTails != 0 {
-		t.Fatalf("second recovery found a torn tail again: %+v", info3)
-	}
-	wantRecords(t, recs3, 0, 1, 2, 3, 10)
 }
 
 func TestMidLogCorruptionFailFast(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(int) storage.Record
+		n    int
+		at   func(size int) int
+	}{
+		// Damage an early record — valid history follows it, so this can
+		// never be mistaken for a torn tail.
+		{"within the first block", rec, 5, func(size int) int { return size / 4 }},
+		{"past the first block", bigRec, 20, func(int) int { return readBlock + 3000 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := chaos.NewDiskFS()
+			eng, _, _ := mustOpen(t, fs, storage.Options{})
+			appendOf(t, eng, tc.mk, 0, tc.n)
+			if err := eng.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			seg := fmt.Sprintf("%s/wal-%020d.seg", dir, 1)
+			size, err := fs.Size(seg)
+			if err != nil {
+				t.Fatalf("Size: %v", err)
+			}
+			at := tc.at(size)
+			if err := fs.Corrupt(seg, at); err != nil {
+				t.Fatalf("Corrupt: %v", err)
+			}
+			_, _, _, oerr := storage.Open(dir, storage.Options{FS: fs})
+			if oerr == nil {
+				t.Fatal("Open accepted mid-log corruption under CorruptFailFast")
+			}
+			// Refused at the start of the damaged record, not elsewhere.
+			recSize := size / tc.n
+			if want := fmt.Sprintf("at offset %d:", at/recSize*recSize); !strings.Contains(oerr.Error(), want) {
+				t.Fatalf("Open = %v, want the refusal %q", oerr, want)
+			}
+		})
+	}
+}
+
+// TestShouldSnapshotDoesNotWaitForSnapshot: every durable write's ack
+// asks ShouldSnapshot on the commit goroutine, so a compaction in
+// progress must not hold the answer up.
+func TestShouldSnapshotDoesNotWaitForSnapshot(t *testing.T) {
 	fs := chaos.NewDiskFS()
 	eng, _, _ := mustOpen(t, fs, storage.Options{})
-	appendN(t, eng, 0, 5)
-	if err := eng.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	defer eng.Close()
+	appendN(t, eng, 0, 3)
+	inCollect, release := make(chan struct{}), make(chan struct{})
+	snapped := make(chan error, 1)
+	go func() {
+		snapped <- eng.Snapshot(func() []storage.Record {
+			close(inCollect)
+			<-release
+			return []storage.Record{rec(0), rec(1), rec(2)}
+		})
+	}()
+	<-inCollect
+	answered := make(chan struct{})
+	go func() {
+		eng.ShouldSnapshot()
+		close(answered)
+	}()
+	select {
+	case <-answered:
+	case <-time.After(100 * time.Millisecond):
+		t.Error("ShouldSnapshot waited for the snapshot's collect")
 	}
-	seg := fmt.Sprintf("%s/wal-%020d.seg", dir, 1)
-	size, err := fs.Size(seg)
-	if err != nil {
-		t.Fatalf("Size: %v", err)
-	}
-	// Damage an early record — valid history follows it, so this can
-	// never be mistaken for a torn tail.
-	if err := fs.Corrupt(seg, size/4); err != nil {
-		t.Fatalf("Corrupt: %v", err)
-	}
-	_, _, _, oerr := storage.Open(dir, storage.Options{FS: fs})
-	if oerr == nil {
-		t.Fatal("Open accepted mid-log corruption under CorruptFailFast")
+	close(release)
+	<-answered
+	if err := <-snapped; err != nil {
+		t.Fatalf("Snapshot: %v", err)
 	}
 }
 

@@ -24,9 +24,9 @@ func (s segment) lastLSN() uint64 { return s.firstLSN + s.records - 1 }
 func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%020d.seg", firstLSN) }
 
 // appendReq is one writer waiting for its record to become durable.
-// done is invoked exactly once, from the commit goroutine (or from
-// the closing path), with the verdict of the covering fsync — it must
-// not block for long, or it stalls every later commit.
+// done is invoked exactly once, from the commit goroutine, with the
+// verdict of the covering fsync — it must not block for long, or it
+// stalls every later commit.
 type appendReq struct {
 	rec  Record
 	done func(error)
@@ -37,7 +37,8 @@ type appendReq struct {
 // the loop drains the queue into one batch, writes the batch to the
 // active segment, and issues ONE fsync for all of them — group
 // commit. An append returns only after the fsync that covers it, so
-// an acked record is durable by construction.
+// an acked record is durable by construction. The same goroutine acks
+// each batch once its fsync has returned.
 type wal struct {
 	fs       FS
 	dir      string
@@ -46,10 +47,8 @@ type wal struct {
 	met      Metrics
 
 	reqs     chan *appendReq
-	comps    chan compBatch
 	stop     chan struct{}
 	loopDone chan struct{}
-	compDone chan struct{}
 
 	mu            sync.Mutex
 	active        File
@@ -77,10 +76,8 @@ func newWAL(fsys FS, dir string, segBytes int64, maxBatch int, met Metrics,
 		maxBatch:      maxBatch,
 		met:           met,
 		reqs:          make(chan *appendReq, maxBatch),
-		comps:         make(chan compBatch, 4),
 		stop:          make(chan struct{}),
 		loopDone:      make(chan struct{}),
-		compDone:      make(chan struct{}),
 		active:        active,
 		activePath:    activePath,
 		activeFirst:   activeFirst,
@@ -96,7 +93,6 @@ func newWAL(fsys FS, dir string, segBytes int64, maxBatch int, met Metrics,
 	}
 	w.publishGauges()
 	go w.run()
-	go w.completions()
 	return w, nil
 }
 
@@ -160,47 +156,29 @@ func (w *wal) appendAsync(rec Record, done func(error)) bool {
 	return true
 }
 
-// compBatch is one committed (or refused) batch on its way to the
-// completion goroutine.
-type compBatch struct {
-	reqs []*appendReq
-	err  error
-}
-
-// run is the single commit goroutine. Completions are handed to a
-// separate goroutine so the fsync of batch N+1 overlaps with the
-// (possibly network-bound) reply delivery of batch N; the channel is
-// shallow, so a stalled consumer backpressures commits rather than
-// queueing unbounded acked-but-unreported batches.
+// run is the single commit goroutine: it writes and fsyncs a batch,
+// then acks every writer in it, in commit order. While it acks, the
+// next batch gathers in reqs, so the next fsync covers all of it.
 func (w *wal) run() {
-	defer close(w.comps)
 	defer close(w.loopDone)
 	for {
 		select {
 		case req := <-w.reqs:
 			batch := w.gather(req)
 			err := w.commit(batch)
-			w.comps <- compBatch{reqs: batch, err: err}
+			for _, r := range batch {
+				r.done(err)
+			}
 		case <-w.stop:
 			for {
 				select {
 				case r := <-w.reqs:
 					cinc(w.met.AppendErrors)
-					w.comps <- compBatch{reqs: []*appendReq{r}, err: ErrClosed}
+					r.done(ErrClosed)
 				default:
 					return
 				}
 			}
-		}
-	}
-}
-
-// completions delivers batch verdicts in commit order.
-func (w *wal) completions() {
-	defer close(w.compDone)
-	for cb := range w.comps {
-		for _, r := range cb.reqs {
-			r.done(cb.err)
 		}
 	}
 }
@@ -375,7 +353,6 @@ func (w *wal) close(clean bool) error {
 	w.mu.Unlock()
 	close(w.stop)
 	<-w.loopDone
-	<-w.compDone
 	if !clean {
 		return nil
 	}
