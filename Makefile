@@ -136,13 +136,14 @@ examples:
 	$(GO) run ./examples/robustapp
 	$(GO) run ./examples/futurework
 
-# Brief fuzzing of the wire-facing parsers and framing decoders, of
-# the two documents read back from the store and the directory, and of
-# the storage engine's WAL record and snapshot decoders and its
-# torn-tail/corruption classifier.
+# Brief fuzzing of the wire-facing parsers (one command, and a stream
+# of them) and framing decoders, of the two documents read back from
+# the store and the directory, and of the storage engine's WAL record
+# and snapshot decoders and its torn-tail/corruption classifier.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzParse$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
+	$(GO) test -run '^$$' -fuzz=FuzzParsePrefix$$ -fuzztime=$(FUZZTIME) ./internal/cmdlang/
 	$(GO) test -run '^$$' -fuzz=FuzzSplitPayload$$ -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrame$$ -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzParseAssertion -fuzztime=$(FUZZTIME) ./internal/keynote/

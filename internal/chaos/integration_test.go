@@ -318,9 +318,9 @@ func TestChaosNotificationDeliveryDegradesGracefully(t *testing.T) {
 }
 
 // TestChaosPstoreCorruptReplicaCannotWinQuorum: a replica answering
-// with corrupt (non-hex) values is treated as failed — it neither
-// wins the read nor counts toward the majority — while the healthy
-// majority still serves the true value.
+// with corrupt values (a string, not a byte string) is treated as
+// failed — it neither wins the read nor counts toward the majority —
+// while the healthy majority still serves the true value.
 func TestChaosPstoreCorruptReplicaCannotWinQuorum(t *testing.T) {
 	cluster, err := pstore.StartCluster(3, "", 0)
 	if err != nil {

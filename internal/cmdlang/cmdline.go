@@ -102,6 +102,10 @@ func (c *CmdLine) SetString(name, v string) *CmdLine { return c.Set(name, String
 // SetBool is shorthand for Set(name, Bool(v)).
 func (c *CmdLine) SetBool(name string, v bool) *CmdLine { return c.Set(name, Bool(v)) }
 
+// SetBytes is shorthand for Set(name, Bytes(v)): the command keeps a
+// copy of v.
+func (c *CmdLine) SetBytes(name string, v []byte) *CmdLine { return c.Set(name, Bytes(v)) }
+
 // Get returns the named argument value.
 func (c *CmdLine) Get(name string) (Value, bool) {
 	i := c.find(name)
@@ -143,6 +147,17 @@ func (c *CmdLine) Str(name, def string) string {
 		return v.AsString()
 	}
 	return def
+}
+
+// Bytes returns the named argument's bytes (Value.AsBytes); ok is false
+// when it is absent or not a byte string, word or string. A parsed
+// command's bytes may share the memory of the frame it arrived in, so
+// the slice must not be modified.
+func (c *CmdLine) Bytes(name string) (b []byte, ok bool) {
+	if v, present := c.Get(name); present {
+		return v.AsBytes()
+	}
+	return nil, false
 }
 
 // Bool returns the named argument as a boolean, with def as fallback.

@@ -26,6 +26,7 @@ const (
 	tokInt
 	tokFloat
 	tokString
+	tokBytes
 	tokEquals
 	tokComma
 	tokLBrace
@@ -35,7 +36,7 @@ const (
 
 type token struct {
 	kind tokenKind
-	text string // word/string content (unescaped), or number literal
+	text string // word/string/byte-string content (unescaped), or number literal
 	i    int64
 	f    float64
 	off  int
@@ -93,6 +94,8 @@ func (l *lexer) next() (token, *ParseError) {
 		return token{kind: tokSemi, off: start}, nil
 	case '"':
 		return l.lexString()
+	case '#':
+		return l.lexBytes()
 	}
 	if c == '+' || c == '-' || isDigit(c) || (c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])) {
 		return l.lexNumber()
@@ -106,13 +109,22 @@ func (l *lexer) next() (token, *ParseError) {
 	return token{}, l.errf(start, "unexpected character %q", rune(c))
 }
 
+// keep returns run, a part of the source, as a token's text. A run that
+// makes up at least half of the source is a slice of it, so a bulk
+// value is never copied; a shorter one is copied, so that a handler
+// that keeps a path or a name keeps those few bytes and not the frame
+// they arrived in.
+func (l *lexer) keep(run string) string {
+	if 2*len(run) < len(l.src) {
+		return strings.Clone(run)
+	}
+	return run
+}
+
 // lexString scans a quoted string. One without a backslash that is
-// valid UTF-8 — nearly every one — is taken from the source whole; only
-// escapes and invalid bytes (which decode to U+FFFD) need rewriting
-// byte by byte. A string that makes up at least half of the source is
-// a slice of it, so a bulk value is never copied; a shorter one is
-// copied, so that a handler that keeps a path or a name keeps those
-// few bytes and not the frame they arrived in.
+// valid UTF-8 — nearly every one — is taken from the source whole (see
+// keep); only escapes and invalid bytes (which decode to U+FFFD) need
+// rewriting byte by byte.
 func (l *lexer) lexString() (token, *ParseError) {
 	start := l.pos
 	l.pos++ // opening quote
@@ -121,10 +133,7 @@ func (l *lexer) lexString() (token, *ParseError) {
 	if end >= 0 {
 		if run := rest[:end]; strings.IndexByte(run, '\\') < 0 && utf8.ValidString(run) {
 			l.pos += end + 1
-			if 2*len(run) < len(l.src) {
-				run = strings.Clone(run)
-			}
-			return token{kind: tokString, text: run, off: start}, nil
+			return token{kind: tokString, text: l.keep(run), off: start}, nil
 		}
 	}
 	// The first quote is where the string ends unless it is escaped.
@@ -163,6 +172,35 @@ func (l *lexer) lexString() (token, *ParseError) {
 		}
 	}
 	return token{}, l.errf(start, "unterminated string")
+}
+
+// lexBytes scans a byte string: '#', its length n in decimal with no
+// sign or leading zero, ':', and then exactly n bytes of any value,
+// taken from the source as keep takes them. The length is checked
+// against the source digit by digit — the ':' and n bytes must still
+// fit after each — so it never overflows, never exceeds what is left of
+// the input and is never an allocation size.
+func (l *lexer) lexBytes() (token, *ParseError) {
+	start := l.pos
+	l.pos++ // '#'
+	digits, n := l.pos, 0
+	for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
+		n = 10*n + int(l.src[l.pos]-'0')
+		l.pos++
+		if n > len(l.src)-l.pos-1 {
+			return token{}, &ParseError{Offset: start, Msg: "byte string longer than the input"}
+		}
+	}
+	switch {
+	case l.pos == digits || l.pos == len(l.src) || l.src[l.pos] != ':':
+		return token{}, &ParseError{Offset: start, Msg: "byte string needs '#', a length and ':'"}
+	case l.src[digits] == '0' && l.pos-digits > 1:
+		return token{}, &ParseError{Offset: start, Msg: "byte string length has a leading zero"}
+	}
+	l.pos++ // ':'
+	run := l.src[l.pos : l.pos+n]
+	l.pos += n
+	return token{kind: tokBytes, text: l.keep(run), off: start}, nil
 }
 
 func (l *lexer) lexNumber() (token, *ParseError) {
@@ -242,9 +280,10 @@ func Parse(s string) (*CmdLine, error) {
 }
 
 // ParseBytes is Parse for a buffer the caller hands over: the
-// command's words and bulk strings alias b instead of a copy of it, so
-// nothing may write to b afterwards. It is how a received frame
-// becomes a command without a second copy of its text.
+// command's words, bulk strings and bulk byte strings alias b instead
+// of a copy of it, so nothing may write to b afterwards. It is how a
+// received frame becomes a command without a second copy of its
+// contents.
 func ParseBytes(b []byte) (*CmdLine, error) { return Parse(ownedString(b)) }
 
 // ParsePrefix parses one command from the front of s and returns the
@@ -320,6 +359,10 @@ func (p *parser) parseValue() (Value, *ParseError) {
 		return v, p.advance()
 	case tokString:
 		v := String(p.tok.text)
+		return v, p.advance()
+	case tokBytes:
+		// The lexer already kept or copied the bytes; Bytes would copy again.
+		v := Value{kind: KindBytes, s: p.tok.text}
 		return v, p.advance()
 	case tokLBrace:
 		return p.parseBraced()

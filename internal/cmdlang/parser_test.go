@@ -3,6 +3,7 @@ package cmdlang
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, s string) *CmdLine {
@@ -36,13 +37,14 @@ func TestParseCommaSeparatedArgs(t *testing.T) {
 }
 
 func TestParseScalarKinds(t *testing.T) {
-	c := mustParse(t, `set i=-42 f=3.25 w=hello s="hello world" e=1e3 neg=-0.5;`)
+	c := mustParse(t, `set i=-42 f=3.25 w=hello s="hello world" e=1e3 neg=-0.5 b=#3:a;c h="#2:ab";`)
 	cases := []struct {
 		arg  string
 		kind Kind
 	}{
 		{"i", KindInt}, {"f", KindFloat}, {"w", KindWord},
 		{"s", KindString}, {"e", KindFloat}, {"neg", KindFloat},
+		{"b", KindBytes}, {"h", KindString},
 	}
 	for _, tc := range cases {
 		v, ok := c.Get(tc.arg)
@@ -61,6 +63,9 @@ func TestParseScalarKinds(t *testing.T) {
 	}
 	if c.Float("e", 0) != 1000 {
 		t.Errorf("e=%g", c.Float("e", 0))
+	}
+	if b, _ := c.Bytes("b"); string(b) != "a;c" {
+		t.Errorf("b=%q", b)
 	}
 }
 
@@ -128,6 +133,14 @@ func TestParseErrors(t *testing.T) {
 		`cmd s="a\q";`,     // bad escape
 		"cmd a={{1},2};",   // array mixing vector and scalar
 		"1cmd a=1;",        // name starts with digit
+		"cmd v=#;",         // byte string without a length
+		"cmd v=#:;",        // byte string without a length
+		"cmd v=#-1:a;",     // signed length
+		"cmd v=#1 :x;",     // space before ':'
+		"cmd v=#3;abc;",    // no ':'
+		"cmd v=#01:a;",     // leading zero
+		"cmd v=#4:abc;",    // swallows the terminator
+		"cmd v=#9:ab;",     // longer than the input
 		"cmd a={{1},{a}};", // fine per-vector but let's check homogeneous arrays allowed
 	}
 	for _, s := range bad[:len(bad)-1] {
@@ -187,6 +200,8 @@ func TestRoundTripExamples(t *testing.T) {
 		New("mat").Set("m", Array(IntVector(1, 2), IntVector(3, 4))),
 		New("mix").Set("names", StringVector("a b", "c")).SetBool("on", true),
 		New("empty").Set("v", Vector()),
+		New("blob").SetBytes("all", allBytes()).SetBytes("none", nil).
+			Set("parts", Vector(Bytes([]byte(";")), Bytes([]byte(`"}`)))),
 	}
 	for _, c := range cmds {
 		s := c.String()
@@ -197,6 +212,58 @@ func TestRoundTripExamples(t *testing.T) {
 		}
 		if !c.Equal(back) {
 			t.Errorf("round trip mismatch: %v -> %q -> %v", c, s, back)
+		}
+	}
+}
+
+// allBytes is every byte value once, the quote, brace and ';' included.
+func allBytes() []byte {
+	b := make([]byte, 256)
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return b
+}
+
+// TestParseBytesSlicesBulkValues: a byte string that is most of its
+// frame is a slice of the frame; a short one is a copy, so the frame is
+// not kept alive by a few bytes.
+func TestParseBytesSlicesBulkValues(t *testing.T) {
+	within := func(b, frame []byte) bool {
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		f := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
+		return p >= f && p < f+uintptr(len(frame))
+	}
+	bulk := New("ok").SetBytes("value", allBytes()).SetInt("version", 7).AppendTo(nil)
+	c, err := ParseBytes(bulk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Bytes("value"); !within(got, bulk) || string(got) != string(allBytes()) {
+		t.Error("a bulk byte string was copied out of its frame")
+	}
+	short := New("ok").SetBytes("value", []byte("ab")).SetString("pad", strings.Repeat("x", 64)).AppendTo(nil)
+	if c, err = ParseBytes(short); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.Bytes("value"); within(got, short) || string(got) != "ab" {
+		t.Error("a short byte string aliases its frame")
+	}
+}
+
+// TestByteStringPrefixIsNotAnAllocation: a length far beyond the input
+// fails with the error as its only allocation, never a buffer of that
+// size.
+func TestByteStringPrefixIsNotAnAllocation(t *testing.T) {
+	for _, src := range []string{"#1048576:abc", "#1048576", "#" + strings.Repeat("9", 25) + ":"} {
+		n := testing.AllocsPerRun(100, func() {
+			l := lexer{src: src}
+			if _, err := l.next(); err == nil {
+				t.Fatalf("%q lexed", src)
+			}
+		})
+		if n > 1 {
+			t.Errorf("%q: %v allocations, want at most 1", src, n)
 		}
 	}
 }

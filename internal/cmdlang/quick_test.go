@@ -42,13 +42,17 @@ func randScalar(r *rand.Rand, kind Kind) Value {
 		return Float(f)
 	case KindWord:
 		return Word(randWord(r))
+	case KindBytes:
+		b := make([]byte, r.Intn(20))
+		r.Read(b)
+		return Bytes(b)
 	default:
 		return String(randString(r))
 	}
 }
 
 func randVector(r *rand.Rand) Value {
-	kind := []Kind{KindInt, KindFloat, KindWord, KindString}[r.Intn(4)]
+	kind := []Kind{KindInt, KindFloat, KindWord, KindString, KindBytes}[r.Intn(5)]
 	n := r.Intn(6)
 	elems := make([]Value, n)
 	for i := range elems {
@@ -58,7 +62,7 @@ func randVector(r *rand.Rand) Value {
 }
 
 func randValue(r *rand.Rand) Value {
-	switch r.Intn(6) {
+	switch r.Intn(7) {
 	case 0:
 		return randScalar(r, KindInt)
 	case 1:
@@ -68,6 +72,8 @@ func randValue(r *rand.Rand) Value {
 	case 3:
 		return randScalar(r, KindString)
 	case 4:
+		return randScalar(r, KindBytes)
+	case 5:
 		return randVector(r)
 	default:
 		n := r.Intn(4)

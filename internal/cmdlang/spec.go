@@ -136,7 +136,8 @@ func (r *Registry) Validate(c *CmdLine) error {
 // Kind compatibility is pragmatic, matching the loosely typed textual
 // wire form: an int argument satisfies a float spec; a word satisfies
 // a string spec and vice versa when the content is a legal word;
-// numeric words satisfy numeric specs.
+// numeric words satisfy numeric specs; words and strings satisfy a
+// bytes spec.
 func (spec *CommandSpec) Validate(c *CmdLine) error {
 	for _, as := range spec.Args {
 		v, present := c.Get(as.Name)
@@ -195,6 +196,10 @@ func kindCompatible(want Kind, v Value) bool {
 		return got == KindWord || got == KindInt || got == KindFloat
 	case KindWord:
 		return got == KindString && IsWord(v.AsString())
+	case KindBytes:
+		// Text is bytes too: a hand-typed or text-only sender may write
+		// a bytes slot as a word or a string.
+		return got == KindString || got == KindWord
 	case KindVector:
 		return false
 	case KindArray:

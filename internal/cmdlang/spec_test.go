@@ -86,6 +86,34 @@ func TestRegistryNumericWordsSatisfyNumericSpecs(t *testing.T) {
 	}
 }
 
+// TestRegistryTextSatisfiesBytesSpecs: a bytes slot takes a byte string,
+// or a word or string as its bytes, and nothing else.
+func TestRegistryTextSatisfiesBytesSpecs(t *testing.T) {
+	r := NewRegistry().Declare(CommandSpec{
+		Name: "put",
+		Args: []ArgSpec{{Name: "b", Kind: KindBytes, Required: true}},
+	})
+	for s, want := range map[string]string{`put b=#3:a"c;`: `a"c`, `put b="a c";`: "a c", `put b=ac;`: "ac"} {
+		c, err := r.Parse(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		if got, ok := c.Bytes("b"); !ok || string(got) != want {
+			t.Fatalf("%s: bytes %q ok=%v, want %q", s, got, ok, want)
+		}
+	}
+	for _, s := range []string{`put b=12;`, `put b=1.5;`, `put b={#1:a};`} {
+		if _, err := r.Parse(s); err == nil {
+			t.Fatalf("%s: want kind error", s)
+		}
+	}
+	if _, err := NewRegistry().Declare(CommandSpec{
+		Name: "say", Args: []ArgSpec{{Name: "s", Kind: KindString}},
+	}).Parse(`say s=#2:hi;`); err == nil {
+		t.Fatal("a byte string satisfied a string slot")
+	}
+}
+
 func TestRegistryInheritanceCloneMerge(t *testing.T) {
 	// The daemon hierarchy (Fig 6): child daemons inherit parent
 	// semantics and extend or override them.

@@ -9,6 +9,9 @@
 //	<ARGUMENT> := <ARGNAME>'='<ARGVALUE>
 //	<ARGVALUE> := <INTEGER>|<FLOAT>|<WORD>|<STRING>|<VECTOR>|<ARRAY>
 //
+// plus one value kind of its own, <BYTES>: '#', a decimal length n, ':'
+// and then n raw bytes, for binary values that text would have to encode.
+//
 // Commands are built as CmdLine objects, rendered to a compact textual
 // string, transmitted, and re-parsed on the receiving side, optionally
 // validated against the receiver's command semantics (Registry).
@@ -21,9 +24,10 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
-// Kind identifies the type of a Value. The ACE language has four
+// Kind identifies the type of a Value. The ACE language has five
 // scalar kinds plus homogeneous vectors and arrays of vectors.
 type Kind int
 
@@ -42,11 +46,13 @@ const (
 	KindVector
 	// KindArray is a sequence of vectors.
 	KindArray
+	// KindBytes is a length-prefixed run of arbitrary bytes.
+	KindBytes
 )
 
 // String returns the lower-case name of the kind as used in command
 // semantics declarations ("int", "float", "word", "string", "vector",
-// "array").
+// "array", "bytes").
 func (k Kind) String() string {
 	switch k {
 	case KindInt:
@@ -61,6 +67,8 @@ func (k Kind) String() string {
 		return "vector"
 	case KindArray:
 		return "array"
+	case KindBytes:
+		return "bytes"
 	default:
 		return "invalid"
 	}
@@ -82,19 +90,21 @@ func KindFromString(s string) Kind {
 		return KindVector
 	case "array":
 		return KindArray
+	case "bytes":
+		return KindBytes
 	default:
 		return KindInvalid
 	}
 }
 
 // Value is one ACE command-language value. The zero Value is invalid;
-// construct values with Int, Float, Word, String, Vector, or Array.
-// Values are immutable once constructed.
+// construct values with Int, Float, Word, String, Bytes, Vector, or
+// Array. Values are immutable once constructed.
 type Value struct {
 	kind Kind
 	i    int64
 	f    float64
-	s    string
+	s    string  // word, string or byte-string content
 	vec  []Value // vector: scalar elements; array: vector elements
 }
 
@@ -132,6 +142,11 @@ func Word(s string) Value {
 // String returns a string value. Arbitrary contents are permitted;
 // the encoder escapes quotes, backslashes, and control characters.
 func String(s string) Value { return Value{kind: KindString, s: s} }
+
+// Bytes returns a byte-string value holding a copy of b. The value owns
+// its bytes, so the caller may reuse b at once, even while a command
+// built from the value is still being encoded.
+func Bytes(b []byte) Value { return Value{kind: KindBytes, s: string(b)} }
 
 // Vector returns a vector value from scalar elements. All elements
 // must be scalars of the same kind; offending elements degrade the
@@ -230,14 +245,26 @@ func (v Value) AsFloat() (val float64, ok bool) {
 	}
 }
 
-// AsString returns the textual content of a word or string value, or
-// the rendered form of any other value.
+// AsString returns the content of a word, string or byte-string value,
+// or the rendered form of any other value.
 func (v Value) AsString() string {
 	switch v.kind {
-	case KindWord, KindString:
+	case KindWord, KindString, KindBytes:
 		return v.s
 	default:
 		return v.Encode()
+	}
+}
+
+// AsBytes returns the content of a byte-string value, and of a word or
+// string as its bytes; ok is false for every other kind. The slice
+// shares the value's memory and must not be modified.
+func (v Value) AsBytes() (b []byte, ok bool) {
+	switch v.kind {
+	case KindBytes, KindWord, KindString:
+		return unsafe.Slice(unsafe.StringData(v.s), len(v.s)), true
+	default:
+		return nil, false
 	}
 }
 
@@ -275,7 +302,7 @@ func (v Value) Equal(o Value) bool {
 		return v.i == o.i
 	case KindFloat:
 		return v.f == o.f
-	case KindWord, KindString:
+	case KindWord, KindString, KindBytes:
 		return v.s == o.s
 	case KindVector, KindArray:
 		if len(v.vec) != len(o.vec) {
@@ -302,7 +329,7 @@ func (v Value) Validate() error {
 		var elemKind Kind
 		for i, e := range v.vec {
 			switch e.kind {
-			case KindInt, KindFloat, KindWord, KindString:
+			case KindInt, KindFloat, KindWord, KindString, KindBytes:
 			default:
 				return fmt.Errorf("cmdlang: vector element %d has non-scalar kind %v", i, e.kind)
 			}
@@ -345,6 +372,8 @@ func (v *Value) sizeHint() int {
 		return len(v.s)
 	case KindString:
 		return len(v.s) + 2
+	case KindBytes:
+		return len(v.s) + 22 // '#', at most 20 digits, ':'
 	default:
 		n := 2
 		for i := range v.vec {
@@ -371,6 +400,11 @@ func (v *Value) appendTo(dst []byte) []byte {
 		dst = append(dst, v.s...)
 	case KindString:
 		dst = appendQuoted(dst, v.s)
+	case KindBytes:
+		dst = append(dst, '#')
+		dst = appendInt(dst, int64(len(v.s)))
+		dst = append(dst, ':')
+		dst = append(dst, v.s...)
 	case KindVector, KindArray:
 		dst = append(dst, '{')
 		for i := range v.vec {

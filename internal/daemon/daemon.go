@@ -724,8 +724,8 @@ func (d *Daemon) commandThread(conn net.Conn) {
 		}
 		d.wireMetrics.FrameRecv(len(payload))
 		sc, _, text := wire.SplitPayload(payload)
-		// The frame's bytes are the command's from here on: its words
-		// and strings point into them.
+		// The frame's bytes are the command's from here on: its words,
+		// strings and byte strings point into them.
 		cmd, perr := cmdlang.ParseBytes(text)
 		if perr != nil {
 			// Syntactically broken input is answered directly, outside

@@ -169,15 +169,10 @@ func RunE14() (*Table, error) {
 		d := timeOp(n, func() { media.Convert(payload, media.FormatRaw, media.FormatMPEG) }) //nolint:errcheck
 		mbs := float64(len(payload)) / d.Seconds() / (1 << 20)
 
-		// Over the command channel (hex encoding + framing included);
-		// cap the payload to the frame limit.
-		svcPayload := payload
-		if len(svcPayload) > 256*1024 {
-			svcPayload = svcPayload[:256*1024]
-		}
-		hexData := fmt.Sprintf("%x", svcPayload)
+		// Over the command channel, framing included: the payload
+		// travels as a byte string, so 512 KB fits the 1 MiB frame.
 		callCmd := cmdlang.New("convert").
-			SetString("data", hexData).
+			SetBytes("data", payload).
 			SetWord("from", media.FormatRaw).SetWord("to", media.FormatMPEG)
 		if _, err := pool.Call(conv.Addr(), callCmd); err != nil {
 			return nil, err

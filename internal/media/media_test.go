@@ -270,22 +270,19 @@ func TestConverterService(t *testing.T) {
 	defer pool.Close()
 
 	payload := bytes.Repeat([]byte("frame"), 500)
-	reply, err := pool.Call(conv.Addr(), cmdlang.New("convert").
-		SetString("data", hexEncode(payload)).
-		SetWord("from", FormatRaw).SetWord("to", FormatMPEG))
+	reply, err := pool.Call(conv.Addr(), convertCmd(payload, FormatRaw, FormatMPEG))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Int("outBytes", 0) >= reply.Int("inBytes", 0) {
 		t.Fatalf("no compression: %v", reply)
 	}
-	back, err := pool.Call(conv.Addr(), cmdlang.New("convert").
-		SetString("data", reply.Str("data", "")).
-		SetWord("from", FormatMPEG).SetWord("to", FormatRaw))
+	compressed, _ := reply.Bytes("data")
+	back, err := pool.Call(conv.Addr(), convertCmd(compressed, FormatMPEG, FormatRaw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Str("data", "") != hexEncode(payload) {
+	if got, ok := back.Bytes("data"); !ok || !bytes.Equal(got, payload) {
 		t.Fatal("round trip through service failed")
 	}
 }
@@ -363,14 +360,4 @@ func TestSpokenCommandThroughPipeline(t *testing.T) {
 	if got := reply.Strings("commands"); len(got) != 1 || !strings.Contains(got[0], "camera on") {
 		t.Fatalf("recorded=%v", reply)
 	}
-}
-
-func hexEncode(b []byte) string {
-	const digits = "0123456789abcdef"
-	out := make([]byte, 2*len(b))
-	for i, c := range b {
-		out[2*i] = digits[c>>4]
-		out[2*i+1] = digits[c&0xF]
-	}
-	return string(out)
 }

@@ -1,7 +1,6 @@
 package media
 
 import (
-	"encoding/hex"
 	"fmt"
 	"net"
 	"sync"
@@ -93,7 +92,7 @@ func NewConverter(dcfg daemon.Config, pairs ...Pair) *Converter {
 		Name: "convert",
 		Doc:  "convert a payload between formats",
 		Args: []cmdlang.ArgSpec{
-			{Name: "data", Kind: cmdlang.KindString, Required: true, Doc: "hex payload"},
+			{Name: "data", Kind: cmdlang.KindBytes, Required: true, Doc: "payload"},
 			{Name: "from", Kind: cmdlang.KindWord, Required: true},
 			{Name: "to", Kind: cmdlang.KindWord, Required: true},
 		},
@@ -103,16 +102,13 @@ func NewConverter(dcfg daemon.Config, pairs ...Pair) *Converter {
 			return cmdlang.Fail(cmdlang.CodeUnavailable,
 				fmt.Sprintf("this converter does not support %s→%s", from, to)), nil
 		}
-		payload, err := hex.DecodeString(cl.Str("data", ""))
-		if err != nil {
-			return nil, fmt.Errorf("media: bad payload hex: %w", err)
-		}
+		payload, _ := cl.Bytes("data")
 		out, err := Convert(payload, from, to)
 		if err != nil {
 			return nil, err
 		}
 		return cmdlang.OK().
-			SetString("data", hex.EncodeToString(out)).
+			SetBytes("data", out).
 			SetInt("inBytes", int64(len(payload))).
 			SetInt("outBytes", int64(len(out))), nil
 	})

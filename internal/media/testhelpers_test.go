@@ -1,7 +1,6 @@
 package media
 
 import (
-	"encoding/hex"
 	"testing"
 
 	"ace/internal/cmdlang"
@@ -21,7 +20,7 @@ func poolForTest(t *testing.T) *daemon.Pool {
 
 func convertCmd(payload []byte, from, to string) *cmdlang.CmdLine {
 	return cmdlang.New("convert").
-		SetString("data", hex.EncodeToString(payload)).
+		SetBytes("data", payload).
 		SetWord("from", from).SetWord("to", to)
 }
 

@@ -14,7 +14,6 @@
 package pathcreate
 
 import (
-	"encoding/hex"
 	"fmt"
 	"strings"
 
@@ -135,19 +134,21 @@ func (p *Planner) Plan(from, to string) (Path, error) {
 }
 
 // Execute pushes a payload through the path, one converter at a time.
+// The result shares memory with the last hop's reply (or is payload,
+// for an empty path), so it must not be modified.
 func (p *Planner) Execute(path Path, payload []byte) ([]byte, error) {
 	cur := payload
 	for _, hop := range path {
 		reply, err := p.pool.Call(hop.Addr, cmdlang.New("convert").
-			SetString("data", hex.EncodeToString(cur)).
+			SetBytes("data", cur).
 			SetWord("from", hop.From).
 			SetWord("to", hop.To))
 		if err != nil {
 			return nil, fmt.Errorf("pathcreate: hop %s (%s→%s): %w", hop.Service, hop.From, hop.To, err)
 		}
-		cur, err = hex.DecodeString(reply.Str("data", ""))
-		if err != nil {
-			return nil, fmt.Errorf("pathcreate: hop %s returned bad hex: %w", hop.Service, err)
+		var ok bool
+		if cur, ok = reply.Bytes("data"); !ok {
+			return nil, fmt.Errorf("pathcreate: hop %s returned no data", hop.Service)
 		}
 	}
 	return cur, nil

@@ -2,7 +2,6 @@ package pstore
 
 import (
 	"context"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -20,30 +19,27 @@ import (
 	"ace/internal/wire"
 )
 
-func encodeValue(b []byte) string { return hex.EncodeToString(b) }
-
-// decodeValue decodes a replica's hex-encoded value. Corruption must
-// surface as an error: silently returning nil would let a bad replica
-// masquerade as holding a missing/empty value and win (or skew) a
-// quorum read.
-func decodeValue(s string) ([]byte, error) {
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("pstore: corrupt replica value %q: %w", truncateForErr(s), err)
+// replyValue extracts a replica reply's value, which a replica sends
+// as a byte string; the slice shares the reply's frame. Anything else
+// is corruption and must surface as an error: taking a string's text,
+// or nothing, would let a bad replica masquerade as holding that value
+// and win (or skew) a quorum read.
+func replyValue(reply *cmdlang.CmdLine, addr string) ([]byte, error) {
+	v, _ := reply.Get("value")
+	if v.Kind() == cmdlang.KindBytes {
+		b, _ := v.AsBytes()
+		return b, nil
 	}
-	return b, nil
-}
-
-func truncateForErr(s string) string {
+	s := v.AsString()
 	if len(s) > 32 {
-		return s[:32] + "…"
+		s = s[:32] + "…"
 	}
-	return s
+	return nil, fmt.Errorf("pstore: replica %s: corrupt value %q: not a byte string", addr, s)
 }
 
 // replyVersion extracts a reply's version argument. A negative
-// version is a corrupt-replica error, same treatment as bad hex: the
-// naive uint64 conversion would turn version=-1 into ~1.8e19, which
+// version is a corrupt-replica error, same treatment as a corrupt
+// value: the naive uint64 conversion would turn version=-1 into ~1.8e19, which
 // permanently wins every quorum read and, reported as a conflict,
 // drags the next write's version up with it.
 func replyVersion(reply *cmdlang.CmdLine, addr string) (uint64, error) {
@@ -447,7 +443,10 @@ func (c *Client) repairAsync(ctx context.Context, addr string, winner Item) {
 // highest-versioned live value among a majority of responses. It returns ok=false (with nil error) when a majority agrees
 // the path holds nothing. Replicas observed to lag behind the winning
 // version are read-repaired in the background, tightening the window
-// anti-entropy would otherwise close later.
+// anti-entropy would otherwise close later. The value shares memory
+// with the reply it arrived in, and a repair may still read it after
+// Get returns, so it must not be modified; every read of this client
+// returns values on these terms.
 func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err error) {
 	return c.GetContext(context.Background(), path)
 }
@@ -543,8 +542,8 @@ func (c *Client) readReplica(ctx context.Context, addr, path string) (it Item, h
 		return Item{}, false, err
 	}
 	it = Item{Path: path, Deleted: reply.Bool("deleted", false)}
-	if it.Value, err = decodeValue(reply.Str("value", "")); err != nil {
-		return Item{}, false, fmt.Errorf("pstore: replica %s: %w", addr, err)
+	if it.Value, err = replyValue(reply, addr); err != nil {
+		return Item{}, false, err
 	}
 	if it.Version, err = replyVersion(reply, addr); err != nil {
 		return Item{}, false, err
@@ -667,7 +666,7 @@ func delCommand(path string, version uint64) *cmdlang.CmdLine {
 func putCommand(path string, value []byte, version uint64) *cmdlang.CmdLine {
 	return cmdlang.New("psput").
 		SetString("path", path).
-		SetString("value", encodeValue(value)).
+		SetBytes("value", value).
 		SetInt("version", int64(version))
 }
 

@@ -30,7 +30,7 @@ func startDurableNode(t *testing.T, name string, fs *chaos.DiskFS) *Node {
 func putCmd(path, value string, version int64) *cmdlang.CmdLine {
 	return cmdlang.New("psput").
 		SetString("path", path).
-		SetString("value", encodeValue([]byte(value))).
+		SetBytes("value", []byte(value)).
 		SetInt("version", version)
 }
 
@@ -76,7 +76,7 @@ func TestDegradedDiskRefusesAcksServesReads(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read on degraded node: %v", err)
 	}
-	if val, _ := decodeValue(reply.Str("value", "")); string(val) != "v1" {
+	if val, err := replyValue(reply, n.Addr()); err != nil || string(val) != "v1" {
 		t.Fatalf("read on degraded node = %q, want v1", val)
 	}
 }

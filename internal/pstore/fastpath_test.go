@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -343,7 +344,7 @@ func startNegativeVersionReplica(t *testing.T) *daemon.Daemon {
 	t.Helper()
 	d := daemon.New(daemon.Config{Name: "negative_replica"})
 	corrupt := func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		return cmdlang.OK().SetString("value", "aa").SetInt("version", -1), nil
+		return cmdlang.OK().SetBytes("value", []byte("aa")).SetInt("version", -1), nil
 	}
 	d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true}, corrupt)
 	d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
@@ -358,7 +359,8 @@ func startNegativeVersionReplica(t *testing.T) *daemon.Daemon {
 }
 
 // TestNegativeVersionIsCorruptReplica: a replica answering
-// version=-1 must be treated exactly like one answering bad hex — a
+// version=-1 must be treated exactly like one answering a value that is
+// not a byte string — a
 // failed replica that neither wins the read nor, refusing a write,
 // drags the writer's version up.
 func TestNegativeVersionIsCorruptReplica(t *testing.T) {
@@ -443,7 +445,7 @@ func TestNodeRejectsNegativeVersions(t *testing.T) {
 	pool := daemon.NewPool(nil)
 	t.Cleanup(pool.Close)
 
-	put := cmdlang.New("psput").SetString("path", "/neg/n").SetString("value", "aa").SetInt("version", -5)
+	put := cmdlang.New("psput").SetString("path", "/neg/n").SetBytes("value", []byte("aa")).SetInt("version", -5)
 	if _, err := pool.Call(addr, put); !cmdlang.IsRemoteCode(err, cmdlang.CodeBadArgument) {
 		t.Fatalf("psput version=-5: err=%v, want bad_argument", err)
 	}
@@ -624,7 +626,7 @@ func TestDataRepliesCarryOnlyTheirOwnArguments(t *testing.T) {
 		cmd  *cmdlang.CmdLine
 		want []string
 	}{
-		{cmdlang.New("psput").SetString("path", "/shape/a").SetString("value", "aa").SetInt("version", 1), []string{"applied", "version"}},
+		{cmdlang.New("psput").SetString("path", "/shape/a").SetBytes("value", []byte("aa")).SetInt("version", 1), []string{"applied", "version"}},
 		{cmdlang.New("psget").SetString("path", "/shape/a"), []string{"value", "version"}},
 		{cmdlang.New("psfetch").SetString("path", "/shape/a"), []string{"deleted", "value", "version"}},
 		{cmdlang.New("psdigest"), []string{"paths", "versions"}},
@@ -654,7 +656,7 @@ func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		d := daemon.New(daemon.Config{Name: fmt.Sprintf("old_replica%d", i)})
 		d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
-			oldReply(`ok value="6f6c64" version=4 hlc=1893456000000;`))
+			oldReply(`ok value=#3:old version=4 hlc=1893456000000;`))
 		d.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
 			oldReply(`ok applied=true version=5 hlc=1893456000000;`))
 		if err := d.Start(); err != nil {
@@ -677,5 +679,66 @@ func TestClientAcceptsRepliesFromWatermarkingNode(t *testing.T) {
 	}
 	if ver, err := client.Put("/old/x", []byte("new")); err != nil || ver <= 4 {
 		t.Fatalf("put through old replicas: ver=%d err=%v", ver, err)
+	}
+}
+
+// TestStragglerLegSendsTheValuePutWasGiven: a write returns at a
+// majority while a straggling leg may not have encoded its frame yet,
+// and the caller reuses its buffer as soon as Put returns. Here the
+// third leg is held back in the pool before it encodes anything — its
+// breaker's half-open transition waits until the caller has overwritten
+// the buffer — and the frame it then sends must still carry the value
+// Put was given: the command owns a copy of its value bytes.
+func TestStragglerLegSendsTheValuePutWasGiven(t *testing.T) {
+	cluster, _ := startCluster(t, 3, "")
+	slow := cluster.Addrs()[2]
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free()
+	pool := daemon.NewPoolConfig(daemon.PoolConfig{
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Millisecond,
+		OnBreakerChange: func(addr, _, to string) {
+			if addr == slow && to == "half-open" {
+				<-release
+			}
+		},
+	})
+	defer pool.Close()
+
+	// A call that cannot succeed opens the slow replica's breaker; a
+	// connection is pooled behind it, so the held-back leg has one to
+	// write to once it is let go.
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := pool.CallContext(expired, slow, cmdlang.New("psfetch").SetString("path", "/own/x")); err == nil {
+		t.Fatal("a call past its deadline succeeded")
+	}
+	if got := pool.BreakerState(slow); got != "open" {
+		t.Fatalf("breaker %s, want open", got)
+	}
+	if _, err := pool.Get(slow); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond) // past the cool-down
+
+	client := NewClient(pool, cluster.Addrs())
+	buf := []byte("the value Put was given")
+	want := string(buf)
+	if _, err := client.Put("/own/x", buf); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, bytes.Repeat([]byte("X"), len(buf)))
+	free()
+	client.Close() // the third leg has sent its frame
+
+	// The fetch follows the leg's psput on the same connection, and a
+	// connection's commands run in order.
+	reply, err := pool.Call(slow, cmdlang.New("psfetch").SetString("path", "/own/x"))
+	if err != nil {
+		t.Fatalf("psfetch on the slow replica: %v", err)
+	}
+	if got, _ := reply.Bytes("value"); string(got) != want {
+		t.Fatalf("slow replica holds %q, want %q", got, want)
 	}
 }

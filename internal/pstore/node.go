@@ -494,11 +494,11 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		if err != nil {
 			return abort(err)
 		}
-		val, decErr := decodeValue(itemReply.Str("value", ""))
-		if decErr != nil {
+		val, valErr := replyValue(itemReply, peerAddr)
+		if valErr != nil {
 			// Never replicate corruption: abort the pull so the next
 			// anti-entropy round retries against a healthy peer.
-			return abort(fmt.Errorf("pstore: sync with %s: %w", peerAddr, decErr))
+			return abort(fmt.Errorf("pstore: sync with %s: %w", peerAddr, valErr))
 		}
 		ver, verErr := replyVersion(itemReply, peerAddr)
 		if verErr != nil {
@@ -506,7 +506,7 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		}
 		batch = append(batch, Item{
 			Path:    p,
-			Value:   val,
+			Value:   bytes.Clone(val), // not the reply frame (see psput)
 			Version: ver,
 			Deleted: itemReply.Bool("deleted", false),
 		})
@@ -647,16 +647,16 @@ func (n *Node) install() {
 		Doc:  "store an object at a namespace path",
 		Args: []cmdlang.ArgSpec{
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
-			{Name: "value", Kind: cmdlang.KindString, Required: true, Doc: "hex-encoded bytes"},
+			{Name: "value", Kind: cmdlang.KindBytes, Required: true, Doc: "the object; a string is taken as its bytes"},
 			{Name: "version", Kind: cmdlang.KindInt, Required: true},
 			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		val, decErr := decodeValue(c.Str("value", ""))
-		if decErr != nil {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, decErr.Error()), nil
-		}
-		return n.handleWrite(ctx, c, val, false)
+		// The value is a slice of the received frame: stored as it is, a
+		// 256-byte value would pin a frame of some 340 bytes for the
+		// item's life. A node keeps its own copy.
+		val, _ := c.Bytes("value")
+		return n.handleWrite(ctx, c, bytes.Clone(val), false)
 	})
 
 	n.Handle(cmdlang.CommandSpec{
@@ -678,7 +678,7 @@ func (n *Node) install() {
 			return cmdlang.Fail(cmdlang.CodeNotFound, "no object at path"), nil
 		}
 		reply := cmdlang.OK().
-			SetString("value", encodeValue(it.Value)).
+			SetBytes("value", it.Value).
 			SetInt("version", int64(it.Version))
 		if it.Deleted {
 			// The tombstone's version is what lets a quorum read rank the
@@ -778,7 +778,7 @@ func (n *Node) install() {
 			return cmdlang.Fail(cmdlang.CodeNotFound, "no item"), nil
 		}
 		return cmdlang.OK().
-			SetString("value", encodeValue(it.Value)).
+			SetBytes("value", it.Value).
 			SetInt("version", int64(it.Version)).
 			SetBool("deleted", it.Deleted), nil
 	})
