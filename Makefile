@@ -19,12 +19,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# ACE-specific static analysis (docs/LINT.md): six intraprocedural
+# ACE-specific static analysis (docs/LINT.md): five intraprocedural
 # checks (context propagation, locks held across blocking I/O,
 # discarded transport errors, verb registration sanity, chaos
-# determinism, bounded accept/dispatch spawns) plus four built on the
-# package-set-wide call graph (wire-protocol verb conformance,
-# deadline propagation, goroutine shutdown edges, metric naming).
+# determinism) plus four built on the package-set-wide call graph
+# (wire-protocol verb conformance, deadline propagation, goroutine
+# shutdown edges, metric naming).
 lint:
 	$(GO) run ./cmd/acelint ./...
 
@@ -91,9 +91,10 @@ bench:
 # fully durable cluster (every ack costs an fsync) plus single-node
 # recovery time, and fails if group commit stops amortizing fsyncs
 # across concurrent writers. The sharding half drives a keyed zipfian
-# storm against rate-pinned nodes and fails unless 4 replica groups
-# deliver ≥2.5x the 1-group put throughput with sharded get latency
-# within 10% of a plain single-group client.
+# storm against nodes whose capacity is pinned by cost (a data limit of
+# 1 and a 2 ms fsync) and fails unless 4 replica groups deliver ≥2.5x
+# the 1-group put throughput with sharded get latency within 10% of a
+# plain single-group client.
 # The two halves run in separate processes: the quorum half leaves a
 # large heap behind, and the sharding half's 10% latency budget is
 # tighter than the GC noise that heap causes. The sharding half merges
@@ -104,8 +105,9 @@ bench-pstore:
 	ACE_BENCH_PSTORE=1 ACE_BENCH_PSTORE_OUT=$(CURDIR)/BENCH_pstore.json \
 		$(GO) test -run 'TestBenchPstoreSharding$$' -count=1 -v ./internal/pstore/
 
-# Offer a pinned-capacity daemon 1x/2x/4x its capacity and record
-# goodput, shed counts, and p99 admitted latency in BENCH_flow.json.
+# Offer a daemon whose capacity is pinned by a 5 ms command cost
+# 1x/2x/4x that capacity and record goodput, shed counts, and p99
+# admitted latency in BENCH_flow.json.
 # Fails if goodput at 4x drops below 70% of the 1x baseline — i.e. if
 # overload degrades the work the daemon admits (congestion collapse).
 bench-flow:

@@ -223,8 +223,8 @@ func printStats(pool *daemon.Pool, name, addr string) {
 // printFlowSummary condenses the flow.* admission-control metrics
 // into an overload-at-a-glance block: current AIMD limit, inflight
 // work, queue depth, and admitted-vs-shed per priority class. The raw
-// counters still print below it; daemons running with flow disabled
-// (or predating it) have no flow.* metrics and print nothing here.
+// counters still print below it; a snapshot without flow.* metrics
+// prints nothing here.
 func printFlowSummary(snap *telemetry.Snapshot) {
 	admC := snap.Counter("flow.admitted.control")
 	admD := snap.Counter("flow.admitted.data")

@@ -1,13 +1,13 @@
 package ace
 
 // Overload bench for the flow admission-control subsystem. A daemon
-// with a pinned token-bucket capacity is offered paced load at 1x, 2x,
-// and 4x that capacity; for each multiple we record goodput (admitted
-// requests per second), the busy-shed count, and the p99 latency of
-// the *admitted* requests. The gate is the no-congestion-collapse
-// property: goodput at 4x offered load must hold at >= 70% of the 1x
-// baseline — shedding must protect the work we do admit, not just
-// refuse work.
+// whose capacity is pinned by a per-command cost (startWorkDaemon) is
+// offered paced load at 1x, 2x, and 4x that capacity; for each
+// multiple we record goodput (admitted requests per second), the
+// busy-shed count, and the p99 latency of the *admitted* requests. The
+// gate is the no-congestion-collapse property: goodput at 4x offered
+// load must hold at >= 70% of the 1x baseline — shedding must protect
+// the work we do admit, not just refuse work.
 //
 // `make bench-flow` runs TestBenchFlow with ACE_BENCH_FLOW=1 and
 // writes the comparison to BENCH_flow.json at the repo root. The
@@ -27,9 +27,48 @@ import (
 	"ace/internal/flow"
 )
 
-// benchFlowRate is the pinned capacity in requests/s: small enough
-// that a few paced workers reach 4x even on a single-core machine.
-const benchFlowRate = 200
+// workCost is what one "work" command costs: its handler sleeps that
+// long in the daemon's serial section, so a daemon serving it
+// completes at most workCapacity commands per second on any CPU. The
+// capacity is small enough that a few paced workers reach 4x even on a
+// single-core machine.
+const (
+	workCost     = 5 * time.Millisecond
+	workCapacity = int(time.Second / workCost)
+)
+
+// overloadWorkers is how many paced workers offer load, each on its
+// own connection: a connection has at most one command in flight, so
+// there must be more workers than the limit plus the queue for the
+// controller to shed anything.
+const overloadWorkers = 16
+
+// startWorkDaemon starts a daemon serving the costed "work" verb under
+// a fixed concurrency limit of 4 with an 8-deep queue: four tickets
+// take turns in the serial section, eight waiters stand behind them,
+// and anything beyond that is shed busy.
+func startWorkDaemon(t *testing.T, name string) *daemon.Daemon {
+	t.Helper()
+	d := daemon.New(daemon.Config{
+		Name: name,
+		Flow: &flow.Config{
+			InitialLimit: 4,
+			MinLimit:     4,
+			MaxLimit:     4,
+			QueueLen:     8,
+			MaxQueueWait: 25 * time.Millisecond,
+		},
+	})
+	d.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+		time.Sleep(workCost)
+		return cmdlang.OK(), nil
+	})
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Stop)
+	return d
+}
 
 // flowBenchReport is one load point in BENCH_flow.json.
 type flowBenchReport struct {
@@ -41,13 +80,13 @@ type flowBenchReport struct {
 	MeanAdmittedMs float64 `json:"mean_admitted_ms"`
 }
 
-// runFlowLoad offers mult x benchFlowRate for the given duration and
+// runFlowLoad offers mult x workCapacity for the given duration and
 // reports what came back. Workers pace themselves (next-time pacing,
 // not sleep-per-iteration) so the offered rate is controlled rather
 // than whatever a closed loop produces.
 func runFlowLoad(t *testing.T, addr string, mult int, duration time.Duration) flowBenchReport {
-	const workers = 4
-	pace := time.Duration(float64(workers) * float64(time.Second) / float64(mult*benchFlowRate))
+	const workers = overloadWorkers
+	pace := time.Duration(float64(workers) * float64(time.Second) / float64(mult*workCapacity))
 	var ok, busy, other atomic.Int64
 	var mu sync.Mutex
 	var latencies []time.Duration
@@ -64,7 +103,9 @@ func runFlowLoad(t *testing.T, addr string, mult int, duration time.Duration) fl
 			})
 			defer pool.Close()
 			local := make([]time.Duration, 0, 4096)
-			next := time.Now()
+			// Staggered starts spread the workers over one pace
+			// interval instead of arriving as one burst of workers.
+			next := time.Now().Add(time.Duration(w) * pace / workers)
 			for time.Now().Before(deadline) {
 				if sleep := time.Until(next); sleep > 0 {
 					time.Sleep(sleep)
@@ -125,26 +166,7 @@ func TestBenchFlow(t *testing.T) {
 		t.Skip("set ACE_BENCH_FLOW=1 (or run `make bench-flow`) to measure overload behaviour")
 	}
 
-	d := daemon.New(daemon.Config{
-		Name: "bench_flow",
-		Flow: &flow.Config{
-			Rate:          benchFlowRate,
-			Burst:         benchFlowRate / 10,
-			InitialLimit:  8,
-			MinLimit:      4,
-			MaxLimit:      32,
-			TargetLatency: 20 * time.Millisecond,
-			QueueLen:      32,
-			MaxQueueWait:  25 * time.Millisecond,
-		},
-	})
-	d.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		return cmdlang.OK(), nil
-	})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
+	d := startWorkDaemon(t, "bench_flow")
 
 	const duration = 3 * time.Second
 	var reports []flowBenchReport
@@ -173,7 +195,7 @@ func TestBenchFlow(t *testing.T) {
 	payload := map[string]any{
 		"benchmark":    "flow-overload",
 		"date":         time.Now().UTC().Format(time.RFC3339),
-		"capacity_rps": benchFlowRate,
+		"capacity_rps": workCapacity,
 		"results":      reports,
 	}
 	data, err := json.MarshalIndent(payload, "", "  ")

@@ -196,7 +196,6 @@ func (p *Proxy) acceptLoop() {
 			continue
 		}
 		p.wg.Add(1)
-		//acelint:ignore boundedspawn fault-proxy relays are bounded by the test harness's connection count
 		go p.relay(client, target, id)
 	}
 }

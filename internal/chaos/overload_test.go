@@ -1,14 +1,15 @@
 package chaos_test
 
 // Overload chaos test for the flow admission-control subsystem: an
-// ASD with deliberately pinned capacity is offered several times that
-// capacity in lookups while live daemons depend on it for lease
-// renewal. The contract under test, end to end:
+// ASD whose daemon serves a costed data verb under a fixed concurrency
+// limit is offered several times its capacity in that verb while live
+// daemons depend on it for lease renewal. The contract under test, end
+// to end:
 //
 //   - shed requests are answered with a retryable "busy" reply — they
 //     never hang and never lose their connection;
-//   - data-plane goodput holds at >= 70% of the configured capacity
-//     even at ~4x offered load (no congestion collapse);
+//   - data-plane goodput holds at >= 70% of the pinned capacity even
+//     at several x offered load (no congestion collapse);
 //   - control traffic (lease renewals) rides the reserved headroom:
 //     zero lease expirations while the storm runs.
 
@@ -25,10 +26,14 @@ import (
 	"ace/internal/flow"
 )
 
-// overloadRate is the pinned ASD data-plane capacity in lookups/s.
-// Small enough that a handful of closed-loop workers is a several-x
-// overload even on a single-core CI machine.
-const overloadRate = 150
+// overloadCost is what one "work" command costs: its handler sleeps
+// that long in the directory daemon's serial section, which pins the
+// data-plane capacity at overloadCapacity commands per second on any
+// CPU.
+const (
+	overloadCost     = 5 * time.Millisecond
+	overloadCapacity = int(time.Second / overloadCost)
+)
 
 func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 	if testing.Short() {
@@ -38,16 +43,17 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 		ReapInterval: 20 * time.Millisecond,
 		Daemon: daemon.Config{
 			Flow: &flow.Config{
-				Rate:          overloadRate,
-				Burst:         overloadRate / 5,
-				InitialLimit:  4,
-				MinLimit:      2,
-				MaxLimit:      16,
-				TargetLatency: 20 * time.Millisecond,
-				QueueLen:      16,
-				MaxQueueWait:  30 * time.Millisecond,
+				InitialLimit: 4,
+				MinLimit:     4,
+				MaxLimit:     4,
+				QueueLen:     8,
+				MaxQueueWait: 30 * time.Millisecond,
 			},
 		},
+	})
+	dir.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+		<-time.After(overloadCost) // the verb's service time
+		return cmdlang.OK(), nil
 	})
 	if err := dir.Start(); err != nil {
 		t.Fatal(err)
@@ -84,11 +90,12 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 
 	goroutinesBefore := runtime.NumGoroutine()
 
-	// The storm: closed-loop lookup workers with retries disabled, so
-	// every busy reply surfaces instead of being absorbed by the pool.
-	// On one core a handful of spinning workers offers far more than
-	// overloadRate; the assertion below checks the overload was real.
-	const workers = 4
+	// The storm: closed-loop workers with retries disabled, so every
+	// busy reply surfaces instead of being absorbed by the pool. Each
+	// worker has one command in flight on its own connection, so more
+	// workers than the limit plus the queue keep the directory shedding;
+	// the assertion below checks the overload was real.
+	const workers = 16
 	const stormDuration = 2 * time.Second
 	var ok, busy, other atomic.Int64
 	var wg sync.WaitGroup
@@ -106,7 +113,7 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 			})
 			defer pool.Close()
 			for time.Now().Before(deadline) {
-				_, err := pool.Call(dir.Addr(), cmdlang.New(daemon.CmdLookup).SetString("class", "Service"))
+				_, err := pool.Call(dir.Addr(), cmdlang.New("work"))
 				switch {
 				case err == nil:
 					ok.Add(1)
@@ -128,11 +135,11 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 	offered := okN + busyN + otherN
 	goodput := float64(okN) / elapsed.Seconds()
 	t.Logf("overload: offered %d (%.0f/s), goodput %.0f/s (capacity %d/s), busy %d, other %d",
-		offered, float64(offered)/elapsed.Seconds(), goodput, overloadRate, busyN, otherN)
+		offered, float64(offered)/elapsed.Seconds(), goodput, overloadCapacity, busyN, otherN)
 
 	// The overload must have been real (several x capacity) or the
 	// test proves nothing.
-	if float64(offered) < 3*overloadRate*elapsed.Seconds() {
+	if float64(offered) < 3*float64(overloadCapacity)*elapsed.Seconds() {
 		t.Skipf("machine too slow to generate overload: offered only %d requests in %v", offered, elapsed)
 	}
 	if busyN == 0 {
@@ -143,8 +150,8 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 		t.Fatalf("%d requests failed with something other than busy", otherN)
 	}
 	// No congestion collapse: goodput >= 70% of pinned capacity.
-	if goodput < 0.7*overloadRate {
-		t.Fatalf("goodput %.0f/s under overload, want >= %.0f/s", goodput, 0.7*overloadRate)
+	if goodput < 0.7*float64(overloadCapacity) {
+		t.Fatalf("goodput %.0f/s under overload, want >= %.0f/s", goodput, 0.7*float64(overloadCapacity))
 	}
 
 	// Control plane survived: zero lease expirations, zero shed

@@ -186,11 +186,14 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// Flow optionally tunes the daemon's admission controller. Nil
 	// takes flow.Config defaults, which are generous enough that an
-	// unloaded daemon never notices the controller.
+	// unloaded daemon never notices the controller. Production leaves
+	// it nil; tests pin a capacity with a fixed limit
+	// (InitialLimit = MinLimit = MaxLimit) and a costed handler.
 	Flow *flow.Config
 	// ControlVerbs names additional commands classified as
 	// control-plane for admission: they are admitted into reserved
-	// headroom and bypass the rate limiter and fair-share accounting.
+	// headroom above the data-plane limit and bypass fair-share
+	// accounting.
 	// The lease/heartbeat protocol verbs (register, renew, unregister,
 	// ping, telemetry, stats) are always control-plane; a pstore node
 	// adds its anti-entropy verbs here.

@@ -138,6 +138,81 @@ func TestControlVerbsSurviveOverload(t *testing.T) {
 	}
 }
 
+// TestFairShareProtectsQuietPrincipal: over TLS a principal is its
+// certificate's common name. One principal saturating the daemon from
+// several connections must not starve another: once "quiet" waits for
+// a slot, "noisy" is held to its share and its excess is shed
+// fair_share instead of queueing ahead of quiet.
+func TestFairShareProtectsQuietPrincipal(t *testing.T) {
+	ca, err := wire.NewCA("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := map[string]*wire.Transport{}
+	for _, cn := range []string{"shared", "noisy", "quiet"} {
+		if transports[cn], err = wire.NewTransport(ca, cn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fc := &flow.Config{
+		InitialLimit: 4, MinLimit: 4, MaxLimit: 4,
+		QueueLen:     2,
+		MaxQueueWait: 50 * time.Millisecond,
+	}
+	d := startTestDaemon(t, Config{Name: "shared", Transport: transports["shared"], Flow: fc}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			time.Sleep(2 * time.Millisecond)
+			return cmdlang.OK(), nil
+		})
+	})
+	dial := func(cn string) *wire.Client {
+		c, err := wire.Dial(transports[cn], d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c
+	}
+
+	// noisy keeps more commands in flight than the limit and the queue
+	// hold together.
+	stop := make(chan struct{})
+	var storm sync.WaitGroup
+	var noisyBusy atomic.Int64
+	for i := 0; i < 8; i++ {
+		c := dial("noisy")
+		storm.Add(1)
+		go func() {
+			defer storm.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.Call(cmdlang.New("work")); err != nil {
+					if !cmdlang.IsRemoteCode(err, cmdlang.CodeBusy) {
+						return // daemon shutting down
+					}
+					noisyBusy.Add(1)
+				}
+			}
+		}()
+	}
+	waitFor(t, func() bool { return noisyBusy.Load() > 0 })
+
+	quiet := dial("quiet")
+	for i := 0; i < 50; i++ {
+		if _, err := quiet.Call(cmdlang.New("work")); err != nil {
+			close(stop)
+			storm.Wait()
+			t.Fatalf("quiet call %d failed while noisy saturates the daemon: %v", i, err)
+		}
+	}
+	close(stop)
+	storm.Wait()
+}
+
 // TestConnectionCapSheds: connections beyond Flow.MaxConns are closed
 // at accept; releasing one re-opens the door.
 func TestConnectionCapSheds(t *testing.T) {

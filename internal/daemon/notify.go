@@ -136,7 +136,6 @@ func (d *Daemon) dispatchNotifications(ctx *Ctx, cmd *cmdlang.CmdLine) {
 		}
 		d.nNotify.Add(1)
 		d.notifySent.Inc()
-		//acelint:ignore boundedspawn fan-out is bounded by notifySem above
 		go func() {
 			defer func() {
 				<-d.notifySem

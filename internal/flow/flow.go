@@ -8,26 +8,24 @@
 // ROADMAP's millions-of-users scale that turns overload into
 // collapse (unbounded goroutines, unbounded queues, lease renewals
 // starved behind lookup storms). The Controller converts overload
-// into graceful degradation with four mechanisms:
+// into graceful degradation with one mechanism per concern:
 //
-//   - a token-bucket rate limiter bounding the data-plane admission
-//     rate (TokenBucket);
-//   - an adaptive concurrency limiter (AIMDLimiter) that probes for
+//   - throughput: an adaptive concurrency limit that probes for
 //     capacity additively while latency is below a target and backs
 //     off multiplicatively when it is above — in the spirit of
 //     TCP-Vegas/gradient concurrency limiters;
-//   - a bounded admission queue with per-request deadlines and a
-//     LIFO-on-overload policy: when the queue is saturated the
+//   - waiting: a bounded admission queue with per-request deadlines
+//     and a LIFO-on-overload policy: when the queue is saturated the
 //     oldest waiter (the one that has already burned most of its
 //     deadline) is shed and fresh work is served newest-first, so
 //     the daemon spends its capacity on requests whose callers are
 //     still listening;
-//   - priority classes with per-principal fair-share accounting:
-//     control-plane verbs (register/renew/heartbeat, pstore sync)
-//     admit into reserved headroom above the data-plane limit and
-//     bypass the rate and fair-share gates, so leases survive
-//     overload, while no single principal can hold more than its
-//     share of data-plane slots once the daemon is half full.
+//   - priority: control-plane verbs (register/renew/heartbeat, pstore
+//     sync) admit into reserved headroom above the data-plane limit
+//     and bypass fair share, so leases survive overload;
+//   - fairness: once the daemon is half full and another principal
+//     holds or awaits a data-plane slot, a principal at its share of
+//     the limit is shed instead of taking or queueing for another.
 //
 // Shed requests carry a retry-after hint; the daemon shell converts
 // a rejection into the cmdlang "busy" reply and daemon.Pool retries
@@ -73,7 +71,6 @@ var ErrClosed = errors.New("flow: controller closed")
 
 // Rejection reasons carried by RejectedError.
 const (
-	ReasonRate         = "rate"          // token bucket empty
 	ReasonFairShare    = "fair_share"    // principal over its share
 	ReasonQueueFull    = "queue_full"    // shed under the LIFO-on-overload policy
 	ReasonQueueTimeout = "queue_timeout" // deadline expired while queued
@@ -106,21 +103,9 @@ type Config struct {
 	// Default 64.
 	InitialLimit int
 	// MinLimit / MaxLimit bound the adaptive limit. Defaults 8 / 1024.
+	// InitialLimit = MinLimit = MaxLimit pins the limit.
 	MinLimit int
 	MaxLimit int
-	// TargetLatency is the admit-to-completion latency the adaptive
-	// limiter steers toward. Default 50ms.
-	TargetLatency time.Duration
-	// DecreaseFactor is the multiplicative backoff applied when
-	// latency exceeds the target (at most once per TargetLatency, so
-	// one congested burst does not collapse the limit). Default 0.75.
-	DecreaseFactor float64
-	// Rate is the data-plane token-bucket refill rate in admissions
-	// per second; <= 0 disables rate limiting (the concurrency limit
-	// still applies). Default disabled.
-	Rate float64
-	// Burst is the token-bucket capacity; default max(1, Rate).
-	Burst int
 	// QueueLen bounds the admission queue per priority. Default 128.
 	QueueLen int
 	// MaxQueueWait is the per-request queueing deadline. Default
@@ -134,49 +119,25 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.InitialLimit <= 0 {
-		c.InitialLimit = 64
-	}
-	if c.MinLimit <= 0 {
-		c.MinLimit = 8
-	}
-	if c.MaxLimit <= 0 {
-		c.MaxLimit = 1024
-	}
-	if c.MinLimit > c.MaxLimit {
-		c.MinLimit = c.MaxLimit
-	}
-	if c.InitialLimit < c.MinLimit {
-		c.InitialLimit = c.MinLimit
-	}
-	if c.InitialLimit > c.MaxLimit {
-		c.InitialLimit = c.MaxLimit
-	}
-	if c.TargetLatency <= 0 {
-		c.TargetLatency = 50 * time.Millisecond
-	}
-	if c.DecreaseFactor <= 0 || c.DecreaseFactor >= 1 {
-		c.DecreaseFactor = 0.75
-	}
-	if c.Burst <= 0 {
-		c.Burst = int(c.Rate)
-		if c.Burst < 1 {
-			c.Burst = 1
-		}
-	}
-	if c.QueueLen <= 0 {
-		c.QueueLen = 128
-	}
-	if c.MaxQueueWait <= 0 {
-		c.MaxQueueWait = 100 * time.Millisecond
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 4096
-	}
+	orDefault(&c.InitialLimit, 64)
+	orDefault(&c.MinLimit, 8)
+	orDefault(&c.MaxLimit, 1024)
+	c.MinLimit = min(c.MinLimit, c.MaxLimit)
+	c.InitialLimit = min(max(c.InitialLimit, c.MinLimit), c.MaxLimit)
+	orDefault(&c.QueueLen, 128)
+	orDefault(&c.MaxQueueWait, 100*time.Millisecond)
+	orDefault(&c.MaxConns, 4096)
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
+}
+
+// orDefault replaces a non-positive setting with its default.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // controlReserve is the fraction of the data-plane limit added on top
@@ -203,10 +164,9 @@ type Controller struct {
 	now func() time.Time
 
 	mu           sync.Mutex
-	aimd         *AIMDLimiter
-	bucket       *TokenBucket
+	lim          aimd
 	inflight     int
-	perPrincipal map[string]int
+	perPrincipal map[string]load // data-plane slots held and awaited
 	controlQ     waitQueue
 	dataQ        waitQueue
 	conns        int
@@ -235,8 +195,8 @@ func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 	c := &Controller{
 		cfg:          cfg,
 		now:          cfg.Clock,
-		aimd:         NewAIMDLimiter(cfg),
-		perPrincipal: make(map[string]int),
+		lim:          aimd{limit: float64(cfg.InitialLimit), min: float64(cfg.MinLimit), max: float64(cfg.MaxLimit)},
+		perPrincipal: make(map[string]load),
 		mAdmitted:    [2]*telemetry.Counter{reg.Counter(MetricAdmittedControl), reg.Counter(MetricAdmittedData)},
 		mShed:        [2]*telemetry.Counter{reg.Counter(MetricShedControl), reg.Counter(MetricShedData)},
 		mQueueWait:   [2]*telemetry.Histogram{reg.Histogram(MetricQueueWaitControl), reg.Histogram(MetricQueueWaitData)},
@@ -245,10 +205,7 @@ func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 		mQueueLen:    reg.Gauge(MetricQueueDepth),
 		mConnsShed:   reg.Counter(MetricConnsShed),
 	}
-	if cfg.Rate > 0 {
-		c.bucket = NewTokenBucket(cfg.Rate, cfg.Burst, cfg.Clock)
-	}
-	c.mLimit.Set(int64(c.aimd.Limit()))
+	c.mLimit.Set(int64(c.lim.current()))
 	return c
 }
 
@@ -285,30 +242,18 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		c.mu.Unlock()
 		return nil, ErrClosed
 	}
+	capacity := c.lim.current()
 	if pri == Control {
-		if c.inflight < c.hardCapLocked() {
-			t := c.admitLocked(pri, principal, now, now)
-			c.mu.Unlock()
-			return t, nil
-		}
-	} else {
-		if c.bucket != nil {
-			if ok, retry := c.bucket.Take(1); !ok {
-				err := c.shedLocked(pri, ReasonRate, retry)
-				c.mu.Unlock()
-				return nil, err
-			}
-		}
-		if c.fairShareExceededLocked(principal) {
-			err := c.shedLocked(pri, ReasonFairShare, c.retryHintLocked())
-			c.mu.Unlock()
-			return nil, err
-		}
-		if c.inflight < c.aimd.Limit() {
-			t := c.admitLocked(pri, principal, now, now)
-			c.mu.Unlock()
-			return t, nil
-		}
+		capacity = c.hardCapLocked()
+	} else if c.fairShareExceededLocked(principal) {
+		err := c.shedLocked(pri, ReasonFairShare)
+		c.mu.Unlock()
+		return nil, err
+	}
+	if c.inflight < capacity {
+		t := c.admitLocked(pri, principal, now, now)
+		c.mu.Unlock()
+		return t, nil
 	}
 
 	// At capacity: join the bounded queue.
@@ -333,10 +278,12 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		// has burned the most of its deadline and its caller is the
 		// least likely to still be listening — and keep the newcomer.
 		dropped = q.popOldest()
-		dropped.state = waiterRejected
-		dropped.reject = c.shedLocked(dropped.pri, ReasonQueueFull, c.retryHintLocked())
+		c.rejectLocked(dropped, ReasonQueueFull)
 	}
 	q.push(w)
+	if pri == Data {
+		c.bookLocked(principal, 0, 1)
+	}
 	c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
 	c.mu.Unlock()
 	if dropped != nil {
@@ -352,96 +299,107 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 	}
 
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch w.state {
 	case waiterAdmitted:
 		// Admission may have raced the timer; the slot is already
 		// held, so take it regardless of which select arm fired.
-		t := &Ticket{c: c, pri: pri, principal: principal, start: w.enq}
 		c.mQueueWait[pri].Observe(c.now().Sub(w.enq))
-		c.mu.Unlock()
-		return t, nil
-	case waiterRejected:
-		err := w.reject
-		c.mu.Unlock()
-		return nil, err
+		return &Ticket{c: c, pri: pri, principal: principal, start: w.enq}, nil
 	case waiterClosed:
-		c.mu.Unlock()
 		return nil, ErrClosed
-	default:
+	case waiterQueued:
 		// Timed out (or ctx cancelled) while still queued.
 		q.remove(w)
-		err := c.shedLocked(pri, ReasonQueueTimeout, c.retryHintLocked())
+		c.rejectLocked(w, ReasonQueueTimeout)
 		c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
-		c.mu.Unlock()
-		return nil, err
 	}
+	return nil, w.reject
 }
 
 // admitLocked hands out a slot. start is the admission request time
 // (queue wait baseline); the queue-wait histogram records now-start.
 func (c *Controller) admitLocked(pri Priority, principal string, start, now time.Time) *Ticket {
-	c.takeSlotLocked(pri, principal)
+	c.takeSlotLocked(pri, principal, 0)
 	c.mInflight.Set(int64(c.inflight))
 	c.mQueueWait[pri].Observe(now.Sub(start))
 	return &Ticket{c: c, pri: pri, principal: principal, start: start}
 }
 
-// takeSlotLocked books one admission, immediate or from the queue.
-func (c *Controller) takeSlotLocked(pri Priority, principal string) {
+// takeSlotLocked books one admission, immediate (dequeued 0) or from
+// the queue (dequeued 1). Only data-plane slots count toward a
+// principal's fair share.
+func (c *Controller) takeSlotLocked(pri Priority, principal string, dequeued int) {
 	c.inflight++
-	c.perPrincipal[principal]++
+	if pri == Data {
+		c.bookLocked(principal, 1, -dequeued)
+	}
 	c.nAdmitted[pri]++
 	c.mAdmitted[pri].Inc()
 }
 
-// shedLocked counts a rejection and builds its error.
-func (c *Controller) shedLocked(pri Priority, reason string, retry time.Duration) *RejectedError {
-	c.nShed[pri]++
-	c.mShed[pri].Inc()
-	return &RejectedError{Reason: reason, RetryAfter: retry}
+// load is one principal's data-plane demand: slots held and waiters
+// queued.
+type load struct{ held, queued int }
+
+// bookLocked adjusts principal's data-plane load, forgetting a
+// principal that neither holds nor awaits a slot.
+func (c *Controller) bookLocked(principal string, held, queued int) {
+	l := c.perPrincipal[principal]
+	l.held += held
+	l.queued += queued
+	if l == (load{}) {
+		delete(c.perPrincipal, principal)
+	} else {
+		c.perPrincipal[principal] = l
+	}
 }
 
-// retryHintLocked suggests when a shed caller should retry: one
-// target-latency interval — roughly the time a queue drain takes to
-// become visible. A precise estimate is not worth the bookkeeping;
-// the pool's jittered backoff spreads retries anyway.
-func (c *Controller) retryHintLocked() time.Duration {
-	return c.cfg.TargetLatency
+// rejectLocked sheds a waiter that leaves the queue without a slot.
+func (c *Controller) rejectLocked(w *waiter, reason string) {
+	w.state = waiterRejected
+	w.reject = c.shedLocked(w.pri, reason)
+	if w.pri == Data {
+		c.bookLocked(w.principal, 0, -1)
+	}
+}
+
+// shedLocked counts a rejection and builds its error. The retry hint
+// is one target-latency interval — roughly the time a queue drain
+// takes to become visible. A precise estimate is not worth the
+// bookkeeping; the pool's jittered backoff spreads retries anyway.
+func (c *Controller) shedLocked(pri Priority, reason string) *RejectedError {
+	c.nShed[pri]++
+	c.mShed[pri].Inc()
+	return &RejectedError{Reason: reason, RetryAfter: targetLatency}
 }
 
 // hardCapLocked is the control-plane ceiling: the data-plane limit
 // plus reserved headroom data traffic can never occupy.
 func (c *Controller) hardCapLocked() int {
-	limit := c.aimd.Limit()
-	reserve := int(float64(limit) * controlReserve)
-	if reserve < 1 {
-		reserve = 1
-	}
-	return limit + reserve
+	limit := c.lim.current()
+	return limit + max(1, int(float64(limit)*controlReserve))
 }
 
 // fairShareExceededLocked enforces per-principal fairness once the
-// data plane is at least half full: each active principal is entitled
-// to an equal share of the limit (at least one slot), so one noisy
-// client saturating the daemon cannot starve the rest. A principal
-// alone has nobody to starve: at the limit it queues like anyone else.
+// daemon is at least half full: each principal holding or awaiting
+// data-plane slots is entitled to an equal share of the limit (at
+// least one slot), and one that holds its share is shed rather than
+// queued. So a noisy client holding every slot cannot starve one
+// waiting for its first: the noisy client's excess stops entering the
+// queue ahead of it. A principal alone has nobody to starve: at the
+// limit it queues like anyone else.
 func (c *Controller) fairShareExceededLocked(principal string) bool {
-	limit := c.aimd.Limit()
+	limit := c.lim.current()
 	if c.inflight*2 < limit {
 		return false
 	}
+	l, known := c.perPrincipal[principal]
 	active := len(c.perPrincipal)
-	if c.perPrincipal[principal] == 0 {
+	if !known {
 		active++ // this principal is about to become active
 	}
-	if active == 1 {
-		return false
-	}
-	share := limit / active
-	if share < 1 {
-		share = 1
-	}
-	return c.perPrincipal[principal] >= share
+	return active > 1 && l.held >= max(1, limit/active)
 }
 
 // release returns t's slot, feeds the adaptive limiter, and admits
@@ -450,13 +408,11 @@ func (c *Controller) release(t *Ticket) {
 	now := c.now()
 	c.mu.Lock()
 	c.inflight--
-	if n := c.perPrincipal[t.principal]; n <= 1 {
-		delete(c.perPrincipal, t.principal)
-	} else {
-		c.perPrincipal[t.principal] = n - 1
+	if t.pri == Data {
+		c.bookLocked(t.principal, -1, 0)
 	}
-	limit := c.aimd.Observe(now.Sub(t.start), now)
-	c.mLimit.Set(int64(limit))
+	c.lim.observe(now.Sub(t.start), now)
+	c.mLimit.Set(int64(c.lim.current()))
 	wake := c.fillLocked(now)
 	c.mInflight.Set(int64(c.inflight))
 	c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
@@ -475,10 +431,9 @@ func (c *Controller) release(t *Ticket) {
 func (c *Controller) fillLocked(now time.Time) []*waiter {
 	var wake []*waiter
 	for c.controlQ.len() > 0 && c.inflight < c.hardCapLocked() {
-		w := c.controlQ.popOldest()
-		wake = append(wake, c.fillOneLocked(w, now))
+		wake = append(wake, c.fillOneLocked(c.controlQ.popOldest(), now))
 	}
-	for c.dataQ.len() > 0 && c.inflight < c.aimd.Limit() {
+	for c.dataQ.len() > 0 && c.inflight < c.lim.current() {
 		var w *waiter
 		if c.dataQ.len()*2 >= c.cfg.QueueLen {
 			w = c.dataQ.popNewest()
@@ -493,12 +448,11 @@ func (c *Controller) fillLocked(now time.Time) []*waiter {
 // fillOneLocked admits or expires one popped waiter.
 func (c *Controller) fillOneLocked(w *waiter, now time.Time) *waiter {
 	if now.After(w.deadline) {
-		w.state = waiterRejected
-		w.reject = c.shedLocked(w.pri, ReasonQueueTimeout, c.retryHintLocked())
+		c.rejectLocked(w, ReasonQueueTimeout)
 		return w
 	}
 	w.state = waiterAdmitted
-	c.takeSlotLocked(w.pri, w.principal)
+	c.takeSlotLocked(w.pri, w.principal, 1)
 	return w
 }
 
@@ -530,21 +484,17 @@ func (c *Controller) ReleaseConn() {
 // future Admits fail. Held tickets may still call Done.
 func (c *Controller) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
+	c.closed = true // the queues of a closed controller are empty already
 	var wake []*waiter
-	for c.controlQ.len() > 0 {
-		w := c.controlQ.popOldest()
-		w.state = waiterClosed
-		wake = append(wake, w)
-	}
-	for c.dataQ.len() > 0 {
-		w := c.dataQ.popOldest()
-		w.state = waiterClosed
-		wake = append(wake, w)
+	for _, q := range []*waitQueue{&c.controlQ, &c.dataQ} {
+		for q.len() > 0 {
+			w := q.popOldest()
+			w.state = waiterClosed
+			if w.pri == Data {
+				c.bookLocked(w.principal, 0, -1)
+			}
+			wake = append(wake, w)
+		}
 	}
 	c.mQueueLen.Set(0)
 	c.mu.Unlock()
@@ -565,7 +515,8 @@ type Snapshot struct {
 	QueueDepth int
 	// Conns is the number of admitted connections.
 	Conns int
-	// Principals is the number of principals holding slots.
+	// Principals is the number of principals holding or awaiting
+	// data-plane slots.
 	Principals int
 	// AdmittedControl/AdmittedData/ShedControl/ShedData/ConnsShed are
 	// lifetime counters.
@@ -581,7 +532,7 @@ func (c *Controller) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Snapshot{
-		Limit:           c.aimd.Limit(),
+		Limit:           c.lim.current(),
 		HardCap:         c.hardCapLocked(),
 		Inflight:        c.inflight,
 		QueueDepth:      c.controlQ.len() + c.dataQ.len(),

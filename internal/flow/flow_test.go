@@ -32,77 +32,46 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func TestTokenBucket(t *testing.T) {
-	clk := newFakeClock()
-	b := NewTokenBucket(10, 2, clk.Now)
-	if ok, _ := b.Take(1); !ok {
-		t.Fatal("first take should succeed")
-	}
-	if ok, _ := b.Take(1); !ok {
-		t.Fatal("second take should succeed (burst 2)")
-	}
-	ok, wait := b.Take(1)
-	if ok {
-		t.Fatal("third take should fail on an empty bucket")
-	}
-	// One token refills in 100ms at 10/s.
-	if wait <= 0 || wait > 150*time.Millisecond {
-		t.Fatalf("retry hint %v, want ~100ms", wait)
-	}
-	clk.Advance(100 * time.Millisecond)
-	if ok, _ := b.Take(1); !ok {
-		t.Fatal("take after refill should succeed")
-	}
-	clk.Advance(time.Hour)
-	if got := b.Tokens(); got != 2 {
-		t.Fatalf("tokens capped at burst: got %v want 2", got)
-	}
-}
-
 func TestAIMDLimiterIncreaseAndDecrease(t *testing.T) {
 	clk := newFakeClock()
-	l := NewAIMDLimiter(Config{InitialLimit: 10, MinLimit: 2, MaxLimit: 20, TargetLatency: 100 * time.Millisecond,
-		DecreaseFactor: 0.5}.withDefaults())
+	l := aimd{limit: 10, min: 2, max: 20}
 
 	// Below-target completions grow the limit additively.
 	for i := 0; i < 200; i++ {
-		l.Observe(time.Millisecond, clk.Now())
+		l.observe(time.Millisecond, clk.Now())
 	}
-	if got := l.Limit(); got <= 10 {
+	if got := l.current(); got <= 10 {
 		t.Fatalf("limit should grow under low latency, got %d", got)
 	}
 
-	// One over-target completion halves it...
-	before := l.Limit()
-	l.Observe(time.Second, clk.Now())
-	after := l.Limit()
+	// One over-target completion cuts it...
+	before := l.current()
+	l.observe(time.Second, clk.Now())
+	after := l.current()
 	if after >= before {
 		t.Fatalf("limit should drop after over-target latency: %d -> %d", before, after)
 	}
 	// ...but the cooldown absorbs the rest of the burst.
-	l.Observe(time.Second, clk.Now())
-	if got := l.Limit(); got != after {
+	l.observe(time.Second, clk.Now())
+	if got := l.current(); got != after {
 		t.Fatalf("second decrease inside cooldown should be ignored: %d -> %d", after, got)
-	}
-	if got := l.Decreases(); got != 1 {
-		t.Fatalf("decreases = %d, want 1", got)
 	}
 	// After the cooldown the next congested completion bites again,
 	// and the floor holds.
 	for i := 0; i < 50; i++ {
-		clk.Advance(150 * time.Millisecond)
-		l.Observe(time.Second, clk.Now())
+		clk.Advance(targetLatency + time.Millisecond)
+		l.observe(time.Second, clk.Now())
 	}
-	if got := l.Limit(); got != 2 {
-		t.Fatalf("limit should bottom out at Min=2, got %d", got)
+	if got := l.current(); got != 2 {
+		t.Fatalf("limit should bottom out at min=2, got %d", got)
 	}
 
-	// Growth is capped at Max.
+	// Growth is capped at max.
 	for i := 0; i < 10000; i++ {
-		l.Observe(time.Millisecond, clk.Now())
+		l.observe(time.Millisecond, clk.Now())
 	}
-	if got := l.Limit(); got != 20 {
-		t.Fatalf("limit should cap at Max=20, got %d", got)
+	if got := l.current(); got != 20 {
+		t.Fatalf("limit should cap at max=20, got %d", got)
 	}
 }
 
@@ -277,29 +246,62 @@ func TestFairShare(t *testing.T) {
 	}
 }
 
-func TestRateLimit(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{Rate: 10, Burst: 2, Clock: clk.Now}, nil)
+// Control tickets do not count toward fair share: a lease renewal in
+// flight is not a second data-plane principal competing for slots.
+func TestFairShareIgnoresControlTickets(t *testing.T) {
+	c := pinned(4, 4, 20*time.Millisecond)
 	for i := 0; i < 2; i++ {
-		if _, err := c.Admit(context.Background(), Data, "a"); err != nil {
+		if _, err := c.Admit(context.Background(), Data, "client"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, err := c.Admit(context.Background(), Data, "a")
-	re, ok := IsRejected(err)
-	if !ok || re.Reason != ReasonRate {
-		t.Fatalf("want rate rejection, got %v", err)
+	lease, err := c.Admit(context.Background(), Control, "lease_a")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if re.RetryAfter <= 0 {
-		t.Fatal("rate rejection should suggest a retry delay")
+	// Two data slots are free and client is the only data principal.
+	if _, err := c.Admit(context.Background(), Data, "client"); err != nil {
+		t.Fatalf("lone data principal shed with free data slots: %v", err)
 	}
-	// Control bypasses the bucket entirely.
-	if _, err := c.Admit(context.Background(), Control, "infra"); err != nil {
-		t.Fatalf("control must bypass the rate limiter: %v", err)
+	if s := c.Snapshot(); s.Principals != 1 {
+		t.Fatalf("principals = %d, want 1 (the control holder is not one)", s.Principals)
 	}
-	clk.Advance(time.Second)
-	if _, err := c.Admit(context.Background(), Data, "a"); err != nil {
-		t.Fatalf("bucket should refill: %v", err)
+	lease.Done()
+	if s := c.Snapshot(); s.Principals != 1 || s.Inflight != 3 {
+		t.Fatalf("after the control ticket's release: %+v, want 1 principal and 3 in flight", s)
+	}
+}
+
+// A principal waiting for its first slot is active for fair share: a
+// principal holding every slot is shed rather than queued ahead of it.
+func TestFairShareCountsWaitingPrincipal(t *testing.T) {
+	c := pinned(2, 4, 5*time.Second)
+	var noisy []*Ticket
+	for i := 0; i < 2; i++ {
+		tk, err := c.Admit(context.Background(), Data, "noisy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		noisy = append(noisy, tk)
+	}
+	got := make(chan error, 1)
+	go func() {
+		tk, err := c.Admit(context.Background(), Data, "quiet")
+		tk.Done()
+		got <- err
+	}()
+	waitForQueueDepth(t, c, 1)
+	_, err := c.Admit(context.Background(), Data, "noisy")
+	if re, ok := IsRejected(err); !ok || re.Reason != ReasonFairShare {
+		t.Fatalf("noisy holding every slot while quiet waits should be shed fair_share, got %v", err)
+	}
+	noisy[0].Done()
+	if err := <-got; err != nil {
+		t.Fatalf("quiet should take the freed slot: %v", err)
+	}
+	noisy[1].Done()
+	if s := c.Snapshot(); s.Principals != 0 || s.Inflight != 0 {
+		t.Fatalf("after every release: %+v", s)
 	}
 }
 

@@ -129,9 +129,6 @@ func TestGoldenLockHold(t *testing.T)   { runGolden(t, "lockhold", []*Analyzer{L
 func TestGoldenDroppedErr(t *testing.T) { runGolden(t, "droppederr", []*Analyzer{DroppedErr}) }
 func TestGoldenVerbReg(t *testing.T)    { runGolden(t, "verbreg", []*Analyzer{VerbReg}) }
 func TestGoldenDetRand(t *testing.T)    { runGolden(t, "detrand", []*Analyzer{DetRand}) }
-func TestGoldenBoundedSpawn(t *testing.T) {
-	runGolden(t, "boundedspawn", []*Analyzer{BoundedSpawn})
-}
 
 // The interprocedural analyzers: each golden module is loaded with
 // the full driver, so the call graph and fact store are exercised end
@@ -161,7 +158,7 @@ func TestGoldenSuppression(t *testing.T) { runGolden(t, "suppress", All) }
 // proving the findings above come from the named check and not from
 // driver side effects.
 func TestChecksFireOnlyWhenEnabled(t *testing.T) {
-	for _, name := range []string{"ctxpropagation", "lockhold", "droppederr", "verbreg", "detrand", "boundedspawn",
+	for _, name := range []string{"ctxpropagation", "lockhold", "droppederr", "verbreg", "detrand",
 		"verbconformance", "deadlinecheck", "goroutineleak", "metricnames"} {
 		dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // GoroutineLeak verifies that every goroutine spawned outside a
@@ -306,4 +307,36 @@ func recvIsShutdown(pass *Pass, e ast.Expr, closed map[string]bool, pp *ProgPass
 		return true
 	}
 	return false
+}
+
+// callsFlowPackage reports whether any call in body resolves into a
+// flow package — the marker that the function's spawns are
+// admission-gated.
+func callsFlowPackage(pass *Pass, body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if fn := pass.calleeFunc(call); fn != nil && isFlowPackage(fn.Pkg()) {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// isFlowPackage matches the real ace/internal/flow package and the
+// golden tests' stand-in "flow" modules.
+func isFlowPackage(pkg *types.Package) bool {
+	if pkg == nil {
+		return false
+	}
+	path := pkg.Path()
+	return path == "ace/internal/flow" || strings.HasSuffix(path, "/flow") || path == "flow"
 }

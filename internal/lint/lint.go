@@ -123,7 +123,6 @@ var All = []*Analyzer{
 	DroppedErr,
 	VerbReg,
 	DetRand,
-	BoundedSpawn,
 	VerbConformance,
 	DeadlineCheck,
 	GoroutineLeak,

@@ -33,25 +33,6 @@ func unusedSuppression(c *wire.Client) error {
 	return c.Close()
 }
 
-// dispatchBounded spawns in a dispatch path bounded by a semaphore
-// instead of the flow limiter; the boundedspawn suppression records
-// why the spawn is safe.
-func dispatchBounded(c *wire.Client, sem chan struct{}) {
-	for i := 0; i < 4; i++ {
-		select {
-		case sem <- struct{}{}:
-		default:
-			continue
-		}
-		//acelint:ignore boundedspawn fan-out is bounded by the sem channel above
-		go func() {
-			defer func() { <-sem }()
-			//acelint:ignore droppederr best-effort fan-out, failures counted elsewhere
-			c.Call("notify")
-		}()
-	}
-}
-
 // phantomPing exercises a comma-separated check list: the single line
 // below trips both droppederr (bare discard of Send's error) and
 // verbconformance ("phantom" is registered nowhere), and one directive

@@ -9,11 +9,13 @@ package pstore
 //
 // The machine running this may have one CPU, so raw throughput would
 // measure scheduler contention, not placement. Instead every store
-// node's admission controller is pinned to a fixed token-bucket rate
-// — the per-node capacity ceiling is then explicit, and throughput
-// scaling measures exactly what sharding provides: more groups, more
-// aggregate admitted capacity, if and only if routing actually
-// spreads the key space.
+// node's capacity is pinned by cost: its data-plane limit is fixed at
+// one, and it is durable on a disk whose fsync takes benchSyncCost.
+// A detached psput holds its admission ticket until its WAL ack, so a
+// node completes at most one write per fsync whatever the CPU, and
+// throughput scaling measures exactly what sharding provides: more
+// groups, more aggregate admitted capacity, if and only if routing
+// actually spreads the key space.
 //
 // Results merge into BENCH_pstore.json next to the quorum numbers.
 
@@ -30,32 +32,63 @@ import (
 	"time"
 
 	"ace/internal/asd"
+	"ace/internal/chaos"
 	"ace/internal/daemon"
 	"ace/internal/flow"
 	"ace/internal/pstore/placement"
+	"ace/internal/pstore/storage"
 	"ace/internal/workload"
 )
 
 const (
-	// benchNodeRate pins each node's data-plane admissions per second.
-	benchNodeRate = 250
+	// benchSyncCost is the fsync latency of a costed node's disk.
+	benchSyncCost = 2 * time.Millisecond
 	// benchStormDuration is the measured window per deployment.
 	benchStormDuration = 2 * time.Second
-	benchStormWorkers  = 12
+	// benchStormWorkers is sized so that the zipfian skew does not idle
+	// a group: a put blocks its worker in the owning group's admission
+	// queue, and a worker can only wait on one group at a time.
+	benchStormWorkers = 24
 	// benchKeys is the zipfian key-space size; benchTheta its skew.
 	benchKeys  = 16384
 	benchTheta = 0.9
 )
 
 // benchDeployment is one sharded deployment: groups of three
-// in-memory nodes (rate-pinned when rate > 0), an ASD holding the
-// placement map, and the node handles for cleanup.
+// in-memory nodes (costed when asked), an ASD holding the placement
+// map, and the node handles for cleanup.
 type benchDeployment struct {
 	groups []placement.Group
 	asd    *asd.Service
 }
 
-func startBenchDeployment(t testing.TB, groupCount int, rate float64) *benchDeployment {
+// slowSyncFS delays every file fsync by delay.
+type slowSyncFS struct {
+	storage.FS
+	delay time.Duration
+}
+
+func (s slowSyncFS) Create(name string) (storage.File, error) {
+	f, err := s.FS.Create(name)
+	return slowSyncFile{f, s.delay}, err
+}
+
+func (s slowSyncFS) OpenAppend(name string) (storage.File, error) {
+	f, err := s.FS.OpenAppend(name)
+	return slowSyncFile{f, s.delay}, err
+}
+
+type slowSyncFile struct {
+	storage.File
+	delay time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.delay)
+	return f.File.Sync()
+}
+
+func startBenchDeployment(t testing.TB, groupCount int, costed bool) *benchDeployment {
 	t.Helper()
 	d := &benchDeployment{}
 	for g := 1; g <= groupCount; g++ {
@@ -66,10 +99,10 @@ func startBenchDeployment(t testing.TB, groupCount int, rate float64) *benchDepl
 				Daemon: daemon.Config{Name: fmt.Sprintf("bench_g%dn%d", g, i)},
 				Group:  fmt.Sprintf("g%d", g),
 			}
-			if rate > 0 {
-				// Tight burst: the bucket must meter, not front-load
-				// the measured window.
-				cfg.Daemon.Flow = &flow.Config{Rate: rate, Burst: 16}
+			if costed {
+				cfg.Daemon.Flow = &flow.Config{InitialLimit: 1, MinLimit: 1, MaxLimit: 1}
+				cfg.Dir = "/data"
+				cfg.Storage = storage.Options{FS: slowSyncFS{chaos.NewDiskFS(), benchSyncCost}}
 			}
 			n, err := NewNode(cfg)
 			if err != nil {
@@ -117,8 +150,8 @@ func (d *benchDeployment) sharded(t testing.TB) *Sharded {
 // zipfianPutStorm hammers sc with keyed zipfian puts from concurrent
 // workers for the given duration and returns acked puts per second.
 // Rejected puts (the admission controller shedding past the pinned
-// rate) are the expected steady state of an offered-load > capacity
-// storm and are simply not counted.
+// capacity) are the expected steady state of an offered-load >
+// capacity storm and are simply not counted.
 func zipfianPutStorm(sc *Sharded, workers int, d time.Duration) float64 {
 	var ackedOps atomic.Int64
 	stop := make(chan struct{})
@@ -201,27 +234,27 @@ func TestBenchPstoreSharding(t *testing.T) {
 		t.Skip("set ACE_BENCH_PSTORE=1 (or run `make bench-pstore`) to measure sharding scaling")
 	}
 
-	// Throughput scaling: rate-pinned nodes, 1 group vs 4 groups,
-	// identical zipfian storms.
-	put1 := zipfianPutStorm(startBenchDeployment(t, 1, benchNodeRate).sharded(t), benchStormWorkers, benchStormDuration)
-	put4 := zipfianPutStorm(startBenchDeployment(t, 4, benchNodeRate).sharded(t), benchStormWorkers, benchStormDuration)
+	// Throughput scaling: costed nodes, 1 group vs 4 groups, identical
+	// zipfian storms.
+	put1 := zipfianPutStorm(startBenchDeployment(t, 1, true).sharded(t), benchStormWorkers, benchStormDuration)
+	put4 := zipfianPutStorm(startBenchDeployment(t, 4, true).sharded(t), benchStormWorkers, benchStormDuration)
 	speedup := put4 / put1
 	t.Logf("zipfian put throughput: 1 group %8.1f ops/s   4 groups %8.1f ops/s   speedup %.2fx", put1, put4, speedup)
 	if speedup < 2.5 {
 		t.Errorf("4-group put throughput %.1f ops/s is only %.2fx the 1-group baseline %.1f ops/s (want ≥2.5x) — placement is not spreading load", put4, speedup, put1)
 	}
 
-	// Read-path overhead: unpinned nodes (latency, not capacity, is
+	// Read-path overhead: uncosted nodes (latency, not capacity, is
 	// the question), small key space so population stays cheap. The
 	// baseline is a plain unstamped quorum client against one group;
 	// the measured path is the sharded router over four groups.
 	const latKeys = 1024
-	lat1dep := startBenchDeployment(t, 1, 0)
+	lat1dep := startBenchDeployment(t, 1, false)
 	pool1 := daemon.NewPool(nil)
 	t.Cleanup(pool1.Close)
 	plain := NewClient(pool1, lat1dep.groups[0].Replicas)
 	t.Cleanup(plain.Close)
-	lat4 := startBenchDeployment(t, 4, 0).sharded(t)
+	lat4 := startBenchDeployment(t, 4, false).sharded(t)
 	for i := 0; i < latKeys; i++ {
 		if _, err := plain.Put(workload.Path("/bench/shard", i), []byte("lat")); err != nil {
 			t.Fatal(err)
@@ -260,7 +293,8 @@ func TestBenchPstoreSharding(t *testing.T) {
 		_ = json.Unmarshal(data, &payload)
 	}
 	payload["sharding"] = map[string]any{
-		"node_rate_ops_per_sec":  benchNodeRate,
+		"node_fsync_ms":          benchSyncCost.Seconds() * 1e3,
+		"node_data_limit":        1,
 		"zipfian_theta":          benchTheta,
 		"zipfian_keys":           benchKeys,
 		"put_1_group_ops_per_s":  put1,

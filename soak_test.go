@@ -18,7 +18,6 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/core"
 	"ace/internal/daemon"
-	"ace/internal/flow"
 )
 
 func TestSoakMixedLoad(t *testing.T) {
@@ -128,7 +127,7 @@ func TestSoakMixedLoad(t *testing.T) {
 
 // TestSoakOverload sustains roughly twice a daemon's configured
 // capacity for several seconds and checks that overload stays
-// degradation, not collapse: goodput holds near the pinned rate, the
+// degradation, not collapse: goodput holds near the pinned capacity, the
 // flow controller's shed counters grow (the excess is pushed back as
 // busy, not absorbed), and the goroutine count stays bounded — no
 // per-request goroutine or queue growth.
@@ -137,35 +136,15 @@ func TestSoakOverload(t *testing.T) {
 		t.Skip("soak test")
 	}
 
-	const rate = 200 // pinned capacity, requests/s
-	d := daemon.New(daemon.Config{
-		Name: "soak_overload",
-		Flow: &flow.Config{
-			Rate:          rate,
-			Burst:         rate / 10,
-			InitialLimit:  8,
-			MinLimit:      4,
-			MaxLimit:      32,
-			TargetLatency: 20 * time.Millisecond,
-			QueueLen:      32,
-			MaxQueueWait:  25 * time.Millisecond,
-		},
-	})
-	d.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		return cmdlang.OK(), nil
-	})
-	if err := d.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Stop()
+	d := startWorkDaemon(t, "soak_overload")
 
 	goroutinesBefore := runtime.NumGoroutine()
 
 	const duration = 5 * time.Second
-	const workers = 4
-	// Pace each worker to ~rate/workers*2 so the offered load is
+	const workers = overloadWorkers
+	// Pace each worker to ~2*capacity/workers so the offered load is
 	// roughly 2x capacity rather than whatever a spin loop produces.
-	pace := time.Duration(float64(workers) * float64(time.Second) / (2 * rate))
+	pace := time.Duration(float64(workers) * float64(time.Second) / float64(2*workCapacity))
 	var ok, busy, other atomic.Int64
 	var maxGoroutines atomic.Int64
 	var wg sync.WaitGroup
@@ -180,7 +159,9 @@ func TestSoakOverload(t *testing.T) {
 				Seed:       int64(w + 1),
 			})
 			defer pool.Close()
-			next := time.Now()
+			// Staggered starts spread the workers over one pace
+			// interval instead of arriving as one burst of workers.
+			next := time.Now().Add(time.Duration(w) * pace / workers)
 			for time.Now().Before(deadline) {
 				if sleep := time.Until(next); sleep > 0 {
 					time.Sleep(sleep)
@@ -207,7 +188,7 @@ func TestSoakOverload(t *testing.T) {
 	okN, busyN, otherN := ok.Load(), busy.Load(), other.Load()
 	goodput := float64(okN) / elapsed.Seconds()
 	t.Logf("overload soak: offered %.0f/s for %v, goodput %.0f/s (capacity %d/s), busy %d, other %d, max goroutines %d (start %d)",
-		float64(okN+busyN+otherN)/elapsed.Seconds(), elapsed, goodput, rate, busyN, otherN, maxGoroutines.Load(), goroutinesBefore)
+		float64(okN+busyN+otherN)/elapsed.Seconds(), elapsed, goodput, workCapacity, busyN, otherN, maxGoroutines.Load(), goroutinesBefore)
 
 	if otherN > 0 {
 		t.Fatalf("%d requests failed with something other than busy", otherN)
@@ -221,12 +202,13 @@ func TestSoakOverload(t *testing.T) {
 		t.Fatalf("flow shed counter did not grow: %+v", s)
 	}
 	// Goodput holds: at least 70% of the pinned capacity.
-	if goodput < 0.7*rate {
-		t.Fatalf("goodput %.0f/s at 2x offered load, want >= %.0f/s", goodput, 0.7*rate)
+	if goodput < 0.7*float64(workCapacity) {
+		t.Fatalf("goodput %.0f/s at 2x offered load, want >= %.0f/s", goodput, 0.7*float64(workCapacity))
 	}
 	// Bounded footprint: the storm must not have grown goroutines
-	// proportionally to offered load (4 workers, pooled connections,
-	// and the daemon's fixed thread set are all that is allowed).
+	// proportionally to offered load (the workers, their pooled
+	// connections, and the daemon's fixed thread set are all that is
+	// allowed).
 	if max := maxGoroutines.Load(); max > int64(goroutinesBefore)+60 {
 		t.Fatalf("goroutines grew under overload: %d -> %d", goroutinesBefore, max)
 	}
