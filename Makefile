@@ -19,12 +19,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# ACE-specific static analysis (docs/LINT.md): five intraprocedural
+# ACE-specific static analysis (docs/LINT.md): three intraprocedural
 # checks (context propagation, locks held across blocking I/O,
-# discarded transport errors, verb registration sanity, chaos
-# determinism) plus four built on the package-set-wide call graph
-# (wire-protocol verb conformance, deadline propagation, goroutine
-# shutdown edges, metric naming).
+# discarded transport errors) plus three built on the package-set-wide
+# call graph (wire-protocol verb conformance, deadline propagation,
+# metric naming).
 lint:
 	$(GO) run ./cmd/acelint ./...
 

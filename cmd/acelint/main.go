@@ -1,33 +1,29 @@
-// Command acelint is ACE's static analyzer: ten checks built only on
-// the standard library's go/ast + go/parser + go/types. The first six
-// are intraprocedural (context propagation, no mutexes held across
-// wire I/O, no dropped transport errors, handler/semantics registry
-// agreement, deterministic chaos, bounded accept/dispatch spawns); the
-// rest run on a package-set-wide call graph (wire-protocol verb
-// conformance, deadline propagation, goroutine shutdown edges, metric
-// naming). See docs/LINT.md.
+// Command acelint is ACE's static analyzer: six checks built only on
+// the standard library's go/ast + go/parser + go/types. Three are
+// intraprocedural (context propagation, no mutexes held across wire
+// I/O, no dropped transport errors); three run on a package-set-wide
+// call graph (wire-protocol verb conformance, deadline propagation,
+// metric naming). See docs/LINT.md.
 //
 // Usage:
 //
-//	acelint [-checks list] [-json] [-timing] [-budget d] [packages]
+//	acelint [-checks list] [-list] [-timing] [packages]
 //	acelint -metrics-doc docs/METRICS.md [packages]
 //	acelint -verbs-doc docs/PROTOCOL.md [packages]
 //
-// Findings print as "file:line: [check] message" (or as a JSON object
-// with -json, for CI annotations); the exit status is 1 when anything
-// is found, 2 on usage or load errors. A finding is suppressed by an
-// `//acelint:ignore <check>[,<check>...] <reason>` comment on the
-// flagged line or the line above; unused suppressions are themselves
-// findings. -budget fails the run when analysis wall time exceeds the
-// given duration, keeping the lint step inside its CI budget. The
-// -metrics-doc and -verbs-doc modes regenerate the machine-checked
-// documentation from the extracted registries instead of linting:
-// -metrics-doc rewrites the target file wholesale, -verbs-doc splices
-// the verb table between its markers ("-" prints to stdout).
+// Findings print as "file:line: [check] message"; the exit status is 1
+// when anything is found, 2 on usage or load errors. A finding is
+// suppressed by an `//acelint:ignore <check>[,<check>...] <reason>`
+// comment on the flagged line or the line above; unused suppressions
+// are themselves findings. -timing prints each analyzer's wall time to
+// stderr. The -metrics-doc and -verbs-doc modes regenerate the
+// machine-checked documentation from the extracted registries instead
+// of linting: -metrics-doc rewrites the target file wholesale,
+// -verbs-doc splices the verb table between its markers ("-" prints
+// to stdout).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/scanner"
@@ -44,34 +40,12 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-type jsonFinding struct {
-	File  string `json:"file"`
-	Line  int    `json:"line"`
-	Check string `json:"check"`
-	Msg   string `json:"message"`
-}
-
-type jsonTiming struct {
-	Check  string  `json:"check"`
-	Millis float64 `json:"elapsed_ms"`
-}
-
-type jsonReport struct {
-	Findings   []jsonFinding `json:"findings"`
-	LoadErrors []string      `json:"load_errors"`
-	Timings    []jsonTiming  `json:"timings"`
-	ElapsedMS  float64       `json:"elapsed_ms"`
-	OverBudget bool          `json:"over_budget,omitempty"`
-}
-
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("acelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	checks := fs.String("checks", "", "comma-separated checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
-	jsonOut := fs.Bool("json", false, "emit findings and timings as JSON (for CI annotations)")
 	timing := fs.Bool("timing", false, "print per-analyzer wall-clock timings to stderr")
-	budget := fs.Duration("budget", 0, "fail when the full run exceeds this duration (0 = no budget)")
 	metricsDoc := fs.String("metrics-doc", "", "generate the telemetry metrics table into the given file (\"-\" = stdout) and exit")
 	verbsDoc := fs.String("verbs-doc", "", "regenerate the verb table between markers in the given file (\"-\" = stdout) and exit")
 	if err := fs.Parse(args); err != nil {
@@ -117,46 +91,6 @@ func run(args []string, stdout, stderr *os.File) int {
 
 	findings, timings := lint.RunTimed(prog, analyzers)
 	elapsed := time.Since(start)
-	overBudget := *budget > 0 && elapsed > *budget
-
-	if *jsonOut {
-		report := jsonReport{
-			Findings:   []jsonFinding{},
-			LoadErrors: []string{},
-			Timings:    []jsonTiming{},
-			ElapsedMS:  float64(elapsed.Microseconds()) / 1000,
-			OverBudget: overBudget,
-		}
-		for _, lerr := range prog.LoadErrors {
-			report.LoadErrors = append(report.LoadErrors, formatLoadError(cwd, lerr))
-		}
-		for _, f := range findings {
-			report.Findings = append(report.Findings, jsonFinding{
-				File: relPath(cwd, f.Pos.Filename), Line: f.Pos.Line, Check: f.Check, Msg: f.Msg,
-			})
-		}
-		for _, t := range timings {
-			report.Timings = append(report.Timings, jsonTiming{
-				Check: t.Check, Millis: float64(t.Elapsed.Microseconds()) / 1000,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		bad := len(report.Findings) + len(report.LoadErrors)
-		if overBudget {
-			fmt.Fprintf(stderr, "acelint: run took %s, over the %s budget\n", elapsed.Round(time.Millisecond), *budget)
-			return 1
-		}
-		if bad > 0 {
-			fmt.Fprintf(stderr, "acelint: %d finding(s)\n", bad)
-			return 1
-		}
-		return 0
-	}
 
 	bad := 0
 	for _, lerr := range prog.LoadErrors {
@@ -173,10 +107,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			fmt.Fprintf(stderr, "%-18s %8.1fms\n", t.Check, float64(t.Elapsed.Microseconds())/1000)
 		}
 		fmt.Fprintf(stderr, "%-18s %8.1fms\n", "total", float64(elapsed.Microseconds())/1000)
-	}
-	if overBudget {
-		fmt.Fprintf(stderr, "acelint: run took %s, over the %s budget\n", elapsed.Round(time.Millisecond), *budget)
-		return 1
 	}
 	if bad > 0 {
 		fmt.Fprintf(stderr, "acelint: %d finding(s)\n", bad)

@@ -20,6 +20,22 @@ func startASD(t *testing.T) *asd.Service {
 	return s
 }
 
+// startWatcher starts w and, when the test ends, stops it and then the
+// instances it launched: the watcher leaves watched applications
+// running by design.
+func startWatcher(t *testing.T, w *Watcher) {
+	t.Helper()
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.Stop()
+		for _, inst := range w.running {
+			inst.Stop()
+		}
+	})
+}
+
 // echoApp is a trivial restartable application daemon.
 func echoApp(name, asdAddr string) *daemon.Daemon {
 	d := daemon.New(daemon.Config{Name: name, ASDAddr: asdAddr, LeaseTTL: 60 * time.Millisecond})
@@ -46,10 +62,7 @@ func TestWatcherRestartsCrashedRestartApp(t *testing.T) {
 			return echoApp("netlogger_sim", dir.Addr()), nil
 		},
 	}, app)
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
+	startWatcher(t, w)
 
 	// Crash the app: it deregisters (graceful stop simulates the
 	// lease-expiry path much faster).
@@ -97,10 +110,7 @@ func TestWatcherSweepReportsAndCommandSurface(t *testing.T) {
 			return echoApp("gone_service", dir.Addr()), nil
 		},
 	}, nil)
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(w.Stop)
+	startWatcher(t, w)
 
 	restarted := w.Sweep()
 	if len(restarted) != 1 || restarted[0] != "gone_service" {

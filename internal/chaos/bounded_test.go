@@ -111,7 +111,6 @@ func TestChaosBoundedReadFailsSafeUnderPartition(t *testing.T) {
 	// commit a2 on the surviving majority, then heal r3 still holding
 	// a1 — a copy now provably staler than the bound.
 	fabric.Partition("r3")
-	//acelint:ignore detrand staleness is wall-time lag; the test must age past the bound
 	time.Sleep(bound + 300*time.Millisecond)
 	if _, err := client.Put("/bounded/a", []byte("a2")); err != nil {
 		t.Fatalf("quorum write under partition: %v", err)

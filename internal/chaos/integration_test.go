@@ -190,7 +190,6 @@ func TestChaosASDLeaseSurvivesDirectoryRestart(t *testing.T) {
 	// holds the directory down long enough for several renewal attempts
 	// (one per ~66 ms) to fail at the transport level. There is no
 	// externally observable state to poll for a failed renewal.
-	//acelint:ignore detrand fixed fault window; failed renewals are not observable to poll
 	time.Sleep(300 * time.Millisecond)
 	dir2 := asd.New(asd.Config{ReapInterval: 20 * time.Millisecond})
 	if err := dir2.Start(); err != nil {
@@ -533,7 +532,6 @@ func TestChaosPrimaryDirectoryKillZeroExpirations(t *testing.T) {
 	}
 
 	// Let the storm reach steady state, then kill the primary.
-	//acelint:ignore detrand fixed storm warm-up; in-flight renewals are not observable to poll
 	time.Sleep(200 * time.Millisecond)
 	dirs[0].Stop()
 

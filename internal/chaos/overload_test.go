@@ -52,7 +52,7 @@ func TestChaosOverloadGoodputAndLeases(t *testing.T) {
 		},
 	})
 	dir.Handle(cmdlang.CommandSpec{Name: "work"}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		<-time.After(overloadCost) // the verb's service time
+		time.Sleep(overloadCost) // the verb's service time
 		return cmdlang.OK(), nil
 	})
 	if err := dir.Start(); err != nil {

@@ -378,12 +378,21 @@ func (d *Daemon) Traces() *telemetry.TraceBuffer { return d.traces }
 func hostName() (string, error) { return "localhost", nil }
 
 // Handle registers a handler and (optionally) its command spec. It
-// must be called before Start.
+// must be called before Start, at most once per verb. It panics on a
+// verb that already has a handler (the service's own or a built-in
+// such as ping), on the reply verbs ok and fail, and (through
+// Registry.Declare) on a name that is not a cmdlang word.
 func (d *Daemon) Handle(spec cmdlang.CommandSpec, h Handler) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.started {
 		panic("daemon: Handle after Start")
+	}
+	if spec.Name == "ok" || spec.Name == "fail" {
+		panic(fmt.Sprintf("daemon: verb %q is a reply, not a command", spec.Name))
+	}
+	if _, dup := d.handlers[spec.Name]; dup {
+		panic(fmt.Sprintf("daemon: verb %q already has a handler", spec.Name))
 	}
 	d.registry.Declare(spec)
 	d.handlers[spec.Name] = &handlerEntry{fn: h}

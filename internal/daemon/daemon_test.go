@@ -129,6 +129,44 @@ func TestHandlerErrorBecomesFail(t *testing.T) {
 	}
 }
 
+// TestHandleRejectsDuplicateAndReservedVerbs pins the registration
+// rules: a verb gets one handler, a service cannot shadow a built-in
+// or a reply verb, and a name must be a cmdlang word. Each bad Handle
+// panics at construction rather than silently replacing a handler.
+func TestHandleRejectsDuplicateAndReservedVerbs(t *testing.T) {
+	h := func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) { return cmdlang.OK(), nil }
+	d := New(Config{Name: "reg"})
+	d.Handle(cmdlang.CommandSpec{Name: "play"}, h)
+	d.Handle(cmdlang.CommandSpec{Name: "status"}, h)
+
+	for _, tc := range []struct {
+		name string
+		spec cmdlang.CommandSpec
+		want string
+	}{
+		{"duplicate", cmdlang.CommandSpec{Name: "play"}, `"play" already has a handler`},
+		{"builtin", cmdlang.CommandSpec{Name: CmdPing}, `"ping" already has a handler`},
+		{"reply ok", cmdlang.CommandSpec{Name: "ok"}, `"ok" is a reply`},
+		{"reply fail", cmdlang.CommandSpec{Name: "fail"}, `"fail" is a reply`},
+		{"nameless", cmdlang.CommandSpec{Doc: "nameless"}, "not a word"},
+		{"space", cmdlang.CommandSpec{Name: "bad verb"}, "not a word"},
+		{"leading digit", cmdlang.CommandSpec{Name: "9lives"}, "not a word"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Fatalf("Handle(%q) panic = %v, want one containing %s", tc.spec.Name, r, tc.want)
+				}
+			}()
+			d.Handle(tc.spec, h)
+		})
+	}
+	if !d.handlers[CmdPing].builtin {
+		t.Fatal("the built-in ping handler was replaced")
+	}
+}
+
 func TestMalformedSyntaxAnsweredByCommandThread(t *testing.T) {
 	d := startTestDaemon(t, Config{Name: "p"}, nil)
 	conn, err := net.Dial("tcp", d.Addr())

@@ -17,8 +17,7 @@ import (
 // spawn). The graph is deliberately conservative where Go's dynamism
 // defeats static resolution: interface calls fan out to every
 // same-name/same-arity concrete method in the module, and calls
-// through function values mark the caller as dynamic rather than
-// guessing a target.
+// through function values add no edge rather than guessing a target.
 //
 // Because the driver type-checks each directory more than once (merged
 // test unit + pure import variant), the same source function exists as
@@ -45,20 +44,6 @@ const (
 	EdgeGo
 )
 
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeStatic:
-		return "static"
-	case EdgeClosure:
-		return "closure"
-	case EdgeInterface:
-		return "interface"
-	case EdgeGo:
-		return "go"
-	}
-	return "?"
-}
-
 // Sync reports whether the edge transfers control synchronously — the
 // caller waits for the callee (or may, for closures and interface
 // dispatch). Go spawns are the only asynchronous kind.
@@ -72,29 +57,22 @@ type Edge struct {
 	Kind EdgeKind
 }
 
-// Node is one function in the graph. Exactly one of Func/Lit
-// identifies it: named functions and methods carry Func (and, when the
-// body lives in the analyzed module, Decl/Body/Pkg); function literals
-// carry Lit. External functions (standard library, interface methods)
-// are nodes too — with Func set but no body — so analyzers can treat
-// e.g. net.Conn.Read as an intrinsic sink.
+// Node is one function in the graph. Named functions and methods carry
+// Func (and, when the body lives in the analyzed module, Body/Pkg);
+// function literals carry Body/Pkg only. External functions (standard
+// library, interface methods) are nodes too — with Func set but no
+// body — so analyzers can treat e.g. net.Conn.Read as an intrinsic
+// sink.
 type Node struct {
 	Key  string
 	Name string // human-readable ("(*wire.Client).Call", "func literal at …")
 
 	Func *types.Func
-	Decl *ast.FuncDecl
-	Lit  *ast.FuncLit
 	Body *ast.BlockStmt
 	Pkg  *Package // unit providing the body; nil for externals
 
 	Out []Edge
 	In  []Edge
-
-	// HasDynamicCall marks at least one call through a function value
-	// whose target could not be resolved; path-sensitive analyses may
-	// choose to distrust negative results for such nodes.
-	HasDynamicCall bool
 }
 
 // External reports whether the node has no body in the analyzed
@@ -107,10 +85,8 @@ func (n *Node) External() bool { return n.Body == nil }
 // internal bind(name, handler) form.
 type HandlerReg struct {
 	Verb    string
-	Spec    *ast.CompositeLit // nil for bind-style registrations
-	Handler *Node             // nil when the handler expression is dynamic
+	Handler *Node // nil when the handler expression is dynamic
 	Pos     token.Pos
-	Pkg     *Package
 	Test    bool // registration sits in a _test.go file
 }
 
@@ -125,26 +101,12 @@ type SpecSite struct {
 	Test bool
 }
 
-// Spawn is one `go` statement. Root is the spawned function's node
-// when it could be resolved statically (named function, method, or
-// literal), nil for spawns through function values.
-type Spawn struct {
-	Site *ast.GoStmt
-	From *Node
-	Root *Node
-	Pkg  *Package
-	Test bool
-}
-
 // Graph is the package-set-wide call graph plus the protocol-level
 // registration index the ACE analyzers share.
 type Graph struct {
 	Nodes    map[string]*Node
-	Spawns   []*Spawn
 	Handlers []*HandlerReg
 	Specs    []*SpecSite
-
-	prog *Program
 }
 
 // NodeFor resolves a function object (from any type-check unit) to its
@@ -191,7 +153,6 @@ type graphBuilder struct {
 
 type pendingHandler struct {
 	verb    string
-	spec    *ast.CompositeLit
 	handler ast.Expr
 	pos     token.Pos
 	pkg     *Package
@@ -204,7 +165,7 @@ type pendingHandler struct {
 func BuildGraph(prog *Program) *Graph {
 	b := &graphBuilder{
 		prog:     prog,
-		graph:    &Graph{Nodes: make(map[string]*Node), prog: prog},
+		graph:    &Graph{Nodes: make(map[string]*Node)},
 		litNodes: make(map[*ast.FuncLit]*Node),
 	}
 	for _, pkg := range prog.Packages {
@@ -221,7 +182,7 @@ func BuildGraph(prog *Program) *Graph {
 				}
 				node := b.ensureFunc(fn)
 				if node.Body == nil {
-					node.Decl, node.Body, node.Pkg = fd, fd.Body, pkg
+					node.Body, node.Pkg = fd.Body, pkg
 				}
 				b.walkBody(pass, node, fd.Body)
 			}
@@ -231,7 +192,6 @@ func BuildGraph(prog *Program) *Graph {
 	b.resolveHandlers()
 	sort.Slice(b.graph.Handlers, func(i, j int) bool { return b.graph.Handlers[i].Pos < b.graph.Handlers[j].Pos })
 	sort.Slice(b.graph.Specs, func(i, j int) bool { return b.graph.Specs[i].Pos < b.graph.Specs[j].Pos })
-	sort.Slice(b.graph.Spawns, func(i, j int) bool { return b.graph.Spawns[i].Site.Pos() < b.graph.Spawns[j].Site.Pos() })
 	return b.graph
 }
 
@@ -256,7 +216,7 @@ func (b *graphBuilder) ensureLit(lit *ast.FuncLit, pkg *Package, enclosing *Node
 		n = &Node{
 			Key:  key,
 			Name: fmt.Sprintf("func literal in %s", enclosing.Name),
-			Lit:  lit, Body: lit.Body, Pkg: pkg,
+			Body: lit.Body, Pkg: pkg,
 		}
 		b.graph.Nodes[key] = n
 	}
@@ -283,14 +243,13 @@ func shortFuncName(fn *types.Func) string {
 	return full
 }
 
-// walkBody records edges, spawns, and protocol registrations for one
+// walkBody records edges and protocol registrations for one
 // function body. Function literals become their own nodes, linked to
 // the enclosing function by a closure edge (or a go edge when the
 // literal is spawned directly).
 func (b *graphBuilder) walkBody(pass *Pass, node *Node, body *ast.BlockStmt) {
 	goCalls := make(map[*ast.CallExpr]bool)
 	spawnedLits := make(map[*ast.FuncLit]*ast.GoStmt)
-	litOwner := make(map[*ast.FuncLit]*Node)
 
 	// current tracks the innermost function node while descending into
 	// literals; ast.Inspect is pre-order so a stack works.
@@ -300,13 +259,8 @@ func (b *graphBuilder) walkBody(pass *Pass, node *Node, body *ast.BlockStmt) {
 			switch n := n.(type) {
 			case *ast.FuncLit:
 				lit := b.ensureLit(n, pass.Pkg, current)
-				litOwner[n] = current
 				if g, spawned := spawnedLits[n]; spawned {
 					b.addEdge(current, lit, g.Pos(), EdgeGo)
-					b.graph.Spawns = append(b.graph.Spawns, &Spawn{
-						Site: g, From: current, Root: lit, Pkg: pass.Pkg,
-						Test: pass.Pkg.IsTestFile(pass.Fset, g.Pos()),
-					})
 				} else {
 					b.addEdge(current, lit, n.Pos(), EdgeClosure)
 				}
@@ -317,21 +271,10 @@ func (b *graphBuilder) walkBody(pass *Pass, node *Node, body *ast.BlockStmt) {
 				goCalls[call] = true
 				if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 					spawnedLits[lit] = n
-					return true // literal case above records the spawn
+					return true // literal case above adds the go edge
 				}
 				if fn := pass.calleeFunc(call); fn != nil {
-					target := b.ensureFunc(fn)
-					b.addEdge(current, target, n.Pos(), EdgeGo)
-					b.graph.Spawns = append(b.graph.Spawns, &Spawn{
-						Site: n, From: current, Root: target, Pkg: pass.Pkg,
-						Test: pass.Pkg.IsTestFile(pass.Fset, n.Pos()),
-					})
-				} else {
-					current.HasDynamicCall = true
-					b.graph.Spawns = append(b.graph.Spawns, &Spawn{
-						Site: n, From: current, Pkg: pass.Pkg,
-						Test: pass.Pkg.IsTestFile(pass.Fset, n.Pos()),
-					})
+					b.addEdge(current, b.ensureFunc(fn), n.Pos(), EdgeGo)
 				}
 				return true
 			case *ast.CallExpr:
@@ -362,56 +305,52 @@ func (b *graphBuilder) recordCall(pass *Pass, current *Node, call *ast.CallExpr)
 	case *ast.FuncLit:
 		return // immediate invocation; the closure edge covers it
 	default:
-		current.HasDynamicCall = true
+		return // call through a function value: no resolvable target
+	}
+	// Builtins, conversions, unresolved names and calls through function
+	// variables add no edge.
+	obj, ok := pass.Pkg.Info.Uses[id].(*types.Func)
+	if !ok {
 		return
 	}
-	obj := pass.Pkg.Info.Uses[id]
-	switch obj := obj.(type) {
-	case *types.Func:
-		target := b.ensureFunc(obj)
-		b.addEdge(current, target, call.Pos(), EdgeStatic)
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil && types.IsInterface(sig.Recv().Type()) {
-			ic := ifaceCall{from: current, pos: call.Pos(), name: obj.Name(), nargs: sig.Params().Len()}
-			// Constrain candidates by the receiver expression's static
-			// type, not the method's declared receiver: a call through
-			// hash.Hash64 declares Write on the embedded io.Writer, and
-			// the full interface is what narrows the implementor set.
-			recvT := sig.Recv().Type()
-			if sel, ok := fun.(*ast.SelectorExpr); ok {
-				if t := pass.TypeOf(sel.X); t != nil && types.IsInterface(t) {
-					recvT = t
-				}
-			}
-			if iface, ok := recvT.Underlying().(*types.Interface); ok {
-				for i := 0; i < iface.NumMethods(); i++ {
-					ic.methods = append(ic.methods, iface.Method(i).Name())
-				}
-			}
-			b.iface = append(b.iface, ic)
-		}
-	case *types.Builtin, *types.TypeName, nil:
-		// close/len/append, conversions, or unresolved — no edge.
-	default:
-		// Variable or parameter of function type: dynamic call.
-		current.HasDynamicCall = true
+	b.addEdge(current, b.ensureFunc(obj), call.Pos(), EdgeStatic)
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !types.IsInterface(sig.Recv().Type()) {
+		return
 	}
+	ic := ifaceCall{from: current, pos: call.Pos(), name: obj.Name(), nargs: sig.Params().Len()}
+	// Constrain candidates by the receiver expression's static type, not
+	// the method's declared receiver: a call through hash.Hash64 declares
+	// Write on the embedded io.Writer, and the full interface is what
+	// narrows the implementor set.
+	recvT := sig.Recv().Type()
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if t := pass.TypeOf(sel.X); t != nil && types.IsInterface(t) {
+			recvT = t
+		}
+	}
+	if iface, ok := recvT.Underlying().(*types.Interface); ok {
+		for i := 0; i < iface.NumMethods(); i++ {
+			ic.methods = append(ic.methods, iface.Method(i).Name())
+		}
+	}
+	b.iface = append(b.iface, ic)
 }
 
 // recordRegistration captures Handle(CommandSpec{...}, h) and
 // bind(name, h) verb registrations for later resolution.
 func (b *graphBuilder) recordRegistration(pass *Pass, call *ast.CallExpr) {
-	if recvStr, ok := handleCall(pass, call); ok {
-		_ = recvStr
+	if isHandleCall(pass, call) {
 		lit, ok := ast.Unparen(call.Args[0]).(*ast.CompositeLit)
 		if !ok {
 			return // spec built elsewhere; the spec-literal index covers it
 		}
-		verb, state := specName(pass, lit)
-		if state != nameKnown || verb == "" {
+		verb, ok := specName(pass, lit)
+		if !ok {
 			return
 		}
 		b.pendingHandlers = append(b.pendingHandlers, pendingHandler{
-			verb: verb, spec: lit, handler: call.Args[1], pos: call.Pos(), pkg: pass.Pkg,
+			verb: verb, handler: call.Args[1], pos: call.Pos(), pkg: pass.Pkg,
 			test: pass.Pkg.IsTestFile(pass.Fset, call.Pos()),
 		})
 		return
@@ -429,13 +368,70 @@ func (b *graphBuilder) recordRegistration(pass *Pass, call *ast.CallExpr) {
 	}
 }
 
+// isHandleCall matches a `recv.Handle(spec, handler)` method call whose
+// first parameter is a cmdlang CommandSpec.
+func isHandleCall(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "Handle" || len(call.Args) != 2 {
+		return false
+	}
+	fn := pass.calleeFunc(call)
+	if fn == nil {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && sig.Params().Len() == 2 && isCommandSpec(pass, sig.Params().At(0).Type())
+}
+
+// isCommandSpec matches the cmdlang.CommandSpec type (by name, in a
+// module-local package, with a Name field) so the golden-test
+// stand-ins qualify.
+func isCommandSpec(pass *Pass, t types.Type) bool {
+	n, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	if obj.Name() != "CommandSpec" || obj.Pkg() == nil || !pass.Prog.IsLocal(obj.Pkg().Path()) {
+		return false
+	}
+	s, ok := n.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < s.NumFields(); i++ {
+		if s.Field(i).Name() == "Name" {
+			return true
+		}
+	}
+	return false
+}
+
+// specName extracts the Name field from a CommandSpec composite
+// literal, resolving string literals and named constants (Name:
+// CmdPing) through the type checker's constant folding. ok is false
+// when the name is absent, empty, or not a compile-time constant.
+func specName(pass *Pass, lit *ast.CompositeLit) (name string, ok bool) {
+	for _, el := range lit.Elts {
+		kv, isKV := el.(*ast.KeyValueExpr)
+		if !isKV {
+			continue
+		}
+		if key, isIdent := kv.Key.(*ast.Ident); isIdent && key.Name == "Name" {
+			name = constString(pass, kv.Value)
+			return name, name != ""
+		}
+	}
+	return "", false
+}
+
 // recordSpec indexes every CommandSpec literal with a constant name.
 func (b *graphBuilder) recordSpec(pass *Pass, lit *ast.CompositeLit) {
 	if !isCommandSpec(pass, pass.TypeOf(lit)) {
 		return
 	}
-	verb, state := specName(pass, lit)
-	if state != nameKnown || verb == "" {
+	verb, ok := specName(pass, lit)
+	if !ok {
 		return
 	}
 	b.graph.Specs = append(b.graph.Specs, &SpecSite{
@@ -524,7 +520,7 @@ func implementsByName(cache map[*Node]map[string]bool, impl *Node, required []st
 // to a node now that literals are all known.
 func (b *graphBuilder) resolveHandlers() {
 	for _, ph := range b.pendingHandlers {
-		reg := &HandlerReg{Verb: ph.verb, Spec: ph.spec, Pos: ph.pos, Pkg: ph.pkg, Test: ph.test}
+		reg := &HandlerReg{Verb: ph.verb, Pos: ph.pos, Test: ph.test}
 		switch h := ast.Unparen(ph.handler).(type) {
 		case *ast.FuncLit:
 			reg.Handler = b.litNodes[h]

@@ -27,17 +27,13 @@ import (
 // is exposed: main functions, registered verb handlers, and exported
 // module API taking a context (callable with a deadline-less
 // context.Background()). Goroutine bodies are not entries — a spawned
-// read loop blocking forever is by design (its lifecycle belongs to
-// goroutineleak) and a `go` edge never blocks the spawner.
+// read loop blocking forever is by design (its owner's shutdown closes
+// the connection under it) and a `go` edge never blocks the spawner.
 var DeadlineCheck = &Analyzer{
 	Name:       "deadlinecheck",
 	Doc:        "an entry point can reach a blocking wire call with no deadline on any path",
 	RunProgram: runDeadlineCheck,
 }
-
-// deadlineGuardedFact is exported per function node so the driver test
-// can assert cross-package fact flow; the value is a bool.
-const deadlineGuardedFact = "deadline.guarded"
 
 func runDeadlineCheck(pp *ProgPass) {
 	g := pp.Graph
@@ -49,9 +45,6 @@ func runDeadlineCheck(pp *ProgPass) {
 		}
 		if installsDeadline(pp, n) {
 			guarded[n] = true
-			if n.Func != nil {
-				pp.Facts.Export(n.Func, deadlineGuardedFact, true)
-			}
 		}
 	}
 

@@ -43,7 +43,7 @@ type MetricDoc struct {
 // verbconformance checks against).
 func ExtractVerbs(prog *Program) []VerbDoc {
 	g := prog.Graph()
-	pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: g, Facts: prog.Facts()}
+	pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: g}
 	merged := make(map[string]*VerbDoc)
 	for _, s := range g.Specs {
 		if s.Test {
@@ -98,7 +98,7 @@ func ExtractVerbs(prog *Program) []VerbDoc {
 // ExtractMetrics builds the telemetry registry from every non-test
 // Registry.Counter/Gauge/Histogram call in the program.
 func ExtractMetrics(prog *Program) []MetricDoc {
-	pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: prog.Graph(), Facts: prog.Facts()}
+	pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: prog.Graph()}
 	sites := extractMetricSites(pp, false)
 	merged := make(map[string]*MetricDoc)
 	for _, s := range sites {

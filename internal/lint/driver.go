@@ -5,8 +5,10 @@
 // The package has two halves: a loader (this file) that turns `./...`
 // style patterns into parsed, type-checked packages using nothing but
 // go/parser, go/types, and go/importer — no x/tools — and a set of
-// analyzers (ctxprop.go, lockhold.go, droppederr.go, verbreg.go,
-// detrand.go) that run over the loaded packages and report findings.
+// analyzers (ctxprop.go, lockhold.go, droppederr.go per package;
+// verbconformance.go, deadlinecheck.go, metricnames.go over the call
+// graph in callgraph.go) that run over the loaded packages and report
+// findings.
 //
 // The loader resolves imports in three tiers: packages inside the
 // module under analysis are parsed and type-checked from source
@@ -32,8 +34,9 @@ import (
 
 // Package is one analysis unit: a package's source files (including
 // in-package _test.go files) together with its type information. Test
-// files are merged into the unit so checks that cover tests (detrand)
-// see them; checks that exempt tests filter by file name.
+// files are merged into the unit so checks that cover tests (lockhold,
+// ctxpropagation) see them; checks that exempt tests filter by file
+// name.
 type Package struct {
 	// Path is the import path ("ace/internal/wire"). External test
 	// packages get the base path with a " [test]" suffix.
@@ -74,7 +77,6 @@ type Program struct {
 
 	local map[string]bool // import paths type-checked from the module source
 	graph *Graph          // lazily built interprocedural call graph
-	facts *FactStore      // cross-package fact store, created with the graph
 }
 
 // Graph returns the program-wide call graph, building it on first
@@ -85,14 +87,6 @@ func (p *Program) Graph() *Graph {
 		p.graph = BuildGraph(p)
 	}
 	return p.graph
-}
-
-// Facts returns the program's cross-package fact store.
-func (p *Program) Facts() *FactStore {
-	if p.facts == nil {
-		p.facts = NewFactStore(p.Fset)
-	}
-	return p.facts
 }
 
 // IsLocal reports whether the import path was loaded from the module

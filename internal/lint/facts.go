@@ -4,28 +4,14 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
-	"sync"
 )
 
-// FactStore is the interprocedural engine's cross-package fact table:
-// analyzers attach facts to types.Object instances in one package and
-// read them back while analyzing another. The driver type-checks each
-// directory several times (the merged-test unit, the pure import
-// variant, the external _test unit), so the "same" function exists as
-// several distinct types.Object pointers; the store canonicalizes
-// objects to stable keys so a fact exported against one incarnation is
-// visible through every other.
-type FactStore struct {
-	fset *token.FileSet
-	mu   sync.Mutex
-	m    map[string]map[string]any
-}
-
-// NewFactStore returns an empty store keyed through fset's positions.
-func NewFactStore(fset *token.FileSet) *FactStore {
-	return &FactStore{fset: fset, m: make(map[string]map[string]any)}
-}
+// The driver type-checks each directory several times (the merged-test
+// unit, the pure import variant, the external _test unit), so the
+// "same" object exists as several distinct types.Object pointers. The
+// keys below canonicalize an object across those units, so call-graph
+// nodes and registry entries built from one incarnation match every
+// other.
 
 // ObjectKey canonicalizes an object across type-check units. Functions
 // and methods use their qualified name (identical in every unit);
@@ -53,51 +39,4 @@ func ObjectKey(fset *token.FileSet, obj types.Object) string {
 // the generic origin so instantiations collapse onto one node.
 func funcKey(fn *types.Func) string {
 	return fn.Origin().FullName()
-}
-
-// Export records fact name → v against obj, overwriting any earlier
-// value (last write wins; analyzers export each fact once).
-func (s *FactStore) Export(obj types.Object, name string, v any) {
-	key := ObjectKey(s.fset, obj)
-	if key == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	facts := s.m[key]
-	if facts == nil {
-		facts = make(map[string]any)
-		s.m[key] = facts
-	}
-	facts[name] = v
-}
-
-// Import retrieves the fact exported against obj under name, matching
-// across type-check units through the canonical key.
-func (s *FactStore) Import(obj types.Object, name string) (any, bool) {
-	key := ObjectKey(s.fset, obj)
-	if key == "" {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	facts, ok := s.m[key]
-	if !ok {
-		return nil, false
-	}
-	v, ok := facts[name]
-	return v, ok
-}
-
-// Keys returns every canonical object key holding at least one fact,
-// sorted — used by tests and debugging output.
-func (s *FactStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -127,21 +127,16 @@ func TestGoldenCtxPropagation(t *testing.T) {
 }
 func TestGoldenLockHold(t *testing.T)   { runGolden(t, "lockhold", []*Analyzer{LockHold}) }
 func TestGoldenDroppedErr(t *testing.T) { runGolden(t, "droppederr", []*Analyzer{DroppedErr}) }
-func TestGoldenVerbReg(t *testing.T)    { runGolden(t, "verbreg", []*Analyzer{VerbReg}) }
-func TestGoldenDetRand(t *testing.T)    { runGolden(t, "detrand", []*Analyzer{DetRand}) }
 
 // The interprocedural analyzers: each golden module is loaded with
-// the full driver, so the call graph and fact store are exercised end
-// to end (cross-package emission facts, reverse sink reachability,
-// spawn-to-loop resolution, program-wide metric registries).
+// the full driver, so the call graph is exercised end to end
+// (cross-package emitted codes, reverse sink reachability,
+// program-wide metric registries).
 func TestGoldenVerbConformance(t *testing.T) {
 	runGolden(t, "verbconformance", []*Analyzer{VerbConformance})
 }
 func TestGoldenDeadlineCheck(t *testing.T) {
 	runGolden(t, "deadlinecheck", []*Analyzer{DeadlineCheck})
-}
-func TestGoldenGoroutineLeak(t *testing.T) {
-	runGolden(t, "goroutineleak", []*Analyzer{GoroutineLeak})
 }
 func TestGoldenMetricNames(t *testing.T) {
 	runGolden(t, "metricnames", []*Analyzer{MetricNames})
@@ -158,8 +153,8 @@ func TestGoldenSuppression(t *testing.T) { runGolden(t, "suppress", All) }
 // proving the findings above come from the named check and not from
 // driver side effects.
 func TestChecksFireOnlyWhenEnabled(t *testing.T) {
-	for _, name := range []string{"ctxpropagation", "lockhold", "droppederr", "verbreg", "detrand",
-		"verbconformance", "deadlinecheck", "goroutineleak", "metricnames"} {
+	for _, name := range []string{"ctxpropagation", "lockhold", "droppederr",
+		"verbconformance", "deadlinecheck", "metricnames"} {
 		dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 		if err != nil {
 			t.Fatal(err)

@@ -81,14 +81,13 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 }
 
 // ProgPass carries a program-level analyzer's view of the whole
-// loaded package set: the call graph, the cross-package fact store,
-// and every package at once. Interprocedural checks (deadlinecheck,
-// goroutineleak, verbconformance) run here instead of per package.
+// loaded package set: the call graph and every package at once.
+// Interprocedural checks (deadlinecheck, verbconformance, metricnames)
+// run here instead of per package.
 type ProgPass struct {
 	Prog  *Program
 	Fset  *token.FileSet
 	Graph *Graph
-	Facts *FactStore
 
 	check  string
 	report func(Finding)
@@ -107,8 +106,8 @@ func (p *ProgPass) PackagePass(pkg *Package) *Pass {
 
 // Analyzer is one acelint check. Run executes once per package;
 // RunProgram executes once over the whole loaded set with the call
-// graph and fact store available. An analyzer defines one or the
-// other (defining both runs both).
+// graph available. An analyzer defines one or the other (defining both
+// runs both).
 type Analyzer struct {
 	Name       string
 	Doc        string
@@ -121,15 +120,12 @@ var All = []*Analyzer{
 	CtxPropagation,
 	LockHold,
 	DroppedErr,
-	VerbReg,
-	DetRand,
 	VerbConformance,
 	DeadlineCheck,
-	GoroutineLeak,
 	MetricNames,
 }
 
-// ByName resolves a comma-separated check list ("ctxpropagation,detrand")
+// ByName resolves a comma-separated check list ("ctxpropagation,lockhold")
 // against All.
 func ByName(list string) ([]*Analyzer, error) {
 	var out []*Analyzer
@@ -256,7 +252,7 @@ func collectSuppressions(fset *token.FileSet, f *ast.File, known map[string]bool
 }
 
 // AnalyzerTiming records how long one analyzer spent across the whole
-// program, for `acelint -json` / `-timing` CI annotations. The
+// program, for `acelint -timing`. The
 // pseudo-entry "callgraph" reports the one-time graph construction
 // cost shared by the program-level analyzers.
 type AnalyzerTiming struct {
@@ -332,8 +328,7 @@ func RunTimed(prog *Program, analyzers []*Analyzer) ([]Finding, []AnalyzerTiming
 			if a.RunProgram == nil {
 				continue
 			}
-			pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: prog.Graph(), Facts: prog.Facts(),
-				check: a.Name, report: collect}
+			pp := &ProgPass{Prog: prog, Fset: prog.Fset, Graph: prog.Graph(), check: a.Name, report: collect}
 			timed(a.Name, func() { a.RunProgram(pp) })
 		}
 	}

@@ -51,17 +51,6 @@ func Probe(ctx context.Context, conn *wire.Conn) error {
 	return err
 }
 
-// legacyNotifier fans events out for the process lifetime; the loop is
-// intentionally unkillable and torn down only at exit.
-func legacyNotifier(events chan int) {
-	//acelint:ignore goroutineleak process-lifetime fan-out, torn down only at process exit
-	go func() {
-		for {
-			<-events
-		}
-	}()
-}
-
 // legacyMetric keeps a dashboard's historical name until the next
 // breaking release.
 func legacyMetric(tel *telemetry.Registry) {

@@ -38,10 +38,6 @@ var VerbConformance = &Analyzer{
 	RunProgram: runVerbConformance,
 }
 
-// verbEmitsFact is exported against each handler function object: the
-// sorted list of reply codes the handler (transitively) emits.
-const verbEmitsFact = "verb.emits"
-
 // shellCodes are emitted by the daemon shell for any verb regardless
 // of its handler: dispatch failures, validation, auth, and overload.
 var shellCodes = map[string]bool{
@@ -338,8 +334,7 @@ func constString(pass *Pass, e ast.Expr) string {
 // collects the reply codes it can emit: cmdlang.Fail(code, ...) with a
 // constant code, cmdlang.Busy (→ busy), cmdlang.FailErr (→ internal /
 // bad_argument), and RemoteError{Code: ...} literals. The shell's own
-// codes are always included. Results are exported to the fact store
-// per handler function.
+// codes are always included.
 func computeEmittedCodes(pp *ProgPass, reg map[string]*verbEntry) {
 	nodeCodes := make(map[*Node]map[string]bool)
 	for _, e := range reg {
@@ -365,14 +360,6 @@ func computeEmittedCodes(pp *ProgPass, reg map[string]*verbEntry) {
 				for c := range codes {
 					e.emits[c] = true
 				}
-			}
-			if h.Handler.Func != nil {
-				var list []string
-				for c := range e.emits {
-					list = append(list, c)
-				}
-				sort.Strings(list)
-				pp.Facts.Export(h.Handler.Func, verbEmitsFact, list)
 			}
 		}
 	}
@@ -646,6 +633,10 @@ func chainBase(call *ast.CallExpr) *ast.CallExpr {
 		call = inner
 	}
 }
+
+// reservedVerbs are owned by the reply-encoding convention: replies
+// are themselves command lines named "ok"/"fail", never requests.
+var reservedVerbs = map[string]bool{"ok": true, "fail": true}
 
 // isNewCall matches cmdlang.New("verb") with a constant verb in a
 // module-local cmdlang package. Reply builders (OK/Fail) and dynamic
