@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call experiments examples fuzz fmt fmt-check vet lint lint-docs loc clean
+.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call profile-store experiments examples fuzz fmt fmt-check vet lint lint-docs loc clean
 
 all: build vet test
 
@@ -68,6 +68,7 @@ stability:
 	$(GO) test -count=1000 -run 'TestHandlerErrorBecomesFail' ./internal/daemon/
 	$(GO) test -count=200 -run 'TestReplicaSiblingEvictionViaNotification' ./internal/asd/
 	$(GO) test -count=200 -run 'TestChaosPstoreQuorumFailsClosedWithoutMajority' ./internal/chaos/
+	$(GO) test -count=200 -run 'TestGetAnyHitAndMiss' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestSerialSection' ./internal/daemon/
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestStalledReplicaIsHedgedAroundAndPassedOver' ./internal/pstore/
@@ -124,6 +125,19 @@ profile-call:
 		-o .bench_build/call.test -cpuprofile .bench_build/call.cpu.prof -memprofile .bench_build/call.mem.prof .
 	$(GO) tool pprof -top -nodecount 10 .bench_build/call.test .bench_build/call.cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/call.test .bench_build/call.mem.prof
+
+# Where a store operation's time and allocations go: BenchmarkStoreOp,
+# one client's quorum PUT and GET against three durable nodes in one
+# process whose filesystem answers a flush at once, as the benchmark's
+# store workloads run them, under the CPU and the allocation profiler,
+# and the top of each. The test binary and both profiles stay under
+# .bench_build/ for `go tool pprof -list`.
+profile-store:
+	mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench 'BenchmarkStoreOp' -benchtime 20000x -benchmem \
+		-o .bench_build/store.test -cpuprofile .bench_build/store.cpu.prof -memprofile .bench_build/store.mem.prof ./internal/pstore/
+	$(GO) tool pprof -top -nodecount 10 .bench_build/store.test .bench_build/store.cpu.prof
+	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/store.test .bench_build/store.mem.prof
 
 # Regenerate every experiment table (E3–E15 paper, X1–X5 extensions).
 # E1 and E2 are rows of the benchmark's `call` workload: bash bench/run.sh.

@@ -241,11 +241,11 @@ func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *
 			defer func() { <-s.rep.storeSem }()
 			ctx, cancel := context.WithTimeout(tctx, s.storeTimeout)
 			defer cancel()
-			finish(work(ctx))
+			finish.Finish(work(ctx))
 		}()
 	default:
 		ctx, cancel := context.WithTimeout(hctx.TraceContext(), s.storeTimeout)
-		finish(work(ctx))
+		finish.Finish(work(ctx))
 		cancel()
 	}
 	return nil

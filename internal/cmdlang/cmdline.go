@@ -30,14 +30,64 @@ type Arg struct {
 	Value Value
 }
 
-// New returns a CmdLine for the given command name. The name must be
-// a legal word; New panics otherwise since command names are always
-// program constants.
+// New returns a CmdLine for the given command name, with room for two
+// arguments in the same allocation: most commands built by a program,
+// and most replies, have at most two. The name must be a legal word;
+// New panics otherwise since command names are always program
+// constants.
 func New(name string) *CmdLine {
 	if !IsWord(name) {
 		panic(fmt.Sprintf("cmdlang: command name %q is not a word", name))
 	}
-	return &CmdLine{name: name}
+	return newCmdLine(name, 2)
+}
+
+// withArgs is a command and room for its first arguments, allocated as
+// one object.
+type withArgs[A any] struct {
+	c    CmdLine
+	room A
+}
+
+func (x *withArgs[A]) init(name string, args []Arg) *CmdLine {
+	x.c = CmdLine{name: name, args: args}
+	return &x.c
+}
+
+// newCmdLine returns a command named name with room for n arguments.
+// Up to eight, the room is part of the command's own allocation and
+// sized to n, so that a command costs one allocation and no more bytes
+// than a command and an argument slice of that size.
+func newCmdLine(name string, n int) *CmdLine {
+	switch n {
+	case 0:
+		return &CmdLine{name: name}
+	case 1:
+		x := new(withArgs[[1]Arg])
+		return x.init(name, x.room[:0])
+	case 2:
+		x := new(withArgs[[2]Arg])
+		return x.init(name, x.room[:0])
+	case 3:
+		x := new(withArgs[[3]Arg])
+		return x.init(name, x.room[:0])
+	case 4:
+		x := new(withArgs[[4]Arg])
+		return x.init(name, x.room[:0])
+	case 5:
+		x := new(withArgs[[5]Arg])
+		return x.init(name, x.room[:0])
+	case 6:
+		x := new(withArgs[[6]Arg])
+		return x.init(name, x.room[:0])
+	case 7:
+		x := new(withArgs[[7]Arg])
+		return x.init(name, x.room[:0])
+	case 8:
+		x := new(withArgs[[8]Arg])
+		return x.init(name, x.room[:0])
+	}
+	return &CmdLine{name: name, args: make([]Arg, 0, n)}
 }
 
 // find returns the position of the named argument, or -1.
@@ -232,7 +282,7 @@ func (c *CmdLine) SortedArgNames() []string {
 
 // Clone returns a deep copy of the command line.
 func (c *CmdLine) Clone() *CmdLine {
-	n := &CmdLine{name: c.name, args: make([]Arg, 0, len(c.args))}
+	n := newCmdLine(c.name, len(c.args))
 	for _, a := range c.args {
 		n.add(a.Name, a.Value)
 	}

@@ -297,15 +297,14 @@ func ParsePrefix(s string) (*CmdLine, string, error) {
 	if p.tok.kind != tokWord {
 		return nil, "", &ParseError{Offset: p.tok.off, Msg: "expected command name"}
 	}
-	c := &CmdLine{name: p.tok.text}
+	cmdName := p.tok.text
 	if err := p.advance(); err != nil {
 		return nil, "", err
 	}
-	// Most commands have a handful of arguments: room for them up
-	// front, bounded so that a frame of '=' bytes reserves nothing big.
-	if n := min(strings.Count(s, "="), 8); n > 0 {
-		c.args = make([]Arg, 0, n)
-	}
+	// Most commands have a handful of arguments: room for them in the
+	// command's own allocation, bounded so that a frame of '=' bytes
+	// reserves nothing big.
+	c := newCmdLine(cmdName, min(strings.Count(s, "="), 8))
 	for {
 		switch p.tok.kind {
 		case tokSemi:

@@ -102,7 +102,7 @@ func TestSharedReplyIsOnlyRead(t *testing.T) {
 			go func() {
 				gate.Done()
 				gate.Wait() // both finishes are on their way before either writes
-				finish(sharedReply)
+				finish.Finish(sharedReply)
 			}()
 			return nil, nil
 		})

@@ -99,7 +99,7 @@ type invocation struct {
 	e      *handlerEntry    // nil when the verb has no handler
 	cmd    *cmdlang.CmdLine // seq already removed
 	start  time.Time        // dispatch start, after any wait for the serial section
-	ticket *flow.Ticket     // admission slot; nil for ExecuteLocal
+	ticket flow.Ticket      // admission slot; the zero Ticket for ExecuteLocal
 	out    *replyWriter     // nil when no reply is wanted (one-way, ExecuteLocal)
 	seq    int64            // echoed on the reply when out is set
 }
@@ -107,24 +107,33 @@ type invocation struct {
 // Detach releases the daemon's serial section from this invocation:
 // the handler returns immediately (its return value is discarded) and the
 // reply is delivered later, when the handler's continuation calls
-// finish with it — from any goroutine, exactly once. This is for
-// handlers whose commit point is genuinely slow (an fsync, a quorum
-// round): without detaching, that wait would stall every other
-// command on the daemon, and concurrent writes could never batch.
+// Finish on the returned handle with it — from any goroutine, exactly
+// once. This is for handlers whose commit point is genuinely slow (an
+// fsync, a quorum round): without detaching, that wait would stall
+// every other command on the daemon, and concurrent writes could never
+// batch.
 // Admission tickets, dispatch latency, and notifications all account
-// to the moment finish is called, so flow control keeps seeing the
+// to the moment Finish is called, so flow control keeps seeing the
 // true cost.
 //
 // ok is false when the invocation cannot detach (ExecuteLocal, or a
 // nested dispatch): the handler must then do the work synchronously.
-func (c *Ctx) Detach() (finish func(reply *cmdlang.CmdLine), ok bool) {
+func (c *Ctx) Detach() (h Detached, ok bool) {
 	inv := c.inv
 	if inv == nil {
-		return nil, false
+		return Detached{}, false
 	}
 	c.inv = nil // consumed: execute sees it gone and stands back
-	return func(reply *cmdlang.CmdLine) { inv.complete(reply) }, true
+	return Detached{inv}, true
 }
+
+// Detached is the handle of an invocation its handler detached. It is
+// a value, so detaching allocates nothing.
+type Detached struct{ inv *invocation }
+
+// Finish delivers the detached invocation's reply (nil is a bare "ok")
+// and completes it. Call it exactly once.
+func (h Detached) Finish(reply *cmdlang.CmdLine) { h.inv.complete(reply) }
 
 // TraceContext returns a context carrying the invocation's span
 // context, for handlers issuing downstream calls via the pool. With
@@ -884,6 +893,10 @@ func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
 	return res
 }
 
+// bareOK answers every handler that returns a nil reply. Replies are
+// only read (see replyWriter.write), so all of them share it.
+var bareOK = cmdlang.OK()
+
 // complete is the one end of every invocation, whichever way it ran:
 // on its command thread after the serial section, from a detached
 // handler's finish, or under ExecuteLocal. It releases the admission
@@ -895,7 +908,7 @@ func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
 func (inv *invocation) complete(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
 	d := inv.D
 	if reply == nil {
-		reply = cmdlang.OK()
+		reply = bareOK
 	}
 	ok := cmdlang.IsOK(reply)
 	inv.ticket.Done()
@@ -940,7 +953,8 @@ func (inv *invocation) complete(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
 // goroutine (a reaper, a sensor loop) beside it. ctx supplies the
 // principal and trace the command runs under (nil: the daemon itself);
 // the command runs on an invocation of its own that cannot Detach,
-// even when ctx belongs to an invocation that can.
+// even when ctx belongs to an invocation that can. The reply it returns
+// is only to be read: like any reply, it may be shared.
 func (d *Daemon) ExecuteLocal(ctx *Ctx, cmd *cmdlang.CmdLine) *cmdlang.CmdLine {
 	inv := &invocation{
 		Ctx:   Ctx{Principal: d.cfg.Name, RemoteAddr: "local"},

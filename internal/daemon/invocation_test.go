@@ -55,7 +55,7 @@ func TestCompletionRoutesAgree(t *testing.T) {
 							t.Error("a command-thread invocation could not detach")
 							return reply, nil
 						}
-						go finish(reply)
+						go finish.Finish(reply)
 						return nil, nil
 					}
 					return reply, nil
@@ -132,7 +132,7 @@ func TestNestedExecuteLocalCannotDetachOuter(t *testing.T) {
 			if !ok {
 				return cmdlang.OK().SetWord("ran", "inline"), nil
 			}
-			go finish(cmdlang.OK().SetWord("ran", "detached"))
+			go finish.Finish(cmdlang.OK().SetWord("ran", "detached"))
 			return nil, nil
 		})
 		d.Handle(cmdlang.CommandSpec{Name: "outer"}, func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
@@ -187,7 +187,7 @@ func TestFinishAfterStopSpawnsNoDelivery(t *testing.T) {
 		d.Handle(cmdlang.CommandSpec{Name: "onWork", AllowExtra: true},
 			func(*Ctx, *cmdlang.CmdLine) (*cmdlang.CmdLine, error) { return nil, nil })
 	})
-	finishes := make(chan func(*cmdlang.CmdLine), 1)
+	finishes := make(chan Detached, 1)
 	worker := startTestDaemon(t, Config{Name: "worker"}, func(d *Daemon) {
 		d.Handle(cmdlang.CommandSpec{Name: "work"},
 			func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
@@ -222,7 +222,7 @@ func TestFinishAfterStopSpawnsNoDelivery(t *testing.T) {
 		}
 		// Stop closes connections just before it waits: let it get there.
 		time.Sleep(20 * time.Millisecond)
-		finish(nil)
+		finish.Finish(nil)
 	}()
 	worker.Stop()
 	<-finished

@@ -108,7 +108,7 @@ func TestSerialSectionNoOverlapInOrder(t *testing.T) {
 // the serial section while its finish is pending — the next command,
 // even one on the same connection, executes and is answered first.
 func TestSerialSectionFreedByDetach(t *testing.T) {
-	finishes := make(chan func(*cmdlang.CmdLine), 1)
+	finishes := make(chan Detached, 1)
 	d := startTestDaemon(t, Config{Name: "detacher"}, func(d *Daemon) {
 		d.Handle(cmdlang.CommandSpec{Name: "hold"}, func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 			finish, ok := ctx.Detach()
@@ -137,7 +137,7 @@ func TestSerialSectionFreedByDetach(t *testing.T) {
 		t.Fatalf("detached call answered before its finish: %v", err)
 	default:
 	}
-	finish(cmdlang.OK())
+	finish.Finish(cmdlang.OK())
 	if err := <-held; err != nil {
 		t.Fatalf("detached call after finish: %v", err)
 	}

@@ -209,25 +209,27 @@ func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 	return c
 }
 
-// Ticket is one admitted request. Done must be called exactly when
-// the work completes; the admit-to-Done latency drives the adaptive
-// limit. Done on a nil Ticket is a no-op, so work that never went
-// through Admit can call it unconditionally.
+// Ticket is one admitted request, held by value: an admission
+// allocates nothing. Done must be called exactly when the work
+// completes; the admit-to-Done latency drives the adaptive limit.
+// Done on the zero Ticket is a no-op, so work that never went through
+// Admit can call it unconditionally.
 type Ticket struct {
 	c         *Controller
 	pri       Priority
 	principal string
 	start     time.Time
-	once      sync.Once
 }
 
 // Done releases the ticket's concurrency slot and feeds the observed
-// latency to the adaptive limiter. It is idempotent.
+// latency to the adaptive limiter. A second call does nothing; calls
+// from two goroutines at once race.
 func (t *Ticket) Done() {
-	if t == nil {
+	if t.c == nil {
 		return
 	}
-	t.once.Do(func() { t.c.release(t) })
+	t.c.release(t)
+	t.c = nil
 }
 
 // Admit asks for one slot. It returns immediately when capacity is
@@ -235,12 +237,12 @@ func (t *Ticket) Done() {
 // the ctx deadline, whichever is sooner) when the daemon is at its
 // limit, and fails with *RejectedError when the request is shed or
 // ErrClosed after shutdown.
-func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) (*Ticket, error) {
+func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) (Ticket, error) {
 	now := c.now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return Ticket{}, ErrClosed
 	}
 	capacity := c.lim.current()
 	if pri == Control {
@@ -248,7 +250,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 	} else if c.fairShareExceededLocked(principal) {
 		err := c.shedLocked(pri, ReasonFairShare)
 		c.mu.Unlock()
-		return nil, err
+		return Ticket{}, err
 	}
 	if c.inflight < capacity {
 		t := c.admitLocked(pri, principal, now, now)
@@ -305,25 +307,25 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		// Admission may have raced the timer; the slot is already
 		// held, so take it regardless of which select arm fired.
 		c.mQueueWait[pri].Observe(c.now().Sub(w.enq))
-		return &Ticket{c: c, pri: pri, principal: principal, start: w.enq}, nil
+		return Ticket{c: c, pri: pri, principal: principal, start: w.enq}, nil
 	case waiterClosed:
-		return nil, ErrClosed
+		return Ticket{}, ErrClosed
 	case waiterQueued:
 		// Timed out (or ctx cancelled) while still queued.
 		q.remove(w)
 		c.rejectLocked(w, ReasonQueueTimeout)
 		c.mQueueLen.Set(int64(c.controlQ.len() + c.dataQ.len()))
 	}
-	return nil, w.reject
+	return Ticket{}, w.reject
 }
 
 // admitLocked hands out a slot. start is the admission request time
 // (queue wait baseline); the queue-wait histogram records now-start.
-func (c *Controller) admitLocked(pri Priority, principal string, start, now time.Time) *Ticket {
+func (c *Controller) admitLocked(pri Priority, principal string, start, now time.Time) Ticket {
 	c.takeSlotLocked(pri, principal, 0)
 	c.mInflight.Set(int64(c.inflight))
 	c.mQueueWait[pri].Observe(now.Sub(start))
-	return &Ticket{c: c, pri: pri, principal: principal, start: start}
+	return Ticket{c: c, pri: pri, principal: principal, start: start}
 }
 
 // takeSlotLocked books one admission, immediate (dequeued 0) or from

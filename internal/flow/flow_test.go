@@ -108,9 +108,7 @@ func TestQueueAdmitsWhenSlotFrees(t *testing.T) {
 	got := make(chan error, 1)
 	go func() {
 		tk, err := c.Admit(context.Background(), Data, "b")
-		if tk != nil {
-			tk.Done()
-		}
+		tk.Done()
 		got <- err
 	}()
 	waitForQueueDepth(t, c, 1)
@@ -276,7 +274,7 @@ func TestFairShareIgnoresControlTickets(t *testing.T) {
 // principal holding every slot is shed rather than queued ahead of it.
 func TestFairShareCountsWaitingPrincipal(t *testing.T) {
 	c := pinned(2, 4, 5*time.Second)
-	var noisy []*Ticket
+	var noisy []Ticket
 	for i := 0; i < 2; i++ {
 		tk, err := c.Admit(context.Background(), Data, "noisy")
 		if err != nil {
@@ -313,7 +311,7 @@ func TestLIFOUnderOverload(t *testing.T) {
 	}
 
 	admitted := make(chan int, 4)
-	tickets := make(chan *Ticket, 4)
+	tickets := make(chan Ticket, 4)
 	for i := 1; i <= 4; i++ {
 		i := i
 		go func() {
@@ -335,7 +333,8 @@ func TestLIFOUnderOverload(t *testing.T) {
 	holder.Done()
 	for i := 0; i < 4; i++ {
 		order = append(order, <-admitted)
-		(<-tickets).Done()
+		tk := <-tickets
+		tk.Done()
 	}
 	want := []int{4, 3, 2, 1}
 	for i := range want {

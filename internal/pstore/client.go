@@ -212,17 +212,18 @@ const hedgeAfter = 2 * time.Millisecond
 // read a quorum's worth, an any-replica read one, and awaitQuorum
 // launches the rest — the spares — only when a leg fails or the read is
 // still undecided after hedgeAfter.
-// Results arrive on the buffered channel in completion order, and every
-// leg runs under its own child context so stragglers can be cancelled
-// the moment the quorum outcome is decided.
+// Results arrive on the buffered channel in completion order. Every
+// leg runs under the fan-out's one context, so that cancelling it
+// cancels the stragglers the moment the quorum outcome is decided.
 type fanout struct {
-	c       *Client
-	ctx     context.Context
-	fn      func(ctx context.Context, addr string) replicaReply
-	start   time.Time
-	order   []int                // replica indices, in launch order
-	cancels []context.CancelFunc // one per launched leg
-	results chan replicaReply
+	c        *Client
+	ctx      context.Context
+	cancel   context.CancelFunc
+	fn       func(ctx context.Context, addr string) replicaReply
+	start    time.Time
+	order    []int // replica indices, in launch order
+	launched int   // legs started, order[:launched]
+	results  chan replicaReply
 }
 
 // streamFanout starts fn over every replica and launches the first
@@ -236,13 +237,12 @@ func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context
 	n := len(c.replicas)
 	f := &fanout{
 		c:       c,
-		ctx:     ctx,
 		fn:      fn,
 		start:   time.Now(),
 		order:   make([]int, n),
-		cancels: make([]context.CancelFunc, 0, n),
 		results: make(chan replicaReply, n),
 	}
+	f.ctx, f.cancel = context.WithCancel(ctx)
 	first := 0
 	if legs < n {
 		first = int((c.next.Add(1) - 1) % uint32(n))
@@ -270,11 +270,10 @@ func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context
 
 // launch starts the next leg in order.
 func (f *fanout) launch() {
-	i := f.order[len(f.cancels)]
-	cctx, cancel := context.WithCancel(f.ctx)
-	f.cancels = append(f.cancels, cancel)
+	i := f.order[f.launched]
+	f.launched++
 	go func() {
-		r := f.fn(cctx, f.c.replicas[i])
+		r := f.fn(f.ctx, f.c.replicas[i])
 		r.idx = i
 		f.c.noteLeg(i, r.err)
 		f.results <- r
@@ -284,16 +283,9 @@ func (f *fanout) launch() {
 // spare launches up to k of the legs a read held back, each counted as
 // a hedge.
 func (f *fanout) spare(k int) {
-	for ; k > 0 && len(f.cancels) < len(f.order); k-- {
+	for ; k > 0 && f.launched < len(f.order); k-- {
 		f.launch()
 		f.c.mReadHedges.Inc()
-	}
-}
-
-// cancelAll cancels every launched leg.
-func (f *fanout) cancelAll() {
-	for _, cancel := range f.cancels {
-		cancel()
 	}
 }
 
@@ -311,7 +303,7 @@ func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
 	prefix := make([]replicaReply, 0, n)
 	responded, failed := 0, 0
 	var hedge <-chan time.Time
-	if len(f.cancels) < n {
+	if f.launched < n {
 		t := time.NewTimer(hedgeAfter)
 		defer t.Stop()
 		hedge = t.C
@@ -332,7 +324,7 @@ func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
 			f.spare(1)
 		case <-hedge:
 			hedge = nil
-			for _, i := range f.order[:len(f.cancels)] {
+			for _, i := range f.order[:f.launched] {
 				if !slices.ContainsFunc(prefix, func(r replicaReply) bool { return r.idx == i }) {
 					f.c.passOver(i)
 				}
@@ -357,27 +349,32 @@ func (c *Client) passOver(i int) {
 // noteLeg updates replica i's pass-over mark from a finished leg. Any
 // answer clears it, a refusal included, since the replica is up; a leg
 // that got none — a transport failure, a timeout, a corrupt reply —
-// sets it. A leg the client cancelled says nothing about the replica.
+// sets it. A leg the client cancelled says nothing about the replica,
+// and is told apart first: every write's third leg is one.
 func (c *Client) noteLeg(i int, err error) {
 	switch {
+	case errors.Is(err, context.Canceled):
 	case err == nil || answered(err):
 		// Most legs find no mark: reading first keeps them from all
 		// writing one shared word.
 		if c.passedOver[i].Load() != 0 {
 			c.passedOver[i].Store(0)
 		}
-	case !errors.Is(err, context.Canceled):
+	default:
 		c.passOver(i)
 	}
 }
 
 // answered reports whether a failed leg's error is the replica's own
-// answer: a remote error or a refused write. It is a function of its
-// own so that only failed legs pay for the errors.As targets.
+// answer: a remote error or a refused write, which the fan-out builds
+// unwrapped. It is a function of its own so that only failed legs pay
+// for the errors.As target.
 func answered(err error) bool {
+	if _, refused := err.(*versionConflict); refused {
+		return true
+	}
 	var remote *cmdlang.RemoteError
-	var refused *versionConflict
-	return errors.As(err, &remote) || errors.As(err, &refused)
+	return errors.As(err, &remote)
 }
 
 // finish cancels the fan-out's stragglers and detaches a drain
@@ -388,20 +385,26 @@ func answered(err error) bool {
 // that made the quorum prefix. The drain is tracked by the client's
 // background WaitGroup, so Close can wait for it.
 func (c *Client) finish(f *fanout, consumed int, stragglers *telemetry.Counter, full *telemetry.Histogram, winner *Item, repairCtx context.Context) {
-	remaining := len(f.cancels) - consumed
-	f.cancelAll() // idempotent; also releases the child contexts of completed calls
+	remaining := f.launched - consumed
+	f.cancel()
 	if remaining == 0 {
 		full.Observe(time.Since(f.start))
 		return
 	}
 	stragglers.Add(int64(remaining))
+	// The drain takes a copy, so that a read's winner stays on its stack.
+	var win Item
+	repair := winner != nil
+	if repair {
+		win = *winner
+	}
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
 		for i := 0; i < remaining; i++ {
 			r := <-f.results
-			if winner != nil && r.err == nil && (!r.ok || r.item.Version < winner.Version) {
-				c.repairAsync(repairCtx, c.replicas[r.idx], *winner)
+			if repair && r.err == nil && (!r.ok || r.item.Version < win.Version) {
+				c.repairAsync(repairCtx, c.replicas[r.idx], win)
 			}
 		}
 		full.Observe(time.Since(f.start))
@@ -500,7 +503,8 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	// here for quorum members, in the detached drain for stragglers
 	// that answer late.
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, &best, repairCtx)
-	holders := make([]string, 0, len(prefix))
+	// Grant copies the holders: room for a few on the stack.
+	holders := make([]string, 0, 8)
 	for _, r := range prefix {
 		if r.err == nil && (!r.ok || r.item.Version < best.Version) {
 			c.repairAsync(repairCtx, c.replicas[r.idx], best)
@@ -587,8 +591,12 @@ func (c *Client) stampedWrite(ctx context.Context, op string, dest *Client, buil
 	for attempt := 0; ; attempt++ {
 		launched = time.Now()
 		appliers, err = c.writeRound(ctx, op, dest, build(version))
+		if err == nil || attempt == maxWriteConflicts {
+			return version, appliers, launched, err
+		}
+		// Declared only on a failed round: the errors.As target escapes.
 		var conflict *versionConflict
-		if !errors.As(err, &conflict) || attempt == maxWriteConflicts {
+		if !errors.As(err, &conflict) {
 			return version, appliers, launched, err
 		}
 		c.mWriteConflicts.Inc()
@@ -743,12 +751,11 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	prefix, _ := f.awaitQuorum(c.Quorum(), op)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	var conflict *versionConflict
+	acked = make([]string, 0, len(prefix))
 	for _, r := range prefix {
-		var refused *versionConflict
-		switch {
-		case r.err == nil:
+		if r.err == nil {
 			acked = append(acked, c.replicas[r.idx])
-		case errors.As(r.err, &refused) && (conflict == nil || refused.held > conflict.held):
+		} else if refused, ok := r.err.(*versionConflict); ok && (conflict == nil || refused.held > conflict.held) {
 			conflict = refused
 		}
 	}
@@ -788,10 +795,10 @@ func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, erro
 	// A union wants every answer, so there is no early decision here —
 	// but the probes run concurrently, so the slowest replica bounds
 	// the latency once, not N times.
-	defer f.cancelAll()
+	defer f.cancel()
 	set := map[string]bool{}
 	reachable := 0
-	for range f.cancels {
+	for range f.launched {
 		r := <-f.results
 		if r.err != nil {
 			continue

@@ -146,7 +146,6 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.Close()      // the put's last leg has sent what it will
 	cluster.SyncRound() // every replica holds v, so no read repairs
 	checkReadSpread(t, cluster, client, reg, client.Quorum(), func() error {
 		if _, ver, ok, err := client.Get("/majority/x"); err != nil || !ok || ver != v {
@@ -165,9 +164,19 @@ func TestQuorumReadAsksAMajority(t *testing.T) {
 // waited on passed over, which is the mechanism working, not the
 // rotation. Such a batch is dropped and the marks it left are cleared;
 // a spare it cancelled after sending may still reach its replica
-// during a later batch.
+// during a later batch. The count starts once the client's earlier
+// writes have sent what they will — a put returns on a majority, and
+// its cancelled last leg may still be dialing and writing — and with
+// no replica passed over by an earlier read that hedged.
 func checkReadSpread(t *testing.T, cluster *Cluster, client *Client, reg *telemetry.Registry, legs int, read func() error) {
 	t.Helper()
+	client.Close()
+	clearPassOvers := func() {
+		for i := range client.passedOver {
+			client.passedOver[i].Store(0)
+		}
+	}
+	clearPassOvers()
 	psgets := func() []int64 {
 		served := make([]int64, len(cluster.Nodes))
 		for i, n := range cluster.Nodes {
@@ -192,9 +201,7 @@ func checkReadSpread(t *testing.T, cluster *Cluster, client *Client, reg *teleme
 		after := reg.Snapshot()
 		if hedges := after.Counter(MetricReadHedges) - snap.Counter(MetricReadHedges); hedges > 0 {
 			dropped += hedges
-			for i := range client.passedOver {
-				client.passedOver[i].Store(0)
-			}
+			clearPassOvers()
 			continue
 		}
 		kept++

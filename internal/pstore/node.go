@@ -342,14 +342,15 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 		n.maybeSnapshot()
 		return writeReply(true, it.Version), nil
 	}
+	version := it.Version
 	n.eng.AppendAsync(rec, func(err error) {
 		if err != nil {
 			n.degraded.Store(true)
-			finish(cmdlang.Busy(degradedRetryAfter))
+			finish.Finish(cmdlang.Busy(degradedRetryAfter))
 			return
 		}
 		n.maybeSnapshot()
-		finish(writeReply(true, it.Version))
+		finish.Finish(writeReply(true, version))
 	})
 	return nil, nil
 }
@@ -878,7 +879,7 @@ func (n *Node) install() {
 		n.transferWG.Add(1)
 		go func() {
 			defer n.transferWG.Done()
-			finish(work())
+			finish.Finish(work())
 		}()
 		return nil, nil
 	})

@@ -26,7 +26,8 @@ func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%020d.seg", f
 // appendReq is one writer waiting for its record to become durable.
 // done is invoked exactly once, from the commit goroutine, with the
 // verdict of the covering fsync — it must not block for long, or it
-// stalls every later commit.
+// stalls every later commit. Requests travel through the queue by
+// value, so an append allocates nothing of its own.
 type appendReq struct {
 	rec  Record
 	done func(error)
@@ -46,7 +47,7 @@ type wal struct {
 	maxBatch int
 	met      Metrics
 
-	reqs     chan *appendReq
+	reqs     chan appendReq
 	stop     chan struct{}
 	loopDone chan struct{}
 
@@ -61,7 +62,11 @@ type wal struct {
 	broken        error // first write/sync failure; the log refuses appends after it
 	closed        bool
 
-	buf []byte // commit-loop scratch, reused across batches
+	// Commit-loop scratch, reused across batches: the encoded batch,
+	// and the batch itself, whose entries are cleared once acked so
+	// that it holds no record between commits.
+	buf   []byte
+	batch []appendReq
 }
 
 // newWAL resumes appending after recovery: active is the (already
@@ -75,7 +80,7 @@ func newWAL(fsys FS, dir string, segBytes int64, maxBatch int, met Metrics,
 		segBytes:      segBytes,
 		maxBatch:      maxBatch,
 		met:           met,
-		reqs:          make(chan *appendReq, maxBatch),
+		reqs:          make(chan appendReq, maxBatch),
 		stop:          make(chan struct{}),
 		loopDone:      make(chan struct{}),
 		active:        active,
@@ -148,7 +153,7 @@ func (w *wal) append(rec Record) error {
 // move on, and everything queued behind one fsync shares it.
 func (w *wal) appendAsync(rec Record, done func(error)) bool {
 	select {
-	case w.reqs <- &appendReq{rec: rec, done: done}:
+	case w.reqs <- appendReq{rec: rec, done: done}:
 	case <-w.stop:
 		cinc(w.met.AppendErrors)
 		return false
@@ -166,9 +171,10 @@ func (w *wal) run() {
 		case req := <-w.reqs:
 			batch := w.gather(req)
 			err := w.commit(batch)
-			for _, r := range batch {
-				r.done(err)
+			for i := range batch {
+				batch[i].done(err)
 			}
+			clear(batch)
 		case <-w.stop:
 			for {
 				select {
@@ -184,24 +190,24 @@ func (w *wal) run() {
 }
 
 // gather drains whatever else is already queued behind first, up to
-// the batch cap — the group in group commit.
-func (w *wal) gather(first *appendReq) []*appendReq {
-	batch := make([]*appendReq, 1, w.maxBatch)
-	batch[0] = first
-	for len(batch) < w.maxBatch {
+// the batch cap — the group in group commit — into the loop's scratch
+// batch.
+func (w *wal) gather(first appendReq) []appendReq {
+	w.batch = append(w.batch[:0], first)
+	for len(w.batch) < w.maxBatch {
 		select {
 		case r := <-w.reqs:
-			batch = append(batch, r)
+			w.batch = append(w.batch, r)
 		default:
-			return batch
+			return w.batch
 		}
 	}
-	return batch
+	return w.batch
 }
 
 // commit writes the batch to the active segment and fsyncs once.
 // Record LSNs are assigned here, in commit order.
-func (w *wal) commit(batch []*appendReq) error {
+func (w *wal) commit(batch []appendReq) error {
 	w.mu.Lock()
 	if w.broken != nil {
 		err := w.broken
@@ -219,8 +225,8 @@ func (w *wal) commit(batch []*appendReq) error {
 		}
 	}
 	w.buf = w.buf[:0]
-	for _, r := range batch {
-		w.buf = encodeRecord(w.buf, r.rec)
+	for i := range batch {
+		w.buf = encodeRecord(w.buf, batch[i].rec)
 	}
 	_, err := w.active.Write(w.buf)
 	if err == nil {

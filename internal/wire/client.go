@@ -55,11 +55,10 @@ type Client struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// call is one request waiting for its reply. Calls are recycled through
-// callPool, but only by the caller that received the reply: a call that
-// gave up (cancelled, timed out) may already be in the reader's hands,
-// about to be sent a reply no later call must see, so it is left to
-// the collector.
+// call is one request waiting for its reply, recycled through callPool
+// by its caller once nothing else can touch it: after its reply, or,
+// for a call that gave up (cancelled, timed out), once abandon has
+// taken it back from the reader.
 type call struct {
 	reply chan *cmdlang.CmdLine // one slot; closed when the connection fails
 	// timer bounds a call whose context carries no deadline. A tick it
@@ -317,7 +316,7 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 			if ownTimer {
 				w.timer.Stop()
 			}
-			c.forget(seq)
+			c.abandon(seq, w)
 			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 				c.m().CallTimeout()
 			}
@@ -327,7 +326,7 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 				w.timer.Reset(left) // the tick was the call's previous user's
 				continue
 			}
-			c.forget(seq)
+			c.abandon(seq, w)
 			c.m().CallTimeout()
 			return nil, context.DeadlineExceeded
 		}
@@ -335,11 +334,27 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 }
 
 // forget abandons the call numbered seq; its reply, should one still
-// come, is dropped by the reader.
-func (c *Client) forget(seq int64) {
+// come, is dropped by the reader. It reports whether the call was still
+// pending, so that neither the reader nor fail holds it.
+func (c *Client) forget(seq int64) bool {
 	c.mu.Lock()
+	_, pending := c.pending[seq]
 	delete(c.pending, seq)
 	c.mu.Unlock()
+	return pending
+}
+
+// abandon forgets the call w numbered seq, which gave up, and recycles
+// it. A call the reader already took is sent its reply right after, so
+// that one buffered reply is drained first; one that fail closed is
+// left to the collector.
+func (c *Client) abandon(seq int64, w *call) {
+	if !c.forget(seq) {
+		if _, ok := <-w.reply; !ok {
+			return
+		}
+	}
+	callPool.Put(w)
 }
 
 // write sends cmd as one frame under the deadline. An oversize command
