@@ -3,15 +3,15 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call profile-store experiments examples fuzz fmt fmt-check vet lint lint-docs loc clean
+.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call profile-store bench-once examples fuzz fmt fmt-check vet lint lint-docs loc clean
 
 all: build vet test
 
 # The full pre-merge gate: build, formatting, vet, the ACE-specific
 # analyzers, plain tests, race-enabled tests, the deterministic chaos
-# suite, the benchmark module's own vet and tests, and the repeat-run
-# stability step.
-check: build fmt-check vet lint test test-race chaos test-bench stability
+# suite, the benchmark module's own vet and tests, every testing.B run
+# once, and the repeat-run stability step.
+check: build fmt-check vet lint test test-race chaos test-bench bench-once stability
 
 build:
 	$(GO) build ./...
@@ -78,9 +78,18 @@ stability:
 short:
 	$(GO) test -short ./...
 
-# One testing.B benchmark per paper experiment (E3–E15) plus the ablations.
+# The testing.B benchmarks: one per paper experiment (E3–E15) in the
+# root bench_test.go, the ablations, and each package's own. Each
+# experiment's shape is a test in the package that owns it; these
+# report its numbers.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Every testing.B above, one iteration each and no tests: nothing
+# runs the benchmarks otherwise, so this is where one that no longer
+# builds or fails on its first iteration shows up.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Measure quorum read/write latency against a healthy 3-way cluster
 # and against the same cluster with one replica blackholed or dead,
@@ -138,11 +147,6 @@ profile-store:
 		-o .bench_build/store.test -cpuprofile .bench_build/store.cpu.prof -memprofile .bench_build/store.mem.prof ./internal/pstore/
 	$(GO) tool pprof -top -nodecount 10 .bench_build/store.test .bench_build/store.cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/store.test .bench_build/store.mem.prof
-
-# Regenerate every experiment table (E3–E15 paper, X1–X5 extensions).
-# E1 and E2 are rows of the benchmark's `call` workload: bash bench/run.sh.
-experiments:
-	$(GO) run ./cmd/acebench
 
 examples:
 	$(GO) run ./examples/quickstart

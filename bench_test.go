@@ -1,10 +1,11 @@
 package ace
 
 // One testing.B benchmark per experiment in DESIGN.md's index
-// (E3–E15). These exercise the same code paths as cmd/acebench, which
-// prints the full tables; EXPERIMENTS.md records paper-vs-measured.
-// E1 and E2 are measured by the benchmark (bash bench/run.sh, the
-// `call` workload).
+// (E3–E15); EXPERIMENTS.md records paper-vs-measured. E1 and E2 are
+// measured by the benchmark (bash bench/run.sh, the `call` workload).
+// Each experiment's shape is asserted by a test in the package that
+// owns it (DESIGN.md, "Expected shapes"); `make check` runs every
+// benchmark here once so none of them rots unseen.
 
 import (
 	"fmt"
@@ -24,8 +25,10 @@ import (
 	"ace/internal/launcher"
 	"ace/internal/media"
 	"ace/internal/monitor"
+	"ace/internal/netlog"
 	"ace/internal/pstore"
 	"ace/internal/rmi"
+	"ace/internal/roomdb"
 	"ace/internal/simhost"
 	"ace/internal/wire"
 )
@@ -146,7 +149,7 @@ func BenchmarkE4NotifyFanout(b *testing.B) {
 		}
 	}
 	// Drain before the bench ends, but not for ever: a delivery the
-	// source shed at its 64-in-flight bound never arrives (see RunE4).
+	// source shed at its 64-in-flight bound never arrives.
 	want := int64(b.N * listeners)
 	for deadline := time.Now().Add(5 * time.Second); delivered.Load() < want && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
@@ -154,21 +157,40 @@ func BenchmarkE4NotifyFanout(b *testing.B) {
 	b.ReportMetric(float64(delivered.Load())/float64(want), "delivered_share")
 }
 
-// BenchmarkE5Startup measures the Fig 9 startup sequence (ASD
-// registration only; the full three-step sequence is in acebench E5).
+// BenchmarkE5Startup measures the full Fig 9 startup sequence of one
+// daemon, up to serving: room database lookup, ASD registration,
+// net-logger record. Stopping the daemon is not timed.
 func BenchmarkE5Startup(b *testing.B) {
 	dir := asd.New(asd.Config{})
 	if err := dir.Start(); err != nil {
 		b.Fatal(err)
 	}
 	defer dir.Stop()
+	rooms := roomdb.New(daemon.Config{ASDAddr: dir.Addr()}, nil)
+	if err := rooms.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer rooms.Stop()
+	logger := netlog.New(daemon.Config{ASDAddr: dir.Addr()}, 0)
+	if err := logger.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer logger.Stop()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := daemon.New(daemon.Config{Name: fmt.Sprintf("e5_%d", i), ASDAddr: dir.Addr()})
+		d := daemon.New(daemon.Config{
+			Name:       fmt.Sprintf("e5_%d", i),
+			Room:       "hawk",
+			ASDAddr:    dir.Addr(),
+			RoomDBAddr: rooms.Addr(),
+			NetLogAddr: logger.Addr(),
+		})
 		if err := d.Start(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		d.Stop()
+		b.StartTimer()
 	}
 }
 
@@ -357,14 +379,20 @@ func BenchmarkE11Scale(b *testing.B) {
 }
 
 // BenchmarkE12TLSOverhead compares command latency over TLS and
-// plaintext transports (§3.1).
+// plaintext transports (§3.1) on an established connection, and
+// times a fresh connection's mutual TLS handshake: dial, handshake and
+// first ping.
 func BenchmarkE12TLSOverhead(b *testing.B) {
-	run := func(b *testing.B, serverT, clientT *wire.Transport) {
+	start := func(b *testing.B, serverT *wire.Transport) *daemon.Daemon {
 		d := daemon.New(daemon.Config{Name: "e12", Transport: serverT})
 		if err := d.Start(); err != nil {
 			b.Fatal(err)
 		}
-		defer d.Stop()
+		b.Cleanup(d.Stop)
+		return d
+	}
+	run := func(b *testing.B, serverT, clientT *wire.Transport) {
+		d := start(b, serverT)
 		c, err := wire.Dial(clientT, d.Addr())
 		if err != nil {
 			b.Fatal(err)
@@ -381,21 +409,40 @@ func BenchmarkE12TLSOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("plaintext", func(b *testing.B) { run(b, nil, nil) })
-	b.Run("tls", func(b *testing.B) {
+	transports := func(b *testing.B) (serverT, clientT *wire.Transport) {
 		ca, err := wire.NewCA("bench")
 		if err != nil {
 			b.Fatal(err)
 		}
-		serverT, err := wire.NewTransport(ca, "e12")
-		if err != nil {
+		if serverT, err = wire.NewTransport(ca, "e12"); err != nil {
 			b.Fatal(err)
 		}
-		clientT, err := wire.NewTransport(ca, "client")
-		if err != nil {
+		if clientT, err = wire.NewTransport(ca, "client"); err != nil {
 			b.Fatal(err)
 		}
+		return serverT, clientT
+	}
+	b.Run("plaintext", func(b *testing.B) { run(b, nil, nil) })
+	b.Run("tls", func(b *testing.B) {
+		serverT, clientT := transports(b)
 		run(b, serverT, clientT)
+	})
+	b.Run("handshake", func(b *testing.B) {
+		serverT, clientT := transports(b)
+		d := start(b, serverT)
+		cmd := cmdlang.New(daemon.CmdPing)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c, err := wire.Dial(clientT, d.Addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			_, err = c.Call(cmd)
+			c.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
 	})
 }
 

@@ -10,7 +10,7 @@
 //
 // The public entry point is internal/core.Environment; see README.md,
 // DESIGN.md, and EXPERIMENTS.md. The root-level benchmarks in
-// bench_test.go regenerate the paper's evaluated figures (run
-// cmd/acebench for the full tables, bash bench/run.sh for the call
-// path, the store and the directory).
+// bench_test.go time the paper's evaluated figures, the tests of the
+// package that owns each figure assert its shape, and bash
+// bench/run.sh measures the call path, the store and the directory.
 package ace

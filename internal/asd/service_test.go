@@ -1,12 +1,15 @@
 package asd
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hier"
+	"ace/internal/wire"
 )
 
 func startASD(t *testing.T, reap time.Duration) *Service {
@@ -203,5 +206,51 @@ func TestResolveAll(t *testing.T) {
 	}
 	if len(addrs) != 3 || addrs[0] != "c1:9" {
 		t.Fatalf("addrs=%v", addrs)
+	}
+}
+
+// TestManyConcurrentClients is E11's shape (§9: "hundreds and even
+// thousands of users"): 200 clients, each on its own connection, are
+// all served at once. Each makes one lookup, waits until every client
+// has been answered, then makes 20 more, so all 200 connections are
+// open and in use together. Not one reply may fail.
+func TestManyConcurrentClients(t *testing.T) {
+	s := startASD(t, 0)
+	if _, err := s.Directory().Register(Entry{Name: "target", Addr: "h:1", Lease: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	const clients, lookups = 200, 20
+	failed := make(chan error, clients)
+	lookup := func(c *wire.Client) error {
+		reply, err := c.Call(cmdlang.New(daemon.CmdLookup).SetWord("name", "target"))
+		if err == nil && reply.Str("addr", "") != "h:1" {
+			err = fmt.Errorf("lookup answered %v", reply)
+		}
+		return err
+	}
+	var arrived, done sync.WaitGroup
+	arrived.Add(clients)
+	done.Add(clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			defer done.Done()
+			c, err := wire.Dial(nil, s.Addr())
+			if err == nil {
+				defer c.Close()
+				err = lookup(c)
+			}
+			arrived.Done()
+			arrived.Wait()
+			for j := 0; err == nil && j < lookups; j++ {
+				err = lookup(c)
+			}
+			if err != nil {
+				failed <- err
+			}
+		}()
+	}
+	done.Wait()
+	if n := len(failed); n != 0 {
+		t.Fatalf("%d of %d clients had a lookup fail, first: %v", n, clients, <-failed)
 	}
 }

@@ -1,6 +1,8 @@
 package authdb
 
 import (
+	"fmt"
+	"strconv"
 	"testing"
 	"time"
 
@@ -337,5 +339,86 @@ func TestTimeAndUsageConditions(t *testing.T) {
 	// Admin is unaffected by intern restrictions.
 	if err := auth2.Authorize("admin", cmd); err != nil {
 		t.Fatalf("admin denied: %v", err)
+	}
+}
+
+// TestDelegationChainDepth is E6's shape (Fig 10, §3.2) at delegation
+// depths 1–4. The work of a gated command grows with the depth: the
+// chain the database returns holds one credential per link. The
+// overhead stays bounded: a gate that caches credentials fetches them
+// once for any number of commands, at every depth. A chain with one
+// link missing does not reach policy and is refused.
+func TestDelegationChainDepth(t *testing.T) {
+	admin, err := keynote.NewPrincipal("admin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := keynote.NewKeyring()
+	ring.Add(admin)
+	store := NewStore()
+	// chain signs the links admin → prefix1 → … → prefix<depth>, stores
+	// all but admin's when gap is set, and returns the last licensee.
+	chain := func(prefix string, depth int, gap bool) string {
+		signer, from := admin, "admin"
+		for i := 1; i <= depth; i++ {
+			name := fmt.Sprintf("%s%d", prefix, i)
+			p, err := keynote.NewPrincipal(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring.Add(p)
+			cred := keynote.MustAssertion(from, strconv.Quote(name), `app_domain == "ace"`, "")
+			if err := cred.Sign(signer); err != nil {
+				t.Fatal(err)
+			}
+			if !gap || i > 1 {
+				if err := store.Add(cred); err != nil {
+					t.Fatal(err)
+				}
+			}
+			signer, from = p, name
+		}
+		return from
+	}
+
+	db := New(daemon.Config{}, store)
+	if err := db.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(db.Stop)
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
+	checker, err := keynote.NewChecker(ring, keynote.MustAssertion(keynote.Policy, `"admin"`, `app_domain == "ace"`, ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetches := db.Telemetry().Histogram(daemon.MetricDispatchPrefix + "credentialsFor").Count
+
+	cmd := cmdlang.New("move").SetFloat("x", 1)
+	const calls = 20
+	for depth := 1; depth <= 4; depth++ {
+		user := chain(fmt.Sprintf("d%d_", depth), depth, false)
+		reply, err := pool.Call(db.Addr(), cmdlang.New("credentialsFor").SetWord("principal", user))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := reply.Int("count", -1); n != int64(depth) {
+			t.Fatalf("depth %d: the database returned %d credentials, want the whole chain", depth, n)
+		}
+
+		gate := &Authorizer{Pool: pool, AuthDBAddr: db.Addr(), Checker: checker, Service: "ptz1", CacheSize: 16}
+		before := fetches()
+		for i := 0; i < calls; i++ {
+			if err := gate.Authorize(user, cmd); err != nil {
+				t.Fatalf("depth %d, call %d: %v", depth, i, err)
+			}
+		}
+		if n := fetches() - before; n != 1 {
+			t.Fatalf("depth %d: %d calls through a caching gate fetched credentials %d times, want 1", depth, calls, n)
+		}
+
+		if err := gate.Authorize(chain(fmt.Sprintf("gap%d_", depth), depth, true), cmd); err == nil {
+			t.Fatalf("depth %d: a chain missing admin's link was allowed", depth)
+		}
 	}
 }
