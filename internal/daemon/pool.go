@@ -285,12 +285,11 @@ func (p *Pool) drop(pe *peer, c *wire.Client) {
 	_ = c.Close()
 }
 
-// backoff sleeps the capped exponential delay for retry attempt n
-// (1-based) with ±50% jitter, or returns early when ctx expires or the
-// deadline (zero: none beyond ctx's) passes. A
-// positive floor (a server's retry_after hint) raises the delay so
-// the retry does not land before the server expects capacity back.
-func (p *Pool) backoff(ctx context.Context, deadline time.Time, attempt int, floor time.Duration) error {
+// delay is the capped exponential delay before retry attempt n
+// (1-based) with ±50% jitter. A positive floor (a server's retry_after
+// hint) raises it so the retry does not land before the server expects
+// capacity back.
+func (p *Pool) delay(attempt int, floor time.Duration) time.Duration {
 	d := p.cfg.BackoffBase << (attempt - 1)
 	if d > p.cfg.BackoffMax || d <= 0 {
 		d = p.cfg.BackoffMax
@@ -298,10 +297,13 @@ func (p *Pool) backoff(ctx context.Context, deadline time.Time, attempt int, flo
 	p.rngMu.Lock()
 	jitter := 0.5 + p.rng.Float64() // [0.5, 1.5)
 	p.rngMu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	if d < floor {
-		d = floor
-	}
+	return max(time.Duration(float64(d)*jitter), floor)
+}
+
+// backoff sleeps the delay before retry attempt n, or returns early
+// when ctx expires or the deadline (zero: none beyond ctx's) passes.
+func (p *Pool) backoff(ctx context.Context, deadline time.Time, attempt int, floor time.Duration) error {
+	d := p.delay(attempt, floor)
 	cut := false // the call's time runs out during the wait
 	if !deadline.IsZero() {
 		if left := time.Until(deadline); left < d {
@@ -452,6 +454,107 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			return nil, lastErr
 		}
 	}
+}
+
+// Started is a call Pool.Start began on a pooled connection without
+// blocking. Its Result arrives on the sink Start was given, for Settle
+// to account; Cancel gives it up before then.
+type Started struct {
+	pe       *peer
+	c        *wire.Client
+	seq      int64
+	deadline time.Time
+}
+
+// Deadline is the instant the call's owner must give it up by: Start
+// arms no timer for it.
+func (s Started) Deadline() time.Time { return s.deadline }
+
+// Cancel gives the call up; false means its Result is on its way to
+// the sink, or there already, and still wants settling.
+func (s Started) Cancel() bool { return s.c.Cancel(s.seq) }
+
+// Start is the non-blocking first attempt of a call: it writes cmd to
+// addr and returns at once, its Result to arrive on sink under tag. It
+// starts only on a live pooled connection whose breaker is closed and
+// whose peer is answering (see wire.Client.Start), since the caller
+// writes the frame itself and must not block on a peer that stopped
+// reading. Anything else — a dial, a breaker probe, a connection that
+// failed or went quiet — returns false, for the call to take
+// CallContext. The call is held to deadline, else ctx's, else the
+// pool's call timeout from now.
+func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine, sink chan<- wire.Result, tag int) (Started, bool) {
+	p.mu.Lock()
+	pe := p.peers[addr]
+	var c *wire.Client
+	if pe != nil {
+		c = pe.client
+	}
+	p.mu.Unlock()
+	if c == nil || pe.breaker.currentState() != breakerClosed {
+		return Started{}, false
+	}
+	if deadline.IsZero() {
+		if d, ok := ctx.Deadline(); ok {
+			deadline = d
+		} else {
+			deadline = time.Now().Add(p.cfg.CallTimeout)
+		}
+	}
+	seq, err := c.Start(ctx, deadline, cmd, sink, tag)
+	if err != nil {
+		return Started{}, false
+	}
+	return Started{pe: pe, c: c, seq: seq, deadline: deadline}, true
+}
+
+// Settle accounts the Result of a started call the way CallContext
+// accounts an attempt — the breaker, the pooled connection,
+// pool.redirects — and returns the call's outcome. A positive retryIn
+// says that CallContext would retry it, after that long: the call
+// failed in transport, or was shed busy (retryIn is then no shorter
+// than the reply's retry_after), and retries and time are left. The
+// caller then runs it there, on the blocking path, once retryIn has
+// passed. A Result the owner made up on giving the call up —
+// context.Canceled when it abandoned it, context.DeadlineExceeded at
+// its deadline — is settled as CallContext settles its own: unjudged,
+// or as a timed-out transport failure.
+func (p *Pool) Settle(s Started, res wire.Result) (reply *cmdlang.CmdLine, retryIn time.Duration, err error) {
+	br := s.pe.breaker
+	retry := func() bool { return p.cfg.MaxRetries > 0 && time.Now().Before(s.deadline) }
+	if res.Err == nil {
+		// The daemon answered; the connection and peer are fine.
+		br.success()
+		err := cmdlang.ReplyError(res.Reply)
+		re, _ := err.(*cmdlang.RemoteError)
+		switch {
+		case err == nil:
+			return res.Reply, 0, nil
+		case re == nil:
+		case re.Code == cmdlang.CodeWrongGroup:
+			p.redirects.Inc()
+		case re.Code == cmdlang.CodeBusy && retry():
+			p.busyRetries.Inc()
+			p.retries.Inc()
+			return nil, p.delay(1, re.RetryAfter), err
+		}
+		return nil, 0, err
+	}
+	if errors.Is(res.Err, context.Canceled) {
+		br.abandon()
+		return nil, 0, res.Err
+	}
+	p.drop(s.pe, s.c)
+	br.failure()
+	if errors.Is(res.Err, context.DeadlineExceeded) {
+		p.cfg.Metrics.CallTimeout()
+		return nil, 0, res.Err
+	}
+	if !retry() {
+		return nil, 0, res.Err
+	}
+	p.retries.Inc()
+	return nil, p.delay(1, 0), res.Err
 }
 
 // Failover tries call against addrs in sticky preference order: it

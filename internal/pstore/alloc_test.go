@@ -16,8 +16,8 @@ import (
 // (read repairs, a straggler's drain) landing in the count. What each
 // allocation is for: DESIGN.md, "What a store operation allocates".
 const (
-	putAllocBudget = 48
-	getAllocBudget = 34
+	putAllocBudget = 40
+	getAllocBudget = 24
 )
 
 func TestQuorumOpAllocationBudget(t *testing.T) {

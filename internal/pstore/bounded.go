@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"ace/internal/cmdlang"
 	"ace/internal/pstore/staleness"
 )
 
@@ -132,7 +133,7 @@ func (c *Client) firstServed(holders []string) (int, bool) {
 // final.
 func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
 	ctx := context.Background()
-	f := c.streamFanout(ctx, 1, c.readLeg(path))
+	f := c.streamFanout(ctx, 1, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
 	prefix, err := f.awaitQuorum(1, "any read")
 	c.mReadLatency.Observe(time.Since(f.start))
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, ctx)

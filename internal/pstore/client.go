@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,7 +79,8 @@ type Client struct {
 	epoch uint64
 
 	// repairSem bounds concurrent background read repairs; bg tracks
-	// straggler drains and repairs so Close can wait for them.
+	// legs on the blocking path, straggler drains and repairs so Close
+	// can wait for them.
 	repairSem chan struct{}
 	bg        sync.WaitGroup
 
@@ -106,6 +106,7 @@ type Client struct {
 	mReadPassovers    *telemetry.Counter
 	mWriteStragglers  *telemetry.Counter
 	mWriteConflicts   *telemetry.Counter
+	mBlockingLegs     *telemetry.Counter
 	mReadRepairs      *telemetry.Counter
 	mRepairErrs       *telemetry.Counter
 	mRepairsDropped   *telemetry.Counter
@@ -145,6 +146,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mReadPassovers:    tel.Counter(MetricReadPassovers),
 		mWriteStragglers:  tel.Counter(MetricWriteStragglers),
 		mWriteConflicts:   tel.Counter(MetricWriteConflicts),
+		mBlockingLegs:     tel.Counter(MetricFanoutBlockingLegs),
 		mReadRepairs:      tel.Counter(MetricReadRepairs),
 		mRepairErrs:       tel.Counter(MetricRepairErrors),
 		mRepairsDropped:   tel.Counter(MetricRepairsDropped),
@@ -181,8 +183,8 @@ func anyRedirect(prefix []replicaReply) bool {
 	return false
 }
 
-// Close waits for the client's background work — straggler drains and
-// read repairs — to finish. Close the client before closing the pool
+// Close waits for the client's background work — legs on the blocking
+// path, straggler drains and read repairs — to finish. Close the client before closing the pool
 // it dials through, so in-flight repairs don't race the pool's
 // teardown. Close does not invalidate the client; it only drains.
 func (c *Client) Close() { c.bg.Wait() }
@@ -207,42 +209,84 @@ type replicaReply struct {
 // a call timeout.
 const hedgeAfter = 2 * time.Millisecond
 
-// fanout is one in-flight streaming fan-out. Its legs run in order, one
-// per replica: a write or a list launches all of them at once, a quorum
-// read a quorum's worth, an any-replica read one, and awaitQuorum
-// launches the rest — the spares — only when a leg fails or the read is
-// still undecided after hedgeAfter.
-// Results arrive on the buffered channel in completion order. Every
-// leg runs under the fan-out's one context, so that cancelling it
-// cancels the stragglers the moment the quorum outcome is decided.
-type fanout struct {
-	c        *Client
-	ctx      context.Context
-	cancel   context.CancelFunc
-	fn       func(ctx context.Context, addr string) replicaReply
-	start    time.Time
-	order    []int // replica indices, in launch order
-	launched int   // legs started, order[:launched]
-	results  chan replicaReply
+// A leg's state. A leg is started — its frame written by the fan-out's
+// caller, its reply delivered by the connection's reader straight onto
+// the results channel — when the pool can start it; it runs on the
+// blocking path, CallContext in a goroutine, when it cannot, or when
+// its started attempt failed in transport or was shed.
+const (
+	legIdle uint8 = iota
+	legStarted
+	legBlocking
+	legDone // its reply consumed
+)
+
+type leg struct {
+	idx   int // replica index
+	state uint8
+	call  daemon.Started // the started attempt, in state legStarted
 }
 
-// streamFanout starts fn over every replica and launches the first
+// fanout is one in-flight streaming fan-out of cmd. Its legs run in
+// order, one per replica: a write or a list launches all of them at
+// once, a quorum read a quorum's worth, an any-replica read one, and
+// awaitQuorum launches the rest — the spares — only when a leg fails or
+// the read is still undecided after hedgeAfter. Results arrive on the
+// channel in completion order, tagged with the leg's place in legs, and
+// are decoded where they are consumed. The channel has a slot per leg,
+// and a leg has at most one result on its way, so no sender ever waits.
+type fanout struct {
+	c      *Client
+	ctx    context.Context // the caller's
+	cmd    *cmdlang.CmdLine
+	decode func(reply *cmdlang.CmdLine, err error, addr string) replicaReply
+	start  time.Time
+
+	legs     []leg // in launch order
+	launched int   // legs launched, legs[:launched]
+	started  int   // legs in state legStarted
+	results  chan wire.Result
+
+	// deadline is the started legs' one deadline, fixed by the first of
+	// them, and timer, taken from timerPool by the first wait that needs
+	// it, fires at it or at hedgeAt, whichever is sooner.
+	deadline time.Time
+	expired  bool      // the started legs were ended: deadline is past
+	hedgeAt  time.Time // zero when the read is not to be hedged
+	timer    *time.Timer
+	armed    time.Time
+	done     <-chan struct{} // the caller's, nil once it fired
+
+	// blocking is the context of the legs on the blocking path, made for
+	// the first of them; cancel ends them when the fan-out finishes.
+	blocking context.Context
+	cancel   context.CancelFunc
+}
+
+// timerPool holds the fan-outs' timers. A tick one left unread is told
+// from a real one by the clock (see next), so Stop needs no drain.
+var timerPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
+// streamFanout readies cmd for every replica and launches the first
 // `legs` legs. A fan-out that holds legs back is a read: it starts at
 // the next replica of the client's rotation, so reads spread evenly over
-// the replicas, and takes the ones currently passed over last. The
-// results channel is buffered for the full replica set, so leg
-// goroutines never block and never leak, whether or not anyone
-// consumes the tail.
-func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context.Context, addr string) replicaReply) *fanout {
+// the replicas, and takes the ones currently passed over last.
+func (c *Client) streamFanout(ctx context.Context, legs int, cmd *cmdlang.CmdLine, decode func(*cmdlang.CmdLine, error, string) replicaReply) *fanout {
 	n := len(c.replicas)
 	f := &fanout{
 		c:       c,
-		fn:      fn,
+		ctx:     ctx,
+		cmd:     cmd,
+		decode:  decode,
 		start:   time.Now(),
-		order:   make([]int, n),
-		results: make(chan replicaReply, n),
+		legs:    make([]leg, n),
+		results: make(chan wire.Result, n),
+		done:    ctx.Done(),
 	}
-	f.ctx, f.cancel = context.WithCancel(ctx)
 	first := 0
 	if legs < n {
 		first = int((c.next.Add(1) - 1) % uint32(n))
@@ -256,9 +300,9 @@ func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context
 		i := (first + k) % n
 		if c.passedOver[i].Load() > now {
 			back--
-			f.order[back] = i
+			f.legs[back].idx = i
 		} else {
-			f.order[front] = i
+			f.legs[front].idx = i
 			front++
 		}
 	}
@@ -268,24 +312,148 @@ func (c *Client) streamFanout(ctx context.Context, legs int, fn func(ctx context
 	return f
 }
 
-// launch starts the next leg in order.
+// launch starts the next leg in order, on the blocking path when the
+// pool cannot start it.
 func (f *fanout) launch() {
-	i := f.order[f.launched]
+	k := f.launched
 	f.launched++
+	l := &f.legs[k]
+	if f.expired {
+		// The fan-out's time is up: the leg fails unsent, and says
+		// nothing about its replica.
+		l.state = legBlocking
+		f.results <- wire.Result{Err: context.Canceled, Tag: k}
+		return
+	}
+	call, ok := f.c.pool.Start(f.ctx, f.deadline, f.c.replicas[l.idx], f.cmd, f.results, k)
+	if !ok {
+		f.block(k, 0)
+		return
+	}
+	l.state, l.call = legStarted, call
+	f.started++
+	f.deadline = call.Deadline()
+}
+
+// block runs leg k on the blocking path: CallContext, after wait, in
+// a goroutine the client's Close waits for.
+func (f *fanout) block(k int, wait time.Duration) {
+	l := &f.legs[k]
+	if l.state == legStarted {
+		f.started--
+	}
+	l.state = legBlocking
+	f.c.mBlockingLegs.Inc()
+	if f.blocking == nil {
+		if f.deadline.IsZero() {
+			f.blocking, f.cancel = context.WithCancel(f.ctx)
+		} else {
+			f.blocking, f.cancel = context.WithDeadline(f.ctx, f.deadline)
+		}
+	}
+	c, ctx, addr, cmd, results := f.c, f.blocking, f.c.replicas[l.idx], f.cmd, f.results
+	c.bg.Add(1)
 	go func() {
-		r := f.fn(f.ctx, f.c.replicas[i])
-		r.idx = i
-		f.c.noteLeg(i, r.err)
-		f.results <- r
+		defer c.bg.Done()
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				results <- wire.Result{Err: ctx.Err(), Tag: k}
+				return
+			}
+		}
+		reply, err := c.pool.CallContext(ctx, addr, cmd)
+		results <- wire.Result{Reply: reply, Err: err, Tag: k}
 	}()
 }
 
 // spare launches up to k of the legs a read held back, each counted as
 // a hedge.
 func (f *fanout) spare(k int) {
-	for ; k > 0 && f.launched < len(f.order); k-- {
+	for ; k > 0 && f.launched < len(f.legs); k-- {
 		f.launch()
 		f.c.mReadHedges.Inc()
+	}
+}
+
+// next waits for the next leg to be decided and returns its reply, or
+// hedge true when hedgeAt came first (once). A started leg's result is
+// settled by the pool, and one CallContext would retry goes to the
+// blocking path instead of being returned. When the started legs'
+// deadline passes, or the caller gives up, every started leg still
+// pending is ended with context.DeadlineExceeded, or the caller's
+// error, which the pool settles as CallContext would: a timeout charged
+// to the breaker, an abandoned call not.
+func (f *fanout) next() (r replicaReply, hedge bool) {
+	for {
+		select {
+		case res := <-f.results:
+			l := &f.legs[res.Tag]
+			reply, err := res.Reply, res.Err
+			if l.state == legStarted {
+				var retryIn time.Duration
+				if reply, retryIn, err = f.c.pool.Settle(l.call, res); retryIn > 0 {
+					f.block(res.Tag, retryIn)
+					continue
+				}
+				f.started--
+			}
+			l.state = legDone
+			r = f.decode(reply, err, f.c.replicas[l.idx])
+			r.idx = l.idx
+			f.c.noteLeg(l.idx, r.err)
+			return r, false
+		case <-f.done:
+			f.done = nil
+			f.expire(f.ctx.Err())
+		case <-f.tick():
+			f.armed = time.Time{}
+			now := time.Now()
+			if f.started > 0 && !f.expired && !now.Before(f.deadline) {
+				f.expire(context.DeadlineExceeded)
+			}
+			if !f.hedgeAt.IsZero() && !now.Before(f.hedgeAt) {
+				f.hedgeAt = time.Time{}
+				return replicaReply{}, true
+			}
+			// Otherwise the tick was the timer's previous user's.
+		}
+	}
+}
+
+// tick arms the timer for the sooner of hedgeAt and, while a started
+// leg is pending, the deadline, and returns its channel; nil when
+// there is nothing to wait for.
+func (f *fanout) tick() <-chan time.Time {
+	at := f.hedgeAt
+	if f.started > 0 && !f.expired && (at.IsZero() || f.deadline.Before(at)) {
+		at = f.deadline
+	}
+	if at.IsZero() {
+		return nil
+	}
+	if f.timer == nil {
+		f.timer = timerPool.Get().(*time.Timer)
+	}
+	if !at.Equal(f.armed) {
+		f.timer.Reset(time.Until(at))
+		f.armed = at
+	}
+	return f.timer.C
+}
+
+// expire ends every started leg still pending with cause, which next
+// then takes for its result. A leg whose cancel comes too late has its
+// result on the way.
+func (f *fanout) expire(cause error) {
+	f.expired = true
+	for k := range f.legs[:f.launched] {
+		if l := &f.legs[k]; l.state == legStarted && l.call.Cancel() {
+			f.results <- wire.Result{Err: cause, Tag: k}
+		}
 	}
 }
 
@@ -299,38 +467,47 @@ func (f *fanout) spare(k int) {
 // answer still missing. It returns every result consumed up to the
 // decision; the caller owns finishing the fan-out either way.
 func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
-	n := len(f.order)
+	n := len(f.legs)
 	prefix := make([]replicaReply, 0, n)
 	responded, failed := 0, 0
-	var hedge <-chan time.Time
 	if f.launched < n {
-		t := time.NewTimer(hedgeAfter)
-		defer t.Stop()
-		hedge = t.C
+		f.hedgeAt = f.start.Add(hedgeAfter)
 	}
 	for {
-		select {
-		case r := <-f.results:
-			prefix = append(prefix, r)
-			if r.err == nil {
-				if responded++; responded >= need {
-					return prefix, nil
-				}
-				continue
-			}
-			if failed++; failed > n-need {
-				return prefix, fmt.Errorf("pstore: %s failed: %d/%d replicas reachable", op, responded, n)
-			}
-			f.spare(1)
-		case <-hedge:
-			hedge = nil
-			for _, i := range f.order[:f.launched] {
-				if !slices.ContainsFunc(prefix, func(r replicaReply) bool { return r.idx == i }) {
-					f.c.passOver(i)
+		r, hedge := f.next()
+		if hedge {
+			for _, l := range f.legs[:f.launched] {
+				if l.state != legDone {
+					f.c.passOver(l.idx)
 				}
 			}
 			f.spare(need - responded)
+			continue
 		}
+		prefix = append(prefix, r)
+		if r.err == nil {
+			if responded++; responded >= need {
+				return prefix, nil
+			}
+			continue
+		}
+		if failed++; failed > n-need {
+			return prefix, fmt.Errorf("pstore: %s failed: %d/%d replicas reachable", op, responded, n)
+		}
+		f.spare(1)
+	}
+}
+
+// release ends what the fan-out holds: the blocking legs' context and
+// the timer.
+func (f *fanout) release() {
+	if f.cancel != nil {
+		f.cancel()
+	}
+	if f.timer != nil {
+		f.timer.Stop()
+		timerPool.Put(f.timer)
+		f.timer = nil
 	}
 }
 
@@ -377,38 +554,75 @@ func answered(err error) bool {
 	return errors.As(err, &remote)
 }
 
-// finish cancels the fan-out's stragglers and detaches a drain
-// goroutine that consumes their late results, so they still feed
-// telemetry, the pool's per-address bookkeeping, and read repair.
-// winner, when non-nil, is the decided read's winning item: late
-// responders observed behind it are repaired exactly like the ones
-// that made the quorum prefix. The drain is tracked by the client's
-// background WaitGroup, so Close can wait for it.
+// finish cancels the fan-out's stragglers: a started leg still pending
+// is cancelled on the spot, by its seq, and a leg on the blocking path
+// through its context. Results that arrived meanwhile, and those whose
+// cancel came too late, still feed telemetry, the pool's accounting and
+// pass-over marks, and read repair: winner, when non-nil, is the decided
+// read's winning item, and late responders observed behind it are
+// repaired exactly like the ones that made the quorum prefix. What has
+// not arrived by the end is taken by a detached drain, tracked by the
+// client's background WaitGroup so that Close can wait for it.
 func (c *Client) finish(f *fanout, consumed int, stragglers *telemetry.Counter, full *telemetry.Histogram, winner *Item, repairCtx context.Context) {
-	remaining := f.launched - consumed
-	f.cancel()
-	if remaining == 0 {
+	if remaining := f.launched - consumed; remaining > 0 {
+		stragglers.Add(int64(remaining))
+	}
+	owed := 0
+	for k := range f.legs[:f.launched] {
+		switch l := &f.legs[k]; {
+		case l.state == legStarted && l.call.Cancel():
+			l.state = legDone
+		case l.state == legStarted || l.state == legBlocking:
+			owed++
+		}
+	}
+	f.release()
+	for drained := false; owed > 0 && !drained; {
+		select {
+		case res := <-f.results:
+			c.late(f, res, winner, repairCtx)
+			owed--
+		default:
+			drained = true
+		}
+	}
+	if owed == 0 {
 		full.Observe(time.Since(f.start))
 		return
 	}
-	stragglers.Add(int64(remaining))
 	// The drain takes a copy, so that a read's winner stays on its stack.
-	var win Item
-	repair := winner != nil
-	if repair {
-		win = *winner
+	var win *Item
+	if winner != nil {
+		w := *winner
+		win = &w
 	}
 	c.bg.Add(1)
-	go func() {
-		defer c.bg.Done()
-		for i := 0; i < remaining; i++ {
-			r := <-f.results
-			if repair && r.err == nil && (!r.ok || r.item.Version < win.Version) {
-				c.repairAsync(repairCtx, c.replicas[r.idx], win)
-			}
-		}
-		full.Observe(time.Since(f.start))
-	}()
+	go c.drain(f, owed, full, win, repairCtx)
+}
+
+// drain takes the owed results of a finished fan-out's stragglers.
+func (c *Client) drain(f *fanout, owed int, full *telemetry.Histogram, winner *Item, repairCtx context.Context) {
+	defer c.bg.Done()
+	for ; owed > 0; owed-- {
+		c.late(f, <-f.results, winner, repairCtx)
+	}
+	full.Observe(time.Since(f.start))
+}
+
+// late takes a straggler's result: settled when the leg was started,
+// never retried, and read-repaired when it lags behind winner.
+func (c *Client) late(f *fanout, res wire.Result, winner *Item, repairCtx context.Context) {
+	l := &f.legs[res.Tag]
+	reply, err := res.Reply, res.Err
+	if l.state == legStarted {
+		reply, _, err = c.pool.Settle(l.call, res)
+	}
+	l.state = legDone
+	r := f.decode(reply, err, c.replicas[l.idx])
+	c.noteLeg(l.idx, r.err)
+	if winner != nil && r.err == nil && (!r.ok || r.item.Version < winner.Version) {
+		c.repairAsync(repairCtx, c.replicas[l.idx], *winner)
+	}
 }
 
 // repairAsync pushes the winning item to a lagging replica in the
@@ -468,12 +682,12 @@ func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err er
 // that fails launches a spare at once; a read still undecided after
 // hedgeAfter launches one too and passes over the replicas it was
 // waiting on for the pool's breaker cool-down. Legs still outstanding
-// at the decision are cancelled and drained in the background, so
-// neither a blackholed nor a dead replica sets the latency of reads.
+// at the decision are cancelled (see finish), so neither a blackholed
+// nor a dead replica sets the latency of reads.
 func (c *Client) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
-	f := c.streamFanout(ctx, c.Quorum(), c.readLeg(path))
+	f := c.streamFanout(ctx, c.Quorum(), c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
 	// Repairs keep the caller's span context but not its cancellation —
 	// they should finish (and be traced) even when the caller returns
 	// immediately.
@@ -498,10 +712,11 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 		c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, repairCtx)
 		return nil, 0, false, nil
 	}
+	best.Path = path
 	// Read repair: push the winning item — a tombstone as much as a
 	// value — to replicas that answered with an older (or no) version,
-	// here for quorum members, in the detached drain for stragglers
-	// that answer late.
+	// here for quorum members, in finish for stragglers that answer
+	// late.
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, &best, repairCtx)
 	// Grant copies the holders: room for a few on the stack.
 	holders := make([]string, 0, 8)
@@ -523,36 +738,35 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	return best.Value, best.Version, true, nil
 }
 
-// readLeg is the fan-out leg of every multi-replica read: readReplica
-// of path on the leg's replica.
-func (c *Client) readLeg(path string) func(ctx context.Context, addr string) replicaReply {
-	return func(ctx context.Context, addr string) replicaReply {
-		it, held, err := c.readReplica(ctx, addr, path)
-		return replicaReply{item: it, ok: held, err: err}
-	}
-}
-
-// readReplica asks one replica for the item it holds at path, a
-// tombstone included: a deletion must outvote an older value another
-// replica still holds. held is false when the replica holds nothing. A
-// corrupt reply is an error — a failed replica, which neither counts
-// toward a quorum nor wins one.
+// readReplica asks one replica for the item it holds at path (see
+// decodeRead); held is false when the replica holds nothing.
 func (c *Client) readReplica(ctx context.Context, addr, path string) (it Item, held bool, err error) {
 	reply, err := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
+	r := decodeRead(reply, err, addr)
+	r.item.Path = path
+	return r.item, r.ok, r.err
+}
+
+// decodeRead is a read leg's outcome: the item the replica holds, a
+// tombstone included — a deletion must outvote an older value another
+// replica still holds — or ok false when it holds nothing. The item's
+// path is the caller's to fill in. A corrupt reply is an error — a
+// failed replica, which neither counts toward a quorum nor wins one.
+func decodeRead(reply *cmdlang.CmdLine, err error, addr string) replicaReply {
 	if err != nil {
 		if cmdlang.IsRemoteCode(err, cmdlang.CodeNotFound) {
-			return Item{}, false, nil
+			return replicaReply{}
 		}
-		return Item{}, false, err
+		return replicaReply{err: err}
 	}
-	it = Item{Path: path, Deleted: reply.Bool("deleted", false)}
+	it := Item{Deleted: reply.Bool("deleted", false)}
 	if it.Value, err = replyValue(reply, addr); err != nil {
-		return Item{}, false, err
+		return replicaReply{err: err}
 	}
 	if it.Version, err = replyVersion(reply, addr); err != nil {
-		return Item{}, false, err
+		return replicaReply{err: err}
 	}
-	return it, true, nil
+	return replicaReply{item: it, ok: true}
 }
 
 // maxWriteConflicts bounds the extra rounds of a stamped write. A retry
@@ -719,8 +933,8 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 
 // quorumWrite is one round of every write: it streams cmd to every
 // replica and returns the addresses that acked as soon as the write
-// quorum is reached — or provably unreachable — cancelling and
-// draining the stragglers in the background. A cancelled straggler
+// quorum is reached — or provably unreachable — cancelling the
+// stragglers (see finish). A cancelled straggler
 // that already received the frame still applies the write; one that
 // didn't is healed by repair or anti-entropy. A stamped write (the
 // command's version is the client's clock stamp) is acked only by a
@@ -731,23 +945,13 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 // decision rather than unavailability), as a versionConflict when any
 // was a refusal, else with the ack count. op names the operation.
 func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
-	c.stamp(cmd)
+	decode := decodeWrite
+	if stamped {
+		decode = decodeStampedWrite
+	}
 	// Every replica's call shares cmd: the wire client copies a command
 	// before adding its seq.
-	f := c.streamFanout(ctx, len(c.replicas), func(cctx context.Context, addr string) replicaReply {
-		reply, err := c.pool.CallContext(cctx, addr, cmd)
-		if err != nil {
-			return replicaReply{err: err}
-		}
-		if stamped && !reply.Bool("applied", false) {
-			held, verErr := replyVersion(reply, addr)
-			if verErr != nil {
-				return replicaReply{err: verErr}
-			}
-			return replicaReply{err: &versionConflict{held: held}}
-		}
-		return replicaReply{ok: true}
-	})
+	f := c.streamFanout(ctx, len(c.replicas), c.stamp(cmd), decode)
 	prefix, _ := f.awaitQuorum(c.Quorum(), op)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	var conflict *versionConflict
@@ -770,6 +974,30 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	return nil, fmt.Errorf("pstore: %s failed: %d/%d acks", op, len(acked), len(c.replicas))
 }
 
+// decodeWrite is the outcome of a write leg whose version the caller
+// owns: any answer that is not a failure is an ack.
+func decodeWrite(_ *cmdlang.CmdLine, err error, _ string) replicaReply {
+	return replicaReply{ok: err == nil, err: err}
+}
+
+// decodeStampedWrite is the outcome of a stamped write's leg: an ack
+// from a replica that applied the item, a re-delivery included, and a
+// versionConflict from one that refused it for an equal or later
+// version.
+func decodeStampedWrite(reply *cmdlang.CmdLine, err error, addr string) replicaReply {
+	if err != nil {
+		return replicaReply{err: err}
+	}
+	if !reply.Bool("applied", false) {
+		held, verErr := replyVersion(reply, addr)
+		if verErr != nil {
+			return replicaReply{err: verErr}
+		}
+		return replicaReply{err: &versionConflict{held: held}}
+	}
+	return replicaReply{ok: true}
+}
+
 // List unions the live paths under prefix across all reachable
 // replicas (a recovering replica may not hold everything yet).
 func (c *Client) List(prefix string) ([]string, error) {
@@ -781,25 +1009,14 @@ func (c *Client) List(prefix string) ([]string, error) {
 // well-formed replies count as reachable: a replica answering
 // garbage is a failed replica, not an empty union member.
 func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, error) {
-	f := c.streamFanout(ctx, len(c.replicas), func(cctx context.Context, addr string) replicaReply {
-		reply, err := c.pool.CallContext(cctx, addr, cmdlang.New("pslist").SetString("prefix", prefix))
-		if err != nil {
-			return replicaReply{err: err}
-		}
-		paths := reply.Strings("paths")
-		if count := reply.Int("count", -1); count < 0 || count != int64(len(paths)) {
-			return replicaReply{err: fmt.Errorf("pstore: replica %s: malformed list reply (count=%d, %d paths)", addr, count, len(paths))}
-		}
-		return replicaReply{ok: true, paths: paths}
-	})
+	f := c.streamFanout(ctx, len(c.replicas), cmdlang.New("pslist").SetString("prefix", prefix), decodeList)
 	// A union wants every answer, so there is no early decision here —
 	// but the probes run concurrently, so the slowest replica bounds
 	// the latency once, not N times.
-	defer f.cancel()
 	set := map[string]bool{}
 	reachable := 0
 	for range f.launched {
-		r := <-f.results
+		r, _ := f.next()
 		if r.err != nil {
 			continue
 		}
@@ -808,6 +1025,7 @@ func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, erro
 			set[p] = true
 		}
 	}
+	f.release()
 	if reachable == 0 {
 		return nil, fmt.Errorf("pstore: no replica reachable for list")
 	}
@@ -817,6 +1035,19 @@ func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, erro
 	}
 	sort.Strings(out)
 	return out, nil
+}
+
+// decodeList is a list leg's outcome: the paths the replica holds, or
+// an error for a reply whose count disagrees with its paths.
+func decodeList(reply *cmdlang.CmdLine, err error, addr string) replicaReply {
+	if err != nil {
+		return replicaReply{err: err}
+	}
+	paths := reply.Strings("paths")
+	if count := reply.Int("count", -1); count < 0 || count != int64(len(paths)) {
+		return replicaReply{err: fmt.Errorf("pstore: replica %s: malformed list reply (count=%d, %d paths)", addr, count, len(paths))}
+	}
+	return replicaReply{ok: true, paths: paths}
 }
 
 // Cluster is a convenience for building and running an N-node store

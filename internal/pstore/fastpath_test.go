@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
+	"ace/internal/pstore/storage"
 	"ace/internal/telemetry"
 	"ace/internal/wire"
 )
@@ -122,10 +124,10 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 // firstLegs returns the replicas the next quorum read of c asks before
 // any spare, advancing c's rotation as that read would.
 func firstLegs(c *Client) []string {
-	f := c.streamFanout(context.Background(), 0, nil)
+	f := c.streamFanout(context.Background(), 0, nil, nil)
 	var legs []string
-	for _, i := range f.order[:c.Quorum()] {
-		legs = append(legs, c.replicas[i])
+	for _, l := range f.legs[:c.Quorum()] {
+		legs = append(legs, c.replicas[l.idx])
 	}
 	return legs
 }
@@ -747,5 +749,362 @@ func TestStragglerLegSendsTheValuePutWasGiven(t *testing.T) {
 	}
 	if got, _ := reply.Bytes("value"); string(got) != want {
 		t.Fatalf("slow replica holds %q, want %q", got, want)
+	}
+}
+
+// TestFrozenReplicaDoesNotStallWriters: a replica that accepts
+// connections and then never reads leaves its socket buffers to fill,
+// and a write that finds them full blocks until the call's deadline. A
+// storm of 64 KiB writes fills them, and every quorum PUT and GET must
+// still complete from the two healthy replicas, each far inside the
+// call timeout: no caller writes into the frozen replica's full buffers
+// itself.
+func TestFrozenReplicaDoesNotStallWriters(t *testing.T) {
+	cluster, err := StartCluster(2, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	frozen, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			conn, err := frozen.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+		}
+	}()
+	thaw := sync.OnceFunc(func() {
+		frozen.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	defer thaw()
+
+	pool, _ := telemetryPool(t, wire.DefaultCallTimeout)
+	client := NewClient(pool, append(cluster.Addrs(), frozen.Addr().String()))
+	const writers, puts = 4, 40
+	value := bytes.Repeat([]byte("v"), 64<<10)
+	var slowest atomic.Int64
+	timed := func(op func() error) error {
+		start := time.Now()
+		err := op()
+		if d := int64(time.Since(start)); d > slowest.Load() {
+			slowest.Store(d) // racy max, good enough for a bound
+		}
+		return err
+	}
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func() {
+			path := fmt.Sprintf("/frozen/%d", w)
+			for i := 0; i < puts; i++ {
+				var ver uint64
+				if err := timed(func() (err error) { ver, err = client.Put(path, value); return err }); err != nil {
+					errs <- fmt.Errorf("put %d of %s: %w", i, path, err)
+					return
+				}
+				if err := timed(func() error {
+					_, got, ok, err := client.Get(path)
+					if err == nil && (!ok || got != ver) {
+						err = fmt.Errorf("read version %d ok=%v, want %d", got, ok, ver)
+					}
+					return err
+				}); err != nil {
+					errs <- fmt.Errorf("get %d of %s: %w", i, path, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range writers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Duration(slowest.Load()); d > wire.DefaultCallTimeout/10 {
+		t.Fatalf("slowest operation took %v with a frozen replica (call timeout %v)", d, wire.DefaultCallTimeout)
+	}
+	thaw()
+	client.Close()
+}
+
+// heldFS is cacheFS whose flushes wait while the test holds its lock:
+// a durable node on it acks no write until the test lets go.
+type heldFS struct {
+	cacheFS
+	held *sync.RWMutex
+}
+
+func (h heldFS) Create(name string) (storage.File, error) {
+	f, err := h.cacheFS.Create(name)
+	return heldFile{f, h.held}, err
+}
+
+func (h heldFS) OpenAppend(name string) (storage.File, error) {
+	f, err := h.cacheFS.OpenAppend(name)
+	return heldFile{f, h.held}, err
+}
+
+type heldFile struct {
+	storage.File
+	held *sync.RWMutex
+}
+
+func (h heldFile) Sync() error {
+	h.held.RLock()
+	h.held.RUnlock()
+	return nil
+}
+
+// startedLegEnv is a client over replicas whose connections are pooled
+// already, so that every leg of its next fan-out is started in place,
+// with the pool's breaker openings counted per address.
+type startedLegEnv struct {
+	pool   *daemon.Pool
+	reg    *telemetry.Registry
+	client *Client
+	mu     sync.Mutex
+	opened map[string]int
+}
+
+func newStartedLegEnv(t *testing.T, callTimeout time.Duration, replicas ...string) *startedLegEnv {
+	t.Helper()
+	e := &startedLegEnv{reg: telemetry.NewRegistry(), opened: map[string]int{}}
+	e.pool = daemon.NewPoolConfig(daemon.PoolConfig{
+		CallTimeout:      callTimeout,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Millisecond,
+		Seed:             1,
+		Telemetry:        e.reg,
+		OnBreakerChange: func(addr, _, to string) {
+			if to == "open" {
+				e.mu.Lock()
+				e.opened[addr]++
+				e.mu.Unlock()
+			}
+		},
+	})
+	t.Cleanup(e.pool.Close)
+	for _, addr := range replicas {
+		if _, err := e.pool.Call(addr, cmdlang.New("ping")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.client = NewClient(e.pool, replicas)
+	t.Cleanup(e.client.Close)
+	return e
+}
+
+func (e *startedLegEnv) opens(addr string) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.opened[addr]
+}
+
+func (e *startedLegEnv) counter(name string) int64 { return e.reg.Snapshot().Counter(name) }
+
+// TestStartedLegFallbacksAndBreaker: a leg's first attempt is a call
+// started in place, and what CallContext does beyond one attempt — the
+// redial, the breaker, busy backoff — it still does, on the blocking
+// path, with the same accounting: a restarted replica is redialled and
+// charged once, a shed leg is retried no sooner than retry_after, a
+// leg at the fan-out's deadline is a timeout charged to the breaker,
+// and a leg the caller gave up is neither charged nor costs the
+// connection.
+func TestStartedLegFallbacksAndBreaker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"restarted replica is redialled", func(t *testing.T) {
+			var held sync.RWMutex
+			addrs := make([]string, 3)
+			for i := range 2 {
+				n, err := NewNode(Config{
+					Daemon:  daemon.Config{Name: fmt.Sprintf("held%d", i)},
+					Dir:     t.TempDir(),
+					Storage: storage.Options{FS: heldFS{cacheFS{storage.OS}, &held}},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Stop)
+				addrs[i] = n.Addr()
+			}
+			restart := func(listen string) *Node {
+				n, err := NewNode(Config{Daemon: daemon.Config{Name: "restarted", Listen: listen}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := n.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(n.Stop)
+				return n
+			}
+			r := restart("")
+			addrs[2] = r.Addr()
+			e := newStartedLegEnv(t, 5*time.Second, addrs...)
+			if _, err := e.client.Put("/leg/restart", []byte("v0")); err != nil {
+				t.Fatal(err)
+			}
+			before, err := e.pool.Get(addrs[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Stop()
+			r = restart(addrs[2])
+
+			// The two held replicas ack only once the restarted one has
+			// applied the write, so its leg is part of the quorum.
+			held.Lock()
+			type put struct {
+				ver uint64
+				err error
+			}
+			done := make(chan put, 1)
+			go func() {
+				ver, err := e.client.Put("/leg/restart", []byte("v1"))
+				done <- put{ver, err}
+			}()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if it, ok := r.get("/leg/restart"); ok && string(it.Value) == "v1" {
+					break
+				}
+				if time.Now().After(deadline) {
+					held.Unlock()
+					t.Fatal("the restarted replica never applied the write")
+				}
+			}
+			held.Unlock()
+			p := <-done
+			if p.err != nil {
+				t.Fatal(p.err)
+			}
+			e.client.Close()
+			for _, n := range e.client.replicas {
+				if reply, err := e.pool.Call(n, cmdlang.New("psfetch").SetString("path", "/leg/restart")); err != nil || reply.Int("version", 0) != int64(p.ver) {
+					t.Fatalf("replica %s: %v %v, want version %d", n, reply, err, p.ver)
+				}
+			}
+			if n := e.opens(addrs[2]); n != 1 {
+				t.Fatalf("breaker of the restarted replica opened %d times, want 1", n)
+			}
+			if n := e.counter(MetricFanoutBlockingLegs); n < 1 {
+				t.Fatal("no leg ran on the blocking path")
+			}
+			if after, err := e.pool.Get(addrs[2]); err != nil || after == before {
+				t.Fatalf("the restarted replica was not redialled: %v", err)
+			}
+		}},
+		{"busy leg waits retry_after", func(t *testing.T) {
+			cluster, _ := startCluster(t, 1, "")
+			const retryAfter = 50 * time.Millisecond
+			var mu sync.Mutex
+			var arrived []time.Time
+			shedding := daemon.New(daemon.Config{Name: "shedding_replica"})
+			shedding.Handle(cmdlang.CommandSpec{Name: "psput", AllowExtra: true},
+				func(_ *daemon.Ctx, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+					mu.Lock()
+					defer mu.Unlock()
+					arrived = append(arrived, time.Now())
+					if len(arrived) == 1 {
+						return cmdlang.Busy(retryAfter), nil
+					}
+					return cmdlang.OK().SetBool("applied", true).SetInt("version", cmd.Int("version", 0)), nil
+				})
+			if err := shedding.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(shedding.Stop)
+			stall := startStallReplica(t)
+			e := newStartedLegEnv(t, 5*time.Second, cluster.Addrs()[0], stall.Addr(), shedding.Addr())
+			if _, err := e.client.Put("/leg/busy", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(arrived) != 2 {
+				t.Fatalf("the shedding replica was asked %d times, want 2", len(arrived))
+			}
+			if gap := arrived[1].Sub(arrived[0]); gap < retryAfter {
+				t.Fatalf("retried after %v, sooner than retry_after %v", gap, retryAfter)
+			}
+			if n := e.counter(daemon.MetricPoolBusyRetries); n != 1 {
+				t.Fatalf("%d busy retries, want 1", n)
+			}
+			if n := e.counter(MetricFanoutBlockingLegs); n != 1 {
+				t.Fatalf("%d blocking legs, want 1: the shed one", n)
+			}
+			if n := e.opens(shedding.Addr()); n != 0 {
+				t.Fatalf("a busy reply opened the breaker %d times", n)
+			}
+		}},
+		{"fan-out deadline is a timeout", func(t *testing.T) {
+			cluster, _ := startCluster(t, 1, "")
+			stall := startStallReplica(t)
+			const callTimeout = 200 * time.Millisecond
+			e := newStartedLegEnv(t, callTimeout, cluster.Addrs()[0], stall.Addr())
+			start := time.Now()
+			if _, err := e.client.Put("/leg/deadline", []byte("v")); err == nil {
+				t.Fatal("a write without its quorum succeeded")
+			}
+			if elapsed := time.Since(start); elapsed < callTimeout || elapsed > 10*callTimeout {
+				t.Fatalf("the write failed after %v, want the call timeout %v", elapsed, callTimeout)
+			}
+			if n := e.counter(wire.MetricCallTimeouts); n != 1 {
+				t.Fatalf("%d call timeouts, want 1", n)
+			}
+			if n := e.opens(stall.Addr()); n != 1 {
+				t.Fatalf("breaker of the stalled replica opened %d times, want 1", n)
+			}
+			if n := e.counter(MetricFanoutBlockingLegs); n != 0 {
+				t.Fatalf("%d blocking legs, want 0", n)
+			}
+		}},
+		{"caller cancellation is not charged", func(t *testing.T) {
+			cluster, _ := startCluster(t, 1, "")
+			stall := startStallReplica(t)
+			e := newStartedLegEnv(t, 5*time.Second, cluster.Addrs()[0], stall.Addr())
+			before, err := e.pool.Get(stall.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(20*time.Millisecond, cancel)
+			if _, err := e.client.PutContext(ctx, "/leg/cancel", []byte("v")); err == nil {
+				t.Fatal("a write without its quorum succeeded")
+			}
+			if n := e.opens(stall.Addr()); n != 0 {
+				t.Fatalf("a cancelled leg opened the breaker %d times", n)
+			}
+			if s := e.pool.BreakerState(stall.Addr()); s != "closed" {
+				t.Fatalf("breaker %s after a cancelled leg", s)
+			}
+			if after, err := e.pool.Get(stall.Addr()); err != nil || after != before || after.Closed() {
+				t.Fatalf("the cancelled leg cost the pooled connection: %v", err)
+			}
+			if n := e.counter(wire.MetricCallTimeouts); n != 0 {
+				t.Fatalf("%d call timeouts for a cancelled leg", n)
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }

@@ -32,26 +32,34 @@ package pstore
 // answer, or it answered a bounded read below its lease. It climbing
 // is the client avoiding a replica.
 //
+// pstore.fanout.blocking_legs counts the legs of fan-outs that ran on
+// the pool's blocking path, CallContext in a goroutine, instead of as a
+// call started in place: the pool could not start them — no live
+// pooled connection, a breaker not closed, output unanswered for longer
+// than the hedge delay — or their started attempt failed in transport
+// or was shed busy. On a warm, healthy cluster it stays at zero.
+//
 // pstore.write.conflicts counts write rounds refused because replicas
 // held an equal or later version, each retried above it at the price
 // of one more round: two writers in one millisecond, or — at a steady
 // rate on one client — a clock running behind its rivals'.
 const (
-	MetricSyncRounds       = "pstore.sync.rounds"
-	MetricSyncPulled       = "pstore.sync.pulled"
-	MetricWritesApplied    = "pstore.writes.applied"
-	MetricReadLatency      = "pstore.read.latency"
-	MetricReadLatencyFull  = "pstore.read.latency_full"
-	MetricWriteLatency     = "pstore.write.latency"
-	MetricWriteLatencyFull = "pstore.write.latency_full"
-	MetricReadStragglers   = "pstore.read.stragglers"
-	MetricReadHedges       = "pstore.read.hedges"
-	MetricReadPassovers    = "pstore.read.passovers"
-	MetricWriteStragglers  = "pstore.write.stragglers"
-	MetricWriteConflicts   = "pstore.write.conflicts"
-	MetricReadRepairs      = "pstore.read.repairs"
-	MetricRepairErrors     = "pstore.read.repair_errors"
-	MetricRepairsDropped   = "pstore.read.repairs_dropped"
+	MetricSyncRounds         = "pstore.sync.rounds"
+	MetricSyncPulled         = "pstore.sync.pulled"
+	MetricWritesApplied      = "pstore.writes.applied"
+	MetricReadLatency        = "pstore.read.latency"
+	MetricReadLatencyFull    = "pstore.read.latency_full"
+	MetricWriteLatency       = "pstore.write.latency"
+	MetricWriteLatencyFull   = "pstore.write.latency_full"
+	MetricReadStragglers     = "pstore.read.stragglers"
+	MetricReadHedges         = "pstore.read.hedges"
+	MetricReadPassovers      = "pstore.read.passovers"
+	MetricWriteStragglers    = "pstore.write.stragglers"
+	MetricWriteConflicts     = "pstore.write.conflicts"
+	MetricFanoutBlockingLegs = "pstore.fanout.blocking_legs"
+	MetricReadRepairs        = "pstore.read.repairs"
+	MetricRepairErrors       = "pstore.read.repair_errors"
+	MetricRepairsDropped     = "pstore.read.repairs_dropped"
 )
 
 // Storage-engine metric names, recorded in each durable node's

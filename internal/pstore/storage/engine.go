@@ -30,8 +30,8 @@ const (
 )
 
 // Options configures an Engine. The zero value is usable: real
-// filesystem, 1 MiB segments, 4 MiB snapshot threshold, fail-fast on
-// corruption.
+// filesystem, 1 MiB segments, a 2 MiB snapshot threshold (twice the
+// segment size), fail-fast on corruption.
 type Options struct {
 	// FS is the filesystem seam; nil means the real one.
 	FS FS

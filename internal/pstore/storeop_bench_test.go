@@ -5,7 +5,9 @@ package pstore
 // filesystem answers a flush at once, as the benchmark's store
 // workloads run them. `make profile-store` runs BenchmarkStoreOp under
 // the CPU and allocation profilers; the allocation budget tests pin its
-// counts.
+// counts. On this warm, healthy cluster every leg is a call started in
+// place: one that ran on the pool's blocking path fails the benchmark,
+// so that `make bench-once` catches a return to goroutine legs.
 
 import (
 	"context"
@@ -81,6 +83,15 @@ func BenchmarkStoreOp(b *testing.B) {
 	ctx := context.Background()
 	value := make([]byte, 256)
 	client := startCacheCluster(b, "/bench/op", value)
+	blocking := func() int64 {
+		return client.pool.Telemetry().Snapshot().Counter(MetricFanoutBlockingLegs)
+	}
+	before := blocking()
+	b.Cleanup(func() {
+		if n := blocking() - before; n > 0 {
+			b.Errorf("%d legs ran on the blocking path on a warm, healthy cluster", n)
+		}
+	})
 	b.Run("put", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -42,11 +42,15 @@ type Client struct {
 	writeMu sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[int64]*call
+	pending map[int64]started
 	err     error
 	closed  bool
 
 	seq atomic.Int64
+
+	// unanswered counts the bytes of the calls Start has written since
+	// the connection last read a frame (see maxUnanswered).
+	unanswered atomic.Int64
 
 	onPush func(*cmdlang.CmdLine)
 
@@ -55,22 +59,55 @@ type Client struct {
 	metrics atomic.Pointer[Metrics]
 }
 
-// call is one request waiting for its reply, recycled through callPool
-// by its caller once nothing else can touch it: after its reply, or,
-// for a call that gave up (cancelled, timed out), once abandon has
-// taken it back from the reader.
-type call struct {
-	reply chan *cmdlang.CmdLine // one slot; closed when the connection fails
-	// timer bounds a call whose context carries no deadline. A tick it
-	// left unread in a recycled call is told from a real one by the
-	// clock (see roundTrip), so Stop needs no drain.
-	timer *time.Timer
+// maxUnanswered is how many bytes of calls Start writes to a
+// connection that has read nothing since: past it, Start refuses. A
+// peer that stopped reading leaves its socket buffers to fill, and a
+// write that finds them full blocks its caller until the deadline. The
+// bound is a small part of what those buffers take before a write
+// blocks (3.9 MB on loopback with Linux's default settings), and
+// several times what a peer that is only behind leaves unanswered: a
+// store replica a write does not wait for answers in bursts, after its
+// group commits, and was measured at up to 90 KiB. Each answer starts
+// the count again. Blocking calls may block on their write, and are not
+// counted.
+const maxUnanswered = 256 << 10
+
+// errUnanswered is Start's refusal of a connection whose peer has
+// answered nothing of the last maxUnanswered bytes it was sent.
+var errUnanswered = errors.New("wire: peer has not answered what it was sent")
+
+// Result is the outcome of a started call: its reply, or the error
+// that ended the connection under it. Tag is the caller's, given to
+// Start.
+type Result struct {
+	Reply *cmdlang.CmdLine
+	Err   error
+	Tag   int
 }
 
-var callPool = sync.Pool{New: func() any {
+// started is a call waiting for its reply: where its Result goes, and
+// when the call was written, for wire.call.latency. The pending table
+// holds it by value, so a call costs the table no allocation.
+type started struct {
+	sink  chan<- Result
+	tag   int
+	start time.Time
+}
+
+// waiter is what a blocking call waits with, recycled through
+// waiterPool once no Result can still arrive on its channel. timer
+// bounds a call whose context carries no deadline; a tick it left
+// unread in a recycled waiter is told from a real one by the clock (see
+// roundTrip), so Stop needs no drain.
+type waiter struct {
+	result chan Result // one slot: a started call gets exactly one Result
+	timer  *time.Timer
+}
+
+var waiterPool = sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &call{reply: make(chan *cmdlang.CmdLine, 1), timer: t}
+	return &waiter{result: make(chan Result, 1), timer: t}
 }}
 
 // SetOnPush installs a handler for commands that arrive without a
@@ -140,7 +177,7 @@ func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:        conn,
-		pending:     make(map[int64]*call),
+		pending:     make(map[int64]started),
 		callTimeout: DefaultCallTimeout,
 	}
 	go c.readLoop()
@@ -154,6 +191,12 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.fail(err)
 			return
+		}
+		// Any frame is an answer: the peer is reading what it is sent.
+		// Reading first keeps a connection Start never wrote to from
+		// writing the word at all.
+		if c.unanswered.Load() != 0 {
+			c.unanswered.Store(0)
 		}
 		c.m().FrameRecv(len(payload))
 		_, _, text := SplitPayload(payload)
@@ -172,7 +215,8 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		switch {
 		case ok:
-			w.reply <- cmd
+			c.m().CallDone(time.Since(w.start))
+			w.sink <- Result{Reply: cmd, Tag: w.tag}
 		case seq >= 0:
 			// A reply whose call already gave up (deadline exceeded or
 			// cancelled). Dropping it keeps late replies from
@@ -183,18 +227,24 @@ func (c *Client) readLoop() {
 	}
 }
 
+// fail ends the connection: every started call is sent the error.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.err == nil {
 		c.err = err
 	}
+	err = c.err
+	ended := make([]started, 0, len(c.pending))
 	for seq, w := range c.pending {
 		delete(c.pending, seq)
-		close(w.reply)
+		ended = append(ended, w)
 	}
 	c.closed = true
 	c.conn.Close()
+	c.mu.Unlock()
+	for _, w := range ended {
+		w.sink <- Result{Err: err, Tag: w.tag}
+	}
 }
 
 // Closed reports whether the connection has terminally failed (or was
@@ -260,58 +310,105 @@ func childSpan(ctx context.Context) telemetry.SpanContext {
 	return telemetry.SpanContext{}
 }
 
-// roundTrip numbers cmd (on the wire only: cmd is the caller's and
-// stays as it is), sends it and waits for the reply with that number,
-// until ctx ends or the deadline passes — the given one, else ctx's,
-// else the client's call timeout from now.
-func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+// Start numbers cmd (on the wire only: cmd is the caller's and stays as
+// it is), sends it and returns its number without waiting for the
+// reply. The write is held to deadline — the given one, else ctx's,
+// else the client's call timeout from now — and nothing else: a
+// started call has no timer, and ends when its owner says so.
+//
+// Exactly one Result then arrives on sink under tag: the reply, or the
+// error that ended the connection (a failed write included), unless
+// Cancel(seq) returns true first. The reader delivers while every other
+// reply on the connection waits, so sink must have room for it. An
+// error from Start means nothing was written and nothing will arrive:
+// the connection was already closed, the command does not fit a frame,
+// or the peer has answered nothing of the last maxUnanswered bytes it
+// was sent: Start does not write to a peer that may have stopped
+// reading.
+func (c *Client) Start(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int) (int64, error) {
+	if c.unanswered.Load() > maxUnanswered {
+		return 0, errUnanswered
+	}
+	seq, _, err := c.start(ctx, time.Now(), deadline, cmd, sink, tag, true)
+	return seq, err
+}
+
+// start is Start for a caller that may block on the write: the call
+// starts at now, and the deadline the write was held to is returned.
+// counted adds the frame to the connection's unanswered bytes.
+func (c *Client) start(ctx context.Context, now, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int, counted bool) (int64, time.Time, error) {
 	seq := c.seq.Add(1)
-	w := callPool.Get().(*call)
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
-		callPool.Put(w)
 		if err == nil {
 			err = ErrClosed
 		}
-		return nil, err
+		return 0, deadline, err
 	}
-	timeout := c.callTimeout
-	c.pending[seq] = w
+	if deadline.IsZero() {
+		deadline = now.Add(c.callTimeout)
+		if d, ok := ctx.Deadline(); ok {
+			deadline = d
+		}
+	}
+	c.pending[seq] = started{sink: sink, tag: tag, start: now}
 	c.mu.Unlock()
+	n, err := c.write(deadline, childSpan(ctx), cmd, true, seq)
+	if _, tooLarge := err.(*ErrFrameTooLarge); tooLarge {
+		c.Cancel(seq)
+		return 0, deadline, err
+	}
+	// A failed write failed the connection, which sent the call its
+	// Result.
+	if err == nil && counted {
+		c.unanswered.Add(int64(n))
+	}
+	return seq, deadline, nil
+}
 
-	start := time.Now()
+// Cancel gives up the started call numbered seq: its reply, should one
+// still come, is dropped by the reader. It reports whether the call was
+// still pending; false means its Result is on its way to the sink, or
+// there already.
+func (c *Client) Cancel(seq int64) bool {
+	c.mu.Lock()
+	_, pending := c.pending[seq]
+	delete(c.pending, seq)
+	c.mu.Unlock()
+	return pending
+}
+
+// roundTrip starts cmd and waits for its Result until ctx ends or the
+// deadline passes — the given one, else ctx's, else the client's call
+// timeout from now.
+func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 	// ctx.Done fires at ctx's own deadline; any other needs the timer.
 	ownTimer := true
 	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
 		deadline, ownTimer = d, false
-	} else if deadline.IsZero() {
-		deadline = start.Add(timeout)
 	}
-
-	if err := c.write(deadline, childSpan(ctx), cmd, true, seq); err != nil {
-		c.forget(seq)
+	w := waiterPool.Get().(*waiter)
+	now := time.Now()
+	seq, deadline, err := c.start(ctx, now, deadline, cmd, w.result, 0, false)
+	if err != nil {
+		waiterPool.Put(w)
 		return nil, err
 	}
-
 	var expired <-chan time.Time
 	if ownTimer {
-		w.timer.Reset(deadline.Sub(start))
+		w.timer.Reset(deadline.Sub(now))
 		expired = w.timer.C
 	}
 	for {
 		select {
-		case reply, ok := <-w.reply:
-			if !ok {
-				return nil, c.terminalErr()
-			}
+		case r := <-w.result:
 			if ownTimer {
 				w.timer.Stop()
 			}
-			callPool.Put(w)
-			c.m().CallDone(time.Since(start))
-			return reply, nil
+			waiterPool.Put(w)
+			return r.Reply, r.Err
 		case <-ctx.Done():
 			if ownTimer {
 				w.timer.Stop()
@@ -323,7 +420,7 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 			return nil, ctx.Err()
 		case <-expired:
 			if left := time.Until(deadline); left > 0 {
-				w.timer.Reset(left) // the tick was the call's previous user's
+				w.timer.Reset(left) // the tick was the waiter's previous user's
 				continue
 			}
 			c.abandon(seq, w)
@@ -333,28 +430,14 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 	}
 }
 
-// forget abandons the call numbered seq; its reply, should one still
-// come, is dropped by the reader. It reports whether the call was still
-// pending, so that neither the reader nor fail holds it.
-func (c *Client) forget(seq int64) bool {
-	c.mu.Lock()
-	_, pending := c.pending[seq]
-	delete(c.pending, seq)
-	c.mu.Unlock()
-	return pending
-}
-
-// abandon forgets the call w numbered seq, which gave up, and recycles
-// it. A call the reader already took is sent its reply right after, so
-// that one buffered reply is drained first; one that fail closed is
-// left to the collector.
-func (c *Client) abandon(seq int64, w *call) {
-	if !c.forget(seq) {
-		if _, ok := <-w.reply; !ok {
-			return
-		}
+// abandon cancels the call numbered seq, which gave up, and recycles
+// its waiter w. A Result already on its way is taken first, so that the
+// waiter goes back empty.
+func (c *Client) abandon(seq int64, w *waiter) {
+	if !c.Cancel(seq) {
+		<-w.result
 	}
-	callPool.Put(w)
+	waiterPool.Put(w)
 }
 
 // write sends cmd as one frame under the deadline. An oversize command
@@ -362,7 +445,7 @@ func (c *Client) abandon(seq int64, w *call) {
 // other error is terminal for the whole connection: part of the frame
 // may already be on the wire, so the framing stream can no longer be
 // trusted.
-func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) error {
+func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
 	frame := encodeCmd(sc, cmd, numbered, seq)
 	c.writeMu.Lock()
 	// Every write sets its own deadline first, so none is cleared after.
@@ -373,19 +456,10 @@ func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlan
 		if _, tooLarge := err.(*ErrFrameTooLarge); !tooLarge {
 			c.fail(err)
 		}
-		return err
+		return 0, err
 	}
 	c.m().FrameSent(n)
-	return nil
-}
-
-func (c *Client) terminalErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == nil {
-		return ErrClosed
-	}
-	return c.err
+	return n, nil
 }
 
 // Send transmits a command without waiting for any reply (one-way
@@ -411,7 +485,8 @@ func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
 	if !ok {
 		deadline = time.Now().Add(timeout)
 	}
-	return c.write(deadline, childSpan(ctx), cmd, false, 0)
+	_, err := c.write(deadline, childSpan(ctx), cmd, false, 0)
+	return err
 }
 
 // Close tears down the connection; outstanding calls fail.
