@@ -187,8 +187,8 @@ type Config struct {
 	Listen string
 	// PoolConfig optionally tunes the daemon's outgoing connection
 	// pool (timeouts, retries, circuit breaker). Nil uses defaults.
-	// Its Transport, Telemetry and Metrics fields are overwritten so
-	// the pool records into the daemon's registry.
+	// Its Transport and Telemetry fields are overwritten so the pool
+	// records into the daemon's registry.
 	PoolConfig *PoolConfig
 	// Telemetry receives the daemon's metrics and spans; nil creates a
 	// private registry.
@@ -336,11 +336,9 @@ func New(cfg Config) *Daemon {
 		pc = *cfg.PoolConfig
 		pc.Transport = cfg.Transport
 	}
-	// Server-side and pool-side wire traffic share one instrument
-	// group, so the wire.* metrics describe the daemon's whole
-	// footprint.
+	// Server-side and pool-side wire traffic record into one registry,
+	// so the wire.* metrics describe the daemon's whole footprint.
 	pc.Telemetry = tel
-	pc.Metrics = wm
 	d := &Daemon{
 		cfg:           cfg,
 		registry:      reg,

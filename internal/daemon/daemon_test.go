@@ -460,7 +460,7 @@ func TestStatsCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.CallRaw(cmdlang.New("junkcmd")) //nolint:errcheck
+	c.Call(cmdlang.New("junkcmd")) //nolint:errcheck
 	reply, err := c.Call(cmdlang.New(CmdStats))
 	if err != nil {
 		t.Fatal(err)

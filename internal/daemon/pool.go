@@ -62,12 +62,9 @@ type PoolConfig struct {
 	// in tests; 0 means a fixed default seed.
 	Seed int64
 	// Telemetry, when non-nil, receives the pool's counters
-	// (pool.retries, pool.breaker.transitions) and — unless Metrics is
-	// set explicitly — the wire instruments of every dialed client.
+	// (pool.retries, pool.breaker.transitions) and the wire instruments
+	// of every dialed client.
 	Telemetry *telemetry.Registry
-	// Metrics is the wire instrument group installed on dialed clients;
-	// nil derives one from Telemetry (or stays no-op when both are nil).
-	Metrics *wire.Metrics
 	// OnBreakerChange, when set, observes every circuit breaker state
 	// transition. It is called outside breaker locks, once per real
 	// transition, with the address and the "closed"/"open"/"half-open"
@@ -110,9 +107,6 @@ func (cfg PoolConfig) withDefaults() PoolConfig {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = wire.NewMetrics(cfg.Telemetry)
-	}
 	return cfg
 }
 
@@ -137,6 +131,7 @@ type Pool struct {
 	// clients (asd.Client) consult it before calling the directory.
 	lookups *LookupCache
 
+	metrics     *wire.Metrics // installed on every dialed client
 	retries     *telemetry.Counter
 	busyRetries *telemetry.Counter
 	redirects   *telemetry.Counter
@@ -165,6 +160,7 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 		peers:       make(map[string]*peer),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		lookups:     NewLookupCache(cfg.LookupNegativeTTL, cfg.Telemetry),
+		metrics:     wire.NewMetrics(cfg.Telemetry),
 		retries:     cfg.Telemetry.Counter(MetricPoolRetries),
 		busyRetries: cfg.Telemetry.Counter(MetricPoolBusyRetries),
 		redirects:   cfg.Telemetry.Counter(MetricPoolRedirects),
@@ -227,17 +223,11 @@ func (p *Pool) BreakerState(addr string) string {
 // Get returns a live client to addr, dialing if necessary. Get does
 // not consult the breaker; Call/Send do.
 func (p *Pool) Get(addr string) (*wire.Client, error) {
-	return p.GetContext(context.Background(), addr)
-}
-
-// GetContext is Get with a dial bounded by ctx (and the pool's dial
-// timeout, whichever is sooner).
-func (p *Pool) GetContext(ctx context.Context, addr string) (*wire.Client, error) {
 	pe, c, err := p.peerFor(addr)
 	if err != nil || c != nil {
 		return c, err
 	}
-	return p.dial(ctx, time.Time{}, addr, pe)
+	return p.dial(context.Background(), time.Time{}, addr, pe)
 }
 
 // dial connects to addr and pools the client on pe, unless a
@@ -256,7 +246,7 @@ func (p *Pool) dial(ctx context.Context, deadline time.Time, addr string, pe *pe
 		return nil, err
 	}
 	c.SetCallTimeout(p.cfg.CallTimeout)
-	c.SetMetrics(p.cfg.Metrics)
+	c.SetMetrics(p.metrics)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -285,102 +275,47 @@ func (p *Pool) drop(pe *peer, c *wire.Client) {
 	_ = c.Close()
 }
 
-// delay is the capped exponential delay before retry attempt n
-// (1-based) with ±50% jitter. A positive floor (a server's retry_after
-// hint) raises it so the retry does not land before the server expects
-// capacity back.
-func (p *Pool) delay(attempt int, floor time.Duration) time.Duration {
-	d := p.cfg.BackoffBase << (attempt - 1)
-	if d > p.cfg.BackoffMax || d <= 0 {
-		d = p.cfg.BackoffMax
-	}
-	p.rngMu.Lock()
-	jitter := 0.5 + p.rng.Float64() // [0.5, 1.5)
-	p.rngMu.Unlock()
-	return max(time.Duration(float64(d)*jitter), floor)
-}
-
-// backoff sleeps the delay before retry attempt n, or returns early
-// when ctx expires or the deadline (zero: none beyond ctx's) passes.
-func (p *Pool) backoff(ctx context.Context, deadline time.Time, attempt int, floor time.Duration) error {
-	d := p.delay(attempt, floor)
-	cut := false // the call's time runs out during the wait
-	if !deadline.IsZero() {
-		if left := time.Until(deadline); left < d {
-			d, cut = left, true
-		}
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		if cut {
-			return context.DeadlineExceeded
-		}
-		return nil
-	}
-}
-
 // Call issues a request/response command to addr under the pool's
 // default call timeout, retrying transport failures with backoff.
 func (p *Pool) Call(addr string, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 	return p.CallContext(context.Background(), addr, cmd)
 }
 
-// CallContext issues a request/response command to addr. The context
-// bounds the entire exchange including retries; when it carries no
-// deadline the pool's CallTimeout applies, so no call path can block
-// forever. Transport failures are retried up to MaxRetries times with
-// capped exponential backoff and jitter; remote errors (the daemon
-// answered "fail") are returned immediately and never retried — with
-// one exception: a "busy" reply is the server's admission controller
-// shedding load before execution, so it is retried like a transport
-// failure (same attempt budget, backoff raised to any server-supplied
-// retry_after hint) but never charges the circuit breaker or drops
-// the connection, because the peer is demonstrably alive. A
-// "wrong_group" reply (placement redirect) is likewise never a peer
-// failure: it is returned immediately for the caller's routing layer
-// to re-route after a map refresh, counted under pool.redirects, with
-// no retry, no breaker charge, and no connection drop. When the
-// address's circuit breaker is open the call fails fast with
-// ErrCircuitOpen without touching the network.
-//
-// A cancelled context (context.Canceled, as opposed to a deadline)
-// means the caller abandoned the call: it is returned without retry,
-// without charging the breaker, and without dropping the pooled
-// connection — the pending reply is discarded by sequence number, so
-// the connection remains valid for other callers. A command too large
-// for a frame (*wire.ErrFrameTooLarge) is likewise the caller's own
-// failure and treated the same way.
+// CallContext issues a request/response command to addr and returns its
+// reply; a "fail" reply is returned as a *cmdlang.RemoteError. ctx bounds
+// the whole call, retries included; when it carries no deadline the
+// pool's CallTimeout applies. The call makes at most 1+MaxRetries
+// attempts (settle says which outcomes are retried), and fails fast with
+// ErrCircuitOpen while addr's breaker is open.
 func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	// A context with no deadline gets the pool's as a plain time, which
-	// every attempt, dial and backoff is held to: deriving a context per
-	// call would cost more than the rest of the pool's work on it.
-	var deadline time.Time
-	if _, ok := ctx.Deadline(); !ok {
+	// A context with no deadline gets the pool's as a plain time:
+	// deriving a context per call would cost more than the rest of the
+	// pool's work on it.
+	deadline, ok := ctx.Deadline()
+	if !ok {
 		deadline = time.Now().Add(p.cfg.CallTimeout)
 	}
-	over := func() bool {
-		return ctx.Err() != nil || !deadline.IsZero() && !time.Now().Before(deadline)
-	}
-	var lastErr error
-	var retryFloor time.Duration // server-suggested wait before the next attempt
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			if err := p.backoff(ctx, deadline, attempt, retryFloor); err != nil {
-				return nil, lastErr
+	return p.call(ctx, deadline, addr, cmd, 0, 0)
+}
+
+// call makes attempt number attempt of a call held to deadline, after
+// wait, and then the next ones, for as long as settle retries.
+func (p *Pool) call(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine, attempt int, wait time.Duration) (*cmdlang.CmdLine, error) {
+	for ; ; attempt++ {
+		if wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return nil, ctx.Err()
+			case <-t.C:
 			}
-			p.retries.Inc()
 		}
-		retryFloor = 0
 		pe, c, err := p.peerFor(addr)
 		if err != nil {
 			return nil, err
 		}
-		br := pe.breaker
-		if err := br.allow(); err != nil {
+		if err := pe.breaker.allow(); err != nil {
 			return nil, fmt.Errorf("daemon: %s: %w", addr, err)
 		}
 		var reply *cmdlang.CmdLine
@@ -388,77 +323,99 @@ func (p *Pool) CallContext(ctx context.Context, addr string, cmd *cmdlang.CmdLin
 			c, err = p.dial(ctx, deadline, addr, pe)
 		}
 		if err == nil {
-			reply, err = c.CallDeadline(ctx, deadline, cmd)
+			reply, err = c.RoundTrip(ctx, deadline, cmd)
 		}
-		re, isRemote := err.(*cmdlang.RemoteError)
-		_, tooLarge := err.(*wire.ErrFrameTooLarge)
-		switch {
-		case err == nil:
-			br.success()
-			return reply, nil
-		case isRemote:
-			// The daemon answered; the connection and peer are fine.
-			br.success()
-			if re.Code == cmdlang.CodeWrongGroup {
-				// Placement redirect: the peer is healthy but is not the
-				// partition's group (or the request's epoch is stale).
-				// Retrying the same address cannot help — the caller's
-				// routing layer must refresh its placement map and
-				// re-route — so it is returned immediately, counted, and
-				// never charges the breaker.
-				p.redirects.Inc()
-				return nil, err
-			}
-			if re.Code != cmdlang.CodeBusy {
-				return nil, err
-			}
-			// Overload push-back: the command was shed before execution,
-			// so a retry cannot duplicate side effects. Honor the
-			// server's retry_after hint as the backoff floor.
-			lastErr = err
-			retryFloor = re.RetryAfter
-			if over() || attempt >= p.cfg.MaxRetries {
-				return nil, lastErr
-			}
-			p.busyRetries.Inc()
-			continue
-		case errors.Is(err, context.Canceled):
-			// The caller abandoned the call — e.g. a quorum fast-path
-			// cancelling a straggler once the outcome was decided. The
-			// peer did nothing wrong, so the breaker is not charged and
-			// a retry would be pointless. The probe slot this call may
-			// hold in a half-open breaker is released unjudged, or the
-			// next probe would be refused forever. The connection stays
-			// pooled too: the wire client removed the pending entry and
-			// will discard the late reply by its seq, the framing stream
-			// is intact, and tearing the (shared) connection down would
-			// punish every other caller multiplexed onto it.
-			br.abandon()
-			return nil, err
-		case tooLarge:
-			// The command does not fit a frame and nothing of it was
-			// written: the caller's error, told to the caller alone. The
-			// connection, the breaker and the retry budget are untouched,
-			// as no attempt on any connection could fare better.
-			br.abandon()
-			return nil, err
-		}
-		// A transport failure may have corrupted the framing stream, so
-		// the connection is dropped and the next attempt redials.
-		if c != nil {
-			p.drop(pe, c)
-		}
-		br.failure()
-		lastErr = err
-		if over() || attempt >= p.cfg.MaxRetries {
-			return nil, lastErr
+		if reply, wait, err = p.settle(pe, c, attempt, deadline, reply, err); wait == 0 {
+			return reply, err
 		}
 	}
 }
 
+// settle is the pool's attempt policy: every attempt of every call, made
+// blocking or started, is accounted here. It takes attempt number attempt
+// (0 is the first) of a call held to deadline, made on c (nil when the
+// dial failed), and its outcome, reply or err. It returns what the call
+// returns, or, with a positive wait, the error and how long to wait
+// before the next attempt.
+//
+//   - A reply means the peer is fine, and the breaker is told so. "ok" is
+//     returned as it is and "fail" as a *cmdlang.RemoteError, with no
+//     retry, except "busy": the admission controller shed the command
+//     before it ran, so a retry cannot run it twice. A busy call is
+//     retried no sooner than the reply's retry_after, and the retry is
+//     counted in pool.busy_retries too. A "wrong_group" redirect is
+//     counted in pool.redirects, for the caller's routing layer to
+//     re-route.
+//   - A cancelled call (context.Canceled) and a command too large for a
+//     frame are the caller's own doing: the breaker's probe slot, if the
+//     call held it, is given back unjudged, the connection stays (a late
+//     reply is dropped by its seq), and nothing is retried.
+//   - Any other error is a transport failure, a timeout (counted in
+//     wire.call.timeouts) included: the breaker is charged, and the
+//     connection, whose framing may be broken, is dropped for the next
+//     attempt to redial.
+//
+// A call is retried, and the retry counted in pool.retries, while it has
+// attempts left — 1+MaxRetries in all — and the wait ends before its
+// deadline. The wait doubles with each attempt from BackoffBase up to
+// BackoffMax, with ±50% jitter.
+func (p *Pool) settle(pe *peer, c *wire.Client, attempt int, deadline time.Time, reply *cmdlang.CmdLine, err error) (*cmdlang.CmdLine, time.Duration, error) {
+	br := pe.breaker
+	var busy *cmdlang.RemoteError
+	_, tooLarge := err.(*wire.ErrFrameTooLarge)
+	switch {
+	case err == nil:
+		br.success()
+		if err = cmdlang.ReplyError(reply); err == nil {
+			return reply, 0, nil
+		}
+		re, _ := err.(*cmdlang.RemoteError)
+		if re != nil && re.Code == cmdlang.CodeWrongGroup {
+			p.redirects.Inc()
+		}
+		if re == nil || re.Code != cmdlang.CodeBusy {
+			return nil, 0, err
+		}
+		busy = re
+	case tooLarge || errors.Is(err, context.Canceled):
+		br.abandon()
+		return nil, 0, err
+	default:
+		if c != nil {
+			p.drop(pe, c)
+			if errors.Is(err, context.DeadlineExceeded) {
+				p.metrics.CallTimeout()
+			}
+		}
+		br.failure()
+	}
+	if attempt >= p.cfg.MaxRetries {
+		return nil, 0, err
+	}
+	d := p.cfg.BackoffBase << attempt
+	if d > p.cfg.BackoffMax || d <= 0 {
+		d = p.cfg.BackoffMax
+	}
+	p.rngMu.Lock()
+	jitter := 0.5 + p.rng.Float64() // [0.5, 1.5)
+	p.rngMu.Unlock()
+	wait := time.Duration(float64(d) * jitter)
+	if busy != nil {
+		wait = max(wait, busy.RetryAfter)
+	}
+	if !time.Now().Add(wait).Before(deadline) {
+		return nil, 0, err
+	}
+	p.retries.Inc()
+	if busy != nil {
+		p.busyRetries.Inc()
+	}
+	return nil, wait, err
+}
+
 // Started is a call Pool.Start began on a pooled connection without
-// blocking. Its Result arrives on the sink Start was given, for Settle
-// to account; Cancel gives it up before then.
+// blocking: the call's first attempt. Its Result arrives on the sink
+// Start was given, for Settle to account; Cancel gives it up before then.
 type Started struct {
 	pe       *peer
 	c        *wire.Client
@@ -508,53 +465,22 @@ func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *
 	return Started{pe: pe, c: c, seq: seq, deadline: deadline}, true
 }
 
-// Settle accounts the Result of a started call the way CallContext
-// accounts an attempt — the breaker, the pooled connection,
-// pool.redirects — and returns the call's outcome. A positive retryIn
-// says that CallContext would retry it, after that long: the call
-// failed in transport, or was shed busy (retryIn is then no shorter
-// than the reply's retry_after), and retries and time are left. The
-// caller then runs it there, on the blocking path, once retryIn has
-// passed. A Result the owner made up on giving the call up —
-// context.Canceled when it abandoned it, context.DeadlineExceeded at
-// its deadline — is settled as CallContext settles its own: unjudged,
-// or as a timed-out transport failure.
+// Settle accounts the Result of a started call, its first attempt, as
+// settle accounts every attempt, and returns the call's outcome. A
+// positive retryIn means the call is to be retried: Retry continues it
+// after that long. A Result the owner made up on giving the call up —
+// context.Canceled when it abandoned it, context.DeadlineExceeded at its
+// deadline — is settled as the call's own would be: unjudged, or as a
+// timeout.
 func (p *Pool) Settle(s Started, res wire.Result) (reply *cmdlang.CmdLine, retryIn time.Duration, err error) {
-	br := s.pe.breaker
-	retry := func() bool { return p.cfg.MaxRetries > 0 && time.Now().Before(s.deadline) }
-	if res.Err == nil {
-		// The daemon answered; the connection and peer are fine.
-		br.success()
-		err := cmdlang.ReplyError(res.Reply)
-		re, _ := err.(*cmdlang.RemoteError)
-		switch {
-		case err == nil:
-			return res.Reply, 0, nil
-		case re == nil:
-		case re.Code == cmdlang.CodeWrongGroup:
-			p.redirects.Inc()
-		case re.Code == cmdlang.CodeBusy && retry():
-			p.busyRetries.Inc()
-			p.retries.Inc()
-			return nil, p.delay(1, re.RetryAfter), err
-		}
-		return nil, 0, err
-	}
-	if errors.Is(res.Err, context.Canceled) {
-		br.abandon()
-		return nil, 0, res.Err
-	}
-	p.drop(s.pe, s.c)
-	br.failure()
-	if errors.Is(res.Err, context.DeadlineExceeded) {
-		p.cfg.Metrics.CallTimeout()
-		return nil, 0, res.Err
-	}
-	if !retry() {
-		return nil, 0, res.Err
-	}
-	p.retries.Inc()
-	return nil, p.delay(1, 0), res.Err
+	return p.settle(s.pe, s.c, 0, s.deadline, res.Reply, res.Err)
+}
+
+// Retry continues the started call s of cmd to addr on the blocking path
+// once Settle returned it a positive wait: after the wait, from the
+// call's second attempt on, held to its deadline and its attempts left.
+func (p *Pool) Retry(ctx context.Context, addr string, cmd *cmdlang.CmdLine, s Started, wait time.Duration) (*cmdlang.CmdLine, error) {
+	return p.call(ctx, s.deadline, addr, cmd, 1, wait)
 }
 
 // Failover tries call against addrs in sticky preference order: it

@@ -274,14 +274,16 @@ func blockingOps(pass *Pass, stmt ast.Stmt) []blockingOp {
 }
 
 // blockingRPCNames are the ACE transport/store/pool entry points that
-// perform network round trips.
+// perform network round trips, or, like Start, a write held to the
+// call's deadline.
 var blockingRPCNames = map[string]bool{
-	"Call": true, "CallContext": true, "CallRaw": true, "CallRawContext": true,
+	"Call": true, "CallContext": true, "RoundTrip": true, "Start": true, "Retry": true,
 	"Send": true, "SendContext": true,
-	"Get": true, "GetContext": true, "GetAny": true,
-	"Put": true, "PutContext": true,
+	"Get": true, "GetContext": true, "GetAny": true, "GetBoundedContext": true,
+	"Put": true, "PutContext": true, "PutVersionContext": true,
 	"Delete": true, "DeleteContext": true,
-	"List": true, "SendData": true,
+	"List": true, "ListContext": true, "SendData": true,
+	"SyncWith": true, "SyncAll": true,
 }
 
 // blockingPkgs are the module-local package basenames whose RPC-named

@@ -212,8 +212,8 @@ const hedgeAfter = 2 * time.Millisecond
 // A leg's state. A leg is started — its frame written by the fan-out's
 // caller, its reply delivered by the connection's reader straight onto
 // the results channel — when the pool can start it; it runs on the
-// blocking path, CallContext in a goroutine, when it cannot, or when
-// its started attempt failed in transport or was shed.
+// blocking path, a pool call in a goroutine, when it cannot, or when the
+// pool retries its started attempt.
 const (
 	legIdle uint8 = iota
 	legStarted
@@ -335,8 +335,9 @@ func (f *fanout) launch() {
 	f.deadline = call.Deadline()
 }
 
-// block runs leg k on the blocking path: CallContext, after wait, in
-// a goroutine the client's Close waits for.
+// block runs leg k on the blocking path, in a goroutine the client's
+// Close waits for: CallContext for a leg that could not start, or, with
+// a positive wait, the pool's Retry of a started leg Settle retried.
 func (f *fanout) block(k int, wait time.Duration) {
 	l := &f.legs[k]
 	if l.state == legStarted {
@@ -351,22 +352,17 @@ func (f *fanout) block(k int, wait time.Duration) {
 			f.blocking, f.cancel = context.WithDeadline(f.ctx, f.deadline)
 		}
 	}
-	c, ctx, addr, cmd, results := f.c, f.blocking, f.c.replicas[l.idx], f.cmd, f.results
+	c, ctx, addr, cmd, call, results := f.c, f.blocking, f.c.replicas[l.idx], f.cmd, l.call, f.results
 	c.bg.Add(1)
 	go func() {
 		defer c.bg.Done()
+		res := wire.Result{Tag: k}
 		if wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				results <- wire.Result{Err: ctx.Err(), Tag: k}
-				return
-			}
+			res.Reply, res.Err = c.pool.Retry(ctx, addr, cmd, call, wait)
+		} else {
+			res.Reply, res.Err = c.pool.CallContext(ctx, addr, cmd)
 		}
-		reply, err := c.pool.CallContext(ctx, addr, cmd)
-		results <- wire.Result{Reply: reply, Err: err, Tag: k}
+		results <- res
 	}()
 }
 
@@ -381,12 +377,12 @@ func (f *fanout) spare(k int) {
 
 // next waits for the next leg to be decided and returns its reply, or
 // hedge true when hedgeAt came first (once). A started leg's result is
-// settled by the pool, and one CallContext would retry goes to the
+// settled by the pool, and one the pool retries continues on the
 // blocking path instead of being returned. When the started legs'
 // deadline passes, or the caller gives up, every started leg still
 // pending is ended with context.DeadlineExceeded, or the caller's
-// error, which the pool settles as CallContext would: a timeout charged
-// to the breaker, an abandoned call not.
+// error, which the pool settles as any attempt: a timeout charged to
+// the breaker, an abandoned call not.
 func (f *fanout) next() (r replicaReply, hedge bool) {
 	for {
 		select {

@@ -880,23 +880,18 @@ type startedLegEnv struct {
 	opened map[string]int
 }
 
-func newStartedLegEnv(t *testing.T, callTimeout time.Duration, replicas ...string) *startedLegEnv {
+func newStartedLegEnv(t *testing.T, cfg daemon.PoolConfig, replicas ...string) *startedLegEnv {
 	t.Helper()
 	e := &startedLegEnv{reg: telemetry.NewRegistry(), opened: map[string]int{}}
-	e.pool = daemon.NewPoolConfig(daemon.PoolConfig{
-		CallTimeout:      callTimeout,
-		BreakerThreshold: 1,
-		BreakerCooldown:  time.Millisecond,
-		Seed:             1,
-		Telemetry:        e.reg,
-		OnBreakerChange: func(addr, _, to string) {
-			if to == "open" {
-				e.mu.Lock()
-				e.opened[addr]++
-				e.mu.Unlock()
-			}
-		},
-	})
+	cfg.Seed, cfg.Telemetry = 1, e.reg
+	cfg.OnBreakerChange = func(addr, _, to string) {
+		if to == "open" {
+			e.mu.Lock()
+			e.opened[addr]++
+			e.mu.Unlock()
+		}
+	}
+	e.pool = daemon.NewPoolConfig(cfg)
 	t.Cleanup(e.pool.Close)
 	for _, addr := range replicas {
 		if _, err := e.pool.Call(addr, cmdlang.New("ping")); err != nil {
@@ -908,6 +903,12 @@ func newStartedLegEnv(t *testing.T, callTimeout time.Duration, replicas ...strin
 	return e
 }
 
+// breakerAtFirstFailure is the pool of most started-leg cases: one
+// transport failure opens a breaker, for a millisecond.
+func breakerAtFirstFailure(callTimeout time.Duration) daemon.PoolConfig {
+	return daemon.PoolConfig{CallTimeout: callTimeout, BreakerThreshold: 1, BreakerCooldown: time.Millisecond}
+}
+
 func (e *startedLegEnv) opens(addr string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -917,13 +918,13 @@ func (e *startedLegEnv) opens(addr string) int {
 func (e *startedLegEnv) counter(name string) int64 { return e.reg.Snapshot().Counter(name) }
 
 // TestStartedLegFallbacksAndBreaker: a leg's first attempt is a call
-// started in place, and what CallContext does beyond one attempt — the
+// started in place, and what the pool does beyond one attempt — the
 // redial, the breaker, busy backoff — it still does, on the blocking
 // path, with the same accounting: a restarted replica is redialled and
-// charged once, a shed leg is retried no sooner than retry_after, a
-// leg at the fan-out's deadline is a timeout charged to the breaker,
-// and a leg the caller gave up is neither charged nor costs the
-// connection.
+// charged once, a shed leg is retried no sooner than retry_after and
+// within its call's attempt budget, a leg at the fan-out's deadline is a
+// timeout charged to the breaker, and a leg the caller gave up is
+// neither charged nor costs the connection.
 func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -960,7 +961,7 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 			}
 			r := restart("")
 			addrs[2] = r.Addr()
-			e := newStartedLegEnv(t, 5*time.Second, addrs...)
+			e := newStartedLegEnv(t, breakerAtFirstFailure(5*time.Second), addrs...)
 			if _, err := e.client.Put("/leg/restart", []byte("v0")); err != nil {
 				t.Fatal(err)
 			}
@@ -1034,7 +1035,7 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 			}
 			t.Cleanup(shedding.Stop)
 			stall := startStallReplica(t)
-			e := newStartedLegEnv(t, 5*time.Second, cluster.Addrs()[0], stall.Addr(), shedding.Addr())
+			e := newStartedLegEnv(t, breakerAtFirstFailure(5*time.Second), cluster.Addrs()[0], stall.Addr(), shedding.Addr())
 			if _, err := e.client.Put("/leg/busy", []byte("v")); err != nil {
 				t.Fatal(err)
 			}
@@ -1056,11 +1057,47 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 				t.Fatalf("a busy reply opened the breaker %d times", n)
 			}
 		}},
+		{"retried leg keeps its attempt budget", func(t *testing.T) {
+			// Every replica sheds every read. With MaxRetries 1 a leg makes
+			// two attempts in all: the started one and one retry.
+			const retryAfter = 50 * time.Millisecond
+			runs := make([]atomic.Int32, 3)
+			addrs := make([]string, len(runs))
+			for i := range runs {
+				d := daemon.New(daemon.Config{Name: fmt.Sprintf("shedding%d", i)})
+				d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true},
+					func(*daemon.Ctx, *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+						runs[i].Add(1)
+						return cmdlang.Busy(retryAfter), nil
+					})
+				if err := d.Start(); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(d.Stop)
+				addrs[i] = d.Addr()
+			}
+			e := newStartedLegEnv(t, daemon.PoolConfig{CallTimeout: 5 * time.Second, MaxRetries: 1, BreakerThreshold: -1}, addrs...)
+			if _, _, _, err := e.client.Get("/leg/shed"); err == nil {
+				t.Fatal("a read no replica answered succeeded")
+			}
+			e.client.Close()
+			asked := 0
+			for i := range runs {
+				if n := runs[i].Load(); n > 2 {
+					t.Fatalf("replica %d was asked %d times for one read, want at most 2", i, n)
+				} else if n > 0 {
+					asked++
+				}
+			}
+			if n := e.counter(daemon.MetricPoolRetries); n != int64(asked) {
+				t.Fatalf("%d retries over %d legs asked, want one a leg", n, asked)
+			}
+		}},
 		{"fan-out deadline is a timeout", func(t *testing.T) {
 			cluster, _ := startCluster(t, 1, "")
 			stall := startStallReplica(t)
 			const callTimeout = 200 * time.Millisecond
-			e := newStartedLegEnv(t, callTimeout, cluster.Addrs()[0], stall.Addr())
+			e := newStartedLegEnv(t, breakerAtFirstFailure(callTimeout), cluster.Addrs()[0], stall.Addr())
 			start := time.Now()
 			if _, err := e.client.Put("/leg/deadline", []byte("v")); err == nil {
 				t.Fatal("a write without its quorum succeeded")
@@ -1081,7 +1118,7 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 		{"caller cancellation is not charged", func(t *testing.T) {
 			cluster, _ := startCluster(t, 1, "")
 			stall := startStallReplica(t)
-			e := newStartedLegEnv(t, 5*time.Second, cluster.Addrs()[0], stall.Addr())
+			e := newStartedLegEnv(t, breakerAtFirstFailure(5*time.Second), cluster.Addrs()[0], stall.Addr())
 			before, err := e.pool.Get(stall.Addr())
 			if err != nil {
 				t.Fatal(err)

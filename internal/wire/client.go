@@ -98,7 +98,7 @@ type started struct {
 // waiterPool once no Result can still arrive on its channel. timer
 // bounds a call whose context carries no deadline; a tick it left
 // unread in a recycled waiter is told from a real one by the clock (see
-// roundTrip), so Stop needs no drain.
+// RoundTrip), so Stop needs no drain.
 type waiter struct {
 	result chan Result // one slot: a started call gets exactly one Result
 	timer  *time.Timer
@@ -267,38 +267,19 @@ func (c *Client) Call(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 // CallContext is Call bounded by ctx. When ctx has no deadline, the
 // client's call timeout applies, so no call can block forever.
 // Cancellation abandons the call immediately and removes its pending
-// sequence entry; a reply that arrives later is dropped.
+// sequence entry; a reply that arrives later is dropped. A call that
+// times out is counted in wire.call.timeouts.
 func (c *Client) CallContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	return c.CallDeadline(ctx, time.Time{}, cmd)
-}
-
-// CallDeadline is CallContext bounded by deadline as well as by ctx,
-// for a caller that holds several attempts to one bound and would
-// otherwise derive a context per call. A zero deadline means none
-// beyond ctx's.
-func (c *Client) CallDeadline(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	reply, err := c.roundTrip(ctx, deadline, cmd)
+	reply, err := c.RoundTrip(ctx, time.Time{}, cmd)
+	if err == nil {
+		err = cmdlang.ReplyError(reply)
+	} else if errors.Is(err, context.DeadlineExceeded) {
+		c.m().CallTimeout()
+	}
 	if err != nil {
 		return nil, err
 	}
-	if rerr := cmdlang.ReplyError(reply); rerr != nil {
-		return nil, rerr
-	}
 	return reply, nil
-}
-
-// CallRaw is Call without reply-status interpretation: it returns
-// whatever return command the daemon sent, including "fail".
-func (c *Client) CallRaw(cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	return c.roundTrip(context.Background(), time.Time{}, cmd)
-}
-
-// CallRawContext is CallRaw bounded by ctx (see CallContext). When
-// ctx carries a telemetry span context, the outgoing frame carries a
-// trace header for a fresh child span, so the receiving daemon's
-// recorded span parents correctly under the caller's.
-func (c *Client) CallRawContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	return c.roundTrip(ctx, time.Time{}, cmd)
 }
 
 // childSpan is the span context an outgoing frame carries: a fresh
@@ -380,13 +361,17 @@ func (c *Client) Cancel(seq int64) bool {
 	return pending
 }
 
-// roundTrip starts cmd and waits for its Result until ctx ends or the
-// deadline passes — the given one, else ctx's, else the client's call
-// timeout from now.
-func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+// RoundTrip sends cmd and waits for the return command the daemon sent,
+// "fail" included, until ctx ends or the deadline passes — the sooner of
+// the given one (zero: none) and ctx's, else the client's call timeout
+// from now. It is the blocking call of a caller that holds several
+// attempts to one bound and accounts their outcomes itself: it counts no
+// timeout. When ctx carries a telemetry span context, the frame carries
+// a trace header for a fresh child span of it.
+func (c *Client) RoundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 	// ctx.Done fires at ctx's own deadline; any other needs the timer.
 	ownTimer := true
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || !deadline.Before(d)) {
 		deadline, ownTimer = d, false
 	}
 	w := waiterPool.Get().(*waiter)
@@ -414,9 +399,6 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 				w.timer.Stop()
 			}
 			c.abandon(seq, w)
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				c.m().CallTimeout()
-			}
 			return nil, ctx.Err()
 		case <-expired:
 			if left := time.Until(deadline); left > 0 {
@@ -424,7 +406,6 @@ func (c *Client) roundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 				continue
 			}
 			c.abandon(seq, w)
-			c.m().CallTimeout()
 			return nil, context.DeadlineExceeded
 		}
 	}
