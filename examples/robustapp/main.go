@@ -25,7 +25,7 @@ func must(err error) {
 
 func main() {
 	// Fig 17: three completely redundant storage servers.
-	cluster, err := pstore.StartCluster(3, "", 50*int64(time.Millisecond))
+	cluster, err := pstore.StartCluster(3, "", 50*time.Millisecond)
 	must(err)
 	defer cluster.StopAll()
 	pool := daemon.NewPool(nil)

@@ -37,9 +37,6 @@ func NewClient(pool *daemon.Pool, addrs ...string) *Client {
 	return &Client{pool: pool, addrs: addrs}
 }
 
-// Addrs returns the configured replica list.
-func (c *Client) Addrs() []string { return append([]string(nil), c.addrs...) }
-
 // queryKey canonicalizes a query for cache keying.
 func queryKey(q Query) string {
 	var b strings.Builder
@@ -102,11 +99,6 @@ func (c *Client) ResolveAllContext(ctx context.Context, q Query) ([]string, erro
 	addrs := reply.Strings("addrs")
 	cache.PutPositive(key, names, addrs, q.Name == "")
 	return addrs, nil
-}
-
-// ResolveAll is ResolveAllContext with a background context.
-func (c *Client) ResolveAll(q Query) ([]string, error) {
-	return c.ResolveAllContext(context.Background(), q)
 }
 
 // ResolveContext returns one matching service's dialable address.

@@ -52,9 +52,6 @@ type Directory struct {
 	// onExpire, if set, is called (outside the lock) for each reaped
 	// entry.
 	onExpire func(Entry)
-
-	registrations int64
-	expirations   int64
 }
 
 // NewDirectory returns an empty directory using the real clock.
@@ -92,7 +89,6 @@ func (d *Directory) Register(e Entry) (time.Duration, error) {
 	e.Registered = now
 	e.Expires = now.Add(lease)
 	d.entries[e.Name] = &e
-	d.registrations++
 	return lease, nil
 }
 
@@ -120,12 +116,9 @@ func (d *Directory) Renew(name string, lease time.Duration) (time.Duration, erro
 	if d.now().After(e.Expires) {
 		// Lease already lapsed; treat as gone so the caller
 		// re-registers with fresh details. This is an expiration like
-		// any Reap discovers, so the expiry callback fires too —
-		// otherwise the asd.expirations telemetry counter and expiry
-		// notifications silently diverge from Counters().
+		// any Reap discovers, so the expiry callback fires too.
 		reaped := *e
 		delete(d.entries, name)
-		d.expirations++
 		cb := d.onExpire
 		d.mu.Unlock()
 		if cb != nil {
@@ -240,7 +233,6 @@ func (d *Directory) Reap() []Entry {
 		if now.After(e.Expires) {
 			reaped = append(reaped, *e)
 			delete(d.entries, name)
-			d.expirations++
 		}
 	}
 	cb := d.onExpire
@@ -259,13 +251,6 @@ func (d *Directory) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.entries)
-}
-
-// Counters returns lifetime registration and expiration counts.
-func (d *Directory) Counters() (registrations, expirations int64) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.registrations, d.expirations
 }
 
 // The methods below are the raw cache surface the replicated
@@ -288,9 +273,8 @@ func (d *Directory) Peek(name string) (Entry, bool) {
 
 // Install inserts or replaces the named entry iff it is at least as
 // new (by store version) as what memory holds, reporting whether it
-// was applied. Unlike Register it validates nothing and bumps no
-// counter: the entry was already admitted by whichever replica wrote
-// it to the store.
+// was applied. Unlike Register it validates nothing: the entry was
+// already admitted by whichever replica wrote it to the store.
 func (d *Directory) Install(e Entry) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -302,8 +286,8 @@ func (d *Directory) Install(e Entry) bool {
 }
 
 // Drop removes the named entry iff memory does not hold a version
-// newer than maxVersion, reporting whether it was removed. It bumps
-// no expiration counter — it is for entries some other replica
+// newer than maxVersion, reporting whether it was removed. The expiry
+// callback does not fire — it is for entries some other replica
 // already expired or unregistered (and counted).
 func (d *Directory) Drop(name string, maxVersion uint64) bool {
 	d.mu.Lock()
@@ -317,9 +301,8 @@ func (d *Directory) Drop(name string, maxVersion uint64) bool {
 }
 
 // Expire removes the named entry as a confirmed lease expiration:
-// the expiration counter bumps and the expiry callback fires, exactly
-// like a Reap discovery. The replica layer calls it only after the
-// store agreed the lease lapsed.
+// the expiry callback fires, exactly like a Reap discovery. The
+// replica layer calls it only after the store agreed the lease lapsed.
 func (d *Directory) Expire(name string) (Entry, bool) {
 	d.mu.Lock()
 	e, ok := d.entries[name]
@@ -329,7 +312,6 @@ func (d *Directory) Expire(name string) (Entry, bool) {
 	}
 	reaped := *e
 	delete(d.entries, name)
-	d.expirations++
 	cb := d.onExpire
 	d.mu.Unlock()
 	if cb != nil {

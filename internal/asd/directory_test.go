@@ -100,10 +100,6 @@ func TestLeaseExpiryAndReap(t *testing.T) {
 	if d.Len() != 1 {
 		t.Fatalf("len=%d", d.Len())
 	}
-	_, exp := d.Counters()
-	if exp != 1 {
-		t.Fatalf("expirations=%d", exp)
-	}
 }
 
 func TestRenewExtendsLease(t *testing.T) {
@@ -249,20 +245,19 @@ func TestLookupScalesToThousands(t *testing.T) {
 	}
 }
 
-// Regression: every removal the expiration counter counts must also
-// fire the SetOnExpire callback, whichever path discovered the lapse
-// (Renew, Reap, or Get) — otherwise the asd.expirations telemetry
-// counter and expiry notifications silently diverge from Counters().
+// Regression: every expiration must fire the SetOnExpire callback
+// exactly once, whichever path discovered the lapse (Renew, Reap, or
+// Get) — the callback is what moves the asd.expirations counter and
+// sends expiry notifications.
 func TestExpiryCounterCallbackAgreement(t *testing.T) {
 	d, c := newTestDir()
 	var fired []string
 	d.SetOnExpire(func(e Entry) { fired = append(fired, e.Name) })
 
-	check := func(step string) {
+	check := func(step string, want int) {
 		t.Helper()
-		_, exp := d.Counters()
-		if int(exp) != len(fired) {
-			t.Fatalf("%s: expirations counter=%d but callback fired %d times (%v)", step, exp, len(fired), fired)
+		if len(fired) != want {
+			t.Fatalf("%s: callback fired %d times (%v), want %d", step, len(fired), fired, want)
 		}
 	}
 
@@ -272,7 +267,7 @@ func TestExpiryCounterCallbackAgreement(t *testing.T) {
 	if _, err := d.Renew("a", time.Second); err == nil {
 		t.Fatal("lapsed renewal succeeded")
 	}
-	check("renew")
+	check("renew", 1)
 	if len(fired) != 1 || fired[0] != "a" {
 		t.Fatalf("fired=%v", fired)
 	}
@@ -281,21 +276,18 @@ func TestExpiryCounterCallbackAgreement(t *testing.T) {
 	d.Register(Entry{Name: "b", Lease: time.Second}) //nolint:errcheck
 	c.advance(2 * time.Second)
 	d.Reap()
-	check("reap")
+	check("reap", 2)
 
-	// Get filters a lapsed entry without reaping it: neither the
-	// counter nor the callback may move until Reap collects it.
+	// Get filters a lapsed entry without reaping it: the callback may
+	// not fire until Reap collects it.
 	d.Register(Entry{Name: "c", Lease: time.Second}) //nolint:errcheck
 	c.advance(2 * time.Second)
 	if _, ok := d.Get("c"); ok {
 		t.Fatal("lapsed entry served")
 	}
-	check("get")
+	check("get", 2)
 	d.Reap()
-	check("reap after get")
-	if len(fired) != 3 {
-		t.Fatalf("fired=%v", fired)
-	}
+	check("reap after get", 3)
 }
 
 // The replica cache primitives never regress store versions and never
@@ -330,8 +322,8 @@ func TestReplicaCachePrimitives(t *testing.T) {
 	if _, ok := d.Peek("x"); ok {
 		t.Fatal("still present")
 	}
-	if _, exp := d.Counters(); exp != 0 || fired != 0 {
-		t.Fatalf("drop counted as expiration: exp=%d fired=%d", exp, fired)
+	if fired != 0 {
+		t.Fatalf("drop counted as expiration: fired=%d", fired)
 	}
 
 	// Expire is the counted, callback-firing removal.
@@ -339,8 +331,8 @@ func TestReplicaCachePrimitives(t *testing.T) {
 	if _, ok := d.Expire("y"); !ok {
 		t.Fatal("expire missed")
 	}
-	if _, exp := d.Counters(); exp != 1 || fired != 1 {
-		t.Fatalf("exp=%d fired=%d", exp, fired)
+	if fired != 1 {
+		t.Fatalf("fired=%d", fired)
 	}
 	// Peek sees lapsed entries that Get filters.
 	d.Install(Entry{Name: "z", Version: 1, Expires: c.now().Add(-time.Second)})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -90,6 +91,13 @@ func newTestReplica(store Store) (*replica, *fakeClock) {
 	r := newReplica(dir, store, telemetry.NewRegistry())
 	r.now = clock.now
 	return r, clock
+}
+
+// countExpiries counts d's expiry callbacks from here on.
+func countExpiries(d *Directory) *atomic.Int64 {
+	var n atomic.Int64
+	d.SetOnExpire(func(Entry) { n.Add(1) })
+	return &n
 }
 
 func TestEntryCodecRoundTrip(t *testing.T) {
@@ -215,6 +223,8 @@ func TestReplicaRenewalSurvivesFailover(t *testing.T) {
 	store := newMemStore()
 	a, clockA := newTestReplica(store)
 	b, clockB := newTestReplica(store)
+	aExp := countExpiries(a.dir)
+	bExp := countExpiries(b.dir)
 	ctx := context.Background()
 
 	if _, err := a.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: time.Second}); err != nil {
@@ -242,7 +252,7 @@ func TestReplicaRenewalSurvivesFailover(t *testing.T) {
 	if saves := b.mRenewSaves.Value(); saves != 1 {
 		t.Fatalf("renew_saves=%d", saves)
 	}
-	if _, exp := b.dir.Counters(); exp != 0 {
+	if exp := bExp.Load(); exp != 0 {
 		t.Fatalf("expirations=%d — failover lost the renewal", exp)
 	}
 
@@ -260,7 +270,7 @@ func TestReplicaRenewalSurvivesFailover(t *testing.T) {
 	if reaped := a.sync(ctx); len(reaped) != 0 {
 		t.Fatalf("sync reaped %v despite a durable renewal", reaped)
 	}
-	if _, exp := a.dir.Counters(); exp != 0 {
+	if exp := aExp.Load(); exp != 0 {
 		t.Fatalf("expirations=%d", exp)
 	}
 }
@@ -268,6 +278,7 @@ func TestReplicaRenewalSurvivesFailover(t *testing.T) {
 func TestReplicaConfirmedExpiry(t *testing.T) {
 	store := newMemStore()
 	a, clock := newTestReplica(store)
+	aExp := countExpiries(a.dir)
 	ctx := context.Background()
 
 	if _, err := a.register(ctx, Entry{Name: "dead", Addr: "h:1", Lease: time.Second}); err != nil {
@@ -276,14 +287,14 @@ func TestReplicaConfirmedExpiry(t *testing.T) {
 	clock.advance(2 * time.Second)
 
 	// Renewal after a durable lapse is a confirmed expiration: the
-	// entry leaves the store, the counter bumps, and the error is the
-	// client-fixable kind.
+	// entry leaves the store, the expiry callback fires, and the error
+	// is the client-fixable kind.
 	_, err := a.renew(ctx, "dead", time.Second)
 	var nf *notFoundError
 	if !errors.As(err, &nf) {
 		t.Fatalf("err=%v", err)
 	}
-	if _, exp := a.dir.Counters(); exp != 1 {
+	if exp := aExp.Load(); exp != 1 {
 		t.Fatalf("expirations=%d", exp)
 	}
 	if _, _, ok, _ := store.GetContext(ctx, entryPath("dead")); ok {
@@ -299,7 +310,7 @@ func TestReplicaConfirmedExpiry(t *testing.T) {
 	if len(reaped) != 1 || reaped[0].Name != "dead2" {
 		t.Fatalf("reaped=%v", reaped)
 	}
-	if _, exp := a.dir.Counters(); exp != 2 {
+	if exp := aExp.Load(); exp != 2 {
 		t.Fatalf("expirations=%d", exp)
 	}
 }
@@ -310,6 +321,7 @@ func TestReplicaConfirmedExpiry(t *testing.T) {
 func TestReplicaStoreOutageNeverExpires(t *testing.T) {
 	store := newMemStore()
 	a, clock := newTestReplica(store)
+	aExp := countExpiries(a.dir)
 	ctx := context.Background()
 
 	if _, err := a.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: time.Second}); err != nil {
@@ -331,7 +343,7 @@ func TestReplicaStoreOutageNeverExpires(t *testing.T) {
 	if reaped := a.sync(ctx); len(reaped) != 0 {
 		t.Fatalf("sync reaped %v on local state alone", reaped)
 	}
-	if _, exp := a.dir.Counters(); exp != 0 {
+	if exp := aExp.Load(); exp != 0 {
 		t.Fatalf("expirations=%d during store outage", exp)
 	}
 }
@@ -340,6 +352,7 @@ func TestReplicaSyncConvergence(t *testing.T) {
 	store := newMemStore()
 	a, _ := newTestReplica(store)
 	b, _ := newTestReplica(store)
+	bExp := countExpiries(b.dir)
 	ctx := context.Background()
 
 	for i := 0; i < 5; i++ {
@@ -360,7 +373,7 @@ func TestReplicaSyncConvergence(t *testing.T) {
 	if _, ok := b.dir.Peek("s3"); ok {
 		t.Fatal("unregistered entry survived sync")
 	}
-	if _, exp := b.dir.Counters(); exp != 0 {
+	if exp := bExp.Load(); exp != 0 {
 		t.Fatalf("sibling unregister counted as expiration: %d", exp)
 	}
 }
@@ -369,6 +382,7 @@ func TestReplicaUnregisterUncached(t *testing.T) {
 	store := newMemStore()
 	a, _ := newTestReplica(store)
 	b, _ := newTestReplica(store)
+	aExp := countExpiries(a.dir)
 	ctx := context.Background()
 
 	if _, err := a.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: time.Minute}); err != nil {
@@ -390,7 +404,7 @@ func TestReplicaUnregisterUncached(t *testing.T) {
 	if got := a.lookup(ctx, Query{Name: "svc"}); len(got) != 0 {
 		t.Fatalf("A still resolves it after sync: %v", got)
 	}
-	if _, exp := a.dir.Counters(); exp != 0 {
+	if exp := aExp.Load(); exp != 0 {
 		t.Fatalf("sibling unregister counted as expiration: %d", exp)
 	}
 }

@@ -99,7 +99,7 @@ func TestReplicatedDirectoryServesFromAnyReplica(t *testing.T) {
 	}
 	// None of that was a lease expiration.
 	for i, s := range svcs {
-		if _, exp := s.Directory().Counters(); exp != 0 {
+		if exp := s.Telemetry().Counter(MetricExpirations).Value(); exp != 0 {
 			t.Fatalf("replica %d counted %d expirations", i+1, exp)
 		}
 	}
@@ -272,10 +272,10 @@ func TestDaemonLeaseFailsOverAcrossReplicas(t *testing.T) {
 	// survivor ever counts an expiration for it.
 	deadline := time.Now().Add(1500 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		if _, exp := svcs[1].Directory().Counters(); exp != 0 {
+		if exp := svcs[1].Telemetry().Counter(MetricExpirations).Value(); exp != 0 {
 			t.Fatalf("replica 2 expired the lease during failover")
 		}
-		if _, exp := svcs[2].Directory().Counters(); exp != 0 {
+		if exp := svcs[2].Telemetry().Counter(MetricExpirations).Value(); exp != 0 {
 			t.Fatalf("replica 3 expired the lease during failover")
 		}
 		time.Sleep(50 * time.Millisecond)

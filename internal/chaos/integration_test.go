@@ -542,7 +542,7 @@ func TestChaosPrimaryDirectoryKillZeroExpirations(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		for i := 1; i < 3; i++ {
-			if _, exp := dirs[i].Directory().Counters(); exp != 0 {
+			if exp := dirs[i].Telemetry().Counter(asd.MetricExpirations).Value(); exp != 0 {
 				t.Fatalf("replica %d expired a lease after the primary kill", i+1)
 			}
 		}

@@ -13,7 +13,6 @@ const (
 	CmdPing               = "ping"
 	CmdInfo               = "info"
 	CmdCommands           = "commands"
-	CmdStats              = "stats"
 	CmdAddNotification    = "addNotification"
 	CmdRemoveNotification = "removeNotification"
 	CmdListNotifications  = "listNotifications"
@@ -25,7 +24,6 @@ func (d *Daemon) installBuiltins() {
 		cmdlang.CommandSpec{Name: CmdPing, Doc: "liveness probe"},
 		cmdlang.CommandSpec{Name: CmdInfo, Doc: "service identity and placement"},
 		cmdlang.CommandSpec{Name: CmdCommands, Doc: "describe the command semantics"},
-		cmdlang.CommandSpec{Name: CmdStats, Doc: "execution counters"},
 		cmdlang.CommandSpec{
 			Name: CmdAddNotification,
 			Doc:  "register interest in a command's execution (§2.5)",
@@ -74,16 +72,6 @@ func (d *Daemon) installBuiltins() {
 		return cmdlang.OK().
 			Set("names", cmdlang.WordVector(d.registry.Names()...)).
 			SetString("describe", d.registry.Describe()), nil
-	})
-	d.bind(CmdStats, func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		s := d.Stats()
-		return cmdlang.OK().
-			SetInt("connections", s.Connections).
-			SetInt("ok", s.CommandsOK).
-			SetInt("fail", s.CommandsFail).
-			SetInt("denied", s.Denied).
-			SetInt("notifications", s.Notifications).
-			SetInt("data", s.DataPackets), nil
 	})
 	d.bind(CmdAddNotification, func(_ *Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		d.notify.add(c.Str("cmd", ""), notifyTarget{

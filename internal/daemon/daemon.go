@@ -159,9 +159,6 @@ type Config struct {
 	// Transport supplies TLS identity; nil means plaintext (tests and
 	// the E12 experiment only).
 	Transport *wire.Transport
-	// Registry declares the service's command semantics. The shell
-	// adds the built-in commands. Nil creates an empty registry.
-	Registry *cmdlang.Registry
 	// ASDAddr is the well-known socket of the ACE Service Directory;
 	// empty disables registration (the ASD itself does this).
 	ASDAddr string
@@ -204,19 +201,9 @@ type Config struct {
 	// headroom above the data-plane limit and bypass fair-share
 	// accounting.
 	// The lease/heartbeat protocol verbs (register, renew, unregister,
-	// ping, telemetry, stats) are always control-plane; a pstore node
+	// ping, telemetry) are always control-plane; a pstore node
 	// adds its anti-entropy verbs here.
 	ControlVerbs []string
-}
-
-// Stats are the daemon's execution counters.
-type Stats struct {
-	Connections   int64
-	CommandsOK    int64
-	CommandsFail  int64
-	Denied        int64
-	Notifications int64
-	DataPackets   int64
 }
 
 // handlerEntry is the single record of one verb. Handle and bind
@@ -271,19 +258,16 @@ type Daemon struct {
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
 
-	nConns  atomic.Int64
-	nOK     atomic.Int64
-	nFail   atomic.Int64
-	nDenied atomic.Int64
-	nNotify atomic.Int64
-	nData   atomic.Int64
-
 	tel         *telemetry.Registry
 	traces      *telemetry.TraceBuffer
 	wireMetrics *wire.Metrics
 	// dispatchOther times commands without a registered handler;
 	// per-verb histograms live on each handlerEntry.
 	dispatchOther *telemetry.Histogram
+	commandsOK    *telemetry.Counter
+	commandsFail  *telemetry.Counter
+	denied        *telemetry.Counter
+	dataPackets   *telemetry.Counter
 	notifySent    *telemetry.Counter
 	notifyErrs    *telemetry.Counter
 	deregErrs     *telemetry.Counter
@@ -300,6 +284,16 @@ const (
 	MetricNotifyErrors   = "daemon.notify.errors"
 	MetricDeregErrors    = "daemon.stop.dereg_errors"
 	MetricConnsActive    = "daemon.conns.active"
+	// MetricCommandsOK counts executed commands answered ok.
+	MetricCommandsOK = "daemon.commands.ok"
+	// MetricCommandsFail counts executed commands answered otherwise
+	// (unknown verb, bad argument, denied, handler error); a request
+	// shed at admission is not executed, flow.shed.* counts it.
+	MetricCommandsFail = "daemon.commands.fail"
+	// MetricDenied counts commands the authorizer refused (§3.2).
+	MetricDenied = "daemon.commands.denied"
+	// MetricDataPackets counts datagrams received on the data channel.
+	MetricDataPackets = "daemon.data.packets"
 )
 
 // New constructs a daemon from cfg and installs the built-in command
@@ -321,10 +315,6 @@ func New(cfg Config) *Daemon {
 	if cfg.Listen == "" {
 		cfg.Listen = "127.0.0.1:0"
 	}
-	reg := cmdlang.NewRegistry()
-	if cfg.Registry != nil {
-		reg.Merge(cfg.Registry)
-	}
 	tel := cfg.Telemetry
 	if tel == nil {
 		tel = telemetry.NewRegistry()
@@ -341,7 +331,7 @@ func New(cfg Config) *Daemon {
 	pc.Telemetry = tel
 	d := &Daemon{
 		cfg:           cfg,
-		registry:      reg,
+		registry:      cmdlang.NewRegistry(),
 		handlers:      make(map[string]*handlerEntry),
 		notifySem:     make(chan struct{}, notifySlots),
 		done:          make(chan struct{}),
@@ -351,6 +341,10 @@ func New(cfg Config) *Daemon {
 		traces:        traces,
 		wireMetrics:   wm,
 		dispatchOther: tel.Histogram(MetricDispatchOther),
+		commandsOK:    tel.Counter(MetricCommandsOK),
+		commandsFail:  tel.Counter(MetricCommandsFail),
+		denied:        tel.Counter(MetricDenied),
+		dataPackets:   tel.Counter(MetricDataPackets),
 		notifySent:    tel.Counter(MetricNotifySent),
 		notifyErrs:    tel.Counter(MetricNotifyErrors),
 		deregErrs:     tel.Counter(MetricDeregErrors),
@@ -416,9 +410,6 @@ func (d *Daemon) Name() string { return d.cfg.Name }
 // Class returns the hierarchy class.
 func (d *Daemon) Class() string { return d.cfg.Class }
 
-// Room returns the configured room.
-func (d *Daemon) Room() string { return d.cfg.Room }
-
 // Registry exposes the daemon's command semantics (read-only after
 // Start).
 func (d *Daemon) Registry() *cmdlang.Registry { return d.registry }
@@ -452,18 +443,6 @@ func (d *Daemon) DataAddr() string {
 	return d.udp.LocalAddr().String()
 }
 
-// Stats snapshots the execution counters.
-func (d *Daemon) Stats() Stats {
-	return Stats{
-		Connections:   d.nConns.Load(),
-		CommandsOK:    d.nOK.Load(),
-		CommandsFail:  d.nFail.Load(),
-		Denied:        d.nDenied.Load(),
-		Notifications: d.nNotify.Load(),
-		DataPackets:   d.nData.Load(),
-	}
-}
-
 // Start brings the daemon online: it opens the command and data
 // sockets, starts the data thread and the accept loop, runs the Fig 9
 // startup sequence, and begins lease renewal. Start returns once the
@@ -485,7 +464,7 @@ func (d *Daemon) Start() error {
 	}
 	// The lease/heartbeat protocol is always control-plane: these verbs
 	// must survive overload or the directory forgets live services.
-	for _, name := range append([]string{CmdRegister, CmdRenew, CmdUnregister, CmdPing, CmdStats, CmdTelemetry}, d.cfg.ControlVerbs...) {
+	for _, name := range append([]string{CmdRegister, CmdRenew, CmdUnregister, CmdPing, CmdTelemetry}, d.cfg.ControlVerbs...) {
 		if e := d.handlers[name]; e != nil {
 			e.control = true
 		}
@@ -695,7 +674,6 @@ func (d *Daemon) acceptLoop() {
 			raw.Close()
 			continue
 		}
-		d.nConns.Add(1)
 		var conn net.Conn = raw
 		if tlsCfg != nil {
 			conn = tls.Server(raw, tlsCfg)
@@ -880,7 +858,7 @@ func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
 	// always permitted; everything else consults the authorizer.
 	if d.cfg.Authorizer != nil && !e.builtin {
 		if err := d.cfg.Authorizer.Authorize(inv.Principal, cmd); err != nil {
-			d.nDenied.Add(1)
+			d.denied.Inc()
 			return cmdlang.Fail(cmdlang.CodeDenied, err.Error())
 		}
 	}
@@ -929,9 +907,9 @@ func (inv *invocation) complete(reply *cmdlang.CmdLine) *cmdlang.CmdLine {
 		})
 	}
 	if ok {
-		d.nOK.Add(1)
+		d.commandsOK.Inc()
 	} else {
-		d.nFail.Add(1)
+		d.commandsFail.Inc()
 	}
 	inv.respond(reply)
 	if ok {
@@ -978,7 +956,7 @@ func (d *Daemon) dataThread() {
 		if err != nil {
 			return
 		}
-		d.nData.Add(1)
+		d.dataPackets.Inc()
 		if d.cfg.DataHandler != nil {
 			pkt := make([]byte, n)
 			copy(pkt, buf[:n])

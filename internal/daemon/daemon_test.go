@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ace/internal/cmdlang"
+	"ace/internal/telemetry"
 	"ace/internal/wire"
 )
 
@@ -124,7 +125,7 @@ func TestHandlerErrorBecomesFail(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err=%v", err)
 	}
-	if got := d.Stats().CommandsFail; got == 0 {
+	if got := d.Telemetry().Counter(MetricCommandsFail).Value(); got == 0 {
 		t.Fatal("fail counter not incremented")
 	}
 }
@@ -209,8 +210,8 @@ func TestAuthorizerGate(t *testing.T) {
 	if !cmdlang.IsRemoteCode(err, cmdlang.CodeDenied) {
 		t.Fatalf("err=%v", err)
 	}
-	if d.Stats().Denied != 1 {
-		t.Fatalf("denied counter=%d", d.Stats().Denied)
+	if n := d.Telemetry().Counter(MetricDenied).Value(); n != 1 {
+		t.Fatalf("denied counter=%d", n)
 	}
 }
 
@@ -368,7 +369,7 @@ func TestNotificationFanout(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := source.Stats().Notifications; got != n {
+	if got := source.Telemetry().Counter(MetricNotifySent).Value(); got != n {
 		t.Fatalf("notification counter=%d want %d", got, n)
 	}
 }
@@ -435,8 +436,8 @@ func TestDataThread(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("datagram not delivered")
 	}
-	if recv.Stats().DataPackets != 1 {
-		t.Fatalf("data counter=%d", recv.Stats().DataPackets)
+	if n := recv.Telemetry().Counter(MetricDataPackets).Value(); n != 1 {
+		t.Fatalf("data counter=%d", n)
 	}
 }
 
@@ -461,11 +462,15 @@ func TestStatsCounters(t *testing.T) {
 		}
 	}
 	c.Call(cmdlang.New("junkcmd")) //nolint:errcheck
-	reply, err := c.Call(cmdlang.New(CmdStats))
+	reply, err := c.Call(cmdlang.New(CmdTelemetry).SetWord("op", "metrics"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reply.Int("ok", 0) < 5 || reply.Int("fail", 0) != 1 {
-		t.Fatalf("stats=%v", reply)
+	snap, err := telemetry.DecodeSnapshot(reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counter(MetricCommandsOK) < 5 || snap.Counter(MetricCommandsFail) != 1 {
+		t.Fatalf("metrics=%v", reply)
 	}
 }

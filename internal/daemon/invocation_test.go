@@ -13,12 +13,26 @@ import (
 // complete; the three routes into complete must leave the same.
 type completion struct {
 	reply     string
-	stats     Stats
+	counts    outcomeCounts
 	dispatchN int64
 	spans     int
 	spanName  string
 	spanOK    bool
 	detail    string
+}
+
+// outcomeCounts is a daemon's command-outcome counters, read from its
+// telemetry registry.
+type outcomeCounts struct{ ok, fail, denied, notified int64 }
+
+func outcomesOf(d *Daemon) outcomeCounts {
+	s := d.Telemetry().Snapshot()
+	return outcomeCounts{
+		ok:       s.Counter(MetricCommandsOK),
+		fail:     s.Counter(MetricCommandsFail),
+		denied:   s.Counter(MetricDenied),
+		notified: s.Counter(MetricNotifySent),
+	}
 }
 
 // TestCompletionRoutesAgree drives one verb through the three routes
@@ -67,7 +81,7 @@ func TestCompletionRoutesAgree(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		before := worker.Stats()
+		before := outcomesOf(worker)
 		root := telemetry.NewTrace()
 		cmd := cmdlang.New("work").SetInt("n", 7)
 		var reply *cmdlang.CmdLine
@@ -88,12 +102,12 @@ func TestCompletionRoutesAgree(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: notification not delivered", r.name)
 		}
-		after := worker.Stats()
-		c.stats = Stats{
-			CommandsOK:    after.CommandsOK - before.CommandsOK,
-			CommandsFail:  after.CommandsFail - before.CommandsFail,
-			Denied:        after.Denied - before.Denied,
-			Notifications: after.Notifications - before.Notifications,
+		after := outcomesOf(worker)
+		c.counts = outcomeCounts{
+			ok:       after.ok - before.ok,
+			fail:     after.fail - before.fail,
+			denied:   after.denied - before.denied,
+			notified: after.notified - before.notified,
 		}
 		c.dispatchN = worker.Telemetry().Histogram(MetricDispatchPrefix + "work").Count()
 		spans := worker.Traces().Trace(root.TraceID)
@@ -106,7 +120,7 @@ func TestCompletionRoutesAgree(t *testing.T) {
 
 	want := completion{
 		reply:     "ok twice=14;",
-		stats:     Stats{CommandsOK: 1, Notifications: 1},
+		counts:    outcomeCounts{ok: 1, notified: 1},
 		dispatchN: 1,
 		spans:     1,
 		spanName:  "work",
@@ -226,7 +240,7 @@ func TestFinishAfterStopSpawnsNoDelivery(t *testing.T) {
 	}()
 	worker.Stop()
 	<-finished
-	if n := worker.Stats().Notifications; n != 0 {
+	if n := outcomesOf(worker).notified; n != 0 {
 		t.Fatalf("a stopped daemon spawned %d notification deliveries", n)
 	}
 	if n := worker.Telemetry().Snapshot().Counter(MetricNotifyErrors); n != 1 {

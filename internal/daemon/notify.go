@@ -134,7 +134,6 @@ func (d *Daemon) dispatchNotifications(ctx *Ctx, cmd *cmdlang.CmdLine) {
 			d.wg.Done()
 			continue
 		}
-		d.nNotify.Add(1)
 		d.notifySent.Inc()
 		go func() {
 			defer func() {

@@ -172,13 +172,6 @@ type Controller struct {
 	conns        int
 	closed       bool
 
-	// lifetime counters (Snapshot reads these; telemetry mirrors them
-	// so they are observable remotely even though the registry may be
-	// nil).
-	nAdmitted [2]int64
-	nShed     [2]int64
-	nConnShed int64
-
 	mAdmitted  [2]*telemetry.Counter
 	mShed      [2]*telemetry.Counter
 	mQueueWait [2]*telemetry.Histogram
@@ -189,9 +182,13 @@ type Controller struct {
 }
 
 // NewController builds a controller from cfg, recording into reg
-// (nil disables telemetry but not the controller).
+// (nil: a private registry). Snapshot's lifetime counts are read back
+// from reg.
 func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 	cfg = cfg.withDefaults()
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	c := &Controller{
 		cfg:          cfg,
 		now:          cfg.Clock,
@@ -336,7 +333,6 @@ func (c *Controller) takeSlotLocked(pri Priority, principal string, dequeued int
 	if pri == Data {
 		c.bookLocked(principal, 1, -dequeued)
 	}
-	c.nAdmitted[pri]++
 	c.mAdmitted[pri].Inc()
 }
 
@@ -371,7 +367,6 @@ func (c *Controller) rejectLocked(w *waiter, reason string) {
 // takes to become visible. A precise estimate is not worth the
 // bookkeeping; the pool's jittered backoff spreads retries anyway.
 func (c *Controller) shedLocked(pri Priority, reason string) *RejectedError {
-	c.nShed[pri]++
 	c.mShed[pri].Inc()
 	return &RejectedError{Reason: reason, RetryAfter: targetLatency}
 }
@@ -463,7 +458,6 @@ func (c *Controller) fillOneLocked(w *waiter, now time.Time) *waiter {
 func (c *Controller) AdmitConn() bool {
 	c.mu.Lock()
 	if c.closed || c.conns >= c.cfg.MaxConns {
-		c.nConnShed++
 		c.mConnsShed.Inc()
 		c.mu.Unlock()
 		return false
@@ -521,7 +515,7 @@ type Snapshot struct {
 	// data-plane slots.
 	Principals int
 	// AdmittedControl/AdmittedData/ShedControl/ShedData/ConnsShed are
-	// lifetime counters.
+	// the lifetime flow.* counters of the controller's registry.
 	AdmittedControl int64
 	AdmittedData    int64
 	ShedControl     int64
@@ -540,10 +534,10 @@ func (c *Controller) Snapshot() Snapshot {
 		QueueDepth:      c.controlQ.len() + c.dataQ.len(),
 		Conns:           c.conns,
 		Principals:      len(c.perPrincipal),
-		AdmittedControl: c.nAdmitted[Control],
-		AdmittedData:    c.nAdmitted[Data],
-		ShedControl:     c.nShed[Control],
-		ShedData:        c.nShed[Data],
-		ConnsShed:       c.nConnShed,
+		AdmittedControl: c.mAdmitted[Control].Value(),
+		AdmittedData:    c.mAdmitted[Data].Value(),
+		ShedControl:     c.mShed[Control].Value(),
+		ShedData:        c.mShed[Data].Value(),
+		ConnsShed:       c.mConnsShed.Value(),
 	}
 }

@@ -311,8 +311,8 @@ func TestDistributionFanout(t *testing.T) {
 	}
 	waitFrames(t, sinkA, 25)
 	waitFrames(t, sinkB, 25)
-	if dist.Forwarded() != 25 {
-		t.Fatalf("forwarded=%d", dist.Forwarded())
+	if n := dist.Telemetry().Snapshot().Counter(MetricForwarded); n != 25 {
+		t.Fatalf("forwarded=%d", n)
 	}
 	// The tone arrives intact.
 	rec := sinkA.Recorded()

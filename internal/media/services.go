@@ -8,6 +8,7 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hier"
+	"ace/internal/telemetry"
 )
 
 // Hierarchy classes for the media daemons.
@@ -16,6 +17,14 @@ const (
 	ClassDistribution = hier.Root + ".Media.Distribution"
 	ClassCapture      = hier.Root + ".Media.AudioCapture"
 	ClassSink         = hier.Root + ".Media.AudioSink"
+)
+
+// Metric names recorded by the distribution daemon.
+const (
+	// MetricForwarded counts packets the distributor fanned out.
+	MetricForwarded = "media.distribution.forwarded"
+	// MetricDropped counts forwards to one sink that failed to send.
+	MetricDropped = "media.distribution.dropped"
 )
 
 // Converter formats. The paper's example converts raw video to MPEG;
@@ -150,8 +159,8 @@ type Distribution struct {
 	mu    sync.Mutex
 	sinks map[string]bool // data-channel addresses
 
-	forwarded int64
-	dropped   int64
+	forwarded *telemetry.Counter
+	dropped   *telemetry.Counter
 }
 
 // NewDistribution constructs the distribution daemon.
@@ -165,6 +174,8 @@ func NewDistribution(dcfg daemon.Config) *Distribution {
 	}
 	dcfg.DataHandler = d.onData
 	d.Daemon = daemon.New(dcfg)
+	d.forwarded = d.Telemetry().Counter(MetricForwarded)
+	d.dropped = d.Telemetry().Counter(MetricDropped)
 	d.install()
 	return d
 }
@@ -175,15 +186,13 @@ func (d *Distribution) onData(pkt []byte, _ net.Addr) {
 	for s := range d.sinks {
 		sinks = append(sinks, s)
 	}
-	d.forwarded++
 	d.mu.Unlock()
+	d.forwarded.Inc()
 	// Datagram semantics: a failed forward never stalls the stream,
 	// but drops are counted so sinks that fall off are visible.
 	for _, s := range sinks {
 		if err := d.SendData(s, pkt); err != nil {
-			d.mu.Lock()
-			d.dropped++
-			d.mu.Unlock()
+			d.dropped.Inc()
 		}
 	}
 }
@@ -193,20 +202,6 @@ func (d *Distribution) AddSink(addr string) {
 	d.mu.Lock()
 	d.sinks[addr] = true
 	d.mu.Unlock()
-}
-
-// Dropped returns the number of forwards that failed to send.
-func (d *Distribution) Dropped() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dropped
-}
-
-// Forwarded returns the number of packets fanned out.
-func (d *Distribution) Forwarded() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.forwarded
 }
 
 func (d *Distribution) install() {

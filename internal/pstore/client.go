@@ -1055,18 +1055,19 @@ type Cluster struct {
 // StartCluster starts n nodes (n=3 reproduces Fig 17), wires them as
 // peers, and returns the cluster. dir enables per-node WALs when
 // non-empty; syncInterval drives anti-entropy.
-func StartCluster(n int, dir string, syncInterval int64) (*Cluster, error) {
+func StartCluster(n int, dir string, syncInterval time.Duration) (*Cluster, error) {
 	return StartClusterT(n, dir, syncInterval, nil)
 }
 
 // StartClusterT is StartCluster with a transport factory so the store
 // can run inside a TLS environment; transportFor may be nil for
 // plaintext.
-func StartClusterT(n int, dir string, syncInterval int64, transportFor func(name string) (*wire.Transport, error)) (*Cluster, error) {
+func StartClusterT(n int, dir string, syncInterval time.Duration, transportFor func(name string) (*wire.Transport, error)) (*Cluster, error) {
 	c := &Cluster{}
 	for i := 0; i < n; i++ {
 		cfg := Config{
-			Daemon: daemon.Config{Name: fmt.Sprintf("pstore%d", i+1)},
+			Daemon:       daemon.Config{Name: fmt.Sprintf("pstore%d", i+1)},
+			SyncInterval: syncInterval,
 		}
 		if transportFor != nil {
 			t, err := transportFor(cfg.Daemon.Name)

@@ -446,8 +446,9 @@ func TestNegativeConflictVersionIsAFailedLeg(t *testing.T) {
 }
 
 // TestNodeRejectsNegativeVersions: the store node itself refuses
-// negative versions on psput/psdel, and anti-entropy refuses to pull
-// from a peer advertising them.
+// negative versions on psput/psdel, and anti-entropy and a rebalance's
+// digest read refuse a peer advertising them, or a digest whose
+// vectors differ in length.
 func TestNodeRejectsNegativeVersions(t *testing.T) {
 	cluster, _ := startCluster(t, 1, "")
 	addr := cluster.Nodes[0].Addr()
@@ -464,20 +465,30 @@ func TestNodeRejectsNegativeVersions(t *testing.T) {
 	}
 
 	// A peer whose digest advertises a negative version aborts the
-	// sync pull instead of propagating the poison.
-	rogue := daemon.New(daemon.Config{Name: "negative_peer"})
-	rogue.Handle(cmdlang.CommandSpec{Name: "psdigest", AllowExtra: true},
-		func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-			return cmdlang.OK().
-				Set("paths", cmdlang.StringVector("/neg/p")).
-				Set("versions", cmdlang.IntVector(-3)), nil
-		})
-	if err := rogue.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rogue.Stop)
-	if _, err := cluster.Nodes[0].SyncWith(rogue.Addr()); err == nil {
-		t.Fatal("SyncWith accepted a negative digest version")
+	// sync pull instead of propagating the poison; so does one whose
+	// digest is malformed.
+	co := NewCoordinator(pool, "")
+	for name, versions := range map[string]cmdlang.Value{
+		"negative": cmdlang.IntVector(-3),
+		"short":    cmdlang.IntVector(),
+	} {
+		rogue := daemon.New(daemon.Config{Name: name + "_peer"})
+		rogue.Handle(cmdlang.CommandSpec{Name: "psdigest", AllowExtra: true},
+			func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+				return cmdlang.OK().
+					Set("paths", cmdlang.StringVector("/neg/p")).
+					Set("versions", versions), nil
+			})
+		if err := rogue.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rogue.Stop)
+		if _, err := cluster.Nodes[0].SyncWith(rogue.Addr()); err == nil {
+			t.Fatalf("SyncWith accepted a %s digest", name)
+		}
+		if _, err := co.digest(context.Background(), rogue.Addr(), 0, 1); err == nil {
+			t.Fatalf("the coordinator accepted a %s digest", name)
+		}
 	}
 }
 

@@ -90,9 +90,6 @@ type Node struct {
 	transferSem chan struct{}
 	transferWG  sync.WaitGroup
 
-	accepted int64 // writes applied (local or via sync)
-	synced   int64 // items pulled by anti-entropy
-
 	mSyncRounds    *telemetry.Counter
 	mSyncPulled    *telemetry.Counter
 	mWrites        *telemetry.Counter
@@ -256,7 +253,6 @@ func (n *Node) applyMemLocked(it Item) bool {
 		return false
 	}
 	n.items[it.Path] = it
-	n.accepted++
 	n.mWrites.Inc()
 	return true
 }
@@ -410,13 +406,6 @@ func (n *Node) Len() int {
 	return c
 }
 
-// Counters returns lifetime accepted-write and synced-item counts.
-func (n *Node) Counters() (accepted, synced int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.accepted, n.synced
-}
-
 // SyncWith pulls every item the peer holds at a newer version than
 // this node (one direction of Fig 17's constant data
 // synchronization). It returns the number of items pulled.
@@ -435,18 +424,9 @@ const syncBatch = 64
 // instead of paying one per item.
 func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partitions int) (int, error) {
 	n.mSyncRounds.Inc()
-	dig := cmdlang.New("psdigest")
-	if partition >= 0 {
-		dig.SetInt("partition", int64(partition)).SetInt("partitions", int64(partitions))
-	}
-	reply, err := n.Pool().CallContext(ctx, peerAddr, dig)
+	paths, versions, err := fetchDigest(ctx, n.Pool(), peerAddr, partition, partitions)
 	if err != nil {
 		return 0, err
-	}
-	paths := reply.Strings("paths")
-	versions := reply.Vector("versions")
-	if len(paths) != len(versions) {
-		return 0, fmt.Errorf("pstore: malformed digest from %s", peerAddr)
 	}
 	pulled := 0
 	batch := make([]Item, 0, syncBatch)
@@ -464,9 +444,6 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		if applied > 0 {
 			pulled += applied
 			n.mSyncPulled.Add(int64(applied))
-			n.mu.Lock()
-			n.synced += int64(applied)
-			n.mu.Unlock()
 		}
 		return nil
 	}
@@ -479,16 +456,10 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		return pulled, err
 	}
 	for i, p := range paths {
-		v, _ := versions[i].AsInt()
-		if v < 0 {
-			// A negative digest version would wrap to ~1.8e19 and make
-			// this node pull (and re-advertise) a poisoned item.
-			return abort(fmt.Errorf("pstore: corrupt digest from %s: negative version %d at %s", peerAddr, v, p))
-		}
 		n.mu.Lock()
 		cur, exists := n.items[p]
 		n.mu.Unlock()
-		if exists && cur.Version >= uint64(v) {
+		if exists && cur.Version >= versions[i] {
 			continue
 		}
 		itemReply, err := n.Pool().CallContext(ctx, peerAddr, cmdlang.New("psfetch").SetString("path", p))
@@ -521,6 +492,36 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 		return pulled, ferr
 	}
 	return pulled, nil
+}
+
+// fetchDigest asks addr for its path→version digest (partition < 0:
+// everything; otherwise one partition of partitions). It refuses a
+// reply whose two vectors differ in length, and one advertising a
+// negative version: that would wrap to ~1.8e19 and make the puller
+// pull (and re-advertise) a poisoned item.
+func fetchDigest(ctx context.Context, pool *daemon.Pool, addr string, partition, partitions int) ([]string, []uint64, error) {
+	dig := cmdlang.New("psdigest")
+	if partition >= 0 {
+		dig.SetInt("partition", int64(partition)).SetInt("partitions", int64(partitions))
+	}
+	reply, err := pool.CallContext(ctx, addr, dig)
+	if err != nil {
+		return nil, nil, err
+	}
+	paths := reply.Strings("paths")
+	raw := reply.Vector("versions")
+	if len(paths) != len(raw) {
+		return nil, nil, fmt.Errorf("pstore: malformed digest from %s", addr)
+	}
+	versions := make([]uint64, len(raw))
+	for i, p := range paths {
+		v, _ := raw[i].AsInt()
+		if v < 0 {
+			return nil, nil, fmt.Errorf("pstore: corrupt digest from %s: negative version %d at %s", addr, v, p)
+		}
+		versions[i] = uint64(v)
+	}
+	return paths, versions, nil
 }
 
 // applyDurableBatch installs items in memory and logs the applied

@@ -101,9 +101,6 @@ func (c *Cache) GetContext(ctx context.Context) (*Map, error) {
 	return fetched, nil
 }
 
-// Refresh unconditionally refetches the map from the ASD.
-func (c *Cache) Refresh(ctx context.Context) (*Map, error) { return c.fetch(ctx) }
-
 func (c *Cache) fetch(ctx context.Context) (*Map, error) {
 	if c.pool == nil {
 		// Static cache: nothing to fetch; clear staleness and serve.

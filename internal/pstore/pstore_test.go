@@ -189,6 +189,36 @@ func TestSurvivesTwoCrashesForReads(t *testing.T) {
 	}
 }
 
+// TestClusterSyncIntervalRunsAntiEntropy: a cluster started with a
+// sync interval runs Fig 17's constant synchronization on its own — a
+// write sent to one node alone reaches the other two with no
+// SyncRound call.
+func TestClusterSyncIntervalRunsAntiEntropy(t *testing.T) {
+	cluster, err := StartCluster(3, "", 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
+	put := cmdlang.New("psput").SetString("path", "/ae/one").SetBytes("value", []byte("v")).SetInt("version", 7)
+	if _, err := pool.Call(cluster.Nodes[0].Addr(), put); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for _, n := range cluster.Nodes[1:] {
+		for {
+			if it, ok := n.get("/ae/one"); ok && it.Version == 7 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s does not hold the write after 1 s of anti-entropy", n.Name())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
 func TestAntiEntropyHealsLaggingReplica(t *testing.T) {
 	cluster, client := startCluster(t, 3, "")
 	// Node 2 is down during a burst of writes.

@@ -285,24 +285,13 @@ func (co *Coordinator) transfer(ctx context.Context, m *placement.Map, mv placem
 
 // digest fetches addr's partition-scoped digest as path→version.
 func (co *Coordinator) digest(ctx context.Context, addr string, partition, partitions int) (map[string]uint64, error) {
-	reply, err := co.pool.CallContext(ctx, addr, cmdlang.New("psdigest").
-		SetInt("partition", int64(partition)).
-		SetInt("partitions", int64(partitions)))
+	paths, versions, err := fetchDigest(ctx, co.pool, addr, partition, partitions)
 	if err != nil {
 		return nil, err
 	}
-	paths := reply.Strings("paths")
-	versions := reply.Vector("versions")
-	if len(paths) != len(versions) {
-		return nil, fmt.Errorf("pstore: malformed digest from %s", addr)
-	}
 	out := make(map[string]uint64, len(paths))
 	for i, p := range paths {
-		v, _ := versions[i].AsInt()
-		if v < 0 {
-			return nil, fmt.Errorf("pstore: corrupt digest from %s: negative version %d at %s", addr, v, p)
-		}
-		out[p] = uint64(v)
+		out[p] = versions[i]
 	}
 	return out, nil
 }

@@ -388,9 +388,10 @@ func (e *Engine) Append(rec Record) error {
 // next batch only after done returns — done must be fast and must not
 // block on the engine; ShouldSnapshot is safe). If the log is already
 // closed, done fires immediately with ErrClosed on the caller's
-// goroutine. This is the write path for callers that hold a scarce
-// thread: enqueue, release the thread, ack when durable — it is what
-// lets concurrent writers actually pile up behind one fsync.
+// goroutine, which also answers any append still queued at the close.
+// This is the write path for callers that hold a scarce thread:
+// enqueue, release the thread, ack when durable — it is what lets
+// concurrent writers actually pile up behind one fsync.
 func (e *Engine) AppendAsync(rec Record, done func(error)) {
 	if !e.w.appendAsync(rec, done) {
 		done(ErrClosed)

@@ -1,6 +1,7 @@
 package storage_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -126,6 +127,43 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 	last := recs2[len(recs2)-1]
 	if !last.Deleted || last.Version != 100 {
 		t.Fatalf("last replayed record = %+v, want the tombstone", last)
+	}
+}
+
+// TestAppendAfterCloseIsAnswered: once the engine is closed or
+// crashed, every append is answered ErrClosed. None may sit queued
+// behind a commit loop that has exited, where its done never fires and
+// AppendBatch waits forever.
+func TestAppendAfterCloseIsAnswered(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(*storage.Engine)
+	}{
+		{"Close", func(e *storage.Engine) { _ = e.Close() }},
+		{"Crash", (*storage.Engine).Crash},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, _, _ := mustOpen(t, chaos.NewDiskFS(), storage.Options{})
+			appendN(t, eng, 0, 1)
+			tc.stop(eng)
+			const n = 100
+			answers := make(chan error, n+1)
+			for i := 0; i < n; i++ {
+				eng.AppendAsync(rec(i), func(err error) { answers <- err })
+			}
+			go func() { answers <- eng.AppendBatch([]storage.Record{rec(n), rec(n + 1)}) }()
+			timeout := time.After(2 * time.Second)
+			for i := 0; i <= n; i++ {
+				select {
+				case err := <-answers:
+					if !errors.Is(err, storage.ErrClosed) {
+						t.Fatalf("append after %s answered %v, want ErrClosed", tc.name, err)
+					}
+				case <-timeout:
+					t.Fatalf("%d of %d appends after %s never answered", n+1-i, n+1, tc.name)
+				}
+			}
+		})
 	}
 }
 

@@ -158,7 +158,28 @@ func (w *wal) appendAsync(rec Record, done func(error)) bool {
 		cinc(w.met.AppendErrors)
 		return false
 	}
+	// Once the log is closed both cases above are ready, so the send
+	// may have won after the commit loop's last drain: then nothing
+	// else answers what is queued, and this caller does.
+	select {
+	case <-w.stop:
+		w.refuseQueued()
+	default:
+	}
 	return true
+}
+
+// refuseQueued answers every queued append ErrClosed.
+func (w *wal) refuseQueued() {
+	for {
+		select {
+		case r := <-w.reqs:
+			cinc(w.met.AppendErrors)
+			r.done(ErrClosed)
+		default:
+			return
+		}
+	}
 }
 
 // run is the single commit goroutine: it writes and fsyncs a batch,
@@ -176,15 +197,8 @@ func (w *wal) run() {
 			}
 			clear(batch)
 		case <-w.stop:
-			for {
-				select {
-				case r := <-w.reqs:
-					cinc(w.met.AppendErrors)
-					r.done(ErrClosed)
-				default:
-					return
-				}
-			}
+			w.refuseQueued()
+			return
 		}
 	}
 }

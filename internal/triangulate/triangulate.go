@@ -52,9 +52,6 @@ func NewArray(mics ...Mic) (*Array, error) {
 	return &Array{mics: append([]Mic(nil), mics...)}, nil
 }
 
-// Mics returns the array's microphones.
-func (a *Array) Mics() []Mic { return append([]Mic(nil), a.mics...) }
-
 func (a *Array) pos(name string) (roomdb.Point, bool) {
 	for _, m := range a.mics {
 		if m.Name == name {

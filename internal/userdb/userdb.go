@@ -146,13 +146,6 @@ func (db *DB) Usernames() []string {
 	return out
 }
 
-// Len returns the number of registered users.
-func (db *DB) Len() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return len(db.users)
-}
-
 // Fingerprints returns the username → enrolled-template table loaded
 // by the FIU service at startup (§4.8).
 func (db *DB) Fingerprints() map[string]string {

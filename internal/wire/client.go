@@ -475,13 +475,3 @@ func (c *Client) Close() error {
 	c.fail(ErrClosed)
 	return nil
 }
-
-// Err returns the terminal error of the connection, if any.
-func (c *Client) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err == ErrClosed {
-		return nil
-	}
-	return c.err
-}
