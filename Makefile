@@ -136,10 +136,11 @@ profile-call:
 	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/call.test .bench_build/call.mem.prof
 
 # Where a store operation's time and allocations go: BenchmarkStoreOp,
-# one client's quorum PUT and GET against three durable nodes in one
-# process whose filesystem answers a flush at once, as the benchmark's
-# store workloads run them, under the CPU and the allocation profiler,
-# and the top of each. The test binary and both profiles stay under
+# one client's quorum PUT and GET, and its bounded GET served by one
+# lease holder, against three durable nodes in one process whose
+# filesystem answers a flush at once, as the benchmark's store
+# workloads run them, under the CPU and the allocation profiler, and
+# the top of each. The test binary and both profiles stay under
 # .bench_build/ for `go tool pprof -list`.
 profile-store:
 	mkdir -p .bench_build

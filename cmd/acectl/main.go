@@ -300,11 +300,14 @@ func printPlacementStats(snap *telemetry.Snapshot) {
 // replica pass-overs (each one had reads take a stalled, failing or
 // state-losing replica last for a breaker cool-down — the client
 // avoiding a replica), and the bounded read spectrum — hits vs quorum
-// fallbacks and staleness violations. Violations must stay zero; every
-// one was discarded (never served), so a nonzero count means a
-// lease-holding replica answered below the version a quorum proved it
-// held — lost state, a wiped disk, a split-brain replica. Daemons
-// without these metrics print nothing here.
+// fallbacks, the fallbacks by cause (no lease for the path, a lease
+// older than the bound, no holder among the client's replicas, the
+// holder's leg failed, the holder held no value, the lease expired in
+// flight, and violations, which complete the sum). Violations must
+// stay zero; every one was discarded (never served), so a nonzero
+// count means a lease-holding replica answered below the version a
+// quorum proved it held — lost state, a wiped disk, a split-brain
+// replica. Daemons without these metrics print nothing here.
 func printConsistencySummary(snap *telemetry.Snapshot) {
 	clamps := snap.Counter(hlc.MetricSkewClamps)
 	overflows := snap.Counter(hlc.MetricOverflows)
@@ -320,8 +323,11 @@ func printConsistencySummary(snap *telemetry.Snapshot) {
 	hits := snap.Counter(pstore.MetricBoundedHits)
 	falls := snap.Counter(pstore.MetricBoundedFallbacks)
 	if hits != 0 || falls != 0 {
-		fmt.Printf("  bounded    hits=%d fallbacks=%d violations=%d\n",
-			hits, falls, snap.Counter(staleness.MetricViolations))
+		fmt.Printf("  bounded    hits=%d fallbacks=%d no_lease=%d aged=%d unserved=%d leg_failed=%d no_value=%d expired=%d violations=%d\n",
+			hits, falls, snap.Counter(pstore.MetricFallbackNoLease), snap.Counter(pstore.MetricFallbackAged),
+			snap.Counter(pstore.MetricFallbackUnserved), snap.Counter(pstore.MetricFallbackLegFailed),
+			snap.Counter(pstore.MetricFallbackNoValue), snap.Counter(pstore.MetricFallbackExpired),
+			snap.Counter(staleness.MetricViolations))
 	}
 }
 

@@ -37,8 +37,8 @@ func TestKillAndRestartDurableReplica(t *testing.T) {
 				FS: fs,
 				// Small segments so the storm exercises rotation and
 				// the async snapshot/truncate cycle, not just appends.
-				SegmentBytes:  2048,
-				SnapshotBytes: 8192,
+				SegmentBytes:  1024,
+				SnapshotBytes: 2048,
 			},
 		})
 		if err != nil {

@@ -156,7 +156,7 @@ func TestChaosGroupKillMidRebalance(t *testing.T) {
 			Daemon:  daemon.Config{Name: m.name},
 			Group:   group,
 			Dir:     "/data",
-			Storage: storage.Options{FS: m.disk, SegmentBytes: 4096, SnapshotBytes: 16384},
+			Storage: storage.Options{FS: m.disk, SegmentBytes: 1024, SnapshotBytes: 2048}, // every node compacts in the drill
 		})
 		if err != nil {
 			t.Fatalf("NewNode %s: %v", m.name, err)

@@ -7,6 +7,7 @@ import (
 
 	"ace/internal/cmdlang"
 	"ace/internal/pstore/staleness"
+	"ace/internal/telemetry"
 )
 
 // The store's reads are three methods, one per point on the
@@ -60,57 +61,69 @@ func (c *Client) Leases() *staleness.Leases { return c.leases }
 // when it is proven.
 func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
-	fallback := func() ([]byte, uint64, bool, error) {
+	fallback := func(cause *telemetry.Counter) ([]byte, uint64, bool, error) {
+		cause.Inc()
 		c.mBoundedFallbacks.Inc()
 		return c.GetContext(ctx, path)
 	}
 	leaseVer, grantedAt, holders, live := c.leases.Holders(path, bound)
 	if !live {
-		return fallback()
+		if grantedAt.IsZero() {
+			return fallback(c.fallbacks.noLease)
+		}
+		return fallback(c.fallbacks.aged)
 	}
-	i, eligible := c.firstServed(holders)
+	i, eligible := c.firstServed(holders, start.UnixNano())
 	if !eligible {
-		return fallback()
+		return fallback(c.fallbacks.unserved)
 	}
 	it, held, callErr := c.readReplica(ctx, c.replicas[i], path)
 	c.noteLeg(i, callErr)
 	if callErr != nil {
-		return fallback()
+		return fallback(c.fallbacks.legFailed)
 	}
 	if !held || it.Deleted {
 		// A proven holder with no live value: either the path was
 		// deleted or the replica lost state. Both retire the lease and
 		// let the quorum decide.
 		c.leases.Drop(path)
-		return fallback()
+		return fallback(c.fallbacks.noValue)
 	}
 	if it.Version < leaseVer {
 		// Version regression below the quorum-validated lease: the
 		// replica no longer holds what a quorum proved it held. Discard
 		// the reply — it is never served.
-		c.mStaleViolations.Inc()
 		c.passOver(i)
 		c.leases.Drop(path)
-		return fallback()
+		return fallback(c.mStaleViolations)
 	}
-	if time.Since(grantedAt) > bound {
+	now := time.Now()
+	if now.Sub(grantedAt) > bound {
 		// The lease expired while the read was in flight; the proof no
 		// longer covers the reply. Not a violation — nothing stale was
 		// observed — just an unproven answer.
-		return fallback()
+		return fallback(c.fallbacks.expired)
 	}
 	c.mBoundedHits.Inc()
-	c.mBoundedLatency.Observe(time.Since(start))
+	c.mBoundedLatency.Observe(now.Sub(start))
 	return it.Value, it.Version, true, nil
+}
+
+// fallbackCauses counts bounded fallbacks by cause; with the
+// violations counter they sum to the fallback counter.
+type fallbackCauses struct{ noLease, aged, unserved, legFailed, noValue, expired *telemetry.Counter }
+
+func newFallbackCauses(tel *telemetry.Registry) fallbackCauses {
+	return fallbackCauses{tel.Counter(MetricFallbackNoLease), tel.Counter(MetricFallbackAged), tel.Counter(MetricFallbackUnserved),
+		tel.Counter(MetricFallbackLegFailed), tel.Counter(MetricFallbackNoValue), tel.Counter(MetricFallbackExpired)}
 }
 
 // firstServed returns the index of the first of holders — recorded in
 // the proving round's reply-arrival order — that is one of this
 // client's replicas (a rebalance can record holders of another group
-// in a shared lease table), taking passed-over holders last but never
-// excluding them.
-func (c *Client) firstServed(holders []string) (int, bool) {
-	now := time.Now().UnixNano()
+// in a shared lease table), taking holders passed over at now (Unix
+// nanoseconds) last but never excluding them.
+func (c *Client) firstServed(holders []string, now int64) (int, bool) {
 	first := -1
 	for _, h := range holders {
 		i := slices.Index(c.replicas, h)

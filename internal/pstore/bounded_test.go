@@ -339,6 +339,83 @@ func TestViolatingHolderIsAskedLast(t *testing.T) {
 	}
 }
 
+// Every bounded fallback is counted under exactly one cause, and the
+// causes — violations included — sum to pstore.read.bounded_fallbacks.
+// Each case plants the lease its read finds. A lease aging past the
+// bound mid-flight needs a leg slower than the bound and is not driven
+// here; it takes part in the sum.
+func TestBoundedFallbackCauses(t *testing.T) {
+	cluster, err := StartCluster(3, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cluster.StopAll)
+	pool, reg := telemetryPool(t, 5*time.Second)
+	client := NewClient(pool, cluster.Addrs())
+	defer client.Close()
+	v, err := client.Put("/cause/x", []byte("v"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.SyncRound() // every replica holds v
+	causes := []string{MetricFallbackNoLease, MetricFallbackAged, MetricFallbackUnserved,
+		MetricFallbackLegFailed, MetricFallbackNoValue, staleness.MetricViolations, MetricFallbackExpired}
+	plant := func(path string, version uint64, holders []string, at time.Time) {
+		client.Leases().Drop(path)
+		client.Leases().Grant(path, version, holders, at)
+	}
+	for _, tc := range []struct {
+		name, cause, path string
+		setup             func()
+	}{
+		{"no lease", MetricFallbackNoLease, "/cause/x", func() { client.Leases().Drop("/cause/x") }},
+		{"aged", MetricFallbackAged, "/cause/x", func() {
+			plant("/cause/x", v, client.replicas, time.Now().Add(-time.Minute))
+		}},
+		{"no holder served", MetricFallbackUnserved, "/cause/x", func() {
+			plant("/cause/x", v, []string{"127.0.0.1:1"}, time.Now())
+		}},
+		{"holder holds nothing", MetricFallbackNoValue, "/cause/none", func() {
+			plant("/cause/none", v, client.replicas[:1], time.Now())
+		}},
+		{"holder below the lease", staleness.MetricViolations, "/cause/x", func() {
+			plant("/cause/x", v+1, client.replicas[:1], time.Now())
+		}},
+		{"holder's leg failed", MetricFallbackLegFailed, "/cause/x", func() {
+			cluster.Nodes[2].Stop()
+			plant("/cause/x", v, client.replicas[2:], time.Now())
+		}},
+	} {
+		before := reg.Snapshot()
+		tc.setup()
+		if _, _, _, err := client.GetBoundedContext(context.Background(), tc.path, 2*time.Second); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		after := reg.Snapshot()
+		moved := func(name string) int64 { return after.Counter(name) - before.Counter(name) }
+		if n := moved(MetricBoundedFallbacks); n != 1 {
+			t.Errorf("%s: %d fallbacks, want 1", tc.name, n)
+		}
+		for _, c := range causes {
+			want := int64(0)
+			if c == tc.cause {
+				want = 1
+			}
+			if n := moved(c); n != want {
+				t.Errorf("%s: %s moved by %d, want %d", tc.name, c, n, want)
+			}
+		}
+	}
+	snap := reg.Snapshot()
+	var sum int64
+	for _, c := range causes {
+		sum += snap.Counter(c)
+	}
+	if f := snap.Counter(MetricBoundedFallbacks); f != sum || f == 0 {
+		t.Fatalf("fallbacks = %d, causes sum to %d", f, sum)
+	}
+}
+
 // Sharded bounded reads route by the placement map, then apply the
 // bounded policy inside the owning group; the staleness machinery is
 // shared across group clients, so write evidence from one group's

@@ -114,6 +114,7 @@ type Client struct {
 	mBoundedFallbacks *telemetry.Counter
 	mBoundedLatency   *telemetry.Histogram
 	mStaleViolations  *telemetry.Counter
+	fallbacks         fallbackCauses
 }
 
 // NewClient builds a client over the given replica addresses,
@@ -137,6 +138,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mBoundedFallbacks: tel.Counter(MetricBoundedFallbacks),
 		mBoundedLatency:   tel.Histogram(MetricBoundedLatency),
 		mStaleViolations:  tel.Counter(staleness.MetricViolations),
+		fallbacks:         newFallbackCauses(tel),
 		mReadLatency:      tel.Histogram(MetricReadLatency),
 		mReadFullLatency:  tel.Histogram(MetricReadLatencyFull),
 		mWriteLatency:     tel.Histogram(MetricWriteLatency),

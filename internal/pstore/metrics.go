@@ -96,8 +96,19 @@ const (
 // hybrid-logical-clock series (pstore.hlc.*) lives in internal/hlc;
 // the client-side staleness series (pstore.staleness.*) in
 // internal/pstore/staleness.
+//
+// Every fallback has one cause, counted under
+// pstore.read.bounded_fallbacks.*; with pstore.staleness.violations
+// the causes sum to pstore.read.bounded_fallbacks.
 const (
 	MetricBoundedHits      = "pstore.read.bounded_hits"
 	MetricBoundedFallbacks = "pstore.read.bounded_fallbacks"
 	MetricBoundedLatency   = "pstore.read.bounded_latency"
+
+	MetricFallbackNoLease   = "pstore.read.bounded_fallbacks.no_lease"   // no lease for the path: never granted, or evicted
+	MetricFallbackAged      = "pstore.read.bounded_fallbacks.aged"       // the path's lease was older than the read's bound
+	MetricFallbackUnserved  = "pstore.read.bounded_fallbacks.unserved"   // the lease named none of this client's replicas
+	MetricFallbackLegFailed = "pstore.read.bounded_fallbacks.leg_failed" // the leg to the lease holder failed
+	MetricFallbackNoValue   = "pstore.read.bounded_fallbacks.no_value"   // the holder held nothing or a tombstone
+	MetricFallbackExpired   = "pstore.read.bounded_fallbacks.expired"    // the lease aged past the bound in flight
 )

@@ -31,22 +31,24 @@ type Leases struct {
 
 	mu      sync.Mutex
 	entries map[string]lease
+	longest time.Duration // the longest bound a reader has asked for
 }
 
 type lease struct {
 	version uint64
 	at      time.Time
 	holders []string
+	reads   uint64 // answered since the path's grant; a live re-grant keeps it
 }
 
 // DefaultLeaseCap bounds the lease table when NewLeases is given a
-// non-positive capacity. Past the cap, grants evict the oldest of a
-// small sample of entries — eviction only costs quorum fallbacks,
-// never correctness.
+// non-positive capacity. Past the cap, a grant for a new path evicts
+// one of a small sample of entries (see evictLocked) — eviction only
+// costs quorum fallbacks, never correctness.
 const DefaultLeaseCap = 4096
 
 // leaseEvictProbes is how many entries a full table samples when
-// choosing an eviction victim (oldest of the sample goes).
+// choosing an eviction victim.
 const leaseEvictProbes = 8
 
 // NewLeases builds a lease table. capacity bounds the entry count
@@ -73,6 +75,7 @@ func (l *Leases) Grant(path string, version uint64, holders []string, at time.Ti
 	if len(holders) == 0 {
 		return
 	}
+	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	cur, exists := l.entries[path]
@@ -80,20 +83,35 @@ func (l *Leases) Grant(path string, version uint64, holders []string, at time.Ti
 		return
 	}
 	if !exists && len(l.entries) >= l.cap {
-		l.evictLocked()
+		l.evictLocked(now)
 	}
-	l.entries[path] = lease{version: version, at: at, holders: append([]string(nil), holders...)}
+	l.entries[path] = lease{version: version, at: at, holders: append([]string(nil), holders...), reads: l.readsLocked(cur, now)}
 }
 
-// evictLocked removes the oldest of a small sample of entries (map
-// iteration order is an adequate random sample).
-func (l *Leases) evictLocked() {
+// readsLocked is the reads e has answered, or none once e is dead:
+// older than the longest bound any reader has asked for.
+func (l *Leases) readsLocked(e lease, now time.Time) uint64 {
+	if now.Sub(e.at) > l.longest {
+		return 0
+	}
+	return e.reads
+}
+
+// evictLocked removes, of a small sample of entries, the one that has
+// answered the fewest reads (a dead one counts none), then the oldest
+// grant; so a dead entry, older than any live one, goes first. A hot
+// path's lease, proved long ago and read constantly, thus outlives a
+// cold path's lease granted by its one fallback a moment ago. Map
+// iteration order is the sample: free, but clumped, so now and then
+// every sampled entry is a read lease and one of them goes.
+func (l *Leases) evictLocked(now time.Time) {
 	var victim string
+	var fewest uint64
 	var oldest time.Time
 	probes := 0
 	for p, e := range l.entries {
-		if probes == 0 || e.at.Before(oldest) {
-			victim, oldest = p, e.at
+		if reads := l.readsLocked(e, now); probes == 0 || reads < fewest || reads == fewest && e.at.Before(oldest) {
+			victim, fewest, oldest = p, reads, e.at
 		}
 		probes++
 		if probes >= leaseEvictProbes {
@@ -108,20 +126,29 @@ func (l *Leases) evictLocked() {
 // Holders returns the lease for path when one exists and is younger
 // than maxAge: the validated version, the grant time (callers re-check
 // expiry against it after the wire round-trip), and the replicas
-// proven to hold the version. Expired entries are dropped. The
-// returned slice is owned by the table; callers must not mutate it.
+// proven to hold the version, and counts one read answered. When ok
+// is false, at is the grant time of a lease too old for maxAge, or
+// zero when the table holds none for path. An entry older than the
+// longest bound any reader has asked for is dropped; one only older
+// than this reader's maxAge stays for readers with a longer bound.
+// The returned slice is owned by the table and never changed.
 func (l *Leases) Holders(path string, maxAge time.Duration) (version uint64, at time.Time, holders []string, ok bool) {
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	l.longest = max(l.longest, maxAge)
 	e, exists := l.entries[path]
 	if !exists {
 		return 0, time.Time{}, nil, false
 	}
 	if now.Sub(e.at) > maxAge {
-		delete(l.entries, path)
-		return 0, time.Time{}, nil, false
+		if now.Sub(e.at) > l.longest {
+			delete(l.entries, path)
+		}
+		return 0, e.at, nil, false
 	}
+	e.reads++
+	l.entries[path] = e
 	return e.version, e.at, e.holders, true
 }
 

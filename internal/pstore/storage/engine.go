@@ -38,8 +38,10 @@ type Options struct {
 	// SegmentBytes caps one WAL segment before rotation.
 	SegmentBytes int64
 	// SnapshotBytes is the total live-log size that makes
-	// ShouldSnapshot true. Clamped to at least 2*SegmentBytes so a
-	// snapshot always has something to truncate.
+	// ShouldSnapshot true, unless the latest snapshot is larger: then
+	// the log must reach that size, so that compaction never writes
+	// more than the log it truncates. Clamped to at least
+	// 2*SegmentBytes so a snapshot always has something to truncate.
 	SnapshotBytes int64
 	// BatchMax caps how many concurrent appends share one fsync.
 	BatchMax int
@@ -104,6 +106,9 @@ type Engine struct {
 	// durable write's ack asks on the commit goroutine, never waits out
 	// a snapshot in progress.
 	forceSnap atomic.Bool
+	// snapBytes is the size of the latest snapshot, written or
+	// recovered: the least log a compaction waits for.
+	snapBytes atomic.Int64
 }
 
 // Open recovers the store in dir: newest valid snapshot first, then
@@ -149,12 +154,14 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 	// policy, fail the open or are quarantined.
 	sort.Sort(sort.Reverse(sort.StringSlice(snapNames))) // zero-padded names: lexical == numeric
 	var recovered []Record
+	var snapBytes int64
 	for _, name := range snapNames {
 		path := filepath.Join(dir, name)
 		lsn, records, lerr := loadSnapshot(fsys, path)
 		if lerr == nil {
 			info.SnapshotLSN = lsn
 			info.SnapshotRecords = len(records)
+			snapBytes = snapshotSize(records)
 			recovered = records
 			break
 		}
@@ -263,6 +270,7 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 	// (WAL survivors + anti-entropy) is more complete than the log:
 	// compact as soon as the owner can provide it.
 	e.forceSnap.Store(len(info.Quarantined) > 0)
+	e.snapBytes.Store(snapBytes)
 	return e, recovered, info, nil
 }
 
@@ -427,10 +435,11 @@ func (e *Engine) AppendBatch(recs []Record) error {
 func (e *Engine) Err() error { return e.w.lastErr() }
 
 // ShouldSnapshot reports whether the log has grown past the snapshot
-// threshold (or recovery quarantined data and wants durability back).
-// It does not wait for a Snapshot in progress.
+// threshold — the larger of Options.SnapshotBytes and the latest
+// snapshot's size — or recovery quarantined data and wants durability
+// back. It does not wait for a Snapshot in progress.
 func (e *Engine) ShouldSnapshot() bool {
-	return e.forceSnap.Load() || e.w.totalBytes() >= e.opts.SnapshotBytes
+	return e.forceSnap.Load() || e.w.totalBytes() >= max(e.opts.SnapshotBytes, e.snapBytes.Load())
 }
 
 // Snapshot compacts: it seals the active segment, collects the owner's
@@ -453,10 +462,12 @@ func (e *Engine) Snapshot(collect func() []Record) error {
 	if lsn == 0 && !e.forceSnap.Load() {
 		return nil // empty log, nothing to compact
 	}
-	if _, err := writeSnapshot(e.fs, e.dir, lsn, collect()); err != nil {
+	records := collect()
+	if _, err := writeSnapshot(e.fs, e.dir, lsn, records); err != nil {
 		cinc(e.opts.Metrics.SnapshotErrors)
 		return err
 	}
+	e.snapBytes.Store(snapshotSize(records))
 	prevLSN := e.snapLSN
 	e.snapLSN = lsn
 	e.forceSnap.Store(false)

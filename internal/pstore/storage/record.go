@@ -69,12 +69,19 @@ var (
 	errCorruptRecord = errors.New("storage: corrupt record")
 )
 
+// payloadSize is the length of r's encoded payload, after its frame
+// header.
+func payloadSize(r Record) int {
+	n := 1 + 8 + 4 + len(r.Path) + 4 + len(r.Value)
+	if r.HLC != 0 {
+		n += 8
+	}
+	return n
+}
+
 // encodeRecord appends r's framed encoding to buf and returns it.
 func encodeRecord(buf []byte, r Record) []byte {
-	payloadLen := 1 + 8 + 4 + len(r.Path) + 4 + len(r.Value)
-	if r.HLC != 0 {
-		payloadLen += 8
-	}
+	payloadLen := payloadSize(r)
 	start := len(buf)
 	buf = append(buf, make([]byte, frameHeaderSize+payloadLen)...)
 	binary.BigEndian.PutUint32(buf[start:], uint32(payloadLen))

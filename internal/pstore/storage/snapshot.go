@@ -42,6 +42,16 @@ func parseSegmentName(name string) (uint64, bool) {
 	return lsn, err == nil
 }
 
+// snapshotSize is the length of the file writeSnapshot makes of
+// records.
+func snapshotSize(records []Record) int64 {
+	n := int64(len(snapMagic) + 16)
+	for _, r := range records {
+		n += int64(frameHeaderSize + payloadSize(r))
+	}
+	return n
+}
+
 // writeSnapshot writes records as the compacted state at lsn using
 // the write-temp-fsync-rename protocol and returns the final path.
 func writeSnapshot(fsys FS, dir string, lsn uint64, records []Record) (string, error) {

@@ -378,6 +378,75 @@ func TestShouldSnapshotDoesNotWaitForSnapshot(t *testing.T) {
 	}
 }
 
+// TestCompactionWritesNoMoreThanTheLog: a snapshot rewrites the whole
+// state, so a compaction that fired at a fixed log size would, on a
+// state larger than that size, write more than the log it truncates.
+// Over L bytes of log appended to S bytes of state the snapshots must
+// write at most L + S bytes, and a reopened engine keeps waiting for a
+// log as large as the snapshot it recovered.
+func TestCompactionWritesNoMoreThanTheLog(t *testing.T) {
+	fs := chaos.NewDiskFS()
+	opts := storage.Options{SegmentBytes: 4 << 10} // snapshot threshold 8 KiB
+	eng, _, _ := mustOpen(t, fs, opts)
+	const keys = 64 // about 64 KiB of state
+	state := make(map[string]storage.Record, keys)
+	collect := func() []storage.Record {
+		out := make([]storage.Record, 0, len(state))
+		for _, r := range state {
+			out = append(out, r)
+		}
+		return out
+	}
+	// stateBytes ends as the size of a snapshot of the whole state: the
+	// state is complete after the first keys appends.
+	var logBytes, snapBytes, stateBytes int64
+	snapshots := 0
+	for i := 0; i < 8*keys; i++ {
+		r := bigRec(i % keys)
+		r.Version = uint64(i + 1)
+		if err := eng.Append(r); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
+		state[r.Path] = r
+		if !eng.ShouldSnapshot() {
+			continue
+		}
+		logBytes += eng.LogBytes()
+		if err := eng.Snapshot(collect); err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		size, err := fs.Size(fmt.Sprintf("%s/snap-%020d.snap", dir, eng.SnapshotLSN()))
+		if err != nil {
+			t.Fatalf("Size: %v", err)
+		}
+		stateBytes = int64(size)
+		snapBytes += stateBytes
+		snapshots++
+	}
+	logBytes += eng.LogBytes()
+	if snapshots < 3 {
+		t.Fatalf("%d snapshots over %d log bytes, want several", snapshots, logBytes)
+	}
+	if limit := logBytes + stateBytes; snapBytes > limit {
+		t.Fatalf("%d snapshots wrote %d bytes over %d bytes of log and %d of state, want at most %d",
+			snapshots, snapBytes, logBytes, stateBytes, limit)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	eng2, _, _ := mustOpen(t, fs, opts)
+	defer eng2.Close()
+	for i := 0; eng2.LogBytes() < 16<<10; i++ {
+		if eng2.ShouldSnapshot() {
+			t.Fatalf("reopened engine wants a snapshot after %d log bytes, under its recovered snapshot's size", eng2.LogBytes())
+		}
+		if err := eng2.Append(bigRec(i % keys)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+}
+
 func TestMidLogCorruptionQuarantine(t *testing.T) {
 	fs := chaos.NewDiskFS()
 	eng, _, _ := mustOpen(t, fs, storage.Options{})

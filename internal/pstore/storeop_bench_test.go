@@ -1,18 +1,21 @@
 package pstore
 
 // What one store operation costs the process: a single client's quorum
-// PUT and GET against three durable nodes in this process, whose
-// filesystem answers a flush at once, as the benchmark's store
-// workloads run them. `make profile-store` runs BenchmarkStoreOp under
-// the CPU and allocation profilers; the allocation budget tests pin its
-// counts. On this warm, healthy cluster every leg is a call started in
-// place: one that ran on the pool's blocking path fails the benchmark,
-// so that `make bench-once` catches a return to goroutine legs.
+// PUT and GET, and its bounded GET served by one lease holder, against
+// three durable nodes in this process, whose filesystem answers a
+// flush at once, as the benchmark's store workloads run them. `make
+// profile-store` runs BenchmarkStoreOp under the CPU and allocation
+// profilers; the allocation budget tests pin its counts. On this warm,
+// healthy cluster every leg is a call started in place: one that ran
+// on the pool's blocking path fails the benchmark, so that `make
+// bench-once` catches a return to goroutine legs, and a bounded read
+// that falls back does too.
 
 import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"ace/internal/daemon"
 	"ace/internal/pstore/storage"
@@ -106,6 +109,23 @@ func BenchmarkStoreOp(b *testing.B) {
 			if _, _, ok, err := client.GetContext(ctx, "/bench/op"); err != nil || !ok {
 				b.Fatalf("get: ok=%v err=%v", ok, err)
 			}
+		}
+	})
+	// The get above granted the path a lease its holders keep for the
+	// whole run, so every bounded read is one leg.
+	b.Run("bounded", func(b *testing.B) {
+		b.ReportAllocs()
+		fallbacks := func() int64 {
+			return client.pool.Telemetry().Snapshot().Counter(MetricBoundedFallbacks)
+		}
+		before := fallbacks()
+		for i := 0; i < b.N; i++ {
+			if _, _, ok, err := client.GetBoundedContext(ctx, "/bench/op", time.Hour); err != nil || !ok {
+				b.Fatalf("bounded: ok=%v err=%v", ok, err)
+			}
+		}
+		if n := fallbacks() - before; n > 0 {
+			b.Errorf("%d of %d bounded reads fell back to a quorum read", n, b.N)
 		}
 	})
 }
