@@ -39,6 +39,10 @@ package pstore
 // than the hedge delay — or their started attempt failed in transport
 // or was shed busy. On a warm, healthy cluster it stays at zero.
 //
+// pstore.writes.applied counts the writes a node took from a client or
+// a peer (psput, psdel, anti-entropy and partition pulls) and applied;
+// what a restarted node replays from its log is pstore.recovery.replayed.
+//
 // pstore.write.conflicts counts write rounds refused because replicas
 // held an equal or later version, each retried above it at the price
 // of one more round: two writers in one millisecond, or — at a steady

@@ -247,13 +247,13 @@ func (n *Node) Crash() {
 // never changes what it holds at a version. That is what lets
 // `applied=true` count toward a stamped write's quorum — of two writes
 // at one version a replica says it to the first only, so they cannot
-// both collect a majority.
+// both collect a majority. Replay merges through it too, so the
+// callers that take a write from a client or a peer count it.
 func (n *Node) applyMemLocked(it Item) bool {
 	if cur, exists := n.items[it.Path]; exists && it.Version <= cur.Version {
 		return false
 	}
 	n.items[it.Path] = it
-	n.mWrites.Inc()
 	return true
 }
 
@@ -322,6 +322,9 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 	applied := n.applyMemLocked(it)
 	held := n.items[it.Path]
 	n.mu.Unlock()
+	if applied {
+		n.mWrites.Inc()
+	}
 	if !applied || n.eng == nil {
 		// Refused or re-delivered, there is nothing new to log: what the
 		// node holds is durable or in the middle of becoming so.
@@ -525,9 +528,8 @@ func fetchDigest(ctx context.Context, pool *daemon.Pool, addr string, partition,
 }
 
 // applyDurableBatch installs items in memory and logs the applied
-// ones through one shared WAL batch: all appends are in the engine's
-// queue before the first wait, so the commit loop coalesces their
-// fsyncs. Returns how many items were applied in memory. Like
+// ones as one bulk append, which the commit loop writes BatchMax
+// records per fsync. Returns how many items were applied in memory. Like
 // applyAsync, a refused append latches degraded.
 func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	if n.eng != nil && n.degraded.Load() {
@@ -543,6 +545,7 @@ func (n *Node) applyDurableBatch(items []Item) (int, error) {
 		}
 	}
 	n.mu.Unlock()
+	n.mWrites.Add(int64(applied))
 	if n.eng == nil || len(recs) == 0 {
 		return applied, nil
 	}

@@ -346,6 +346,34 @@ func TestWALPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestReplayIsNotAnAppliedWrite: a node reopened over a log of n
+// records reports n replayed and no write applied, since it has
+// accepted none from a client or a peer yet.
+func TestReplayIsNotAnAppliedWrite(t *testing.T) {
+	dir := t.TempDir()
+	const n = 40
+	recs := make([]storage.Record, n)
+	for i := range recs {
+		recs[i] = storage.Record{Path: fmt.Sprintf("/r/%02d", i), Value: []byte("v"), Version: 1}
+	}
+	eng, _, _, err := storage.Open(filepath.Join(dir, "replay"), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(eng.AppendBatch(recs), eng.Close()); err != nil {
+		t.Fatal(err)
+	}
+	node, err := NewNode(Config{Daemon: daemon.Config{Name: "replay"}, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Stop)
+	snap := node.Telemetry().Snapshot()
+	if applied, replayed := snap.Counter(MetricWritesApplied), snap.Counter(MetricRecoveryReplayed); applied != 0 || replayed != n || node.Len() != n {
+		t.Fatalf("reopened over %d records: writes.applied=%d recovery.replayed=%d len=%d, want 0, %d, %d", n, applied, replayed, node.Len(), n, n)
+	}
+}
+
 func TestNewerTieBreakIsDeterministic(t *testing.T) {
 	a := Item{Path: "/p", Value: []byte("aaa"), Version: 5}
 	b := Item{Path: "/p", Value: []byte("zzz"), Version: 5}

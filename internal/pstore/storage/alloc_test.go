@@ -42,3 +42,26 @@ func TestWALCommitAllocatesNothing(t *testing.T) {
 		t.Errorf("a commit made %.0f allocations, want 0", allocs)
 	}
 }
+
+// A bulk append is one request: its allocations do not grow with its
+// records, which reach the log by reference and are encoded into the
+// commit loop's scratch.
+func TestAppendBatchAllocatesPerBatch(t *testing.T) {
+	e, _, _, err := Open("/wal", Options{FS: discardFS{memFS{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	recs := make([]Record, 4096)
+	for i := range recs {
+		recs[i] = Record{Path: "/a/b", Value: []byte("value"), Version: uint64(i + 1)}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := e.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Errorf("a bulk append of %d records made %.0f allocations, want at most 4", len(recs), allocs)
+	}
+}

@@ -43,7 +43,8 @@ type Options struct {
 	// more than the log it truncates. Clamped to at least
 	// 2*SegmentBytes so a snapshot always has something to truncate.
 	SnapshotBytes int64
-	// BatchMax caps how many concurrent appends share one fsync.
+	// BatchMax caps how many concurrent appends share one fsync, and
+	// how many records of a bulk append (AppendBatch) one fsync takes.
 	BatchMax int
 	// Corruption selects the mid-log corruption policy.
 	Corruption CorruptionPolicy
@@ -153,16 +154,15 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 	// Newest valid snapshot wins; invalid ones are counted and, per
 	// policy, fail the open or are quarantined.
 	sort.Sort(sort.Reverse(sort.StringSlice(snapNames))) // zero-padded names: lexical == numeric
-	var recovered []Record
-	var snapBytes int64
+	var recovered recordChunks
+	snapshot := false
 	for _, name := range snapNames {
 		path := filepath.Join(dir, name)
 		lsn, records, lerr := loadSnapshot(fsys, path)
 		if lerr == nil {
 			info.SnapshotLSN = lsn
-			info.SnapshotRecords = len(records)
-			snapBytes = snapshotSize(records)
-			recovered = records
+			info.SnapshotRecords = records.n
+			recovered, snapshot = records, true
 			break
 		}
 		info.SnapshotsBad++
@@ -218,12 +218,12 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 			info.CorruptRecords++
 			cinc(met.CorruptRecords)
 		}
-		res, rerr := replaySegment(fsys, path, first, isLast, info.SnapshotLSN, opts.Corruption, recovered)
+		before := recovered.n
+		res, rerr := replaySegment(fsys, path, first, isLast, info.SnapshotLSN, opts.Corruption, &recovered)
 		if rerr != nil {
 			return nil, nil, info, rerr
 		}
-		replayed := len(res.records) - len(recovered)
-		recovered = res.records
+		replayed := recovered.n - before
 		info.Replayed += replayed
 		info.TornTails += res.tornTails
 		info.CorruptRecords += res.corrupt
@@ -270,32 +270,33 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 	// (WAL survivors + anti-entropy) is more complete than the log:
 	// compact as soon as the owner can provide it.
 	e.forceSnap.Store(len(info.Quarantined) > 0)
-	e.snapBytes.Store(snapBytes)
-	return e, recovered, info, nil
+	records := recovered.flat()
+	if snapshot {
+		e.snapBytes.Store(snapshotSize(records[:info.SnapshotRecords]))
+	}
+	return e, records, info, nil
 }
 
 // segmentReplay is the outcome of replaying one segment.
 type segmentReplay struct {
-	records     []Record // recovered, then this segment's records past the snapshot LSN, in log order
-	total       uint64   // records physically present (incl. skipped)
-	goodBytes   int64    // prefix of the file holding valid records
+	total       uint64 // records physically present (incl. skipped)
+	goodBytes   int64  // prefix of the file holding valid records
 	tornTails   int
 	corrupt     int
 	quarantined string // non-empty when the file was renamed aside
 }
 
-// replaySegment reads one segment in one buffered pass and appends
-// what it keeps to recovered, so that a log of many segments grows one
-// slice. It distinguishes the two ways a log ends badly. A torn tail
-// — the file physically stops inside the final record, or the final
-// record's bytes are present but fail their CRC with nothing valid
-// after them — is the normal signature of a crash during group
-// commit: the unacked tail is truncated and the log continues. A
-// corrupt record with MORE valid data after it (or any damage in a
+// replaySegment reads one segment in one buffered pass and adds its
+// records past snapLSN to recovered, which holds every segment's. It
+// distinguishes the two ways a log ends badly. A torn tail — the file
+// physically stops inside the final record, or the final record's
+// bytes are present but fail their CRC with nothing valid after them —
+// is the normal signature of a crash during group commit: the unacked
+// tail is truncated and the log continues. A corrupt record with MORE valid data after it (or any damage in a
 // non-final segment) cannot be explained by a crash: that is real
 // damage to acknowledged history, handled per CorruptionPolicy.
-func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN uint64, policy CorruptionPolicy, recovered []Record) (segmentReplay, error) {
-	out := segmentReplay{records: recovered}
+func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN uint64, policy CorruptionPolicy, recovered *recordChunks) (segmentReplay, error) {
+	var out segmentReplay
 	f, err := fsys.Open(path)
 	if err != nil {
 		return out, fmt.Errorf("storage: open segment: %w", err)
@@ -306,16 +307,13 @@ func replaySegment(fsys FS, path string, firstLSN uint64, isLast bool, snapLSN u
 			_ = f.Close()
 		}
 	}()
-	keep := func(rec Record) {
-		if firstLSN+out.total > snapLSN { // this record's LSN
-			out.records = append(out.records, rec)
-		}
-	}
 	br := bufio.NewReaderSize(f, readBufSize)
 	for {
 		rec, size, rerr := readRecord(br)
 		if rerr == nil {
-			keep(rec)
+			if firstLSN+out.total > snapLSN { // this record's LSN
+				recovered.add(rec)
+			}
 			out.total++
 			out.goodBytes += size
 			continue
@@ -388,7 +386,7 @@ func anyValidRecordAfter(br *bufio.Reader) bool {
 // and every subsequent Append fails fast — a log that lost a write
 // must stop acknowledging durability.
 func (e *Engine) Append(rec Record) error {
-	return e.w.append(rec)
+	return e.w.append(appendReq{rec: rec})
 }
 
 // AppendAsync enqueues rec without blocking and invokes done with the
@@ -401,34 +399,23 @@ func (e *Engine) Append(rec Record) error {
 // enqueue, release the thread, ack when durable — it is what lets
 // concurrent writers actually pile up behind one fsync.
 func (e *Engine) AppendAsync(rec Record, done func(error)) {
-	if !e.w.appendAsync(rec, done) {
+	if !e.w.appendAsync(appendReq{rec: rec, done: done}) {
 		done(ErrClosed)
 	}
 }
 
-// AppendBatch makes every record in recs durable, sharing fsyncs
-// across the whole batch: all records are enqueued before the first
-// wait, so the commit goroutine coalesces them into as few
-// write+fsync cycles as the segment layout allows. This is the bulk
-// path for partition transfer and anti-entropy pulls — appending a
-// pulled partition record-by-record through Append would pay one
-// ordered wait per record and never batch. Returns the first failure
-// (after which the engine is sealed, like Append).
+// AppendBatch makes every record in recs durable: it is one request to
+// the commit goroutine, which writes Options.BatchMax of its records
+// per fsync, and single appends queued meanwhile join the next commit.
+// This is the bulk path for partition transfer and anti-entropy pulls.
+// recs must not change until AppendBatch returns. Returns the first
+// failure, after which the engine is sealed, like Append, and the
+// records not yet committed are not written.
 func (e *Engine) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	errs := make(chan error, len(recs))
-	for _, rec := range recs {
-		e.AppendAsync(rec, func(err error) { errs <- err })
-	}
-	var first error
-	for range recs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return e.w.append(appendReq{recs: recs})
 }
 
 // Err reports the sealing failure, if the log has one.

@@ -139,14 +139,15 @@ func FuzzLoadSnapshot(f *testing.F) {
 		path := "/store/" + snapshotName(1)
 		fs := memFS{path: data}
 		var lsn uint64
-		var recs []Record
+		var loaded recordChunks
 		var err error
-		if n := allocated(func() { lsn, recs, err = loadSnapshot(fs, path) }); n > 32*uint64(len(data))+16<<10 {
+		if n := allocated(func() { lsn, loaded, err = loadSnapshot(fs, path) }); n > 32*uint64(len(data))+16<<10 {
 			t.Fatalf("loading %d bytes allocated %d", len(data), n)
 		}
 		if err != nil {
 			return
 		}
+		recs := loaded.flat()
 		again, werr := writeSnapshot(fs, "/rt", lsn, recs)
 		if werr != nil {
 			t.Fatal(werr)
@@ -154,7 +155,8 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if written := fs[again]; !bytes.Equal(written, data) {
 			t.Fatalf("accepted snapshot %x, written back as %x", data, written)
 		}
-		lsn2, recs2, err := loadSnapshot(fs, again)
+		lsn2, loaded2, err := loadSnapshot(fs, again)
+		recs2 := loaded2.flat()
 		if err != nil || lsn2 != lsn || !reflect.DeepEqual(recs2, recs) {
 			t.Fatalf("round trip: lsn %d→%d, %d→%d records, err %v", lsn, lsn2, len(recs), len(recs2), err)
 		}
@@ -178,7 +180,8 @@ func TestSnapshotWritesWholeBuffers(t *testing.T) {
 	if most := (size+64<<10-1)/(64<<10) + 1; fs.writes > most {
 		t.Fatalf("a %d-byte snapshot of %d records took %d writes, want at most %d", size, len(recs), fs.writes, most)
 	}
-	lsn, got, err := loadSnapshot(fs.memFS, path)
+	lsn, loaded, err := loadSnapshot(fs.memFS, path)
+	got := loaded.flat()
 	if err != nil || lsn != 7 || !reflect.DeepEqual(got, recs) {
 		t.Fatalf("read back lsn %d, %d records, err %v", lsn, len(got), err)
 	}
@@ -230,15 +233,17 @@ func FuzzReplaySegment(f *testing.F) {
 		path := "/store/" + segmentName(1)
 		fs := memFS{path: file}
 		var res segmentReplay
+		var replayed recordChunks
 		var err error
-		if n := allocated(func() { res, err = replaySegment(fs, path, 1, true, 0, CorruptFailFast, nil) }); n > 32*uint64(len(file))+16<<10 {
+		if n := allocated(func() { res, err = replaySegment(fs, path, 1, true, 0, CorruptFailFast, &replayed) }); n > 32*uint64(len(file))+16<<10 {
 			t.Fatalf("replaying %d bytes allocated %d", len(file), n)
 		}
-		if res.goodBytes > int64(len(file)) || uint64(len(res.records)) != res.total {
-			t.Fatalf("%d good bytes of %d, %d records returned of %d", res.goodBytes, len(file), len(res.records), res.total)
+		records := replayed.flat()
+		if res.goodBytes > int64(len(file)) || uint64(len(records)) != res.total {
+			t.Fatalf("%d good bytes of %d, %d records returned of %d", res.goodBytes, len(file), len(records), res.total)
 		}
 		var kept []byte
-		for _, r := range res.records {
+		for _, r := range records {
 			kept = encodeRecord(kept, r)
 		}
 		good := file[:res.goodBytes]

@@ -154,6 +154,41 @@ func decodePayload(p []byte) (Record, error) {
 	}, nil
 }
 
+// recordChunks holds the records recovery keeps, in log order, in
+// chunks whose capacity doubles from 32 to 4096 records. Reading a log
+// never copies what it has read into a larger slice, and no chunk is
+// sized by a count that a file claims. flat copies the records once,
+// into a slice of the exact length.
+type recordChunks struct {
+	full [][]Record
+	last []Record
+	n    int
+}
+
+func (c *recordChunks) add(r Record) {
+	if len(c.last) == cap(c.last) {
+		if c.last != nil {
+			c.full = append(c.full, c.last)
+		}
+		c.last = make([]Record, 0, min(max(2*cap(c.last), 32), 4096))
+	}
+	c.last = append(c.last, r)
+	c.n++
+}
+
+// flat returns the records as one slice: the only chunk as it is, or
+// every chunk copied into a slice of the exact length.
+func (c *recordChunks) flat() []Record {
+	if len(c.full) == 0 {
+		return c.last
+	}
+	out := make([]Record, 0, c.n)
+	for _, chunk := range c.full {
+		out = append(out, chunk...)
+	}
+	return append(out, c.last...)
+}
+
 // readRecord reads one framed record from br. It returns io.EOF at a
 // clean record boundary, errTornRecord when the stream ends inside a
 // record, and errCorruptRecord for a present-but-wrong record. Every

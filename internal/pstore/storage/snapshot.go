@@ -102,25 +102,26 @@ func writeSnapshot(fsys FS, dir string, lsn uint64, records []Record) (string, e
 	return final, nil
 }
 
-// loadSnapshot reads and fully validates one snapshot file.
-func loadSnapshot(fsys FS, path string) (lsn uint64, records []Record, err error) {
+// loadSnapshot reads and fully validates one snapshot file. Its
+// records come back only once the whole file has validated.
+func loadSnapshot(fsys FS, path string) (lsn uint64, records recordChunks, err error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		return 0, nil, fmt.Errorf("storage: open snapshot: %w", err)
+		return 0, recordChunks{}, fmt.Errorf("storage: open snapshot: %w", err)
 	}
 	defer func() { _ = f.Close() }()
 	br := bufio.NewReaderSize(f, readBufSize)
 	var hdr [len(snapMagic) + 16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, fmt.Errorf("storage: snapshot header: %w", err)
+		return 0, recordChunks{}, fmt.Errorf("storage: snapshot header: %w", err)
 	}
 	if string(hdr[:len(snapMagic)]) != snapMagic {
-		return 0, nil, fmt.Errorf("storage: snapshot %s: bad magic", filepath.Base(path))
+		return 0, recordChunks{}, fmt.Errorf("storage: snapshot %s: bad magic", filepath.Base(path))
 	}
 	lsn = binary.BigEndian.Uint64(hdr[len(snapMagic):])
 	count := binary.BigEndian.Uint64(hdr[len(snapMagic)+8:])
 	if count > 1<<32 {
-		return 0, nil, fmt.Errorf("storage: snapshot %s: implausible record count %d", filepath.Base(path), count)
+		return 0, recordChunks{}, fmt.Errorf("storage: snapshot %s: implausible record count %d", filepath.Base(path), count)
 	}
 	// Until the records behind it validate, count is just bytes that
 	// may be flipped: never trust it as an allocation size. records
@@ -128,12 +129,12 @@ func loadSnapshot(fsys FS, path string) (lsn uint64, records []Record, err error
 	for i := uint64(0); i < count; i++ {
 		rec, _, rerr := readRecord(br)
 		if rerr != nil {
-			return 0, nil, fmt.Errorf("storage: snapshot %s: record %d: %w", filepath.Base(path), i, rerr)
+			return 0, recordChunks{}, fmt.Errorf("storage: snapshot %s: record %d: %w", filepath.Base(path), i, rerr)
 		}
-		records = append(records, rec)
+		records.add(rec)
 	}
 	if _, rerr := br.ReadByte(); rerr != io.EOF {
-		return 0, nil, fmt.Errorf("storage: snapshot %s: trailing garbage", filepath.Base(path))
+		return 0, recordChunks{}, fmt.Errorf("storage: snapshot %s: trailing garbage", filepath.Base(path))
 	}
 	return lsn, records, nil
 }

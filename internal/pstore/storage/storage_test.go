@@ -3,6 +3,7 @@ package storage_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -750,5 +751,241 @@ func TestAppendBatchDurableAndAmortized(t *testing.T) {
 	// An empty batch is a no-op, not a hang.
 	if err := eng2.AppendBatch(nil); err != nil {
 		t.Fatalf("empty AppendBatch: %v", err)
+	}
+}
+
+// tornAfterFS hands out files of which only the first ok writes, over
+// all of them, succeed: every later write puts down half its bytes and
+// one more, and fails, the way a disk that dies mid-commit would.
+type tornAfterFS struct {
+	storage.FS
+	ok *atomic.Int64
+}
+
+func (f tornAfterFS) Create(name string) (storage.File, error) {
+	file, err := f.FS.Create(name)
+	return tornAfterFile{file, f.ok}, err
+}
+
+func (f tornAfterFS) OpenAppend(name string) (storage.File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return tornAfterFile{file, f.ok}, err
+}
+
+type tornAfterFile struct {
+	storage.File
+	ok *atomic.Int64
+}
+
+func (f tornAfterFile) Write(p []byte) (int, error) {
+	if f.ok.Add(-1) >= 0 {
+		return f.File.Write(p)
+	}
+	n, _ := f.File.Write(p[:len(p)/2+1])
+	return n, errors.New("simulated EIO")
+}
+
+func recsOf(n int) []storage.Record {
+	recs := make([]storage.Record, n)
+	for i := range recs {
+		recs[i] = rec(i)
+	}
+	return recs
+}
+
+// TestBulkAppendRotatesBetweenCommits: a bulk append larger than a
+// segment is written BatchMax records per commit, and the log rotates
+// between commits, so no segment outgrows SegmentBytes by more than one
+// commit.
+func TestBulkAppendRotatesBetweenCommits(t *testing.T) {
+	fs := chaos.NewDiskFS()
+	opts := storage.Options{SegmentBytes: 1 << 10, SnapshotBytes: 1 << 30, BatchMax: 8}
+	eng, _, _ := mustOpen(t, fs, opts)
+	recs := recsOf(300) // 35 bytes each as framed: ten segments' worth
+	if err := eng.AppendBatch(recs); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	names, _ := fs.List(dir)
+	segments := 0
+	for _, name := range names {
+		size, err := fs.Size(dir + "/" + name)
+		if err != nil {
+			t.Fatalf("Size: %v", err)
+		}
+		if most := int(opts.SegmentBytes) + opts.BatchMax*35; size > most {
+			t.Errorf("segment %s holds %d bytes, more than %d", name, size, most)
+		}
+		segments++
+	}
+	if segments < 8 {
+		t.Fatalf("%d bytes of records made %d segments, want them rotated", 300*35, segments)
+	}
+	eng2, got, _ := mustOpen(t, fs, opts)
+	defer eng2.Close()
+	wantRecords(t, got, upTo(len(recs))...)
+}
+
+// TestBulkAppendFaultSealsLog: a write that fails partway through a
+// bulk append fails the append and seals the log, and the log reopens
+// to a gap-free prefix of the batch made of whole records: every commit
+// before the fault, and what of the torn one was whole on disk.
+func TestBulkAppendFaultSealsLog(t *testing.T) {
+	disk := chaos.NewDiskFS()
+	var ok atomic.Int64
+	ok.Store(4) // four commits land, the fifth is torn
+	fs := tornAfterFS{FS: disk, ok: &ok}
+	eng, _, _ := mustOpen(t, fs, storage.Options{BatchMax: 16})
+	recs := recsOf(200)
+	if err := eng.AppendBatch(recs); err == nil {
+		t.Fatal("AppendBatch succeeded over a failed write")
+	}
+	if eng.Err() == nil {
+		t.Fatal("a failed bulk append left the log unsealed")
+	}
+	if err := eng.Append(rec(500)); err == nil {
+		t.Fatal("sealed log accepted an append")
+	}
+	eng.Crash()
+	eng2, got, info := mustOpen(t, disk, storage.Options{})
+	defer eng2.Close()
+	if info.TornTails != 1 || info.CorruptRecords != 0 {
+		t.Fatalf("recovery info = %+v, want the torn commit truncated", info)
+	}
+	if len(got) < 4*16 || len(got) >= 5*16 {
+		t.Fatalf("recovered %d records, want the four commits that landed and part of the fifth", len(got))
+	}
+	for i, r := range got {
+		if w := recs[i]; r.Path != w.Path || string(r.Value) != string(w.Value) || r.Version != w.Version {
+			t.Fatalf("record %d recovered as %+v, want %+v", i, r, w)
+		}
+	}
+}
+
+// TestSingleAppendJoinsNextCommit: a single append queued behind a bulk
+// append is acked by the next commit, not after the whole bulk, and a
+// close answers what is left of the bulk ErrClosed.
+func TestSingleAppendJoinsNextCommit(t *testing.T) {
+	disk := chaos.NewDiskFS()
+	fs := slowSyncFS{FS: disk, delay: 2 * time.Millisecond}
+	eng, _, _ := mustOpen(t, fs, storage.Options{BatchMax: 4})
+	bulk := make(chan error, 1)
+	go func() { bulk <- eng.AppendBatch(recsOf(400)) }() // 100 commits
+	for disk.Syncs() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	// The commit in progress when the append is queued, then the next.
+	acked := make(chan int64, 1)
+	eng.AppendAsync(rec(1000), func(err error) {
+		if err != nil {
+			t.Errorf("Append: %v", err)
+		}
+		acked <- disk.Syncs()
+	})
+	queued := disk.Syncs()
+	if commits := <-acked - queued; commits > 2 {
+		t.Errorf("a single append waited out %d commits behind a bulk append, want at most 2", commits)
+	}
+	select {
+	case err := <-bulk:
+		t.Fatalf("the bulk append finished (%v) before the single append behind it", err)
+	default:
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := <-bulk; !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("bulk append cut off by Close returned %v, want ErrClosed", err)
+	}
+}
+
+// coldBatch is the store's cold path at the benchmark's scale: 16 384
+// records of 256 bytes each as the log frames them, stamped like the
+// benchmark's preload.
+func coldBatch() []storage.Record {
+	recs := make([]storage.Record, 16384)
+	for i := range recs {
+		recs[i] = storage.Record{Path: fmt.Sprintf("/k/%05d", i), Value: make([]byte, 215), Version: 1, HLC: 1}
+	}
+	return recs
+}
+
+// noFlushFS is a filesystem whose flushes return at once, as the
+// benchmark's store workloads run the real one.
+type noFlushFS struct{ storage.FS }
+
+func (f noFlushFS) Create(name string) (storage.File, error) {
+	file, err := f.FS.Create(name)
+	return noFlushFile{file}, err
+}
+
+func (f noFlushFS) OpenAppend(name string) (storage.File, error) {
+	file, err := f.FS.OpenAppend(name)
+	return noFlushFile{file}, err
+}
+
+func (noFlushFS) SyncDir(string) error { return nil }
+
+type noFlushFile struct{ storage.File }
+
+func (noFlushFile) Sync() error { return nil }
+
+var noFlush = noFlushFS{storage.OS}
+
+// BenchmarkAppendBatch writes the cold batch into an empty log, as the
+// benchmark's preload does into each store node's.
+func BenchmarkAppendBatch(b *testing.B) {
+	recs := coldBatch()
+	root := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		logDir := fmt.Sprintf("%s/%d", root, i)
+		eng, _, _, err := storage.Open(logDir, storage.Options{FS: noFlush})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := eng.AppendBatch(recs); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := errors.Join(eng.Close(), os.RemoveAll(logDir)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkOpen recovers the cold batch's log, as a store node does
+// when it starts over the benchmark's preload.
+func BenchmarkOpen(b *testing.B) {
+	logDir := b.TempDir()
+	writeColdLog(b, logDir)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, recs, _, err := storage.Open(logDir, storage.Options{FS: noFlush})
+		if err != nil || len(recs) != 16384 {
+			b.Fatalf("recovered %d records: %v", len(recs), err)
+		}
+		if err := eng.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// writeColdLog writes the cold batch into a log in logDir.
+func writeColdLog(tb testing.TB, logDir string) {
+	tb.Helper()
+	eng, _, _, err := storage.Open(logDir, storage.Options{FS: noFlush})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := errors.Join(eng.AppendBatch(coldBatch()), eng.Close()); err != nil {
+		tb.Fatal(err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 )
 
@@ -23,14 +24,24 @@ func (s segment) lastLSN() uint64 { return s.firstLSN + s.records - 1 }
 
 func segmentName(firstLSN uint64) string { return fmt.Sprintf("wal-%020d.seg", firstLSN) }
 
-// appendReq is one writer waiting for its record to become durable.
-// done is invoked exactly once, from the commit goroutine, with the
-// verdict of the covering fsync — it must not block for long, or it
-// stalls every later commit. Requests travel through the queue by
-// value, so an append allocates nothing of its own.
+// appendReq is one writer waiting for rec, or with recs set for a bulk
+// append, to become durable. done is invoked exactly once, from the
+// commit goroutine, with the verdict of the fsync covering the last
+// record — it must not block for long, or it stalls every later commit.
+// Requests travel through the queue by value, so an append allocates
+// nothing of its own.
 type appendReq struct {
 	rec  Record
+	recs []Record
 	done func(error)
+}
+
+// size is how many records r appends.
+func (r appendReq) size() int {
+	if r.recs != nil {
+		return len(r.recs)
+	}
+	return 1
 }
 
 // wal is the segmented write-ahead log. All file writes go through a
@@ -39,7 +50,10 @@ type appendReq struct {
 // active segment, and issues ONE fsync for all of them — group
 // commit. An append returns only after the fsync that covers it, so
 // an acked record is durable by construction. The same goroutine acks
-// each batch once its fsync has returned.
+// each batch once its fsync has returned. A bulk append is one request
+// too: each commit takes the next maxBatch of its records, and single
+// appends queued meanwhile join that commit rather than wait for the
+// whole bulk.
 type wal struct {
 	fs       FS
 	dir      string
@@ -58,15 +72,18 @@ type wal struct {
 	activeRecords uint64
 	activeSize    int64
 	sealed        []segment
+	totalSize     int64 // activeSize plus every sealed segment's size
 	nextLSN       uint64
 	broken        error // first write/sync failure; the log refuses appends after it
 	closed        bool
 
-	// Commit-loop scratch, reused across batches: the encoded batch,
-	// and the batch itself, whose entries are cleared once acked so
-	// that it holds no record between commits.
+	// Commit-loop state, reused across batches: the encoded batch; the
+	// batch itself, whose entries are cleared once acked so that it
+	// holds no record between commits; and the bulk appends not yet
+	// fully committed, oldest first.
 	buf   []byte
 	batch []appendReq
+	bulks []appendReq
 }
 
 // newWAL resumes appending after recovery: active is the (already
@@ -89,14 +106,18 @@ func newWAL(fsys FS, dir string, segBytes int64, maxBatch int, met Metrics,
 		activeRecords: activeRecords,
 		activeSize:    activeSize,
 		sealed:        sealed,
+		totalSize:     activeSize,
 		nextLSN:       nextLSN,
+	}
+	for _, s := range sealed {
+		w.totalSize += s.size
 	}
 	if w.active == nil {
 		if err := w.openActiveLocked(); err != nil {
 			return nil, err
 		}
 	}
-	w.publishGauges()
+	w.publishGaugesLocked()
 	go w.run()
 	return w, nil
 }
@@ -120,42 +141,31 @@ func (w *wal) openActiveLocked() error {
 	return nil
 }
 
-// append blocks until rec is durable (its covering fsync returned) or
-// the log failed. It is safe for any number of concurrent callers;
-// concurrency is what group commit amortizes.
-func (w *wal) append(rec Record) error {
+// append blocks until req's records are durable (the fsync covering
+// the last of them returned) or the log failed. It is safe for any
+// number of concurrent callers; concurrency is what group commit
+// amortizes. A close does not cut the wait short: the loop finishes
+// the commit it is in, then answers everything left ErrClosed, so the
+// loop has let go of req's records when append returns.
+func (w *wal) append(req appendReq) error {
 	done := make(chan error, 1)
-	if !w.appendAsync(rec, func(err error) { done <- err }) {
+	req.done = func(err error) { done <- err }
+	if !w.appendAsync(req) {
 		return ErrClosed
 	}
-	select {
-	case err := <-done:
-		return err
-	case <-w.stop:
-		// The loop may have been mid-commit on our batch; prefer its
-		// verdict if one arrived. Reporting ErrClosed for a record
-		// that did become durable is safe: the caller withholds its
-		// ack, and replay plus anti-entropy reconcile the replica.
-		select {
-		case err := <-done:
-			return err
-		default:
-			cinc(w.met.AppendErrors)
-			return ErrClosed
-		}
-	}
+	return <-done
 }
 
-// appendAsync enqueues rec and returns immediately; done fires with
-// the covering fsync's verdict. Returns false (done never fires) if
-// the log is closed. This is the non-blocking write path: callers
+// appendAsync enqueues req and returns immediately; req.done fires
+// with the covering fsync's verdict. Returns false (done never fires)
+// if the log is closed. This is the non-blocking write path: callers
 // that hold a scarce lock (a daemon's serial section) enqueue and
 // move on, and everything queued behind one fsync shares it.
-func (w *wal) appendAsync(rec Record, done func(error)) bool {
+func (w *wal) appendAsync(req appendReq) bool {
 	select {
-	case w.reqs <- appendReq{rec: rec, done: done}:
+	case w.reqs <- req:
 	case <-w.stop:
-		cinc(w.met.AppendErrors)
+		cadd(w.met.AppendErrors, int64(req.size()))
 		return false
 	}
 	// Once the log is closed both cases above are ready, so the send
@@ -174,7 +184,7 @@ func (w *wal) refuseQueued() {
 	for {
 		select {
 		case r := <-w.reqs:
-			cinc(w.met.AppendErrors)
+			cadd(w.met.AppendErrors, int64(r.size()))
 			r.done(ErrClosed)
 		default:
 			return
@@ -182,39 +192,91 @@ func (w *wal) refuseQueued() {
 	}
 }
 
+// failBulks answers every bulk append the loop holds with err, for
+// the records it has not committed.
+func (w *wal) failBulks(err error) {
+	for _, b := range w.bulks {
+		cadd(w.met.AppendErrors, int64(len(b.recs)))
+		b.done(err)
+	}
+	clear(w.bulks)
+	w.bulks = w.bulks[:0]
+}
+
 // run is the single commit goroutine: it writes and fsyncs a batch,
 // then acks every writer in it, in commit order. While it acks, the
-// next batch gathers in reqs, so the next fsync covers all of it.
+// next batch gathers in reqs, so the next fsync covers all of it. A
+// bulk append still holding records goes on into the next commit
+// without waiting for a request, unless the log was closed meanwhile.
 func (w *wal) run() {
 	defer close(w.loopDone)
 	for {
-		select {
-		case req := <-w.reqs:
-			batch := w.gather(req)
-			err := w.commit(batch)
-			for i := range batch {
+		if len(w.bulks) == 0 {
+			select {
+			case req := <-w.reqs:
+				w.queue(req)
+			case <-w.stop:
+				w.refuseQueued()
+				return
+			}
+		} else {
+			select {
+			case <-w.stop:
+				w.refuseQueued()
+				w.failBulks(ErrClosed)
+				return
+			default:
+			}
+		}
+		batch := w.gather()
+		err := w.commit(batch)
+		for i := range batch {
+			if batch[i].done != nil {
 				batch[i].done(err)
 			}
-			clear(batch)
-		case <-w.stop:
-			w.refuseQueued()
-			return
+		}
+		clear(batch)
+		w.batch = batch[:0]
+		if err != nil {
+			w.failBulks(err)
 		}
 	}
 }
 
-// gather drains whatever else is already queued behind first, up to
-// the batch cap — the group in group commit — into the loop's scratch
-// batch.
-func (w *wal) gather(first appendReq) []appendReq {
-	w.batch = append(w.batch[:0], first)
+// queue sets req aside for the next commit: a single append in the
+// batch, a bulk append behind the bulk appends already in progress.
+func (w *wal) queue(req appendReq) {
+	if req.recs != nil {
+		w.bulks = append(w.bulks, req)
+	} else {
+		w.batch = append(w.batch, req)
+	}
+}
+
+// gather completes the loop's scratch batch: whatever single appends
+// are already queued, up to maxBatch of them — the group in group
+// commit — then up to maxBatch records of the oldest bulk appends. A
+// bulk append's part carries its done only when it is the last part.
+func (w *wal) gather() []appendReq {
+drain:
 	for len(w.batch) < w.maxBatch {
 		select {
 		case r := <-w.reqs:
-			w.batch = append(w.batch, r)
+			w.queue(r)
 		default:
-			return w.batch
+			break drain
 		}
+	}
+	for room := w.maxBatch; room > 0 && len(w.bulks) > 0; {
+		b := &w.bulks[0]
+		k := min(room, len(b.recs))
+		part := appendReq{recs: b.recs[:k:k]}
+		b.recs, room = b.recs[k:], room-k
+		if len(b.recs) == 0 {
+			part.done = b.done
+			w.bulks = slices.Delete(w.bulks, 0, 1)
+		}
+		w.batch = append(w.batch, part)
 	}
 	return w.batch
 }
@@ -222,25 +284,30 @@ func (w *wal) gather(first appendReq) []appendReq {
 // commit writes the batch to the active segment and fsyncs once.
 // Record LSNs are assigned here, in commit order.
 func (w *wal) commit(batch []appendReq) error {
-	w.mu.Lock()
-	if w.broken != nil {
-		err := w.broken
-		w.mu.Unlock()
-		cadd(w.met.AppendErrors, int64(len(batch)))
-		return err
+	n := 0
+	for i := range batch {
+		n += batch[i].size()
 	}
-	if w.activeSize >= w.segBytes {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.broken == nil && w.activeSize >= w.segBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.broken = fmt.Errorf("storage: wal rotate: %w", err)
-			err = w.broken
-			w.mu.Unlock()
-			cadd(w.met.AppendErrors, int64(len(batch)))
-			return err
 		}
+	}
+	if w.broken != nil {
+		cadd(w.met.AppendErrors, int64(n))
+		return w.broken
 	}
 	w.buf = w.buf[:0]
 	for i := range batch {
-		w.buf = encodeRecord(w.buf, batch[i].rec)
+		if r := &batch[i]; r.recs != nil {
+			for j := range r.recs {
+				w.buf = encodeRecord(w.buf, r.recs[j])
+			}
+		} else {
+			w.buf = encodeRecord(w.buf, r.rec)
+		}
 	}
 	_, err := w.active.Write(w.buf)
 	if err == nil {
@@ -251,18 +318,16 @@ func (w *wal) commit(batch []appendReq) error {
 		// truncate it. The log seals itself: a disk that failed once
 		// must not keep acking durability.
 		w.broken = fmt.Errorf("storage: wal append: %w", err)
-		err = w.broken
-		w.mu.Unlock()
-		cadd(w.met.AppendErrors, int64(len(batch)))
-		return err
+		cadd(w.met.AppendErrors, int64(n))
+		return w.broken
 	}
 	w.activeSize += int64(len(w.buf))
-	w.activeRecords += uint64(len(batch))
-	w.nextLSN += uint64(len(batch))
-	w.mu.Unlock()
+	w.totalSize += int64(len(w.buf))
+	w.activeRecords += uint64(n)
+	w.nextLSN += uint64(n)
 	cinc(w.met.Syncs)
-	cadd(w.met.Appends, int64(len(batch)))
-	w.publishGauges()
+	cadd(w.met.Appends, int64(n))
+	w.publishGaugesLocked()
 	return nil
 }
 
@@ -310,11 +375,13 @@ func (w *wal) dropCovered(lsn uint64) (int, error) {
 	for _, s := range w.sealed {
 		if s.records > 0 && s.lastLSN() <= lsn {
 			drop = append(drop, s)
+			w.totalSize -= s.size
 		} else {
 			keep = append(keep, s)
 		}
 	}
 	w.sealed = keep
+	w.publishGaugesLocked()
 	w.mu.Unlock()
 	for _, s := range drop {
 		if err := w.fs.Remove(s.path); err != nil {
@@ -327,7 +394,6 @@ func (w *wal) dropCovered(lsn uint64) (int, error) {
 		}
 	}
 	cadd(w.met.SegmentsTruncated, int64(len(drop)))
-	w.publishGauges()
 	return len(drop), nil
 }
 
@@ -335,11 +401,7 @@ func (w *wal) dropCovered(lsn uint64) (int, error) {
 func (w *wal) totalBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	total := w.activeSize
-	for _, s := range w.sealed {
-		total += s.size
-	}
-	return total
+	return w.totalSize
 }
 
 func (w *wal) segmentCount() int {
@@ -348,9 +410,11 @@ func (w *wal) segmentCount() int {
 	return len(w.sealed) + 1
 }
 
-func (w *wal) publishGauges() {
-	gset(w.met.WALBytes, w.totalBytes())
-	gset(w.met.WALSegments, int64(w.segmentCount()))
+// publishGaugesLocked sets the log-shape gauges from the state the
+// caller, holding w.mu, just changed.
+func (w *wal) publishGaugesLocked() {
+	gset(w.met.WALBytes, w.totalSize)
+	gset(w.met.WALSegments, int64(len(w.sealed)+1))
 }
 
 // lastErr reports the sealing failure, if any.

@@ -49,7 +49,8 @@ type cacheFile struct{ storage.File }
 func (cacheFile) Sync() error { return nil }
 
 // startCacheCluster starts three durable nodes on cacheFS and returns a
-// client of them, warmed up with one write and one read of path.
+// client of them, warmed up with one write and one read of path, with
+// a connection pooled to every replica.
 func startCacheCluster(tb testing.TB, path string, value []byte) *Client {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -79,6 +80,12 @@ func startCacheCluster(tb testing.TB, path string, value []byte) *Client {
 	if _, _, ok, err := client.Get(path); err != nil || !ok {
 		tb.Fatalf("warm-up get: ok=%v err=%v", ok, err)
 	}
+	// The put returned on two acks, and no connection was pooled when it
+	// started, so its third leg may still be dialling: the first
+	// measured call would find that replica unpooled and run a blocking
+	// leg. Close waits for the legs in the background and leaves the
+	// client usable.
+	client.Close()
 	return client
 }
 
