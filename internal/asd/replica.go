@@ -41,17 +41,12 @@ import (
 // satisfy it.
 type Store interface {
 	GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error)
+	// GetBoundedContext is a single-replica read proven no staler than
+	// bound, with a quorum fallback whenever the bound cannot be proven.
+	GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error)
 	PutContext(ctx context.Context, path string, value []byte) (uint64, error)
 	DeleteContext(ctx context.Context, path string) error
 	ListContext(ctx context.Context, prefix string) ([]string, error)
-}
-
-// boundedStore is the optional bounded-staleness read surface of a
-// Store (*pstore.Client and *pstore.Sharded both provide it): a
-// single-replica read proven no staler than bound, with a quorum
-// fallback whenever the bound cannot be proven.
-type boundedStore interface {
-	GetBoundedContext(ctx context.Context, path string, bound time.Duration) (value []byte, version uint64, ok bool, err error)
 }
 
 // ResolveStaleness is the staleness bound for resolve-path store
@@ -188,19 +183,14 @@ func (r *replica) load(ctx context.Context, name string) (Entry, bool, error) {
 	return r.loadWith(ctx, name, r.store.GetContext)
 }
 
-// loadResolve is load for the resolve path: when the store offers the
-// bounded read spectrum, the entry comes from a single replica proven
-// no staler than ResolveStaleness (quorum fallback inside the store
-// client otherwise). Safe for the directory cache because Install
-// only admits equal-or-newer store versions — a stale read can never
-// regress memory.
+// loadResolve is load for the resolve path: the entry comes from a
+// single replica proven no staler than ResolveStaleness (quorum
+// fallback inside the store client otherwise). Safe for the directory
+// cache because Install only admits equal-or-newer store versions — a
+// stale read can never regress memory.
 func (r *replica) loadResolve(ctx context.Context, name string) (Entry, bool, error) {
-	bs, ok := r.store.(boundedStore)
-	if !ok {
-		return r.load(ctx, name)
-	}
 	return r.loadWith(ctx, name, func(ctx context.Context, path string) ([]byte, uint64, bool, error) {
-		return bs.GetBoundedContext(ctx, path, ResolveStaleness)
+		return r.store.GetBoundedContext(ctx, path, ResolveStaleness)
 	})
 }
 

@@ -44,6 +44,12 @@ func (m *memStore) GetContext(_ context.Context, path string) ([]byte, uint64, b
 	return it.value, it.version, true, nil
 }
 
+// GetBoundedContext reads exactly as GetContext does: the fake has one
+// copy of each path, so every read is as fresh as any bound asks.
+func (m *memStore) GetBoundedContext(ctx context.Context, path string, _ time.Duration) ([]byte, uint64, bool, error) {
+	return m.GetContext(ctx, path)
+}
+
 func (m *memStore) PutContext(_ context.Context, path string, value []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -204,10 +204,7 @@ func TestClientCacheNegativeTTLExpiryAfterLateRegistration(t *testing.T) {
 	svcs, pool := startReplicatedTrio(t, time.Hour)
 
 	tel := telemetry.NewRegistry()
-	cpool := daemon.NewPoolConfig(daemon.PoolConfig{
-		Telemetry:         tel,
-		LookupNegativeTTL: 500 * time.Millisecond,
-	})
+	cpool := daemon.NewPoolConfig(daemon.PoolConfig{Telemetry: tel})
 	defer cpool.Close()
 	client := NewClient(cpool, svcs[0].Addr(), svcs[1].Addr(), svcs[2].Addr())
 

@@ -40,8 +40,7 @@ type Service struct {
 
 	// rep is the store-backed replica layer; nil in standalone
 	// (single in-memory directory) mode.
-	rep          *replica
-	storeTimeout time.Duration
+	rep *replica
 
 	// The published pstore placement map. The ASD is its authority:
 	// coordinators publish through placeset, clients fetch through
@@ -71,10 +70,11 @@ type Config struct {
 	// serves the same entries. Nil keeps the standalone in-memory
 	// directory.
 	Store Store
-	// StoreTimeout bounds each store operation issued on behalf of one
-	// command (default 2s).
-	StoreTimeout time.Duration
 }
+
+// storeTimeout bounds each store operation issued on behalf of one
+// command or one reap.
+const storeTimeout = 2 * time.Second
 
 // New constructs the directory service.
 func New(cfg Config) *Service {
@@ -90,17 +90,13 @@ func New(cfg Config) *Service {
 	if cfg.ReapInterval <= 0 {
 		cfg.ReapInterval = 250 * time.Millisecond
 	}
-	if cfg.StoreTimeout <= 0 {
-		cfg.StoreTimeout = 2 * time.Second
-	}
 	// Placement publication is control-plane: a rebalance must be able
 	// to land its cutover even while the directory is shedding load.
 	dcfg.ControlVerbs = append(dcfg.ControlVerbs, placement.CmdPlaceSet, placement.CmdPlaceGet)
 	s := &Service{
-		Daemon:       daemon.New(dcfg),
-		dir:          NewDirectory(),
-		reapEvery:    cfg.ReapInterval,
-		storeTimeout: cfg.StoreTimeout,
+		Daemon:    daemon.New(dcfg),
+		dir:       NewDirectory(),
+		reapEvery: cfg.ReapInterval,
 	}
 	s.reapCtx, s.stopReap = context.WithCancel(context.Background())
 	tel := s.Telemetry()
@@ -117,8 +113,8 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Directory exposes the underlying listing (read-mostly; used by
-// in-process experiments).
+// Directory exposes the underlying listing, read-mostly: the
+// environment's service tree (core.Environment.ServiceTree) walks it.
 func (s *Service) Directory() *Directory { return s.dir }
 
 // Placement returns the currently published placement map (nil when
@@ -164,7 +160,7 @@ func (s *Service) reapLoop() {
 				// confirmed against the durable deadline, never local
 				// state alone, and entries registered through sibling
 				// replicas are pulled in.
-				ctx, cancel := context.WithTimeout(s.reapCtx, s.storeTimeout)
+				ctx, cancel := context.WithTimeout(s.reapCtx, storeTimeout)
 				reaped = s.rep.sync(ctx)
 				cancel()
 			} else {
@@ -230,7 +226,7 @@ func replicaFail(err error) *cmdlang.CmdLine {
 func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *cmdlang.CmdLine) *cmdlang.CmdLine {
 	finish, ok := hctx.Detach()
 	if !ok {
-		ctx, cancel := context.WithTimeout(hctx.TraceContext(), s.storeTimeout)
+		ctx, cancel := context.WithTimeout(hctx.TraceContext(), storeTimeout)
 		defer cancel()
 		return work(ctx)
 	}
@@ -239,12 +235,12 @@ func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *
 		tctx := hctx.TraceContext()
 		go func() {
 			defer func() { <-s.rep.storeSem }()
-			ctx, cancel := context.WithTimeout(tctx, s.storeTimeout)
+			ctx, cancel := context.WithTimeout(tctx, storeTimeout)
 			defer cancel()
 			finish.Finish(work(ctx))
 		}()
 	default:
-		ctx, cancel := context.WithTimeout(hctx.TraceContext(), s.storeTimeout)
+		ctx, cancel := context.WithTimeout(hctx.TraceContext(), storeTimeout)
 		finish.Finish(work(ctx))
 		cancel()
 	}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -66,10 +67,13 @@ func TestOversizeReplyAnsweredWithFail(t *testing.T) {
 			return cmdlang.OK().SetString("all", strings.Repeat("d", wire.MaxFrameSize)), nil
 		})
 	})
-	c := dialTest(t, d)
-	c.SetCallTimeout(5 * time.Second)
+	c, err := wire.DialContext(context.Background(), nil, d.Addr(), 5*time.Second, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	start := time.Now()
-	_, err := c.Call(cmdlang.New("dump"))
+	_, err = c.Call(cmdlang.New("dump"))
 	if !cmdlang.IsRemoteCode(err, cmdlang.CodeInternal) || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("err = %v, want a remote internal error naming the frame limit", err)
 	}

@@ -33,7 +33,6 @@ type LookupCache struct {
 	mu      sync.Mutex
 	entries map[string]*lookupEntry
 	byName  map[string]map[string]struct{} // service name → cache keys
-	negTTL  time.Duration
 	now     func() time.Time
 
 	hits    *telemetry.Counter
@@ -51,10 +50,10 @@ type lookupEntry struct {
 	expires  time.Time // zero for a positive entry: eviction-driven, no TTL
 }
 
-// DefaultLookupNegativeTTL bounds how long an absent service stays
-// absent in a client's cache after it finally registers (when the
-// register notification is dropped or the client is not subscribed).
-const DefaultLookupNegativeTTL = time.Second
+// negativeTTL bounds how long an absent service stays absent in a
+// client's cache after it finally registers (when the register
+// notification is dropped or the client is not subscribed).
+const negativeTTL = time.Second
 
 // Lookup-cache metric names (recorded into the pool's registry).
 const (
@@ -75,17 +74,12 @@ const (
 	MetricLookupCacheEvictions = "asd.cache.evictions"
 )
 
-// NewLookupCache builds a cache. negTTL bounds negative entries (0 =
-// DefaultLookupNegativeTTL); positive entries live until an event
-// evicts them.
-func NewLookupCache(negTTL time.Duration, tel *telemetry.Registry) *LookupCache {
-	if negTTL <= 0 {
-		negTTL = DefaultLookupNegativeTTL
-	}
+// NewLookupCache builds a cache. Negative entries live for
+// negativeTTL; positive entries live until an event evicts them.
+func NewLookupCache(tel *telemetry.Registry) *LookupCache {
 	return &LookupCache{
 		entries: make(map[string]*lookupEntry),
 		byName:  make(map[string]map[string]struct{}),
-		negTTL:  negTTL,
 		now:     time.Now,
 		hits:    tel.Counter(MetricLookupCacheHits),
 		misses:  tel.Counter(MetricLookupCacheMisses),
@@ -157,7 +151,7 @@ func (c *LookupCache) PutNegative(key string) {
 	if old, ok := c.entries[key]; ok {
 		c.removeLocked(key, old)
 	}
-	c.entries[key] = &lookupEntry{negative: true, expires: c.now().Add(c.negTTL)}
+	c.entries[key] = &lookupEntry{negative: true, expires: c.now().Add(negativeTTL)}
 }
 
 // Invalidate applies one directory change event. name is the service
@@ -207,12 +201,4 @@ func (c *LookupCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Flush empties the cache (tests and operator tooling).
-func (c *LookupCache) Flush() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*lookupEntry)
-	c.byName = make(map[string]map[string]struct{})
 }

@@ -7,15 +7,15 @@ import (
 	"ace/internal/telemetry"
 )
 
-func newTestCache(negTTL time.Duration) (*LookupCache, *time.Time) {
-	c := NewLookupCache(negTTL, telemetry.NewRegistry())
+func newTestCache() (*LookupCache, *time.Time) {
+	c := NewLookupCache(telemetry.NewRegistry())
 	now := time.Date(2000, 8, 21, 9, 0, 0, 0, time.UTC)
 	c.SetClock(func() time.Time { return now })
 	return c, &now
 }
 
 func TestLookupCachePositive(t *testing.T) {
-	c, _ := newTestCache(0)
+	c, _ := newTestCache()
 	if _, _, ok := c.Get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -30,13 +30,13 @@ func TestLookupCachePositive(t *testing.T) {
 }
 
 func TestLookupCacheNegativeTTL(t *testing.T) {
-	c, now := newTestCache(500 * time.Millisecond)
+	c, now := newTestCache()
 	c.PutNegative("k")
 	if _, neg, ok := c.Get("k"); !ok || !neg {
 		t.Fatalf("neg=%v ok=%v", neg, ok)
 	}
 	// Within the TTL the absence is served from the cache…
-	*now = now.Add(400 * time.Millisecond)
+	*now = now.Add(negativeTTL - 100*time.Millisecond)
 	if _, neg, ok := c.Get("k"); !ok || !neg {
 		t.Fatal("negative entry gone before TTL")
 	}
@@ -52,7 +52,7 @@ func TestLookupCacheNegativeTTL(t *testing.T) {
 }
 
 func TestLookupCacheInvalidateByName(t *testing.T) {
-	c, _ := newTestCache(0)
+	c, _ := newTestCache()
 	c.PutPositive("name:a", []string{"a"}, []string{"a:1"}, false)
 	c.PutPositive("name:b", []string{"b"}, []string{"b:1"}, false)
 	c.PutPositive("scan:cams", []string{"a", "b"}, []string{"a:1", "b:1"}, true)
@@ -72,7 +72,7 @@ func TestLookupCacheInvalidateByName(t *testing.T) {
 }
 
 func TestLookupCacheRegisterFlushesNegativesAndScans(t *testing.T) {
-	c, _ := newTestCache(0)
+	c, _ := newTestCache()
 	c.PutNegative("name:newcomer")
 	c.PutPositive("scan:all", []string{"x"}, []string{"x:1"}, true)
 	c.PutPositive("name:x", []string{"x"}, []string{"x:1"}, false)
@@ -93,7 +93,7 @@ func TestLookupCacheRegisterFlushesNegativesAndScans(t *testing.T) {
 }
 
 func TestLookupCacheReplaceReindexes(t *testing.T) {
-	c, _ := newTestCache(0)
+	c, _ := newTestCache()
 	c.PutPositive("k", []string{"old"}, []string{"old:1"}, false)
 	c.PutPositive("k", []string{"new"}, []string{"new:1"}, false)
 	// The stale index entry must not linger: an event about "old"

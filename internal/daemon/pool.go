@@ -70,10 +70,6 @@ type PoolConfig struct {
 	// transition, with the address and the "closed"/"open"/"half-open"
 	// state names.
 	OnBreakerChange func(addr, from, to string)
-	// LookupNegativeTTL bounds negative ("no matching service")
-	// entries of the pool's service-discovery cache; 0 means
-	// DefaultLookupNegativeTTL.
-	LookupNegativeTTL time.Duration
 }
 
 func (cfg PoolConfig) withDefaults() PoolConfig {
@@ -159,7 +155,7 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 		cfg:         cfg,
 		peers:       make(map[string]*peer),
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		lookups:     NewLookupCache(cfg.LookupNegativeTTL, cfg.Telemetry),
+		lookups:     NewLookupCache(cfg.Telemetry),
 		metrics:     wire.NewMetrics(cfg.Telemetry),
 		retries:     cfg.Telemetry.Counter(MetricPoolRetries),
 		busyRetries: cfg.Telemetry.Counter(MetricPoolBusyRetries),
@@ -241,12 +237,10 @@ func (p *Pool) dial(ctx context.Context, deadline time.Time, addr string, pe *pe
 	}
 	dctx, cancel := context.WithDeadline(ctx, by)
 	defer cancel()
-	c, err := wire.DialContext(dctx, p.cfg.Transport, addr)
+	c, err := wire.DialContext(dctx, p.cfg.Transport, addr, p.cfg.CallTimeout, p.metrics)
 	if err != nil {
 		return nil, err
 	}
-	c.SetCallTimeout(p.cfg.CallTimeout)
-	c.SetMetrics(p.metrics)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -114,8 +114,6 @@ type Config struct {
 	// MaxConns caps concurrently admitted connections at the accept
 	// loop. Default 4096.
 	MaxConns int
-	// Clock injects a time source (tests). Default time.Now.
-	Clock func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -127,9 +125,6 @@ func (c Config) withDefaults() Config {
 	orDefault(&c.QueueLen, 128)
 	orDefault(&c.MaxQueueWait, 100*time.Millisecond)
 	orDefault(&c.MaxConns, 4096)
-	if c.Clock == nil {
-		c.Clock = time.Now
-	}
 	return c
 }
 
@@ -161,7 +156,6 @@ const (
 // Controller is one daemon's admission gate.
 type Controller struct {
 	cfg Config
-	now func() time.Time
 
 	mu           sync.Mutex
 	lim          aimd
@@ -191,7 +185,6 @@ func NewController(cfg Config, reg *telemetry.Registry) *Controller {
 	}
 	c := &Controller{
 		cfg:          cfg,
-		now:          cfg.Clock,
 		lim:          aimd{limit: float64(cfg.InitialLimit), min: float64(cfg.MinLimit), max: float64(cfg.MaxLimit)},
 		perPrincipal: make(map[string]load),
 		mAdmitted:    [2]*telemetry.Counter{reg.Counter(MetricAdmittedControl), reg.Counter(MetricAdmittedData)},
@@ -235,7 +228,7 @@ func (t *Ticket) Done() {
 // limit, and fails with *RejectedError when the request is shed or
 // ErrClosed after shutdown.
 func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) (Ticket, error) {
-	now := c.now()
+	now := time.Now()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -303,7 +296,7 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 	case waiterAdmitted:
 		// Admission may have raced the timer; the slot is already
 		// held, so take it regardless of which select arm fired.
-		c.mQueueWait[pri].Observe(c.now().Sub(w.enq))
+		c.mQueueWait[pri].Observe(time.Now().Sub(w.enq))
 		return Ticket{c: c, pri: pri, principal: principal, start: w.enq}, nil
 	case waiterClosed:
 		return Ticket{}, ErrClosed
@@ -402,7 +395,7 @@ func (c *Controller) fairShareExceededLocked(principal string) bool {
 // release returns t's slot, feeds the adaptive limiter, and admits
 // as many waiters as the new limit allows.
 func (c *Controller) release(t *Ticket) {
-	now := c.now()
+	now := time.Now()
 	c.mu.Lock()
 	c.inflight--
 	if t.pri == Data {

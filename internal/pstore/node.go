@@ -565,13 +565,12 @@ func (n *Node) Placement() (*placement.Map, int) {
 	return n.place, n.placeIdx
 }
 
-// Group returns the replica-group name this node was configured with.
-func (n *Node) Group() string { return n.group }
-
 // routeCheck enforces the placement contract on a data-plane request
 // addressed to path. reqEpoch is the client's placement epoch (0 when
-// the client is unsharded — legacy traffic is admitted wherever it
-// lands). It returns nil when the request may proceed, or the
+// the client is unsharded: such a request skips the epoch check below
+// and is otherwise held to the same rules, so once a map is installed
+// it is admitted at the owning group, and a write also at a move's
+// destination). It returns nil when the request may proceed, or the
 // wrong_group fail reply the handler must return. The rules:
 //
 //   - no installed map: accept everything (unsharded compatibility);

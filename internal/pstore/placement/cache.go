@@ -52,19 +52,6 @@ func NewCache(pool *daemon.Pool, asdAddr string) *Cache {
 	}
 }
 
-// NewStaticCache wraps a fixed map with no ASD behind it (tests,
-// benches, single-environment embeddings). Invalidate is a no-op in
-// the sense that the same map is served again.
-func NewStaticCache(m *Map) *Cache {
-	reg := telemetry.NewRegistry()
-	return &Cache{
-		m:              m,
-		mFetches:       reg.Counter(MetricMapFetches),
-		mInvalidations: reg.Counter(MetricInvalidations),
-		mEpoch:         reg.Gauge(MetricEpoch),
-	}
-}
-
 // Get returns the cached map without touching the network — the
 // router's fast path. ok is false when the cache is empty or stale;
 // the caller then pays the fetch through GetContext. Unlike the usual
@@ -102,16 +89,6 @@ func (c *Cache) GetContext(ctx context.Context) (*Map, error) {
 }
 
 func (c *Cache) fetch(ctx context.Context) (*Map, error) {
-	if c.pool == nil {
-		// Static cache: nothing to fetch; clear staleness and serve.
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.stale = false
-		if c.m == nil {
-			return nil, fmt.Errorf("placement: static cache holds no map")
-		}
-		return c.m, nil
-	}
 	reply, err := c.pool.CallContext(ctx, c.asd, cmdlang.New(CmdPlaceGet))
 	if err != nil {
 		return nil, fmt.Errorf("placement: fetch map: %w", err)

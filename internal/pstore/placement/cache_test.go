@@ -177,19 +177,3 @@ func TestCacheServesStaleWhenASDUnreachable(t *testing.T) {
 		t.Fatalf("fallback map epoch=%d", got.Epoch)
 	}
 }
-
-func TestStaticCache(t *testing.T) {
-	m := placement.NewMap(7, 32, 16, testGroups("g1"))
-	c := placement.NewStaticCache(m)
-	if got, ok := c.Get(); !ok || got != m {
-		t.Fatal("static cache miss")
-	}
-	c.Invalidate()
-	got, err := c.GetContext(context.Background())
-	if err != nil || got != m {
-		t.Fatalf("static cache after invalidate: %v", err)
-	}
-	if c.Epoch() != 1 {
-		t.Fatalf("epoch=%d", c.Epoch())
-	}
-}

@@ -68,10 +68,6 @@ func NewSharded(pool *daemon.Pool, cache *placement.Cache) *Sharded {
 	}
 }
 
-// Cache exposes the underlying placement cache (for wiring
-// invalidation notifications onto a host daemon).
-func (s *Sharded) Cache() *placement.Cache { return s.cache }
-
 // Close drains the background work of every group client this router
 // ever built. Close before closing the pool.
 func (s *Sharded) Close() {

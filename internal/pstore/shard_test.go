@@ -127,10 +127,22 @@ func TestShardedPutGetAcrossGroups(t *testing.T) {
 
 	// An unsharded (epoch-0) client pointed at the right group still
 	// works: placement does not break legacy single-group callers.
-	g0 := NewClient(pool, m.Groups[m.Assignment[placement.PartitionOf(shardKey(1), m.Partitions)]].Replicas)
+	owner := m.Assignment[placement.PartitionOf(shardKey(1), m.Partitions)]
+	g0 := NewClient(pool, m.Groups[owner].Replicas)
 	defer g0.Close()
 	if _, _, ok, err := g0.Get(shardKey(1)); !ok || err != nil {
 		t.Fatalf("legacy client read: ok=%v err=%v", ok, err)
+	}
+	// The same kind of client pointed at a group that does not own the
+	// path is refused, reads and writes alike: once a map is installed,
+	// an unstamped request is not admitted wherever it lands.
+	other := NewClient(pool, m.Groups[1-owner].Replicas)
+	defer other.Close()
+	if _, _, _, err := other.Get(shardKey(1)); !IsWrongGroup(err) {
+		t.Fatalf("legacy read at a non-owning group: err=%v, want wrong_group", err)
+	}
+	if _, err := other.Put(shardKey(1), []byte("misrouted")); !IsWrongGroup(err) {
+		t.Fatalf("legacy write at a non-owning group: err=%v, want wrong_group", err)
 	}
 }
 

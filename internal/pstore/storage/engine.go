@@ -48,7 +48,8 @@ type Options struct {
 	BatchMax int
 	// Corruption selects the mid-log corruption policy.
 	Corruption CorruptionPolicy
-	// Metrics receives instrumentation; zero value disables it.
+	// Metrics names the telemetry instruments the engine records into;
+	// a nil one records nothing, so the zero value disables them all.
 	Metrics Metrics
 }
 
@@ -166,7 +167,7 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 			break
 		}
 		info.SnapshotsBad++
-		cinc(met.SnapshotsBad)
+		met.SnapshotsBad.Inc()
 		if opts.Corruption == CorruptFailFast {
 			return nil, nil, info, fmt.Errorf("storage: invalid snapshot: %w", lerr)
 		}
@@ -196,7 +197,7 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 			if err := fsys.Remove(path); err != nil {
 				return nil, nil, info, fmt.Errorf("storage: drop covered segment: %w", err)
 			}
-			cinc(met.SegmentsTruncated)
+			met.SegmentsTruncated.Inc()
 			continue
 		}
 		// Continuity: the first surviving segment must start within the
@@ -216,7 +217,7 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 				return nil, nil, info, gapErr
 			}
 			info.CorruptRecords++
-			cinc(met.CorruptRecords)
+			met.CorruptRecords.Inc()
 		}
 		before := recovered.n
 		res, rerr := replaySegment(fsys, path, first, isLast, info.SnapshotLSN, opts.Corruption, &recovered)
@@ -227,9 +228,9 @@ func Open(dir string, opts Options) (*Engine, []Record, RecoveryInfo, error) {
 		info.Replayed += replayed
 		info.TornTails += res.tornTails
 		info.CorruptRecords += res.corrupt
-		cadd(met.Replayed, int64(replayed))
-		cadd(met.TornTails, int64(res.tornTails))
-		cadd(met.CorruptRecords, int64(res.corrupt))
+		met.Replayed.Add(int64(replayed))
+		met.TornTails.Add(int64(res.tornTails))
+		met.CorruptRecords.Add(int64(res.corrupt))
 		expect = first + res.total
 		if res.quarantined != "" {
 			info.Quarantined = append(info.Quarantined, res.quarantined)
@@ -443,7 +444,7 @@ func (e *Engine) Snapshot(collect func() []Record) error {
 	}
 	lsn, err := e.w.seal()
 	if err != nil {
-		cinc(e.opts.Metrics.SnapshotErrors)
+		e.opts.Metrics.SnapshotErrors.Inc()
 		return err
 	}
 	if lsn == 0 && !e.forceSnap.Load() {
@@ -451,14 +452,14 @@ func (e *Engine) Snapshot(collect func() []Record) error {
 	}
 	records := collect()
 	if _, err := writeSnapshot(e.fs, e.dir, lsn, records); err != nil {
-		cinc(e.opts.Metrics.SnapshotErrors)
+		e.opts.Metrics.SnapshotErrors.Inc()
 		return err
 	}
 	e.snapBytes.Store(snapshotSize(records))
 	prevLSN := e.snapLSN
 	e.snapLSN = lsn
 	e.forceSnap.Store(false)
-	cinc(e.opts.Metrics.Snapshots)
+	e.opts.Metrics.Snapshots.Inc()
 	if _, err := e.w.dropCovered(lsn); err != nil {
 		return fmt.Errorf("storage: truncate after snapshot: %w", err)
 	}

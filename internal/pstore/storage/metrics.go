@@ -1,56 +1,28 @@
 package storage
 
-// Counter and Gauge are the narrow slices of a metrics registry the
-// engine needs; internal/telemetry's Counter and Gauge satisfy them.
-// Every Metrics field may be nil — the engine is usable without any
-// instrumentation wired in.
-type Counter interface {
-	Inc()
-	Add(delta int64)
-}
+import "ace/internal/telemetry"
 
-// Gauge is a settable instantaneous value.
-type Gauge interface {
-	Set(v int64)
-}
-
-// Metrics receives the engine's instrumentation.
+// Metrics receives the engine's instrumentation. Every field may be
+// nil — telemetry's instruments record nothing through a nil pointer,
+// so the engine is usable without any instrumentation wired in.
 type Metrics struct {
 	// WAL write path.
-	Appends      Counter // records durably appended
-	AppendErrors Counter // appends refused or failed (write/sync error, closed log)
-	Syncs        Counter // fsync batches (Appends/Syncs = group-commit amortization)
+	Appends      *telemetry.Counter // records durably appended
+	AppendErrors *telemetry.Counter // appends refused or failed (write/sync error, closed log)
+	Syncs        *telemetry.Counter // fsync batches (Appends/Syncs = group-commit amortization)
 
 	// Snapshot cycle.
-	Snapshots         Counter // compacted snapshots written
-	SnapshotErrors    Counter // snapshot attempts that failed (log keeps the data)
-	SegmentsTruncated Counter // sealed WAL segments deleted after a snapshot
+	Snapshots         *telemetry.Counter // compacted snapshots written
+	SnapshotErrors    *telemetry.Counter // snapshot attempts that failed (log keeps the data)
+	SegmentsTruncated *telemetry.Counter // sealed WAL segments deleted after a snapshot
 
 	// Recovery.
-	Replayed       Counter // WAL records replayed at open
-	TornTails      Counter // torn final records truncated at open (expected crash artifact)
-	CorruptRecords Counter // mid-log corrupt records found at open
-	SnapshotsBad   Counter // snapshots that failed validation at open
+	Replayed       *telemetry.Counter // WAL records replayed at open
+	TornTails      *telemetry.Counter // torn final records truncated at open (expected crash artifact)
+	CorruptRecords *telemetry.Counter // mid-log corrupt records found at open
+	SnapshotsBad   *telemetry.Counter // snapshots that failed validation at open
 
 	// Live log shape.
-	WALBytes    Gauge // bytes across all live segments
-	WALSegments Gauge // live segment files (incl. active)
-}
-
-func cinc(c Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func cadd(c Counter, d int64) {
-	if c != nil {
-		c.Add(d)
-	}
-}
-
-func gset(g Gauge, v int64) {
-	if g != nil {
-		g.Set(v)
-	}
+	WALBytes    *telemetry.Gauge // bytes across all live segments
+	WALSegments *telemetry.Gauge // live segment files (incl. active)
 }

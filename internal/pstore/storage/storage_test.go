@@ -12,6 +12,7 @@ import (
 
 	"ace/internal/chaos"
 	"ace/internal/pstore/storage"
+	"ace/internal/telemetry"
 )
 
 const dir = "/store"
@@ -641,16 +642,10 @@ func TestInvalidSnapshotFallsBackToWAL(t *testing.T) {
 	wantRecords(t, recs, 10)
 }
 
-type tcounter struct{ n atomic.Int64 }
-
-func (c *tcounter) Inc()        { c.n.Add(1) }
-func (c *tcounter) Add(d int64) { c.n.Add(d) }
-func (c *tcounter) Load() int64 { return c.n.Load() }
-
 func TestFsyncFailureSealsLog(t *testing.T) {
 	fs := chaos.NewDiskFS()
-	var appendErrs tcounter
-	opts := storage.Options{Metrics: storage.Metrics{AppendErrors: &appendErrs}}
+	appendErrs := telemetry.NewRegistry().Counter("pstore.wal.append_errors")
+	opts := storage.Options{Metrics: storage.Metrics{AppendErrors: appendErrs}}
 	eng, _, _ := mustOpen(t, fs, opts)
 	appendN(t, eng, 0, 3)
 	fs.FailSync(fmt.Errorf("simulated EIO"))
@@ -666,8 +661,8 @@ func TestFsyncFailureSealsLog(t *testing.T) {
 	if eng.Err() == nil {
 		t.Fatal("Err() is nil on a sealed log")
 	}
-	if appendErrs.Load() < 2 {
-		t.Fatalf("append_errors = %d, want both refusals counted", appendErrs.Load())
+	if appendErrs.Value() < 2 {
+		t.Fatalf("append_errors = %d, want both refusals counted", appendErrs.Value())
 	}
 	eng.Crash()
 	// Recovery sees exactly the acked records; the un-synced batch that

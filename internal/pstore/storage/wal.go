@@ -165,7 +165,7 @@ func (w *wal) appendAsync(req appendReq) bool {
 	select {
 	case w.reqs <- req:
 	case <-w.stop:
-		cadd(w.met.AppendErrors, int64(req.size()))
+		w.met.AppendErrors.Add(int64(req.size()))
 		return false
 	}
 	// Once the log is closed both cases above are ready, so the send
@@ -184,7 +184,7 @@ func (w *wal) refuseQueued() {
 	for {
 		select {
 		case r := <-w.reqs:
-			cadd(w.met.AppendErrors, int64(r.size()))
+			w.met.AppendErrors.Add(int64(r.size()))
 			r.done(ErrClosed)
 		default:
 			return
@@ -196,7 +196,7 @@ func (w *wal) refuseQueued() {
 // the records it has not committed.
 func (w *wal) failBulks(err error) {
 	for _, b := range w.bulks {
-		cadd(w.met.AppendErrors, int64(len(b.recs)))
+		w.met.AppendErrors.Add(int64(len(b.recs)))
 		b.done(err)
 	}
 	clear(w.bulks)
@@ -296,7 +296,7 @@ func (w *wal) commit(batch []appendReq) error {
 		}
 	}
 	if w.broken != nil {
-		cadd(w.met.AppendErrors, int64(n))
+		w.met.AppendErrors.Add(int64(n))
 		return w.broken
 	}
 	w.buf = w.buf[:0]
@@ -318,15 +318,15 @@ func (w *wal) commit(batch []appendReq) error {
 		// truncate it. The log seals itself: a disk that failed once
 		// must not keep acking durability.
 		w.broken = fmt.Errorf("storage: wal append: %w", err)
-		cadd(w.met.AppendErrors, int64(n))
+		w.met.AppendErrors.Add(int64(n))
 		return w.broken
 	}
 	w.activeSize += int64(len(w.buf))
 	w.totalSize += int64(len(w.buf))
 	w.activeRecords += uint64(n)
 	w.nextLSN += uint64(n)
-	cinc(w.met.Syncs)
-	cadd(w.met.Appends, int64(n))
+	w.met.Syncs.Inc()
+	w.met.Appends.Add(int64(n))
 	w.publishGaugesLocked()
 	return nil
 }
@@ -393,7 +393,7 @@ func (w *wal) dropCovered(lsn uint64) (int, error) {
 			return len(drop), err
 		}
 	}
-	cadd(w.met.SegmentsTruncated, int64(len(drop)))
+	w.met.SegmentsTruncated.Add(int64(len(drop)))
 	return len(drop), nil
 }
 
@@ -413,8 +413,8 @@ func (w *wal) segmentCount() int {
 // publishGaugesLocked sets the log-shape gauges from the state the
 // caller, holding w.mu, just changed.
 func (w *wal) publishGaugesLocked() {
-	gset(w.met.WALBytes, w.totalSize)
-	gset(w.met.WALSegments, int64(len(w.sealed)+1))
+	w.met.WALBytes.Set(w.totalSize)
+	w.met.WALSegments.Set(int64(len(w.sealed) + 1))
 }
 
 // lastErr reports the sealing failure, if any.

@@ -89,7 +89,7 @@ func TestOneWritePerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &writeLog{Conn: raw}
-	c := NewClient(out)
+	c := newClient(out, 0, nil)
 	defer c.Close()
 	replies := <-served
 
@@ -177,13 +177,12 @@ func TestOversizeCallFailsAlone(t *testing.T) {
 			WriteReply(conn, cmdlang.OK().SetWord("echo", cmd.Name()), cmd.Int(cmdlang.SeqArg, 0)) //nolint:errcheck
 		}
 	}()
-	c, err := Dial(nil, ln.Addr().String())
+	reg := telemetry.NewRegistry()
+	c, err := DialContext(context.Background(), nil, ln.Addr().String(), 0, NewMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	reg := telemetry.NewRegistry()
-	c.SetMetrics(NewMetrics(reg))
 
 	held := make(chan error, 1)
 	go func() {

@@ -52,11 +52,8 @@ type Client struct {
 	// the connection last read a frame (see maxUnanswered).
 	unanswered atomic.Int64
 
-	onPush func(*cmdlang.CmdLine)
-
 	callTimeout time.Duration
-
-	metrics atomic.Pointer[Metrics]
+	metrics     *Metrics // nil records nothing
 }
 
 // maxUnanswered is how many bytes of calls Start writes to a
@@ -110,45 +107,19 @@ var waiterPool = sync.Pool{New: func() any {
 	return &waiter{result: make(chan Result, 1), timer: t}
 }}
 
-// SetOnPush installs a handler for commands that arrive without a
-// matching pending sequence number (server pushes, e.g. streamed
-// notifications on a subscription channel). Pushes arriving before a
-// handler is installed are dropped.
-func (c *Client) SetOnPush(fn func(*cmdlang.CmdLine)) {
-	c.mu.Lock()
-	c.onPush = fn
-	c.mu.Unlock()
-}
-
-// SetCallTimeout overrides the default per-call deadline applied when
-// a caller's context has none. d <= 0 restores DefaultCallTimeout.
-func (c *Client) SetCallTimeout(d time.Duration) {
-	if d <= 0 {
-		d = DefaultCallTimeout
-	}
-	c.mu.Lock()
-	c.callTimeout = d
-	c.mu.Unlock()
-}
-
-// SetMetrics installs the telemetry instrument group recording this
-// connection's traffic (nil disables). Safe to call concurrently
-// with in-flight traffic.
-func (c *Client) SetMetrics(m *Metrics) { c.metrics.Store(m) }
-
-// m returns the active instrument group; may be nil (no-op).
-func (c *Client) m() *Metrics { return c.metrics.Load() }
-
 // Dial connects to a daemon command port using the transport's TLS
 // client configuration (or plaintext when the transport is nil or
-// plaintext).
+// plaintext). Its calls default to DefaultCallTimeout and record no
+// metrics.
 func Dial(t *Transport, addr string) (*Client, error) {
-	return DialContext(context.Background(), t, addr)
+	return DialContext(context.Background(), t, addr, DefaultCallTimeout, nil)
 }
 
 // DialContext is Dial bounded by ctx; when ctx carries no deadline
-// DefaultDialTimeout applies.
-func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error) {
+// DefaultDialTimeout applies. callTimeout is the deadline of a call
+// whose context has none (<= 0: DefaultCallTimeout), and m records the
+// connection's traffic (nil: nothing).
+func DialContext(ctx context.Context, t *Transport, addr string, callTimeout time.Duration, m *Metrics) (*Client, error) {
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, DefaultDialTimeout)
@@ -169,16 +140,20 @@ func DialContext(ctx context.Context, t *Transport, addr string) (*Client, error
 		}
 		conn = tc
 	}
-	return NewClient(conn), nil
+	return newClient(conn, callTimeout, m), nil
 }
 
-// NewClient wraps an established connection (already TLS'd if
+// newClient wraps an established connection (already TLS'd if
 // desired) and starts the reader goroutine.
-func NewClient(conn net.Conn) *Client {
+func newClient(conn net.Conn, callTimeout time.Duration, m *Metrics) *Client {
+	if callTimeout <= 0 {
+		callTimeout = DefaultCallTimeout
+	}
 	c := &Client{
 		conn:        conn,
 		pending:     make(map[int64]started),
-		callTimeout: DefaultCallTimeout,
+		callTimeout: callTimeout,
+		metrics:     m,
 	}
 	go c.readLoop()
 	return c
@@ -198,7 +173,7 @@ func (c *Client) readLoop() {
 		if c.unanswered.Load() != 0 {
 			c.unanswered.Store(0)
 		}
-		c.m().FrameRecv(len(payload))
+		c.metrics.FrameRecv(len(payload))
 		_, _, text := SplitPayload(payload)
 		cmd, err := cmdlang.ParseBytes(text)
 		if err != nil {
@@ -211,18 +186,13 @@ func (c *Client) readLoop() {
 		if ok {
 			delete(c.pending, seq)
 		}
-		push := c.onPush
 		c.mu.Unlock()
-		switch {
-		case ok:
-			c.m().CallDone(time.Since(w.start))
+		// A frame no call waits for is dropped: a reply whose call gave
+		// up (deadline exceeded or cancelled), or an unnumbered one,
+		// such as a daemon's answer to a line it could not parse.
+		if ok {
+			c.metrics.CallDone(time.Since(w.start))
 			w.sink <- Result{Reply: cmd, Tag: w.tag}
-		case seq >= 0:
-			// A reply whose call already gave up (deadline exceeded or
-			// cancelled). Dropping it keeps late replies from
-			// masquerading as server pushes.
-		case push != nil:
-			push(cmd)
 		}
 	}
 }
@@ -274,7 +244,7 @@ func (c *Client) CallContext(ctx context.Context, cmd *cmdlang.CmdLine) (*cmdlan
 	if err == nil {
 		err = cmdlang.ReplyError(reply)
 	} else if errors.Is(err, context.DeadlineExceeded) {
-		c.m().CallTimeout()
+		c.metrics.CallTimeout()
 	}
 	if err != nil {
 		return nil, err
@@ -439,7 +409,7 @@ func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlan
 		}
 		return 0, err
 	}
-	c.m().FrameSent(n)
+	c.metrics.FrameSent(n)
 	return n, nil
 }
 
@@ -456,15 +426,12 @@ func (c *Client) Send(cmd *cmdlang.CmdLine) error {
 // bounds the write, and a telemetry span context on it is propagated
 // as a trace header (a fresh child span per delivery).
 func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
-	c.mu.Lock()
-	closed, timeout := c.closed, c.callTimeout
-	c.mu.Unlock()
-	if closed {
+	if c.Closed() {
 		return ErrClosed
 	}
 	deadline, ok := ctx.Deadline()
 	if !ok {
-		deadline = time.Now().Add(timeout)
+		deadline = time.Now().Add(c.callTimeout)
 	}
 	_, err := c.write(deadline, childSpan(ctx), cmd, false, 0)
 	return err

@@ -113,13 +113,12 @@ func TestStartedCallContract(t *testing.T) {
 	t.Run("a started reply records call latency", func(t *testing.T) {
 		ln := listen(t)
 		echoServer(t, ln, nil)
-		c, err := Dial(nil, ln.Addr().String())
+		reg := telemetry.NewRegistry()
+		c, err := DialContext(context.Background(), nil, ln.Addr().String(), 0, NewMetrics(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		reg := telemetry.NewRegistry()
-		c.SetMetrics(NewMetrics(reg))
 		sink := make(chan Result, 1)
 		if _, err := c.Start(context.Background(), time.Time{}, cmdlang.New("ping"), sink, 7); err != nil {
 			t.Fatal(err)

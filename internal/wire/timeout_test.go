@@ -77,12 +77,11 @@ func TestCallDefaultTimeoutApplies(t *testing.T) {
 	ln := stallServer(t)
 	defer ln.Close()
 
-	c, err := Dial(nil, ln.Addr().String())
+	c, err := DialContext(context.Background(), nil, ln.Addr().String(), 100*time.Millisecond, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetCallTimeout(100 * time.Millisecond)
 
 	start := time.Now()
 	_, err = c.Call(cmdlang.New("ping"))
@@ -95,8 +94,8 @@ func TestCallDefaultTimeoutApplies(t *testing.T) {
 }
 
 // TestCallCancellationRemovesPending: cancelling a call abandons it
-// immediately and a late reply is dropped, not misdelivered as a
-// push.
+// immediately and a late reply is dropped, not delivered to the next
+// call.
 func TestCallCancellationRemovesPending(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,8 +128,6 @@ func TestCallCancellationRemovesPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	pushes := make(chan *cmdlang.CmdLine, 4)
-	c.SetOnPush(func(cmd *cmdlang.CmdLine) { pushes <- cmd })
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -155,11 +152,6 @@ func TestCallCancellationRemovesPending(t *testing.T) {
 	if reply.Str("echo", "") != "live" {
 		t.Fatalf("live call corrupted by late reply: %v", reply)
 	}
-	select {
-	case p := <-pushes:
-		t.Fatalf("late reply misdelivered as push: %v", p)
-	default:
-	}
 }
 
 // TestDialAbortsOnCancelledContext: an already-expired context aborts
@@ -169,7 +161,7 @@ func TestDialAbortsOnCancelledContext(t *testing.T) {
 	defer ln.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := DialContext(ctx, nil, ln.Addr().String()); err == nil {
+	if _, err := DialContext(ctx, nil, ln.Addr().String(), 0, nil); err == nil {
 		t.Fatal("dial with cancelled context succeeded")
 	}
 }
@@ -180,7 +172,7 @@ func TestDialAbortsOnCancelledContext(t *testing.T) {
 func TestSendErrClosedMeansNothingWritten(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
-	c := NewClient(a)
+	c := newClient(a, 0, nil)
 	c.Close()
 	if err := c.Send(cmdlang.New("notify")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)

@@ -248,12 +248,11 @@ func TestClientMetricsRecordTraffic(t *testing.T) {
 	}()
 
 	reg := telemetry.NewRegistry()
-	c, err := Dial(nil, ln.Addr().String())
+	c, err := DialContext(context.Background(), nil, ln.Addr().String(), 0, NewMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetMetrics(NewMetrics(reg))
 	for i := 0; i < 3; i++ {
 		if _, err := c.Call(cmdlang.New("ping")); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"crypto/tls"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -359,41 +358,54 @@ func TestCAIssueDistinctSerials(t *testing.T) {
 	}
 }
 
-func TestClientPushDelivery(t *testing.T) {
+// TestUnnumberedFrameIsDropped: a frame that carries no seq, which is
+// what a daemon answers to a line it could not parse, reaches no call.
+// The call in flight still gets its own reply, and the connection
+// carries on.
+func TestUnnumberedFrameIsDropped(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	go func() {
-		conn, _ := ln.Accept()
-		defer conn.Close()
-		cmd, err := ReadCmd(conn)
+		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		// Unsolicited push (no seq) strictly before the reply, so the
-		// client is guaranteed to see it before Call returns.
-		WriteCmd(conn, cmdlang.New("notifyMe").SetWord("event", "boom"))                //nolint:errcheck
-		WriteCmd(conn, cmdlang.OK().SetInt(cmdlang.SeqArg, cmd.Int(cmdlang.SeqArg, 0))) //nolint:errcheck
+		defer conn.Close()
+		for i := 0; i < 2; i++ {
+			cmd, err := ReadCmd(conn)
+			if err != nil {
+				return
+			}
+			if i == 0 {
+				// Strictly before the reply, so the client reads it
+				// while the call is pending.
+				WriteCmd(conn, cmdlang.Fail("parse_error", "unterminated string")) //nolint:errcheck
+			}
+			WriteCmd(conn, cmdlang.OK().SetInt(cmdlang.SeqArg, cmd.Int(cmdlang.SeqArg, 0)).SetWord("echo", cmd.Name())) //nolint:errcheck
+		}
 	}()
 
-	pushes := make(chan *cmdlang.CmdLine, 1)
 	c, err := Dial(nil, ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetOnPush(func(cmd *cmdlang.CmdLine) { pushes <- cmd })
-	if _, err := c.Call(cmdlang.New("ping")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case p := <-pushes:
-		if p.Name() != "notifyMe" || !strings.Contains(p.Str("event", ""), "boom") {
-			t.Fatalf("push=%v", p)
+	for _, name := range []string{"first", "second"} {
+		reply, err := c.Call(cmdlang.New(name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	default:
-		t.Fatal("push not delivered")
+		if got := reply.Str("echo", ""); got != name {
+			t.Fatalf("%s got the reply of %q: %v", name, got, reply)
+		}
+	}
+	c.mu.Lock()
+	n := len(c.pending)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("pending entries left: %d", n)
 	}
 }
