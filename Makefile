@@ -140,14 +140,17 @@ profile-call:
 # lease holder, against three durable nodes in one process whose
 # filesystem answers a flush at once, as the benchmark's store
 # workloads run them, under the CPU and the allocation profiler, and
-# the top of each. The test binary and both profiles stay under
-# .bench_build/ for `go tool pprof -list`.
+# the top of each. The last table is the share of CPU samples in the
+# read and write system calls — sockets, and the log files' writes —
+# with the callers that led there, by cumulative share. The test binary
+# and both profiles stay under .bench_build/ for `go tool pprof -list`.
 profile-store:
 	mkdir -p .bench_build
 	$(GO) test -run '^$$' -bench 'BenchmarkStoreOp' -benchtime 20000x -benchmem \
 		-o .bench_build/store.test -cpuprofile .bench_build/store.cpu.prof -memprofile .bench_build/store.mem.prof ./internal/pstore/
 	$(GO) tool pprof -top -nodecount 10 .bench_build/store.test .bench_build/store.cpu.prof
 	$(GO) tool pprof -top -nodecount 10 -sample_index alloc_objects .bench_build/store.test .bench_build/store.mem.prof
+	$(GO) tool pprof -top -cum -nodecount 16 -focus '^syscall\.(write|read)$$' .bench_build/store.test .bench_build/store.cpu.prof
 
 examples:
 	$(GO) run ./examples/quickstart

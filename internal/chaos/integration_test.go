@@ -413,10 +413,13 @@ func TestChaosPstoreBlackholedReplicaDoesNotSetQuorumLatency(t *testing.T) {
 	client := pstore.NewClient(pool, proxied)
 	defer client.Close()
 
-	// Healthy baseline.
+	// Healthy baseline. The pool holds no connection yet, so no replica
+	// can be told the write: it asks all three, and its third leg may
+	// straggle without a hedge.
 	if _, err := client.Put("/chaos/bh", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
+	base := reg.Snapshot()
 
 	// Blackhole replica 3: its connections stay up but every byte is
 	// discarded, so its calls stall until the deadline — the
@@ -445,15 +448,18 @@ func TestChaosPstoreBlackholedReplicaDoesNotSetQuorumLatency(t *testing.T) {
 		}
 	}
 
-	// A read asks only a majority, so whether it met the blackholed
-	// replica depends on where the client's rotation stood; when it did,
-	// it was hedged around it, and that leg is its one straggler.
+	// Reads and writes ask only a majority, so whether one met the
+	// blackholed replica depends on where the client's rotation stood;
+	// when it did, it was hedged around it, and that leg is its one
+	// straggler. The baseline put took the rotation's first place, so the
+	// first put after the blackhole asks r3.
 	snap := reg.Snapshot()
 	if n, h := snap.Counter(pstore.MetricReadStragglers), snap.Counter(pstore.MetricReadHedges); n != h {
 		t.Errorf("read stragglers = %d, hedges = %d: only a leg hedged around straggles", n, h)
 	}
-	if n := snap.Counter(pstore.MetricWriteStragglers); n < 1 {
-		t.Errorf("write stragglers = %d, want >= 1", n)
+	stragglers := snap.Counter(pstore.MetricWriteStragglers) - base.Counter(pstore.MetricWriteStragglers)
+	if n, h := stragglers, snap.Counter(pstore.MetricWriteHedges); n != h || n < 1 {
+		t.Errorf("write stragglers = %d, hedges = %d: a put asked the blackholed replica, and only a leg hedged around straggles", n, h)
 	}
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -74,21 +75,60 @@ func TestLookupCacheInvalidateByName(t *testing.T) {
 func TestLookupCacheRegisterFlushesNegativesAndScans(t *testing.T) {
 	c, _ := newTestCache()
 	c.PutNegative("name:newcomer")
+	c.PutNegative("name:other")
 	c.PutPositive("scan:all", []string{"x"}, []string{"x:1"}, true)
+	c.PutPositive("scan:room", []string{"x"}, []string{"x:1"}, true)
 	c.PutPositive("name:x", []string{"x"}, []string{"x:1"}, false)
+	// A query that found nothing and then a service is a positive entry:
+	// a registration elsewhere leaves it be.
+	c.PutNegative("name:y")
+	c.PutPositive("name:y", []string{"y"}, []string{"y:1"}, false)
 
 	// A registration can satisfy any previously-empty query and can
 	// join any scan's result set; exact-name positives for other
 	// services are untouched.
 	c.Invalidate(CmdRegister, "newcomer")
-	if _, _, ok := c.Get("name:newcomer"); ok {
-		t.Fatal("negative entry survived a registration")
+	for _, key := range []string{"name:newcomer", "name:other", "scan:all", "scan:room"} {
+		if _, _, ok := c.Get(key); ok {
+			t.Fatalf("%s survived a registration", key)
+		}
 	}
-	if _, _, ok := c.Get("scan:all"); ok {
-		t.Fatal("scan entry survived a registration")
+	for _, key := range []string{"name:x", "name:y"} {
+		if _, _, ok := c.Get(key); !ok {
+			t.Fatalf("unrelated name entry %s evicted", key)
+		}
 	}
-	if _, _, ok := c.Get("name:x"); !ok {
-		t.Fatal("unrelated name entry evicted")
+	if n := c.evicts.Value(); n != 4 {
+		t.Fatalf("%d evictions, want the 4 negative and scan entries", n)
+	}
+	// A second registration finds nothing more to flush.
+	c.Invalidate(CmdRegister, "later")
+	if n := c.evicts.Value(); n != 4 {
+		t.Fatalf("%d evictions after a second registration, want still 4", n)
+	}
+}
+
+// BenchmarkLookupCacheRegister: a register event in a cache holding a
+// few or thousands of positive name entries, and one negative entry
+// for it to flush. The flush walks every cached entry to find the
+// negative and scan ones, so the larger cache costs more.
+func BenchmarkLookupCacheRegister(b *testing.B) {
+	for _, names := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("names=%d", names), func(b *testing.B) {
+			c := NewLookupCache(telemetry.NewRegistry())
+			for i := 0; i < names; i++ {
+				name := fmt.Sprintf("svc%d", i)
+				c.PutPositive("name:"+name, []string{name}, []string{name + ":1"}, false)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				c.PutNegative("name:newcomer")
+				c.Invalidate(CmdRegister, "newcomer")
+			}
+			if c.Len() != names {
+				b.Fatalf("%d entries, want the %d positive ones", c.Len(), names)
+			}
+		})
 	}
 }
 

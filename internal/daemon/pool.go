@@ -435,14 +435,8 @@ func (s Started) Cancel() bool { return s.c.Cancel(s.seq) }
 // CallContext. The call is held to deadline, else ctx's, else the
 // pool's call timeout from now.
 func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine, sink chan<- wire.Result, tag int) (Started, bool) {
-	p.mu.Lock()
-	pe := p.peers[addr]
-	var c *wire.Client
-	if pe != nil {
-		c = pe.client
-	}
-	p.mu.Unlock()
-	if c == nil || pe.breaker.currentState() != breakerClosed {
+	pe, c := p.live(addr)
+	if c == nil {
 		return Started{}, false
 	}
 	if deadline.IsZero() {
@@ -457,6 +451,43 @@ func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *
 		return Started{}, false
 	}
 	return Started{pe: pe, c: c, seq: seq, deadline: deadline}, true
+}
+
+// live returns addr's record and pooled connection when a call may be
+// written on it without blocking or dialing: the connection is up and
+// the breaker closed. The client is nil otherwise.
+func (p *Pool) live(addr string) (*peer, *wire.Client) {
+	p.mu.Lock()
+	pe := p.peers[addr]
+	var c *wire.Client
+	if pe != nil {
+		c = pe.client
+	}
+	p.mu.Unlock()
+	if c == nil || pe.breaker.currentState() != breakerClosed {
+		return nil, nil
+	}
+	return pe, c
+}
+
+// Tell writes cmd to addr as a one-way frame, which the peer answers
+// with nothing, on Start's terms: only on a live pooled connection whose
+// breaker is closed and whose peer is answering, and never dialing. It
+// reports whether the frame was written; false leaves the caller to send
+// cmd another way. A write that failed drops the connection, so that the
+// next call redials, and charges no breaker: no answer was due.
+func (p *Pool) Tell(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine) bool {
+	pe, c := p.live(addr)
+	if c == nil {
+		return false
+	}
+	if err := c.Tell(ctx, deadline, cmd); err != nil {
+		if c.Closed() {
+			p.drop(pe, c)
+		}
+		return false
+	}
+	return true
 }
 
 // Settle accounts the Result of a started call, its first attempt, as

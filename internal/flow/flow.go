@@ -157,14 +157,16 @@ const (
 type Controller struct {
 	cfg Config
 
-	mu           sync.Mutex
-	lim          aimd
-	inflight     int
-	perPrincipal map[string]load // data-plane slots held and awaited
-	controlQ     waitQueue
-	dataQ        waitQueue
-	conns        int
-	closed       bool
+	mu       sync.Mutex
+	lim      aimd
+	inflight int
+	// controlInflight is the part of inflight that is control traffic.
+	controlInflight int
+	perPrincipal    map[string]load // data-plane slots held and awaited
+	controlQ        waitQueue
+	dataQ           waitQueue
+	conns           int
+	closed          bool
 
 	mAdmitted  [2]*telemetry.Counter
 	mShed      [2]*telemetry.Counter
@@ -234,15 +236,17 @@ func (c *Controller) Admit(ctx context.Context, pri Priority, principal string) 
 		c.mu.Unlock()
 		return Ticket{}, ErrClosed
 	}
-	capacity := c.lim.current()
+	var room bool
 	if pri == Control {
-		capacity = c.hardCapLocked()
+		room = c.controlRoomLocked()
 	} else if c.fairShareExceededLocked(principal) {
 		err := c.shedLocked(pri, ReasonFairShare)
 		c.mu.Unlock()
 		return Ticket{}, err
+	} else {
+		room = c.inflight < c.lim.current()
 	}
-	if c.inflight < capacity {
+	if room {
 		t := c.admitLocked(pri, principal, now, now)
 		c.mu.Unlock()
 		return t, nil
@@ -325,6 +329,8 @@ func (c *Controller) takeSlotLocked(pri Priority, principal string, dequeued int
 	c.inflight++
 	if pri == Data {
 		c.bookLocked(principal, 1, -dequeued)
+	} else {
+		c.controlInflight++
 	}
 	c.mAdmitted[pri].Inc()
 }
@@ -365,10 +371,23 @@ func (c *Controller) shedLocked(pri Priority, reason string) *RejectedError {
 }
 
 // hardCapLocked is the control-plane ceiling: the data-plane limit
-// plus reserved headroom data traffic can never occupy.
+// plus the control reserve.
 func (c *Controller) hardCapLocked() int {
-	limit := c.lim.current()
-	return limit + max(1, int(float64(limit)*controlReserve))
+	return c.lim.current() + c.reserveLocked()
+}
+
+// reserveLocked is the headroom only control traffic may occupy.
+func (c *Controller) reserveLocked() int {
+	return max(1, int(float64(c.lim.current())*controlReserve))
+}
+
+// controlRoomLocked reports whether a control request may take a slot
+// now: while everything in flight is under the hard cap, and, whatever
+// data holds, while control in flight is under the reserve. Data
+// admitted before a limit cut may hold the whole hard cap; the reserve
+// stays control's all the same.
+func (c *Controller) controlRoomLocked() bool {
+	return c.inflight < c.hardCapLocked() || c.controlInflight < c.reserveLocked()
 }
 
 // fairShareExceededLocked enforces per-principal fairness once the
@@ -400,6 +419,8 @@ func (c *Controller) release(t *Ticket) {
 	c.inflight--
 	if t.pri == Data {
 		c.bookLocked(t.principal, -1, 0)
+	} else {
+		c.controlInflight--
 	}
 	c.lim.observe(now.Sub(t.start), now)
 	c.mLimit.Set(int64(c.lim.current()))
@@ -420,7 +441,7 @@ func (c *Controller) release(t *Ticket) {
 // FIFO preserves ordering. Expired waiters are shed on the way.
 func (c *Controller) fillLocked(now time.Time) []*waiter {
 	var wake []*waiter
-	for c.controlQ.len() > 0 && c.inflight < c.hardCapLocked() {
+	for c.controlQ.len() > 0 && c.controlRoomLocked() {
 		wake = append(wake, c.fillOneLocked(c.controlQ.popOldest(), now))
 	}
 	for c.dataQ.len() > 0 && c.inflight < c.lim.current() {

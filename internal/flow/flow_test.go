@@ -221,6 +221,51 @@ func TestControlOutranksData(t *testing.T) {
 	}
 }
 
+// TestControlReserveSurvivesLimitCut: data admitted under the limit
+// before a cut can hold more than the hard cap after it (64 in flight,
+// the limit cut to 48, the hard cap 60). The reserve is control's all
+// the same: a control request is admitted at once, not queued behind
+// completions that take longer than the target latency, and control
+// fills the reserve and no more.
+func TestControlReserveSurvivesLimitCut(t *testing.T) {
+	c := NewController(Config{InitialLimit: 64, MinLimit: 8, MaxLimit: 64, MaxQueueWait: time.Second}, telemetry.NewRegistry())
+	data := make([]Ticket, 64)
+	for i := range data {
+		var err error
+		if data[i], err = c.Admit(context.Background(), Data, "d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	slow := &data[0]
+	slow.start = slow.start.Add(-2 * targetLatency)
+	slow.Done()
+	s := c.Snapshot()
+	if s.Limit != 48 || s.HardCap != 60 || s.Inflight != 63 {
+		t.Fatalf("after one slow completion: %+v, want limit 48, hard cap 60, 63 in flight", s)
+	}
+	admit := func(pri Priority) (Ticket, error) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		return c.Admit(ctx, pri, "p")
+	}
+	reserve := s.HardCap - s.Limit
+	for i := 0; i < reserve; i++ {
+		start := time.Now()
+		if _, err := admit(Control); err != nil {
+			t.Fatalf("control request %d of the reserve %d shed: %v", i+1, reserve, err)
+		}
+		if waited := time.Since(start); waited > 10*time.Millisecond {
+			t.Fatalf("control request %d waited %v for a reserved slot", i+1, waited)
+		}
+	}
+	if _, err := admit(Control); err == nil {
+		t.Fatal("a control request beyond the reserve was admitted while data holds the limit")
+	}
+	if _, err := admit(Data); err == nil {
+		t.Fatal("a data request was admitted above the cut limit")
+	}
+}
+
 func TestFairShare(t *testing.T) {
 	c := pinned(4, 4, 20*time.Millisecond)
 	// A noisy principal grabs three of four slots.

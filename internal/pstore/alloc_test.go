@@ -17,7 +17,7 @@ import (
 // (read repairs, a straggler's drain) landing in the count. What each
 // allocation is for: DESIGN.md, "What a store operation allocates".
 const (
-	putAllocBudget     = 40
+	putAllocBudget     = 36
 	getAllocBudget     = 24
 	boundedAllocBudget = 10
 )

@@ -143,7 +143,7 @@ func TestBoundedReadReplicaMissedWriteNeverServed(t *testing.T) {
 	}
 	// Age past the bound so a1 is now provably staler than Δ, while
 	// filler writes keep every replica — including the stale one —
-	// applying and acking throughout.
+	// applying writes throughout.
 	deadline := time.Now().Add(bound + 200*time.Millisecond)
 	for time.Now().Before(deadline) {
 		if _, err := client.Put("/bounded/filler", []byte("x")); err != nil {

@@ -105,6 +105,7 @@ type Client struct {
 	mReadHedges       *telemetry.Counter
 	mReadPassovers    *telemetry.Counter
 	mWriteStragglers  *telemetry.Counter
+	mWriteHedges      *telemetry.Counter
 	mWriteConflicts   *telemetry.Counter
 	mBlockingLegs     *telemetry.Counter
 	mReadRepairs      *telemetry.Counter
@@ -147,6 +148,7 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mReadHedges:       tel.Counter(MetricReadHedges),
 		mReadPassovers:    tel.Counter(MetricReadPassovers),
 		mWriteStragglers:  tel.Counter(MetricWriteStragglers),
+		mWriteHedges:      tel.Counter(MetricWriteHedges),
 		mWriteConflicts:   tel.Counter(MetricWriteConflicts),
 		mBlockingLegs:     tel.Counter(MetricFanoutBlockingLegs),
 		mReadRepairs:      tel.Counter(MetricReadRepairs),
@@ -230,10 +232,11 @@ type leg struct {
 }
 
 // fanout is one in-flight streaming fan-out of cmd. Its legs run in
-// order, one per replica: a write or a list launches all of them at
-// once, a quorum read a quorum's worth, an any-replica read one, and
+// order, one per replica: a list launches all of them at once, a quorum
+// read or write a quorum's worth, an any-replica read one, and
 // awaitQuorum launches the rest — the spares — only when a leg fails or
-// the read is still undecided after hedgeAfter. Results arrive on the
+// the outcome is still undecided after hedgeAfter. A write tells its
+// spares the command before that (see tell). Results arrive on the
 // channel in completion order, tagged with the leg's place in legs, and
 // are decoded where they are consumed. The channel has a slot per leg,
 // and a leg has at most one result on its way, so no sender ever waits.
@@ -243,6 +246,7 @@ type fanout struct {
 	cmd    *cmdlang.CmdLine
 	decode func(reply *cmdlang.CmdLine, err error, addr string) replicaReply
 	start  time.Time
+	hedges *telemetry.Counter // counts the spares launched
 
 	legs     []leg // in launch order
 	launched int   // legs launched, legs[:launched]
@@ -274,9 +278,10 @@ var timerPool = sync.Pool{New: func() any {
 }}
 
 // streamFanout readies cmd for every replica and launches the first
-// `legs` legs. A fan-out that holds legs back is a read: it starts at
-// the next replica of the client's rotation, so reads spread evenly over
-// the replicas, and takes the ones currently passed over last.
+// `legs` legs. A fan-out that holds legs back starts at the next replica
+// of the client's rotation, so its legs spread evenly over the replicas,
+// and takes the ones currently passed over last. Its spares count as
+// read hedges unless the caller says otherwise.
 func (c *Client) streamFanout(ctx context.Context, legs int, cmd *cmdlang.CmdLine, decode func(*cmdlang.CmdLine, error, string) replicaReply) *fanout {
 	n := len(c.replicas)
 	f := &fanout{
@@ -285,6 +290,7 @@ func (c *Client) streamFanout(ctx context.Context, legs int, cmd *cmdlang.CmdLin
 		cmd:     cmd,
 		decode:  decode,
 		start:   time.Now(),
+		hedges:  c.mReadHedges,
 		legs:    make([]leg, n),
 		results: make(chan wire.Result, n),
 		done:    ctx.Done(),
@@ -368,12 +374,29 @@ func (f *fanout) block(k int, wait time.Duration) {
 	}()
 }
 
-// spare launches up to k of the legs a read held back, each counted as
-// a hedge.
+// spare launches up to k of the legs the fan-out held back, each
+// counted as a hedge.
 func (f *fanout) spare(k int) {
 	for ; k > 0 && f.launched < len(f.legs); k-- {
 		f.launch()
-		f.c.mReadHedges.Inc()
+		f.hedges.Inc()
+	}
+}
+
+// tell sends a write's command unnumbered to every replica the write
+// held back, so that each is sent the write although only a quorum is
+// asked to answer it: a tell costs the replica no reply, and the client
+// no read. A replica the pool cannot tell — no live pooled connection,
+// a breaker not closed, a peer not answering — is launched a leg in
+// its place, so that it is sent the write all the same. A told replica
+// stays a spare: a leg launched to it later is a re-delivery, which it
+// acks without a second log record.
+func (f *fanout) tell() {
+	for k := f.launched; k < len(f.legs); k++ {
+		if !f.c.pool.Tell(f.ctx, f.deadline, f.c.replicas[f.legs[k].idx], f.cmd) {
+			f.legs[k], f.legs[f.launched] = f.legs[f.launched], f.legs[k]
+			f.launch()
+		}
 	}
 }
 
@@ -509,13 +532,13 @@ func (f *fanout) release() {
 	}
 }
 
-// passOver has every read — quorum, bounded and any-replica — take
-// replica i last for the pool's breaker cool-down: a read was hedged
-// around it, a leg to it failed without an answer, or, as a lease
+// passOver has every read and write — quorum, bounded and any-replica —
+// take replica i last for the pool's breaker cool-down: a fan-out was
+// hedged around it, a leg to it failed without an answer, or, as a lease
 // holder, it answered below the version a quorum proved it held.
 // Nothing more permanent is needed: the next leg to answer clears the
-// mark (noteLeg), and writes still reach every replica, so a recovered
-// replica is back with the next write.
+// mark (noteLeg), the mark expires on its own, and meanwhile writes
+// still tell the replica, so a recovered one is current when it is back.
 func (c *Client) passOver(i int) {
 	c.passedOver[i].Store(time.Now().Add(daemon.DefaultBreakerCooldown).UnixNano())
 	c.mReadPassovers.Inc()
@@ -525,7 +548,7 @@ func (c *Client) passOver(i int) {
 // answer clears it, a refusal included, since the replica is up; a leg
 // that got none — a transport failure, a timeout, a corrupt reply —
 // sets it. A leg the client cancelled says nothing about the replica,
-// and is told apart first: every write's third leg is one.
+// and is told apart first: every leg a fan-out was hedged around is one.
 func (c *Client) noteLeg(i int, err error) {
 	switch {
 	case errors.Is(err, context.Canceled):
@@ -843,18 +866,20 @@ func (c *Client) writeRound(ctx context.Context, op string, dest *Client, cmd *c
 	return appliers, err
 }
 
-// Put writes value at path in one round to all replicas, versioned by
-// the client's clock stamp, succeeding once a majority has applied it.
-// Anti-entropy carries the write to replicas that missed it.
+// Put writes value at path in one round sent to all replicas, versioned
+// by the client's clock stamp, succeeding once the majority it asked
+// has applied it. Anti-entropy carries the write to replicas that
+// missed it.
 func (c *Client) Put(path string, value []byte) (uint64, error) {
 	return c.PutContext(context.Background(), path, value)
 }
 
 // PutContext is Put bounded by ctx, with span propagation to every
-// replica. It returns as soon as a majority has applied the write;
-// replicas still in flight are cancelled and left to read repair and
-// anti-entropy. Racing writers never share a version: one is refused
-// by a majority and pays a second round (stampedWrite).
+// replica. It returns as soon as a majority has applied the write; the
+// replicas it only told, and the legs still in flight, which are
+// cancelled, are left to read repair and anti-entropy. Racing writers
+// never share a version: one is refused by a majority and pays a second
+// round (stampedWrite).
 func (c *Client) PutContext(ctx context.Context, path string, value []byte) (uint64, error) {
 	return c.put(ctx, path, value, nil)
 }
@@ -929,12 +954,17 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 	return err
 }
 
-// quorumWrite is one round of every write: it streams cmd to every
-// replica and returns the addresses that acked as soon as the write
-// quorum is reached — or provably unreachable — cancelling the
-// stragglers (see finish). A cancelled straggler
-// that already received the frame still applies the write; one that
-// didn't is healed by repair or anti-entropy. A stamped write (the
+// quorumWrite is one round of every write: it asks a quorum of the
+// replicas, taken in the order a read takes them, tells the others
+// (see tell), and returns the addresses that acked as soon as the write
+// quorum is reached — or provably unreachable. Every replica is sent
+// the write, and only a quorum answers it, unless a leg fails or the
+// round is undecided at hedgeAfter: then a told replica is asked too, as
+// a read's spare is, and the replicas the round waited on are passed
+// over. Stragglers are cancelled at the decision (see finish). A told
+// replica, or a cancelled straggler that already received the frame,
+// still applies the write; one that didn't, or refused it, is healed by
+// repair or anti-entropy. A stamped write (the
 // command's version is the client's clock stamp) is acked only by a
 // replica that applied the item, a re-delivery included; one that
 // refused it for an equal or later version is a failed leg. Under
@@ -949,7 +979,9 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	}
 	// Every replica's call shares cmd: the wire client copies a command
 	// before adding its seq.
-	f := c.streamFanout(ctx, len(c.replicas), c.stamp(cmd), decode)
+	f := c.streamFanout(ctx, c.Quorum(), c.stamp(cmd), decode)
+	f.hedges = c.mWriteHedges
+	f.tell()
 	prefix, _ := f.awaitQuorum(c.Quorum(), op)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	var conflict *versionConflict

@@ -66,11 +66,12 @@ func telemetryPool(t *testing.T, callTimeout time.Duration) (*daemon.Pool, *tele
 
 // TestFastPathDecidesBeforeStraggler: with two healthy replicas and
 // one that never answers, quorum Get and Put decide at the healthy
-// majority in a fraction of the call timeout, the stalled replica is
-// counted as a write straggler, and its cancelled call does not keep
-// Close waiting for the timeout either. The read may not ask the
-// stalled replica at all; if it does, the read is hedged around it, so
-// either way it has exactly one straggler per hedge.
+// majority in a fraction of the call timeout, and the stalled replica's
+// cancelled call does not keep Close waiting for the timeout either.
+// Reads and writes both ask a majority, from the client's rotation: the
+// read, first, asks the healthy pair, and the write, second, asks the
+// stalled replica and is hedged around it. Either way a fan-out has
+// exactly one straggler per hedge.
 func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	cluster, err := StartCluster(2, "", 0)
 	if err != nil {
@@ -110,8 +111,8 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	if n, h := snap.Counter(MetricReadStragglers), snap.Counter(MetricReadHedges); n != h {
 		t.Errorf("read stragglers = %d, hedges = %d: a read asks a majority, so only a leg hedged around straggles", n, h)
 	}
-	if n := snap.Counter(MetricWriteStragglers); n < 1 {
-		t.Errorf("write stragglers = %d, want >= 1", n)
+	if n, h := snap.Counter(MetricWriteStragglers), snap.Counter(MetricWriteHedges); n != h || n < 1 {
+		t.Errorf("write stragglers = %d, hedges = %d: the write asks the stalled replica, and only a leg hedged around straggles", n, h)
 	}
 	if hp, ok := snap.Histogram(MetricReadLatencyFull); !ok || hp.Count < 1 {
 		t.Errorf("full-fanout read latency not observed: %+v ok=%v", hp, ok)
@@ -119,6 +120,155 @@ func TestFastPathDecidesBeforeStraggler(t *testing.T) {
 	if hp, ok := snap.Histogram(MetricWriteLatencyFull); !ok || hp.Count < 1 {
 		t.Errorf("full-fanout write latency not observed: %+v ok=%v", hp, ok)
 	}
+}
+
+// holdsSoon waits up to a second for node to hold version at path.
+func holdsSoon(node *Node, path string, version uint64) bool {
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		if it, ok := node.get(path); ok && it.Version == version {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+}
+
+// TestWriteAsksAQuorumAndTellsTheRest: a write asks a majority, as a
+// read does, and sends the other replica the same command unnumbered,
+// so every replica is sent every write and only a majority answers it.
+// On a healthy cluster whose connections are pooled a put writes three
+// frames and reads two replies, and the told replica holds the write
+// soon after. A replica the pool holds no connection to cannot be told
+// and is asked instead, and a stalled replica that a write asks is
+// covered by a spare at hedgeAfter and passed over.
+func TestWriteAsksAQuorumAndTellsTheRest(t *testing.T) {
+	t.Run("healthy", func(t *testing.T) {
+		cluster, err := StartCluster(3, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cluster.StopAll)
+		pool, reg := telemetryPool(t, 5*time.Second)
+		for _, addr := range cluster.Addrs() {
+			if _, err := pool.Call(addr, cmdlang.New("ping")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client := NewClient(pool, cluster.Addrs())
+		defer client.Close()
+		// Puts are counted in batches, and only batches no put of which
+		// hedged, as checkReadSpread counts reads: a reply to a leg a
+		// dropped batch hedged around may still arrive in a later one.
+		const batch, batches = 10, 5
+		var puts, sent, recv, dropped int64
+		for kept, tries := 0, 0; kept < batches; tries++ {
+			if tries == 10*batches {
+				t.Fatalf("%d of %d batches of %d puts on a healthy cluster hedged", tries-kept, tries, batch)
+			}
+			before := reg.Snapshot()
+			versions := make([]uint64, batch)
+			for i := range versions {
+				if versions[i], err = client.Put(fmt.Sprintf("/tell/%d/%d", tries, i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			client.Close()
+			after := reg.Snapshot()
+			if hedges := after.Counter(MetricWriteHedges) - before.Counter(MetricWriteHedges); hedges > 0 {
+				dropped += hedges
+				for i := range client.passedOver {
+					client.passedOver[i].Store(0)
+				}
+				continue
+			}
+			kept++
+			puts += batch
+			sent += after.Counter(wire.MetricFramesSent) - before.Counter(wire.MetricFramesSent)
+			recv += after.Counter(wire.MetricFramesRecv) - before.Counter(wire.MetricFramesRecv)
+			for i, v := range versions {
+				for j, node := range cluster.Nodes {
+					if !holdsSoon(node, fmt.Sprintf("/tell/%d/%d", tries, i), v) {
+						t.Fatalf("replica %d does not hold put %d of batch %d", j, i, tries)
+					}
+				}
+			}
+		}
+		if sent != 3*puts {
+			t.Errorf("%d frames written for %d puts, want 3 a put", sent, puts)
+		}
+		if recv < 2*puts || recv > 2*puts+dropped {
+			t.Errorf("%d replies read for %d puts (%d spares dropped), want 2 a put", recv, puts, dropped)
+		}
+		if n := reg.Snapshot().Counter(MetricWriteStragglers); n != dropped {
+			t.Errorf("%d write stragglers, %d hedges: only a leg hedged around straggles", n, dropped)
+		}
+	})
+	t.Run("unpooled replica is asked, stalled one hedged around", func(t *testing.T) {
+		cluster, err := StartCluster(2, "", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(cluster.StopAll)
+		const callTimeout = 5 * time.Second
+		pool, reg := telemetryPool(t, callTimeout)
+		stall := startStallReplica(t)
+		healthy, unpooled := cluster.Nodes[0], cluster.Nodes[1]
+		for _, addr := range []string{healthy.Addr(), stall.Addr()} {
+			if _, err := pool.Call(addr, cmdlang.New("ping")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client := NewClient(pool, []string{healthy.Addr(), stall.Addr(), unpooled.Addr()})
+		defer client.Close()
+
+		// The first write asks the healthy and the stalled replica, and
+		// cannot tell the third, which has no pooled connection: it is
+		// asked too, on the blocking path, and its ack makes the quorum.
+		// With every replica asked there is nothing to hedge.
+		v1, err := client.Put("/tell/x", []byte("v1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !holdsSoon(unpooled, "/tell/x", v1) {
+			t.Fatal("the replica with no pooled connection does not hold the write")
+		}
+		snap := reg.Snapshot()
+		if n := snap.Counter(MetricFanoutBlockingLegs); n != 1 {
+			t.Fatalf("%d blocking legs, want 1: the leg to the unpooled replica", n)
+		}
+		if n := snap.Counter(MetricWriteHedges); n != 0 {
+			t.Fatalf("%d write hedges for a write that asked every replica", n)
+		}
+
+		// The second write asks the stalled replica and the third, now
+		// pooled, and tells the healthy one. At hedgeAfter the stalled
+		// replica is passed over and the healthy one asked: its copy is a
+		// re-delivery, acked at once.
+		start := time.Now()
+		v2, err := client.Put("/tell/x", []byte("v2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed < hedgeAfter || elapsed > callTimeout/10 {
+			t.Fatalf("write with a stalled replica asked took %v, want hedgeAfter %v and far under the call timeout", elapsed, hedgeAfter)
+		}
+		if n := reg.Snapshot().Counter(MetricWriteHedges); n != 1 {
+			t.Fatalf("%d write hedges, want 1 for the stalled replica", n)
+		}
+		if client.passedOver[1].Load() <= time.Now().UnixNano() {
+			t.Fatal("the stalled replica was not passed over")
+		}
+		for _, node := range cluster.Nodes {
+			if !holdsSoon(node, "/tell/x", v2) {
+				t.Fatalf("%s does not hold the second write", node.Addr())
+			}
+		}
+		client.Close()
+		if n, h := reg.Snapshot().Counter(MetricWriteStragglers), reg.Snapshot().Counter(MetricWriteHedges); n != h+1 {
+			t.Fatalf("%d write stragglers, %d hedges: want one a hedge and the first write's stalled leg", n, h)
+		}
+	})
 }
 
 // firstLegs returns the replicas the next quorum read of c asks before
@@ -852,32 +1002,97 @@ func TestFrozenReplicaDoesNotStallWriters(t *testing.T) {
 	client.Close()
 }
 
-// heldFS is cacheFS whose flushes wait while the test holds its lock:
-// a durable node on it acks no write until the test lets go.
-type heldFS struct {
+// flushGate holds the flushes of a gatedFS, once armed, until open is
+// closed: a durable node on it acks no write until the test lets go.
+type flushGate struct {
+	armed atomic.Bool
+	open  chan struct{}
+}
+
+// gatedFS is cacheFS whose flushes wait at its gate.
+type gatedFS struct {
 	cacheFS
-	held *sync.RWMutex
+	gate *flushGate
 }
 
-func (h heldFS) Create(name string) (storage.File, error) {
-	f, err := h.cacheFS.Create(name)
-	return heldFile{f, h.held}, err
+func (g gatedFS) Create(name string) (storage.File, error) {
+	f, err := g.cacheFS.Create(name)
+	return gatedFile{f, g.gate}, err
 }
 
-func (h heldFS) OpenAppend(name string) (storage.File, error) {
-	f, err := h.cacheFS.OpenAppend(name)
-	return heldFile{f, h.held}, err
+func (g gatedFS) OpenAppend(name string) (storage.File, error) {
+	f, err := g.cacheFS.OpenAppend(name)
+	return gatedFile{f, g.gate}, err
 }
 
-type heldFile struct {
+type gatedFile struct {
 	storage.File
-	held *sync.RWMutex
+	gate *flushGate
 }
 
-func (h heldFile) Sync() error {
-	h.held.RLock()
-	h.held.RUnlock()
+func (g gatedFile) Sync() error {
+	if g.gate.armed.Load() {
+		<-g.gate.open
+	}
 	return nil
+}
+
+// TestRedeliveryAckWaitsForTheFirstCopysFlush: a write told to a
+// replica and then asked of it — a write's spare leg — is a
+// re-delivery: applied once and logged once. Its ack counts toward a
+// quorum, so it waits until the first copy's record is durable.
+func TestRedeliveryAckWaitsForTheFirstCopysFlush(t *testing.T) {
+	gate := &flushGate{open: make(chan struct{})}
+	node, err := NewNode(Config{
+		Daemon:  daemon.Config{Name: "gated"},
+		Dir:     t.TempDir(),
+		Storage: storage.Options{FS: gatedFS{cacheFS{storage.OS}, gate}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(node.Stop)
+	pool := daemon.NewPool(nil)
+	t.Cleanup(pool.Close)
+
+	gate.armed.Store(true)
+	release := sync.OnceFunc(func() { close(gate.open) })
+	defer release()
+	cmd := putCommand("/redeliver/x", []byte("v"), 5)
+	if err := pool.Send(node.Addr(), cmd); err != nil {
+		t.Fatal(err)
+	}
+	acked := make(chan *cmdlang.CmdLine, 1)
+	go func() {
+		reply, err := pool.Call(node.Addr(), cmd)
+		if err != nil {
+			t.Error(err)
+		}
+		acked <- reply
+	}()
+	if !holdsSoon(node, "/redeliver/x", 5) {
+		t.Fatal("the told write was not applied")
+	}
+	select {
+	case reply := <-acked:
+		t.Fatalf("re-delivery acked %v before the first copy was durable", reply)
+	case <-time.After(50 * time.Millisecond):
+	}
+	release()
+	select {
+	case reply := <-acked:
+		if reply == nil || !reply.Bool("applied", false) || reply.Int("version", 0) != 5 {
+			t.Fatalf("re-delivery answered %v, want applied=true version=5", reply)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("re-delivery not acked once the first copy was durable")
+	}
+	if n := node.Telemetry().Snapshot().Counter(MetricWALAppends); n != 1 {
+		t.Fatalf("%d log appends for one write delivered twice, want 1", n)
+	}
 }
 
 // startedLegEnv is a client over replicas whose connections are pooled
@@ -942,13 +1157,13 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"restarted replica is redialled", func(t *testing.T) {
-			var held sync.RWMutex
+			gate := &flushGate{open: make(chan struct{})}
 			addrs := make([]string, 3)
 			for i := range 2 {
 				n, err := NewNode(Config{
 					Daemon:  daemon.Config{Name: fmt.Sprintf("held%d", i)},
 					Dir:     t.TempDir(),
-					Storage: storage.Options{FS: heldFS{cacheFS{storage.OS}, &held}},
+					Storage: storage.Options{FS: gatedFS{cacheFS{storage.OS}, gate}},
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -985,7 +1200,7 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 
 			// The two held replicas ack only once the restarted one has
 			// applied the write, so its leg is part of the quorum.
-			held.Lock()
+			gate.armed.Store(true)
 			type put struct {
 				ver uint64
 				err error
@@ -1000,11 +1215,11 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 					break
 				}
 				if time.Now().After(deadline) {
-					held.Unlock()
+					close(gate.open)
 					t.Fatal("the restarted replica never applied the write")
 				}
 			}
-			held.Unlock()
+			close(gate.open)
 			p := <-done
 			if p.err != nil {
 				t.Fatal(p.err)
@@ -1045,8 +1260,12 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(shedding.Stop)
+			// A write asks a quorum, from the start of a fresh client's
+			// rotation: the healthy replica and the shedding one. The
+			// stalled one is only told, and the hedge that the shed leg's
+			// wait outlasts asks it in vain.
 			stall := startStallReplica(t)
-			e := newStartedLegEnv(t, breakerAtFirstFailure(5*time.Second), cluster.Addrs()[0], stall.Addr(), shedding.Addr())
+			e := newStartedLegEnv(t, breakerAtFirstFailure(5*time.Second), cluster.Addrs()[0], shedding.Addr(), stall.Addr())
 			if _, err := e.client.Put("/leg/busy", []byte("v")); err != nil {
 				t.Fatal(err)
 			}
@@ -1063,6 +1282,9 @@ func TestStartedLegFallbacksAndBreaker(t *testing.T) {
 			}
 			if n := e.counter(MetricFanoutBlockingLegs); n != 1 {
 				t.Fatalf("%d blocking legs, want 1: the shed one", n)
+			}
+			if n := e.counter(MetricWriteHedges); n != 1 {
+				t.Fatalf("%d write hedges, want 1: the stalled replica asked at the hedge", n)
 			}
 			if n := e.opens(shedding.Addr()); n != 0 {
 				t.Fatalf("a busy reply opened the breaker %d times", n)

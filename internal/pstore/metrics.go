@@ -18,13 +18,16 @@ package pstore
 //
 // Straggler counters count replica calls that were still unresolved
 // when the quorum outcome was decided (and were therefore cancelled),
-// each round of a write under pstore.write.stragglers. A write asks
-// every replica, so its last leg is usually one. A read asks only a
-// majority and decides on the answers of all it asked, so a read
-// straggler is a leg that was hedged around: pstore.read.hedges counts
-// the spare legs a read launched — for a failed leg at once, for a slow
-// one after the hedge delay — and on a healthy cluster both stay near
-// zero. Their rate climbing is a replica failing or stalling.
+// each round of a write under pstore.write.stragglers. A read and a
+// write each ask only a majority — a write tells the other replicas,
+// which answer nothing — and decide on the answers of all they asked,
+// so a straggler is a leg that was hedged around: pstore.read.hedges
+// and pstore.write.hedges count the spare legs launched — for a failed
+// leg at once, for a slow one after the hedge delay — and on a healthy
+// cluster all four stay near zero. Their rate climbing is a replica
+// failing or stalling. A write that could not tell a replica — no
+// pooled connection yet, a breaker not closed — asks it instead, and
+// its last leg may straggle with no hedge.
 //
 // pstore.read.passovers counts the marks that have every read — quorum,
 // bounded and any-replica — take a replica last for the breaker
@@ -59,6 +62,7 @@ const (
 	MetricReadHedges         = "pstore.read.hedges"
 	MetricReadPassovers      = "pstore.read.passovers"
 	MetricWriteStragglers    = "pstore.write.stragglers"
+	MetricWriteHedges        = "pstore.write.hedges"
 	MetricWriteConflicts     = "pstore.write.conflicts"
 	MetricFanoutBlockingLegs = "pstore.fanout.blocking_legs"
 	MetricReadRepairs        = "pstore.read.repairs"

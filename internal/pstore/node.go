@@ -63,6 +63,10 @@ type Node struct {
 
 	mu    sync.Mutex
 	items map[string]Item
+	// unsynced holds each write this node applied whose log record is
+	// not yet durable, with the re-deliveries of it waiting to be acked
+	// when it is (see applyAsync). Guarded by mu.
+	unsynced map[writeKey][]daemon.Detached
 
 	eng      *storage.Engine
 	recovery storage.RecoveryInfo
@@ -141,6 +145,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		Daemon:      daemon.New(dcfg),
 		items:       make(map[string]Item),
+		unsynced:    make(map[writeKey][]daemon.Detached),
 		syncStop:    make(chan struct{}),
 		group:       cfg.Group,
 		placeIdx:    -1,
@@ -272,12 +277,36 @@ func writeReply(applied bool, held uint64) *cmdlang.CmdLine {
 }
 
 // sameWrite reports whether held is exactly the item a command carries:
-// a re-delivery (a pool retry whose first copy did arrive) is answered
-// applied=true without a second log record. If the first copy's fsync,
-// possibly still in flight, fails, the node latches degraded — the
-// exposure a retried write had when any ok counted.
+// a re-delivery (a pool retry whose first copy did arrive, or a write's
+// spare leg to a replica it told) is answered applied=true without a
+// second log record, once the first copy is durable.
 func sameWrite(held, it Item) bool {
 	return held.Version == it.Version && held.Deleted == it.Deleted && bytes.Equal(held.Value, it.Value)
+}
+
+// writeKey names one write: a path at a version.
+type writeKey struct {
+	path    string
+	version uint64
+}
+
+// synced ends the wait of the write named by key for its log record:
+// err is the append's outcome. It returns the write's reply, which the
+// re-deliveries that waited for the record are sent too.
+func (n *Node) synced(key writeKey, err error) *cmdlang.CmdLine {
+	n.mu.Lock()
+	waiting := n.unsynced[key]
+	delete(n.unsynced, key)
+	n.mu.Unlock()
+	reply := writeReply(true, key.version)
+	if err != nil {
+		n.degraded.Store(true)
+		reply = cmdlang.Busy(degradedRetryAfter)
+	}
+	for _, w := range waiting {
+		w.Finish(reply)
+	}
+	return reply
 }
 
 // handleWrite is what psput and psdel share: the path, version and
@@ -313,43 +342,53 @@ func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, de
 // (group commit), and the ack goes out when the covering fsync
 // returns. Detaching is what creates the batch: if the serial section
 // blocked per write, the engine would only ever see one append at a
-// time and every write would pay a private fsync.
+// time and every write would pay a private fsync. A re-delivery of a
+// write whose record is still on its way to the disk detaches too, and
+// is acked with the write: an ack counts toward a quorum only for a
+// copy that is durable.
 func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 	if n.degraded.Load() {
 		return cmdlang.Busy(degradedRetryAfter), nil
 	}
+	key := writeKey{it.Path, it.Version}
 	n.mu.Lock()
 	applied := n.applyMemLocked(it)
 	held := n.items[it.Path]
+	if n.eng != nil {
+		if applied {
+			n.unsynced[key] = nil
+		} else if waiting, unsynced := n.unsynced[key]; unsynced && sameWrite(held, it) {
+			if finish, ok := ctx.Detach(); ok {
+				n.unsynced[key] = append(waiting, finish)
+				n.mu.Unlock()
+				return nil, nil
+			}
+		}
+	}
 	n.mu.Unlock()
 	if applied {
 		n.mWrites.Inc()
 	}
 	if !applied || n.eng == nil {
-		// Refused or re-delivered, there is nothing new to log: what the
-		// node holds is durable or in the middle of becoming so.
+		// Refused, or re-delivered once its record was durable: there is
+		// nothing new to log.
 		return writeReply(applied || sameWrite(held, it), held.Version), nil
 	}
 	rec := storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted}
 	finish, ok := ctx.Detach()
 	if !ok {
 		// Local/nested dispatch: pay the fsync on this goroutine.
-		if err := n.eng.Append(rec); err != nil {
-			n.degraded.Store(true)
-			return cmdlang.Busy(degradedRetryAfter), nil
+		err := n.eng.Append(rec)
+		if err == nil {
+			n.maybeSnapshot()
 		}
-		n.maybeSnapshot()
-		return writeReply(true, it.Version), nil
+		return n.synced(key, err), nil
 	}
-	version := it.Version
 	n.eng.AppendAsync(rec, func(err error) {
-		if err != nil {
-			n.degraded.Store(true)
-			finish.Finish(cmdlang.Busy(degradedRetryAfter))
-			return
+		if err == nil {
+			n.maybeSnapshot()
 		}
-		n.maybeSnapshot()
-		finish.Finish(writeReply(true, version))
+		finish.Finish(n.synced(key, err))
 	})
 	return nil, nil
 }

@@ -56,17 +56,17 @@ type Client struct {
 	metrics     *Metrics // nil records nothing
 }
 
-// maxUnanswered is how many bytes of calls Start writes to a
-// connection that has read nothing since: past it, Start refuses. A
+// maxUnanswered is how many bytes of calls and tells Start writes to a
+// connection that has read nothing since: past it, Start refuses (Tell
+// refuses past half of it). A
 // peer that stopped reading leaves its socket buffers to fill, and a
 // write that finds them full blocks its caller until the deadline. The
 // bound is a small part of what those buffers take before a write
 // blocks (3.9 MB on loopback with Linux's default settings), and
 // several times what a peer that is only behind leaves unanswered: a
-// store replica a write does not wait for answers in bursts, after its
-// group commits, and was measured at up to 90 KiB. Each answer starts
-// the count again. Blocking calls may block on their write, and are not
-// counted.
+// store replica answers in bursts, after its group commits, and was
+// measured at up to 90 KiB behind. Each answer starts the count again.
+// Blocking calls may block on their write, and are not counted.
 const maxUnanswered = 256 << 10
 
 // errUnanswered is Start's refusal of a connection whose peer has
@@ -426,15 +426,44 @@ func (c *Client) Send(cmd *cmdlang.CmdLine) error {
 // bounds the write, and a telemetry span context on it is propagated
 // as a trace header (a fresh child span per delivery).
 func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
-	if c.Closed() {
-		return ErrClosed
-	}
-	deadline, ok := ctx.Deadline()
-	if !ok {
-		deadline = time.Now().Add(c.callTimeout)
-	}
-	_, err := c.write(deadline, childSpan(ctx), cmd, false, 0)
+	_, err := c.send(ctx, time.Time{}, cmd)
 	return err
+}
+
+// Tell is Send for a caller that writes beside its started calls: cmd
+// goes out unnumbered, a one-way frame the peer answers with nothing,
+// its write held to deadline (zero: ctx's, else the client's call
+// timeout from now). Like Start, Tell adds the frame to the bytes the
+// peer has left unanswered, and refuses a peer that has left too many:
+// half of what Start refuses at, so that a peer that is only told
+// things, and so never answers, is sent a call in place, whose answer
+// starts the count again, before Start would refuse it. An error means
+// the frame may not have arrived whole: the connection was closed
+// already, the peer has not answered enough of late, the command does
+// not fit a frame, or the write failed, which failed the connection.
+func (c *Client) Tell(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) error {
+	if c.unanswered.Load() > maxUnanswered/2 {
+		return errUnanswered
+	}
+	n, err := c.send(ctx, deadline, cmd)
+	c.unanswered.Add(int64(n))
+	return err
+}
+
+// send writes cmd unnumbered under deadline, or, when it is zero,
+// ctx's, else the client's call timeout from now, and returns the
+// bytes written.
+func (c *Client) send(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (int, error) {
+	if c.Closed() {
+		return 0, ErrClosed
+	}
+	if deadline.IsZero() {
+		var ok bool
+		if deadline, ok = ctx.Deadline(); !ok {
+			deadline = time.Now().Add(c.callTimeout)
+		}
+	}
+	return c.write(deadline, childSpan(ctx), cmd, false, 0)
 }
 
 // Close tears down the connection; outstanding calls fail.

@@ -131,6 +131,62 @@ func TestStartedCallContract(t *testing.T) {
 		}
 	})
 
+	t.Run("a tell is one unnumbered frame", func(t *testing.T) {
+		ln := listen(t)
+		got := make(chan *cmdlang.CmdLine, 1)
+		go func() {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			cmd, _ := ReadCmd(conn)
+			got <- cmd
+		}()
+		c, err := Dial(nil, ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Tell(context.Background(), time.Time{}, cmdlang.New("put").SetInt("version", 7)); err != nil {
+			t.Fatal(err)
+		}
+		cmd := <-got
+		if cmd == nil || cmd.Name() != "put" || cmd.Int("version", 0) != 7 {
+			t.Fatalf("peer read %v, want the told command", cmd)
+		}
+		if _, numbered := cmd.Get(cmdlang.SeqArg); numbered {
+			t.Fatalf("a tell carried a %s: %v", cmdlang.SeqArg, cmd)
+		}
+	})
+
+	t.Run("a tell stops where a start goes on", func(t *testing.T) {
+		ln := stallServer(t)
+		defer ln.Close()
+		c, err := Dial(nil, ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		value := make([]byte, maxUnanswered/8)
+		told := 0
+		for ; told < 8; told++ {
+			err := c.Tell(context.Background(), time.Time{}, cmdlang.New("put").SetBytes("value", value))
+			if errors.Is(err, errUnanswered) {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if told == 0 || told > 5 {
+			t.Fatalf("%d tells of %d bytes to a peer that answered none, want refusal past half of %d", told, len(value), maxUnanswered)
+		}
+		if _, err := c.Start(context.Background(), time.Time{}, cmdlang.New("ping"), make(chan Result, 1), 0); err != nil {
+			t.Fatalf("Start after the tells were refused: %v", err)
+		}
+	})
+
 	t.Run("no start where the peer stopped answering", func(t *testing.T) {
 		ln := stallServer(t)
 		defer ln.Close()
