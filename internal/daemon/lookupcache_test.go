@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -105,30 +104,6 @@ func TestLookupCacheRegisterFlushesNegativesAndScans(t *testing.T) {
 	c.Invalidate(CmdRegister, "later")
 	if n := c.evicts.Value(); n != 4 {
 		t.Fatalf("%d evictions after a second registration, want still 4", n)
-	}
-}
-
-// BenchmarkLookupCacheRegister: a register event in a cache holding a
-// few or thousands of positive name entries, and one negative entry
-// for it to flush. The flush walks every cached entry to find the
-// negative and scan ones, so the larger cache costs more.
-func BenchmarkLookupCacheRegister(b *testing.B) {
-	for _, names := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("names=%d", names), func(b *testing.B) {
-			c := NewLookupCache(telemetry.NewRegistry())
-			for i := 0; i < names; i++ {
-				name := fmt.Sprintf("svc%d", i)
-				c.PutPositive("name:"+name, []string{name}, []string{name + ":1"}, false)
-			}
-			b.ReportAllocs()
-			for b.Loop() {
-				c.PutNegative("name:newcomer")
-				c.Invalidate(CmdRegister, "newcomer")
-			}
-			if c.Len() != names {
-				b.Fatalf("%d entries, want the %d positive ones", c.Len(), names)
-			}
-		})
 	}
 }
 

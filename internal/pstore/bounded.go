@@ -146,8 +146,8 @@ func (c *Client) firstServed(holders []string, now int64) (int, bool) {
 // final.
 func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
 	ctx := context.Background()
-	f := c.streamFanout(ctx, 1, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
-	prefix, err := f.awaitQuorum(1, "any read")
+	f := c.streamFanout(ctx, 1, c.mReadHedges, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
+	prefix, err := f.awaitQuorum(1, "any read", false)
 	c.mReadLatency.Observe(time.Since(f.start))
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, ctx)
 	if err != nil {

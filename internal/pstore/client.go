@@ -210,7 +210,8 @@ type replicaReply struct {
 // Tail at Scale". It is about four times the p99 of a whole store
 // operation on a loaded two-CPU host, so a healthy replica is rarely
 // hedged around, while a stalled one costs a read this long instead of
-// a call timeout.
+// a call timeout. A write waits at least this long, and longer on a
+// slow disk (see awaitQuorum).
 const hedgeAfter = 2 * time.Millisecond
 
 // A leg's state. A leg is started — its frame written by the fan-out's
@@ -235,8 +236,8 @@ type leg struct {
 // order, one per replica: a list launches all of them at once, a quorum
 // read or write a quorum's worth, an any-replica read one, and
 // awaitQuorum launches the rest — the spares — only when a leg fails or
-// the outcome is still undecided after hedgeAfter. A write tells its
-// spares the command before that (see tell). Results arrive on the
+// the outcome is still undecided after the hedge delay. A write tells
+// its spares the command before that (see tell). Results arrive on the
 // channel in completion order, tagged with the leg's place in legs, and
 // are decoded where they are consumed. The channel has a slot per leg,
 // and a leg has at most one result on its way, so no sender ever waits.
@@ -246,7 +247,7 @@ type fanout struct {
 	cmd    *cmdlang.CmdLine
 	decode func(reply *cmdlang.CmdLine, err error, addr string) replicaReply
 	start  time.Time
-	hedges *telemetry.Counter // counts the spares launched
+	hedges *telemetry.Counter // counts the spares launched, nil for none
 
 	legs     []leg // in launch order
 	launched int   // legs launched, legs[:launched]
@@ -258,7 +259,7 @@ type fanout struct {
 	// it, fires at it or at hedgeAt, whichever is sooner.
 	deadline time.Time
 	expired  bool      // the started legs were ended: deadline is past
-	hedgeAt  time.Time // zero when the read is not to be hedged
+	hedgeAt  time.Time // zero when the fan-out is not to be hedged (yet)
 	timer    *time.Timer
 	armed    time.Time
 	done     <-chan struct{} // the caller's, nil once it fired
@@ -280,9 +281,9 @@ var timerPool = sync.Pool{New: func() any {
 // streamFanout readies cmd for every replica and launches the first
 // `legs` legs. A fan-out that holds legs back starts at the next replica
 // of the client's rotation, so its legs spread evenly over the replicas,
-// and takes the ones currently passed over last. Its spares count as
-// read hedges unless the caller says otherwise.
-func (c *Client) streamFanout(ctx context.Context, legs int, cmd *cmdlang.CmdLine, decode func(*cmdlang.CmdLine, error, string) replicaReply) *fanout {
+// and takes the ones currently passed over last. hedges counts its
+// spares.
+func (c *Client) streamFanout(ctx context.Context, legs int, hedges *telemetry.Counter, cmd *cmdlang.CmdLine, decode func(*cmdlang.CmdLine, error, string) replicaReply) *fanout {
 	n := len(c.replicas)
 	f := &fanout{
 		c:       c,
@@ -290,7 +291,7 @@ func (c *Client) streamFanout(ctx context.Context, legs int, cmd *cmdlang.CmdLin
 		cmd:     cmd,
 		decode:  decode,
 		start:   time.Now(),
-		hedges:  c.mReadHedges,
+		hedges:  hedges,
 		legs:    make([]leg, n),
 		results: make(chan wire.Result, n),
 		done:    ctx.Done(),
@@ -483,15 +484,24 @@ func (f *fanout) expire(cause error) {
 // declared as soon as so many replicas have failed that `need`
 // responses can no longer arrive — not after the last straggler rides
 // out its timeout. While legs are held back, a failed leg launches a
-// spare at once, and a fan-out still undecided after hedgeAfter passes
-// over the replicas it is waiting on and launches a spare for each
-// answer still missing. It returns every result consumed up to the
-// decision; the caller owns finishing the fan-out either way.
-func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
+// spare at once, and a fan-out still undecided after its hedge delay —
+// a read's is hedgeAfter — passes over the replicas it is waiting on
+// and launches a spare for each answer still missing. It returns every
+// result consumed up to the decision; the caller owns finishing the
+// fan-out either way.
+//
+// A write's hedge delay is not a read's. A write leg waits on its
+// replica's log flush, which takes what that disk takes, from nothing
+// on a cached one to tens of milliseconds on a busy one, so no fixed
+// delay tells a stalled write leg from a healthy one. A write is hedged
+// only once one of its legs has acked, and then only when the rest are
+// still out after as long again, hedgeAfter at the least: a leg is slow
+// next to its peers on the same write, not next to a constant.
+func (f *fanout) awaitQuorum(need int, op string, write bool) ([]replicaReply, error) {
 	n := len(f.legs)
 	prefix := make([]replicaReply, 0, n)
 	responded, failed := 0, 0
-	if f.launched < n {
+	if f.launched < n && !write {
 		f.hedgeAt = f.start.Add(hedgeAfter)
 	}
 	for {
@@ -509,6 +519,9 @@ func (f *fanout) awaitQuorum(need int, op string) ([]replicaReply, error) {
 		if r.err == nil {
 			if responded++; responded >= need {
 				return prefix, nil
+			}
+			if write && responded == 1 && f.launched < n {
+				f.hedgeAt = f.start.Add(max(hedgeAfter, 2*time.Since(f.start)))
 			}
 			continue
 		}
@@ -533,9 +546,9 @@ func (f *fanout) release() {
 }
 
 // passOver has every read and write — quorum, bounded and any-replica —
-// take replica i last for the pool's breaker cool-down: a fan-out was
-// hedged around it, a leg to it failed without an answer, or, as a lease
-// holder, it answered below the version a quorum proved it held.
+// take replica i last for the pool's breaker cool-down: a read or write
+// was hedged around it, a leg to it failed without an answer, or, as a
+// lease holder, it answered below the version a quorum proved it held.
 // Nothing more permanent is needed: the next leg to answer clears the
 // mark (noteLeg), the mark expires on its own, and meanwhile writes
 // still tell the replica, so a recovered one is current when it is back.
@@ -708,12 +721,12 @@ func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err er
 func (c *Client) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
-	f := c.streamFanout(ctx, c.Quorum(), c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
+	f := c.streamFanout(ctx, c.Quorum(), c.mReadHedges, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
 	// Repairs keep the caller's span context but not its cancellation —
 	// they should finish (and be traced) even when the caller returns
 	// immediately.
 	repairCtx := telemetry.WithSpanContext(context.Background(), telemetry.FromContext(ctx))
-	prefix, qErr := f.awaitQuorum(c.Quorum(), "quorum read")
+	prefix, qErr := f.awaitQuorum(c.Quorum(), "quorum read", false)
 	if qErr != nil {
 		c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, repairCtx)
 		if anyRedirect(prefix) {
@@ -958,20 +971,21 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 // replicas, taken in the order a read takes them, tells the others
 // (see tell), and returns the addresses that acked as soon as the write
 // quorum is reached — or provably unreachable. Every replica is sent
-// the write, and only a quorum answers it, unless a leg fails or the
-// round is undecided at hedgeAfter: then a told replica is asked too, as
-// a read's spare is, and the replicas the round waited on are passed
-// over. Stragglers are cancelled at the decision (see finish). A told
+// the write, and only a quorum answers it, unless a leg fails or is
+// refused, or the round is still undecided well after its first ack
+// (see awaitQuorum): then a told replica is asked too, as a read's
+// spare is, and the replicas the round waited on are passed over.
+// Stragglers are cancelled at the decision (see finish). A told
 // replica, or a cancelled straggler that already received the frame,
 // still applies the write; one that didn't, or refused it, is healed by
-// repair or anti-entropy. A stamped write (the
-// command's version is the client's clock stamp) is acked only by a
-// replica that applied the item, a re-delivery included; one that
-// refused it for an equal or later version is a failed leg. Under
-// quorum the round failed: as a WrongGroupError when any consumed
-// failure was a wrong_group placement redirect (a stale routing
-// decision rather than unavailability), as a versionConflict when any
-// was a refusal, else with the ack count. op names the operation.
+// repair or anti-entropy. A stamped write (the command's version is the
+// client's clock stamp) is acked only by a replica that applied the
+// item, a re-delivery included; one that refused it for an equal or
+// later version is a failed leg. Under quorum the round failed: as a
+// WrongGroupError when any consumed failure was a wrong_group placement
+// redirect (a stale routing decision rather than unavailability), as a
+// versionConflict when any was a refusal, else with the ack count. op
+// names the operation.
 func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
 	decode := decodeWrite
 	if stamped {
@@ -979,10 +993,9 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	}
 	// Every replica's call shares cmd: the wire client copies a command
 	// before adding its seq.
-	f := c.streamFanout(ctx, c.Quorum(), c.stamp(cmd), decode)
-	f.hedges = c.mWriteHedges
+	f := c.streamFanout(ctx, c.Quorum(), c.mWriteHedges, c.stamp(cmd), decode)
 	f.tell()
-	prefix, _ := f.awaitQuorum(c.Quorum(), op)
+	prefix, _ := f.awaitQuorum(c.Quorum(), op, true)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	var conflict *versionConflict
 	acked = make([]string, 0, len(prefix))
@@ -1039,7 +1052,7 @@ func (c *Client) List(prefix string) ([]string, error) {
 // well-formed replies count as reachable: a replica answering
 // garbage is a failed replica, not an empty union member.
 func (c *Client) ListContext(ctx context.Context, prefix string) ([]string, error) {
-	f := c.streamFanout(ctx, len(c.replicas), cmdlang.New("pslist").SetString("prefix", prefix), decodeList)
+	f := c.streamFanout(ctx, len(c.replicas), nil, cmdlang.New("pslist").SetString("prefix", prefix), decodeList)
 	// A union wants every answer, so there is no early decision here —
 	// but the probes run concurrently, so the slowest replica bounds
 	// the latency once, not N times.

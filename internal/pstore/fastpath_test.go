@@ -141,7 +141,8 @@ func holdsSoon(node *Node, path string, version uint64) bool {
 // frames and reads two replies, and the told replica holds the write
 // soon after. A replica the pool holds no connection to cannot be told
 // and is asked instead, and a stalled replica that a write asks is
-// covered by a spare at hedgeAfter and passed over.
+// covered by a spare at hedgeAfter and passed over. On disks whose
+// flushes take several hedgeAfters a write is not hedged for that.
 func TestWriteAsksAQuorumAndTellsTheRest(t *testing.T) {
 	t.Run("healthy", func(t *testing.T) {
 		cluster, err := StartCluster(3, "", 0)
@@ -269,12 +270,57 @@ func TestWriteAsksAQuorumAndTellsTheRest(t *testing.T) {
 			t.Fatalf("%d write stragglers, %d hedges: want one a hedge and the first write's stalled leg", n, h)
 		}
 	})
+	t.Run("slow disks are not hedged around", func(t *testing.T) {
+		const flush = 5 * hedgeAfter
+		dir := t.TempDir()
+		var addrs []string
+		for i := range 3 {
+			node, err := NewNode(Config{
+				Daemon:  daemon.Config{Name: fmt.Sprintf("slow%d", i)},
+				Dir:     dir,
+				Storage: storage.Options{FS: gatedFS{cacheFS{storage.OS}, &flushGate{slow: flush}}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(node.Stop)
+			addrs = append(addrs, node.Addr())
+		}
+		pool, reg := telemetryPool(t, 5*time.Second)
+		for _, addr := range addrs {
+			if _, err := pool.Call(addr, cmdlang.New("ping")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client := NewClient(pool, addrs)
+		defer client.Close()
+		// Every put waits out two flushes, each past hedgeAfter. A write
+		// hedged on a read's timer would hedge every one of them; one
+		// hedged on its first ack only when a flush took twice its peer's,
+		// which a busy host may do now and then.
+		const puts = 20
+		for i := range puts {
+			if _, err := client.Put(fmt.Sprintf("/slow/%d", i), []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := reg.Snapshot()
+		if n := snap.Counter(MetricWriteHedges); n > puts/5 {
+			t.Errorf("%d of %d puts on healthy slow disks hedged", n, puts)
+		}
+		if n := snap.Counter(MetricReadPassovers); n > puts/5 {
+			t.Errorf("%d pass-overs in %d puts on healthy slow disks", n, puts)
+		}
+	})
 }
 
 // firstLegs returns the replicas the next quorum read of c asks before
 // any spare, advancing c's rotation as that read would.
 func firstLegs(c *Client) []string {
-	f := c.streamFanout(context.Background(), 0, nil, nil)
+	f := c.streamFanout(context.Background(), 0, nil, nil, nil)
 	var legs []string
 	for _, l := range f.legs[:c.Quorum()] {
 		legs = append(legs, c.replicas[l.idx])
@@ -1004,9 +1050,11 @@ func TestFrozenReplicaDoesNotStallWriters(t *testing.T) {
 
 // flushGate holds the flushes of a gatedFS, once armed, until open is
 // closed: a durable node on it acks no write until the test lets go.
+// Each flush takes slow first, as on a disk that really writes.
 type flushGate struct {
 	armed atomic.Bool
 	open  chan struct{}
+	slow  time.Duration
 }
 
 // gatedFS is cacheFS whose flushes wait at its gate.
@@ -1031,6 +1079,7 @@ type gatedFile struct {
 }
 
 func (g gatedFile) Sync() error {
+	time.Sleep(g.gate.slow)
 	if g.gate.armed.Load() {
 		<-g.gate.open
 	}
@@ -1040,58 +1089,85 @@ func (g gatedFile) Sync() error {
 // TestRedeliveryAckWaitsForTheFirstCopysFlush: a write told to a
 // replica and then asked of it — a write's spare leg — is a
 // re-delivery: applied once and logged once. Its ack counts toward a
-// quorum, so it waits until the first copy's record is durable.
+// quorum, so it waits until the first copy's record is durable, whether
+// the first copy was a told write or an item anti-entropy installed,
+// and whether the re-delivery came over the wire, which detaches, or
+// from a local dispatch, which cannot.
 func TestRedeliveryAckWaitsForTheFirstCopysFlush(t *testing.T) {
-	gate := &flushGate{open: make(chan struct{})}
-	node, err := NewNode(Config{
-		Daemon:  daemon.Config{Name: "gated"},
-		Dir:     t.TempDir(),
-		Storage: storage.Options{FS: gatedFS{cacheFS{storage.OS}, gate}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := node.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(node.Stop)
-	pool := daemon.NewPool(nil)
-	t.Cleanup(pool.Close)
+	for _, tc := range []struct {
+		name  string
+		first func(t *testing.T, node *Node, pool *daemon.Pool, cmd *cmdlang.CmdLine)
+	}{
+		{"told write", func(t *testing.T, node *Node, pool *daemon.Pool, cmd *cmdlang.CmdLine) {
+			if err := pool.Send(node.Addr(), cmd); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"anti-entropy batch", func(t *testing.T, node *Node, _ *daemon.Pool, _ *cmdlang.CmdLine) {
+			done := make(chan struct{})
+			t.Cleanup(func() { <-done })
+			go func() {
+				defer close(done)
+				if _, err := node.applyDurableBatch([]Item{{Path: "/redeliver/x", Value: []byte("v"), Version: 5}}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := &flushGate{open: make(chan struct{})}
+			node, err := NewNode(Config{
+				Daemon:  daemon.Config{Name: "gated"},
+				Dir:     t.TempDir(),
+				Storage: storage.Options{FS: gatedFS{cacheFS{storage.OS}, gate}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := node.Start(); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(node.Stop)
+			pool := daemon.NewPool(nil)
+			t.Cleanup(pool.Close)
 
-	gate.armed.Store(true)
-	release := sync.OnceFunc(func() { close(gate.open) })
-	defer release()
-	cmd := putCommand("/redeliver/x", []byte("v"), 5)
-	if err := pool.Send(node.Addr(), cmd); err != nil {
-		t.Fatal(err)
-	}
-	acked := make(chan *cmdlang.CmdLine, 1)
-	go func() {
-		reply, err := pool.Call(node.Addr(), cmd)
-		if err != nil {
-			t.Error(err)
-		}
-		acked <- reply
-	}()
-	if !holdsSoon(node, "/redeliver/x", 5) {
-		t.Fatal("the told write was not applied")
-	}
-	select {
-	case reply := <-acked:
-		t.Fatalf("re-delivery acked %v before the first copy was durable", reply)
-	case <-time.After(50 * time.Millisecond):
-	}
-	release()
-	select {
-	case reply := <-acked:
-		if reply == nil || !reply.Bool("applied", false) || reply.Int("version", 0) != 5 {
-			t.Fatalf("re-delivery answered %v, want applied=true version=5", reply)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("re-delivery not acked once the first copy was durable")
-	}
-	if n := node.Telemetry().Snapshot().Counter(MetricWALAppends); n != 1 {
-		t.Fatalf("%d log appends for one write delivered twice, want 1", n)
+			gate.armed.Store(true)
+			release := sync.OnceFunc(func() { close(gate.open) })
+			cmd := putCommand("/redeliver/x", []byte("v"), 5)
+			tc.first(t, node, pool, cmd)
+			t.Cleanup(release) // first, so that a batch waiting on the gate ends
+			if !holdsSoon(node, "/redeliver/x", 5) {
+				t.Fatal("the first copy was not applied")
+			}
+			acked := make(chan *cmdlang.CmdLine, 2)
+			go func() {
+				reply, err := pool.Call(node.Addr(), cmd)
+				if err != nil {
+					t.Error(err)
+				}
+				acked <- reply
+			}()
+			go func() { acked <- node.ExecuteLocal(nil, cmd) }()
+			select {
+			case reply := <-acked:
+				t.Fatalf("re-delivery acked %v before the first copy was durable", reply)
+			case <-time.After(50 * time.Millisecond):
+			}
+			release()
+			for range 2 {
+				select {
+				case reply := <-acked:
+					if reply == nil || !reply.Bool("applied", false) || reply.Int("version", 0) != 5 {
+						t.Fatalf("re-delivery answered %v, want applied=true version=5", reply)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("re-delivery not acked once the first copy was durable")
+				}
+			}
+			if n := node.Telemetry().Snapshot().Counter(MetricWALAppends); n != 1 {
+				t.Fatalf("%d log appends for one write delivered three times, want 1", n)
+			}
+		})
 	}
 }
 

@@ -23,17 +23,20 @@ package pstore
 // which answer nothing — and decide on the answers of all they asked,
 // so a straggler is a leg that was hedged around: pstore.read.hedges
 // and pstore.write.hedges count the spare legs launched — for a failed
-// leg at once, for a slow one after the hedge delay — and on a healthy
-// cluster all four stay near zero. Their rate climbing is a replica
+// leg at once, for a slow one after the hedge delay (a write's runs
+// from its first ack) — and on a healthy cluster all four stay near
+// zero. Their rate climbing is a replica
 // failing or stalling. A write that could not tell a replica — no
 // pooled connection yet, a breaker not closed — asks it instead, and
 // its last leg may straggle with no hedge.
 //
 // pstore.read.passovers counts the marks that have every read — quorum,
-// bounded and any-replica — take a replica last for the breaker
-// cool-down: a read hedged around it, a leg to it failed without an
-// answer, or it answered a bounded read below its lease. It climbing
-// is the client avoiding a replica.
+// bounded and any-replica — and every write take a replica last for the
+// breaker cool-down: a read or a write hedged around it, a leg to it
+// failed without an answer, or it answered a bounded read below its
+// lease. Its name is older than the writes' share in it. It climbing is
+// the client avoiding a replica; on disks whose flushes vary, the
+// writes that hedge around a slow flush mark it too.
 //
 // pstore.fanout.blocking_legs counts the legs of fan-outs that ran on
 // the pool's blocking path, CallContext in a goroutine, instead of as a

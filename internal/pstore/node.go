@@ -65,8 +65,8 @@ type Node struct {
 	items map[string]Item
 	// unsynced holds each write this node applied whose log record is
 	// not yet durable, with the re-deliveries of it waiting to be acked
-	// when it is (see applyAsync). Guarded by mu.
-	unsynced map[writeKey][]daemon.Detached
+	// when it is (see applyAsync and applyDurableBatch). Guarded by mu.
+	unsynced map[writeKey][]redelivery
 
 	eng      *storage.Engine
 	recovery storage.RecoveryInfo
@@ -145,7 +145,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		Daemon:      daemon.New(dcfg),
 		items:       make(map[string]Item),
-		unsynced:    make(map[writeKey][]daemon.Detached),
+		unsynced:    make(map[writeKey][]redelivery),
 		syncStop:    make(chan struct{}),
 		group:       cfg.Group,
 		placeIdx:    -1,
@@ -290,6 +290,14 @@ type writeKey struct {
 	version uint64
 }
 
+// redelivery is a re-delivered write waiting for its first copy's log
+// record: a detached invocation, or, where the dispatch cannot detach,
+// a channel its handler waits on.
+type redelivery struct {
+	finish daemon.Detached
+	wait   chan *cmdlang.CmdLine
+}
+
 // synced ends the wait of the write named by key for its log record:
 // err is the append's outcome. It returns the write's reply, which the
 // re-deliveries that waited for the record are sent too.
@@ -304,7 +312,11 @@ func (n *Node) synced(key writeKey, err error) *cmdlang.CmdLine {
 		reply = cmdlang.Busy(degradedRetryAfter)
 	}
 	for _, w := range waiting {
-		w.Finish(reply)
+		if w.wait != nil {
+			w.wait <- reply
+		} else {
+			w.finish.Finish(reply)
+		}
 	}
 	return reply
 }
@@ -358,11 +370,19 @@ func (n *Node) applyAsync(ctx *daemon.Ctx, it Item) (*cmdlang.CmdLine, error) {
 		if applied {
 			n.unsynced[key] = nil
 		} else if waiting, unsynced := n.unsynced[key]; unsynced && sameWrite(held, it) {
-			if finish, ok := ctx.Detach(); ok {
-				n.unsynced[key] = append(waiting, finish)
-				n.mu.Unlock()
-				return nil, nil
+			var w redelivery
+			finish, detached := ctx.Detach()
+			if detached {
+				w.finish = finish
+			} else {
+				w.wait = make(chan *cmdlang.CmdLine, 1)
 			}
+			n.unsynced[key] = append(waiting, w)
+			n.mu.Unlock()
+			if !detached {
+				return <-w.wait, nil
+			}
+			return nil, nil
 		}
 	}
 	n.mu.Unlock()
@@ -569,7 +589,8 @@ func fetchDigest(ctx context.Context, pool *daemon.Pool, addr string, partition,
 // applyDurableBatch installs items in memory and logs the applied
 // ones as one bulk append, which the commit loop writes BatchMax
 // records per fsync. Returns how many items were applied in memory. Like
-// applyAsync, a refused append latches degraded.
+// applyAsync, it has a re-delivery of an applied item wait for the
+// append, and a refused append latches degraded.
 func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	if n.eng != nil && n.degraded.Load() {
 		return 0, fmt.Errorf("pstore: storage degraded: %w", n.eng.Err())
@@ -581,6 +602,9 @@ func (n *Node) applyDurableBatch(items []Item) (int, error) {
 		if n.applyMemLocked(it) {
 			applied++
 			recs = append(recs, storage.Record{Path: it.Path, Value: it.Value, Version: it.Version, Deleted: it.Deleted})
+			if n.eng != nil {
+				n.unsynced[writeKey{it.Path, it.Version}] = nil
+			}
 		}
 	}
 	n.mu.Unlock()
@@ -588,8 +612,11 @@ func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	if n.eng == nil || len(recs) == 0 {
 		return applied, nil
 	}
-	if err := n.eng.AppendBatch(recs); err != nil {
-		n.degraded.Store(true)
+	err := n.eng.AppendBatch(recs)
+	for _, r := range recs {
+		n.synced(writeKey{r.Path, r.Version}, err)
+	}
+	if err != nil {
 		return applied, fmt.Errorf("pstore: wal append: %w", err)
 	}
 	n.maybeSnapshot()
