@@ -99,20 +99,10 @@ bench-once:
 # Get exceeds twice the healthy one. Also measures a
 # fully durable cluster (every ack costs an fsync) plus single-node
 # recovery time, and fails if group commit stops amortizing fsyncs
-# across concurrent writers. The sharding half drives a keyed zipfian
-# storm against nodes whose capacity is pinned by cost (a data limit of
-# 1 and a 2 ms fsync) and fails unless 4 replica groups deliver ≥2.5x
-# the 1-group put throughput with sharded get latency within 10% of a
-# plain single-group client.
-# The two halves run in separate processes: the quorum half leaves a
-# large heap behind, and the sharding half's 10% latency budget is
-# tighter than the GC noise that heap causes. The sharding half merges
-# its section into the JSON the quorum half wrote.
+# across concurrent writers.
 bench-pstore:
 	ACE_BENCH_PSTORE=1 ACE_BENCH_PSTORE_OUT=$(CURDIR)/BENCH_pstore.json \
 		$(GO) test -run 'TestBenchPstoreQuorum$$' -count=1 -v ./internal/pstore/
-	ACE_BENCH_PSTORE=1 ACE_BENCH_PSTORE_OUT=$(CURDIR)/BENCH_pstore.json \
-		$(GO) test -run 'TestBenchPstoreSharding$$' -count=1 -v ./internal/pstore/
 
 # Offer a daemon whose capacity is pinned by a 5 ms command cost
 # 1x/2x/4x that capacity and record goodput, shed counts, and p99
@@ -160,8 +150,8 @@ examples:
 	$(GO) run ./examples/futurework
 
 # Brief fuzzing of the wire-facing parsers (one command, and a stream
-# of them) and framing decoders, of the two documents read back from
-# the store and the directory, and of the storage engine's WAL record
+# of them) and framing decoders, of the directory entry document read
+# back from the store, and of the storage engine's WAL record
 # and snapshot decoders and its torn-tail/corruption classifier.
 FUZZTIME ?= 30s
 fuzz:
@@ -171,7 +161,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrame$$ -fuzztime=$(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz=FuzzParseAssertion -fuzztime=$(FUZZTIME) ./internal/keynote/
 	$(GO) test -run '^$$' -fuzz=FuzzDecodeEntry$$ -fuzztime=$(FUZZTIME) ./internal/asd/
-	$(GO) test -run '^$$' -fuzz=FuzzDecodeMap$$ -fuzztime=$(FUZZTIME) ./internal/pstore/placement/
 	$(GO) test -run '^$$' -fuzz=FuzzReadRecord$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/
 	$(GO) test -run '^$$' -fuzz=FuzzReplaySegment$$ -fuzztime=$(FUZZTIME) ./internal/pstore/storage/

@@ -11,7 +11,6 @@
 //	acectl -asd HOST:PORT raw ADDR 'ping;'
 //	acectl -asd HOST:PORT stats SERVICE
 //	acectl -asd HOST:PORT notifications SERVICE [cmd]
-//	acectl -asd HOST:PORT placement
 //	acectl -asd HOST:PORT trace TRACE_ID
 //
 // With -trace, call and raw originate a distributed trace and print
@@ -33,7 +32,6 @@ import (
 	"ace/internal/daemon"
 	"ace/internal/hlc"
 	"ace/internal/pstore"
-	"ace/internal/pstore/placement"
 	"ace/internal/pstore/staleness"
 	"ace/internal/telemetry"
 )
@@ -49,7 +47,7 @@ func main() {
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
-		fail("missing subcommand (tree | lookup | commands | call | raw | stats | notifications | placement | trace)")
+		fail("missing subcommand (tree | lookup | commands | call | raw | stats | notifications | trace)")
 	}
 	if *asdAddr == "" && args[0] != "raw" {
 		fail("-asd is required")
@@ -151,9 +149,6 @@ func main() {
 			fmt.Printf("  %s\n", t)
 		}
 
-	case "placement":
-		printPlacement(pool, *asdAddr)
-
 	case "trace":
 		if len(args) < 2 {
 			fail("trace TRACE_ID")
@@ -202,7 +197,6 @@ func printStats(pool *daemon.Pool, name, addr string) {
 	fmt.Printf("%s @ %s\n", name, addr)
 	printFlowSummary(snap)
 	printStorageSummary(snap)
-	printPlacementStats(snap)
 	printConsistencySummary(snap)
 	printDirectorySummary(snap)
 	for _, c := range snap.Counters {
@@ -260,34 +254,6 @@ func printStorageSummary(snap *telemetry.Snapshot) {
 	fmt.Printf("  storage    recovery replayed=%d torn_tail=%d corrupt=%d bad_snapshots=%d\n",
 		snap.Counter("pstore.recovery.replayed"), snap.Counter("pstore.recovery.torn_tail"),
 		snap.Counter("pstore.recovery.corrupt_records"), snap.Counter("pstore.recovery.bad_snapshots"))
-}
-
-// printPlacementStats condenses the pstore.placement.* metrics into a
-// sharding-at-a-glance block. On a store node: the epoch it enforces,
-// installed maps, stale-epoch rejections, and partitions pulled in as
-// a move destination. On a router/coordinator pool: map fetches,
-// invalidations, redirect retries, dual-applied writes, and moves
-// driven. wrong_group ticking during a map change is normal; growing
-// without bound means a client cannot refresh its map. Daemons
-// without placement metrics print nothing here.
-func printPlacementStats(snap *telemetry.Snapshot) {
-	epoch := snap.Gauge(placement.MetricEpoch)
-	installs := snap.Counter(placement.MetricInstalls)
-	rejects := snap.Counter(placement.MetricRejects)
-	pulled := snap.Counter(placement.MetricTransferPulls)
-	if epoch != 0 || installs != 0 || rejects != 0 || pulled != 0 {
-		fmt.Printf("  placement  epoch=%d installs=%d wrong_group=%d transfer_pulled=%d\n",
-			epoch, installs, rejects, pulled)
-	}
-	fetches := snap.Counter(placement.MetricMapFetches)
-	invals := snap.Counter(placement.MetricInvalidations)
-	redirects := snap.Counter(placement.MetricRedirects)
-	duals := snap.Counter(placement.MetricDualWrites)
-	moves := snap.Counter(placement.MetricMoves)
-	if fetches != 0 || invals != 0 || redirects != 0 || duals != 0 || moves != 0 {
-		fmt.Printf("  placement  map_fetches=%d invalidations=%d redirects=%d dual_writes=%d moves=%d\n",
-			fetches, invals, redirects, duals, moves)
-	}
 }
 
 // printConsistencySummary condenses the hlc/staleness/bounded-read
@@ -362,40 +328,6 @@ func printDirectorySummary(snap *telemetry.Snapshot) {
 			hits, negs, misses, float64(hits+negs)*100/float64(total),
 			snap.Counter(daemon.MetricLookupCacheInvalidations),
 			snap.Counter(daemon.MetricLookupCacheEvictions))
-	}
-}
-
-// printPlacement fetches the published placement map from the ASD and
-// prints the epoch, the ring parameters, each group's partition load,
-// and any in-flight moves (the partitions currently paying dual-apply
-// writes while their contents transfer).
-func printPlacement(pool *daemon.Pool, asdAddr string) {
-	reply, err := pool.Call(asdAddr, cmdlang.New(placement.CmdPlaceGet))
-	if err != nil {
-		if cmdlang.IsRemoteCode(err, cmdlang.CodeNotFound) {
-			fmt.Println("no placement map published (unsharded deployment)")
-			return
-		}
-		fail("placeget: %v", err)
-	}
-	m, err := placement.DecodeString(reply.Str("map", ""))
-	if err != nil {
-		fail("decode placement map: %v", err)
-	}
-	fmt.Printf("epoch %d  seed %d  %d partitions  %d vnodes/group  %d groups\n",
-		m.Epoch, m.Seed, m.Partitions, m.VNodes, len(m.Groups))
-	counts := m.Counts()
-	for i, g := range m.Groups {
-		fmt.Printf("  group %-12s %2d partitions  replicas %s\n",
-			g.Name, counts[i], strings.Join(g.Replicas, " "))
-	}
-	if len(m.Moves) == 0 {
-		fmt.Println("  no moves in flight")
-		return
-	}
-	for _, mv := range m.Moves {
-		fmt.Printf("  move partition %2d: %s -> %s (dual-apply open, stamp %d)\n",
-			mv.Partition, m.Groups[mv.From].Name, m.Groups[mv.To].Name, m.Stamp[mv.Partition])
 	}
 }
 

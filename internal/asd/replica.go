@@ -37,8 +37,7 @@ import (
 )
 
 // Store is the slice of the persistent-store client surface the
-// replicated directory needs. Both *pstore.Client and *pstore.Sharded
-// satisfy it.
+// replicated directory needs. *pstore.Client satisfies it.
 type Store interface {
 	GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error)
 	// GetBoundedContext is a single-replica read proven no staler than
@@ -69,8 +68,8 @@ const StorePrefix = "/asd/entries"
 func entryPath(name string) string { return StorePrefix + "/" + name }
 
 // entryDocName is the document encoding a directory entry is stored
-// under. It reuses the cmdlang grammar the way placement maps do:
-// it is a value format, not a wire verb.
+// under. It reuses the cmdlang grammar as a value format: it is not a
+// wire verb.
 const entryDocName = "dirent"
 
 // encodeEntry renders an entry to its store representation.

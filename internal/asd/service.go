@@ -3,14 +3,12 @@ package asd
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hier"
-	"ace/internal/pstore/placement"
 	"ace/internal/telemetry"
 )
 
@@ -42,17 +40,9 @@ type Service struct {
 	// (single in-memory directory) mode.
 	rep *replica
 
-	// The published pstore placement map. The ASD is its authority:
-	// coordinators publish through placeset, clients fetch through
-	// placeget, and the daemon's notification machinery tells placeset
-	// subscribers to invalidate their caches.
-	placeMu sync.Mutex
-	place   *placement.Map
-
 	mRegistrations *telemetry.Counter
 	mRenewals      *telemetry.Counter
 	mLookupLatency *telemetry.Histogram
-	mPlaceEpoch    *telemetry.Gauge
 }
 
 // Config tailors the directory daemon.
@@ -90,9 +80,6 @@ func New(cfg Config) *Service {
 	if cfg.ReapInterval <= 0 {
 		cfg.ReapInterval = 250 * time.Millisecond
 	}
-	// Placement publication is control-plane: a rebalance must be able
-	// to land its cutover even while the directory is shedding load.
-	dcfg.ControlVerbs = append(dcfg.ControlVerbs, placement.CmdPlaceSet, placement.CmdPlaceGet)
 	s := &Service{
 		Daemon:    daemon.New(dcfg),
 		dir:       NewDirectory(),
@@ -106,7 +93,6 @@ func New(cfg Config) *Service {
 	s.mRegistrations = tel.Counter(MetricRegistrations)
 	s.mRenewals = tel.Counter(MetricRenewals)
 	s.mLookupLatency = tel.Histogram(MetricLookupLatency)
-	s.mPlaceEpoch = tel.Gauge(placement.MetricEpoch)
 	expirations := tel.Counter(MetricExpirations)
 	s.dir.SetOnExpire(func(Entry) { expirations.Inc() })
 	s.install()
@@ -116,14 +102,6 @@ func New(cfg Config) *Service {
 // Directory exposes the underlying listing, read-mostly: the
 // environment's service tree (core.Environment.ServiceTree) walks it.
 func (s *Service) Directory() *Directory { return s.dir }
-
-// Placement returns the currently published placement map (nil when
-// none has been published).
-func (s *Service) Placement() *placement.Map {
-	s.placeMu.Lock()
-	defer s.placeMu.Unlock()
-	return s.place
-}
 
 // Start brings the daemon online and starts the lease reaper.
 func (s *Service) Start() error {
@@ -373,44 +351,6 @@ func (s *Service) install() {
 			}), nil
 		}
 		return lookupReply(entries, limit), nil
-	})
-
-	s.Handle(cmdlang.CommandSpec{
-		Name: placement.CmdPlaceSet,
-		Doc:  "publish the pstore placement map (epoch must not regress)",
-		Args: []cmdlang.ArgSpec{{Name: "map", Kind: cmdlang.KindString, Required: true}},
-	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		m, err := placement.DecodeString(c.Str("map", ""))
-		if err != nil {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, err.Error()), nil
-		}
-		s.placeMu.Lock()
-		if s.place != nil && m.Epoch < s.place.Epoch {
-			cur := s.place.Epoch
-			s.placeMu.Unlock()
-			return cmdlang.Fail(cmdlang.CodeConflict,
-				fmt.Sprintf("map epoch %d older than published %d", m.Epoch, cur)).
-				SetInt("epoch", int64(cur)), nil
-		}
-		s.place = m
-		s.placeMu.Unlock()
-		s.mPlaceEpoch.Set(int64(m.Epoch))
-		// Returning ok is what fires the placementChanged notification
-		// to placeset subscribers (§2.6 command-completion events).
-		return cmdlang.OK().SetInt("epoch", int64(m.Epoch)), nil
-	})
-
-	s.Handle(cmdlang.CommandSpec{
-		Name: placement.CmdPlaceGet,
-		Doc:  "fetch the published pstore placement map",
-	}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		s.placeMu.Lock()
-		m := s.place
-		s.placeMu.Unlock()
-		if m == nil {
-			return cmdlang.Fail(cmdlang.CodeNotFound, "no placement map published"), nil
-		}
-		return cmdlang.OK().SetString("map", m.EncodeString()).SetInt("epoch", int64(m.Epoch)), nil
 	})
 
 	s.Handle(cmdlang.CommandSpec{

@@ -15,7 +15,6 @@ type Fabric struct {
 
 	mu      sync.Mutex
 	proxies map[string]*Proxy
-	groups  map[string][]string
 	n       int64
 }
 
@@ -25,7 +24,6 @@ func NewFabric(seed int64) *Fabric {
 	return &Fabric{
 		seed:    seed,
 		proxies: make(map[string]*Proxy),
-		groups:  make(map[string][]string),
 	}
 }
 
@@ -90,46 +88,6 @@ func (f *Fabric) Heal(names ...string) {
 	for _, n := range names {
 		if p := f.Get(n); p != nil {
 			p.Heal()
-		}
-	}
-}
-
-// DefineGroup names a set of proxies as one replica group, so whole
-// -group faults ("kill replica group g3") are a single call instead of
-// a proxy list every chaos test re-derives. Redefining a group
-// replaces its membership. Proxies need not exist yet — membership is
-// resolved at fault time.
-func (f *Fabric) DefineGroup(group string, proxies ...string) {
-	f.mu.Lock()
-	f.groups[group] = append([]string(nil), proxies...)
-	f.mu.Unlock()
-}
-
-// Group returns the proxy names of a defined group (nil when
-// unknown).
-func (f *Fabric) Group(group string) []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]string(nil), f.groups[group]...)
-}
-
-// PartitionGroup cuts every proxy of the named group off at once —
-// the "whole replica group dies" failure mode.
-func (f *Fabric) PartitionGroup(group string) {
-	f.Partition(f.Group(group)...)
-}
-
-// HealGroup clears all faults on every proxy of the named group.
-func (f *Fabric) HealGroup(group string) {
-	f.Heal(f.Group(group)...)
-}
-
-// SetGroupFaults applies the same fault set to every proxy of the
-// named group (degrade a whole group without severing it).
-func (f *Fabric) SetGroupFaults(group string, faults Faults) {
-	for _, n := range f.Group(group) {
-		if p := f.Get(n); p != nil {
-			p.SetFaults(faults)
 		}
 	}
 }

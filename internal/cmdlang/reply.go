@@ -40,14 +40,6 @@ const (
 	// retryable — the command was never executed, so clients retry with
 	// backoff, honoring the reply's retry_after hint when present.
 	CodeBusy = "busy"
-	// CodeWrongGroup is the placement redirect: the daemon is not (or
-	// no longer) responsible for the addressed partition, or the
-	// request's placement epoch predates the partition's last routing
-	// change. The command was not executed. It is retryable — but at
-	// the routing layer, not the transport layer: the caller must
-	// refresh its placement map and re-route, so the pool returns it
-	// immediately without charging the circuit breaker.
-	CodeWrongGroup = "wrong_group"
 )
 
 // OK builds a successful return command. Result arguments are added

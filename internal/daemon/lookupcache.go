@@ -17,8 +17,7 @@ import (
 //
 //   - a positive entry (query → resolved addresses) lives until a
 //     directory change notification (§2.6 register/unregister/expired
-//     events) evicts it — the same machinery placement.Cache uses for
-//     the pstore placement map;
+//     events) evicts it;
 //   - a negative entry (query → "no matching service") expires on a
 //     short TTL, so discovery storms for absent services are absorbed
 //     here while a late registration still becomes visible within one

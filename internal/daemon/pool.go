@@ -130,7 +130,6 @@ type Pool struct {
 	metrics     *wire.Metrics // installed on every dialed client
 	retries     *telemetry.Counter
 	busyRetries *telemetry.Counter
-	redirects   *telemetry.Counter
 	transitions *telemetry.Counter
 }
 
@@ -138,7 +137,6 @@ type Pool struct {
 const (
 	MetricPoolRetries        = "pool.retries"
 	MetricPoolBusyRetries    = "pool.busy_retries"
-	MetricPoolRedirects      = "pool.redirects"
 	MetricBreakerTransitions = "pool.breaker.transitions"
 )
 
@@ -159,7 +157,6 @@ func NewPoolConfig(cfg PoolConfig) *Pool {
 		metrics:     wire.NewMetrics(cfg.Telemetry),
 		retries:     cfg.Telemetry.Counter(MetricPoolRetries),
 		busyRetries: cfg.Telemetry.Counter(MetricPoolBusyRetries),
-		redirects:   cfg.Telemetry.Counter(MetricPoolRedirects),
 		transitions: cfg.Telemetry.Counter(MetricBreakerTransitions),
 	}
 }
@@ -337,9 +334,7 @@ func (p *Pool) call(ctx context.Context, deadline time.Time, addr string, cmd *c
 //     retry, except "busy": the admission controller shed the command
 //     before it ran, so a retry cannot run it twice. A busy call is
 //     retried no sooner than the reply's retry_after, and the retry is
-//     counted in pool.busy_retries too. A "wrong_group" redirect is
-//     counted in pool.redirects, for the caller's routing layer to
-//     re-route.
+//     counted in pool.busy_retries too.
 //   - A cancelled call (context.Canceled) and a command too large for a
 //     frame are the caller's own doing: the breaker's probe slot, if the
 //     call held it, is given back unjudged, the connection stays (a late
@@ -364,9 +359,6 @@ func (p *Pool) settle(pe *peer, c *wire.Client, attempt int, deadline time.Time,
 			return reply, 0, nil
 		}
 		re, _ := err.(*cmdlang.RemoteError)
-		if re != nil && re.Code == cmdlang.CodeWrongGroup {
-			p.redirects.Inc()
-		}
 		if re == nil || re.Code != cmdlang.CodeBusy {
 			return nil, 0, err
 		}

@@ -504,65 +504,6 @@ func TestCallDoesNotRetryOtherRemoteErrors(t *testing.T) {
 	}
 }
 
-// TestCallWrongGroupIsRetryableRedirect: a placement redirect is a
-// healthy peer telling the caller to re-route, not a failure. The
-// pool must return it immediately (exactly one handler execution, no
-// transport retries), leave the breaker closed even past its
-// threshold, keep the pooled connection, and count the redirect.
-func TestCallWrongGroupIsRetryableRedirect(t *testing.T) {
-	calls := &atomic.Int64{}
-	d := startTestDaemon(t, Config{Name: "shard"}, func(d *Daemon) {
-		d.Handle(cmdlang.CommandSpec{Name: "psget", AllowExtra: true}, func(_ *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-			calls.Add(1)
-			return cmdlang.Fail(cmdlang.CodeWrongGroup, "partition moved").SetInt("epoch", 7), nil
-		})
-	})
-	p := tightPool(PoolConfig{MaxRetries: 5, BreakerThreshold: 2, Telemetry: telemetry.NewRegistry()})
-	defer p.Close()
-
-	// Redirect well past the breaker threshold: still closed.
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		_, err := p.Call(d.Addr(), cmdlang.New("psget"))
-		if !cmdlang.IsRemoteCode(err, cmdlang.CodeWrongGroup) {
-			t.Fatalf("want wrong_group remote error, got %v", err)
-		}
-		// Returned on the first attempt: no backoff sleeps.
-		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-			t.Fatalf("redirect took %v; pool appears to be retrying it", elapsed)
-		}
-	}
-	if got := calls.Load(); got != 5 {
-		t.Fatalf("handler ran %d times for 5 calls; redirects must not be retried at the pool", got)
-	}
-	if st := p.BreakerState(d.Addr()); st != "closed" {
-		t.Fatalf("wrong_group charged the breaker: state %s", st)
-	}
-	snap := p.Telemetry().Snapshot()
-	if got := snap.Counter(MetricPoolRedirects); got != 5 {
-		t.Fatalf("%s = %d, want 5", MetricPoolRedirects, got)
-	}
-	if got := snap.Counter(MetricPoolRetries); got != 0 {
-		t.Fatalf("%s = %d, want 0", MetricPoolRetries, got)
-	}
-	// The connection survived: a healthy verb on the same daemon works
-	// without redialing (same pooled client).
-	c1, err := p.Get(d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Call(d.Addr(), cmdlang.New(CmdPing)); err != nil {
-		t.Fatalf("ping after redirects: %v", err)
-	}
-	c2, err := p.Get(d.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1 != c2 {
-		t.Fatal("redirect dropped the pooled connection")
-	}
-}
-
 // TestFailoverStickyWalk: the walk starts at the replica that last
 // answered, moves on only for transport failures, and treats a remote
 // error — however a caller's layers wrapped it — as an answer.

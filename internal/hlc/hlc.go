@@ -13,9 +13,8 @@
 // it. The logical counter disambiguates events inside the same
 // millisecond.
 //
-// Only the writing clients keep a Clock (pstore.Client and
-// pstore.Sharded); replicas keep none and store the version they are
-// sent. The wall source is injectable so tests can run a client's clock
+// Only the writing clients keep a Clock (pstore.Client); replicas keep
+// none and store the version they are sent. The wall source is injectable so tests can run a client's clock
 // ahead of or behind the others; Update clamps remote wall components
 // to the local physical clock plus MaxOffset, so one replica reporting
 // a version far in the future cannot drag the client's clock after it

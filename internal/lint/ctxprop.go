@@ -19,19 +19,6 @@ var CtxPropagation = &Analyzer{
 	Run:  runCtxPropagation,
 }
 
-// ctxAllowed exempts (receiver).method pairs where the plain method
-// is not the context-dropping twin of its *Context sibling but a
-// deliberately different operation. placement.Cache.Get is the
-// non-blocking cached-map read: it never touches the network, so
-// there is no deadline or trace span to propagate, and the routing
-// fast path calls it first precisely to stay off the wire —
-// GetContext is the slow path that fetches from the ASD, and every
-// Get miss already falls through to GetContext(ctx). Keys use the
-// same "(*pkg.Type).Method" rendering the finding message uses.
-var ctxAllowed = map[string]string{
-	"(*placement.Cache).Get": "cached read, no I/O; GetContext is the fetch slow path taken on miss",
-}
-
 func runCtxPropagation(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
@@ -143,9 +130,6 @@ func checkCtxCall(pass *Pass, call *ast.CallExpr, ctxExpr string) {
 		return
 	}
 	recv := pass.typeStr(selection.Recv())
-	if _, ok := ctxAllowed["("+recv+")."+fn.Name()]; ok {
-		return
-	}
 	pass.Reportf(call.Pos(), "(%s).%s drops the in-scope context; use %s(%s, ...)",
 		recv, fn.Name(), variant, ctxExpr)
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"ctxproptest/daemon"
-	"ctxproptest/placement"
 	"ctxproptest/wire"
 )
 
@@ -48,16 +47,4 @@ func noContext(c *wire.Client) {
 // nothing to pass.
 func blankCtx(_ *daemon.Ctx, c *wire.Client) {
 	_, _ = c.Call("ping")
-}
-
-// allowlisted: placement.Cache.Get is the non-blocking cached read,
-// not a context-dropping twin of GetContext — the analyzer's
-// allowlist exempts it even with a context in scope. The miss branch
-// still propagates ctx into the fetching slow path.
-func allowlisted(ctx context.Context, c *placement.Cache) error {
-	if _, ok := c.Get(); ok { // no finding: allowlisted fast path
-		return nil
-	}
-	_, err := c.GetContext(ctx)
-	return err
 }

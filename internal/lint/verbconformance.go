@@ -25,7 +25,7 @@ import (
 //   - reply codes checked by callers (cmdlang.IsRemoteCode(err, code))
 //     that no handler of the called verb ever emits, computed
 //     transitively over the call graph, e.g. a client matching
-//     wrong_group against a verb whose handlers never return it.
+//     not_found against a verb whose handlers never return it.
 //
 // The check is conservative where the verb is not statically known: a
 // command built from a variable (acectl's CLI passthrough, the
@@ -49,9 +49,8 @@ var shellCodes = map[string]bool{
 }
 
 // protocolArgs are stamped onto commands by the transport, not by
-// callers against a spec: the client sequence number and the sharded
-// store's placement epoch.
-var protocolArgs = map[string]bool{"seq": true, "epoch": true}
+// callers against a spec: the client sequence number.
+var protocolArgs = map[string]bool{"seq": true}
 
 // argDetail is one declared argument of a spec.
 type argDetail struct {

@@ -25,14 +25,13 @@ import (
 //     of history; fall back to a quorum read whenever no proof exists.
 //     The bound is measured on this process's own clock, so it holds
 //     under arbitrary replica clock skew. The cheap path for
-//     directory resolves, placement lookups, and sensor/room state
-//     that tolerate bounded lag.
+//     directory resolves and sensor/room state that tolerate bounded
+//     lag.
 //   - GetAny: one replica's answer, best effort, no bound. May return
 //     stale data during synchronization windows.
 
 // Leases returns the client's freshness-lease table — the proof
-// bounded reads rely on. Shared by all group clients of a sharded
-// deployment; exposed for inspection (stats, tests).
+// bounded reads rely on; exposed for inspection (stats, tests).
 func (c *Client) Leases() *staleness.Leases { return c.leases }
 
 // GetBoundedContext is the bounded(Δ) read path. The staleness proof is a
@@ -55,7 +54,7 @@ func (c *Client) Leases() *staleness.Leases { return c.leases }
 // below the quorum-validated version means the replica lost state
 // (or the lease lied). The reply is discarded — counted, never
 // served — the lease is dropped, the replica is passed over, and the
-// read re-runs as a quorum. Misses, redirects, and transport errors
+// read re-runs as a quorum. Misses and transport errors
 // take the quorum fallback too, and that quorum round's new lease
 // lists only replicas that answered it: the bound is only ever claimed
 // when it is proven.
@@ -120,8 +119,7 @@ func newFallbackCauses(tel *telemetry.Registry) fallbackCauses {
 
 // firstServed returns the index of the first of holders — recorded in
 // the proving round's reply-arrival order — that is one of this
-// client's replicas (a rebalance can record holders of another group
-// in a shared lease table), taking holders passed over at now (Unix
+// client's replicas, taking holders passed over at now (Unix
 // nanoseconds) last but never excluding them.
 func (c *Client) firstServed(holders []string, now int64) (int, bool) {
 	first := -1
@@ -146,7 +144,7 @@ func (c *Client) firstServed(holders []string, now int64) (int, bool) {
 // final.
 func (c *Client) GetAny(path string) (value []byte, version uint64, ok bool, err error) {
 	ctx := context.Background()
-	f := c.streamFanout(ctx, 1, c.mReadHedges, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
+	f := c.streamFanout(ctx, 1, c.mReadHedges, cmdlang.New("psget").SetString("path", path), decodeRead)
 	prefix, err := f.awaitQuorum(1, "any read", false)
 	c.mReadLatency.Observe(time.Since(f.start))
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, ctx)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ace/internal/daemon"
-	"ace/internal/pstore/placement"
 	"ace/internal/pstore/staleness"
 	"ace/internal/telemetry"
 )
@@ -413,42 +412,5 @@ func TestBoundedFallbackCauses(t *testing.T) {
 	}
 	if f := snap.Counter(MetricBoundedFallbacks); f != sum || f == 0 {
 		t.Fatalf("fallbacks = %d, causes sum to %d", f, sum)
-	}
-}
-
-// Sharded bounded reads route by the placement map, then apply the
-// bounded policy inside the owning group; the staleness machinery is
-// shared across group clients, so write evidence from one group's
-// quorum protects reads in that group after re-routing.
-func TestShardedBoundedRead(t *testing.T) {
-	_, groups := startShardGroups(t, "g1", "g2")
-	dir := startShardASD(t)
-	reg := telemetry.NewRegistry()
-	pool := daemon.NewPoolConfig(daemon.PoolConfig{Telemetry: reg})
-	defer pool.Close()
-	co := NewCoordinator(pool, dir.Addr())
-	if _, err := co.Bootstrap(context.Background(), 7, 32, 64, groups); err != nil {
-		t.Fatalf("bootstrap: %v", err)
-	}
-	sc := NewSharded(pool, placement.NewCache(pool, dir.Addr()))
-	defer sc.Close()
-	const n = 16
-	for i := 0; i < n; i++ {
-		if _, err := sc.Put(shardKey(i), []byte("sv")); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		val, _, ok, err := sc.GetBoundedContext(context.Background(), shardKey(i), 2*time.Second)
-		if err != nil || !ok || string(val) != "sv" {
-			t.Fatalf("bounded get %d: val=%q ok=%v err=%v", i, val, ok, err)
-		}
-	}
-	snap := reg.Snapshot()
-	if h := snap.Counter(MetricBoundedHits); h == 0 {
-		t.Fatal("sharded bounded reads never took the single-replica path")
-	}
-	if v := snap.Counter(staleness.MetricViolations); v != 0 {
-		t.Fatalf("violations = %d, want 0", v)
 	}
 }

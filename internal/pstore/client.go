@@ -49,34 +49,11 @@ func replyVersion(reply *cmdlang.CmdLine, addr string) (uint64, error) {
 	return uint64(v), nil
 }
 
-// WrongGroupError reports that an operation could not reach quorum
-// because replicas answered wrong_group redirects: the placement map
-// the request was routed (and epoch-stamped) with is stale. The fix
-// is at the routing layer — refresh the map and re-route — which the
-// sharded client does transparently.
-type WrongGroupError struct {
-	Op string
-}
-
-func (e *WrongGroupError) Error() string {
-	return "pstore: " + e.Op + " redirected: placement map is stale"
-}
-
-// IsWrongGroup reports whether err is (or wraps) a placement redirect.
-func IsWrongGroup(err error) bool {
-	var wg *WrongGroupError
-	return errors.As(err, &wg)
-}
-
 // Client reads and writes the replicated store through majority
 // quorums. It is safe for concurrent use.
 type Client struct {
 	pool     *daemon.Pool
 	replicas []string
-	// epoch, when non-zero, is stamped onto every data-plane command
-	// so nodes can reject requests routed with a placement map older
-	// than the addressed partition's last routing change.
-	epoch uint64
 
 	// repairSem bounds concurrent background read repairs; bg tracks
 	// legs on the blocking path, straggler drains and repairs so Close
@@ -92,8 +69,7 @@ type Client struct {
 
 	// clock is the client's hybrid logical clock, whose stamp is a
 	// write's version (stampedWrite). leases is the per-path
-	// freshness-lease table holding the proof bounded reads rely on. A
-	// sharded deployment shares both across its group clients.
+	// freshness-lease table holding the proof bounded reads rely on.
 	clock  *hlc.Clock
 	leases *staleness.Leases
 
@@ -155,36 +131,6 @@ func NewClient(pool *daemon.Pool, replicas []string) *Client {
 		mRepairErrs:       tel.Counter(MetricRepairErrors),
 		mRepairsDropped:   tel.Counter(MetricRepairsDropped),
 	}
-}
-
-// NewGroupClient is NewClient for one replica group of a sharded
-// deployment: every command it issues is stamped with the placement
-// epoch of the map it was routed by.
-func NewGroupClient(pool *daemon.Pool, replicas []string, epoch uint64) *Client {
-	c := NewClient(pool, replicas)
-	c.epoch = epoch
-	return c
-}
-
-// stamp adds the client's placement epoch to a data-plane command;
-// an unsharded client (epoch 0) leaves commands untouched, which
-// nodes admit regardless of placement.
-func (c *Client) stamp(cmd *cmdlang.CmdLine) *cmdlang.CmdLine {
-	if c.epoch > 0 {
-		cmd.SetInt("epoch", int64(c.epoch))
-	}
-	return cmd
-}
-
-// anyRedirect reports whether any consumed reply was a wrong_group
-// placement redirect.
-func anyRedirect(prefix []replicaReply) bool {
-	for _, r := range prefix {
-		if r.err != nil && cmdlang.IsRemoteCode(r.err, cmdlang.CodeWrongGroup) {
-			return true
-		}
-	}
-	return false
 }
 
 // Close waits for the client's background work — legs on the blocking
@@ -721,7 +667,7 @@ func (c *Client) Get(path string) (value []byte, version uint64, ok bool, err er
 func (c *Client) GetContext(ctx context.Context, path string) (value []byte, version uint64, ok bool, err error) {
 	start := time.Now()
 	defer func() { c.mReadLatency.Observe(time.Since(start)) }()
-	f := c.streamFanout(ctx, c.Quorum(), c.mReadHedges, c.stamp(cmdlang.New("psget").SetString("path", path)), decodeRead)
+	f := c.streamFanout(ctx, c.Quorum(), c.mReadHedges, cmdlang.New("psget").SetString("path", path), decodeRead)
 	// Repairs keep the caller's span context but not its cancellation —
 	// they should finish (and be traced) even when the caller returns
 	// immediately.
@@ -729,9 +675,6 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	prefix, qErr := f.awaitQuorum(c.Quorum(), "quorum read", false)
 	if qErr != nil {
 		c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, nil, repairCtx)
-		if anyRedirect(prefix) {
-			return nil, 0, false, &WrongGroupError{Op: "quorum read"}
-		}
 		return nil, 0, false, qErr
 	}
 	var best Item
@@ -775,7 +718,7 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 // readReplica asks one replica for the item it holds at path (see
 // decodeRead); held is false when the replica holds nothing.
 func (c *Client) readReplica(ctx context.Context, addr, path string) (it Item, held bool, err error) {
-	reply, err := c.pool.CallContext(ctx, addr, c.stamp(cmdlang.New("psget").SetString("path", path)))
+	reply, err := c.pool.CallContext(ctx, addr, cmdlang.New("psget").SetString("path", path))
 	r := decodeRead(reply, err, addr)
 	r.item.Path = path
 	return r.item, r.ok, r.err
@@ -825,20 +768,20 @@ func (e *versionConflict) Error() string {
 
 // stampedWrite runs a write whose version is the client's hybrid-clock
 // stamp: build makes the command for a version, and the first version
-// whose round succeeds is returned, with this group's replicas that
-// applied it and the instant that round was launched. No replica is
-// asked for the path's version first — a reading of the clock is above
-// it unless a writer with a faster clock (or the same millisecond and
-// a higher count) got there before; the round then fails with what the
-// replicas hold, which is merged into the clock and retried above.
-// Legacy counter versions are below every stamp.
-func (c *Client) stampedWrite(ctx context.Context, op string, dest *Client, build func(version uint64) *cmdlang.CmdLine) (version uint64, appliers []string, launched time.Time, err error) {
+// whose round succeeds is returned, with the replicas that applied it
+// and the instant that round was launched. No replica is asked for the
+// path's version first — a reading of the clock is above it unless a
+// writer with a faster clock (or the same millisecond and a higher
+// count) got there before; the round then fails with what the replicas
+// hold, which is merged into the clock and retried above. Legacy
+// counter versions are below every stamp.
+func (c *Client) stampedWrite(ctx context.Context, op string, build func(version uint64) *cmdlang.CmdLine) (version uint64, appliers []string, launched time.Time, err error) {
 	start := time.Now()
 	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
 	version = uint64(c.clock.Now())
 	for attempt := 0; ; attempt++ {
 		launched = time.Now()
-		appliers, err = c.writeRound(ctx, op, dest, build(version))
+		appliers, err = c.quorumWrite(ctx, op, build(version), true)
 		if err == nil || attempt == maxWriteConflicts {
 			return version, appliers, launched, err
 		}
@@ -857,28 +800,6 @@ func (c *Client) stampedWrite(ctx context.Context, op string, dest *Client, buil
 	}
 }
 
-// writeRound is one round of a stamped write. While the path's
-// partition is moving, dest is the destination group's client and the
-// round must reach both groups' quorums at the one version: an acked
-// write is then durable on a majority of BOTH, so killing either whole
-// group cannot lose it, and a refusal from either re-stamps both.
-func (c *Client) writeRound(ctx context.Context, op string, dest *Client, cmd *cmdlang.CmdLine) ([]string, error) {
-	if dest == nil {
-		return c.quorumWrite(ctx, op, cmd, true)
-	}
-	destErr := make(chan error, 1)
-	destCmd := cmd.Clone() // each group's client adds its epoch to its own
-	go func() {
-		_, err := dest.quorumWrite(ctx, op, destCmd, true)
-		destErr <- err
-	}()
-	appliers, err := c.quorumWrite(ctx, op, cmd, true)
-	if derr := <-destErr; err == nil && derr != nil {
-		err = fmt.Errorf("pstore: dual-apply destination: %w", derr)
-	}
-	return appliers, err
-}
-
 // Put writes value at path in one round sent to all replicas, versioned
 // by the client's clock stamp, succeeding once the majority it asked
 // has applied it. Anti-entropy carries the write to replicas that
@@ -894,16 +815,10 @@ func (c *Client) Put(path string, value []byte) (uint64, error) {
 // never share a version: one is refused by a majority and pays a second
 // round (stampedWrite).
 func (c *Client) PutContext(ctx context.Context, path string, value []byte) (uint64, error) {
-	return c.put(ctx, path, value, nil)
-}
-
-// put is PutContext with the destination group of a moving partition
-// (see writeRound), nil otherwise.
-func (c *Client) put(ctx context.Context, path string, value []byte, dest *Client) (uint64, error) {
 	if err := ValidatePath(path); err != nil {
 		return 0, err
 	}
-	version, appliers, launched, err := c.stampedWrite(ctx, "quorum write", dest,
+	version, appliers, launched, err := c.stampedWrite(ctx, "quorum write",
 		func(v uint64) *cmdlang.CmdLine { return putCommand(path, value, v) })
 	if err != nil {
 		return 0, err
@@ -950,19 +865,13 @@ func (c *Client) Delete(path string) error {
 // DeleteContext is Delete bounded by ctx with span propagation; the
 // tombstone is versioned and acknowledged like a put.
 func (c *Client) DeleteContext(ctx context.Context, path string) error {
-	return c.del(ctx, path, nil)
-}
-
-// del is DeleteContext with the destination group of a moving
-// partition, nil otherwise.
-func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 	if err := ValidatePath(path); err != nil {
 		return err
 	}
 	// A tombstone invalidates any lease immediately — even a write that
 	// ends up under quorum may have landed on a holder.
 	c.leases.Drop(path)
-	_, _, _, err := c.stampedWrite(ctx, "quorum delete", dest,
+	_, _, _, err := c.stampedWrite(ctx, "quorum delete",
 		func(v uint64) *cmdlang.CmdLine { return delCommand(path, v) })
 	return err
 }
@@ -982,10 +891,8 @@ func (c *Client) del(ctx context.Context, path string, dest *Client) error {
 // client's clock stamp) is acked only by a replica that applied the
 // item, a re-delivery included; one that refused it for an equal or
 // later version is a failed leg. Under quorum the round failed: as a
-// WrongGroupError when any consumed failure was a wrong_group placement
-// redirect (a stale routing decision rather than unavailability), as a
-// versionConflict when any was a refusal, else with the ack count. op
-// names the operation.
+// versionConflict when any consumed failure was a refusal, else with the
+// ack count. op names the operation.
 func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
 	decode := decodeWrite
 	if stamped {
@@ -993,7 +900,7 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	}
 	// Every replica's call shares cmd: the wire client copies a command
 	// before adding its seq.
-	f := c.streamFanout(ctx, c.Quorum(), c.mWriteHedges, c.stamp(cmd), decode)
+	f := c.streamFanout(ctx, c.Quorum(), c.mWriteHedges, cmd, decode)
 	f.tell()
 	prefix, _ := f.awaitQuorum(c.Quorum(), op, true)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
@@ -1009,8 +916,6 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	switch {
 	case len(acked) >= c.Quorum():
 		return acked, nil
-	case anyRedirect(prefix):
-		return nil, &WrongGroupError{Op: op}
 	case conflict != nil:
 		return nil, conflict
 	}

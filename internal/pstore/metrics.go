@@ -46,7 +46,7 @@ package pstore
 // or was shed busy. On a warm, healthy cluster it stays at zero.
 //
 // pstore.writes.applied counts the writes a node took from a client or
-// a peer (psput, psdel, anti-entropy and partition pulls) and applied;
+// a peer (psput, psdel and anti-entropy pulls) and applied;
 // what a restarted node replays from its log is pstore.recovery.replayed.
 //
 // pstore.write.conflicts counts write rounds refused because replicas

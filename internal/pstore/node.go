@@ -30,7 +30,6 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hier"
-	"ace/internal/pstore/placement"
 	"ace/internal/pstore/storage"
 	"ace/internal/telemetry"
 )
@@ -81,26 +80,9 @@ type Node struct {
 	syncStop chan struct{}
 	syncWG   sync.WaitGroup
 
-	// Placement: the installed map (nil until a coordinator pushes one
-	// via psmap — an unsharded node enforces nothing), this node's
-	// group name, and the group's index in the installed map (-1 when
-	// absent). Guarded by mu.
-	group    string
-	place    *placement.Map
-	placeIdx int
-
-	// transferSem bounds concurrent pspull transfers (they fan out
-	// pulls and fsync batches); over the bound pspull answers busy.
-	transferSem chan struct{}
-	transferWG  sync.WaitGroup
-
-	mSyncRounds    *telemetry.Counter
-	mSyncPulled    *telemetry.Counter
-	mWrites        *telemetry.Counter
-	mPlaceInstalls *telemetry.Counter
-	mPlaceRejects  *telemetry.Counter
-	mPlacePulled   *telemetry.Counter
-	mPlaceEpoch    *telemetry.Gauge
+	mSyncRounds *telemetry.Counter
+	mSyncPulled *telemetry.Counter
+	mWrites     *telemetry.Counter
 }
 
 // Config describes one store node.
@@ -118,11 +100,6 @@ type Config struct {
 	// SyncInterval is the anti-entropy period; 0 disables the
 	// background loop (Sync can still be driven manually).
 	SyncInterval time.Duration
-	// Group names the replica group this node belongs to in a sharded
-	// deployment. It only takes effect once a placement map naming the
-	// group is installed (psmap); empty or unmapped, the node behaves
-	// like the classic unsharded store.
-	Group string
 }
 
 // NewNode constructs a store node. If cfg.Dir is set, previous WAL
@@ -137,28 +114,18 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	// Anti-entropy is control-plane: replica convergence must survive
 	// a client overload, so the sync verbs admit into the flow
-	// controller's reserved headroom alongside lease renewals. Same
-	// for the placement verbs: installing a new map and pulling a
-	// moving partition are what ends an overloaded imbalance, so they
-	// must not be shed with the data plane.
-	dcfg.ControlVerbs = append(dcfg.ControlVerbs, "psdigest", "psfetch", "psmap", "pspull")
+	// controller's reserved headroom alongside lease renewals.
+	dcfg.ControlVerbs = append(dcfg.ControlVerbs, "psdigest", "psfetch")
 	n := &Node{
-		Daemon:      daemon.New(dcfg),
-		items:       make(map[string]Item),
-		unsynced:    make(map[writeKey][]redelivery),
-		syncStop:    make(chan struct{}),
-		group:       cfg.Group,
-		placeIdx:    -1,
-		transferSem: make(chan struct{}, 2),
+		Daemon:   daemon.New(dcfg),
+		items:    make(map[string]Item),
+		unsynced: make(map[writeKey][]redelivery),
+		syncStop: make(chan struct{}),
 	}
 	tel := n.Telemetry()
 	n.mSyncRounds = tel.Counter(MetricSyncRounds)
 	n.mSyncPulled = tel.Counter(MetricSyncPulled)
 	n.mWrites = tel.Counter(MetricWritesApplied)
-	n.mPlaceInstalls = tel.Counter(placement.MetricInstalls)
-	n.mPlaceRejects = tel.Counter(placement.MetricRejects)
-	n.mPlacePulled = tel.Counter(placement.MetricTransferPulls)
-	n.mPlaceEpoch = tel.Gauge(placement.MetricEpoch)
 	if cfg.Dir != "" {
 		opts := cfg.Storage
 		opts.Metrics = storage.Metrics{
@@ -221,7 +188,6 @@ func (n *Node) Stop() {
 	}
 	n.syncWG.Wait()
 	n.Daemon.Stop()
-	n.transferWG.Wait()
 	n.snapWG.Wait()
 	if n.eng != nil {
 		_ = n.eng.Close()
@@ -244,7 +210,6 @@ func (n *Node) Crash() {
 		n.eng.Crash()
 	}
 	n.Daemon.Stop()
-	n.transferWG.Wait()
 	n.snapWG.Wait()
 }
 
@@ -321,8 +286,8 @@ func (n *Node) synced(key writeKey, err error) *cmdlang.CmdLine {
 	return reply
 }
 
-// handleWrite is what psput and psdel share: the path, version and
-// placement checks, then the item through applyAsync. The disk refusing
+// handleWrite is what psput and psdel share: the path and version
+// checks, then the item through applyAsync. The disk refusing
 // durability answers busy (retryable, not a definitive failure) so the
 // quorum counts someone else.
 func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, deleted bool) (*cmdlang.CmdLine, error) {
@@ -335,9 +300,6 @@ func (n *Node) handleWrite(ctx *daemon.Ctx, c *cmdlang.CmdLine, value []byte, de
 	path := c.Str("path", "")
 	if err := ValidatePath(path); err != nil {
 		return nil, err
-	}
-	if fail := n.routeCheck(path, c.Int("epoch", 0), true); fail != nil {
-		return fail, nil
 	}
 	return n.applyAsync(ctx, Item{Path: path, Value: value, Version: uint64(version), Deleted: deleted})
 }
@@ -468,25 +430,19 @@ func (n *Node) Len() int {
 	return c
 }
 
-// SyncWith pulls every item the peer holds at a newer version than
-// this node (one direction of Fig 17's constant data
-// synchronization). It returns the number of items pulled.
-func (n *Node) SyncWith(peerAddr string) (int, error) {
-	return n.syncFrom(context.Background(), peerAddr, -1, 0)
-}
-
 // syncBatch is how many pulled items are made durable per WAL batch
-// during sync and partition transfer (shared fsyncs via group commit).
+// during sync (shared fsyncs via group commit).
 const syncBatch = 64
 
-// syncFrom is the pull engine behind anti-entropy (partition < 0:
-// everything) and rebalance transfer (partition >= 0: the peer's
-// digest is restricted to one partition of the given count). Pulled
-// items are made durable in batches so a bulk transfer shares fsyncs
+// SyncWith pulls every item the peer holds at a newer version than
+// this node (one direction of Fig 17's constant data
+// synchronization). It returns the number of items pulled. Pulled
+// items are made durable in batches so a bulk pull shares fsyncs
 // instead of paying one per item.
-func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partitions int) (int, error) {
+func (n *Node) SyncWith(peerAddr string) (int, error) {
+	ctx := context.Background()
 	n.mSyncRounds.Inc()
-	paths, versions, err := fetchDigest(ctx, n.Pool(), peerAddr, partition, partitions)
+	paths, versions, err := fetchDigest(ctx, n.Pool(), peerAddr)
 	if err != nil {
 		return 0, err
 	}
@@ -556,17 +512,12 @@ func (n *Node) syncFrom(ctx context.Context, peerAddr string, partition, partiti
 	return pulled, nil
 }
 
-// fetchDigest asks addr for its path→version digest (partition < 0:
-// everything; otherwise one partition of partitions). It refuses a
+// fetchDigest asks addr for its path→version digest. It refuses a
 // reply whose two vectors differ in length, and one advertising a
 // negative version: that would wrap to ~1.8e19 and make the puller
 // pull (and re-advertise) a poisoned item.
-func fetchDigest(ctx context.Context, pool *daemon.Pool, addr string, partition, partitions int) ([]string, []uint64, error) {
-	dig := cmdlang.New("psdigest")
-	if partition >= 0 {
-		dig.SetInt("partition", int64(partition)).SetInt("partitions", int64(partitions))
-	}
-	reply, err := pool.CallContext(ctx, addr, dig)
+func fetchDigest(ctx context.Context, pool *daemon.Pool, addr string) ([]string, []uint64, error) {
+	reply, err := pool.CallContext(ctx, addr, cmdlang.New("psdigest"))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -623,66 +574,6 @@ func (n *Node) applyDurableBatch(items []Item) (int, error) {
 	return applied, nil
 }
 
-// Placement returns the installed placement map (nil on an unsharded
-// node) and this node's group index within it (-1 when absent).
-func (n *Node) Placement() (*placement.Map, int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.place, n.placeIdx
-}
-
-// routeCheck enforces the placement contract on a data-plane request
-// addressed to path. reqEpoch is the client's placement epoch (0 when
-// the client is unsharded: such a request skips the epoch check below
-// and is otherwise held to the same rules, so once a map is installed
-// it is admitted at the owning group, and a write also at a move's
-// destination). It returns nil when the request may proceed, or the
-// wrong_group fail reply the handler must return. The rules:
-//
-//   - no installed map: accept everything (unsharded compatibility);
-//   - a stamped request older than the partition's last routing
-//     change is rejected even by the owner — a client that stale
-//     could single-apply a write that a concurrent move then fails
-//     to carry to the new owner;
-//   - the owning group serves reads and writes;
-//   - the destination of an in-flight move accepts writes only
-//     (reads stay on the source until cutover so they never miss
-//     history the destination has not pulled yet).
-func (n *Node) routeCheck(path string, reqEpoch int64, write bool) *cmdlang.CmdLine {
-	n.mu.Lock()
-	ps, gi := n.place, n.placeIdx
-	n.mu.Unlock()
-	if ps == nil {
-		return nil
-	}
-	p := placement.PartitionOf(path, ps.Partitions)
-	if reqEpoch > 0 && uint64(reqEpoch) < ps.Stamp[p] {
-		n.mPlaceRejects.Inc()
-		return wrongGroupReply(ps, p, fmt.Sprintf("epoch %d predates partition %d routing change at epoch %d", reqEpoch, p, ps.Stamp[p]))
-	}
-	if gi >= 0 {
-		if ps.Assignment[p] == gi {
-			return nil
-		}
-		if write {
-			if mv := ps.MoveFor(p); mv != nil && mv.To == gi {
-				return nil
-			}
-		}
-	}
-	n.mPlaceRejects.Inc()
-	return wrongGroupReply(ps, p, fmt.Sprintf("group %q does not serve partition %d", n.group, p))
-}
-
-// wrongGroupReply builds the placement redirect, carrying the
-// server's epoch and the partition's owning group so a stale client
-// can tell how far behind it is before refetching the map.
-func wrongGroupReply(ps *placement.Map, p int, msg string) *cmdlang.CmdLine {
-	return cmdlang.Fail(cmdlang.CodeWrongGroup, msg).
-		SetInt("epoch", int64(ps.Epoch)).
-		SetString("owner", ps.Groups[ps.Assignment[p]].Name)
-}
-
 // SyncAll runs SyncWith against every configured peer.
 func (n *Node) SyncAll() int {
 	n.mu.Lock()
@@ -719,7 +610,6 @@ func (n *Node) install() {
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
 			{Name: "value", Kind: cmdlang.KindBytes, Required: true, Doc: "the object; a string is taken as its bytes"},
 			{Name: "version", Kind: cmdlang.KindInt, Required: true},
-			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		// The value is a slice of the received frame: stored as it is, a
@@ -734,13 +624,9 @@ func (n *Node) install() {
 		Doc:  "read the item at a path (a tombstone answers deleted=true)",
 		Args: []cmdlang.ArgSpec{
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
-			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		path := c.Str("path", "")
-		if fail := n.routeCheck(path, c.Int("epoch", 0), false); fail != nil {
-			return fail, nil
-		}
 		n.mu.Lock()
 		it, ok := n.items[path]
 		n.mu.Unlock()
@@ -764,7 +650,6 @@ func (n *Node) install() {
 		Args: []cmdlang.ArgSpec{
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
 			{Name: "version", Kind: cmdlang.KindInt, Required: true},
-			{Name: "epoch", Kind: cmdlang.KindInt, Doc: "client placement epoch"},
 		},
 	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		return n.handleWrite(ctx, c, nil, true)
@@ -777,19 +662,11 @@ func (n *Node) install() {
 	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		prefix := c.Str("prefix", "")
 		n.mu.Lock()
-		ps, gi := n.place, n.placeIdx
 		var paths []string
 		for p, it := range n.items {
-			if it.Deleted || !strings.HasPrefix(p, prefix) {
-				continue
+			if !it.Deleted && strings.HasPrefix(p, prefix) {
+				paths = append(paths, p)
 			}
-			// Retained copies of moved-away partitions are data the
-			// group no longer serves: listing them would double-count
-			// paths when the client unions lists across groups.
-			if ps != nil && (gi < 0 || ps.Assignment[placement.PartitionOf(p, ps.Partitions)] != gi) {
-				continue
-			}
-			paths = append(paths, p)
 		}
 		n.mu.Unlock()
 		sort.Strings(paths)
@@ -799,26 +676,10 @@ func (n *Node) install() {
 	n.Handle(cmdlang.CommandSpec{
 		Name: "psdigest",
 		Doc:  "anti-entropy digest: every path and its version",
-		Args: []cmdlang.ArgSpec{
-			{Name: "partition", Kind: cmdlang.KindInt, Doc: "restrict the digest to one partition"},
-			{Name: "partitions", Kind: cmdlang.KindInt, Doc: "partition count the filter hashes against"},
-		},
-	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		// The filter hashes with the caller-supplied count, so a
-		// transfer source serves partition-scoped digests without
-		// needing a placement map of its own.
-		filtered := c.Has("partition")
-		part := int(c.Int("partition", -1))
-		parts := int(c.Int("partitions", 0))
-		if filtered && (part < 0 || parts <= 0 || part >= parts) {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("partition %d of %d", part, parts)), nil
-		}
+	}, func(_ *daemon.Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
 		digest := n.Digest()
 		paths := make([]string, 0, len(digest))
 		for p := range digest {
-			if filtered && placement.PartitionOf(p, parts) != part {
-				continue
-			}
 			paths = append(paths, p)
 		}
 		sort.Strings(paths)
@@ -838,8 +699,6 @@ func (n *Node) install() {
 			{Name: "path", Kind: cmdlang.KindString, Required: true},
 		},
 	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		// No placement check: this is the anti-entropy and transfer pull
-		// path, which must read retained copies regardless of ownership.
 		path := c.Str("path", "")
 		n.mu.Lock()
 		it, ok := n.items[path]
@@ -851,106 +710,6 @@ func (n *Node) install() {
 			SetBytes("value", it.Value).
 			SetInt("version", int64(it.Version)).
 			SetBool("deleted", it.Deleted), nil
-	})
-
-	n.Handle(cmdlang.CommandSpec{
-		Name: "psmap",
-		Doc:  "install a placement map (epoch must not regress)",
-		Args: []cmdlang.ArgSpec{{Name: "map", Kind: cmdlang.KindString, Required: true}},
-	}, func(_ *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		m, err := placement.DecodeString(c.Str("map", ""))
-		if err != nil {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, err.Error()), nil
-		}
-		n.mu.Lock()
-		if n.place != nil && m.Epoch < n.place.Epoch {
-			cur := n.place.Epoch
-			n.mu.Unlock()
-			return cmdlang.Fail(cmdlang.CodeConflict,
-				fmt.Sprintf("map epoch %d older than installed %d", m.Epoch, cur)).
-				SetInt("epoch", int64(cur)), nil
-		}
-		// Equal epochs are accepted idempotently: a restarted
-		// coordinator re-pushes the map it finds published.
-		n.place = m
-		n.placeIdx = m.GroupIndex(n.group)
-		n.mu.Unlock()
-		n.mPlaceInstalls.Inc()
-		n.mPlaceEpoch.Set(int64(m.Epoch))
-		return cmdlang.OK().SetInt("epoch", int64(m.Epoch)), nil
-	})
-
-	n.Handle(cmdlang.CommandSpec{
-		Name: "pspull",
-		Doc:  "pull one partition from its current owners (rebalance transfer)",
-		Args: []cmdlang.ArgSpec{{Name: "partition", Kind: cmdlang.KindInt, Required: true}},
-	}, func(ctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		part := int(c.Int("partition", -1))
-		n.mu.Lock()
-		ps, gi := n.place, n.placeIdx
-		peers := append([]string(nil), n.peers...)
-		n.mu.Unlock()
-		if ps == nil {
-			return cmdlang.Fail(cmdlang.CodeUnavailable, "no placement map installed"), nil
-		}
-		if part < 0 || part >= ps.Partitions {
-			return cmdlang.Fail(cmdlang.CodeBadArgument, fmt.Sprintf("partition %d of %d", part, ps.Partitions)), nil
-		}
-		var sources []string
-		switch mv := ps.MoveFor(part); {
-		case mv != nil && gi >= 0 && mv.To == gi:
-			sources = ps.Groups[mv.From].Replicas
-		case gi >= 0 && ps.Assignment[part] == gi:
-			// Already the owner (a resumed rebalance re-pulling after
-			// cutover): converge against same-group peers instead.
-			sources = peers
-		default:
-			return cmdlang.Fail(cmdlang.CodeConflict,
-				fmt.Sprintf("group %q is not the destination of partition %d", n.group, part)), nil
-		}
-		select {
-		case n.transferSem <- struct{}{}:
-		default:
-			// Transfers fan out pulls and fsync batches; past the bound
-			// the coordinator retries rather than piling more on.
-			return cmdlang.Busy(degradedRetryAfter), nil
-		}
-		tctx := ctx.TraceContext()
-		work := func() *cmdlang.CmdLine {
-			defer func() { <-n.transferSem }()
-			pulled, srcOK := 0, 0
-			var lastErr error
-			for _, src := range sources {
-				got, err := n.syncFrom(tctx, src, part, ps.Partitions)
-				pulled += got
-				if err != nil {
-					lastErr = err
-					continue
-				}
-				srcOK++
-			}
-			n.mPlacePulled.Add(int64(pulled))
-			if srcOK == 0 && len(sources) > 0 {
-				return cmdlang.Fail(cmdlang.CodeUnavailable,
-					fmt.Sprintf("pull partition %d: no source reachable: %v", part, lastErr))
-			}
-			return cmdlang.OK().
-				SetInt("pulled", int64(pulled)).
-				SetInt("sources_ok", int64(srcOK)).
-				SetInt("sources", int64(len(sources)))
-		}
-		// Detach so the daemon's serial section is not held through a
-		// bulk transfer; the semaphore above bounds the spawns.
-		finish, ok := ctx.Detach()
-		if !ok {
-			return work(), nil
-		}
-		n.transferWG.Add(1)
-		go func() {
-			defer n.transferWG.Done()
-			finish.Finish(work())
-		}()
-		return nil, nil
 	})
 }
 

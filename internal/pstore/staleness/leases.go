@@ -161,15 +161,6 @@ func (l *Leases) Drop(path string) {
 	l.mu.Unlock()
 }
 
-// Reset drops every lease. The sharded router calls it when a
-// placement epoch changes: partitions may have moved, so holder sets
-// recorded under the old map no longer name serving replicas.
-func (l *Leases) Reset() {
-	l.mu.Lock()
-	l.entries = make(map[string]lease)
-	l.mu.Unlock()
-}
-
 // Len returns the current entry count.
 func (l *Leases) Len() int {
 	l.mu.Lock()

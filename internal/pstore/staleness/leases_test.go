@@ -84,11 +84,6 @@ func TestLeasesDropAndReset(t *testing.T) {
 	if _, _, _, ok := l.Holders("/b", time.Minute); !ok {
 		t.Fatal("drop removed an unrelated lease")
 	}
-
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatalf("reset left %d leases", l.Len())
-	}
 }
 
 func TestLeasesCapEviction(t *testing.T) {

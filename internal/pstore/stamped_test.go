@@ -17,8 +17,6 @@ import (
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
 	"ace/internal/hlc"
-	"ace/internal/pstore/placement"
-	"ace/internal/telemetry"
 	"ace/internal/wire"
 )
 
@@ -328,86 +326,5 @@ func TestUntracedWriteFramesCarryNoHeader(t *testing.T) {
 	}
 	if sent["psput"] < 2 || sent["psdel"] < 2 {
 		t.Fatalf("frames received %v, want a majority of each", sent)
-	}
-}
-
-// TestDualApplySharesOneStamp: a write to a moving partition lands on
-// source and destination at one version, and a refusal from either
-// group — here the destination, holding a version from the future —
-// moves both to the retry's version.
-func TestDualApplySharesOneStamp(t *testing.T) {
-	nodes, groups := startShardGroups(t, "g1", "g2", "g3")
-	dir := startShardASD(t)
-	pool := daemon.NewPoolConfig(daemon.PoolConfig{Telemetry: telemetry.NewRegistry()})
-	defer pool.Close()
-	ctx := context.Background()
-	co := NewCoordinator(pool, dir.Addr())
-	boot, err := co.Bootstrap(ctx, 7, 32, 64, groups[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	moving, changed := planTransition(boot, groups)
-	if !changed {
-		t.Fatal("growing to three groups moves nothing")
-	}
-	if err := co.Publish(ctx, moving); err != nil {
-		t.Fatal(err)
-	}
-	mv := moving.Moves[0]
-	path := ""
-	for i := 0; path == ""; i++ {
-		if p := shardKey(i); placement.PartitionOf(p, moving.Partitions) == mv.Partition {
-			path = p
-		}
-	}
-	src, dst := nodes[moving.Groups[mv.From].Name], nodes[moving.Groups[mv.To].Name]
-	// held returns the version a majority of a group's replicas hold.
-	held := func(group []*Node) uint64 {
-		t.Helper()
-		count := map[uint64]int{}
-		for _, n := range group {
-			count[n.Digest()[path]]++
-		}
-		for v, c := range count {
-			if c >= 2 {
-				return v
-			}
-		}
-		t.Fatalf("no majority version among %v", count)
-		return 0
-	}
-
-	sc := NewSharded(pool, placement.NewCache(pool, dir.Addr()))
-	defer sc.Close()
-	v1, err := sc.Put(path, []byte("first"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	if s, d := held(src), held(dst); s != v1 || d != v1 {
-		t.Fatalf("acknowledged at %d, source holds %d, destination %d", v1, s, d)
-	}
-
-	future := v1 + uint64(hlc.Make(time.Hour.Milliseconds(), 0))
-	for _, n := range dst {
-		n.apply(Item{Path: path, Value: []byte("from the future"), Version: future})
-	}
-	v2, err := sc.Put(path, []byte("second"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	if v2 <= future {
-		t.Fatalf("acknowledged at %d, not above the destination's %d", v2, future)
-	}
-	if s, d := held(src), held(dst); s != v2 || d != v2 {
-		t.Fatalf("acknowledged at %d, source holds %d, destination %d", v2, s, d)
-	}
-	if err := sc.Delete(path); err != nil {
-		t.Fatal(err)
-	}
-	sc.Close()
-	if s, d := held(src), held(dst); s <= v2 || s != d {
-		t.Fatalf("tombstone after %d: source holds %d, destination %d", v2, s, d)
 	}
 }

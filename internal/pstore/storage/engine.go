@@ -408,7 +408,7 @@ func (e *Engine) AppendAsync(rec Record, done func(error)) {
 // AppendBatch makes every record in recs durable: it is one request to
 // the commit goroutine, which writes Options.BatchMax of its records
 // per fsync, and single appends queued meanwhile join the next commit.
-// This is the bulk path for partition transfer and anti-entropy pulls.
+// This is the bulk path for anti-entropy pulls.
 // recs must not change until AppendBatch returns. Returns the first
 // failure, after which the engine is sealed, like Append, and the
 // records not yet committed are not written.

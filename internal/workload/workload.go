@@ -2,9 +2,9 @@
 // benchmarks and experiments. The central piece is a YCSB-style
 // zipfian key generator: ambient-environment state (workspace
 // documents, device registrations, sensor readouts) is read and
-// rewritten with a hot head and a long tail, and a store sharded by
-// consistent hashing has to show its scaling under that skew, not
-// under a uniform key stream that flatters it.
+// rewritten with a hot head and a long tail, and a store's caches and
+// leases have to show their behaviour under that skew, not under a
+// uniform key stream that flatters it.
 //
 // Everything is seeded explicitly and uses private PRNG state, so two
 // generators built with the same parameters emit identical sequences
