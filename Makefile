@@ -3,18 +3,23 @@
 
 GO ?= go
 
-.PHONY: all check build test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call profile-store bench-once examples fuzz fmt fmt-check vet lint lint-docs loc clean
+.PHONY: all check build build-darwin test race test-race chaos test-bench stability short bench bench-pstore bench-flow profile-call profile-store bench-once examples fuzz fmt fmt-check vet lint lint-docs loc clean
 
 all: build vet test
 
-# The full pre-merge gate: build, formatting, vet, the ACE-specific
-# analyzers, plain tests, race-enabled tests, the deterministic chaos
-# suite, the benchmark module's own vet and tests, every testing.B run
-# once, and the repeat-run stability step.
-check: build fmt-check vet lint test test-race chaos test-bench bench-once stability
+# The full pre-merge gate: build (also for macOS), formatting, vet, the
+# ACE-specific analyzers, plain tests, race-enabled tests, the
+# deterministic chaos suite, the benchmark module's own vet and tests,
+# every testing.B run once, and the repeat-run stability step.
+check: build build-darwin fmt-check vet lint test test-race chaos test-bench bench-once stability
 
 build:
 	$(GO) build ./...
+
+# The tree builds where no command port has a same-host twin
+# (internal/wire/twin_other.go).
+build-darwin:
+	GOOS=darwin $(GO) build ./...
 
 vet:
 	$(GO) vet ./...

@@ -34,6 +34,7 @@ import (
 	"ace/internal/pstore"
 	"ace/internal/pstore/staleness"
 	"ace/internal/telemetry"
+	"ace/internal/wire"
 )
 
 func fail(format string, args ...any) {
@@ -195,6 +196,8 @@ func printStats(pool *daemon.Pool, name, addr string) {
 		fail("decode snapshot: %v", err)
 	}
 	fmt.Printf("%s @ %s\n", name, addr)
+	fmt.Printf("  wire       conns=%d dials local=%d\n",
+		snap.Gauge(daemon.MetricConnsActive), snap.Counter(wire.MetricDialsLocal))
 	printFlowSummary(snap)
 	printStorageSummary(snap)
 	printConsistencySummary(snap)

@@ -13,6 +13,7 @@ import (
 	"ace/internal/chaos"
 	"ace/internal/cmdlang"
 	"ace/internal/daemon"
+	"ace/internal/telemetry"
 	"ace/internal/wire"
 )
 
@@ -148,13 +149,21 @@ func TestProxyPassThrough(t *testing.T) {
 	}
 	defer p.Close()
 
-	c, err := wire.Dial(nil, p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.Call(cmdlang.New(daemon.CmdPing)); err != nil {
-		t.Fatal(err)
+	// A proxy has no twin, so the dial is TCP and the faults apply;
+	// the daemon behind it is dialed through its twin.
+	for addr, local := range map[string]int64{p.Addr(): 0, d.Addr(): 1} {
+		reg := telemetry.NewRegistry()
+		c, err := wire.DialContext(context.Background(), nil, addr, 0, wire.NewMetrics(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Call(cmdlang.New(daemon.CmdPing)); err != nil {
+			t.Fatal(err)
+		}
+		if n := reg.Counter(wire.MetricDialsLocal).Value(); n != local {
+			t.Fatalf("dial to %s: %s=%d, want %d", addr, wire.MetricDialsLocal, n, local)
+		}
 	}
 }
 

@@ -76,7 +76,8 @@ type Ctx struct {
 	// Principal is the authenticated peer identity (TLS certificate
 	// common name), or "anonymous" on plaintext transports.
 	Principal string
-	// RemoteAddr is the peer's network address.
+	// RemoteAddr is the peer's network address; "unix:pid=<pid>" for a
+	// peer on the command port's twin (wire.ListenTwin).
 	RemoteAddr string
 	// Trace is the span context the command arrived under (the zero
 	// value when the caller sent no trace header). Handlers that call
@@ -230,6 +231,7 @@ type Daemon struct {
 	handlers map[string]*handlerEntry
 
 	listener net.Listener
+	twin     net.Listener // the listener's same-host twin, or nil
 	udp      *net.UDPConn
 	done     chan struct{}
 	wg       sync.WaitGroup
@@ -474,12 +476,18 @@ func (d *Daemon) Start() error {
 	if err != nil {
 		return fmt.Errorf("daemon %s: listen: %w", d.cfg.Name, err)
 	}
-	d.listener = ln
+	// A same-host client reaches the daemon through the port's twin.
+	twin, err := wire.ListenTwin(ln)
+	if err != nil {
+		ln.Close()
+		return fmt.Errorf("daemon %s: %w", d.cfg.Name, err)
+	}
+	d.listener, d.twin = ln, twin
 
 	udpAddr := &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 0}
 	udp, err := net.ListenUDP("udp", udpAddr)
 	if err != nil {
-		ln.Close()
+		d.closeListeners()
 		return fmt.Errorf("daemon %s: udp listen: %w", d.cfg.Name, err)
 	}
 	// Media streams arrive in bursts; a roomy socket buffer keeps the
@@ -491,9 +499,13 @@ func (d *Daemon) Start() error {
 	// Data thread.
 	d.wg.Add(1)
 	go d.dataThread()
-	// Accept loop feeding per-connection command threads.
+	// Accept loops feeding per-connection command threads.
 	d.wg.Add(1)
-	go d.acceptLoop()
+	go d.acceptLoop(ln)
+	if twin != nil {
+		d.wg.Add(1)
+		go d.acceptLoop(twin)
+	}
 
 	if err := d.startupSequence(); err != nil {
 		d.Stop()
@@ -647,7 +659,7 @@ func (d *Daemon) Stop() {
 	// Closing the flow controller wakes every queued waiter with
 	// ErrClosed, so no command thread blocks shutdown inside Admit.
 	d.flow.Close()
-	d.listener.Close()
+	d.closeListeners()
 	d.udp.Close()
 	d.connsMu.Lock()
 	for c := range d.conns {
@@ -658,15 +670,23 @@ func (d *Daemon) Stop() {
 	d.wg.Wait()
 }
 
-// acceptLoop is run by the main thread's accept goroutine; each
-// admitted connection gets its own command thread. Connections beyond
-// the flow controller's cap are closed immediately — a bounded number
-// of command threads is the first line of overload defense.
-func (d *Daemon) acceptLoop() {
+func (d *Daemon) closeListeners() {
+	d.listener.Close()
+	if d.twin != nil {
+		d.twin.Close()
+	}
+}
+
+// acceptLoop is run by the main thread's accept goroutines, one per
+// listener; each admitted connection gets its own command thread.
+// Connections beyond the flow controller's cap are closed immediately —
+// a bounded number of command threads is the first line of overload
+// defense.
+func (d *Daemon) acceptLoop(ln net.Listener) {
 	defer d.wg.Done()
 	tlsCfg := d.cfg.Transport.ServerConfig()
 	for {
-		raw, err := d.listener.Accept()
+		raw, err := ln.Accept()
 		if err != nil {
 			return
 		}

@@ -48,9 +48,12 @@ type Client struct {
 
 	seq atomic.Int64
 
-	// unanswered counts the bytes of the calls Start has written since
-	// the connection last read a frame (see maxUnanswered).
-	unanswered atomic.Int64
+	// unanswered counts the bytes (each frame plus frameCharge) of the
+	// calls Start has written since the connection last read a frame;
+	// Start refuses past budget (see maxUnanswered).
+	unanswered  atomic.Int64
+	budget      int64
+	frameCharge int64
 
 	callTimeout time.Duration
 	metrics     *Metrics // nil records nothing
@@ -67,6 +70,8 @@ type Client struct {
 // store replica answers in bursts, after its group commits, and was
 // measured at up to 90 KiB behind. Each answer starts the count again.
 // Blocking calls may block on their write, and are not counted.
+// A twin (ListenTwin) charges a 40 B frame 768 B of its send buffer: on
+// one the count is payload plus twinFrameCharge, against half that buffer.
 const maxUnanswered = 256 << 10
 
 // errUnanswered is Start's refusal of a connection whose peer has
@@ -125,10 +130,13 @@ func DialContext(ctx context.Context, t *Transport, addr string, callTimeout tim
 		ctx, cancel = context.WithTimeout(ctx, DefaultDialTimeout)
 		defer cancel()
 	}
-	var d net.Dialer
-	raw, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+	raw, budget := dialTwin(ctx, addr, m)
+	if raw == nil {
+		var d net.Dialer
+		var err error
+		if raw, err = d.DialContext(ctx, "tcp", addr); err != nil {
+			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+		}
 	}
 	cfg := t.ClientConfig("")
 	var conn net.Conn = raw
@@ -140,20 +148,25 @@ func DialContext(ctx context.Context, t *Transport, addr string, callTimeout tim
 		}
 		conn = tc
 	}
-	return newClient(conn, callTimeout, m), nil
+	return newClient(conn, budget, callTimeout, m), nil
 }
 
 // newClient wraps an established connection (already TLS'd if
-// desired) and starts the reader goroutine.
-func newClient(conn net.Conn, callTimeout time.Duration, m *Metrics) *Client {
+// desired) and starts the reader goroutine. twinBudget is openTwin's
+// budget of a twin connection, 0 for TCP.
+func newClient(conn net.Conn, twinBudget int64, callTimeout time.Duration, m *Metrics) *Client {
 	if callTimeout <= 0 {
 		callTimeout = DefaultCallTimeout
 	}
 	c := &Client{
 		conn:        conn,
 		pending:     make(map[int64]started),
+		budget:      maxUnanswered,
 		callTimeout: callTimeout,
 		metrics:     m,
+	}
+	if twinBudget > 0 {
+		c.budget, c.frameCharge = twinBudget, twinFrameCharge
 	}
 	go c.readLoop()
 	return c
@@ -273,11 +286,11 @@ func childSpan(ctx context.Context) telemetry.SpanContext {
 // reply on the connection waits, so sink must have room for it. An
 // error from Start means nothing was written and nothing will arrive:
 // the connection was already closed, the command does not fit a frame,
-// or the peer has answered nothing of the last maxUnanswered bytes it
-// was sent: Start does not write to a peer that may have stopped
-// reading.
+// or the peer has answered nothing of the last maxUnanswered bytes (on
+// a twin: of the kernel charge) it was sent: Start does not write to a
+// peer that may have stopped reading.
 func (c *Client) Start(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int) (int64, error) {
-	if c.unanswered.Load() > maxUnanswered {
+	if c.unanswered.Load() > c.budget {
 		return 0, errUnanswered
 	}
 	seq, _, err := c.start(ctx, time.Now(), deadline, cmd, sink, tag, true)
@@ -314,7 +327,7 @@ func (c *Client) start(ctx context.Context, now, deadline time.Time, cmd *cmdlan
 	// A failed write failed the connection, which sent the call its
 	// Result.
 	if err == nil && counted {
-		c.unanswered.Add(int64(n))
+		c.unanswered.Add(int64(n) + c.frameCharge)
 	}
 	return seq, deadline, nil
 }
@@ -442,11 +455,13 @@ func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
 // already, the peer has not answered enough of late, the command does
 // not fit a frame, or the write failed, which failed the connection.
 func (c *Client) Tell(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) error {
-	if c.unanswered.Load() > maxUnanswered/2 {
+	if c.unanswered.Load() > c.budget/2 {
 		return errUnanswered
 	}
 	n, err := c.send(ctx, deadline, cmd)
-	c.unanswered.Add(int64(n))
+	if err == nil {
+		c.unanswered.Add(int64(n) + c.frameCharge)
+	}
 	return err
 }
 

@@ -17,6 +17,9 @@ const (
 	MetricBytesRecv    = "wire.bytes.recv"
 	MetricCallLatency  = "wire.call.latency"
 	MetricCallTimeouts = "wire.call.timeouts"
+	// MetricDialsLocal counts dials that took a command port's twin
+	// (see ListenTwin) rather than TCP.
+	MetricDialsLocal = "wire.dials.local"
 )
 
 // Metrics is the wire layer's instrument group. A nil *Metrics (the
@@ -28,6 +31,7 @@ type Metrics struct {
 	bytesSent   *telemetry.Counter
 	bytesRecv   *telemetry.Counter
 	timeouts    *telemetry.Counter
+	dialsLocal  *telemetry.Counter
 	callLatency *telemetry.Histogram
 }
 
@@ -43,6 +47,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		bytesSent:   r.Counter(MetricBytesSent),
 		bytesRecv:   r.Counter(MetricBytesRecv),
 		timeouts:    r.Counter(MetricCallTimeouts),
+		dialsLocal:  r.Counter(MetricDialsLocal),
 		callLatency: r.Histogram(MetricCallLatency),
 	}
 }
@@ -79,4 +84,12 @@ func (m *Metrics) CallTimeout() {
 		return
 	}
 	m.timeouts.Inc()
+}
+
+// DialLocal records a dial that took a twin.
+func (m *Metrics) DialLocal() {
+	if m == nil {
+		return
+	}
+	m.dialsLocal.Inc()
 }
