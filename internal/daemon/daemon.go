@@ -76,8 +76,7 @@ type Ctx struct {
 	// Principal is the authenticated peer identity (TLS certificate
 	// common name), or "anonymous" on plaintext transports.
 	Principal string
-	// RemoteAddr is the peer's network address; "unix:pid=<pid>" for a
-	// peer on the command port's twin (wire.ListenTwin).
+	// RemoteAddr is the peer's network address ("unix:pid=<pid>" on a twin).
 	RemoteAddr string
 	// Trace is the span context the command arrived under (the zero
 	// value when the caller sent no trace header). Handlers that call
@@ -617,10 +616,10 @@ func (d *Daemon) leaseLoop() {
 
 // Stop shuts the daemon down: it unregisters from the ASD and room
 // database, records the stop event, closes sockets, and joins all
-// threads.
+// threads; after a Start that failed to open its sockets, nothing.
 func (d *Daemon) Stop() {
 	d.mu.Lock()
-	if !d.started || d.stopped {
+	if !d.started || d.stopped || d.udp == nil { // Start sets d.udp last
 		d.mu.Unlock()
 		return
 	}
@@ -677,11 +676,10 @@ func (d *Daemon) closeListeners() {
 	}
 }
 
-// acceptLoop is run by the main thread's accept goroutines, one per
-// listener; each admitted connection gets its own command thread.
-// Connections beyond the flow controller's cap are closed immediately —
-// a bounded number of command threads is the first line of overload
-// defense.
+// acceptLoop is run by the main thread's accept goroutines; each
+// admitted connection gets its own command thread. Connections beyond
+// the flow controller's cap are closed immediately — a bounded number
+// of command threads is the first line of overload defense.
 func (d *Daemon) acceptLoop(ln net.Listener) {
 	defer d.wg.Done()
 	tlsCfg := d.cfg.Transport.ServerConfig()

@@ -256,6 +256,9 @@ func TestTLSPrincipalReachesHandler(t *testing.T) {
 // twin, TLS runs over it with the principal still from the client's
 // certificate, and the handler sees the peer as its pid.
 func TestTwinCarriesTLSAndPeerPID(t *testing.T) {
+	if !wire.Twins() {
+		t.Skip("no twins: net.core.wmem_max is below 4 MiB, so every dial is TCP")
+	}
 	ca, err := wire.NewCA("test")
 	if err != nil {
 		t.Fatal(err)
@@ -295,23 +298,53 @@ func TestTwinCarriesTLSAndPeerPID(t *testing.T) {
 
 // TestStartRefusesHeldTwinName: a daemon does not start on a loopback
 // port whose twin name someone else holds, who would otherwise take
-// its same-host clients.
+// its same-host clients, and Stop after that failed Start does nothing.
+// wire's TestListenTwinRefusesHeldName tests the refusal itself.
 func TestStartRefusesHeldTwinName(t *testing.T) {
+	if !wire.Twins() {
+		t.Skip("no twins: net.core.wmem_max is below 4 MiB, so every dial is TCP")
+	}
+	// The port is free when picked but closed before Start, so another
+	// process may take it in between: then pick another.
+	for try := 0; try < 5; try++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		holder, err := net.Listen("unix", "@ace/"+addr)
+		if err != nil {
+			continue
+		}
+		d := New(Config{Name: "late", Listen: addr})
+		err = d.Start()
+		d.Stop()
+		holder.Close()
+		if err != nil && strings.Contains(err.Error(), ": listen: ") {
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "twin") {
+			t.Fatalf("Start on %s with its twin name held: %v, want a twin error", addr, err)
+		}
+		return
+	}
+	t.Fatal("no free loopback port in 5 tries")
+}
+
+// TestStopAfterFailedStart: Stop after a Start that could not open its
+// command port returns at once.
+func TestStopAfterFailedStart(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	holder, err := net.Listen("unix", "@ace/"+addr)
-	if err != nil {
-		t.Fatal(err)
+	defer ln.Close()
+	d := New(Config{Name: "late", Listen: ln.Addr().String()})
+	if err := d.Start(); err == nil {
+		t.Fatalf("Start on held port %s: no error", ln.Addr())
 	}
-	defer holder.Close()
-	err = New(Config{Name: "late", Listen: addr}).Start()
-	if err == nil || !strings.Contains(err.Error(), "twin") {
-		t.Fatalf("Start on %s with its twin name held: %v, want a twin error", addr, err)
-	}
+	d.Stop()
 }
 
 func TestNotificationsFig8(t *testing.T) {

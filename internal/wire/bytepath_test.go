@@ -89,7 +89,7 @@ func TestOneWritePerFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := &writeLog{Conn: raw}
-	c := newClient(out, 0, 0, nil)
+	c := newClient(out, false, 0, nil)
 	defer c.Close()
 	replies := <-served
 

@@ -48,9 +48,8 @@ type Client struct {
 
 	seq atomic.Int64
 
-	// unanswered counts the bytes (each frame plus frameCharge) of the
-	// calls Start has written since the connection last read a frame;
-	// Start refuses past budget (see maxUnanswered).
+	// unanswered counts the bytes, plus frameCharge each, of the calls
+	// Start wrote since the last frame read (see maxUnanswered).
 	unanswered  atomic.Int64
 	budget      int64
 	frameCharge int64
@@ -70,8 +69,8 @@ type Client struct {
 // store replica answers in bursts, after its group commits, and was
 // measured at up to 90 KiB behind. Each answer starts the count again.
 // Blocking calls may block on their write, and are not counted.
-// A twin (ListenTwin) charges a 40 B frame 768 B of its send buffer: on
-// one the count is payload plus twinFrameCharge, against half that buffer.
+// A twin charges a 40 B frame 768 B of its send buffer, so there each
+// frame adds twinFrameCharge, and the bound is twinSndBuf: half the grant.
 const maxUnanswered = 256 << 10
 
 // errUnanswered is Start's refusal of a connection whose peer has
@@ -130,8 +129,9 @@ func DialContext(ctx context.Context, t *Transport, addr string, callTimeout tim
 		ctx, cancel = context.WithTimeout(ctx, DefaultDialTimeout)
 		defer cancel()
 	}
-	raw, budget := dialTwin(ctx, addr, m)
-	if raw == nil {
+	raw := dialTwin(ctx, addr, m)
+	twin := raw != nil
+	if !twin {
 		var d net.Dialer
 		var err error
 		if raw, err = d.DialContext(ctx, "tcp", addr); err != nil {
@@ -148,13 +148,13 @@ func DialContext(ctx context.Context, t *Transport, addr string, callTimeout tim
 		}
 		conn = tc
 	}
-	return newClient(conn, budget, callTimeout, m), nil
+	return newClient(conn, twin, callTimeout, m), nil
 }
 
 // newClient wraps an established connection (already TLS'd if
-// desired) and starts the reader goroutine. twinBudget is openTwin's
-// budget of a twin connection, 0 for TCP.
-func newClient(conn net.Conn, twinBudget int64, callTimeout time.Duration, m *Metrics) *Client {
+// desired) and starts the reader goroutine; twin is whether conn is a
+// twin (see maxUnanswered).
+func newClient(conn net.Conn, twin bool, callTimeout time.Duration, m *Metrics) *Client {
 	if callTimeout <= 0 {
 		callTimeout = DefaultCallTimeout
 	}
@@ -165,8 +165,8 @@ func newClient(conn net.Conn, twinBudget int64, callTimeout time.Duration, m *Me
 		callTimeout: callTimeout,
 		metrics:     m,
 	}
-	if twinBudget > 0 {
-		c.budget, c.frameCharge = twinBudget, twinFrameCharge
+	if twin {
+		c.budget, c.frameCharge = twinSndBuf, twinFrameCharge
 	}
 	go c.readLoop()
 	return c

@@ -85,11 +85,3 @@ func (m *Metrics) CallTimeout() {
 	}
 	m.timeouts.Inc()
 }
-
-// DialLocal records a dial that took a twin.
-func (m *Metrics) DialLocal() {
-	if m == nil {
-		return
-	}
-	m.dialsLocal.Inc()
-}

@@ -172,7 +172,7 @@ func TestDialAbortsOnCancelledContext(t *testing.T) {
 func TestSendErrClosedMeansNothingWritten(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
-	c := newClient(a, 0, 0, nil)
+	c := newClient(a, false, 0, nil)
 	c.Close()
 	if err := c.Send(cmdlang.New("notify")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)

@@ -107,11 +107,6 @@ func NewTransport(ca *CA, name string) (*Transport, error) {
 	return &Transport{Name: name, CA: ca, Cert: cert}, nil
 }
 
-// PlaintextTransport returns a transport with encryption disabled.
-func PlaintextTransport(name string) *Transport {
-	return &Transport{Name: name, Plaintext: true}
-}
-
 // ServerConfig returns the TLS config for accepting command
 // connections: it presents the daemon certificate and requires a
 // client certificate signed by the environment CA (mutual auth).

@@ -5,16 +5,24 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+	"sync"
 )
 
+// A twin's ends ask for twinSndBuf of send buffer, and the kernel
+// charges each frame on it up to twinFrameCharge beyond its payload
+// (see maxUnanswered).
 const (
-	// twinSndBuf is the send buffer both ends of a twin ask for; the
-	// default holds only a few hundred frames (see maxUnanswered).
-	twinSndBuf = 4 << 20
-	// twinFrameCharge is what the kernel charges a frame on a twin
-	// beyond its payload, rounded up (see maxUnanswered).
+	twinSndBuf      = 4 << 20
 	twinFrameCharge = 1 << 10
 )
+
+// twins is probed once per process, and false where the platform has
+// none or the kernel grants less send buffer than a twin asks for
+// (net.core.wmem_max below 4 MiB): then every dial is TCP.
+var twins = sync.OnceValue(probeTwins)
+
+// Twins reports whether this process's loopback ports have twins.
+func Twins() bool { return twins() }
 
 // twinName is the abstract socket name of the twin of the command port
 // at addr, in the form a listener gives its own address.
@@ -24,27 +32,25 @@ func twinName(addr string) string { return "@ace/" + addr }
 // "" when its host is not a loopback IP literal or there are no twins.
 func loopbackAddr(addr string) string {
 	host, port, err := net.SplitHostPort(addr)
-	if ip := net.ParseIP(host); hasTwins && err == nil && ip != nil && ip.IsLoopback() {
+	if ip := net.ParseIP(host); err == nil && ip != nil && ip.IsLoopback() && twins() {
 		return net.JoinHostPort(ip.String(), port)
 	}
 	return ""
 }
 
-// twinAdmits is the rule both ends of a twin connection apply before a
-// frame crosses it: the peer runs as this process's user uid, and the
-// kernel granted the send buffer asked for (Linux books twice what is
-// asked, up to net.core.wmem_max).
+// twinAdmits is the rule both ends of a twin apply before a frame
+// crosses: the peer runs as uid, and the kernel granted the send buffer
+// asked for (Linux books twice that, up to net.core.wmem_max).
 func twinAdmits(peerUID, uid, granted int) bool {
 	return peerUID == uid && granted >= 2*twinSndBuf
 }
 
-// ListenTwin opens the twin of ln, a TCP command port: a Unix stream
-// socket in Linux's abstract namespace named after ln's address, which
-// a dial to that address takes before TCP (same frames, same TLS). It
-// returns nil when ln is not on a loopback IP, and an error when the
-// name is held already: its holder would take this port's same-host
-// clients. The twin accepts the peers openTwin admits, each with
-// RemoteAddr "unix:pid=<pid>".
+// ListenTwin opens the twin of ln, a TCP command port: an abstract Unix
+// socket named after ln's address, which a dial to it takes before TCP.
+// It returns nil when ln is not on a loopback IP or there are no twins,
+// and an error when the name is held already, whose holder would take
+// the port's same-host clients. Peers are admitted by openTwin, each
+// with RemoteAddr "unix:pid=<pid>".
 func ListenTwin(ln net.Listener) (net.Listener, error) {
 	addr := loopbackAddr(ln.Addr().String())
 	if addr == "" {
@@ -65,7 +71,7 @@ func (l twinListener) Accept() (net.Conn, error) {
 		if err != nil {
 			return nil, err
 		}
-		if pid, _, ok := openTwin(c); ok {
+		if pid, ok := openTwin(c); ok {
 			return twinConn{c, &net.UnixAddr{Name: "unix:pid=" + strconv.Itoa(pid), Net: "unix"}}, nil
 		}
 		c.Close()
@@ -79,24 +85,24 @@ type twinConn struct {
 
 func (c twinConn) RemoteAddr() net.Addr { return c.peer }
 
-// dialTwin connects to the twin of the command port at addr, and
-// returns it with openTwin's budget, or nil when addr is not on a
-// loopback IP, no twin answers, or the twin fails openTwin's checks.
-func dialTwin(ctx context.Context, addr string, m *Metrics) (net.Conn, int64) {
+// dialTwin connects to the twin of the command port at addr, or returns
+// nil when it has none or the twin fails openTwin's checks.
+func dialTwin(ctx context.Context, addr string, m *Metrics) net.Conn {
 	a := loopbackAddr(addr)
 	if a == "" {
-		return nil, 0
+		return nil
 	}
 	var d net.Dialer
-	raw, err := d.DialContext(ctx, "unix", twinName(a))
+	c, err := d.DialContext(ctx, "unix", twinName(a))
 	if err != nil {
-		return nil, 0
+		return nil
 	}
-	c := raw.(*net.UnixConn)
-	if _, budget, ok := openTwin(c); ok {
-		m.DialLocal()
-		return c, budget
+	if _, ok := openTwin(c.(*net.UnixConn)); !ok {
+		c.Close()
+		return nil
 	}
-	c.Close()
-	return nil, 0
+	if m != nil {
+		m.dialsLocal.Inc()
+	}
+	return c
 }

@@ -4,8 +4,7 @@ package wire
 
 import "net"
 
-// Only Linux has the abstract namespace and SO_PEERCRED: elsewhere no
-// port has a twin, and every dial is TCP.
-const hasTwins = false
+// Only Linux has abstract sockets and SO_PEERCRED: elsewhere, no twins.
+func probeTwins() bool { return false }
 
-func openTwin(*net.UnixConn) (int, int64, bool) { return 0, 0, false }
+func openTwin(*net.UnixConn) (int, bool) { return 0, false }

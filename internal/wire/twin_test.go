@@ -42,10 +42,20 @@ func dialCounted(t *testing.T, addr string) (*Client, int64) {
 	return c, reg.Counter(MetricDialsLocal).Value()
 }
 
+// needTwins skips a test of twins where the kernel grants a Unix socket
+// too little send buffer to have any (see Twins).
+func needTwins(t *testing.T) {
+	t.Helper()
+	if !Twins() {
+		t.Skip("no twins: net.core.wmem_max is below 4 MiB, so every dial is TCP")
+	}
+}
+
 // stalledTwin is a loopback TCP listener with a twin whose connections
 // are accepted and never read.
 func stalledTwin(t *testing.T) string {
 	t.Helper()
+	needTwins(t)
 	ln := listen(t)
 	tw, err := ListenTwin(ln)
 	if err != nil || tw == nil {
@@ -128,6 +138,43 @@ func TestLoopbackWithoutTwinDialsTCP(t *testing.T) {
 	c, local := dialCounted(t, ln.Addr().String())
 	if local != 0 {
 		t.Fatalf("%d twin dials to a port without a twin", local)
+	}
+	if _, err := c.Call(cmdlang.New("ping")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestListenTwinRefusesHeldName: a port's twin is not opened when its
+// name is held already, whose holder would take the port's same-host
+// clients.
+func TestListenTwinRefusesHeldName(t *testing.T) {
+	needTwins(t)
+	ln := listen(t)
+	holder, err := net.Listen("unix", twinName(ln.Addr().String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Close()
+	if tw, err := ListenTwin(ln); err == nil {
+		tw.Close()
+		t.Fatalf("ListenTwin(%s) with its name held: no error", ln.Addr())
+	}
+}
+
+// TestNoTwinsWithoutTheGrant: where the kernel grants too little send
+// buffer (twins probed false), a loopback port gets no twin and a dial
+// to it is TCP, as on a platform without twins.
+func TestNoTwinsWithoutTheGrant(t *testing.T) {
+	defer func(probed func() bool) { twins = probed }(twins)
+	twins = func() bool { return false }
+	ln := listen(t)
+	if tw, err := ListenTwin(ln); tw != nil || err != nil {
+		t.Fatalf("ListenTwin without twins = %v, %v; want nil, nil", tw, err)
+	}
+	echoServer(t, ln, nil)
+	c, local := dialCounted(t, ln.Addr().String())
+	if local != 0 {
+		t.Fatalf("%d twin dials without twins", local)
 	}
 	if _, err := c.Call(cmdlang.New("ping")); err != nil {
 		t.Fatal(err)

@@ -333,7 +333,7 @@ func TestTLSRejectsPlaintextClient(t *testing.T) {
 }
 
 func TestTransportPlaintextConfigsAreNil(t *testing.T) {
-	pt := PlaintextTransport("x")
+	pt := &Transport{Name: "x", Plaintext: true}
 	if pt.ServerConfig() != nil || pt.ClientConfig("") != nil {
 		t.Fatal("plaintext transport produced TLS configs")
 	}
