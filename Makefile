@@ -64,6 +64,7 @@ test-bench:
 # cannot hide behind one lucky pass, and the ones whose verdict rests on
 # how racing goroutines happened to interleave, under the race
 # detector: the daemon's serial section against concurrent connections,
+# a client's one deadline sweep against calls started in either order,
 # the racing-writers test, the recorded-history checker, the read hedged
 # around a stalled replica, the bounded read that skips it, and the
 # snapshot check a write's ack makes while a compaction runs.
@@ -75,6 +76,7 @@ stability:
 	$(GO) test -count=200 -run 'TestChaosPstoreQuorumFailsClosedWithoutMajority' ./internal/chaos/
 	$(GO) test -count=200 -run 'TestGetAnyHitAndMiss' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestSerialSection' ./internal/daemon/
+	$(GO) test -race -count=50 -run 'TestSweepEndsEachCallAtItsOwnDeadline' ./internal/wire/
 	$(GO) test -race -count=20 -run 'TestRacingPutsGetDistinctVersions|TestHistoryVersionedRegister' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestStalledReplicaIsHedgedAroundAndPassedOver' ./internal/pstore/
 	$(GO) test -race -count=50 -run 'TestBoundedReadSkipsPassedOverHolder' ./internal/pstore/

@@ -136,11 +136,13 @@ func TestSharedReplyIsOnlyRead(t *testing.T) {
 	}
 }
 
-// writeCounter is a connection that counts the Writes it is handed.
+// writeCounter is a connection that counts the Writes it is handed and
+// the write deadlines armed on it.
 type writeCounter struct {
 	net.Conn
-	writes int
-	last   []byte
+	writes    int
+	last      []byte
+	deadlines int
 }
 
 func (c *writeCounter) Write(p []byte) (int, error) {
@@ -149,7 +151,10 @@ func (c *writeCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (*writeCounter) SetWriteDeadline(time.Time) error { return nil }
+func (c *writeCounter) SetWriteDeadline(time.Time) error {
+	c.deadlines++
+	return nil
+}
 
 // TestReplyFrameIsOneWrite: the shell's reply writer puts a reply on
 // its connection in one Write, numbered or not.
@@ -168,6 +173,22 @@ func TestReplyFrameIsOneWrite(t *testing.T) {
 	}
 	if got := reply.String(); got != "ok service=w;" {
 		t.Fatalf("the reply was changed by the write: %s", got)
+	}
+}
+
+// TestRepliesArmTheWriteDeadlineRarely: a stream of replies on one
+// connection arms its write deadline a handful of times, not once a
+// frame.
+func TestRepliesArmTheWriteDeadlineRarely(t *testing.T) {
+	d := New(Config{Name: "w"})
+	conn := &writeCounter{}
+	w := &replyWriter{d: d, conn: conn}
+	reply := cmdlang.OK()
+	for seq := int64(1); seq <= 1000; seq++ {
+		w.write(reply, true, seq)
+	}
+	if conn.writes != 1000 || conn.deadlines > 4 {
+		t.Fatalf("1000 replies: %d writes, write deadline armed %d times", conn.writes, conn.deadlines)
 	}
 }
 

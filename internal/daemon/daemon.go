@@ -816,9 +816,10 @@ func (d *Daemon) execute(inv *invocation) bool {
 // replyWriter serializes reply frames onto one client connection: the
 // command thread and detached handlers' finishes write concurrently.
 type replyWriter struct {
-	d    *Daemon
-	conn net.Conn
-	mu   sync.Mutex
+	d     *Daemon
+	conn  net.Conn
+	mu    sync.Mutex
+	armed wire.ArmedDeadline // under mu
 }
 
 // write sends reply as one frame, under seq when numbered. The reply
@@ -829,11 +830,13 @@ func (w *replyWriter) write(reply *cmdlang.CmdLine, numbered bool, seq int64) {
 	defer w.mu.Unlock()
 	// A peer that stopped reading must not hold its command thread (or,
 	// when a detached handler finishes inline, the serial section)
-	// behind a full socket buffer for ever: the write gives up after the
-	// call timeout. A failed write may have left half a frame on the
-	// stream, so the connection is closed — the reply is dropped and
-	// the connection's command thread ends on its next read.
-	w.conn.SetWriteDeadline(time.Now().Add(w.d.pool.cfg.CallTimeout)) //nolint:errcheck — best effort on a dying conn
+	// behind a full socket buffer for ever: the write gives up within
+	// one call timeout, and not before half of one. A failed write may
+	// have left half a frame on the stream, so the connection is closed
+	// — the reply is dropped and the connection's command thread ends
+	// on its next read.
+	now := time.Now()
+	w.armed.SetWriteDeadline(w.conn, now, now.Add(w.d.pool.cfg.CallTimeout))
 	n, err := w.frame(reply, numbered, seq)
 	if _, tooLarge := err.(*wire.ErrFrameTooLarge); tooLarge {
 		// Nothing was written and the stream is intact: the caller is

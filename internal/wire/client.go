@@ -39,12 +39,19 @@ const (
 type Client struct {
 	conn net.Conn
 
-	writeMu sync.Mutex // serializes frame writes
+	writeMu sync.Mutex    // serializes frame writes
+	armed   ArmedDeadline // under writeMu
 
 	mu      sync.Mutex
 	pending map[int64]started
 	err     error
 	closed  bool
+
+	// sweep ends the blocking calls whose deadline the client owns (see
+	// RoundTrip). It is armed at sweepAt, no later than the earliest of
+	// their deadlines; zero sweepAt: not armed. sweepAt is under mu.
+	sweep   *time.Timer
+	sweepAt time.Time
 
 	seq atomic.Int64
 
@@ -86,30 +93,21 @@ type Result struct {
 	Tag   int
 }
 
-// started is a call waiting for its reply: where its Result goes, and
-// when the call was written, for wire.call.latency. The pending table
-// holds it by value, so a call costs the table no allocation.
+// started is a call waiting for its reply: where its Result goes, when
+// the call was written, for wire.call.latency, and the deadline at which
+// the sweep ends it (zero: its owner ends it). The pending table holds
+// it by value, so a call costs the table no allocation.
 type started struct {
-	sink  chan<- Result
-	tag   int
-	start time.Time
+	sink     chan<- Result
+	tag      int
+	start    time.Time
+	deadline time.Time
 }
 
-// waiter is what a blocking call waits with, recycled through
-// waiterPool once no Result can still arrive on its channel. timer
-// bounds a call whose context carries no deadline; a tick it left
-// unread in a recycled waiter is told from a real one by the clock (see
-// RoundTrip), so Stop needs no drain.
-type waiter struct {
-	result chan Result // one slot: a started call gets exactly one Result
-	timer  *time.Timer
-}
-
-var waiterPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &waiter{result: make(chan Result, 1), timer: t}
-}}
+// resultPool recycles what a blocking call waits on: a channel of one
+// slot, since a call gets exactly one Result. One goes back once no
+// Result can still arrive on it.
+var resultPool = sync.Pool{New: func() any { return make(chan Result, 1) }}
 
 // Dial connects to a daemon command port using the transport's TLS
 // client configuration (or plaintext when the transport is nil or
@@ -168,6 +166,8 @@ func newClient(conn net.Conn, twin bool, callTimeout time.Duration, m *Metrics) 
 	if twin {
 		c.budget, c.frameCharge = twinSndBuf, twinFrameCharge
 	}
+	c.sweep = time.AfterFunc(time.Hour, c.sweepDue)
+	c.sweep.Stop()
 	go c.readLoop()
 	return c
 }
@@ -210,7 +210,8 @@ func (c *Client) readLoop() {
 	}
 }
 
-// fail ends the connection: every started call is sent the error.
+// fail ends the connection: every started call is sent the error, and
+// the sweep stops.
 func (c *Client) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
@@ -223,6 +224,7 @@ func (c *Client) fail(err error) {
 		ended = append(ended, w)
 	}
 	c.closed = true
+	c.sweep.Stop()
 	c.conn.Close()
 	c.mu.Unlock()
 	for _, w := range ended {
@@ -293,15 +295,28 @@ func (c *Client) Start(ctx context.Context, deadline time.Time, cmd *cmdlang.Cmd
 	if c.unanswered.Load() > c.budget {
 		return 0, errUnanswered
 	}
-	seq, _, err := c.start(ctx, time.Now(), deadline, cmd, sink, tag, true)
-	return seq, err
+	return c.start(ctx, deadline, cmd, sink, tag, false)
 }
 
-// start is Start for a caller that may block on the write: the call
-// starts at now, and the deadline the write was held to is returned.
-// counted adds the frame to the connection's unanswered bytes.
-func (c *Client) start(ctx context.Context, now, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int, counted bool) (int64, time.Time, error) {
+// start is Start for a caller that may block on the write. blocking
+// marks a RoundTrip, whose frame is not counted in the connection's
+// unanswered bytes, and whose deadline, when ctx does not end the call
+// by it, the sweep enforces.
+func (c *Client) start(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int, blocking bool) (int64, error) {
 	seq := c.seq.Add(1)
+	now := time.Now()
+	ctxDeadline, ctxBound := ctx.Deadline()
+	if deadline.IsZero() {
+		deadline = now.Add(c.callTimeout)
+		if ctxBound {
+			deadline = ctxDeadline
+		}
+	}
+	w := started{sink: sink, tag: tag, start: now}
+	// ctx.Done fires at ctx's own deadline; any other needs the sweep.
+	if blocking && (!ctxBound || deadline.Before(ctxDeadline)) {
+		w.deadline = deadline
+	}
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -309,27 +324,60 @@ func (c *Client) start(ctx context.Context, now, deadline time.Time, cmd *cmdlan
 		if err == nil {
 			err = ErrClosed
 		}
-		return 0, deadline, err
+		return 0, err
 	}
-	if deadline.IsZero() {
-		deadline = now.Add(c.callTimeout)
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
+	c.pending[seq] = w
+	if !w.deadline.IsZero() && (c.sweepAt.IsZero() || w.deadline.Before(c.sweepAt)) {
+		c.sweepAt = w.deadline
+		c.sweep.Reset(w.deadline.Sub(now))
 	}
-	c.pending[seq] = started{sink: sink, tag: tag, start: now}
 	c.mu.Unlock()
-	n, err := c.write(deadline, childSpan(ctx), cmd, true, seq)
+	n, err := c.write(now, deadline, childSpan(ctx), cmd, true, seq)
 	if _, tooLarge := err.(*ErrFrameTooLarge); tooLarge {
 		c.Cancel(seq)
-		return 0, deadline, err
+		return 0, err
 	}
 	// A failed write failed the connection, which sent the call its
 	// Result.
-	if err == nil && counted {
+	if err == nil && !blocking {
 		c.unanswered.Add(int64(n) + c.frameCharge)
 	}
-	return seq, deadline, nil
+	return seq, nil
+}
+
+// sweepDue ends every pending call the sweep enforces whose deadline
+// has passed, with context.DeadlineExceeded, and arms the sweep at the
+// earliest deadline left, if any. A call ends once: whoever takes it
+// out of the pending table under c.mu sends its Result. A run that
+// finds nothing due (it was armed for a call that has since ended) only
+// re-arms.
+func (c *Client) sweepDue() {
+	var ended []started
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	now := time.Now()
+	var next time.Time
+	for seq, w := range c.pending {
+		switch {
+		case w.deadline.IsZero():
+		case !now.Before(w.deadline):
+			delete(c.pending, seq)
+			ended = append(ended, w)
+		case next.IsZero() || w.deadline.Before(next):
+			next = w.deadline
+		}
+	}
+	c.sweepAt = next
+	if !next.IsZero() {
+		c.sweep.Reset(next.Sub(now))
+	}
+	c.mu.Unlock()
+	for _, w := range ended {
+		w.sink <- Result{Err: context.DeadlineExceeded, Tag: w.tag}
+	}
 }
 
 // Cancel gives up the started call numbered seq: its reply, should one
@@ -352,68 +400,39 @@ func (c *Client) Cancel(seq int64) bool {
 // timeout. When ctx carries a telemetry span context, the frame carries
 // a trace header for a fresh child span of it.
 func (c *Client) RoundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	// ctx.Done fires at ctx's own deadline; any other needs the timer.
-	ownTimer := true
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || !deadline.Before(d)) {
-		deadline, ownTimer = d, false
+	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
+		deadline = d
 	}
-	w := waiterPool.Get().(*waiter)
-	now := time.Now()
-	seq, deadline, err := c.start(ctx, now, deadline, cmd, w.result, 0, false)
+	result := resultPool.Get().(chan Result)
+	seq, err := c.start(ctx, deadline, cmd, result, 0, true)
 	if err != nil {
-		waiterPool.Put(w)
+		resultPool.Put(result)
 		return nil, err
 	}
-	var expired <-chan time.Time
-	if ownTimer {
-		w.timer.Reset(deadline.Sub(now))
-		expired = w.timer.C
-	}
-	for {
-		select {
-		case r := <-w.result:
-			if ownTimer {
-				w.timer.Stop()
-			}
-			waiterPool.Put(w)
-			return r.Reply, r.Err
-		case <-ctx.Done():
-			if ownTimer {
-				w.timer.Stop()
-			}
-			c.abandon(seq, w)
-			return nil, ctx.Err()
-		case <-expired:
-			if left := time.Until(deadline); left > 0 {
-				w.timer.Reset(left) // the tick was the waiter's previous user's
-				continue
-			}
-			c.abandon(seq, w)
-			return nil, context.DeadlineExceeded
+	select {
+	case r := <-result:
+		resultPool.Put(result)
+		return r.Reply, r.Err
+	case <-ctx.Done():
+		// A Result already on its way is taken first, so that the
+		// channel goes back empty.
+		if !c.Cancel(seq) {
+			<-result
 		}
+		resultPool.Put(result)
+		return nil, ctx.Err()
 	}
 }
 
-// abandon cancels the call numbered seq, which gave up, and recycles
-// its waiter w. A Result already on its way is taken first, so that the
-// waiter goes back empty.
-func (c *Client) abandon(seq int64, w *waiter) {
-	if !c.Cancel(seq) {
-		<-w.result
-	}
-	waiterPool.Put(w)
-}
-
-// write sends cmd as one frame under the deadline. An oversize command
-// fails alone: nothing was written, so the connection carries on. Any
-// other error is terminal for the whole connection: part of the frame
-// may already be on the wire, so the framing stream can no longer be
-// trusted.
-func (c *Client) write(deadline time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
+// write sends cmd as one frame, held to bound (see ArmedDeadline). An
+// oversize command fails alone: nothing was written, so the connection
+// carries on. Any other error is terminal for the whole connection:
+// part of the frame may already be on the wire, so the framing stream
+// can no longer be trusted.
+func (c *Client) write(now, bound time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
 	frame := encodeCmd(sc, cmd, numbered, seq)
 	c.writeMu.Lock()
-	// Every write sets its own deadline first, so none is cleared after.
-	c.conn.SetWriteDeadline(deadline) //nolint:errcheck — best effort on dying conns
+	c.armed.SetWriteDeadline(c.conn, now, bound)
 	n, err := writeFrame(c.conn, frame)
 	c.writeMu.Unlock()
 	if err != nil {
@@ -472,13 +491,14 @@ func (c *Client) send(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdL
 	if c.Closed() {
 		return 0, ErrClosed
 	}
+	now := time.Now()
 	if deadline.IsZero() {
 		var ok bool
 		if deadline, ok = ctx.Deadline(); !ok {
-			deadline = time.Now().Add(c.callTimeout)
+			deadline = now.Add(c.callTimeout)
 		}
 	}
-	return c.write(deadline, childSpan(ctx), cmd, false, 0)
+	return c.write(now, deadline, childSpan(ctx), cmd, false, 0)
 }
 
 // Close tears down the connection; outstanding calls fail.
