@@ -196,8 +196,8 @@ func printStats(pool *daemon.Pool, name, addr string) {
 		fail("decode snapshot: %v", err)
 	}
 	fmt.Printf("%s @ %s\n", name, addr)
-	fmt.Printf("  wire       conns=%d dials local=%d\n",
-		snap.Gauge(daemon.MetricConnsActive), snap.Counter(wire.MetricDialsLocal))
+	fmt.Printf("  wire       conns=%d dials local=%d frames queued=%d\n",
+		snap.Gauge(daemon.MetricConnsActive), snap.Counter(wire.MetricDialsLocal), snap.Counter(wire.MetricFramesQueued))
 	printFlowSummary(snap)
 	printStorageSummary(snap)
 	printConsistencySummary(snap)
@@ -292,9 +292,9 @@ func printConsistencySummary(snap *telemetry.Snapshot) {
 	hits := snap.Counter(pstore.MetricBoundedHits)
 	falls := snap.Counter(pstore.MetricBoundedFallbacks)
 	if hits != 0 || falls != 0 {
-		fmt.Printf("  bounded    hits=%d fallbacks=%d no_lease=%d aged=%d unserved=%d leg_failed=%d no_value=%d expired=%d violations=%d\n",
+		fmt.Printf("  bounded    hits=%d fallbacks=%d no_lease=%d aged=%d leg_failed=%d no_value=%d expired=%d violations=%d\n",
 			hits, falls, snap.Counter(pstore.MetricFallbackNoLease), snap.Counter(pstore.MetricFallbackAged),
-			snap.Counter(pstore.MetricFallbackUnserved), snap.Counter(pstore.MetricFallbackLegFailed),
+			snap.Counter(pstore.MetricFallbackLegFailed),
 			snap.Counter(pstore.MetricFallbackNoValue), snap.Counter(pstore.MetricFallbackExpired),
 			snap.Counter(staleness.MetricViolations))
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,13 +137,11 @@ func TestSharedReplyIsOnlyRead(t *testing.T) {
 	}
 }
 
-// writeCounter is a connection that counts the Writes it is handed and
-// the write deadlines armed on it.
+// writeCounter is a connection that counts the Writes it is handed.
 type writeCounter struct {
 	net.Conn
-	writes    int
-	last      []byte
-	deadlines int
+	writes int
+	last   []byte
 }
 
 func (c *writeCounter) Write(p []byte) (int, error) {
@@ -151,23 +150,17 @@ func (c *writeCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (c *writeCounter) SetWriteDeadline(time.Time) error {
-	c.deadlines++
-	return nil
-}
-
 // TestReplyFrameIsOneWrite: the shell's reply writer puts a reply on
 // its connection in one Write, numbered or not.
 func TestReplyFrameIsOneWrite(t *testing.T) {
 	d := New(Config{Name: "w"})
 	conn := &writeCounter{}
-	w := &replyWriter{d: d, conn: conn}
 	reply := cmdlang.OK().SetWord("service", "w")
-	w.write(reply, true, 41)
+	d.reply(conn, reply, true, 41)
 	if conn.writes != 1 || string(conn.last[4:]) != "ok service=w seq=41;" {
 		t.Fatalf("numbered reply: %d writes, last %q", conn.writes, conn.last)
 	}
-	w.write(cmdlang.Fail(cmdlang.CodeBadArgument, "no"), false, 0)
+	d.reply(conn, cmdlang.Fail(cmdlang.CodeBadArgument, "no"), false, 0)
 	if conn.writes != 2 || string(conn.last[4:]) != `fail code=bad_argument error="no";` {
 		t.Fatalf("unnumbered reply: %d writes, last %q", conn.writes, conn.last)
 	}
@@ -176,19 +169,57 @@ func TestReplyFrameIsOneWrite(t *testing.T) {
 	}
 }
 
-// TestRepliesArmTheWriteDeadlineRarely: a stream of replies on one
-// connection arms its write deadline a handful of times, not once a
-// frame.
+// deadlineCounter is a TCP connection that counts the write deadlines
+// armed on it.
+type deadlineCounter struct {
+	*net.TCPConn
+	deadlines atomic.Int64
+}
+
+func (c *deadlineCounter) SetWriteDeadline(t time.Time) error {
+	c.deadlines.Add(1)
+	return c.TCPConn.SetWriteDeadline(t)
+}
+
+// TestRepliesArmTheWriteDeadlineRarely: a stream of replies to a client
+// that reads them arms no write deadline on the connection: the socket
+// takes each frame whole, and only a drain of frames it did not take
+// arms one.
 func TestRepliesArmTheWriteDeadlineRarely(t *testing.T) {
-	d := New(Config{Name: "w"})
-	conn := &writeCounter{}
-	w := &replyWriter{d: d, conn: conn}
-	reply := cmdlang.OK()
-	for seq := int64(1); seq <= 1000; seq++ {
-		w.write(reply, true, seq)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if conn.writes != 1000 || conn.deadlines > 4 {
-		t.Fatalf("1000 replies: %d writes, write deadline armed %d times", conn.writes, conn.deadlines)
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &deadlineCounter{TCPConn: raw.(*net.TCPConn)}
+	defer conn.Close()
+	out := wire.NewOutbox(conn, wire.DefaultCallTimeout, nil)
+	const replies = 1000
+	read := make(chan int, 1)
+	go func() {
+		in, n := wire.NewReader(client), 0
+		for ; n < replies; n++ {
+			if _, err := in.ReadFrame(); err != nil {
+				break
+			}
+		}
+		read <- n
+	}()
+	d, reply := New(Config{Name: "w"}), cmdlang.OK()
+	for seq := int64(1); seq <= replies; seq++ {
+		d.reply(out, reply, true, seq)
+	}
+	if n := <-read; n != replies || conn.deadlines.Load() != 0 {
+		t.Fatalf("%d replies: %d read, write deadline armed %d times", replies, n, conn.deadlines.Load())
 	}
 }
 

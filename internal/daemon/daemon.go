@@ -100,7 +100,7 @@ type invocation struct {
 	cmd    *cmdlang.CmdLine // seq already removed
 	start  time.Time        // dispatch start, after any wait for the serial section
 	ticket flow.Ticket      // admission slot; the zero Ticket for ExecuteLocal
-	out    *replyWriter     // nil when no reply is wanted (one-way, ExecuteLocal)
+	out    net.Conn         // where the reply goes; nil when none is wanted (one-way, ExecuteLocal)
 	seq    int64            // echoed on the reply when out is set
 }
 
@@ -692,21 +692,26 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 			raw.Close()
 			continue
 		}
-		var conn net.Conn = raw
+		out := wire.NewOutbox(raw, d.pool.cfg.CallTimeout, d.wireMetrics)
+		var conn net.Conn = out
 		if tlsCfg != nil {
-			conn = tls.Server(raw, tlsCfg)
+			conn = tls.Server(out, tlsCfg)
 		}
 		d.connsMu.Lock()
 		d.conns[conn] = struct{}{}
 		d.connsMu.Unlock()
 		d.wg.Add(1)
-		go d.commandThread(conn)
+		go d.commandThread(conn, out)
 	}
 }
 
 // commandThread reads, parses, admits and executes the commands of one
-// client connection, one after another (Fig 5's receiving side).
-func (d *Daemon) commandThread(conn net.Conn) {
+// client connection, one after another (Fig 5's receiving side). Its
+// replies go out through out, conn's Outbox, and it reads no further
+// command while out holds more than its bound: a client that sends
+// commands but reads no replies costs the daemon no more memory than
+// that, and costs no other client anything.
+func (d *Daemon) commandThread(conn net.Conn, out *wire.Outbox) {
 	defer d.wg.Done()
 	defer func() {
 		conn.Close()
@@ -730,9 +735,9 @@ func (d *Daemon) commandThread(conn net.Conn) {
 	d.connsActive.Add(1)
 	defer d.connsActive.Add(-1)
 
-	out := &replyWriter{d: d, conn: conn}
 	in := wire.NewReader(conn)
 	for {
+		out.Wait()
 		payload, err := in.ReadFrame()
 		if err != nil {
 			return
@@ -746,7 +751,7 @@ func (d *Daemon) commandThread(conn net.Conn) {
 			// Syntactically broken input is answered directly, outside
 			// the serial section. What could not be parsed has no seq to
 			// answer under.
-			out.write(cmdlang.FailErr(perr), false, 0)
+			d.reply(conn, cmdlang.FailErr(perr), false, 0)
 			continue
 		}
 		inv := &invocation{
@@ -759,7 +764,7 @@ func (d *Daemon) commandThread(conn net.Conn) {
 		// is taken out in place before anything validates or relays it.
 		if v, ok := cmd.Get(cmdlang.SeqArg); ok {
 			inv.seq, _ = v.AsInt()
-			inv.out = out
+			inv.out = conn
 			cmd.Del(cmdlang.SeqArg)
 		}
 		// Admission control happens before the serial section: shedding
@@ -813,55 +818,39 @@ func (d *Daemon) execute(inv *invocation) bool {
 	return true
 }
 
-// replyWriter serializes reply frames onto one client connection: the
-// command thread and detached handlers' finishes write concurrently.
-type replyWriter struct {
-	d     *Daemon
-	conn  net.Conn
-	mu    sync.Mutex
-	armed wire.ArmedDeadline // under mu
-}
-
-// write sends reply as one frame, under seq when numbered. The reply
-// is only read: a handler may return the same command line to every
-// caller.
-func (w *replyWriter) write(reply *cmdlang.CmdLine, numbered bool, seq int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	// A peer that stopped reading must not hold its command thread (or,
-	// when a detached handler finishes inline, the serial section)
-	// behind a full socket buffer for ever: the write gives up within
-	// one call timeout, and not before half of one. A failed write may
-	// have left half a frame on the stream, so the connection is closed
-	// — the reply is dropped and the connection's command thread ends
-	// on its next read.
-	now := time.Now()
-	w.armed.SetWriteDeadline(w.conn, now, now.Add(w.d.pool.cfg.CallTimeout))
-	n, err := w.frame(reply, numbered, seq)
+// reply writes reply as one frame to conn, a client connection's
+// Outbox or TLS over it, under seq when numbered. The command thread
+// and detached handlers' finishes write concurrently: the connection
+// serializes each whole-frame Write. The reply is only read: a handler
+// may return the same command line to every caller. No write waits for
+// the peer, so a peer that stopped reading holds neither its command
+// thread nor, when a detached handler finishes inline, the serial
+// section. A failed write closed the socket: the reply is dropped, and
+// the connection's command thread ends on its next read.
+func (d *Daemon) reply(conn net.Conn, reply *cmdlang.CmdLine, numbered bool, seq int64) {
+	n, err := replyFrame(conn, reply, numbered, seq)
 	if _, tooLarge := err.(*wire.ErrFrameTooLarge); tooLarge {
 		// Nothing was written and the stream is intact: the caller is
 		// told, under its seq, instead of being left to its timeout.
-		n, err = w.frame(cmdlang.Fail(cmdlang.CodeInternal, "reply: "+err.Error()), numbered, seq)
+		n, err = replyFrame(conn, cmdlang.Fail(cmdlang.CodeInternal, "reply: "+err.Error()), numbered, seq)
 	}
-	if err != nil {
-		w.conn.Close()
-		return
+	if err == nil {
+		d.wireMetrics.FrameSent(n)
 	}
-	w.d.wireMetrics.FrameSent(n)
 }
 
-func (w *replyWriter) frame(reply *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
+func replyFrame(conn net.Conn, reply *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
 	if numbered {
-		return wire.WriteReply(w.conn, reply, seq)
+		return wire.WriteReply(conn, reply, seq)
 	}
-	return wire.WriteCmd(w.conn, reply)
+	return wire.WriteCmd(conn, reply)
 }
 
 // respond sends reply under the invocation's seq; one-way commands
-// (no seq, so no writer) get none.
+// (no seq, so no connection to answer on) get none.
 func (inv *invocation) respond(reply *cmdlang.CmdLine) {
 	if inv.out != nil {
-		inv.out.write(reply, true, inv.seq)
+		inv.D.reply(inv.out, reply, true, inv.seq)
 	}
 }
 
@@ -891,7 +880,7 @@ func (d *Daemon) dispatch(inv *invocation) *cmdlang.CmdLine {
 }
 
 // bareOK answers every handler that returns a nil reply. Replies are
-// only read (see replyWriter.write), so all of them share it.
+// only read (see Daemon.reply), so all of them share it.
 var bareOK = cmdlang.OK()
 
 // complete is the one end of every invocation, whichever way it ran:

@@ -420,12 +420,12 @@ func (s Started) Cancel() bool { return s.c.Cancel(s.seq) }
 // Start is the non-blocking first attempt of a call: it writes cmd to
 // addr and returns at once, its Result to arrive on sink under tag. It
 // starts only on a live pooled connection whose breaker is closed and
-// whose peer is answering (see wire.Client.Start), since the caller
-// writes the frame itself and must not block on a peer that stopped
-// reading. Anything else — a dial, a breaker probe, a connection that
-// failed or went quiet — returns false, for the call to take
-// CallContext. The call is held to deadline, else ctx's, else the
-// pool's call timeout from now.
+// whose peer reads what it is sent (see wire.Client.Start), since the
+// caller has no goroutine of its own to wait out a dial or a slow peer.
+// Anything else — a dial, a breaker probe, a connection that failed or
+// fell behind — returns false, for the call to take CallContext. The
+// call is held to deadline, else ctx's, else the pool's call timeout
+// from now.
 func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine, sink chan<- wire.Result, tag int) (Started, bool) {
 	pe, c := p.live(addr)
 	if c == nil {
@@ -438,7 +438,7 @@ func (p *Pool) Start(ctx context.Context, deadline time.Time, addr string, cmd *
 			deadline = time.Now().Add(p.cfg.CallTimeout)
 		}
 	}
-	seq, err := c.Start(ctx, deadline, cmd, sink, tag)
+	seq, err := c.Start(ctx, cmd, sink, tag)
 	if err != nil {
 		return Started{}, false
 	}
@@ -464,16 +464,17 @@ func (p *Pool) live(addr string) (*peer, *wire.Client) {
 
 // Tell writes cmd to addr as a one-way frame, which the peer answers
 // with nothing, on Start's terms: only on a live pooled connection whose
-// breaker is closed and whose peer is answering, and never dialing. It
-// reports whether the frame was written; false leaves the caller to send
-// cmd another way. A write that failed drops the connection, so that the
-// next call redials, and charges no breaker: no answer was due.
-func (p *Pool) Tell(ctx context.Context, deadline time.Time, addr string, cmd *cmdlang.CmdLine) bool {
+// breaker is closed and whose peer reads what it is sent, and never
+// dialing. It reports whether the frame was written; false leaves the
+// caller to send cmd another way. A write that failed drops the
+// connection, so that the next call redials, and charges no breaker: no
+// answer was due.
+func (p *Pool) Tell(ctx context.Context, addr string, cmd *cmdlang.CmdLine) bool {
 	pe, c := p.live(addr)
 	if c == nil {
 		return false
 	}
-	if err := c.Tell(ctx, deadline, cmd); err != nil {
+	if err := c.Tell(ctx, cmd); err != nil {
 		if c.Closed() {
 			p.drop(pe, c)
 		}

@@ -212,10 +212,11 @@ func TestOneWayFloodExecutesInOrder(t *testing.T) {
 
 // TestStalledReaderCannotDelayOtherClients: a client that asks for more
 // reply bytes than the socket buffers hold and never reads them costs
-// only its own connection. Its reply is written outside the serial
-// section, so while that write is blocked — for up to one call timeout,
-// after which the connection is closed — another client's ping is
-// answered in well under the timeout.
+// only its own connection. What the socket does not take waits in the
+// connection's outbox, whose drain gives up within one call timeout and
+// closes the connection, and meanwhile its command thread reads no
+// further command: another client's ping is answered in well under the
+// timeout.
 func TestStalledReaderCannotDelayOtherClients(t *testing.T) {
 	const callTimeout = 2 * time.Second
 	blob := strings.Repeat("x", 512<<10)
@@ -237,7 +238,7 @@ func TestStalledReaderCannotDelayOtherClients(t *testing.T) {
 		}
 	}
 	// The socket buffers are full once the handler stops being called:
-	// a reply write is blocked.
+	// the command thread waits for its outbox to drain.
 	var blocked int64
 	for stable := 0; stable < 10; time.Sleep(10 * time.Millisecond) {
 		if n := served.Load(); n > 0 && n == blocked {
@@ -259,6 +260,62 @@ func TestStalledReaderCannotDelayOtherClients(t *testing.T) {
 	}
 	if served.Load() != blocked {
 		t.Fatal("the stalled connection's write unblocked before the ping was answered")
+	}
+}
+
+// TestStalledReaderCannotHoldTheSerialSection: a client that sends
+// thousands of commands to a verb whose handler detaches and finishes
+// inline, and reads none of the replies, does not hold the serial
+// section, though each reply is written from inside it: no reply write
+// waits for the client, so another client's ping is answered in well
+// under the call timeout.
+func TestStalledReaderCannotHoldTheSerialSection(t *testing.T) {
+	const callTimeout = 2 * time.Second
+	const commands = 10000 // 80 MiB of replies, far more than the socket buffers hold
+	value := strings.Repeat("x", 8<<10)
+	var served atomic.Int64
+	d := startTestDaemon(t, Config{Name: "inline", PoolConfig: &PoolConfig{CallTimeout: callTimeout}}, func(d *Daemon) {
+		d.Handle(cmdlang.CommandSpec{Name: "get"}, func(ctx *Ctx, _ *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+			served.Add(1)
+			reply := cmdlang.OK().SetString("value", value)
+			finish, ok := ctx.Detach()
+			if !ok {
+				return reply, nil
+			}
+			finish.Finish(reply) // inline: the serial section is still held
+			return nil, nil
+		})
+	})
+	stalled, err := net.Dial("tcp", d.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	go func() {
+		for i := 1; i <= commands; i++ {
+			if _, err := wire.WriteCmd(stalled, cmdlang.New("get").SetInt(cmdlang.SeqArg, int64(i))); err != nil {
+				return
+			}
+		}
+	}()
+	var stuck int64
+	for stable := 0; stable < 10; time.Sleep(10 * time.Millisecond) {
+		if n := served.Load(); n > 0 && n == stuck {
+			stable++
+		} else {
+			stuck, stable = n, 0
+		}
+	}
+	if stuck == commands {
+		t.Fatal("every reply fit in the socket buffers: the client never fell behind")
+	}
+
+	c := dialTest(t, d)
+	ctx, cancel := context.WithTimeout(context.Background(), callTimeout/4)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.CallContext(ctx, cmdlang.New(CmdPing)); err != nil {
+		t.Fatalf("ping waited %v behind a client that reads no replies: %v", time.Since(start).Round(time.Millisecond), err)
 	}
 }
 

@@ -43,7 +43,7 @@ func runDeadlineCheck(pp *ProgPass) {
 		if n.Body == nil {
 			continue
 		}
-		if installsDeadline(pp, n) {
+		if installsDeadline(pp, n) || writesFrames(n) {
 			guarded[n] = true
 		}
 	}
@@ -207,20 +207,28 @@ func isDeadlineSink(n *Node) bool {
 			return true
 		}
 	}
-	// The module's own framing layer blocks until the peer produces or
-	// drains bytes, behind io.Reader and io.Writer, which hide the
-	// net.Conn from the graph, so its functions are sinks by name:
-	// ReadFrame, the function and the per-connection Reader's method
-	// alike, and writeFrame, the one place every frame — WriteFrame,
-	// WriteCmd, WriteReply, a client's request — is handed to Write.
-	// WriteFrame stays on the list for wire packages that write there.
+	// The module's own framing layer reads behind io.Reader, which
+	// hides the net.Conn from the graph, so its readers are sinks by
+	// name: ReadFrame, the function and the per-connection Reader's
+	// method alike. WriteFrame is one for wire packages that write
+	// frames to a writer of their own (see writesFrames).
 	if fn.Pkg().Name() == "wire" {
 		switch name {
-		case "ReadFrame", "WriteFrame", "writeFrame":
+		case "ReadFrame", "WriteFrame":
 			return true
 		}
 	}
 	return false
+}
+
+// writesFrames reports whether n is the wire package's writeFrame,
+// which bounds its callers as a deadline would: every frame the program
+// writes goes through it to a connection's Outbox, which never waits
+// for the peer, though its io.Writer call fans out in the graph to
+// every Write in the module.
+func writesFrames(n *Node) bool {
+	fn := n.Func
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "wire" && fn.Name() == "writeFrame"
 }
 
 // witnessPath renders one concrete exposed path from n to a sink for

@@ -55,9 +55,10 @@ func Install(d *daemon.Daemon, c *wire.Conn) {
 }
 
 // Reply writes a return command the way the daemon shell does, with
-// no write deadline: the stalled-reader wedge. The sink is the frame
-// writer behind WriteReply.
-func Reply(ctx context.Context, c *wire.Conn) error { // want `exported app.Reply can reach a blocking call with no deadline on the path: app.Reply → wire.WriteReply → wire.writeFrame`
+// no write deadline: the frame writer behind WriteReply hands it to a
+// connection's Outbox, which never waits for the peer, so Reply is not
+// exposed, though writeFrame reaches a sink.
+func Reply(ctx context.Context, c *wire.Conn) error {
 	_, err := wire.WriteReply(c, nil, 1)
 	return err
 }

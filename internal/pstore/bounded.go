@@ -2,7 +2,6 @@ package pstore
 
 import (
 	"context"
-	"slices"
 	"time"
 
 	"ace/internal/cmdlang"
@@ -45,10 +44,10 @@ func (c *Client) Leases() *staleness.Leases { return c.leases }
 // arbitrary replica clock skew, for any Δ.
 //
 // The lease alone decides eligibility: with no live lease for the
-// path naming a replica this client serves, the read goes to the
-// quorum path (conservative, never wrong). Otherwise it asks one
-// holder, the first in the lease's order that is not passed over, and
-// its leg marks or clears that replica like any quorum leg.
+// path, the read goes to the quorum path (conservative, never wrong).
+// Otherwise it asks one holder, the first in the lease's order that is
+// not passed over, and its leg marks or clears that replica like any
+// quorum leg.
 //
 // A violation is a version regression: a lease holder answering
 // below the quorum-validated version means the replica lost state
@@ -72,10 +71,7 @@ func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.
 		}
 		return fallback(c.fallbacks.aged)
 	}
-	i, eligible := c.firstServed(holders, start.UnixNano())
-	if !eligible {
-		return fallback(c.fallbacks.unserved)
-	}
+	i := c.firstServed(holders, start.UnixNano())
 	it, held, callErr := c.readReplica(ctx, c.replicas[i], path)
 	c.noteLeg(i, callErr)
 	if callErr != nil {
@@ -110,29 +106,24 @@ func (c *Client) GetBoundedContext(ctx context.Context, path string, bound time.
 
 // fallbackCauses counts bounded fallbacks by cause; with the
 // violations counter they sum to the fallback counter.
-type fallbackCauses struct{ noLease, aged, unserved, legFailed, noValue, expired *telemetry.Counter }
+type fallbackCauses struct{ noLease, aged, legFailed, noValue, expired *telemetry.Counter }
 
 func newFallbackCauses(tel *telemetry.Registry) fallbackCauses {
-	return fallbackCauses{tel.Counter(MetricFallbackNoLease), tel.Counter(MetricFallbackAged), tel.Counter(MetricFallbackUnserved),
+	return fallbackCauses{tel.Counter(MetricFallbackNoLease), tel.Counter(MetricFallbackAged),
 		tel.Counter(MetricFallbackLegFailed), tel.Counter(MetricFallbackNoValue), tel.Counter(MetricFallbackExpired)}
 }
 
-// firstServed returns the index of the first of holders — recorded in
-// the proving round's reply-arrival order — that is one of this
-// client's replicas, taking holders passed over at now (Unix
-// nanoseconds) last but never excluding them.
-func (c *Client) firstServed(holders []string, now int64) (int, bool) {
-	first := -1
-	for _, h := range holders {
-		i := slices.Index(c.replicas, h)
-		if i >= 0 && c.passedOver[i].Load() <= now {
-			return i, true
-		}
-		if i >= 0 && first < 0 {
-			first = i
+// firstServed returns the first of holders — replica indices, in the
+// proving round's reply-arrival order — that is not passed over at now
+// (Unix nanoseconds), else the first of them: a passed-over holder is
+// taken last, never excluded. A live lease has a holder.
+func (c *Client) firstServed(holders []int, now int64) int {
+	for _, i := range holders {
+		if c.passedOver[i].Load() <= now {
+			return i
 		}
 	}
-	return first, first >= 0
+	return holders[0]
 }
 
 // GetAny reads from one replica without waiting for a quorum — the

@@ -282,7 +282,7 @@ func TestBoundedReadSkipsPassedOverHolder(t *testing.T) {
 	}
 	// A lease whose fastest holder was the replica that has since
 	// stalled.
-	client.Leases().Grant("/skip/x", v, client.replicas, time.Now())
+	client.Leases().Grant("/skip/x", v, []int{0, 1, 2, 3}, time.Now())
 	start := time.Now()
 	val, ver, ok, err := client.GetBoundedContext(context.Background(), "/skip/x", 2*time.Second)
 	if err != nil || !ok || ver != v || string(val) != "v" {
@@ -317,7 +317,7 @@ func TestViolatingHolderIsAskedLast(t *testing.T) {
 	cluster.SyncRound() // every replica holds v
 	// A lease one version above what the first replica holds: its answer
 	// is a regression.
-	client.Leases().Grant("/lost/x", v+1, client.replicas[:1], time.Now())
+	client.Leases().Grant("/lost/x", v+1, []int{0}, time.Now())
 	if _, ver, ok, err := client.GetBoundedContext(context.Background(), "/lost/x", 2*time.Second); err != nil || !ok || ver != v {
 		t.Fatalf("bounded get: ver=%d ok=%v err=%v", ver, ok, err)
 	}
@@ -357,9 +357,8 @@ func TestBoundedFallbackCauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	cluster.SyncRound() // every replica holds v
-	causes := []string{MetricFallbackNoLease, MetricFallbackAged, MetricFallbackUnserved,
-		MetricFallbackLegFailed, MetricFallbackNoValue, staleness.MetricViolations, MetricFallbackExpired}
-	plant := func(path string, version uint64, holders []string, at time.Time) {
+	causes := []string{MetricFallbackNoLease, MetricFallbackAged, MetricFallbackLegFailed, MetricFallbackNoValue, staleness.MetricViolations, MetricFallbackExpired}
+	plant := func(path string, version uint64, holders []int, at time.Time) {
 		client.Leases().Drop(path)
 		client.Leases().Grant(path, version, holders, at)
 	}
@@ -369,20 +368,17 @@ func TestBoundedFallbackCauses(t *testing.T) {
 	}{
 		{"no lease", MetricFallbackNoLease, "/cause/x", func() { client.Leases().Drop("/cause/x") }},
 		{"aged", MetricFallbackAged, "/cause/x", func() {
-			plant("/cause/x", v, client.replicas, time.Now().Add(-time.Minute))
-		}},
-		{"no holder served", MetricFallbackUnserved, "/cause/x", func() {
-			plant("/cause/x", v, []string{"127.0.0.1:1"}, time.Now())
+			plant("/cause/x", v, []int{0, 1, 2}, time.Now().Add(-time.Minute))
 		}},
 		{"holder holds nothing", MetricFallbackNoValue, "/cause/none", func() {
-			plant("/cause/none", v, client.replicas[:1], time.Now())
+			plant("/cause/none", v, []int{0}, time.Now())
 		}},
 		{"holder below the lease", staleness.MetricViolations, "/cause/x", func() {
-			plant("/cause/x", v+1, client.replicas[:1], time.Now())
+			plant("/cause/x", v+1, []int{0}, time.Now())
 		}},
 		{"holder's leg failed", MetricFallbackLegFailed, "/cause/x", func() {
 			cluster.Nodes[2].Stop()
-			plant("/cause/x", v, client.replicas[2:], time.Now())
+			plant("/cause/x", v, []int{2}, time.Now())
 		}},
 	} {
 		before := reg.Snapshot()

@@ -334,13 +334,13 @@ func (f *fanout) spare(k int) {
 // held back, so that each is sent the write although only a quorum is
 // asked to answer it: a tell costs the replica no reply, and the client
 // no read. A replica the pool cannot tell — no live pooled connection,
-// a breaker not closed, a peer not answering — is launched a leg in
+// a breaker not closed, a peer not reading — is launched a leg in
 // its place, so that it is sent the write all the same. A told replica
 // stays a spare: a leg launched to it later is a re-delivery, which it
 // acks without a second log record.
 func (f *fanout) tell() {
 	for k := f.launched; k < len(f.legs); k++ {
-		if !f.c.pool.Tell(f.ctx, f.deadline, f.c.replicas[f.legs[k].idx], f.cmd) {
+		if !f.c.pool.Tell(f.ctx, f.c.replicas[f.legs[k].idx], f.cmd) {
 			f.legs[k], f.legs[f.launched] = f.legs[f.launched], f.legs[k]
 			f.launch()
 		}
@@ -696,12 +696,12 @@ func (c *Client) GetContext(ctx context.Context, path string) (value []byte, ver
 	// late.
 	c.finish(f, len(prefix), c.mReadStragglers, c.mReadFullLatency, &best, repairCtx)
 	// Grant copies the holders: room for a few on the stack.
-	holders := make([]string, 0, 8)
+	holders := make([]int, 0, 8)
 	for _, r := range prefix {
 		if r.err == nil && (!r.ok || r.item.Version < best.Version) {
 			c.repairAsync(repairCtx, c.replicas[r.idx], best)
 		} else if r.err == nil && r.ok && r.item.Version == best.Version {
-			holders = append(holders, c.replicas[r.idx])
+			holders = append(holders, r.idx)
 		}
 	}
 	if best.Deleted {
@@ -775,7 +775,7 @@ func (e *versionConflict) Error() string {
 // count) got there before; the round then fails with what the replicas
 // hold, which is merged into the clock and retried above. Legacy
 // counter versions are below every stamp.
-func (c *Client) stampedWrite(ctx context.Context, op string, build func(version uint64) *cmdlang.CmdLine) (version uint64, appliers []string, launched time.Time, err error) {
+func (c *Client) stampedWrite(ctx context.Context, op string, build func(version uint64) *cmdlang.CmdLine) (version uint64, appliers []int, launched time.Time, err error) {
 	start := time.Now()
 	defer func() { c.mWriteLatency.Observe(time.Since(start)) }()
 	version = uint64(c.clock.Now())
@@ -893,7 +893,7 @@ func (c *Client) DeleteContext(ctx context.Context, path string) error {
 // later version is a failed leg. Under quorum the round failed: as a
 // versionConflict when any consumed failure was a refusal, else with the
 // ack count. op names the operation.
-func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []string, err error) {
+func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLine, stamped bool) (acked []int, err error) {
 	decode := decodeWrite
 	if stamped {
 		decode = decodeStampedWrite
@@ -905,10 +905,10 @@ func (c *Client) quorumWrite(ctx context.Context, op string, cmd *cmdlang.CmdLin
 	prefix, _ := f.awaitQuorum(c.Quorum(), op, true)
 	c.finish(f, len(prefix), c.mWriteStragglers, c.mWriteFullLatency, nil, ctx)
 	var conflict *versionConflict
-	acked = make([]string, 0, len(prefix))
+	acked = make([]int, 0, len(prefix))
 	for _, r := range prefix {
 		if r.err == nil {
-			acked = append(acked, c.replicas[r.idx])
+			acked = append(acked, r.idx)
 		} else if refused, ok := r.err.(*versionConflict); ok && (conflict == nil || refused.held > conflict.held) {
 			conflict = refused
 		}

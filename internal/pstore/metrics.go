@@ -41,8 +41,8 @@ package pstore
 // pstore.fanout.blocking_legs counts the legs of fan-outs that ran on
 // the pool's blocking path, CallContext in a goroutine, instead of as a
 // call started in place: the pool could not start them — no live
-// pooled connection, a breaker not closed, output unanswered for longer
-// than the hedge delay — or their started attempt failed in transport
+// pooled connection, a breaker not closed, a peer that reads slower
+// than it is written to — or their started attempt failed in transport
 // or was shed busy. On a warm, healthy cluster it stays at zero.
 //
 // pstore.writes.applied counts the writes a node took from a client or
@@ -118,7 +118,6 @@ const (
 
 	MetricFallbackNoLease   = "pstore.read.bounded_fallbacks.no_lease"   // no lease for the path: never granted, or evicted
 	MetricFallbackAged      = "pstore.read.bounded_fallbacks.aged"       // the path's lease was older than the read's bound
-	MetricFallbackUnserved  = "pstore.read.bounded_fallbacks.unserved"   // the lease named none of this client's replicas
 	MetricFallbackLegFailed = "pstore.read.bounded_fallbacks.leg_failed" // the leg to the lease holder failed
 	MetricFallbackNoValue   = "pstore.read.bounded_fallbacks.no_value"   // the holder held nothing or a tombstone
 	MetricFallbackExpired   = "pstore.read.bounded_fallbacks.expired"    // the lease aged past the bound in flight

@@ -9,8 +9,8 @@ import (
 // table of quorum-validated freshness observations. An entry records
 // that at time `at`, a quorum round (a quorum read, or this client's
 // own quorum write) established `version` as the newest committed
-// version of `path`, and that every replica in `holders` answered
-// that round holding it.
+// version of `path`, and that every replica in `holders` (indices into
+// the client's replica list) answered that round holding it.
 //
 // The soundness argument is deliberately independent of clocks on
 // other machines: a quorum intersects the write majority of every
@@ -37,7 +37,7 @@ type Leases struct {
 type lease struct {
 	version uint64
 	at      time.Time
-	holders []string
+	holders []int
 	reads   uint64 // answered since the path's grant; a live re-grant keeps it
 }
 
@@ -68,10 +68,10 @@ func NewLeases(capacity int, now func() time.Time) *Leases {
 // holders held version at time at (the START of the validating round
 // — a write's applied round, a read's fan-out launch — so that any
 // write the holders could be missing is provably younger than at).
-// Callers list holders in reply-arrival order, so the first one is
-// the round's fastest responder. A grant at an older version than the
+// Holders are indices into the client's replica list, in reply-arrival
+// order, so the first one is the round's fastest responder. A grant at an older version than the
 // recorded one is ignored; equal versions keep the newer observation.
-func (l *Leases) Grant(path string, version uint64, holders []string, at time.Time) {
+func (l *Leases) Grant(path string, version uint64, holders []int, at time.Time) {
 	if len(holders) == 0 {
 		return
 	}
@@ -85,7 +85,7 @@ func (l *Leases) Grant(path string, version uint64, holders []string, at time.Ti
 	if !exists && len(l.entries) >= l.cap {
 		l.evictLocked(now)
 	}
-	l.entries[path] = lease{version: version, at: at, holders: append([]string(nil), holders...), reads: l.readsLocked(cur, now)}
+	l.entries[path] = lease{version: version, at: at, holders: append([]int(nil), holders...), reads: l.readsLocked(cur, now)}
 }
 
 // readsLocked is the reads e has answered, or none once e is dead:
@@ -132,7 +132,7 @@ func (l *Leases) evictLocked(now time.Time) {
 // longest bound any reader has asked for is dropped; one only older
 // than this reader's maxAge stays for readers with a longer bound.
 // The returned slice is owned by the table and never changed.
-func (l *Leases) Holders(path string, maxAge time.Duration) (version uint64, at time.Time, holders []string, ok bool) {
+func (l *Leases) Holders(path string, maxAge time.Duration) (version uint64, at time.Time, holders []int, ok bool) {
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -18,7 +18,7 @@ func TestLeasesGrantAndExpiry(t *testing.T) {
 	l := NewLeases(0, now)
 
 	at := now()
-	l.Grant("/a", 3, []string{"r1", "r2"}, at)
+	l.Grant("/a", 3, []int{1, 2}, at)
 
 	ver, gotAt, holders, ok := l.Holders("/a", time.Second)
 	if !ok || ver != 3 || !gotAt.Equal(at) || len(holders) != 2 {
@@ -39,25 +39,25 @@ func TestLeasesVersionPrecedence(t *testing.T) {
 	l := NewLeases(0, now)
 	t0 := now()
 
-	l.Grant("/a", 5, []string{"r1", "r2"}, t0)
+	l.Grant("/a", 5, []int{1, 2}, t0)
 	// An older-version grant (a late quorum round) must not clobber.
-	l.Grant("/a", 4, []string{"r3"}, t0.Add(time.Millisecond))
-	if ver, _, holders, _ := l.Holders("/a", time.Minute); ver != 5 || holders[0] != "r1" {
+	l.Grant("/a", 4, []int{3}, t0.Add(time.Millisecond))
+	if ver, _, holders, _ := l.Holders("/a", time.Minute); ver != 5 || holders[0] != 1 {
 		t.Fatalf("older-version grant clobbered lease: ver=%d holders=%v", ver, holders)
 	}
 	// Same version, newer observation: keep the newer grant time.
-	l.Grant("/a", 5, []string{"r3"}, t0.Add(time.Second))
-	if ver, at, holders, _ := l.Holders("/a", time.Minute); ver != 5 || !at.Equal(t0.Add(time.Second)) || holders[0] != "r3" {
+	l.Grant("/a", 5, []int{3}, t0.Add(time.Second))
+	if ver, at, holders, _ := l.Holders("/a", time.Minute); ver != 5 || !at.Equal(t0.Add(time.Second)) || holders[0] != 3 {
 		t.Fatalf("same-version newer grant ignored: ver=%d at=%v holders=%v", ver, at, holders)
 	}
 	// Same version, older observation: ignored.
-	l.Grant("/a", 5, []string{"r9"}, t0)
-	if _, _, holders, _ := l.Holders("/a", time.Minute); holders[0] == "r9" {
+	l.Grant("/a", 5, []int{9}, t0)
+	if _, _, holders, _ := l.Holders("/a", time.Minute); holders[0] == 9 {
 		t.Fatalf("same-version older grant clobbered lease: holders=%v", holders)
 	}
 	// Newer version always wins.
-	l.Grant("/a", 6, []string{"r4"}, t0)
-	if ver, _, holders, _ := l.Holders("/a", time.Minute); ver != 6 || holders[0] != "r4" {
+	l.Grant("/a", 6, []int{4}, t0)
+	if ver, _, holders, _ := l.Holders("/a", time.Minute); ver != 6 || holders[0] != 4 {
 		t.Fatalf("newer-version grant ignored: ver=%d holders=%v", ver, holders)
 	}
 }
@@ -74,8 +74,8 @@ func TestLeasesEmptyHoldersIgnored(t *testing.T) {
 func TestLeasesDropAndReset(t *testing.T) {
 	now, _ := fakeNow()
 	l := NewLeases(0, now)
-	l.Grant("/a", 1, []string{"r1"}, now())
-	l.Grant("/b", 1, []string{"r1"}, now())
+	l.Grant("/a", 1, []int{1}, now())
+	l.Grant("/b", 1, []int{1}, now())
 
 	l.Drop("/a")
 	if _, _, _, ok := l.Holders("/a", time.Minute); ok {
@@ -90,7 +90,7 @@ func TestLeasesCapEviction(t *testing.T) {
 	now, advance := fakeNow()
 	l := NewLeases(8, now)
 	for i := 0; i < 8; i++ {
-		l.Grant(fmt.Sprintf("/k%d", i), 1, []string{"r1"}, now())
+		l.Grant(fmt.Sprintf("/k%d", i), 1, []int{1}, now())
 		advance(time.Millisecond)
 	}
 	if l.Len() != 8 {
@@ -98,7 +98,7 @@ func TestLeasesCapEviction(t *testing.T) {
 	}
 	// A grant for a new path at capacity evicts one sampled entry
 	// rather than growing without bound.
-	l.Grant("/overflow", 1, []string{"r1"}, now())
+	l.Grant("/overflow", 1, []int{1}, now())
 	if l.Len() != 8 {
 		t.Fatalf("cap not enforced: len=%d", l.Len())
 	}
@@ -106,7 +106,7 @@ func TestLeasesCapEviction(t *testing.T) {
 		t.Fatal("new grant lost at capacity")
 	}
 	// Re-granting an existing path at capacity must not evict.
-	l.Grant("/overflow", 2, []string{"r2"}, now())
+	l.Grant("/overflow", 2, []int{2}, now())
 	if l.Len() != 8 {
 		t.Fatalf("replacement grant changed len: %d", l.Len())
 	}
@@ -115,10 +115,10 @@ func TestLeasesCapEviction(t *testing.T) {
 func TestLeasesHoldersCopiedOnGrant(t *testing.T) {
 	now, _ := fakeNow()
 	l := NewLeases(0, now)
-	hs := []string{"r1", "r2"}
+	hs := []int{1, 2}
 	l.Grant("/a", 1, hs, now())
-	hs[0] = "clobbered"
-	if _, _, got, _ := l.Holders("/a", time.Minute); got[0] != "r1" {
+	hs[0] = 9
+	if _, _, got, _ := l.Holders("/a", time.Minute); got[0] != 1 {
 		t.Fatalf("lease aliases caller slice: %v", got)
 	}
 }
@@ -129,7 +129,7 @@ func TestLeasesHoldersCopiedOnGrant(t *testing.T) {
 func TestLeasesShortBoundKeepsLongerBoundsLease(t *testing.T) {
 	now, advance := fakeNow()
 	l := NewLeases(0, now)
-	l.Grant("/a", 3, []string{"r1"}, now())
+	l.Grant("/a", 3, []int{1}, now())
 	for _, bound := range []time.Duration{time.Second, 2 * time.Second} {
 		if _, _, _, ok := l.Holders("/a", bound); !ok {
 			t.Fatalf("%v reader: no fresh lease", bound)
@@ -168,7 +168,7 @@ func TestLeasesReadLeasesSurviveOneShotGrants(t *testing.T) {
 	now, advance := fakeNow()
 	l := NewLeases(64, now)
 	for i := 0; i < 64; i++ {
-		l.Grant(fmt.Sprintf("/k%d", i), 1, []string{"r1"}, now())
+		l.Grant(fmt.Sprintf("/k%d", i), 1, []int{1}, now())
 		advance(time.Millisecond)
 	}
 	for i := 0; i < 32; i++ {
@@ -177,7 +177,7 @@ func TestLeasesReadLeasesSurviveOneShotGrants(t *testing.T) {
 		}
 	}
 	for i := 0; i < 64; i++ {
-		l.Grant(fmt.Sprintf("/cold%d", i), 1, []string{"r1"}, now())
+		l.Grant(fmt.Sprintf("/cold%d", i), 1, []int{1}, now())
 		advance(time.Millisecond)
 	}
 	kept := 0
@@ -197,16 +197,16 @@ func TestLeasesReadLeasesSurviveOneShotGrants(t *testing.T) {
 func TestLeasesRegrantKeepsReads(t *testing.T) {
 	now, advance := fakeNow()
 	l := NewLeases(2, now)
-	l.Grant("/hot", 1, []string{"r1"}, now())
+	l.Grant("/hot", 1, []int{1}, now())
 	if _, _, _, ok := l.Holders("/hot", time.Minute); !ok {
 		t.Fatal("no lease for /hot")
 	}
 	advance(time.Millisecond)
-	l.Grant("/hot", 2, []string{"r1"}, now())
+	l.Grant("/hot", 2, []int{1}, now())
 	advance(time.Millisecond)
-	l.Grant("/cold", 1, []string{"r1"}, now())
+	l.Grant("/cold", 1, []int{1}, now())
 	advance(time.Millisecond)
-	l.Grant("/new", 1, []string{"r1"}, now())
+	l.Grant("/new", 1, []int{1}, now())
 	if _, _, _, ok := l.Holders("/hot", time.Minute); !ok {
 		t.Fatal("the re-granted, read lease was evicted before an unread one")
 	}

@@ -88,8 +88,9 @@ func TestOneWritePerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := &writeLog{Conn: raw}
-	c := newClient(out, false, 0, nil)
+	box := NewOutbox(raw, DefaultCallTimeout, nil)
+	out := &writeLog{Conn: box}
+	c := newClient(out, box, DefaultCallTimeout, nil)
 	defer c.Close()
 	replies := <-served
 

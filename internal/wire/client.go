@@ -37,10 +37,8 @@ const (
 // argument, so many goroutines can have requests in flight on the
 // same connection.
 type Client struct {
-	conn net.Conn
-
-	writeMu sync.Mutex    // serializes frame writes
-	armed   ArmedDeadline // under writeMu
+	conn net.Conn // out, or TLS over it
+	out  *Outbox
 
 	mu      sync.Mutex
 	pending map[int64]started
@@ -55,34 +53,9 @@ type Client struct {
 
 	seq atomic.Int64
 
-	// unanswered counts the bytes, plus frameCharge each, of the calls
-	// Start wrote since the last frame read (see maxUnanswered).
-	unanswered  atomic.Int64
-	budget      int64
-	frameCharge int64
-
 	callTimeout time.Duration
 	metrics     *Metrics // nil records nothing
 }
-
-// maxUnanswered is how many bytes of calls and tells Start writes to a
-// connection that has read nothing since: past it, Start refuses (Tell
-// refuses past half of it). A
-// peer that stopped reading leaves its socket buffers to fill, and a
-// write that finds them full blocks its caller until the deadline. The
-// bound is a small part of what those buffers take before a write
-// blocks (3.9 MB on loopback with Linux's default settings), and
-// several times what a peer that is only behind leaves unanswered: a
-// store replica answers in bursts, after its group commits, and was
-// measured at up to 90 KiB behind. Each answer starts the count again.
-// Blocking calls may block on their write, and are not counted.
-// A twin charges a 40 B frame 768 B of its send buffer, so there each
-// frame adds twinFrameCharge, and the bound is twinSndBuf: half the grant.
-const maxUnanswered = 256 << 10
-
-// errUnanswered is Start's refusal of a connection whose peer has
-// answered nothing of the last maxUnanswered bytes it was sent.
-var errUnanswered = errors.New("wire: peer has not answered what it was sent")
 
 // Result is the outcome of a started call: its reply, or the error
 // that ended the connection under it. Tag is the caller's, given to
@@ -128,43 +101,38 @@ func DialContext(ctx context.Context, t *Transport, addr string, callTimeout tim
 		defer cancel()
 	}
 	raw := dialTwin(ctx, addr, m)
-	twin := raw != nil
-	if !twin {
+	if raw == nil {
 		var d net.Dialer
 		var err error
 		if raw, err = d.DialContext(ctx, "tcp", addr); err != nil {
 			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
 		}
 	}
-	cfg := t.ClientConfig("")
-	var conn net.Conn = raw
-	if cfg != nil {
-		tc := tls.Client(raw, cfg)
+	if callTimeout <= 0 {
+		callTimeout = DefaultCallTimeout
+	}
+	out := NewOutbox(raw, callTimeout, m)
+	var conn net.Conn = out
+	if cfg := t.ClientConfig(""); cfg != nil {
+		tc := tls.Client(out, cfg)
 		if err := tc.HandshakeContext(ctx); err != nil {
 			raw.Close()
 			return nil, fmt.Errorf("wire: TLS handshake with %s: %w", addr, err)
 		}
 		conn = tc
 	}
-	return newClient(conn, twin, callTimeout, m), nil
+	return newClient(conn, out, callTimeout, m), nil
 }
 
-// newClient wraps an established connection (already TLS'd if
-// desired) and starts the reader goroutine; twin is whether conn is a
-// twin (see maxUnanswered).
-func newClient(conn net.Conn, twin bool, callTimeout time.Duration, m *Metrics) *Client {
-	if callTimeout <= 0 {
-		callTimeout = DefaultCallTimeout
-	}
+// newClient wraps an established connection, out or TLS over it, and
+// starts the reader goroutine.
+func newClient(conn net.Conn, out *Outbox, callTimeout time.Duration, m *Metrics) *Client {
 	c := &Client{
 		conn:        conn,
+		out:         out,
 		pending:     make(map[int64]started),
-		budget:      maxUnanswered,
 		callTimeout: callTimeout,
 		metrics:     m,
-	}
-	if twin {
-		c.budget, c.frameCharge = twinSndBuf, twinFrameCharge
 	}
 	c.sweep = time.AfterFunc(time.Hour, c.sweepDue)
 	c.sweep.Stop()
@@ -179,12 +147,6 @@ func (c *Client) readLoop() {
 		if err != nil {
 			c.fail(err)
 			return
-		}
-		// Any frame is an answer: the peer is reading what it is sent.
-		// Reading first keeps a connection Start never wrote to from
-		// writing the word at all.
-		if c.unanswered.Load() != 0 {
-			c.unanswered.Store(0)
 		}
 		c.metrics.FrameRecv(len(payload))
 		_, _, text := SplitPayload(payload)
@@ -278,9 +240,8 @@ func childSpan(ctx context.Context) telemetry.SpanContext {
 
 // Start numbers cmd (on the wire only: cmd is the caller's and stays as
 // it is), sends it and returns its number without waiting for the
-// reply. The write is held to deadline — the given one, else ctx's,
-// else the client's call timeout from now — and nothing else: a
-// started call has no timer, and ends when its owner says so.
+// reply or for the peer to read it. A started call has no timer, and
+// ends when its owner says so.
 //
 // Exactly one Result then arrives on sink under tag: the reply, or the
 // error that ended the connection (a failed write included), unless
@@ -288,35 +249,21 @@ func childSpan(ctx context.Context) telemetry.SpanContext {
 // reply on the connection waits, so sink must have room for it. An
 // error from Start means nothing was written and nothing will arrive:
 // the connection was already closed, the command does not fit a frame,
-// or the peer has answered nothing of the last maxUnanswered bytes (on
-// a twin: of the kernel charge) it was sent: Start does not write to a
-// peer that may have stopped reading.
-func (c *Client) Start(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int) (int64, error) {
-	if c.unanswered.Load() > c.budget {
+// or more than maxQueued bytes wait in the connection's Outbox: Start
+// adds nothing to a peer that reads slower than it is written to.
+func (c *Client) Start(ctx context.Context, cmd *cmdlang.CmdLine, sink chan<- Result, tag int) (int64, error) {
+	if c.out.queued.Load() > maxQueued {
 		return 0, errUnanswered
 	}
-	return c.start(ctx, deadline, cmd, sink, tag, false)
+	return c.start(ctx, time.Time{}, cmd, sink, tag)
 }
 
-// start is Start for a caller that may block on the write. blocking
-// marks a RoundTrip, whose frame is not counted in the connection's
-// unanswered bytes, and whose deadline, when ctx does not end the call
-// by it, the sweep enforces.
-func (c *Client) start(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int, blocking bool) (int64, error) {
+// start is Start for any caller: the sweep ends the call at sweepAt,
+// unless that is zero.
+func (c *Client) start(ctx context.Context, sweepAt time.Time, cmd *cmdlang.CmdLine, sink chan<- Result, tag int) (int64, error) {
 	seq := c.seq.Add(1)
 	now := time.Now()
-	ctxDeadline, ctxBound := ctx.Deadline()
-	if deadline.IsZero() {
-		deadline = now.Add(c.callTimeout)
-		if ctxBound {
-			deadline = ctxDeadline
-		}
-	}
-	w := started{sink: sink, tag: tag, start: now}
-	// ctx.Done fires at ctx's own deadline; any other needs the sweep.
-	if blocking && (!ctxBound || deadline.Before(ctxDeadline)) {
-		w.deadline = deadline
-	}
+	w := started{sink: sink, tag: tag, start: now, deadline: sweepAt}
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
@@ -332,16 +279,13 @@ func (c *Client) start(ctx context.Context, deadline time.Time, cmd *cmdlang.Cmd
 		c.sweep.Reset(w.deadline.Sub(now))
 	}
 	c.mu.Unlock()
-	n, err := c.write(now, deadline, childSpan(ctx), cmd, true, seq)
+	err := c.write(childSpan(ctx), cmd, true, seq)
 	if _, tooLarge := err.(*ErrFrameTooLarge); tooLarge {
 		c.Cancel(seq)
 		return 0, err
 	}
 	// A failed write failed the connection, which sent the call its
 	// Result.
-	if err == nil && !blocking {
-		c.unanswered.Add(int64(n) + c.frameCharge)
-	}
 	return seq, nil
 }
 
@@ -400,11 +344,14 @@ func (c *Client) Cancel(seq int64) bool {
 // timeout. When ctx carries a telemetry span context, the frame carries
 // a trace header for a fresh child span of it.
 func (c *Client) RoundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
+	switch d, ok := ctx.Deadline(); {
+	case ok && (deadline.IsZero() || !deadline.Before(d)):
+		deadline = time.Time{} // ctx.Done ends the call; no sweep needed
+	case deadline.IsZero():
+		deadline = time.Now().Add(c.callTimeout)
 	}
 	result := resultPool.Get().(chan Result)
-	seq, err := c.start(ctx, deadline, cmd, result, 0, true)
+	seq, err := c.start(ctx, deadline, cmd, result, 0)
 	if err != nil {
 		resultPool.Put(result)
 		return nil, err
@@ -424,81 +371,54 @@ func (c *Client) RoundTrip(ctx context.Context, deadline time.Time, cmd *cmdlang
 	}
 }
 
-// write sends cmd as one frame, held to bound (see ArmedDeadline). An
-// oversize command fails alone: nothing was written, so the connection
-// carries on. Any other error is terminal for the whole connection:
-// part of the frame may already be on the wire, so the framing stream
-// can no longer be trusted.
-func (c *Client) write(now, bound time.Time, sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) (int, error) {
-	frame := encodeCmd(sc, cmd, numbered, seq)
-	c.writeMu.Lock()
-	c.armed.SetWriteDeadline(c.conn, now, bound)
-	n, err := writeFrame(c.conn, frame)
-	c.writeMu.Unlock()
+// write sends cmd as one frame through the connection's Outbox, which
+// never waits for the peer. An oversize command fails alone: nothing
+// was written, so the connection carries on. Any other error is
+// terminal for the whole connection: part of the frame may already be
+// on the wire, so the framing stream can no longer be trusted.
+func (c *Client) write(sc telemetry.SpanContext, cmd *cmdlang.CmdLine, numbered bool, seq int64) error {
+	n, err := writeFrame(c.conn, encodeCmd(sc, cmd, numbered, seq))
 	if err != nil {
 		if _, tooLarge := err.(*ErrFrameTooLarge); !tooLarge {
 			c.fail(err)
 		}
-		return 0, err
+		return err
 	}
 	c.metrics.FrameSent(n)
-	return n, nil
+	return nil
 }
 
 // Send transmits a command without waiting for any reply (one-way
-// notification delivery). The write is bounded by the client's call
-// timeout. If Send returns ErrClosed, nothing was written; any other
-// error means bytes may have reached the wire and the connection has
-// been torn down.
+// notification delivery). If Send returns ErrClosed, nothing was
+// written; any other error means bytes may have reached the wire and
+// the connection has been torn down.
 func (c *Client) Send(cmd *cmdlang.CmdLine) error {
 	return c.SendContext(context.Background(), cmd)
 }
 
-// SendContext is Send with a caller context: its deadline (if any)
-// bounds the write, and a telemetry span context on it is propagated
-// as a trace header (a fresh child span per delivery).
+// SendContext is Send with a caller context: a telemetry span context
+// on it is propagated as a trace header (a fresh child span per
+// delivery).
 func (c *Client) SendContext(ctx context.Context, cmd *cmdlang.CmdLine) error {
-	_, err := c.send(ctx, time.Time{}, cmd)
-	return err
+	if c.Closed() {
+		return ErrClosed
+	}
+	return c.write(childSpan(ctx), cmd, false, 0)
 }
 
 // Tell is Send for a caller that writes beside its started calls: cmd
-// goes out unnumbered, a one-way frame the peer answers with nothing,
-// its write held to deadline (zero: ctx's, else the client's call
-// timeout from now). Like Start, Tell adds the frame to the bytes the
-// peer has left unanswered, and refuses a peer that has left too many:
-// half of what Start refuses at, so that a peer that is only told
-// things, and so never answers, is sent a call in place, whose answer
-// starts the count again, before Start would refuse it. An error means
-// the frame may not have arrived whole: the connection was closed
-// already, the peer has not answered enough of late, the command does
-// not fit a frame, or the write failed, which failed the connection.
-func (c *Client) Tell(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) error {
-	if c.unanswered.Load() > c.budget/2 {
+// goes out unnumbered, a one-way frame the peer answers with nothing.
+// Like Start, Tell refuses a peer that reads slower than it is written
+// to, but at half of Start's bound, so that a replica that is only told
+// things is sent a call in place before Start would refuse it. An error
+// means the frame may not have arrived whole: the connection was closed
+// already, too much waits in its Outbox, the command does not fit a
+// frame, or the write failed, which failed the connection.
+func (c *Client) Tell(ctx context.Context, cmd *cmdlang.CmdLine) error {
+	if c.out.queued.Load() > maxQueued/2 {
 		return errUnanswered
 	}
-	n, err := c.send(ctx, deadline, cmd)
-	if err == nil {
-		c.unanswered.Add(int64(n) + c.frameCharge)
-	}
-	return err
-}
-
-// send writes cmd unnumbered under deadline, or, when it is zero,
-// ctx's, else the client's call timeout from now, and returns the
-// bytes written.
-func (c *Client) send(ctx context.Context, deadline time.Time, cmd *cmdlang.CmdLine) (int, error) {
-	if c.Closed() {
-		return 0, ErrClosed
-	}
-	now := time.Now()
-	if deadline.IsZero() {
-		var ok bool
-		if deadline, ok = ctx.Deadline(); !ok {
-			deadline = now.Add(c.callTimeout)
-		}
-	}
-	return c.write(now, deadline, childSpan(ctx), cmd, false, 0)
+	return c.SendContext(ctx, cmd)
 }
 
 // Close tears down the connection; outstanding calls fail.

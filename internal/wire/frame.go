@@ -9,9 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-	"time"
 
 	"ace/internal/cmdlang"
 	"ace/internal/hlc"
@@ -104,26 +102,6 @@ func WriteCmd(w io.Writer, c *cmdlang.CmdLine) (int, error) {
 // request's seq, while reply itself stays as the handler returned it.
 func WriteReply(w io.Writer, reply *cmdlang.CmdLine, seq int64) (int, error) {
 	return writeFrame(w, encodeCmd(telemetry.SpanContext{}, reply, true, seq))
-}
-
-// ArmedDeadline is the write deadline last armed on one connection;
-// the zero value has armed none. Its user serializes it with the
-// connection's writes.
-type ArmedDeadline struct{ at time.Time }
-
-// SetWriteDeadline holds conn's next write to bound. It arms a new
-// write deadline only when the armed one is later than bound, or leaves
-// the write less than half of its time to bound. So a blocked write
-// fails by its own bound and no sooner than half way to it, and a
-// stream of frames with like bounds arms the connection about once per
-// half bound, not once a frame. An error from conn's SetWriteDeadline
-// is the write's to find.
-func (a *ArmedDeadline) SetWriteDeadline(conn net.Conn, now, bound time.Time) {
-	if a.at.After(bound) || a.at.Sub(now) < bound.Sub(now)/2 {
-		if conn.SetWriteDeadline(bound) == nil {
-			a.at = bound
-		}
-	}
 }
 
 // readHeader decodes a frame's length prefix.

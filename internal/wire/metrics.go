@@ -20,6 +20,9 @@ const (
 	// MetricDialsLocal counts dials that took a command port's twin
 	// (see ListenTwin) rather than TCP.
 	MetricDialsLocal = "wire.dials.local"
+	// MetricFramesQueued counts frames the socket did not take whole,
+	// whose rest an Outbox queued.
+	MetricFramesQueued = "wire.frames.queued"
 )
 
 // Metrics is the wire layer's instrument group. A nil *Metrics (the
@@ -32,6 +35,7 @@ type Metrics struct {
 	bytesRecv   *telemetry.Counter
 	timeouts    *telemetry.Counter
 	dialsLocal  *telemetry.Counter
+	queued      *telemetry.Counter
 	callLatency *telemetry.Histogram
 }
 
@@ -48,6 +52,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		bytesRecv:   r.Counter(MetricBytesRecv),
 		timeouts:    r.Counter(MetricCallTimeouts),
 		dialsLocal:  r.Counter(MetricDialsLocal),
+		queued:      r.Counter(MetricFramesQueued),
 		callLatency: r.Histogram(MetricCallLatency),
 	}
 }

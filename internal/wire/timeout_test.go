@@ -170,9 +170,7 @@ func TestDialAbortsOnCancelledContext(t *testing.T) {
 // client reports ErrClosed without touching the socket — the contract
 // Pool.Send's at-least-once retry relies on.
 func TestSendErrClosedMeansNothingWritten(t *testing.T) {
-	a, b := net.Pipe()
-	defer b.Close()
-	c := newClient(a, false, 0, nil)
+	c, _ := pairClient(t)
 	c.Close()
 	if err := c.Send(cmdlang.New("notify")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)

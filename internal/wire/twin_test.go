@@ -1,3 +1,5 @@
+//go:build linux
+
 package wire
 
 import (
@@ -12,20 +14,16 @@ import (
 	"ace/internal/telemetry"
 )
 
-// TestTwinPeerRule: a twin peer of another user is refused, and so is a
-// twin whose send buffer the kernel left at its default (Linux's
-// net.core.wmem_default, 208 KiB). A real second uid needs root, so the
-// refusal is tested here on the rule alone, not end to end.
+// TestTwinPeerRule: a twin peer of another user is refused. A real
+// second uid needs root, so the refusal is tested here on the rule
+// alone, not end to end.
 func TestTwinPeerRule(t *testing.T) {
 	uid := os.Getuid()
-	if twinAdmits(uid+1, uid, 2*twinSndBuf) {
+	if twinAdmits(uid+1, uid) {
 		t.Fatalf("a peer of uid %d admitted by uid %d", uid+1, uid)
 	}
-	if twinAdmits(uid, uid, 212992) {
-		t.Fatal("a twin admitted with the default send buffer")
-	}
-	if !twinAdmits(uid, uid, 2*twinSndBuf) {
-		t.Fatal("own uid and the granted buffer refused")
+	if !twinAdmits(uid, uid) {
+		t.Fatal("a peer of the own uid refused")
 	}
 }
 
@@ -42,20 +40,10 @@ func dialCounted(t *testing.T, addr string) (*Client, int64) {
 	return c, reg.Counter(MetricDialsLocal).Value()
 }
 
-// needTwins skips a test of twins where the kernel grants a Unix socket
-// too little send buffer to have any (see Twins).
-func needTwins(t *testing.T) {
-	t.Helper()
-	if !Twins() {
-		t.Skip("no twins: net.core.wmem_max is below 4 MiB, so every dial is TCP")
-	}
-}
-
 // stalledTwin is a loopback TCP listener with a twin whose connections
 // are accepted and never read.
 func stalledTwin(t *testing.T) string {
 	t.Helper()
-	needTwins(t)
 	ln := listen(t)
 	tw, err := ListenTwin(ln)
 	if err != nil || tw == nil {
@@ -83,35 +71,44 @@ func stalledTwin(t *testing.T) string {
 }
 
 // TestTwinUnansweredNeverBlocks: on a twin to a peer that reads
-// nothing, Start's and Tell's smallest store frames are refused with
-// errUnanswered before a write finds the send buffer full. Counted in
-// payload bytes against maxUnanswered, or with the send buffer left at
-// its default, the writes block until their deadline and fail the
-// connection.
+// nothing, with the send buffer a kernel grants anyone (Linux's default
+// net.core.wmem_max), Start's and Tell's smallest store frames are
+// queued once the socket is full, and refused with errUnanswered past
+// their bound, each at once: no write waits for the peer, and the
+// connection stays open.
 func TestTwinUnansweredNeverBlocks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		send func(c *Client, sink chan Result, deadline time.Time) error
+		send func(c *Client, sink chan Result) error
 	}{
-		{"start psget", func(c *Client, sink chan Result, deadline time.Time) error {
-			_, err := c.Start(context.Background(), deadline, cmdlang.New("psget").SetString("path", "/"), sink, 0)
+		{"start psget", func(c *Client, sink chan Result) error {
+			_, err := c.Start(context.Background(), cmdlang.New("psget").SetString("path", "/"), sink, 0)
 			return err
 		}},
-		{"tell psput", func(c *Client, _ chan Result, deadline time.Time) error {
-			return c.Tell(context.Background(), deadline,
+		{"tell psput", func(c *Client, _ chan Result) error {
+			return c.Tell(context.Background(),
 				cmdlang.New("psput").SetString("path", "/").SetBytes("value", nil).SetInt("version", 1))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, local := dialCounted(t, stalledTwin(t))
-			if local != 1 {
+			reg := telemetry.NewRegistry()
+			c, err := DialContext(context.Background(), nil, stalledTwin(t), 0, NewMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if local := reg.Counter(MetricDialsLocal).Value(); local != 1 {
 				t.Fatalf("dial to a loopback port with a twin: %d twin dials, want 1", local)
 			}
-			const most = 1 << 15
+			if err := c.out.Conn.(*net.UnixConn).SetWriteBuffer(212992); err != nil {
+				t.Fatal(err)
+			}
+			const most = 1 << 16
 			sink := make(chan Result, most)
 			sent := 0
+			start := time.Now()
 			for ; sent < most; sent++ {
-				err := tc.send(c, sink, time.Now().Add(time.Second))
+				err := tc.send(c, sink)
 				if errors.Is(err, errUnanswered) {
 					break
 				}
@@ -122,9 +119,14 @@ func TestTwinUnansweredNeverBlocks(t *testing.T) {
 			if sent == most {
 				t.Fatalf("%d frames to a peer that reads nothing, none refused", sent)
 			}
+			if took := time.Since(start); took > DefaultCallTimeout/2 {
+				t.Fatalf("%d frames took %v: a write waited for the peer", sent, took)
+			}
 			if len(sink) != 0 || c.Closed() {
-				r := <-sink
-				t.Fatalf("after %d frames the connection failed (%v): a write blocked", sent, r.Err)
+				t.Fatalf("after %d frames the connection failed", sent)
+			}
+			if reg.Counter(MetricFramesQueued).Value() == 0 {
+				t.Fatal("refused with nothing queued")
 			}
 		})
 	}
@@ -148,7 +150,6 @@ func TestLoopbackWithoutTwinDialsTCP(t *testing.T) {
 // name is held already, whose holder would take the port's same-host
 // clients.
 func TestListenTwinRefusesHeldName(t *testing.T) {
-	needTwins(t)
 	ln := listen(t)
 	holder, err := net.Listen("unix", twinName(ln.Addr().String()))
 	if err != nil {
@@ -158,25 +159,5 @@ func TestListenTwinRefusesHeldName(t *testing.T) {
 	if tw, err := ListenTwin(ln); err == nil {
 		tw.Close()
 		t.Fatalf("ListenTwin(%s) with its name held: no error", ln.Addr())
-	}
-}
-
-// TestNoTwinsWithoutTheGrant: where the kernel grants too little send
-// buffer (twins probed false), a loopback port gets no twin and a dial
-// to it is TCP, as on a platform without twins.
-func TestNoTwinsWithoutTheGrant(t *testing.T) {
-	defer func(probed func() bool) { twins = probed }(twins)
-	twins = func() bool { return false }
-	ln := listen(t)
-	if tw, err := ListenTwin(ln); tw != nil || err != nil {
-		t.Fatalf("ListenTwin without twins = %v, %v; want nil, nil", tw, err)
-	}
-	echoServer(t, ln, nil)
-	c, local := dialCounted(t, ln.Addr().String())
-	if local != 0 {
-		t.Fatalf("%d twin dials without twins", local)
-	}
-	if _, err := c.Call(cmdlang.New("ping")); err != nil {
-		t.Fatal(err)
 	}
 }

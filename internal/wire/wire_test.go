@@ -92,11 +92,9 @@ func TestQuickFrameRoundTrip(t *testing.T) {
 }
 
 func TestCmdOverPipe(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
+	a, b := socketPair(t)
 	want := cmdlang.New("move").SetInt("x", 3).SetString("note", "hi there")
-	go func() { WriteCmd(a, want) }() //nolint:errcheck
+	go func() { WriteCmd(NewOutbox(a, DefaultCallTimeout, nil), want) }() //nolint:errcheck
 	got, err := ReadCmd(b)
 	if err != nil {
 		t.Fatal(err)
