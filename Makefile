@@ -71,6 +71,7 @@ test-bench:
 stability:
 	$(GO) test -count=20 -run 'TestDistributedTraceAcrossDaemons' .
 	$(GO) test -count=10 -run 'TestChaosBoundedReadFailsSafe' ./internal/chaos/
+	$(GO) test -count=10 -run 'TestChaosPrimaryDirectoryKillZeroExpirations' ./internal/chaos/
 	$(GO) test -count=1000 -run 'TestHandlerErrorBecomesFail' ./internal/daemon/
 	$(GO) test -count=200 -run 'TestReplicaSiblingEvictionViaNotification' ./internal/asd/
 	$(GO) test -count=200 -run 'TestChaosPstoreQuorumFailsClosedWithoutMajority' ./internal/chaos/

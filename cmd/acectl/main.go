@@ -305,11 +305,12 @@ func printConsistencySummary(snap *telemetry.Snapshot) {
 // replicated ASD: entries held, store traffic behind the lease
 // protocol, read-throughs serving sibling registrations, failover
 // rescues (renew_saves — renewals honored from the durable deadline
-// after the acking replica died), and store errors (nonzero means
-// lease operations are failing closed, never expiring). On a client
-// daemon: lookup-cache effectiveness and notification-driven
-// evictions. Standalone directories and cacheless clients print
-// nothing here.
+// after the acking replica died), renewals answered from memory
+// (renewals_held — each a store write not made), and store errors
+// (nonzero means lease operations are failing closed, never
+// expiring). On a client daemon: lookup-cache effectiveness and
+// notification-driven evictions. Standalone directories and
+// cacheless clients print nothing here.
 func printDirectorySummary(snap *telemetry.Snapshot) {
 	reads := snap.Counter(asd.MetricReplicaStoreReads)
 	writes := snap.Counter(asd.MetricReplicaStoreWrites)
@@ -317,9 +318,10 @@ func printDirectorySummary(snap *telemetry.Snapshot) {
 		fmt.Printf("  directory  entries=%d store reads=%d writes=%d errors=%d\n",
 			snap.Gauge(asd.MetricReplicaEntries), reads, writes,
 			snap.Counter(asd.MetricReplicaStoreErrors))
-		fmt.Printf("  directory  read_throughs=%d renew_saves=%d sync_rounds=%d\n",
+		fmt.Printf("  directory  read_throughs=%d renew_saves=%d renewals_held=%d sync_rounds=%d\n",
 			snap.Counter(asd.MetricReplicaReadThroughs),
 			snap.Counter(asd.MetricReplicaRenewSaves),
+			snap.Counter(asd.MetricReplicaRenewalsHeld),
 			snap.Counter(asd.MetricReplicaSyncRounds))
 	}
 	hits := snap.Counter(daemon.MetricLookupCacheHits)

@@ -32,7 +32,10 @@ type Entry struct {
 	Lease      time.Duration
 	Expires    time.Time
 	Registered time.Time
-	Renewals   int
+	// Renewals counts the renewals that moved the deadline. In a
+	// replicated directory that is the written ones: a renewal answered
+	// from memory (replica.renewHeld) leaves the entry as it is.
+	Renewals int
 	// Version is the persistent-store version of this entry in a
 	// replicated directory (zero in a standalone in-memory directory).
 	// A replica only overwrites its in-memory copy with an entry whose

@@ -30,6 +30,10 @@ const (
 	// a sibling replica's renewal found in the store — each one is an
 	// expiration that replication prevented.
 	MetricReplicaRenewSaves = "asd.replica.renew_saves"
+	// MetricReplicaRenewalsHeld counts renewals answered from memory
+	// because the durable deadline already covered half the lease
+	// asked for: each one is a quorum write not made.
+	MetricReplicaRenewalsHeld = "asd.replica.renewals_held"
 	// MetricReplicaEntries gauges the in-memory entry count after each
 	// sync pass.
 	MetricReplicaEntries = "asd.replica.entries"

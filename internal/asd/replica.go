@@ -2,11 +2,13 @@ package asd
 
 // Replicated directory state (ROADMAP item 2). When a Service is
 // configured with a Store, the in-memory Directory demotes itself to
-// a cache: every registration, renewal, and unregistration is written
-// through the persistent store's quorum fast path before it is acked,
-// and any of N directory daemons backed by the same store can serve
-// any request. Killing one replica loses nothing — the others read
-// the lease state straight back out of the store.
+// a cache: every registration and unregistration is written through
+// the persistent store's quorum fast path before it is acked, and so
+// is every renewal that must move the durable deadline (renewHeld
+// answers the rest from memory). Any of N directory daemons backed by
+// the same store can serve any request. Killing one replica loses
+// nothing — the others read the lease state straight back out of the
+// store.
 //
 // Coherence contract:
 //
@@ -152,6 +154,7 @@ type replica struct {
 	mReadThroughs *telemetry.Counter
 	mSyncRounds   *telemetry.Counter
 	mRenewSaves   *telemetry.Counter
+	mRenewalsHeld *telemetry.Counter
 	mEntries      *telemetry.Gauge
 }
 
@@ -171,6 +174,7 @@ func newReplica(dir *Directory, store Store, tel *telemetry.Registry) *replica {
 		mReadThroughs: tel.Counter(MetricReplicaReadThroughs),
 		mSyncRounds:   tel.Counter(MetricReplicaSyncRounds),
 		mRenewSaves:   tel.Counter(MetricReplicaRenewSaves),
+		mRenewalsHeld: tel.Counter(MetricReplicaRenewalsHeld),
 		mEntries:      tel.Gauge(MetricReplicaEntries),
 	}
 }
@@ -242,12 +246,59 @@ func (r *replica) register(ctx context.Context, e Entry) (time.Duration, error) 
 	return e.Lease, nil
 }
 
-// renew extends a lease. The current entry comes from memory when
-// live there; a miss or a locally-lapsed deadline reads through to
-// the store first, which is what lets any replica take over renewals
-// for entries it never registered — including one whose last renewal
-// was acked by a replica that died a millisecond later.
+// heldShare sets the least renewHeld grants, lease/heldShare: a holder
+// that renews at least every half lease therefore never outlives its
+// grant, and one renewing every third of its lease (daemon.leaseLoop)
+// writes the store on every other renewal.
+const heldShare = 2
+
+// renewHeld answers a renewal from memory, with no store read or
+// write, when the deadline this replica holds for name is at least
+// half the clamped lease asked for and no more than all of it; it
+// grants what remains of that deadline (the reply rounds it down to
+// whole milliseconds). ok is false in every other case: the entry is absent
+// or lapsed here, or the deadline must move (nearer than half a lease,
+// or further than the lease asked for), and renewStore decides.
+//
+// Memory only holds store versions this replica wrote or read, so the
+// grant never outlasts the durable deadline of the version held, and
+// every replica confirms expiry against the store before reaping. The
+// corner: when a sibling has since written a shorter deadline, which
+// no notification announces, this replica grants from the longer one
+// it still holds until its next read of the entry.
+func (r *replica) renewHeld(name string, lease time.Duration) (time.Duration, bool) {
+	lease = clampLease(lease)
+	e, ok := r.dir.Peek(name)
+	if !ok {
+		return 0, false
+	}
+	left := e.Expires.Sub(r.now())
+	if left < lease/heldShare || left > lease {
+		return 0, false
+	}
+	r.mRenewalsHeld.Inc()
+	return left, true
+}
+
+// renew extends a lease: from memory when renewHeld can, otherwise
+// through renewStore. The handler tries renewHeld inline first; the
+// second try here, off the serial section, answers a renewal that a
+// concurrent one of the same name made coverable meanwhile.
 func (r *replica) renew(ctx context.Context, name string, lease time.Duration) (time.Duration, error) {
+	if granted, ok := r.renewHeld(name, lease); ok {
+		return granted, nil
+	}
+	return r.renewStore(ctx, name, lease)
+}
+
+// renewStore extends a lease through the store. The current entry
+// comes from memory when live there; a miss or a locally-lapsed
+// deadline reads through to the store first, which is what lets any
+// replica take over renewals for entries it never registered —
+// including one whose last renewal was acked by a replica that died a
+// millisecond later. A live lease is then written with the deadline
+// now+lease.
+func (r *replica) renewStore(ctx context.Context, name string, lease time.Duration) (time.Duration, error) {
 	lease = clampLease(lease)
 	now := r.now()
 	e, inMem := r.dir.Peek(name)

@@ -22,6 +22,7 @@ type memStore struct {
 	mu    sync.Mutex
 	items map[string]memItem
 	fail  error // when set, every operation returns it
+	ops   int   // operations asked of the store, failed ones included
 }
 
 type memItem struct {
@@ -31,9 +32,33 @@ type memItem struct {
 
 func newMemStore() *memStore { return &memStore{items: make(map[string]memItem)} }
 
+// opCount returns how many operations the store was asked for.
+func (m *memStore) opCount() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ops
+}
+
+// durable returns the entry the store holds for name.
+func (m *memStore) durable(t *testing.T, name string) Entry {
+	t.Helper()
+	m.mu.Lock()
+	it, ok := m.items[entryPath(name)]
+	m.mu.Unlock()
+	if !ok {
+		t.Fatalf("store holds no entry for %s", name)
+	}
+	e, err := decodeEntry(it.value, it.version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func (m *memStore) GetContext(_ context.Context, path string) ([]byte, uint64, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ops++
 	if m.fail != nil {
 		return nil, 0, false, m.fail
 	}
@@ -53,6 +78,7 @@ func (m *memStore) GetBoundedContext(ctx context.Context, path string, _ time.Du
 func (m *memStore) PutContext(_ context.Context, path string, value []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ops++
 	if m.fail != nil {
 		return 0, m.fail
 	}
@@ -66,6 +92,7 @@ func (m *memStore) PutContext(_ context.Context, path string, value []byte) (uin
 func (m *memStore) DeleteContext(_ context.Context, path string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ops++
 	if m.fail != nil {
 		return m.fail
 	}
@@ -76,6 +103,7 @@ func (m *memStore) DeleteContext(_ context.Context, path string) error {
 func (m *memStore) ListContext(_ context.Context, prefix string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.ops++
 	if m.fail != nil {
 		return nil, m.fail
 	}
@@ -278,6 +306,140 @@ func TestReplicaRenewalSurvivesFailover(t *testing.T) {
 	}
 	if exp := aExp.Load(); exp != 0 {
 		t.Fatalf("expirations=%d", exp)
+	}
+
+	// A renewal granted from memory survives failover as well. A
+	// grants one at T1+300ms and dies; C, a replica with cold memory,
+	// takes over. The holder may wait out its whole grant: C's sync
+	// expires nothing before the granted deadline, and C serves the
+	// renewal the holder sends at it.
+	c, clockC := newTestReplica(store)
+	cExp := countExpiries(c.dir)
+	a.dir.SetClock(clockC.now)
+	a.now = clockC.now
+	if _, err := a.register(ctx, Entry{Name: "held", Addr: "h:2", Lease: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	clockC.advance(300 * time.Millisecond)
+	granted, err := a.renew(ctx, "held", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := a.mRenewalsHeld.Value(); held != 1 {
+		t.Fatalf("renewals_held=%d, want a renewal granted from memory", held)
+	}
+	clockC.advance(granted - time.Millisecond)
+	for _, e := range c.sync(ctx) {
+		if e.Name == "held" {
+			t.Fatalf("sync expired %s 1ms before the deadline A granted", e.Name)
+		}
+	}
+	clockC.advance(time.Millisecond)
+	if _, err := c.renew(ctx, "held", time.Second); err != nil {
+		t.Fatalf("renewal at the deadline A granted failed: %v", err)
+	}
+	if exp := cExp.Load(); exp != 0 {
+		t.Fatalf("expirations=%d after a renewal granted from memory", exp)
+	}
+}
+
+// A holder renewing every third of its lease, as daemon.leaseLoop
+// does, writes the store on every other renewal, and every grant is at
+// least half the lease it asks for.
+func TestRenewalCadenceWritesEveryOther(t *testing.T) {
+	store := newMemStore()
+	r, clock := newTestReplica(store)
+	ctx := context.Background()
+	const lease = 3 * time.Second
+	if _, err := r.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: lease}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		clock.advance(lease / 3)
+		granted, err := r.renew(ctx, "svc", lease)
+		if err != nil {
+			t.Fatalf("renewal %d: %v", i, err)
+		}
+		if granted < lease/2 {
+			t.Fatalf("renewal %d granted %v of %v", i, granted, lease)
+		}
+	}
+	if writes := store.durable(t, "svc").Version - 1; writes != n/2 {
+		t.Fatalf("%d renewals wrote the store %d times, want %d", n, writes, n/2)
+	}
+	if held := r.mRenewalsHeld.Value(); held != n/2 {
+		t.Fatalf("renewals_held=%d, want %d", held, n/2)
+	}
+}
+
+// Every grant is covered by the store: after each renewal, the durable
+// deadline is at least now plus the lease granted. The holder waits a
+// varying share of each grant and asks for varying leases, so the
+// renewals land on every side of the held window.
+func TestRenewalGrantIsDurable(t *testing.T) {
+	store := newMemStore()
+	r, clock := newTestReplica(store)
+	ctx := context.Background()
+	granted, err := r.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waits := []float64{0.1, 0.9, 0.5, 0.3, 1, 0.05, 0.6, 0.45, 0.99, 0.2, 0.7}
+	leases := []time.Duration{2000, 1500, 2000, 900, 3000, 2000, 1000, 2500, 2000, 1700, 2000}
+	for i, share := range waits {
+		clock.advance(time.Duration(share * float64(granted)))
+		if granted, err = r.renew(ctx, "svc", leases[i]*time.Millisecond); err != nil {
+			t.Fatalf("renewal %d: %v", i, err)
+		}
+		if durable, want := store.durable(t, "svc").Expires, clock.now().Add(granted); durable.Before(want) {
+			t.Fatalf("renewal %d granted %v, %v past the durable deadline", i, granted, want.Sub(durable))
+		}
+	}
+	if r.mRenewalsHeld.Value() == 0 || r.mStoreWrites.Value() <= 1 {
+		t.Fatalf("renewals_held=%d store_writes=%d: the renewals did not take both paths",
+			r.mRenewalsHeld.Value(), r.mStoreWrites.Value())
+	}
+}
+
+// Outside the held window a renewal takes the store path as before: a
+// shorter lease than memory holds is written and shortens the durable
+// deadline, a deadline nearer than half a lease is moved, and a
+// replica that does not hold the entry reads it through.
+func TestRenewalOutsideTheHeldWindowTouchesTheStore(t *testing.T) {
+	store := newMemStore()
+	a, clock := newTestReplica(store)
+	ctx := context.Background()
+	if _, err := a.register(ctx, Entry{Name: "svc", Addr: "h:1", Lease: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+
+	granted, err := a.renew(ctx, "svc", 10*time.Second)
+	if err != nil || granted != 10*time.Second {
+		t.Fatalf("shorter renewal: granted=%v err=%v", granted, err)
+	}
+	if e := store.durable(t, "svc"); e.Version != 2 || !e.Expires.Equal(clock.now().Add(10*time.Second)) {
+		t.Fatalf("shorter renewal left version %d deadline %v", e.Version, e.Expires)
+	}
+
+	clock.advance(6 * time.Second)
+	if granted, err := a.renew(ctx, "svc", 10*time.Second); err != nil || granted != 10*time.Second {
+		t.Fatalf("renewal with 4s of 10s left: granted=%v err=%v", granted, err)
+	}
+	if e := store.durable(t, "svc"); e.Version != 3 {
+		t.Fatalf("renewal with 4s of 10s left did not write: version %d", e.Version)
+	}
+
+	b, clockB := newTestReplica(store)
+	clockB.advance(6 * time.Second)
+	if granted, err := b.renew(ctx, "svc", 10*time.Second); err != nil || granted != 10*time.Second {
+		t.Fatalf("cold renewal: granted=%v err=%v", granted, err)
+	}
+	if reads, held := b.mStoreReads.Value(), b.mRenewalsHeld.Value(); reads != 1 || held != 0 {
+		t.Fatalf("cold renewal: store_reads=%d renewals_held=%d, want a read-through", reads, held)
+	}
+	if a.mRenewalsHeld.Value() != 0 {
+		t.Fatalf("renewals_held=%d on renewals that had to move the deadline", a.mRenewalsHeld.Value())
 	}
 }
 

@@ -55,10 +55,10 @@ type Config struct {
 	// the staleness of scan lookups served from this replica's memory.
 	ReapInterval time.Duration
 	// Store, when set, replicates the directory over the persistent
-	// store: every registration and renewal is quorum-written before
-	// it is acked, and any directory daemon backed by the same store
-	// serves the same entries. Nil keeps the standalone in-memory
-	// directory.
+	// store: every registration, and every renewal that must move the
+	// durable deadline, is quorum-written before it is acked, and any
+	// directory daemon backed by the same store serves the same
+	// entries. Nil keeps the standalone in-memory directory.
 	Store Store
 }
 
@@ -196,11 +196,13 @@ func replicaFail(err error) *cmdlang.CmdLine {
 // detachStore runs work — a handler continuation ending in one or
 // more quorum store rounds — out of the daemon's serial section when
 // the invocation can detach and a pipeline slot is free, so concurrent
-// renewals overlap their store fan-outs instead of serializing behind
-// one another. With no free slot the work runs inline, holding the
-// section, which is the natural backpressure; ExecuteLocal invocations
-// (which cannot detach) also run inline. The returned reply is nil
-// exactly when the invocation detached (the daemon discards it).
+// writes (registrations, and renewals that must move the durable
+// deadline) overlap their store fan-outs instead of serializing behind
+// one another. A renewal answered from memory never gets here. With no
+// free slot the work runs inline, holding the section, which is the
+// natural backpressure; ExecuteLocal invocations (which cannot detach)
+// also run inline. The returned reply is nil exactly when the
+// invocation detached (the daemon discards it).
 func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *cmdlang.CmdLine) *cmdlang.CmdLine {
 	finish, ok := hctx.Detach()
 	if !ok {
@@ -223,6 +225,40 @@ func (s *Service) detachStore(hctx *daemon.Ctx, work func(ctx context.Context) *
 		cancel()
 	}
 	return nil
+}
+
+// renew is the renew verb's handler. On a replicated directory a
+// renewal the deadline in memory already covers is answered inline,
+// without detaching, a goroutine or a storeSem slot; any other
+// detaches to replica.renew.
+func (s *Service) renew(hctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
+	name := c.Str("name", "")
+	lease := time.Duration(c.Int("lease", 0)) * time.Millisecond
+	if s.rep == nil {
+		granted, err := s.dir.Renew(name, lease)
+		if err != nil {
+			return cmdlang.Fail(cmdlang.CodeNotFound, err.Error()), nil
+		}
+		s.mRenewals.Inc()
+		return leaseReply(granted), nil
+	}
+	if granted, ok := s.rep.renewHeld(name, lease); ok {
+		s.mRenewals.Inc()
+		return leaseReply(granted), nil
+	}
+	return s.detachStore(hctx, func(ctx context.Context) *cmdlang.CmdLine {
+		granted, err := s.rep.renew(ctx, name, lease)
+		if err != nil {
+			return replicaFail(err)
+		}
+		s.mRenewals.Inc()
+		return leaseReply(granted)
+	}), nil
+}
+
+// leaseReply acks a registration or renewal with the lease granted.
+func leaseReply(granted time.Duration) *cmdlang.CmdLine {
+	return cmdlang.OK().SetInt("lease", int64(granted/time.Millisecond))
 }
 
 func entryReply(e Entry) *cmdlang.CmdLine {
@@ -265,7 +301,7 @@ func (s *Service) install() {
 				return nil, err
 			}
 			s.mRegistrations.Inc()
-			return cmdlang.OK().SetInt("lease", int64(lease/time.Millisecond)), nil
+			return leaseReply(lease), nil
 		}
 		return s.detachStore(hctx, func(ctx context.Context) *cmdlang.CmdLine {
 			lease, err := s.rep.register(ctx, e)
@@ -273,7 +309,7 @@ func (s *Service) install() {
 				return replicaFail(err)
 			}
 			s.mRegistrations.Inc()
-			return cmdlang.OK().SetInt("lease", int64(lease/time.Millisecond))
+			return leaseReply(lease)
 		}), nil
 	})
 
@@ -284,26 +320,7 @@ func (s *Service) install() {
 			{Name: "name", Kind: cmdlang.KindWord, Required: true},
 			{Name: "lease", Kind: cmdlang.KindInt},
 		},
-	}, func(hctx *daemon.Ctx, c *cmdlang.CmdLine) (*cmdlang.CmdLine, error) {
-		name := c.Str("name", "")
-		lease := time.Duration(c.Int("lease", 0)) * time.Millisecond
-		if s.rep == nil {
-			granted, err := s.dir.Renew(name, lease)
-			if err != nil {
-				return cmdlang.Fail(cmdlang.CodeNotFound, err.Error()), nil
-			}
-			s.mRenewals.Inc()
-			return cmdlang.OK().SetInt("lease", int64(granted/time.Millisecond)), nil
-		}
-		return s.detachStore(hctx, func(ctx context.Context) *cmdlang.CmdLine {
-			granted, err := s.rep.renew(ctx, name, lease)
-			if err != nil {
-				return replicaFail(err)
-			}
-			s.mRenewals.Inc()
-			return cmdlang.OK().SetInt("lease", int64(granted/time.Millisecond))
-		}), nil
-	})
+	}, s.renew)
 
 	s.Handle(cmdlang.CommandSpec{
 		Name: daemon.CmdUnregister,

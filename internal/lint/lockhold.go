@@ -291,7 +291,9 @@ var blockingRPCNames = map[string]bool{
 var blockingPkgs = map[string]bool{"wire": true, "pstore": true, "daemon": true}
 
 // blockingCall classifies a call as blocking: time.Sleep, any Wait
-// method, or an RPC-named method on a wire/pstore/daemon type.
+// method but sync.Cond's, or an RPC-named method on a
+// wire/pstore/daemon type. (*sync.Cond).Wait is called with its lock
+// held by contract and gives the lock up while it waits.
 func blockingCall(pass *Pass, call *ast.CallExpr) string {
 	fn := pass.calleeFunc(call)
 	if fn == nil || fn.Pkg() == nil {
@@ -305,7 +307,11 @@ func blockingCall(pass *Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	if fn.Name() == "Wait" {
-		return fmt.Sprintf("(%s).Wait", pass.typeStr(sig.Recv().Type()))
+		recv := pass.typeStr(sig.Recv().Type())
+		if fn.Pkg().Path() == "sync" && recv == "*sync.Cond" {
+			return ""
+		}
+		return fmt.Sprintf("(%s).Wait", recv)
 	}
 	if blockingRPCNames[fn.Name()] && pass.Prog.IsLocal(fn.Pkg().Path()) && blockingPkgs[fn.Pkg().Name()] {
 		return fmt.Sprintf("blocking call to (%s).%s",

@@ -50,6 +50,16 @@ func waitUnder(s *state, wg *sync.WaitGroup) {
 	wg.Wait() // want `\(\*sync\.WaitGroup\)\.Wait while s\.mu is held`
 }
 
+// condWait is fine: sync.Cond.Wait must be called holding its L (here
+// &s.mu), and gives it up while it waits.
+func condWait(s *state, c *sync.Cond) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.n == 0 {
+		c.Wait()
+	}
+}
+
 // blockingSelect: no default clause means this can park forever.
 func blockingSelect(s *state, ch chan int) {
 	s.mu.Lock()

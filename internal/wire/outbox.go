@@ -137,7 +137,7 @@ func (o *Outbox) Wait() {
 	}
 	o.mu.Lock()
 	for o.queued.Load() > maxQueued && o.err == nil {
-		o.drained.Wait() //acelint:ignore lockhold sync.Cond.Wait gives up o.mu while it waits
+		o.drained.Wait()
 	}
 	o.mu.Unlock()
 }
